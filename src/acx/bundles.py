@@ -17,11 +17,9 @@ dual frame is theta* = -theta^T.
 
 from __future__ import annotations
 
-from .errors import InputError
-from .forms import Form, basis_monomials
+from .errors import InputError, InternalCheckError
+from .forms import Form
 from .lie import LieACS
-from .linalg import kernel_basis
-from .scalars import SS_ZERO, SymScalar
 
 
 def _check_01(entry: Form, n: int):
@@ -130,7 +128,7 @@ class CanonicalPower:
                 beta_terms[((), (i,))] = c if sign > 0 else -c
         self.beta1 = Form(model.n, beta_terms)
         if self.beta1.wedge(self.vol) != dvol:
-            raise AssertionError("beta_1 does not reproduce dbar(vol)")
+            raise InternalCheckError("canonical bundle", "beta_1 does not reproduce dbar(vol)")
 
     def beta(self, m: int | None = None) -> Form:
         m = self.m if m is None else m
@@ -152,48 +150,3 @@ class CanonicalPower:
 def canonical_dbar(model: LieACS, m: int) -> CanonicalPower:
     return CanonicalPower(model, m)
 
-
-class InvariantSections:
-    def __init__(self, dimension, monomials, basis):
-        self.dimension = dimension
-        self.monomials = monomials
-        self.basis = basis
-
-
-def invariant_sections(ps: PseudoholStructure, p: int) -> InvariantSections:
-    """Kernel of dbar_E on constant-coefficient (p,0)-valued sections.
-
-    When the model carries a basic index restriction, section monomials are
-    drawn from that index set only; the differential still acts in the full
-    complex, so obstructions living in non-basic directions are seen.
-    """
-    model = ps.model
-    monos = basis_monomials(model.n, p, 0)
-    if model.basic is not None:
-        monos = [
-            (a, b)
-            for (a, b) in monos
-            if set(a) <= model.basic and set(b) <= model.basic
-        ]
-    columns = []
-    images = []
-    for (a, b) in monos:
-        for i in range(ps.rank):
-            comps = [Form.zero(model.n)] * ps.rank
-            comps = list(comps)
-            comps[i] = Form.monomial(model.n, a, b)
-            images.append(ps.dbar_section(comps))
-            columns.append(((a, b), i))
-    target_keys = []
-    seen = set()
-    for img in images:
-        for j, f in enumerate(img):
-            for key in f.terms:
-                if (j, key) not in seen:
-                    seen.add((j, key))
-                    target_keys.append((j, key))
-    rows = []
-    for (j, key) in sorted(target_keys):
-        rows.append([img[j].terms.get(key, SS_ZERO) for img in images])
-    basis = kernel_basis(rows, ncols=len(columns)) if columns else []
-    return InvariantSections(len(basis), columns, basis)

@@ -3,7 +3,8 @@
 Every report is assembled from exact library results into plain JSON types,
 emitted with sorted keys (or as an aligned table), so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 refusal or failed
-verification, 2 malformed input.
+verification, 2 malformed input (including a user-sized input above its
+limit), 3 a failed internal cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import InputError, RefusalError
+from .errors import InputError, InternalCheckError, RefusalError
 from .hodge import invariant_harmonic_space
 from .lie import is_integrable, nijenhuis, structure_equations
 from .models import kt_model, load_model_file
@@ -47,6 +48,13 @@ from .torus import (
 from . import g2 as sphere
 
 PRESETS = ("kt", "t4", "g2")
+
+# Upper limits on user-sized inputs, checked before any list is built: the
+# largest --m level and the number of levels in one --m spec, --length of a
+# plurigenera profile, and s6-report --levels.
+MAX_LEVEL = 1000
+MAX_LENGTH = 1000
+MAX_LEVELS = 1000
 
 _T4_LIE_REFUSAL = (
     "the four-torus family has non-constant structure coefficients; "
@@ -85,15 +93,25 @@ def _parse_m_spec(text: str) -> List[int]:
                 raise InputError(f"--m: bad range {chunk!r}") from exc
             if lo > hi:
                 raise InputError(f"--m: empty range {chunk!r}")
-            levels.extend(range(lo, hi + 1))
         else:
             try:
-                levels.append(int(chunk))
+                lo = hi = int(chunk)
             except ValueError as exc:
                 raise InputError(f"--m: bad level {chunk!r}") from exc
-    if not levels or any(m < 1 for m in levels):
-        raise InputError("--m: levels must be positive integers")
+        if lo < 1:
+            raise InputError("--m: levels must be positive integers")
+        if hi > MAX_LEVEL:
+            raise InputError(f"--m: levels must be at most {MAX_LEVEL}")
+        if len(levels) + hi - lo + 1 > MAX_LEVEL:
+            raise InputError(f"--m: at most {MAX_LEVEL} levels")
+        levels.extend(range(lo, hi + 1))
     return levels
+
+
+def _check_limit(option: str, value: int, limit: int) -> int:
+    if value > limit:
+        raise InputError(f"{option}: must be at most {limit}")
+    return value
 
 
 def _parse_t_member(text: Optional[str]):
@@ -265,9 +283,9 @@ def _kt_plurigenera_rows(a_list, levels, cross_check):
                     if all(abs(c) <= window for c in mode)
                 }
                 if closed != set(kt_mode_oracle(a, coeff, window=window)):
-                    raise AssertionError(
-                        f"mode oracle disagrees with the closed form at "
-                        f"a={a}, m={m}"
+                    raise InternalCheckError(
+                        "mode oracle",
+                        f"disagrees with the closed form at a={a}, m={m}",
                     )
         row = {"a": str(a), "values": values}
         first = kt_first_nonzero(a)
@@ -392,7 +410,7 @@ def _profile_report(profile: PlurigeneraProfile) -> Dict[str, object]:
 def _cmd_kodaira(args):
     a_list = _parse_a_list(args.a) if args.a else None
     kind, loaded = _load_model(args.model, a_list)
-    length = args.length
+    length = _check_limit("--length", args.length, MAX_LENGTH)
     if kind == "kt":
         if not a_list:
             raise InputError("the kt preset needs --a (e.g. --a 4*pi,generic)")
@@ -472,6 +490,7 @@ def _cmd_kunneth(args):
     specs = [s for s in (args.factors or "").split(",") if s.strip()]
     if len(specs) < 2:
         raise InputError("--factors: want at least two comma-separated factors")
+    _check_limit("--length", args.length, MAX_LENGTH)
     profiles = [_factor_profile(s, args.length) for s in specs]
     product = profiles[0]
     for prof in profiles[1:]:
@@ -516,7 +535,9 @@ def _cmd_g2_verify(args):
 def _cmd_s6_report(args):
     structure = sphere.s6_structure_package()
     reduction = sphere.verify_reduction_brackets()
-    census = sphere.s6_hodge_report(levels=args.levels)
+    census = sphere.s6_hodge_report(
+        levels=_check_limit("--levels", args.levels, MAX_LEVELS)
+    )
     ok = structure.ok and reduction.ok and census.ok
     report = {
         "structure": structure.summary(),
@@ -689,6 +710,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -2,12 +2,18 @@
 
 InputError: the input is malformed or violates a structural precondition
 (bad rational literal, J^2 != -I, Jacobi failure, non-unimodular algebra,
-non-real coefficient data).  CLI exit code 2.
+non-real coefficient data, a user-sized input above its limit).  CLI exit
+code 2.
 
 RefusalError: the input is well formed but outside the range of the exact
 derivations this package implements (for example a torus structure whose
 obstruction vanishes without the coefficients being constant).  The honest
 answer is to refuse rather than guess.  CLI exit code 1.
+
+InternalCheckError: two independent computations of the same quantity
+disagree (the three integrability tests, the two harmonic kernels, the star
+oracle, the canonical-bundle product rule, the mode oracle).  That is a fault
+of this package, never of the input.  CLI exit code 3.
 """
 
 
@@ -17,3 +23,11 @@ class InputError(ValueError):
 
 class RefusalError(RuntimeError):
     pass
+
+
+class InternalCheckError(AssertionError):
+    """A failed cross-check; `check` names it, the message says how."""
+
+    def __init__(self, check: str, detail: str):
+        super().__init__(f"{check}: {detail}")
+        self.check = check

@@ -219,9 +219,6 @@ class Form:
             terms[(b, a)] = cc
         return Form(self.n, terms)
 
-    def map_coefficients(self, fn) -> "Form":
-        return Form(self.n, {k: fn(c) for k, c in self.terms.items()})
-
     def monomials(self):
         return sorted(self.terms.keys())
 
@@ -268,10 +265,6 @@ def wedge_all(factors, n=None) -> Form:
     for f in factors[1:]:
         out = out.wedge(f)
     return out
-
-
-def project_bidegree(x: Form, p: int, q: int) -> Form:
-    return x.project(p, q)
 
 
 def conjugate(x: Form) -> Form:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .forms import Form, MultiIndex, basis_monomials, complement
 from .lie import Character, LieACS
 from .linalg import in_span, is_nonsingular, kernel_basis, solve
@@ -144,7 +144,7 @@ class HermitianData:
             rhs.append(self.h(w, x) * self.vol_coeff)
         sol = solve(rows, rhs)
         if sol is None:
-            raise AssertionError("star oracle system is inconsistent")
+            raise InternalCheckError("star oracle", "the system is inconsistent")
         out = Form.zero(self.n)
         for (ta, tb), c in zip(target, sol):
             out = out + Form.monomial(self.n, ta, tb, c.conjugate())
@@ -326,12 +326,13 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
         ds_rows, _ = _operator_matrix(ctx, monomials, ctx.dbar_star)
         both_kernel = kernel_basis(db_rows + ds_rows, ncols=ncols)
         if len(lap_kernel) != len(both_kernel):
-            raise AssertionError(
-                "Laplacian kernel disagrees with ker dbar intersect ker dbar*"
+            raise InternalCheckError(
+                "harmonic kernels",
+                "Laplacian kernel disagrees with ker dbar intersect ker dbar*",
             )
         for v in both_kernel:
             if not in_span(lap_kernel, v):
-                raise AssertionError("harmonic kernels span different spaces")
+                raise InternalCheckError("harmonic kernels", "they span different spaces")
         blocks.append(HarmonicBlock(ch, monomials, ctx.rank, both_kernel))
     return HarmonicSpace(model, p, q, blocks)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .forms import Form, MultiIndex, merge_indices, wedge_all
 from .linalg import mat_inverse, mat_vec, rank
 from .scalars import SS_ONE, SS_ZERO, S_I, SymScalar
@@ -155,6 +155,12 @@ class LieAlgebra:
             if vec:
                 clean[(i, j)] = vec
         self.brackets = clean
+        # ad[a][b]: the nonzero 0-based (k, c) terms of [e_a, e_b], for the
+        # sparse bracket of coefficient vectors
+        self._ad = [{} for _ in range(dim)]
+        for (i, j), vec in clean.items():
+            self._ad[i - 1][j - 1] = [(k - 1, c) for k, c in vec.items()]
+            self._ad[j - 1][i - 1] = [(k - 1, -c) for k, c in vec.items()]
         self._check_jacobi()
 
     def bracket_basis(self, i, j):
@@ -171,14 +177,22 @@ class LieAlgebra:
         return out
 
     def bracket_vectors(self, u, v):
-        """[u, v] for coefficient lists u, v (0-based, SymScalar entries)."""
+        """[u, v] for coefficient lists u, v (0-based, SymScalar entries).
+
+        Sums u_a v_b [e_a, e_b] over the nonzero coordinates a of u and b of
+        v for which the bracket of basis vectors is nonzero.
+        """
         out = [SS_ZERO] * self.dim
-        for (i, j), vec in self.brackets.items():
-            f = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-            if f.is_zero():
+        for a, ua in enumerate(u):
+            if ua.is_zero():
                 continue
-            for k, c in vec.items():
-                out[k - 1] = out[k - 1] + f * c
+            for b, terms in self._ad[a].items():
+                vb = v[b]
+                if vb.is_zero():
+                    continue
+                f = ua * vb
+                for k, c in terms:
+                    out[k] = out[k] + f * c
         return out
 
     def _check_jacobi(self):
@@ -503,9 +517,10 @@ def is_integrable(alg: LieAlgebra, J: ACStructure) -> bool:
         for B in range(A + 1, n)
     )
     if not (by_nijenhuis == by_forms == by_frame):
-        raise AssertionError(
-            "integrability tests disagree: "
-            f"N=0:{by_nijenhuis} (0,2)-parts:{by_forms} frame-closed:{by_frame}"
+        raise InternalCheckError(
+            "integrability",
+            "the three tests disagree: "
+            f"N=0:{by_nijenhuis} (0,2)-parts:{by_forms} frame-closed:{by_frame}",
         )
     return by_nijenhuis
 

@@ -99,10 +99,15 @@ def is_nonsingular(rows) -> bool:
 
 
 def mat_vec(rows, v):
-    return [
-        sum((a * b for a, b in zip(row, v)), SS_ZERO)
-        for row in _coerce_matrix(rows)
-    ]
+    """A v, summing over the nonzero entries of v only."""
+    terms = [(k, c) for k, c in enumerate(map(SymScalar.coerce, v)) if not c.is_zero()]
+    out = []
+    for row in rows:
+        acc = SS_ZERO
+        for k, c in terms:
+            acc = acc + SymScalar.coerce(row[k]) * c
+        out.append(acc)
+    return out
 
 
 def mat_mul(a, b):

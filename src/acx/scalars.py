@@ -1,15 +1,28 @@
 """Exact scalars: Gaussian rationals and rational functions in one formal symbol.
 
-Scalar is Q(i) with fractions.Fraction components.  SymScalar is the field
-Q(i)(x) of rational functions in a single formal symbol x, which stands for
-pi in rational-multiple-of-pi contexts and for a generic structure parameter
-otherwise; a given model only ever uses one meaning, so zero testing is a
-polynomial identity test.
+Scalar is Q(i).  Its components re and im are exact rationals, held as a
+plain int when the denominator is 1 and as a fractions.Fraction otherwise;
+no float ever appears (int / int is a float in Python, so every division
+goes through Fraction).  Arithmetic builds its result from components that
+are already in this form, so nothing is re-coerced on the way.
+
+SymScalar is the field Q(i)(x) of rational functions in a single formal
+symbol x, which stands for pi in rational-multiple-of-pi contexts and for a
+generic structure parameter otherwise; a given model only ever uses one
+meaning, so zero testing is a polynomial identity test.  Its canonical form
+is num/den with den monic and gcd(num, den) = 1.  Constant-path invariant:
+a constant (num of length at most one) always carries the one shared unit
+denominator _P_ONE, so is_constant() is an identity test, and arithmetic
+between constants is Scalar arithmetic that never enters the polynomial
+gcd.  The polynomial path runs only for values that involve the symbol.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+_set = object.__setattr__
+_new = object.__new__
 
 
 def parse_rational(text: str) -> Fraction:
@@ -22,14 +35,38 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}") from exc
 
 
+def _rat(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(p, q):
+    """p / q for exact rationals p and nonzero q, never a float."""
+    if type(p) is int and type(q) is int:
+        return _rat(Fraction(p, q))
+    return _rat(p / q)
+
+
+def _scalar(re, im):
+    """A Scalar from components already in canonical form."""
+    s = _new(Scalar)
+    _set(s, "re", re)
+    _set(s, "im", im)
+    return s
+
+
 class Scalar:
     """A Gaussian rational re + im*i."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        _set(self, "re", _rat(re))
+        _set(self, "im", _rat(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -43,34 +80,39 @@ class Scalar:
         raise TypeError(f"cannot coerce {value!r} to Scalar")
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        return _scalar(_rat(self.re + other.re), _rat(self.im + other.im))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-Scalar.coerce(other))
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        return _scalar(_rat(self.re - other.re), _rat(self.im - other.im))
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) + (-self)
+        return Scalar.coerce(other) - self
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return _scalar(_rat(a * c), 0)
+        return _scalar(_rat(a * c - b * d), _rat(a * d + b * c))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        a, b = self.re, self.im
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("inverse of zero Scalar")
-        return Scalar(self.re / n, -self.im / n)
+        return _scalar(_div(a, n), _div(-b, n))
 
     def __truediv__(self, other):
         return self * Scalar.coerce(other).inverse()
@@ -79,19 +121,20 @@ class Scalar:
         return Scalar.coerce(other) * self.inverse()
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _scalar(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
-        try:
-            other = Scalar.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not Scalar:
+            try:
+                other = Scalar.coerce(other)
+            except TypeError:
+                return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -109,24 +152,20 @@ S_ONE = Scalar(1)
 S_I = Scalar(0, 1)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def scalar_str(s: Scalar) -> str:
     """Canonical compact rendering, e.g. '3/4', '-i', '1+2i', '2-1/3i'."""
     if s.im == 0:
-        return _frac_str(s.re)
+        return str(s.re)
     if s.re == 0:
         if s.im == 1:
             return "i"
         if s.im == -1:
             return "-i"
-        return f"{_frac_str(s.im)}i"
+        return f"{s.im}i"
     sign = "+" if s.im > 0 else "-"
     mag = abs(s.im)
-    imag = "i" if mag == 1 else f"{_frac_str(mag)}i"
-    return f"{_frac_str(s.re)}{sign}{imag}"
+    imag = "i" if mag == 1 else f"{mag}i"
+    return f"{s.re}{sign}{imag}"
 
 
 # --- polynomials over Scalar, coefficients low degree -> high, no trailing zeros
@@ -197,6 +236,28 @@ def _pgcd(a, b):
 _P_ONE = (S_ONE,)
 
 
+def _sym(num, den):
+    """A SymScalar from a num/den pair already in canonical form."""
+    s = _new(SymScalar)
+    _set(s, "num", num)
+    _set(s, "den", den)
+    return s
+
+
+def _poly(num, den=_P_ONE):
+    """num/den with gcd(num, den) = 1 and den monic or _P_ONE, num possibly zero."""
+    if not num:
+        return SS_ZERO
+    return _sym(num, den)
+
+
+def _const(c: Scalar) -> "SymScalar":
+    """The constant c as a SymScalar, bypassing the polynomial path."""
+    if c.is_zero():
+        return SS_ZERO
+    return _sym((c,), _P_ONE)
+
+
 class SymScalar:
     """An element of Q(i)(x): num/den with den monic and gcd(num, den) = 1."""
 
@@ -208,26 +269,28 @@ class SymScalar:
         if not den:
             raise ZeroDivisionError("SymScalar with zero denominator")
         if num:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num, _ = _pdivmod(num, g)
-                den, _ = _pdivmod(den, g)
-        else:
+            # a constant denominator shares no factor with num
+            if len(den) > 1:
+                g = _pgcd(num, den)
+                if len(g) > 1:
+                    num, _ = _pdivmod(num, g)
+                    den, _ = _pdivmod(den, g)
+            lead = den[-1]
+            if lead != S_ONE:
+                inv = lead.inverse()
+                num = tuple(c * inv for c in num)
+                den = tuple(c * inv for c in den)
+        if not num or len(den) == 1:
             den = _P_ONE
-        lead = den[-1]
-        if lead != S_ONE:
-            inv = lead.inverse()
-            num = tuple(c * inv for c in num)
-            den = tuple(c * inv for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymScalar is immutable")
 
     @staticmethod
     def const(value) -> "SymScalar":
-        return SymScalar((Scalar.coerce(value),))
+        return _const(Scalar.coerce(value))
 
     @staticmethod
     def symbol(coeff=1, power: int = 1) -> "SymScalar":
@@ -242,11 +305,11 @@ class SymScalar:
         if isinstance(value, SymScalar):
             return value
         if isinstance(value, (int, Fraction, Scalar)):
-            return SymScalar.const(value)
+            return _const(Scalar.coerce(value))
         raise TypeError(f"cannot coerce {value!r} to SymScalar")
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == _P_ONE
+        return len(self.num) <= 1 and self.den is _P_ONE
 
     def constant_value(self) -> Scalar:
         if not self.is_constant():
@@ -254,16 +317,32 @@ class SymScalar:
         return self.num[0] if self.num else S_ZERO
 
     def __add__(self, other):
-        other = SymScalar.coerce(other)
-        if self.is_constant() and other.is_constant():
-            return SymScalar.const(self.constant_value() + other.constant_value())
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return SymScalar(num, _pmul(self.den, other.den))
+        if type(other) is not SymScalar:
+            other = SymScalar.coerce(other)
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        p, q = self.den, other.den
+        if p is _P_ONE and q is _P_ONE:
+            if len(a) == 1 and len(b) == 1:
+                return _const(a[0] + b[0])
+            return _poly(_padd(a, b))
+        if p is _P_ONE:
+            # a + b/q = (a q + b)/q, and gcd(a q + b, q) = gcd(b, q) = 1
+            return _poly(_padd(_pmul(a, q), b), q)
+        if q is _P_ONE:
+            return _poly(_padd(a, _pmul(b, p)), p)
+        return SymScalar(_padd(_pmul(a, q), _pmul(b, p)), _pmul(p, q))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymScalar(_pneg(self.num), self.den)
+        # negation keeps the canonical form
+        if not self.num:
+            return self
+        return _sym(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         return self + (-SymScalar.coerce(other))
@@ -272,30 +351,41 @@ class SymScalar:
         return SymScalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = SymScalar.coerce(other)
-        if self.is_constant() and other.is_constant():
-            return SymScalar.const(self.constant_value() * other.constant_value())
-        return SymScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        if type(other) is not SymScalar:
+            other = SymScalar.coerce(other)
+        a, b = self.num, other.num
+        if not a or not b:
+            return SS_ZERO
+        if len(a) == 1 and self.den is _P_ONE:
+            # a nonzero constant factor keeps the canonical form
+            if len(b) == 1 and other.den is _P_ONE:
+                return _const(a[0] * b[0])
+            return _sym(_pmul(a, b), other.den)
+        if len(b) == 1 and other.den is _P_ONE:
+            return _sym(_pmul(a, b), self.den)
+        return SymScalar(_pmul(a, b), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = SymScalar.coerce(other)
+        if type(other) is not SymScalar:
+            other = SymScalar.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero SymScalar")
         if self.is_constant() and other.is_constant():
-            return SymScalar.const(self.constant_value() / other.constant_value())
+            return _const(self.constant_value() / other.num[0])
         return SymScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
         return SymScalar.coerce(other) / self
 
     def conjugate(self) -> "SymScalar":
-        # The symbol is real (pi, or a real structure parameter).
-        return SymScalar(
-            tuple(c.conjugate() for c in self.num),
-            tuple(c.conjugate() for c in self.den),
-        )
+        # The symbol is real (pi, or a real structure parameter), so
+        # conjugation is a ring automorphism and keeps the canonical form.
+        den = self.den
+        if den is not _P_ONE:
+            den = tuple(c.conjugate() for c in den)
+        return _sym(tuple(c.conjugate() for c in self.num), den)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -304,10 +394,11 @@ class SymScalar:
         return not self.is_zero()
 
     def __eq__(self, other):
-        try:
-            other = SymScalar.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not SymScalar:
+            try:
+                other = SymScalar.coerce(other)
+            except TypeError:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -321,7 +412,7 @@ class SymScalar:
 
     def to_str(self, symbol: str = "x") -> str:
         num = _poly_str(self.num, symbol)
-        if self.den == _P_ONE:
+        if self.den is _P_ONE:
             return num
         return f"({num})/({_poly_str(self.den, symbol)})"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, RefusalError
 from .scalars import PiParam, Scalar, SymScalar, S_ZERO
@@ -194,13 +194,6 @@ class TrigPoly:
 
     def coefficient(self, freq: Sequence[int]) -> SymScalar:
         return self.terms.get(tuple(int(n) for n in freq), SymScalar.const(0))
-
-    def depends_only_on(self, coords: Iterable[int]) -> bool:
-        allowed = set(coords)
-        return all(
-            all(n == 0 for j, n in enumerate(freq) if j not in allowed)
-            for freq in self.terms
-        )
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):

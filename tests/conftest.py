@@ -9,6 +9,37 @@ freshly computed reports.
 import pytest
 
 from acx import g2
+from acx.models import model_from_json
+
+# An 8-dim 2-step nilpotent model whose J carries the generic parameter a in
+# the blocks that touch the brackets, so its frames are rational in a.
+NIL8_GENERIC = {
+    "dim": 8,
+    "brackets": [
+        {"i": 1, "j": 3, "out": [[7, "1", "0"]]},
+        {"i": 2, "j": 4, "out": [[7, "1", "0"]]},
+        {"i": 1, "j": 4, "out": [[8, "1", "0"]]},
+        {"i": 2, "j": 3, "out": [[8, "1", "0"]]},
+        {"i": 1, "j": 5, "out": [[8, "1", "0"]]},
+    ],
+    "J": [
+        ["0", "-1/a", "0", "0", "0", "0", "0", "0"],
+        ["a", "0", "0", "0", "0", "0", "0", "0"],
+        ["0", "0", "0", "-a", "0", "0", "0", "0"],
+        ["0", "0", "1/a", "0", "0", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "-1", "0", "0"],
+        ["0", "0", "0", "0", "1", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "0", "0", "-1/a"],
+        ["0", "0", "0", "0", "0", "0", "a", "0"],
+    ],
+    "params": {"a": "generic"},
+}
+
+
+@pytest.fixture(scope="session")
+def nil8_generic():
+    model, _ = model_from_json(NIL8_GENERIC)
+    return model
 
 
 @pytest.fixture(scope="session")

@@ -306,3 +306,59 @@ class TestMainExitCodes:
         )
         assert code == 0
         assert report["rows"][0]["values"] == [0, 1, 0, 1]
+
+    def test_failed_cross_check_exit_three(self, monkeypatch, capsys):
+        # make the (0,2)-parts test contradict the other two
+        from acx import lie
+
+        monkeypatch.setattr(
+            lie.StructureEquations, "integrable", lambda self: True
+        )
+        assert main(["nijenhuis", "--model", "kt", "--a", "4*pi"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: integrability: ")
+        assert "N=0:False (0,2)-parts:True frame-closed:False" in err
+
+    def test_internal_check_error_is_not_an_input_error(self):
+        from acx.errors import InternalCheckError
+
+        exc = InternalCheckError("star oracle", "the system is inconsistent")
+        assert not isinstance(exc, (ValueError, RefusalError))
+        assert exc.check == "star oracle"
+        assert str(exc) == "star oracle: the system is inconsistent"
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("1..1000000000", "at most 1000"),
+            ("1001", "at most 1000"),
+            ("999..1001", "at most 1000"),
+            ("1..600,1..600", "at most 1000 levels"),
+            ("-1000000000..3", "positive integers"),
+        ],
+    )
+    def test_m_limit(self, capsys, spec, message):
+        assert main(["rr", "--genus", "2", f"--m={spec}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --m:") and message in err
+
+    def test_m_limit_is_inclusive(self):
+        code, report = capture_json(["rr", "--genus", "2", "--m", "1000"])
+        assert code == 0 and report["levels"] == [1000]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kodaira", "--model", "kt", "--a", "4*pi", "--length", "1001"],
+            ["kunneth", "--factors", "curve:2,rr:2", "--length", "1001"],
+        ],
+    )
+    def test_length_limit(self, capsys, argv):
+        assert main(argv) == 2
+        assert "input error: --length: must be at most 1000" in capsys.readouterr().err
+
+    def test_levels_limit(self, capsys):
+        assert main(["s6-report", "--levels", "1001"]) == 2
+        assert "input error: --levels: must be at most 1000" in capsys.readouterr().err

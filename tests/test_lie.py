@@ -277,3 +277,135 @@ class TestCharacter:
         assert ch.conjugate().values[0] == -c
         assert ch.key()[0] == c
         assert not ch.is_trivial()
+
+
+# --- the sparse bracket against the dense loop it replaced
+
+def dense_bracket(alg, u, v):
+    """[u, v] by the dense loop over every structure constant."""
+    out = [SS_ZERO] * alg.dim
+    for (i, j), vec in alg.brackets.items():
+        f = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+        if f.is_zero():
+            continue
+        for k, c in vec.items():
+            out[k - 1] = out[k - 1] + f * c
+    return out
+
+
+def dense_first_jacobi_failure(alg):
+    """The first basis triple, in combinations order, where Jacobi fails."""
+    from itertools import combinations
+
+    basis = [[SS_ONE if k == i else SS_ZERO for k in range(alg.dim)] for i in range(alg.dim)]
+    for i, j, k in combinations(range(alg.dim), 3):
+        acc = [SS_ZERO] * alg.dim
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            outer = dense_bracket(alg, dense_bracket(alg, basis[a], basis[b]), basis[c])
+            acc = [x + y for x, y in zip(acc, outer)]
+        if any(not x.is_zero() for x in acc):
+            return (i + 1, j + 1, k + 1)
+    return None
+
+
+@pytest.fixture
+def sparse_models(nil8_generic):
+    from acx import g2
+
+    return {
+        "g2": (g2.g2_algebra(), g2.g2_J()),
+        "kt": (kt_algebra(), kt_J(A_GENERIC)),
+        "nil8": (nil8_generic.alg, nil8_generic.J),
+    }
+
+
+def seeded_vectors(rng, alg, J):
+    """Small-integer, symbolic, one-hot, J-image and complex-frame vectors."""
+    dim = alg.dim
+    x = SymScalar.symbol()
+    out = []
+    for _ in range(6):
+        out.append([SymScalar.const(rng.choice([0, 0, 0, 1, -1, 2, -2])) for _ in range(dim)])
+    for _ in range(4):
+        vec = []
+        for _ in range(dim):
+            pick = rng.random()
+            c = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+            if pick < 0.4:
+                vec.append(SS_ZERO)
+            elif pick < 0.7:
+                vec.append(SymScalar.const(c))
+            elif pick < 0.85:
+                vec.append(x * c + SymScalar.const(rng.randint(-2, 2)))
+            else:
+                vec.append((x + c) / (x * x + SymScalar.const(rng.randint(1, 3))))
+        out.append(vec)
+    for k in rng.sample(range(dim), 3):
+        out.append([SS_ONE if i == k else SS_ZERO for i in range(dim)])
+    out.extend(J.apply(v) for v in list(out[:4]))
+    coframe = build_coframe(alg, J)
+    out.extend(coframe.x_vector(B) for B in rng.sample(range(dim), 3))
+    return out
+
+
+class TestSparseBracket:
+    @pytest.mark.parametrize("name", ["g2", "kt", "nil8"])
+    def test_matches_dense_loop(self, sparse_models, name):
+        alg, J = sparse_models[name]
+        rng = random.Random(f"sparse-bracket-{name}")
+        vectors = seeded_vectors(rng, alg, J)
+        for u in vectors:
+            for v in rng.sample(vectors, 6):
+                assert alg.bracket_vectors(u, v) == dense_bracket(alg, u, v)
+
+    def test_basis_brackets_match_the_table(self, sparse_models):
+        alg, _ = sparse_models["g2"]
+        for i in range(1, alg.dim + 1):
+            ei = [SS_ONE if k == i - 1 else SS_ZERO for k in range(alg.dim)]
+            for j in range(1, alg.dim + 1):
+                ej = [SS_ONE if k == j - 1 else SS_ZERO for k in range(alg.dim)]
+                assert alg.bracket_vectors(ei, ej) == alg.bracket_basis(i, j)
+
+    def test_perturbed_g2_constant_fails_jacobi_at_first_bad_triple(self, sparse_models):
+        alg, _ = sparse_models["g2"]
+        from types import SimpleNamespace
+
+        keys = sorted(alg.brackets)
+        # the last key puts the first failing triple late in the sweep
+        for key in random.Random(7).sample(keys[:-1], 2) + [keys[-1]]:
+            perturbed = {ij: dict(vec) for ij, vec in alg.brackets.items()}
+            k = min(perturbed[key])
+            perturbed[key][k] = perturbed[key][k] + 1
+            want = dense_first_jacobi_failure(
+                SimpleNamespace(dim=alg.dim, brackets=perturbed)
+            )
+            assert want is not None
+            with pytest.raises(InputError, match=r"Jacobi identity fails on basis triple") as exc:
+                LieAlgebra(alg.dim, perturbed)
+            assert f"({want[0]},{want[1]},{want[2]})" in str(exc.value)
+
+    def test_jacobi_sweeps_every_basis_triple(self, sparse_models):
+        from itertools import combinations
+
+        alg, _ = sparse_models["g2"]
+
+        def one_hot(vec):
+            nonzero = [k for k, c in enumerate(vec) if not c.is_zero()]
+            return nonzero[0] if len(nonzero) == 1 and vec[nonzero[0]] == SS_ONE else None
+
+        class Recording(LieAlgebra):
+            calls = []
+
+            def bracket_vectors(self, u, v):
+                Recording.calls.append((one_hot(u), one_hot(v)))
+                return super().bracket_vectors(u, v)
+
+        Recording(alg.dim, alg.brackets)
+        inner, outer = Recording.calls[0::2], Recording.calls[1::2]
+        visited = [(a, b, c) for (a, b), (_, c) in zip(inner, outer)]
+        want = [
+            t
+            for i, j, k in combinations(range(alg.dim), 3)
+            for t in ((i, j, k), (j, k, i), (k, i, j))
+        ]
+        assert visited == want

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from acx import g2
 from acx.linalg import (
     identity,
     in_span,
@@ -14,7 +15,8 @@ from acx.linalg import (
     rank,
     solve,
 )
-from acx.scalars import Scalar, SymScalar
+from acx.models import kt_J
+from acx.scalars import PiParam, Scalar, SymScalar
 
 
 def rand_matrix(rng, rows, cols, symbolic=False):
@@ -85,3 +87,46 @@ def test_rank_of_degenerate_matrices():
     assert kernel_basis(z, 3) is not None and len(kernel_basis(z, 3)) == 3
     assert rank(identity(4)) == 4
     assert is_nonsingular(identity(2)) and not is_nonsingular(z)
+
+
+
+def dense_mat_vec(rows, v):
+    """A v by the dense loop: every entry coerced and multiplied."""
+    return [
+        sum((SymScalar.coerce(a) * b for a, b in zip(row, v)), SymScalar.const(0))
+        for row in rows
+    ]
+
+
+def test_mat_vec_matches_dense_loop_on_model_structures(nil8_generic):
+    matrices = {
+        "g2": g2.g2_J().matrix,
+        "kt": kt_J(PiParam.generic()).matrix,
+        "nil8": nil8_generic.J.matrix,
+        "nil8-coframe": nil8_generic.coframe.C,
+    }
+    x = SymScalar.symbol()
+    for name, m in matrices.items():
+        rng = random.Random(f"mat-vec-{name}")
+        n = len(m[0])
+        for _ in range(12):
+            small = [SymScalar.const(rng.choice([0, 0, 1, -1, 2])) for _ in range(n)]
+            symbolic = [
+                rng.choice([SymScalar.const(0), x * rng.randint(-2, 2), SymScalar.const(1) / (x + 1)])
+                for _ in range(n)
+            ]
+            for v in (small, symbolic):
+                assert mat_vec(m, v) == dense_mat_vec(m, v)
+
+
+def test_mat_vec_coerces_raw_entries():
+    rng = random.Random(45)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        raw = [[rng.choice([0, 1, -2, Fraction(1, 3), Scalar(0, 1)]) for _ in range(n)]
+               for _ in range(rng.randint(1, 4))]
+        v = [rng.choice([0, 0, 3, Fraction(-1, 2), SymScalar.symbol()]) for _ in range(n)]
+        coerced_v = [SymScalar.coerce(c) for c in v]
+        assert mat_vec(raw, v) == dense_mat_vec(raw, coerced_v)
+        symbolic = rand_matrix(rng, 3, n, symbolic=True)
+        assert mat_vec(symbolic, v) == dense_mat_vec(symbolic, coerced_v)

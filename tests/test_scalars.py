@@ -7,9 +7,14 @@ from fractions import Fraction
 import pytest
 
 from acx.scalars import (
+    _P_ONE,
     PiParam,
     Scalar,
     SymScalar,
+    _padd,
+    _pgcd,
+    _pmul,
+    _pneg,
     parse_rational,
     scalar_str,
 )
@@ -172,3 +177,187 @@ class TestPiParam:
         with pytest.raises(AttributeError):
             a.q = 3
         assert len({PiParam.rational_pi(2), PiParam.rational_pi(2)}) == 1
+
+
+# --- the constant fast path against reference arithmetic
+
+
+def ref_str(re: Fraction, im: Fraction) -> str:
+    """Rendering of a Gaussian rational held as a plain Fraction pair."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return {1: "i", -1: "-i"}.get(im, f"{im}i")
+    mag = abs(im)
+    return f"{re}{'+' if im > 0 else '-'}{'i' if mag == 1 else f'{mag}i'}"
+
+
+def ref_div(x, y):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return ((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+REF_OPS = {
+    "+": lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    "-": lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    "*": lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+    "/": ref_div,
+}
+OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+def assert_exact_component(c):
+    assert type(c) in (int, Fraction)
+    if type(c) is Fraction:
+        assert c.denominator != 1
+
+
+def assert_canonical_scalar(z):
+    assert isinstance(z, Scalar)
+    assert_exact_component(z.re)
+    assert_exact_component(z.im)
+
+
+def assert_canonical_sym(z):
+    """Monic denominator, gcd 1, the shared unit denominator on constants,
+    and exact components throughout."""
+    for c in z.num + z.den:
+        assert_canonical_scalar(c)
+    assert z.den and z.den[-1] == Scalar(1)
+    if z.num and z.num[-1].is_zero():
+        raise AssertionError(f"trailing zero in {z!r}")
+    if len(z.den) == 1:
+        assert z.den is _P_ONE
+        assert z.is_constant() == (len(z.num) <= 1)
+    else:
+        assert len(_pgcd(z.num, z.den)) == 1
+        assert not z.is_constant()
+    if not z.num:
+        assert z.den is _P_ONE
+
+
+def rand_gaussian(rng):
+    pick = rng.random()
+    if pick < 0.15:
+        return (Fraction(0), Fraction(0))
+    if pick < 0.45:
+        return (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
+    return (rand_fraction(rng), rand_fraction(rng))
+
+
+def rand_operand(rng):
+    """Zero, constants, polynomials and rational functions, plus raw ints,
+    Fractions and Scalars that go through coercion."""
+    pick = rng.random()
+    re, im = rand_gaussian(rng)
+    if pick < 0.1:
+        return SymScalar.const(0)
+    if pick < 0.45:
+        return SymScalar.const(Scalar(re, im))
+    if pick < 0.55:
+        return rng.choice([re, Scalar(re, im), int(re)])
+    if pick < 0.75:
+        return rand_poly(rng)
+    return rand_sym(rng)
+
+
+def general_path(op, x, y):
+    """The operation computed on unreduced polynomial pairs, reduced by the
+    general SymScalar constructor (polynomial gcd, monic denominator)."""
+    if op == "+":
+        return SymScalar(_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)), _pmul(x.den, y.den))
+    if op == "-":
+        return SymScalar(_padd(_pmul(x.num, y.den), _pneg(_pmul(y.num, x.den))), _pmul(x.den, y.den))
+    if op == "*":
+        return SymScalar(_pmul(x.num, y.num), _pmul(x.den, y.den))
+    return SymScalar(_pmul(x.num, y.den), _pmul(x.den, y.num))
+
+
+class TestFastPathReference:
+    def test_scalar_matches_fraction_pairs(self):
+        rng = random.Random(101)
+        for _ in range(400):
+            x, y = rand_gaussian(rng), rand_gaussian(rng)
+            sx, sy = Scalar(*x), Scalar(*y)
+            assert_canonical_scalar(sx)
+            assert (sx.re, sx.im) == x
+            for op, ref in REF_OPS.items():
+                if op == "/" and y == (0, 0):
+                    with pytest.raises(ZeroDivisionError):
+                        OPS[op](sx, sy)
+                    continue
+                z = OPS[op](sx, sy)
+                want = ref(x, y)
+                assert_canonical_scalar(z)
+                assert (z.re, z.im) == want
+                assert z == Scalar(*want)
+                assert hash(z) == hash(Scalar(*want))
+                assert str(z) == ref_str(*want)
+            neg = -sx
+            assert_canonical_scalar(neg)
+            assert (neg.re, neg.im) == (-x[0], -x[1])
+            assert (sx == sy) == (x == y)
+            assert str(sx) == ref_str(*x)
+
+    def test_scalar_division_never_makes_a_float(self):
+        one_inv = Scalar(1).inverse()
+        assert type(one_inv.re) is int and one_inv == Scalar(1)
+        half = Scalar(3) / 2
+        assert type(half.re) is Fraction and half.re == Fraction(3, 2)
+        assert type((Scalar(4) / 2).re) is int
+        assert Scalar(0, 2).inverse() == Scalar(0, Fraction(-1, 2))
+        assert type(Scalar(0, 1).inverse().im) is int
+        assert_canonical_scalar(Scalar(Fraction(6, 3), Fraction(1, 2)))
+        assert_canonical_scalar(Scalar(Fraction(1, 2)) + Fraction(1, 2))
+        assert 1 / Scalar(2) == Scalar(Fraction(1, 2))
+
+    def test_symscalar_matches_general_path(self):
+        rng = random.Random(102)
+        for _ in range(300):
+            x, y = rand_operand(rng), rand_operand(rng)
+            sx, sy = SymScalar.coerce(x), SymScalar.coerce(y)
+            # a raw left operand needs a SymScalar on the right, and a
+            # Scalar does not defer to SymScalar's reflected operators
+            if isinstance(x, Scalar) or not isinstance(y, SymScalar):
+                x = sx
+            for op in OPS:
+                if op == "/" and sy.is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        OPS[op](x, y)
+                    continue
+                z = OPS[op](x, y)
+                want = general_path(op, sx, sy)
+                assert_canonical_sym(z)
+                assert (z.num, z.den) == (want.num, want.den)
+                assert z == want and hash(z) == hash(want)
+                assert str(z) == str(want)
+            neg = -sx
+            assert_canonical_sym(neg)
+            assert neg == SymScalar(_pneg(sx.num), sx.den)
+            assert neg.conjugate() == SymScalar(
+                tuple(c.conjugate() for c in neg.num),
+                tuple(c.conjugate() for c in neg.den),
+            )
+            assert (sx == sy) == general_path("-", sx, sy).is_zero()
+
+    def test_constants_are_recognised_however_built(self):
+        rng = random.Random(103)
+        x = SymScalar.symbol()
+        for _ in range(100):
+            c = Scalar(*rand_gaussian(rng))
+            direct = SymScalar.const(c)
+            general = SymScalar((c,), (Scalar(1),))
+            via_symbol = (x + c) - x
+            via_quotient = (x * c + c) / (x + 1)
+            for z in (direct, general, via_symbol, via_quotient):
+                assert_canonical_sym(z)
+                assert z.is_constant()
+                assert z.constant_value() == c
+                assert z == direct and hash(z) == hash(direct)
+                assert z == c and str(z) == scalar_str(c)
