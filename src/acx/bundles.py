@@ -101,14 +101,6 @@ def trivial_structure(model: LieACS, rank: int = 1) -> PseudoholStructure:
     return PseudoholStructure(model, [[z] * rank for _ in range(rank)])
 
 
-def hermitian_connection(ps: PseudoholStructure):
-    return ps.connection()
-
-
-def dual_structure(ps: PseudoholStructure) -> PseudoholStructure:
-    return ps.dual()
-
-
 class CanonicalPower:
     """K^m over a model, trivialized by vol^m, with beta_m = m * beta_1."""
 
@@ -145,8 +137,4 @@ class CanonicalPower:
 
     def structure(self) -> PseudoholStructure:
         return PseudoholStructure(self.model, [[self.beta()]])
-
-
-def canonical_dbar(model: LieACS, m: int) -> CanonicalPower:
-    return CanonicalPower(model, m)
 

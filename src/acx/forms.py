@@ -8,7 +8,7 @@ are never stored.
 
 from __future__ import annotations
 
-from .scalars import SS_ONE, SymScalar
+from .scalars import SymScalar
 
 
 class MultiIndex(tuple):
@@ -250,10 +250,6 @@ class Form:
         return out
 
 
-def wedge(x: Form, y: Form) -> Form:
-    return x.wedge(y)
-
-
 def wedge_all(factors, n=None) -> Form:
     """Wedge a sequence of Forms left to right; empty product is 1."""
     factors = list(factors)
@@ -265,10 +261,6 @@ def wedge_all(factors, n=None) -> Form:
     for f in factors[1:]:
         out = out.wedge(f)
     return out
-
-
-def conjugate(x: Form) -> Form:
-    return x.conjugate()
 
 
 def basis_monomials(n: int, p: int, q: int):

@@ -14,14 +14,13 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError, RefusalError
 from .forms import Form, basis_monomials
 from .hodge import invariant_harmonic_space, star_monomial
 from .lie import (
     ACStructure,
-    AltForm,
     LieACS,
     LieAlgebra,
     structure_equations,
@@ -553,10 +552,6 @@ def cross_product() -> CrossProduct:
     return CrossProduct()
 
 
-def cross(u, v) -> Tuple[Scalar, ...]:
-    return cross_product().cross(u, v)
-
-
 def basis_vector(k: int) -> Tuple[Scalar, ...]:
     """The standard basis vector e_k, 1-indexed."""
     if not 1 <= k <= N:
@@ -949,7 +944,7 @@ def s6_structure_package() -> StructureDisplayReport:
 
     df_failures = []
     for k, terms in S6_DF_DISPLAYS.items():
-        want = AltForm(14, {key: SymScalar.const(c) for key, c in terms.items()})
+        want = Form(14, {(key, ()): SymScalar.const(c) for key, c in terms.items()})
         got = alg.d_generator(k)
         if got != want:
             df_failures.append(k)

@@ -151,10 +151,6 @@ class HermitianData:
         return out
 
 
-def star(data: HermitianData, x: Form) -> Form:
-    return data.star(x)
-
-
 class SectionContext:
     """Bundle-valued invariant (p,q)-forms in one character block.
 
@@ -208,20 +204,6 @@ class SectionContext:
         return acc
 
 
-def dbar_star(model: LieACS, x: Form, *, bundle: PseudoholStructure | None = None,
-              character: Character | None = None):
-    ctx = SectionContext(model, bundle, character)
-    out = ctx.dbar_star(x)
-    return out[0] if isinstance(x, Form) else out
-
-
-def laplacian(model: LieACS, x: Form, *, bundle: PseudoholStructure | None = None,
-              character: Character | None = None):
-    ctx = SectionContext(model, bundle, character)
-    out = ctx.laplacian(x)
-    return out[0] if isinstance(x, Form) else out
-
-
 def _section_monomials(model: LieACS, p: int, q: int):
     monos = basis_monomials(model.n, p, q)
     if model.basic is not None:
@@ -269,27 +251,24 @@ class HarmonicSpace:
         return sum(b.dimension for b in self.blocks)
 
 
+def _coordinates(sections):
+    """Each section (a list of Forms, one per frame index) as its coordinate
+    vector over the sorted (frame index, monomial) keys the sections contain."""
+    keys = sorted({(j, key) for sec in sections for j, f in enumerate(sec) for key in f.terms})
+    return [[sec[j].terms.get(key, SS_ZERO) for (j, key) in keys] for sec in sections]
+
+
 def _operator_matrix(ctx: SectionContext, monomials, op):
-    """Columns: op applied to each (monomial, frame) basis section."""
+    """Columns: op applied to each (monomial, frame) basis section; rows: the
+    sorted (frame index, monomial) keys of the images."""
     n = ctx.model.n
     images = []
     for (a, b) in monomials:
         for i in range(ctx.rank):
             comps = [Form.zero(n)] * ctx.rank
-            comps = list(comps)
             comps[i] = Form.monomial(n, a, b)
             images.append(op(comps))
-    keys = []
-    seen = set()
-    for img in images:
-        for j, f in enumerate(img):
-            for key in f.terms:
-                if (j, key) not in seen:
-                    seen.add((j, key))
-                    keys.append((j, key))
-    rows = []
-    for (j, key) in sorted(keys):
-        rows.append([img[j].terms.get(key, SS_ZERO) for img in images])
+    rows = [list(row) for row in zip(*_coordinates(images))]
     return rows, len(images)
 
 
@@ -359,7 +338,6 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
     target = invariant_harmonic_space(model, n - p, n - q, bundle_power=-bundle_power)
     if source.dimension != target.dimension:
         return SerreReport(False, source.dimension, target.dimension, "dimension mismatch")
-    full = tuple(range(1, n + 1))
     for sblock in source.blocks:
         ch_bar_key = tuple(v.conjugate() for v in sblock.character.values)
         tblock = next(
@@ -377,20 +355,9 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
         targets = tblock.basis_sections(n)
         images = [[data.star(x).conjugate() for x in s] for s in sources]
         # each image must lie in the span of the target harmonic basis
-        keys = []
-        seen = set()
-        for sec in targets + images:
-            for j, f in enumerate(sec):
-                for key in f.terms:
-                    if (j, key) not in seen:
-                        seen.add((j, key))
-                        keys.append((j, key))
-        keys.sort()
-        tvecs = [
-            [sec[j].terms.get(key, SS_ZERO) for (j, key) in keys] for sec in targets
-        ]
-        for img in images:
-            vec = [img[j].terms.get(key, SS_ZERO) for (j, key) in keys]
+        vecs = _coordinates(targets + images)
+        tvecs = vecs[:len(targets)]
+        for vec in vecs[len(targets):]:
             if not in_span(tvecs, vec):
                 return SerreReport(False, source.dimension, target.dimension,
                                    "Serre image is not harmonic")

@@ -19,111 +19,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
-from .forms import Form, MultiIndex, merge_indices, wedge_all
+from .forms import Form, wedge_all
 from .linalg import mat_inverse, mat_vec, rank
 from .scalars import SS_ONE, SS_ZERO, S_I, SymScalar
-
-
-# --- exterior forms over the real dual basis (no bidegree structure)
-
-
-class AltForm:
-    """A sparse alternating form over a real dual basis e^1..e^N."""
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim, terms=None):
-        clean = {}
-        for idx, c in (terms or {}).items():
-            idx = tuple(idx)
-            if any(not (1 <= k <= dim) for k in idx):
-                raise ValueError(f"index out of range in {idx}")
-            if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-                raise ValueError(f"indices must be strictly increasing: {idx}")
-            c = SymScalar.coerce(c)
-            if not c.is_zero():
-                clean[idx] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AltForm is immutable")
-
-    @staticmethod
-    def zero(dim):
-        return AltForm(dim, {})
-
-    @staticmethod
-    def basis(dim, *indices):
-        return AltForm(dim, {tuple(indices): SS_ONE})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = terms.get(k)
-            terms[k] = c if acc is None else acc + c
-        return AltForm(self.dim, terms)
-
-    def __neg__(self):
-        return AltForm(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = SymScalar.coerce(c)
-        return AltForm(self.dim, {k: v * c for k, v in self.terms.items()})
-
-    def wedge(self, other):
-        terms = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                merged = merge_indices(i1, i2)
-                if merged is None:
-                    continue
-                idx, sign = merged
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                key = tuple(idx)
-                acc = terms.get(key)
-                terms[key] = c if acc is None else acc + c
-        return AltForm(self.dim, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, AltForm):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"AltForm({self.dim}, {self.terms!r})"
-
-    def to_str(self, names=None, symbol="x"):
-        if not self.terms:
-            return "0"
-        names = names or [f"e{k}" for k in range(1, self.dim + 1)]
-        parts = []
-        for idx in sorted(self.terms):
-            c = self.terms[idx]
-            mono = "^".join(names[k - 1] for k in idx) if idx else "1"
-            cs = c.to_str(symbol)
-            if cs == "1" and idx:
-                parts.append(mono)
-            elif cs == "-1" and idx:
-                parts.append(f"-{mono}")
-            else:
-                wrap = f"({cs})" if (" " in cs or "+" in cs[1:] or "-" in cs[1:]) else cs
-                parts.append(f"{wrap}*{mono}" if idx else wrap)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
 
 
 # --- Lie algebras
@@ -222,41 +120,32 @@ class LieAlgebra:
                 return False
         return True
 
-    def d_generator(self, k):
-        """Chevalley-Eilenberg d of e^k: d(xi)(x,y) = -xi([x,y])."""
+    def d_generator(self, k) -> Form:
+        """Chevalley-Eilenberg d of e^k: d(xi)(x,y) = -xi([x,y]).
+
+        Real-basis forms are Forms over dim generators e^1..e^dim with no
+        barred index, keyed (idx, ()).
+        """
         terms = {}
         for (i, j), vec in self.brackets.items():
             c = vec.get(k)
             if c is not None:
-                terms[(i, j)] = -c
-        return AltForm(self.dim, terms)
+                terms[((i, j), ())] = -c
+        return Form(self.dim, terms)
 
-    def ce_d(self, form: AltForm) -> AltForm:
+    def ce_d(self, form: Form) -> Form:
         """Extend d to the real exterior algebra by the graded Leibniz rule."""
-        out = AltForm.zero(self.dim)
+        out = Form.zero(self.dim)
         gens = {a: self.d_generator(a) for a in range(1, self.dim + 1)}
-        for idx, c in form.terms.items():
+        for (idx, beta), c in form.terms.items():
+            if beta:
+                raise ValueError(f"real-basis forms have no barred index, got {beta}")
             for r, a in enumerate(idx):
-                piece = AltForm(self.dim, {tuple(idx[:r]): c if r % 2 == 0 else -c})
+                piece = Form.monomial(self.dim, idx[:r], (), c if r % 2 == 0 else -c)
                 piece = piece.wedge(gens[a])
-                piece = piece.wedge(AltForm.basis(self.dim, *idx[r + 1:]))
+                piece = piece.wedge(Form.monomial(self.dim, idx[r + 1:]))
                 out = out + piece
         return out
-
-
-def chevalley_eilenberg_d(alg: LieAlgebra, xi) -> AltForm:
-    """d of an invariant form.  xi may be a basis index, a covector
-    coefficient list (1-form), or an AltForm."""
-    if isinstance(xi, int):
-        return alg.d_generator(xi)
-    if isinstance(xi, AltForm):
-        return alg.ce_d(xi)
-    out = AltForm.zero(alg.dim)
-    for a, c in enumerate(xi, start=1):
-        c = SymScalar.coerce(c)
-        if not c.is_zero():
-            out = out + alg.d_generator(a).scale(c)
-    return out
 
 
 # --- almost complex structures
@@ -393,9 +282,6 @@ class ComplexCoframe:
     def d_phi(self, i) -> Form:
         return self.d_generator(i - 1)
 
-    def d_phibar(self, i) -> Form:
-        return self.d_generator(self.n + i - 1)
-
     def _d_monomial(self, alpha, beta) -> Form:
         key = (alpha, beta)
         cached = self._d_mono_cache.get(key)
@@ -445,10 +331,10 @@ class ComplexCoframe:
                 out = out + self._gen_form(A).scale(c)
         return out
 
-    def to_complex(self, x: AltForm) -> Form:
-        """Rewrite a real-basis form over the complex coframe."""
+    def to_complex(self, x: Form) -> Form:
+        """Rewrite a real-basis form (keyed (idx, ())) over the complex coframe."""
         out = Form.zero(self.n)
-        for idx, c in x.terms.items():
+        for (idx, _), c in x.terms.items():
             piece = wedge_all([self.real_covector_form(a) for a in idx], self.n)
             out = out + piece.scale(c)
         return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, RefusalError
-from .scalars import PiParam, Scalar, SymScalar, S_ZERO
+from .scalars import PiParam, Scalar, SymScalar
 
 Freq = Tuple[int, ...]
 

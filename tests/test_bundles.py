@@ -6,9 +6,6 @@ import pytest
 from acx.bundles import (
     CanonicalPower,
     PseudoholStructure,
-    canonical_dbar,
-    dual_structure,
-    hermitian_connection,
     trivial_structure,
 )
 from acx.errors import InputError
@@ -77,7 +74,7 @@ class TestCanonicalPower:
         assert can.beta() == can.beta_by_product_rule()
 
     def test_abelian_canonical_bundle_is_flat(self):
-        can = canonical_dbar(abelian_model(2), 3)
+        can = CanonicalPower(abelian_model(2), 3)
         assert can.beta().is_zero()
 
     def test_structure_wraps_beta(self):
@@ -105,7 +102,7 @@ class TestConnectionAndDual:
 
     def test_connection_is_skew_hermitian_with_01_part_theta(self):
         for ps in self._structures():
-            omega = hermitian_connection(ps)
+            omega = ps.connection()
             r = ps.rank
             for i in range(r):
                 for j in range(r):
@@ -115,7 +112,7 @@ class TestConnectionAndDual:
 
     def test_dual_is_an_involution(self):
         for ps in self._structures():
-            dd = dual_structure(dual_structure(ps))
+            dd = ps.dual().dual()
             assert dd.theta == ps.theta
 
     def test_dual_satisfies_the_pairing_identity(self):

@@ -10,11 +10,9 @@ from acx.errors import InputError
 from acx.forms import Form, basis_monomials
 from acx.lie import (
     ACStructure,
-    AltForm,
     Character,
     LieAlgebra,
     build_coframe,
-    chevalley_eilenberg_d,
     is_integrable,
     nijenhuis,
     nijenhuis_entry,
@@ -28,11 +26,12 @@ A_GENERIC = PiParam.generic()
 A_4PI = PiParam.rational_pi(4)
 
 
-def rand_real_altform(rng, alg, degree, density=3):
+def rand_real_form(rng, alg, degree, density=3):
+    """A random real-basis form: a Form over e^1..e^dim keyed (idx, ())."""
     monos = [idx for idx in _index_tuples(alg.dim, degree)]
-    out = AltForm.zero(alg.dim)
+    out = Form.zero(alg.dim)
     for idx in rng.sample(monos, min(density, len(monos))):
-        out = out + AltForm(alg.dim, {idx: Fraction(rng.randint(-4, 4))})
+        out = out + Form(alg.dim, {(idx, ()): Fraction(rng.randint(-4, 4))})
     return out
 
 
@@ -79,7 +78,7 @@ class TestLieAlgebra:
 
     def test_differential_of_generators(self):
         alg = kt_algebra()
-        assert alg.d_generator(4) == AltForm(4, {(2, 3): -1})
+        assert alg.d_generator(4) == Form(4, {((2, 3), ()): -1})
         for k in (1, 2, 3):
             assert alg.d_generator(k).is_zero()
 
@@ -88,15 +87,14 @@ class TestLieAlgebra:
         rng = random.Random(52)
         for degree in (1, 2):
             for _ in range(10):
-                xi = rand_real_altform(rng, alg, degree)
+                xi = rand_real_form(rng, alg, degree)
                 assert alg.ce_d(alg.ce_d(xi)).is_zero()
 
-    def test_chevalley_eilenberg_d_accepts_three_shapes(self):
+    def test_ce_d_of_a_generator_is_d_generator(self):
         alg = kt_algebra()
-        by_index = chevalley_eilenberg_d(alg, 4)
-        by_covector = chevalley_eilenberg_d(alg, [0, 0, 0, 1])
-        by_form = chevalley_eilenberg_d(alg, AltForm.basis(4, 4))
-        assert by_index == by_covector == by_form == AltForm(4, {(2, 3): -1})
+        for k in range(1, alg.dim + 1):
+            assert alg.ce_d(Form.monomial(alg.dim, (k,))) == alg.d_generator(k)
+        assert alg.ce_d(Form.monomial(alg.dim, (4,))) == Form(4, {((2, 3), ()): -1})
 
 
 class TestACStructure:
@@ -205,7 +203,7 @@ class TestComplexCoframe:
             cf = model.coframe
             for degree in (1, 2, 3):
                 for _ in range(6):
-                    xi = rand_real_altform(rng, model.alg, degree)
+                    xi = rand_real_form(rng, model.alg, degree)
                     assert cf.d(cf.to_complex(xi)) == cf.to_complex(model.alg.ce_d(xi))
 
     def test_d_squares_to_zero_on_complex_forms(self):
