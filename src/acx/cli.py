@@ -3,8 +3,8 @@
 Every report is assembled from exact library results into plain JSON types,
 emitted with sorted keys (or as an aligned table), so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 refusal or failed
-verification, 2 malformed input (including a user-sized input above its
-limit), 3 a failed internal cross-check.
+verification, 2 malformed input (including a user-sized input outside its
+limits), 3 a failed internal cross-check or another internal error.
 """
 
 from __future__ import annotations
@@ -51,10 +51,12 @@ PRESETS = ("kt", "t4", "g2")
 
 # Upper limits on user-sized inputs, checked before any list is built: the
 # largest --m level and the number of levels in one --m spec, --length of a
-# plurigenera profile, and s6-report --levels.
+# plurigenera profile, s6-report --levels, and g2-verify --samples and
+# --negatives (ACX_MODE_WINDOW is bounded in torus.mode_window).
 MAX_LEVEL = 1000
 MAX_LENGTH = 1000
 MAX_LEVELS = 1000
+MAX_SAMPLES = 1000
 
 _T4_LIE_REFUSAL = (
     "the four-torus family has non-constant structure coefficients; "
@@ -108,9 +110,11 @@ def _parse_m_spec(text: str) -> List[int]:
     return levels
 
 
-def _check_limit(option: str, value: int, limit: int) -> int:
+def _check_limit(option: str, value: int, limit: int, low: int = 1) -> int:
     if value > limit:
         raise InputError(f"{option}: must be at most {limit}")
+    if value < low:
+        raise InputError(f"{option}: must be at least {low}")
     return value
 
 
@@ -192,10 +196,6 @@ def _vector_str(coeffs, names, symbol: str) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _kappa_json(value):
-    return "-inf" if value == float("-inf") else value
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (report, exit_code)
 # ---------------------------------------------------------------------------
@@ -269,12 +269,12 @@ def _cmd_structure_eqs(args):
     return report, 0
 
 
-def _kt_plurigenera_rows(a_list, levels, cross_check):
+def _kt_plurigenera_rows(a_list, levels, window):
+    """Rows per a; with a window, each level is re-derived by enumeration."""
     rows = []
     for a in a_list:
         values = [kt_plurigenus(a, m) for m in levels]
-        if cross_check:
-            window = mode_window()
+        if window is not None:
             for m in levels:
                 coeff = Fraction(m, 4)
                 closed = {
@@ -296,6 +296,7 @@ def _kt_plurigenera_rows(a_list, levels, cross_check):
 
 def _cmd_plurigenera(args):
     levels = _parse_m_spec(args.m)
+    window = mode_window() if args.cross_check else None
     a_list = _parse_a_list(args.a) if args.a else None
     kind, loaded = _load_model(args.model, a_list)
     report: Dict[str, object] = {"levels": levels}
@@ -303,9 +304,9 @@ def _cmd_plurigenera(args):
         if not a_list:
             raise InputError("the kt preset needs --a (e.g. --a 4*pi,generic)")
         report["model"] = "kt"
-        report["rows"] = _kt_plurigenera_rows(a_list, levels, args.cross_check)
-        if args.cross_check:
-            report["cross_check"] = {"window": mode_window(), "agreed": True}
+        report["rows"] = _kt_plurigenera_rows(a_list, levels, window)
+        if window is not None:
+            report["cross_check"] = {"window": window, "agreed": True}
         return report, 0
     if kind == "t4":
         (alpha, beta), member = _parse_t_member(args.t)
@@ -369,6 +370,8 @@ def _cmd_irregularity(args):
 
 
 def _cmd_hodge(args):
+    if args.p < 0 or args.q < 0:
+        raise InputError("--p and --q must be non-negative")
     model, desc = _lie_model_for(args)
     if args.power and args.model == "g2":
         raise RefusalError(
@@ -400,17 +403,17 @@ def _cmd_hodge(args):
 
 def _profile_report(profile: PlurigeneraProfile) -> Dict[str, object]:
     return {
-        "values": [_jsonable(v) for v in profile.values],
+        "values": profile.values,
         "kind": profile.kind,
         "degree": profile.degree,
-        "kappa": _kappa_json(kodaira_dimension(profile)),
+        "kappa": kodaira_dimension(profile),
     }
 
 
 def _cmd_kodaira(args):
+    length = _check_limit("--length", args.length, MAX_LENGTH)
     a_list = _parse_a_list(args.a) if args.a else None
     kind, loaded = _load_model(args.model, a_list)
-    length = _check_limit("--length", args.length, MAX_LENGTH)
     if kind == "kt":
         if not a_list:
             raise InputError("the kt preset needs --a (e.g. --a 4*pi,generic)")
@@ -465,16 +468,12 @@ def _factor_profile(spec: str, length: int) -> PlurigeneraProfile:
         else:
             raise InputError(f"factor {spec!r}: want t4:std or t4:zero")
         return t4_profile(alpha, beta, length)
-    if name == "rr":
+    if name in ("rr", "curve"):
         try:
-            return rr_profile(int(arg), length)
+            genus = int(arg)
         except ValueError as exc:
-            raise InputError(f"factor {spec!r}: want rr:<genus>") from exc
-    if name == "curve":
-        try:
-            return curve_profile(int(arg), length)
-        except ValueError as exc:
-            raise InputError(f"factor {spec!r}: want curve:<genus>") from exc
+            raise InputError(f"factor {spec!r}: want {name}:<genus>") from exc
+        return (rr_profile if name == "rr" else curve_profile)(genus, length)
     if name == "torus":
         return torus_profile(length)
     if name == "s6":
@@ -513,10 +512,12 @@ def _cmd_kunneth(args):
 
 
 def _cmd_g2_verify(args):
+    members = _check_limit("--samples", args.samples, MAX_SAMPLES, low=0)
+    nonmembers = _check_limit("--negatives", args.negatives, MAX_SAMPLES, low=0)
     table = sphere.verify_bracket_table()
     crossrep = sphere.verify_cross_identities()
     membership = sphere.membership_sample_check(
-        members=args.samples, nonmembers=args.negatives, seed=args.seed
+        members=members, nonmembers=nonmembers, seed=args.seed
     )
     projection = sphere.verify_projection()
     ok = table.ok and crossrep.ok and membership.ok and projection.ok
@@ -533,11 +534,10 @@ def _cmd_g2_verify(args):
 
 
 def _cmd_s6_report(args):
+    levels = _check_limit("--levels", args.levels, MAX_LEVELS)
     structure = sphere.s6_structure_package()
     reduction = sphere.verify_reduction_brackets()
-    census = sphere.s6_hodge_report(
-        levels=_check_limit("--levels", args.levels, MAX_LEVELS)
-    )
+    census = sphere.s6_hodge_report(levels=levels)
     ok = structure.ok and reduction.ok and census.ok
     report = {
         "structure": structure.summary(),
@@ -552,13 +552,13 @@ def _cmd_rr(args):
     levels = _parse_m_spec(args.m)
     if args.genus < 2:
         raise InputError("--genus must be at least 2")
-    values = [_jsonable(rr_plurigenus(args.genus, m)) for m in levels]
+    values = [rr_plurigenus(args.genus, m) for m in levels]
     prof = rr_profile(args.genus, max(DEFAULT_PROFILE_LENGTH, max(levels)))
     report = {
         "genus": args.genus,
         "levels": levels,
         "values": values,
-        "kappa": _kappa_json(kodaira_dimension(prof)),
+        "kappa": kodaira_dimension(prof),
     }
     return report, 0
 
@@ -713,9 +713,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # any other ValueError comes from inside acx, not from the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

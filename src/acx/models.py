@@ -105,11 +105,19 @@ def abelian_model(n: int) -> LieACS:
     return LieACS(alg, ACStructure(rows), name=f"abelian{n}", symbol="x")
 
 
-def _parse_j_entry(text, param: PiParam | None) -> SymScalar:
+def _rational(text, field: str) -> Fraction:
+    """parse_rational, failing as an InputError that names the field."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise InputError(f"{field}: {exc}") from exc
+
+
+def _parse_j_entry(text, param: PiParam | None, field: str) -> SymScalar:
     """A J entry: a rational string, or a rational multiple of 'a' or '1/a'."""
     s = str(text).strip().replace(" ", "")
     if "a" not in s:
-        return SymScalar.const(parse_rational(s))
+        return SymScalar.const(_rational(s, field))
     if param is None:
         raise InputError(
             f"J entry {text!r} uses the symbol 'a' but params.a is missing"
@@ -123,9 +131,9 @@ def _parse_j_entry(text, param: PiParam | None) -> SymScalar:
     elif s == "1/a":
         value = SymScalar.const(1) / av
     elif s.endswith("*a"):
-        value = SymScalar.const(parse_rational(s[:-2])) * av
+        value = SymScalar.const(_rational(s[:-2], field)) * av
     elif s.endswith("/a"):
-        value = SymScalar.const(parse_rational(s[:-2])) / av
+        value = SymScalar.const(_rational(s[:-2], field)) / av
     else:
         raise InputError(
             f"bad J entry {text!r}: want a rational string, "
@@ -144,8 +152,11 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
         raise InputError(f"model file missing key {exc}") from exc
     if not isinstance(dim, int) or dim < 2 or dim % 2:
         raise InputError(f"model dim must be a positive even integer, got {dim!r}")
+    entries = obj.get("brackets", [])
+    if not isinstance(entries, list):
+        raise InputError("brackets must be a list of {i, j, out} objects")
     brackets = {}
-    for entry in obj.get("brackets", []):
+    for entry in entries:
         try:
             i, j = entry["i"], entry["j"]
             out = entry["out"]
@@ -153,6 +164,8 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
             raise InputError(f"bad bracket entry {entry!r}") from exc
         if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
             raise InputError(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i},{j})")
+        if not isinstance(out, list):
+            raise InputError(f"bracket ({i},{j}): out must be a list of [k, re, im]")
         vec = {}
         for item in out:
             if not (isinstance(item, (list, tuple)) and len(item) == 3):
@@ -160,7 +173,8 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
             k, re, im = item
             if not (isinstance(k, int) and 1 <= k <= dim):
                 raise InputError(f"bracket output index {k!r} out of range")
-            vec[k] = SymScalar.const(Scalar(parse_rational(re), parse_rational(im)))
+            field = f"bracket ({i},{j}) output {item!r}"
+            vec[k] = SymScalar.const(Scalar(_rational(re, field), _rational(im, field)))
         if (i, j) in brackets:
             raise InputError(f"duplicate bracket entry ({i},{j})")
         brackets[(i, j)] = vec
@@ -169,12 +183,19 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
         raise InputError("J must be a dim x dim matrix of rational strings")
     param = None
     params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise InputError("params must be a JSON object, e.g. {\"a\": \"4*pi\"}")
     if "a" in params:
+        if not isinstance(params["a"], str):
+            raise InputError(f"params.a must be a string, got {params['a']!r}")
         try:
             param = PiParam.parse(params["a"])
         except ValueError as exc:
             raise InputError(f"params.a: {exc}") from exc
-    J = ACStructure([[_parse_j_entry(c, param) for c in row] for row in j_rows])
+    J = ACStructure([
+        [_parse_j_entry(c, param, f"J entry ({r},{k})") for k, c in enumerate(row, start=1)]
+        for r, row in enumerate(j_rows, start=1)
+    ])
     alg = LieAlgebra(dim, brackets, name=str(obj.get("name", "custom")))
     if (
         param is not None

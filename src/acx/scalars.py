@@ -81,7 +81,9 @@ class Scalar:
 
     def __add__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.coerce(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return _scalar(_rat(self.re + other.re), _rat(self.im + other.im))
 
     __radd__ = __add__
@@ -91,15 +93,20 @@ class Scalar:
 
     def __sub__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.coerce(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return _scalar(_rat(self.re - other.re), _rat(self.im - other.im))
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) - self
+        other = _operand(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if type(other) is not Scalar:
-            other = Scalar.coerce(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b and not d:
             return _scalar(_rat(a * c), 0)
@@ -115,10 +122,12 @@ class Scalar:
         return _scalar(_div(a, n), _div(-b, n))
 
     def __truediv__(self, other):
-        return self * Scalar.coerce(other).inverse()
+        other = _operand(other)
+        return NotImplemented if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Scalar.coerce(other) * self.inverse()
+        other = _operand(other)
+        return NotImplemented if other is NotImplemented else other * self.inverse()
 
     def conjugate(self) -> "Scalar":
         return _scalar(self.re, -self.im)
@@ -131,9 +140,8 @@ class Scalar:
 
     def __eq__(self, other):
         if type(other) is not Scalar:
-            try:
-                other = Scalar.coerce(other)
-            except TypeError:
+            other = _operand(other)
+            if other is NotImplemented:
                 return NotImplemented
         return self.re == other.re and self.im == other.im
 
@@ -145,6 +153,17 @@ class Scalar:
 
     def __str__(self):
         return scalar_str(self)
+
+
+def _operand(value):
+    """An operand of a Scalar operator as a Scalar, or NotImplemented for a
+    type Scalar does not absorb (so that, e.g., SymScalar's reflected
+    operator runs)."""
+    if isinstance(value, Scalar):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Scalar(value)
+    return NotImplemented
 
 
 S_ZERO = Scalar(0)

@@ -20,13 +20,16 @@ Freq = Tuple[int, ...]
 
 DEFAULT_PROFILE_LENGTH = 12
 DEFAULT_MODE_WINDOW = 32
+# The oracles test (2 * window + 1)^2 modes per level, so the window is capped.
+MAX_MODE_WINDOW = 256
 
 
 def mode_window() -> int:
     """Enumeration window for the Fourier-mode cross-check oracles.
 
-    Overridable through the ACX_MODE_WINDOW environment variable; the main
-    solvers never enumerate, so the window only affects cross-checks.
+    Overridable through the ACX_MODE_WINDOW environment variable (1 to
+    MAX_MODE_WINDOW); the main solvers never enumerate, so the window only
+    affects cross-checks.
     """
     raw = os.environ.get("ACX_MODE_WINDOW")
     if raw is None:
@@ -37,6 +40,8 @@ def mode_window() -> int:
         raise InputError(f"ACX_MODE_WINDOW must be an integer, got {raw!r}") from exc
     if value < 1:
         raise InputError("ACX_MODE_WINDOW must be a positive integer")
+    if value > MAX_MODE_WINDOW:
+        raise InputError(f"ACX_MODE_WINDOW must be at most {MAX_MODE_WINDOW}")
     return value
 
 

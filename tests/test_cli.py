@@ -362,3 +362,110 @@ class TestInputLimits:
     def test_levels_limit(self, capsys):
         assert main(["s6-report", "--levels", "1001"]) == 2
         assert "input error: --levels: must be at most 1000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["kodaira", "--model", "t4", "--length", "0"], "--length: must be at least 1"),
+            (["kunneth", "--factors", "rr:2,torus", "--length", "-1"],
+             "--length: must be at least 1"),
+            (["s6-report", "--levels", "0"], "--levels: must be at least 1"),
+            (["g2-verify", "--samples", "-3"], "--samples: must be at least 0"),
+            (["g2-verify", "--negatives", "-1"], "--negatives: must be at least 0"),
+            (["g2-verify", "--samples", "1001"], "--samples: must be at most 1000"),
+            (["g2-verify", "--negatives", "1001"], "--negatives: must be at most 1000"),
+        ],
+    )
+    def test_lower_and_sample_limits(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    def test_sample_limits_are_checked_before_any_work(self, monkeypatch):
+        from acx import g2
+
+        def boom():
+            raise AssertionError("work started before the limits were checked")
+
+        monkeypatch.setattr(g2, "verify_bracket_table", boom)
+        assert main(["g2-verify", "--samples", "-3"]) == 2
+        assert main(["g2-verify", "--negatives", "1001"]) == 2
+
+    def test_sample_limits_are_inclusive(self):
+        code, report = capture_json(["g2-verify", "--samples", "0", "--negatives", "0"])
+        assert code == 0
+        assert report["membership"]["members_checked"] == 0
+
+    def test_mode_window_upper_limit(self, monkeypatch, capsys):
+        from acx.torus import MAX_MODE_WINDOW
+
+        argv = ["plurigenera", "--model", "kt", "--a", "4*pi", "--m", "1", "--cross-check"]
+        monkeypatch.setenv("ACX_MODE_WINDOW", str(MAX_MODE_WINDOW + 1))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"input error: ACX_MODE_WINDOW must be at most {MAX_MODE_WINDOW}" in err
+        monkeypatch.setenv("ACX_MODE_WINDOW", str(MAX_MODE_WINDOW))
+        code, report = capture_json(argv)
+        assert code == 0 and report["cross_check"]["window"] == MAX_MODE_WINDOW
+
+
+class TestInputFaults:
+    """Malformed input exits 2 with a message of acx's own, never a traceback
+    or a bare standard-library message."""
+
+    def _run_file(self, tmp_path, capsys, **overrides):
+        obj = dict(KT_FILE_OBJ, **overrides)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        code = main(["nijenhuis", "--model", str(path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"brackets": 5}, "brackets must be a list"),
+            ({"params": 7}, "params must be a JSON object"),
+            ({"params": {"a": 5}}, "params.a must be a string"),
+            ({"brackets": [{"i": 2, "j": 3, "out": 5}]}, "bracket (2,3): out must be a list"),
+        ],
+    )
+    def test_bad_shapes(self, tmp_path, capsys, overrides, message):
+        code, err = self._run_file(tmp_path, capsys, **overrides)
+        assert code == 2
+        assert err.startswith("input error: ") and message in err
+
+    def test_bad_bracket_rational_names_the_field(self, tmp_path, capsys):
+        code, err = self._run_file(
+            tmp_path, capsys, brackets=[{"i": 2, "j": 3, "out": [[4, "x", "0"]]}]
+        )
+        assert code == 2
+        assert err == "input error: bracket (2,3) output [4, 'x', '0']: bad rational literal 'x'\n"
+
+    def test_bad_j_rational_names_the_field(self, tmp_path, capsys):
+        J = [row[:] for row in KT_FILE_OBJ["J"]]
+        J[2][3] = "-1/0*a"
+        code, err = self._run_file(tmp_path, capsys, J=J)
+        assert code == 2
+        assert err == "input error: J entry (3,4): bad rational literal '1/0'\n"
+
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_negative_degree_rejected(self, capsys, flag):
+        argv = ["hodge", "--model", "kt", "--a", "4*pi", "--p", "0", "--q", "0"]
+        argv[argv.index(flag) + 1] = "-1"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "input error: --p and --q must be non-negative\n"
+
+    def test_factor_errors_are_not_masked(self, capsys):
+        assert main(["kunneth", "--factors", "rr:1,torus"]) == 2
+        assert capsys.readouterr().err == "input error: fiber genus must be at least 2\n"
+        assert main(["kunneth", "--factors", "rr:x,torus"]) == 2
+        assert capsys.readouterr().err == "input error: factor 'rr:x': want rr:<genus>\n"
+
+    def test_internal_value_error_exits_three(self, monkeypatch, capsys):
+        from acx import cli
+
+        def broken(args):
+            raise ValueError("form is not bidegree-homogeneous")
+
+        monkeypatch.setitem(cli._HANDLERS, "rr", broken)
+        assert main(["rr", "--genus", "2"]) == 3
+        assert capsys.readouterr().err == "internal error: form is not bidegree-homogeneous\n"

@@ -361,3 +361,32 @@ class TestFastPathReference:
                 assert z.constant_value() == c
                 assert z == direct and hash(z) == hash(direct)
                 assert z == c and str(z) == scalar_str(c)
+
+
+class TestMixedOperands:
+    """A Scalar on the left of a SymScalar defers to the SymScalar operator."""
+
+    def test_scalar_left_of_symscalar(self):
+        rng = random.Random(104)
+        x = SymScalar.symbol()
+        operands = [x, SymScalar.symbol(coeff=Scalar(1, 2), power=2), x / (x + 1),
+                    SymScalar.const(Scalar(3, -1))]
+        operands += [rand_sym(rng) for _ in range(10)]
+        for y in operands:
+            for op in OPS:
+                if op == "/" and y.is_zero():
+                    continue
+                got = OPS[op](Scalar(1), y)
+                assert type(got) is SymScalar
+                assert got == OPS[op](SymScalar.const(1), y)
+                c = rand_scalar(rng)
+                assert OPS[op](c, y) == OPS[op](SymScalar.const(c), y)
+
+    def test_unsupported_operands_still_raise(self):
+        with pytest.raises(TypeError):
+            Scalar.coerce(SymScalar.symbol())
+        for op in OPS:
+            with pytest.raises(TypeError):
+                OPS[op](Scalar(1), "x")
+            with pytest.raises(TypeError):
+                OPS[op]("x", Scalar(1))
