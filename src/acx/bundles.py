@@ -40,21 +40,7 @@ class PseudoholStructure:
 
     def dbar_section(self, comps, lam_form=None):
         """dbar_E of sum_i comps[i] tensor s_i; comps are Forms, possibly mixed."""
-        coframe = self.model.coframe
-        out = [Form.zero(self.model.n) for _ in range(self.rank)]
-        for i, x in enumerate(comps):
-            if x.is_zero():
-                continue
-            out[i] = out[i] + coframe.dbar(x, lam_form)
-            for (p, q), piece in x.components().items():
-                sign = -1 if (p + q) % 2 else 1
-                for j in range(self.rank):
-                    t = self.theta[i][j]
-                    if t.is_zero():
-                        continue
-                    w = piece.wedge(t)
-                    out[j] = out[j] + (w if sign > 0 else -w)
-        return out
+        return self._twisted(self.model.coframe.dbar, self.theta, comps, lam_form)
 
     def connection(self):
         """omega = theta - conj(theta)^T for the unitary frame."""
@@ -71,20 +57,22 @@ class PseudoholStructure:
 
     def nabla10_section(self, comps, lam_form=None):
         """The (1,0) covariant derivative of sum_i comps[i] tensor s_i."""
-        coframe = self.model.coframe
-        omega10 = self.connection_10()
+        return self._twisted(self.model.coframe.del_op, self.connection_10(), comps, lam_form)
+
+    def _twisted(self, op, matrix, comps, lam_form):
+        """op(x_i) tensor s_i + (-1)^(p+q) x_i ^ matrix[i][j] tensor s_j, summed."""
         out = [Form.zero(self.model.n) for _ in range(self.rank)]
         for i, x in enumerate(comps):
             if x.is_zero():
                 continue
-            out[i] = out[i] + coframe.del_op(x, lam_form)
+            out[i] = out[i] + op(x, lam_form)
             for (p, q), piece in x.components().items():
                 sign = -1 if (p + q) % 2 else 1
                 for j in range(self.rank):
-                    w10 = omega10[i][j]
-                    if w10.is_zero():
+                    t = matrix[i][j]
+                    if t.is_zero():
                         continue
-                    w = piece.wedge(w10)
+                    w = piece.wedge(t)
                     out[j] = out[j] + (w if sign > 0 else -w)
         return out
 

@@ -239,7 +239,7 @@ def _cmd_nijenhuis(args):
     report = dict(desc)
     report.update(
         {
-            "integrable": is_integrable(model.alg, model.J),
+            "integrable": is_integrable(tensor, model.coframe),
             "nonzero_entries": len(entries),
             "entries": entries,
         }
@@ -719,6 +719,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # any other ValueError comes from inside acx, not from the input
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -3,8 +3,8 @@
 InputError: the input is malformed or violates a structural precondition
 (bad rational literal, J^2 != -I, Jacobi failure, non-unimodular algebra,
 non-real coefficient data, a user-sized input outside its limits).  CLI exit
-code 2.  Any other ValueError that reaches the CLI is a fault of this
-package and exits 3 as an internal error.
+code 2.  Any other exception that reaches the CLI (a ValueError, TypeError,
+IndexError, ...) is a fault of this package and exits 3 as an internal error.
 
 RefusalError: the input is well formed but outside the range of the exact
 derivations this package implements (for example a torus structure whose

@@ -56,6 +56,16 @@ def merge_indices(a, b):
     return MultiIndex(out), sign
 
 
+def perm_sign(seq) -> int:
+    """Sign of the permutation sorting seq (distinct entries): (-1)^inversions."""
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
 def complement(alpha, n):
     inside = set(alpha)
     return MultiIndex(tuple(k for k in range(1, n + 1) if k not in inside))

@@ -17,8 +17,8 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError, RefusalError
-from .forms import Form, basis_monomials
-from .hodge import invariant_harmonic_space, star_monomial
+from .forms import Form, perm_sign
+from .hodge import _section_monomials, invariant_harmonic_space, star_monomial
 from .lie import (
     ACStructure,
     LieACS,
@@ -211,14 +211,6 @@ def g2_basis() -> Dict[str, G2Element]:
     return out
 
 
-def _combo(coeffs: Dict[str, int]) -> G2Element:
-    basis = g2_basis()
-    total = G2Element.zero()
-    for name, c in coeffs.items():
-        total = total + basis[name].scale(c)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Reference bracket catalogue
 # ---------------------------------------------------------------------------
@@ -373,22 +365,19 @@ def verify_bracket_table() -> BracketTableReport:
 
     mismatches = []
     for (na, nb), table_value in REFERENCE_BRACKET_TABLE.items():
-        computed = cached_bracket(na, nb)
-        expected = _combo(table_value)
-        if computed != expected:
+        computed = _coordinate_dict(cached_bracket(na, nb))
+        if computed != table_value:
             mismatches.append(
                 {
                     "pair": (na, nb),
                     "catalogued": dict(table_value),
-                    "computed": {
-                        k: str(v) for k, v in _coordinate_dict(computed).items()
-                    },
+                    "computed": {k: str(v) for k, v in computed.items()},
                 }
             )
     unregistered = []
     for diff in mismatches:
         erratum = BRACKET_TABLE_ERRATA.get(tuple(diff["pair"]))
-        if erratum is None or _combo(erratum) != cached_bracket(*diff["pair"]):
+        if erratum is None or _coordinate_dict(cached_bracket(*diff["pair"])) != erratum:
             unregistered.append(diff)
 
     h_names = [n for n in BASIS_NAMES if n.startswith("h")]
@@ -433,23 +422,13 @@ PHI_TERMS: Dict[Tuple[int, int, int], int] = {
 }
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    items = list(perm)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=1)
 def _epsilon() -> Dict[Tuple[int, int, int], int]:
     """Fully antisymmetric coefficients generated from the seven-term display."""
     eps: Dict[Tuple[int, int, int], int] = {}
     for base, value in PHI_TERMS.items():
         for perm in itertools.permutations(base):
-            eps[perm] = _perm_sign(perm) * value
+            eps[perm] = perm_sign(perm) * value
     return eps
 
 
@@ -518,33 +497,18 @@ class CrossProduct:
         """Infinitesimal invariance of the three-form on all 35 basis triples."""
         A = tuple(tuple(_sc(c) for c in row) for row in A)
         basis = [tuple(_sc(1 if r == c else 0) for r in range(N)) for c in range(N)]
-
-        def apply(v):
-            return tuple(
-                sum((A[i][j] * v[j] for j in range(N)), _sc(0)) for i in range(N)
-            )
-
+        # A e_c is column c of A
+        image = [tuple(A[r][c] for r in range(N)) for c in range(N)]
         for i, j, k in itertools.combinations(range(N), 3):
             u, v, w = basis[i], basis[j], basis[k]
             total = (
-                self.phi(apply(u), v, w)
-                + self.phi(u, apply(v), w)
-                + self.phi(u, v, apply(w))
+                self.phi(image[i], v, w)
+                + self.phi(u, image[j], w)
+                + self.phi(u, v, image[k])
             )
             if not total.is_zero():
                 return False
         return True
-
-    def j_at_point(self, u):
-        """The tangent endomorphism v -> u x v as a 7x7 matrix."""
-        u = self._vec(u)
-        cols = []
-        for j in range(N):
-            e_j = tuple(_sc(1 if r == j else 0) for r in range(N))
-            cols.append(self.cross(u, e_j))
-        return tuple(
-            tuple(cols[j][i] for j in range(N)) for i in range(N)
-        )
 
 
 @lru_cache(maxsize=1)
@@ -608,17 +572,14 @@ def verify_cross_identities() -> CrossIdentityReport:
             if lhs != rhs:
                 double.append((a + 1, b + 1))
     e1e6 = cp.cross(basis[0], basis[5]) == basis[6]
-    ju = cp.j_at_point(basis[0])
-
-    def col(M, j):
-        return tuple(M[i][j] for i in range(N))
-
+    # column j of the rotation v -> e1 x v is e1 x e_j
+    ju = [cp.cross(basis[0], e) for e in basis]
     pairs = {2: 3, 4: 5, 6: 7}
-    j_ok = col(ju, 0) == tuple(_sc(0) for _ in range(N))
+    j_ok = ju[0] == tuple(_sc(0) for _ in range(N))
     for src, dst in pairs.items():
         want_fwd = basis[dst - 1]
         want_bwd = tuple(-c for c in basis[src - 1])
-        if col(ju, src - 1) != want_fwd or col(ju, dst - 1) != want_bwd:
+        if ju[src - 1] != want_fwd or ju[dst - 1] != want_bwd:
             j_ok = False
     return CrossIdentityReport(ortho, double, e1e6, j_ok)
 
@@ -660,17 +621,15 @@ def membership_sample_check(
     """
     rng = random.Random(seed)
     cp = cross_product()
-    basis = list(g2_basis().values())
-    basis_vectors = [e.flatten() for e in basis]
+    basis_vectors = [e.flatten() for e in g2_basis().values()]
 
     member_failures = []
     for trial in range(members):
+        # the basis is the coordinate basis: coefficients are coordinates
         coeffs = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis_vectors
         ]
-        elem = G2Element.zero()
-        for c, b in zip(coeffs, basis):
-            elem = elem + b.scale(c)
+        elem = G2Element(coeffs[:X_DIM], coeffs[X_DIM:])
         if not cp.is_member(elem.matrix):
             member_failures.append(trial)
 
@@ -814,14 +773,12 @@ def verify_projection() -> ProjectionReport:
         j_images[a] = -basis[b]
         j_images[b] = basis[a]
 
-    ju = cp.j_at_point(basis_vector(1))
+    # the cross-product rotation at e1 is v -> e1 x v
+    e1 = basis_vector(1)
     intertwine_failures = []
     for name in BASIS_NAMES:
         lhs = projection_differential(j_images[name])
-        dp = projection_differential(basis[name])
-        rhs = tuple(
-            sum((ju[i][j] * dp[j] for j in range(N)), _sc(0)) for i in range(N)
-        )
+        rhs = cp.cross(e1, projection_differential(basis[name]))
         if lhs != rhs:
             intertwine_failures.append(name)
 
@@ -1202,16 +1159,9 @@ class S6HodgeReport:
 def _serre_transport_bijective(p: int) -> bool:
     """Is s -> conj(sphere-star s) a bijection from basic (p,0) monomial
     span onto the basic (3-p, 3) span?  Checked by exact rank."""
-    source = [
-        (a, b)
-        for (a, b) in basis_monomials(N, p, 0)
-        if set(a) <= {1, 2, 3} and set(b) <= {1, 2, 3}
-    ]
-    target = [
-        (a, b)
-        for (a, b) in basis_monomials(N, 3 - p, 3)
-        if set(a) <= {1, 2, 3} and set(b) <= {1, 2, 3}
-    ]
+    model = s6_model()
+    source = _section_monomials(model, p, 0)
+    target = _section_monomials(model, 3 - p, 3)
     images = []
     for (a, b) in source:
         img = s6_basic_star(Form.monomial(N, a, b)).conjugate()

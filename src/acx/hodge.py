@@ -30,25 +30,10 @@ from fractions import Fraction
 
 from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
 from .errors import InputError, InternalCheckError
-from .forms import Form, MultiIndex, basis_monomials, complement
+from .forms import Form, MultiIndex, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
 from .linalg import in_span, is_nonsingular, kernel_basis, solve
 from .scalars import SS_ZERO, Scalar, SymScalar
-
-
-def _interleave_sign(source):
-    """Sign of the permutation (source order) -> (1, 1', 2, 2', ..., n, n').
-
-    source is a list of (index, barred) pairs; position of (k, barred) in the
-    target is 2(k-1) + barred.
-    """
-    seq = [2 * (k - 1) + (1 if barred else 0) for (k, barred) in source]
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 def star_monomial(n: int, alpha, beta):
@@ -58,13 +43,13 @@ def star_monomial(n: int, alpha, beta):
     p, q = len(alpha), len(beta)
     ahat = complement(alpha, n)
     bhat = complement(beta, n)
-    source = (
-        [(i, False) for i in alpha]
-        + [(j, True) for j in beta]
-        + [(j, True) for j in bhat]
-        + [(i, False) for i in ahat]
+    # eps sorts the source order into (1, 1', ..., n, n'), where k sits at
+    # position 2(k-1) and k' at 2(k-1) + 1
+    eps = perm_sign(
+        [2 * (i - 1) for i in alpha]
+        + [2 * (j - 1) + 1 for j in beta + bhat]
+        + [2 * (i - 1) for i in ahat]
     )
-    eps = _interleave_sign(source)
     minus_i_pow = Scalar(0, -1)
     c = Scalar(1)
     for _ in range(n):

@@ -388,13 +388,12 @@ def structure_equations(coframe: ComplexCoframe) -> StructureEquations:
     return StructureEquations(coframe)
 
 
-def is_integrable(alg: LieAlgebra, J: ACStructure) -> bool:
+def is_integrable(tensor: NijenhuisTensor, coframe: ComplexCoframe) -> bool:
     """Three equivalent tests, cross-checked: N = 0; no (0,2) parts; the
-    (1,0) frame closes under the bracket."""
-    by_nijenhuis = nijenhuis(alg, J).is_zero()
-    coframe = build_coframe(alg, J)
-    eqs = StructureEquations(coframe)
-    by_forms = eqs.integrable()
+    (1,0) frame closes under the bracket.  tensor and coframe belong to the
+    same algebra and J."""
+    by_nijenhuis = tensor.is_zero()
+    by_forms = StructureEquations(coframe).integrable()
     K = coframe.complex_constants()
     n = coframe.n
     by_frame = all(

@@ -9,6 +9,7 @@ differences -- never floating point.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -303,13 +304,7 @@ def kt_first_nonzero(a: PiParam) -> Optional[int]:
         return None
     num = abs(a.q.numerator)
     den = 4 * a.q.denominator
-    return den // _gcd(num, den)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return den // math.gcd(num, den)
 
 
 def kt_irregularity(a: PiParam) -> int:

@@ -469,3 +469,68 @@ class TestInputFaults:
         monkeypatch.setitem(cli._HANDLERS, "rr", broken)
         assert main(["rr", "--genus", "2"]) == 3
         assert capsys.readouterr().err == "internal error: form is not bidegree-homogeneous\n"
+
+    def test_other_internal_exceptions_exit_three(self, monkeypatch, capsys):
+        from acx import cli
+
+        def broken(args):
+            raise TypeError("unsupported operand type(s) for +: 'Form' and 'int'")
+
+        monkeypatch.setitem(cli._HANDLERS, "rr", broken)
+        assert main(["rr", "--genus", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: TypeError: unsupported operand type(s) for +: 'Form' and 'int'\n"
+        )
+
+    def test_interrupts_are_not_internal_errors(self, monkeypatch):
+        from acx import cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "rr", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["rr", "--genus", "2"])
+
+    def test_model_dim_limit_is_checked_first(self, tmp_path, capsys):
+        from acx.models import MAX_DIM
+
+        for dim in (MAX_DIM + 1, MAX_DIM + 2):
+            code, err = self._run_file(
+                tmp_path, capsys, dim=dim, brackets=[{"i": 1, "j": 2, "out": 5}], J=[["x"]]
+            )
+            assert code == 2
+            assert err == f"input error: model dim must be at most {MAX_DIM}, got {dim}\n"
+
+    def test_model_dim_limit_is_inclusive(self, tmp_path):
+        from acx.models import MAX_DIM
+
+        J = [["0"] * MAX_DIM for _ in range(MAX_DIM)]
+        for k in range(0, MAX_DIM, 2):
+            J[k][k + 1], J[k + 1][k] = "-1", "1"
+        path = tmp_path / "abelian.json"
+        path.write_text(json.dumps({"dim": MAX_DIM, "brackets": [], "J": J}))
+        code, report = capture_json(["structure-eqs", "--model", str(path)])
+        assert code == 0 and report["integrable"] is True
+
+
+class TestComputeOnce:
+    def test_nijenhuis_builds_one_tensor_and_one_coframe(self, monkeypatch):
+        from acx import cli, lie
+
+        calls = {"nijenhuis": 0, "build_coframe": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        # the names the CLI, is_integrable and LieACS call through
+        tensor = counting("nijenhuis", lie.nijenhuis)
+        monkeypatch.setattr(cli, "nijenhuis", tensor)
+        monkeypatch.setattr(lie, "nijenhuis", tensor)
+        monkeypatch.setattr(lie, "build_coframe", counting("build_coframe", lie.build_coframe))
+        code, report = capture_json(["nijenhuis", "--model", "kt", "--a", "4*pi"])
+        assert code == 0 and report["integrable"] is False
+        assert calls == {"nijenhuis": 1, "build_coframe": 1}

@@ -1,5 +1,6 @@
 """Bigraded exterior algebra on the complex coframe."""
 
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from acx.forms import (
     basis_monomials,
     complement,
     merge_indices,
+    perm_sign,
     wedge_all,
 )
 from acx.scalars import Scalar, SymScalar
@@ -143,3 +145,21 @@ class TestHelpers:
                 got = basis_monomials(n, p, q)
                 assert len(got) == math.comb(n, p) * math.comb(n, q)
                 assert len(set(got)) == len(got)
+
+    def test_perm_sign_is_the_inversion_parity(self):
+        # reference: a permutation with c cycles on k points has sign (-1)^(k - c)
+        for perm in itertools.permutations(range(4)):
+            seen, cycles = set(), 0
+            for start in range(4):
+                if start not in seen:
+                    cycles += 1
+                    k = start
+                    while k not in seen:
+                        seen.add(k)
+                        k = perm[k]
+            assert perm_sign(perm) == (-1) ** (4 - cycles)
+
+    def test_perm_sign_of_sparse_entries(self):
+        # only the relative order counts, not the values
+        assert perm_sign([0, 2, 1, 3]) == perm_sign([0, 5, 3, 9]) == -1
+        assert perm_sign([]) == perm_sign([7]) == 1

@@ -94,6 +94,21 @@ class TestBracketTable:
         assert summary["ok"] is True
 
 
+    def test_catalogue_mismatches_and_errata(self, monkeypatch):
+        # one wrong entry with a registered erratum, one without
+        table = dict(g2.REFERENCE_BRACKET_TABLE)
+        table[("f1", "f4")] = {"f5": 2}
+        table[("f2", "f4")] = {"h4": 1}
+        monkeypatch.setattr(g2, "REFERENCE_BRACKET_TABLE", table)
+        monkeypatch.setattr(g2, "BRACKET_TABLE_ERRATA", {("f1", "f4"): {"f5": 1}})
+        report = g2.verify_bracket_table()
+        assert report.checked == 76
+        assert [d["pair"] for d in report.mismatches] == [("f1", "f4"), ("f2", "f4")]
+        assert report.mismatches[1]["computed"] == {"h4": "-1"}
+        assert [d["pair"] for d in report.unregistered] == [("f2", "f4")]
+        assert not report.ok
+
+
 class TestCrossProduct:
     def test_report(self, cross_report):
         assert cross_report.orthogonality_failures == []
@@ -138,6 +153,28 @@ class TestCrossProduct:
         rows[1][2] = Scalar(1)
         rows[2][1] = Scalar(-1)
         assert not cp.is_member(rows)
+
+    def test_plain_rotation_does_not_preserve_the_form(self):
+        cp = g2.cross_product()
+        rows = [[Scalar(0)] * 7 for _ in range(7)]
+        rows[1][2] = Scalar(1)
+        rows[2][1] = Scalar(-1)
+        assert not cp.preserves_form(rows)
+        basis = g2.g2_basis()
+        assert cp.preserves_form((basis["f1"] + basis["h3"].scale(2)).matrix)
+
+    def test_epsilon_table(self):
+        eps = g2._epsilon()
+        assert len(eps) == 42
+        want = {}
+        for (i, j, k), v in g2.PHI_TERMS.items():
+            for even in ((i, j, k), (j, k, i), (k, i, j)):
+                want[even] = v
+            for odd in ((j, i, k), (i, k, j), (k, j, i)):
+                want[odd] = -v
+        assert eps == want
+        assert eps[(1, 2, 3)] == 1 and eps[(2, 1, 3)] == -1
+        assert eps[(7, 5, 2)] == 1 and eps[(5, 3, 6)] == 1
 
     def test_membership_sample_report(self, membership_report):
         assert membership_report.members_checked == 100

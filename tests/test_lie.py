@@ -116,13 +116,14 @@ class TestACStructure:
 class TestNijenhuis:
     def test_abelian_structures_are_integrable(self):
         model = abelian_model(2)
-        assert nijenhuis(model.alg, model.J).is_zero()
-        assert is_integrable(model.alg, model.J)
+        tensor = nijenhuis(model.alg, model.J)
+        assert tensor.is_zero()
+        assert is_integrable(tensor, model.coframe)
 
     def test_kt_is_never_integrable(self):
         for a in (A_4PI, A_GENERIC):
             alg, J = kt_algebra(), kt_J(a)
-            assert not is_integrable(alg, J)
+            assert not is_integrable(nijenhuis(alg, J), build_coframe(alg, J))
 
     def test_kt_tensor_entries(self):
         alg, J = kt_algebra(), kt_J(A_GENERIC)

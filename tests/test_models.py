@@ -6,7 +6,7 @@ import pytest
 
 from acx.errors import InputError
 from acx.hodge import invariant_harmonic_space
-from acx.lie import is_integrable
+from acx.lie import is_integrable, nijenhuis
 from acx.models import (
     abelian_model,
     kt_J,
@@ -60,7 +60,7 @@ class TestPresets:
         model = abelian_model(3)
         assert model.n == 3
         assert not model.alg.brackets
-        assert is_integrable(model.alg, model.J)
+        assert is_integrable(nijenhuis(model.alg, model.J), model.coframe)
         with pytest.raises(InputError):
             abelian_model(0)
 
@@ -92,7 +92,7 @@ class TestModelFiles:
         model, param = load_model_file(write_model(tmp_path, obj))
         assert param is None
         assert model.n == 1
-        assert is_integrable(model.alg, model.J)
+        assert is_integrable(nijenhuis(model.alg, model.J), model.coframe)
 
     def test_complex_bracket_constants(self, tmp_path):
         obj = {
