@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import InputError, InternalCheckError, RefusalError
-from .hodge import invariant_harmonic_space
+from .hodge import invariant_harmonic_space, section_count
 from .lie import is_integrable, nijenhuis, structure_equations
 from .models import kt_model, load_model_file
 from .scalars import PiParam
@@ -57,6 +57,16 @@ MAX_LEVEL = 1000
 MAX_LENGTH = 1000
 MAX_LEVELS = 1000
 MAX_SAMPLES = 1000
+
+# Most hodge section monomials C(k,p)*C(k,q) (k = n, or the size of the
+# model's basic set): the column count of each operator matrix.  400 admits
+# every (p,q) at dim <= 12; (3,3) at dim 12 takes 0.7 s on an abelian file and
+# 87 s on a dense 2-step nilpotent one (2-vCPU Xeon VM).
+MAX_SECTIONS = 400
+
+# Most kunneth --factors.  Eight s6 factors, the slowest profile to build, take
+# 3.5 s at --length 1000 (2-vCPU Xeon VM).
+MAX_FACTORS = 8
 
 _T4_LIE_REFUSAL = (
     "the four-torus family has non-constant structure coefficients; "
@@ -378,6 +388,8 @@ def _cmd_hodge(args):
             "canonical powers of the sphere are exposed through plurigenera; "
             "the full-frame canonical bundle is not the sphere's"
         )
+    _check_limit("--p/--q section monomials", section_count(model, args.p, args.q),
+                 MAX_SECTIONS, low=0)
     space = invariant_harmonic_space(
         model, args.p, args.q, bundle_power=args.power
     )
@@ -489,6 +501,7 @@ def _cmd_kunneth(args):
     specs = [s for s in (args.factors or "").split(",") if s.strip()]
     if len(specs) < 2:
         raise InputError("--factors: want at least two comma-separated factors")
+    _check_limit("--factors", len(specs), MAX_FACTORS)
     _check_limit("--length", args.length, MAX_LENGTH)
     profiles = [_factor_profile(s, args.length) for s in specs]
     product = profiles[0]

@@ -27,12 +27,13 @@ refuses non-unimodular input.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
 from .errors import InputError, InternalCheckError
 from .forms import Form, MultiIndex, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
-from .linalg import in_span, is_nonsingular, kernel_basis, solve
+from .linalg import is_nonsingular, kernel_basis, rank, solve
 from .scalars import SS_ZERO, Scalar, SymScalar
 
 
@@ -200,6 +201,13 @@ def _section_monomials(model: LieACS, p: int, q: int):
     return monos
 
 
+def section_count(model: LieACS, p: int, q: int) -> int:
+    """len(_section_monomials(model, p, q)) for p, q >= 0, without the list:
+    the column count of each operator matrix on a rank-one bundle."""
+    k = model.n if model.basic is None else len(model.basic)
+    return comb(k, p) * comb(k, q)
+
+
 class HarmonicBlock:
     def __init__(self, character, monomials, rank, basis):
         self.character = character
@@ -294,9 +302,9 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
                 "harmonic kernels",
                 "Laplacian kernel disagrees with ker dbar intersect ker dbar*",
             )
-        for v in both_kernel:
-            if not in_span(lap_kernel, v):
-                raise InternalCheckError("harmonic kernels", "they span different spaces")
+        # independent bases of one size span one space iff stacked they keep that rank
+        if rank(lap_kernel + both_kernel) != len(lap_kernel):
+            raise InternalCheckError("harmonic kernels", "they span different spaces")
         blocks.append(HarmonicBlock(ch, monomials, ctx.rank, both_kernel))
     return HarmonicSpace(model, p, q, blocks)
 
@@ -339,13 +347,10 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
         sources = sblock.basis_sections(n)
         targets = tblock.basis_sections(n)
         images = [[data.star(x).conjugate() for x in s] for s in sources]
-        # each image must lie in the span of the target harmonic basis
-        vecs = _coordinates(targets + images)
-        tvecs = vecs[:len(targets)]
-        for vec in vecs[len(targets):]:
-            if not in_span(tvecs, vec):
-                return SerreReport(False, source.dimension, target.dimension,
-                                   "Serre image is not harmonic")
+        # each image must lie in the span of the independent target basis
+        if rank(_coordinates(targets + images)) != len(targets):
+            return SerreReport(False, source.dimension, target.dimension,
+                               "Serre image is not harmonic")
         # pairing matrix between the source basis and its images
         pairing = []
         for s in sources:

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .errors import InputError, InternalCheckError
 from .forms import Form, wedge_all
-from .linalg import mat_inverse, mat_vec, rank
+from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon
 from .scalars import SS_ONE, SS_ZERO, S_I, SymScalar
 
 
@@ -94,11 +94,7 @@ class LieAlgebra:
         return out
 
     def _check_jacobi(self):
-        basis = []
-        for i in range(self.dim):
-            v = [SS_ZERO] * self.dim
-            v[i] = SS_ONE
-            basis.append(v)
+        basis = identity(self.dim)
         for i, j, k in combinations(range(self.dim), 3):
             acc = [SS_ZERO] * self.dim
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -161,11 +157,11 @@ class ACStructure:
             raise InputError("J must be square")
         if n % 2:
             raise InputError("J needs an even-dimensional algebra")
+        square = mat_mul(self.matrix, self.matrix)
         for a in range(n):
             for b in range(n):
                 want = SS_ONE if a == b else SS_ZERO
-                got = sum((self.matrix[a][k] * self.matrix[k][b] for k in range(n)), SS_ZERO)
-                if not (got + want).is_zero():
+                if not (square[a][b] + want).is_zero():
                     raise InputError(f"J^2 != -I at entry ({a + 1},{b + 1})")
 
     @property
@@ -343,27 +339,26 @@ class ComplexCoframe:
 def build_coframe(alg: LieAlgebra, J: ACStructure) -> ComplexCoframe:
     """Select the (1,0) coframe eta - i*(eta o J) over eta = e^1, e^2, ...
 
-    Greedy: keep the first n candidates that are independent; scale each so
-    its leading (lowest-index) nonzero real-dual coefficient is one.
+    Keep the first n candidates that are independent of the ones before
+    them (the pivot columns of the candidates written as columns); scale each
+    so its leading (lowest-index) nonzero real-dual coefficient is one.
     """
     if J.dim != alg.dim:
         raise InputError("J dimension does not match the algebra")
-    N = alg.dim
-    n = N // 2
-    chosen = []
-    for a in range(1, N + 1):
-        row = []
-        for b in range(N):
-            c = SS_ONE if b == a - 1 else SS_ZERO
-            row.append(c - SymScalar.const(S_I) * J.matrix[a - 1][b])
-        if rank(chosen + [row]) > len(chosen):
-            lead = next(c for c in row if not c.is_zero())
-            inv = SS_ONE / lead
-            chosen.append([c * inv for c in row])
-        if len(chosen) == n:
-            break
-    if len(chosen) != n:
+    n = alg.dim // 2
+    i_unit = SymScalar.const(S_I)
+    candidates = [
+        [c - i_unit * j for c, j in zip(row, jrow)]
+        for row, jrow in zip(identity(alg.dim), J.matrix)
+    ]
+    _, pivots = row_echelon(list(zip(*candidates)))
+    if len(pivots) < n:
         raise InputError("could not build a full (1,0) coframe")
+    chosen = []
+    for a in pivots[:n]:
+        lead = next(c for c in candidates[a] if not c.is_zero())
+        inv = SS_ONE / lead
+        chosen.append([c * inv for c in candidates[a]])
     return ComplexCoframe(alg, J, chosen)
 
 

@@ -5,13 +5,9 @@ from __future__ import annotations
 from .scalars import SS_ONE, SS_ZERO, SymScalar
 
 
-def _coerce_matrix(rows):
-    return [[SymScalar.coerce(c) for c in row] for row in rows]
-
-
 def row_echelon(rows):
     """Reduce to row echelon form in place semantics; returns (matrix, pivots)."""
-    m = _coerce_matrix(rows)
+    m = [[SymScalar.coerce(c) for c in row] for row in rows]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -49,7 +45,7 @@ def kernel_basis(rows, ncols=None):
     if not rows:
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs ncols")
-        return [[SS_ONE if j == k else SS_ZERO for j in range(ncols)] for k in range(ncols)]
+        return identity(ncols)
     ncols = len(rows[0])
     ech, pivots = row_echelon(rows)
     pivot_set = set(pivots)
@@ -70,15 +66,12 @@ def solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(_coerce_matrix(rows), [SymScalar.coerce(b) for b in rhs])]
-    ech, pivots = row_echelon(aug)
-    for r in range(len(ech)):
-        if all(ech[r][c].is_zero() for c in range(ncols)) and not ech[r][ncols].is_zero():
-            return None
+    ech, pivots = row_echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    # inconsistent iff the right-hand-side column holds a pivot
+    if pivots and pivots[-1] == ncols:
+        return None
     v = [SS_ZERO] * ncols
     for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
         v[pc] = ech[r][ncols]
     return v
 
@@ -92,10 +85,9 @@ def in_span(vectors, target) -> bool:
 
 
 def is_nonsingular(rows) -> bool:
-    m = _coerce_matrix(rows)
-    if not m:
+    if not rows:
         return True
-    return len(m) == len(m[0]) and rank(m) == len(m)
+    return len(rows) == len(rows[0]) and rank(rows) == len(rows)
 
 
 def mat_vec(rows, v):
@@ -111,28 +103,19 @@ def mat_vec(rows, v):
 
 
 def mat_mul(a, b):
-    a = _coerce_matrix(a)
-    b = _coerce_matrix(b)
+    """A B row by row: row i of A B is mat_vec over the columns of B, which
+    sums over the nonzero entries of row i of A only."""
     if not a or not b:
         return []
-    out = []
-    for row in a:
-        out.append(
-            [
-                sum((row[k] * b[k][j] for k in range(len(b))), SS_ZERO)
-                for j in range(len(b[0]))
-            ]
-        )
-    return out
+    columns = list(zip(*b))
+    return [mat_vec(columns, row) for row in a]
 
 
 def mat_inverse(rows):
-    m = _coerce_matrix(rows)
-    n = len(m)
-    if any(len(r) != n for r in m):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("inverse of a non-square matrix")
-    aug = [list(m[i]) + [SS_ONE if j == i else SS_ZERO for j in range(n)] for i in range(n)]
-    ech, pivots = row_echelon(aug)
+    ech, pivots = row_echelon([list(row) + e for row, e in zip(rows, identity(n))])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in ech]

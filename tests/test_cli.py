@@ -407,6 +407,61 @@ class TestInputLimits:
         code, report = capture_json(argv)
         assert code == 0 and report["cross_check"]["window"] == MAX_MODE_WINDOW
 
+    @staticmethod
+    def abelian_file(tmp_path, dim):
+        J = [["0"] * dim for _ in range(dim)]
+        for k in range(0, dim, 2):
+            J[k][k + 1], J[k + 1][k] = "-1", "1"
+        path = tmp_path / f"abelian{dim}.json"
+        path.write_text(json.dumps({"dim": dim, "brackets": [], "J": J}))
+        return str(path)
+
+    def test_section_limit_is_inclusive(self, tmp_path):
+        from acx.cli import MAX_SECTIONS
+
+        # C(6,3) * C(6,3) = 400 section monomials on the 12-torus, all harmonic
+        argv = ["hodge", "--model", self.abelian_file(tmp_path, 12), "--p", "3", "--q", "3"]
+        code, report = capture_json(argv)
+        assert code == 0 and report["dimension"] == MAX_SECTIONS
+
+    def test_section_limit(self, tmp_path, monkeypatch, capsys):
+        from acx import cli
+
+        def boom(*args, **kwargs):
+            raise AssertionError("work started before the limit was checked")
+
+        monkeypatch.setattr(cli, "invariant_harmonic_space", boom)
+        dim24 = self.abelian_file(tmp_path, 24)
+        assert main(["hodge", "--model", dim24, "--p", "6", "--q", "6"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: --p/--q section monomials: must be at most 400\n"
+        )
+        # one over the limit: the 400 monomials of the inclusive case
+        monkeypatch.setattr(cli, "MAX_SECTIONS", 399)
+        dim12 = self.abelian_file(tmp_path, 12)
+        assert main(["hodge", "--model", dim12, "--p", "3", "--q", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: --p/--q section monomials: must be at most 399\n"
+        )
+
+    def test_factor_limit(self, monkeypatch, capsys):
+        from acx import cli
+
+        def boom(spec, length):
+            raise AssertionError("a profile was built before the limit was checked")
+
+        monkeypatch.setattr(cli, "_factor_profile", boom)
+        factors = ",".join(["rr:2"] * (cli.MAX_FACTORS + 1))
+        assert main(["kunneth", "--factors", factors]) == 2
+        assert capsys.readouterr().err == "input error: --factors: must be at most 8\n"
+
+    def test_factor_limit_is_inclusive(self):
+        from acx.cli import MAX_FACTORS
+
+        factors = ",".join(["rr:2"] * MAX_FACTORS)
+        code, report = capture_json(["kunneth", "--factors", factors, "--length", "4"])
+        assert code == 0 and len(report["factors"]) == MAX_FACTORS == 8
+
 
 class TestInputFaults:
     """Malformed input exits 2 with a message of acx's own, never a traceback

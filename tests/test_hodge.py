@@ -1,8 +1,12 @@
 """Metric pairing, star operator, adjoints, and invariant harmonic spaces."""
 
+from math import comb
+
 import pytest
 
-from acx.errors import InputError
+from acx import hodge, linalg
+from acx.cli import main
+from acx.errors import InputError, InternalCheckError
 from acx.forms import Form, basis_monomials
 from acx.hodge import (
     HermitianData,
@@ -13,6 +17,7 @@ from acx.hodge import (
     volume_form,
 )
 from acx.lie import LieAlgebra, ACStructure, LieACS
+from acx.linalg import identity
 from acx.models import abelian_model, kt_model
 from acx.scalars import PiParam, Scalar, SymScalar
 from acx.torus import kt_irregularity, kt_plurigenus
@@ -166,6 +171,16 @@ class TestHarmonicSpaces:
         space = invariant_harmonic_space(kt_model(a), 1, 0)
         assert space.dimension == kt_irregularity(a) == 1
 
+    def test_section_count_matches_the_monomial_list(self, nil8_generic):
+        from acx.g2 import s6_model
+
+        for model in (abelian_model(3), kt_model(PiParam.rational_pi(4)), nil8_generic,
+                      s6_model()):
+            for p in range(model.n + 2):
+                for q in range(model.n + 2):
+                    want = len(hodge._section_monomials(model, p, q))
+                    assert hodge.section_count(model, p, q) == want
+
     def test_non_unimodular_input_is_refused(self):
         alg = LieAlgebra(2, {(1, 2): {2: 1}})
         J = ACStructure([[0, -1], [1, 0]])
@@ -191,3 +206,100 @@ class TestHarmonicSpaces:
         keys = {blk.character.key() for blk in space.blocks}
         assert len(keys) == len(space.blocks)
         assert sum(blk.dimension for blk in space.blocks) == space.dimension
+
+
+class TestCrossChecksFail:
+    """The harmonic-kernel comparison and the Serre image check, made to fail
+    by tampering with one of the two computations they compare."""
+
+    @staticmethod
+    def tamper_second_kernel(monkeypatch, tamper):
+        # each block asks for the Laplacian kernel, then for
+        # ker dbar intersect ker dbar*: tamper with the second answer
+        real = hodge.kernel_basis
+        calls = []
+
+        def fake(rows, ncols=None):
+            basis = real(rows, ncols=ncols)
+            calls.append(rows)
+            return tamper(basis, ncols) if len(calls) % 2 == 0 else basis
+
+        monkeypatch.setattr(hodge, "kernel_basis", fake)
+
+    @staticmethod
+    def standard_vectors(basis, ncols):
+        # as many standard basis vectors as the true kernel has: on kt (1,1)
+        # they span another 3-dim subspace of the 4 monomials
+        return identity(ncols)[:len(basis)]
+
+    def test_kernels_of_different_sizes(self, monkeypatch):
+        self.tamper_second_kernel(monkeypatch, lambda basis, ncols: basis[:-1])
+        with pytest.raises(InternalCheckError, match="Laplacian kernel disagrees"):
+            invariant_harmonic_space(kt_model(PiParam.generic()), 1, 1)
+
+    def test_kernels_with_different_spans(self, monkeypatch):
+        self.tamper_second_kernel(monkeypatch, self.standard_vectors)
+        with pytest.raises(InternalCheckError, match="they span different spaces"):
+            invariant_harmonic_space(kt_model(PiParam.generic()), 1, 1)
+
+    @pytest.mark.parametrize("which", ["size", "span"])
+    def test_kernel_disagreement_exits_three(self, monkeypatch, capsys, which):
+        tamper = self.standard_vectors if which == "span" else (lambda basis, ncols: basis[:-1])
+        self.tamper_second_kernel(monkeypatch, tamper)
+        assert main(["hodge", "--model", "kt", "--a", "generic", "--p", "1", "--q", "1"]) == 3
+        assert capsys.readouterr().err.startswith("internal check failed: harmonic kernels: ")
+
+    def test_serre_image_outside_the_target_space(self, monkeypatch):
+        real = hodge.invariant_harmonic_space
+        calls = []
+
+        def fake(model, p, q, **kwargs):
+            space = real(model, p, q, **kwargs)
+            calls.append(space)
+            if len(calls) == 2:
+                # the target: same block sizes, another span
+                for blk in space.blocks:
+                    blk.basis = self.standard_vectors(blk.basis, len(blk.monomials))
+            return space
+
+        monkeypatch.setattr(hodge, "invariant_harmonic_space", fake)
+        report = serre_pairing_check(kt_model(PiParam.generic()), 1, 1)
+        assert not report.ok
+        assert (report.dim_source, report.dim_target) == (3, 3)
+        assert report.detail == "Serre image is not harmonic"
+
+
+class TestComputeOnce:
+    """One elimination per linear-algebra question, whatever the kernel size."""
+
+    @staticmethod
+    def count_eliminations(monkeypatch):
+        calls = []
+        real = linalg.row_echelon
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "row_echelon", counting)
+        return calls
+
+    @pytest.mark.parametrize("p,q", [(1, 0), (1, 1), (2, 2)])
+    def test_flat_blocks_make_one_elimination(self, monkeypatch, p, q):
+        # every operator vanishes on the torus, so both kernels come from
+        # matrices without rows and need no elimination; comparing the two
+        # kernels (3 or 9 vectors) is one elimination
+        model = abelian_model(3)
+        calls = self.count_eliminations(monkeypatch)
+        space = invariant_harmonic_space(model, p, q)
+        assert space.dimension == comb(3, p) * comb(3, q)
+        assert len(calls) == len(space.blocks) == 1
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1)])
+    def test_three_eliminations_per_block(self, monkeypatch, nil8_generic, p, q):
+        # the Laplacian kernel, ker dbar intersect ker dbar*, and their span
+        calls = self.count_eliminations(monkeypatch)
+        space = invariant_harmonic_space(nil8_generic, p, q)
+        assert space.dimension >= 8
+        assert len(calls) == 3 * len(space.blocks) == 3
+

@@ -18,8 +18,9 @@ from acx.lie import (
     nijenhuis_entry,
     structure_equations,
 )
+from acx.linalg import mat_inverse, mat_mul, rank
 from acx.models import abelian_model, kt_algebra, kt_J, kt_model
-from acx.scalars import SS_ONE, SS_ZERO, PiParam, Scalar, SymScalar
+from acx.scalars import SS_ONE, SS_ZERO, S_I, PiParam, Scalar, SymScalar
 
 
 A_GENERIC = PiParam.generic()
@@ -408,3 +409,98 @@ class TestSparseBracket:
             for t in ((i, j, k), (j, k, i), (k, i, j))
         ]
         assert visited == want
+
+
+# --- the coframe choice and the J^2 check against the loops they replaced
+
+def greedy_coframe(alg, J):
+    """The greedy loop build_coframe replaced: one rank test per candidate
+    eta - i*(eta o J), keeping the first n independent ones, each scaled so
+    its leading coefficient is one.  Returns (1-based indices, rows)."""
+    N = alg.dim
+    n = N // 2
+    indices, chosen = [], []
+    for a in range(1, N + 1):
+        row = []
+        for b in range(N):
+            c = SS_ONE if b == a - 1 else SS_ZERO
+            row.append(c - SymScalar.const(S_I) * J.matrix[a - 1][b])
+        if rank(chosen + [row]) > len(chosen):
+            lead = next(c for c in row if not c.is_zero())
+            inv = SS_ONE / lead
+            chosen.append([c * inv for c in row])
+            indices.append(a)
+        if len(chosen) == n:
+            break
+    return indices, chosen
+
+
+def conjugated_model_pair():
+    """An abelian 6-dim algebra with J = P J0 P^-1, J0 the standard pairing."""
+    P = [[1, 0, 0, 0, 0, 0],
+         [0, 1, 1, 0, 0, 0],
+         [0, 0, 1, 0, 0, 0],
+         [-1, 0, 0, 1, 0, 1],
+         [0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0, 1]]
+    J0 = abelian_model(3).J.matrix
+    return LieAlgebra(6, {}), ACStructure(mat_mul(mat_mul(P, J0), mat_inverse(P)))
+
+
+class TestCoframeChoice:
+    @pytest.mark.parametrize("name", ["kt-rational", "kt-generic", "g2", "nil8", "conjugated"])
+    def test_same_rows_as_the_greedy_loop(self, nil8_generic, name):
+        from acx import g2
+
+        alg, J = {
+            "kt-rational": lambda: (kt_algebra(), kt_J(A_4PI)),
+            "kt-generic": lambda: (kt_algebra(), kt_J(A_GENERIC)),
+            "g2": lambda: (g2.g2_algebra(), g2.g2_J()),
+            "nil8": lambda: (nil8_generic.alg, nil8_generic.J),
+            "conjugated": conjugated_model_pair,
+        }[name]()
+        indices, rows = greedy_coframe(alg, J)
+        assert build_coframe(alg, J).C[:alg.dim // 2] == rows
+        if name == "conjugated":
+            # neither 1..n nor the standard pairing's 1, 3, 5
+            assert indices == [1, 2, 4]
+
+    def test_one_elimination_selects_the_rows(self, monkeypatch):
+        from acx import lie
+
+        alg, J = conjugated_model_pair()
+        calls = []
+        real = lie.row_echelon
+        monkeypatch.setattr(lie, "row_echelon", lambda rows: calls.append(len(rows)) or real(rows))
+        build_coframe(alg, J)
+        assert calls == [6]
+
+
+def dense_square_failure(J):
+    """The first entry, in row-major order, where the dense J^2 is not -I."""
+    n = len(J)
+    for a in range(n):
+        for b in range(n):
+            got = sum((J[a][k] * J[k][b] for k in range(n)), SS_ZERO)
+            if not (got + (SS_ONE if a == b else SS_ZERO)).is_zero():
+                return a + 1, b + 1
+    return None
+
+
+class TestSquareCheck:
+    def test_error_names_the_first_failing_entry(self):
+        from acx import g2
+
+        rng = random.Random("j-square")
+        x = SymScalar.symbol()
+        for good in (kt_J(A_GENERIC).matrix, g2.g2_J().matrix):
+            for _ in range(6):
+                bad = [list(row) for row in good]
+                a, b = rng.randrange(len(bad)), rng.randrange(len(bad))
+                bad[a][b] = bad[a][b] + rng.choice([SS_ONE, x, -SS_ONE / (x + 1)])
+                want = dense_square_failure(bad)
+                assert want is not None
+                with pytest.raises(InputError) as exc:
+                    ACStructure(bad)
+                assert str(exc.value) == f"J^2 != -I at entry ({want[0]},{want[1]})"
+

@@ -130,3 +130,37 @@ def test_mat_vec_coerces_raw_entries():
         assert mat_vec(raw, v) == dense_mat_vec(raw, coerced_v)
         symbolic = rand_matrix(rng, 3, n, symbolic=True)
         assert mat_vec(symbolic, v) == dense_mat_vec(symbolic, coerced_v)
+
+
+def dense_mat_mul(a, b):
+    """A B by the dense loop: every product of coerced entries summed."""
+    return [
+        [
+            sum((SymScalar.coerce(a[i][k]) * SymScalar.coerce(b[k][j]) for k in range(len(b))),
+                SymScalar.const(0))
+            for j in range(len(b[0]))
+        ]
+        for i in range(len(a))
+    ]
+
+
+def test_mat_mul_matches_dense_loop(nil8_generic):
+    J_g2 = g2.g2_J().matrix
+    J_kt = kt_J(PiParam.generic()).matrix
+    cases = [
+        (J_g2, J_g2),
+        (J_kt, J_kt),
+        (nil8_generic.coframe.C, nil8_generic.coframe.Cinv),
+        (nil8_generic.J.matrix, nil8_generic.coframe.Cinv),
+    ]
+    rng = random.Random(46)
+    for _ in range(12):
+        rows, inner, cols = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+        raw = [[rng.choice([0, 0, 1, -2, Fraction(1, 3), Scalar(0, 1)]) for _ in range(inner)]
+               for _ in range(rows)]
+        raw_right = [[rng.choice([0, 2, SymScalar.symbol()]) for _ in range(cols)]
+                     for _ in range(inner)]
+        cases.append((raw, rand_matrix(rng, inner, cols, symbolic=True)))
+        cases.append((rand_matrix(rng, rows, inner, symbolic=True), raw_right))
+    for a, b in cases:
+        assert mat_mul(a, b) == dense_mat_mul(a, b)

@@ -1,0 +1,127 @@
+"""Properties of generated models.
+
+Each model is a nilpotent algebra built as iterated central extensions, with
+J = P J0 P^-1 for a small-integer P; some J0 carry the generic parameter a.
+Seeds are fixed, so every run checks the same models.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from acx.forms import Form
+from acx.hodge import invariant_harmonic_space, serre_pairing_check
+from acx.lie import ACStructure, LieACS, LieAlgebra, is_integrable, nijenhuis
+from acx.linalg import is_nonsingular, kernel_basis, mat_inverse, mat_mul
+from acx.scalars import PiParam, SymScalar
+
+from test_scalars import assert_canonical_sym
+
+
+def closed_two_forms(alg):
+    """A basis of the closed real 2-forms, as {(i, j): coefficient} dicts."""
+    pairs = list(combinations(range(1, alg.dim + 1), 2))
+    images = [alg.ce_d(Form(alg.dim, {(pair, ()): 1})) for pair in pairs]
+    keys = sorted({key for image in images for key in image.terms})
+    rows = [[image.terms.get(key, SymScalar.const(0)) for image in images] for key in keys]
+    return [dict(zip(pairs, v)) for v in kernel_basis(rows, ncols=len(pairs))]
+
+
+def central_extension(rng, base, dim):
+    """Extend R^base one central basis vector at a time up to dim: the new
+    e_m enters [e_i, e_j] with the coefficient of a random small-integer
+    combination of closed 2-forms of the algebra built so far."""
+    brackets = {}
+    for m in range(base + 1, dim + 1):
+        cocycles = closed_two_forms(LieAlgebra(m - 1, brackets))
+        weights = [rng.randint(-2, 2) for _ in cocycles]
+        for (i, j) in combinations(range(1, m), 2):
+            c = sum((w * cocycle[(i, j)] for w, cocycle in zip(weights, cocycles)),
+                    SymScalar.const(0))
+            if not c.is_zero():
+                brackets.setdefault((i, j), {})[m] = c
+    return LieAlgebra(dim, brackets, name=f"ext{base}-{dim}")
+
+
+def conjugated_j(rng, dim, generic, mix):
+    """P J0 P^-1: J0 pairs e_(2k-1), e_2k, with the parameter a on the first
+    pair when generic; P is the identity plus mix off-diagonal entries +-1,
+    redrawn until nonsingular."""
+    a = PiParam.generic().a_value() if generic else SymScalar.const(1)
+    j0 = [[SymScalar.const(0)] * dim for _ in range(dim)]
+    for k in range(0, dim, 2):
+        scale = a if k == 0 else SymScalar.const(1)
+        j0[k][k + 1] = -SymScalar.const(1) / scale
+        j0[k + 1][k] = scale
+    while True:
+        p = [[int(r == c) for c in range(dim)] for r in range(dim)]
+        for _ in range(mix):
+            r, c = rng.sample(range(dim), 2)
+            p[r][c] = rng.choice([1, -1])
+        if is_nonsingular(p):
+            break
+    return mat_mul(mat_mul(p, j0), mat_inverse(p))
+
+
+# (seed, base, dim, generic J0, off-diagonal entries of P, (p,q) degrees).
+# Symbolic J at dim 6 is checked in degree 1 only: its (1,1) Serre check, which
+# needs the (2,2) space, takes seconds to minutes.
+ALL = ((1, 0), (0, 1), (1, 1))
+ONE = ((1, 0), (0, 1))
+CASES = [
+    (1, 2, 4, True, 2, ALL),
+    (14, 3, 6, False, 3, ALL),
+    (13, 2, 6, True, 2, ONE),
+    (16, 3, 6, True, 2, ONE),
+    (12, 4, 8, False, 3, ALL),
+    (13, 4, 8, False, 3, ALL),
+    (15, 2, 8, False, 4, ALL),
+]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: f"seed{c[0]}-dim{c[2]}")
+def generated(request):
+    seed, base, dim, generic, mix, degrees = request.param
+    rng = random.Random(seed)
+    alg = central_extension(rng, base, dim)
+    J = ACStructure(conjugated_j(rng, dim, generic, mix))
+    return LieACS(alg, J, name=alg.name), degrees
+
+
+def test_extensions_are_nonabelian_and_triangular(generated):
+    alg = generated[0].alg
+    assert alg.brackets
+    # [e_i, e_j] lies in the span of the e_k with k > j: the algebra is nilpotent
+    assert all(k > j for (i, j), vec in alg.brackets.items() for k in vec)
+    assert alg.is_unimodular()
+
+
+def test_d_squares_to_zero(generated):
+    cf = generated[0].coframe
+    for A in range(2 * cf.n):
+        assert cf.d(cf.d_generator(A)).is_zero()
+
+
+def test_integrability_tests_agree(generated):
+    model = generated[0]
+    is_integrable(nijenhuis(model.alg, model.J), model.coframe)
+
+
+def test_harmonic_kernels_agree_and_serre_pairing_is_nonsingular(generated):
+    model, degrees = generated
+    for p, q in degrees:
+        invariant_harmonic_space(model, p, q)
+        report = serre_pairing_check(model, p, q)
+        assert report.ok, (p, q, report.detail)
+
+
+def test_scalars_are_canonical(generated):
+    model = generated[0]
+    cf = model.coframe
+    entries = [c for row in model.J.matrix + cf.C + cf.Cinv for c in row]
+    entries += [c for coords in cf.complex_constants().values() for c in coords]
+    for blk in invariant_harmonic_space(model, 1, 0).blocks:
+        entries += [c for vec in blk.basis for c in vec]
+    for c in entries:
+        assert_canonical_sym(c)
