@@ -18,7 +18,12 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError, RefusalError
 from .forms import Form, perm_sign
-from .hodge import _section_monomials, invariant_harmonic_space, star_monomial
+from .hodge import (
+    Report,
+    _section_monomials,
+    invariant_harmonic_space,
+    star_monomial,
+)
 from .lie import (
     ACStructure,
     LieACS,
@@ -166,19 +171,27 @@ class G2Element:
         return f"G2Element(x={self.x}, y={self.y})"
 
 
+def _nonzero_rows(A):
+    return [[(j, c) for j, c in enumerate(row) if not c.is_zero()] for row in A]
+
+
 def commutator_matrix(A, B):
-    """[A, B] = AB - BA for 7x7 matrices of exact scalars."""
+    """[A, B] = AB - BA for 7x7 matrices of exact scalars.
+
+    Only products of two nonzero entries are formed: each basis matrix has
+    four nonzero entries of 49.
+    """
+    a_rows, b_rows = _nonzero_rows(A), _nonzero_rows(B)
     z = _sc(0)
-    AB = [[z] * N for _ in range(N)]
+    C = [[z] * N for _ in range(N)]
     for i in range(N):
-        for k in range(N):
-            a_ik = A[i][k]
-            b_ik = B[i][k]
-            if a_ik.is_zero() and b_ik.is_zero():
-                continue
-            for j in range(N):
-                AB[i][j] = AB[i][j] + a_ik * B[k][j] - b_ik * A[k][j]
-    return AB
+        for k, a_ik in a_rows[i]:
+            for j, b_kj in b_rows[k]:
+                C[i][j] = C[i][j] + a_ik * b_kj
+        for k, b_ik in b_rows[i]:
+            for j, a_kj in a_rows[k]:
+                C[i][j] = C[i][j] - b_ik * a_kj
+    return C
 
 
 def bracket(a: G2Element, b: G2Element) -> G2Element:
@@ -304,39 +317,6 @@ REFERENCE_BRACKET_TABLE: Dict[Tuple[str, str], Dict[str, int]] = {
 BRACKET_TABLE_ERRATA: Dict[Tuple[str, str], Dict[str, int]] = {}
 
 
-class BracketTableReport:
-    """Outcome of re-deriving the catalogue from matrix commutators."""
-
-    def __init__(self, checked, mismatches, unregistered, jacobi_failures,
-                 h_closed, dimension):
-        self.checked = checked
-        self.mismatches = mismatches
-        self.unregistered = unregistered
-        self.jacobi_failures = jacobi_failures
-        self.h_closed = h_closed
-        self.dimension = dimension
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.unregistered
-            and not self.jacobi_failures
-            and self.h_closed
-            and self.dimension == 14
-        )
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "checked": self.checked,
-            "mismatches": len(self.mismatches),
-            "unregistered_mismatches": len(self.unregistered),
-            "jacobi_failures": len(self.jacobi_failures),
-            "h_closed": self.h_closed,
-            "dimension": self.dimension,
-            "ok": self.ok,
-        }
-
-
 def _coordinate_dict(elem: G2Element) -> Dict[str, Scalar]:
     return {
         name: c
@@ -345,7 +325,7 @@ def _coordinate_dict(elem: G2Element) -> Dict[str, Scalar]:
     }
 
 
-def verify_bracket_table() -> BracketTableReport:
+def verify_bracket_table() -> Report:
     """Recompute every catalogued bracket by commutator and diff the results.
 
     Also checks that the h-span closes under brackets, that the Jacobi
@@ -364,20 +344,19 @@ def verify_bracket_table() -> BracketTableReport:
         return got
 
     mismatches = []
+    unregistered = []
     for (na, nb), table_value in REFERENCE_BRACKET_TABLE.items():
         computed = _coordinate_dict(cached_bracket(na, nb))
-        if computed != table_value:
-            mismatches.append(
-                {
-                    "pair": (na, nb),
-                    "catalogued": dict(table_value),
-                    "computed": {k: str(v) for k, v in computed.items()},
-                }
-            )
-    unregistered = []
-    for diff in mismatches:
-        erratum = BRACKET_TABLE_ERRATA.get(tuple(diff["pair"]))
-        if erratum is None or _coordinate_dict(cached_bracket(*diff["pair"])) != erratum:
+        if computed == table_value:
+            continue
+        diff = {
+            "pair": (na, nb),
+            "catalogued": dict(table_value),
+            "computed": {k: str(v) for k, v in computed.items()},
+        }
+        mismatches.append(diff)
+        erratum = BRACKET_TABLE_ERRATA.get((na, nb))
+        if erratum is None or computed != erratum:
             unregistered.append(diff)
 
     h_names = [n for n in BASIS_NAMES if n.startswith("h")]
@@ -397,8 +376,18 @@ def verify_bracket_table() -> BracketTableReport:
             jacobi_failures.append((na, nb, nc))
 
     dimension = rank([e.flatten() for e in basis.values()])
-    return BracketTableReport(
-        checked=len(REFERENCE_BRACKET_TABLE),
+    checked = len(REFERENCE_BRACKET_TABLE)
+    return Report(
+        not unregistered and not jacobi_failures and h_closed and dimension == 14,
+        {
+            "checked": checked,
+            "mismatches": len(mismatches),
+            "unregistered_mismatches": len(unregistered),
+            "jacobi_failures": len(jacobi_failures),
+            "h_closed": h_closed,
+            "dimension": dimension,
+        },
+        checked=checked,
         mismatches=mismatches,
         unregistered=unregistered,
         jacobi_failures=jacobi_failures,
@@ -494,18 +483,24 @@ class CrossProduct:
         return True
 
     def preserves_form(self, A) -> bool:
-        """Infinitesimal invariance of the three-form on all 35 basis triples."""
+        """Infinitesimal invariance of the three-form on all 35 basis triples.
+
+        On (e_i, e_j, e_k) the contraction is sum_l A[l][i] eps(l,j,k) +
+        A[l][j] eps(i,l,k) + A[l][k] eps(i,j,l), taken over nonzero A[l][.].
+        """
         A = tuple(tuple(_sc(c) for c in row) for row in A)
-        basis = [tuple(_sc(1 if r == c else 0) for r in range(N)) for c in range(N)]
-        # A e_c is column c of A
-        image = [tuple(A[r][c] for r in range(N)) for c in range(N)]
-        for i, j, k in itertools.combinations(range(N), 3):
-            u, v, w = basis[i], basis[j], basis[k]
-            total = (
-                self.phi(image[i], v, w)
-                + self.phi(u, image[j], w)
-                + self.phi(u, v, image[k])
-            )
+        # A e_c is column c of A; 1-indexed like the eps keys
+        columns = {
+            c + 1: [(l + 1, A[l][c]) for l in range(N) if not A[l][c].is_zero()]
+            for c in range(N)
+        }
+        for triple in itertools.combinations(range(1, N + 1), 3):
+            total = _sc(0)
+            for slot, c in enumerate(triple):
+                for l, a in columns[c]:
+                    sign = self.epsilon.get(triple[:slot] + (l,) + triple[slot + 1:])
+                    if sign:
+                        total = total + a if sign > 0 else total - a
             if not total.is_zero():
                 return False
         return True
@@ -523,36 +518,7 @@ def basis_vector(k: int) -> Tuple[Scalar, ...]:
     return tuple(_sc(1 if r == k - 1 else 0) for r in range(N))
 
 
-class CrossIdentityReport:
-    """Outcome of the cross-product identity sweep on all basis pairs."""
-
-    def __init__(self, orthogonality_failures, double_cross_failures,
-                 e1_cross_e6_ok, j_table_ok):
-        self.orthogonality_failures = orthogonality_failures
-        self.double_cross_failures = double_cross_failures
-        self.e1_cross_e6_ok = e1_cross_e6_ok
-        self.j_table_ok = j_table_ok
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.orthogonality_failures
-            and not self.double_cross_failures
-            and self.e1_cross_e6_ok
-            and self.j_table_ok
-        )
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "orthogonality_failures": len(self.orthogonality_failures),
-            "double_cross_failures": len(self.double_cross_failures),
-            "e1_cross_e6": self.e1_cross_e6_ok,
-            "j_at_e1_table": self.j_table_ok,
-            "ok": self.ok,
-        }
-
-
-def verify_cross_identities() -> CrossIdentityReport:
+def verify_cross_identities() -> Report:
     """(u x v) . u = 0 and u x (u x v) = (u . v) u - (u . u) v on all 49
     basis pairs, plus e1 x e6 = e7 and the tangent rotation table at e1."""
     cp = cross_product()
@@ -581,38 +547,24 @@ def verify_cross_identities() -> CrossIdentityReport:
         want_bwd = tuple(-c for c in basis[src - 1])
         if ju[src - 1] != want_fwd or ju[dst - 1] != want_bwd:
             j_ok = False
-    return CrossIdentityReport(ortho, double, e1e6, j_ok)
-
-
-class MembershipSampleReport:
-    """Randomized agreement check between the two membership characterizations."""
-
-    def __init__(self, members_checked, member_failures,
-                 nonmembers_checked, nonmember_failures, seed):
-        self.members_checked = members_checked
-        self.member_failures = member_failures
-        self.nonmembers_checked = nonmembers_checked
-        self.nonmember_failures = nonmember_failures
-        self.seed = seed
-
-    @property
-    def ok(self) -> bool:
-        return not self.member_failures and not self.nonmember_failures
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "members_checked": self.members_checked,
-            "member_failures": len(self.member_failures),
-            "nonmembers_checked": self.nonmembers_checked,
-            "nonmember_failures": len(self.nonmember_failures),
-            "seed": self.seed,
-            "ok": self.ok,
-        }
+    return Report(
+        not ortho and not double and e1e6 and j_ok,
+        {
+            "orthogonality_failures": len(ortho),
+            "double_cross_failures": len(double),
+            "e1_cross_e6": e1e6,
+            "j_at_e1_table": j_ok,
+        },
+        orthogonality_failures=ortho,
+        double_cross_failures=double,
+        e1_cross_e6_ok=e1e6,
+        j_table_ok=j_ok,
+    )
 
 
 def membership_sample_check(
     members: int = 100, nonmembers: int = 10, seed: int = 20260815
-) -> MembershipSampleReport:
+) -> Report:
     """Random span elements must satisfy the contraction membership test;
     random skew matrices outside the span must fail it.
 
@@ -640,22 +592,32 @@ def membership_sample_check(
         attempts += 1
         if attempts > 50 * nonmembers:
             raise RefusalError("could not sample enough off-span skew matrices")
-        entries = {}
+        A = [[_sc(0)] * N for _ in range(N)]
         for i in range(N):
             for j in range(i + 1, N):
-                entries[(i, j)] = Fraction(rng.randint(-9, 9))
-        A = [[_sc(0)] * N for _ in range(N)]
-        for (i, j), v in entries.items():
-            A[i][j] = _sc(v)
-            A[j][i] = _sc(-v)
+                v = Fraction(rng.randint(-9, 9))
+                A[i][j] = _sc(v)
+                A[j][i] = _sc(-v)
         flat = [A[i][j] for i in range(N) for j in range(N)]
         if in_span(basis_vectors, flat):
             continue
         checked += 1
         if cp.is_member(A):
             nonmember_failures.append(attempts)
-    return MembershipSampleReport(
-        members, member_failures, checked, nonmember_failures, seed
+    return Report(
+        not member_failures and not nonmember_failures,
+        {
+            "members_checked": members,
+            "member_failures": len(member_failures),
+            "nonmembers_checked": checked,
+            "nonmember_failures": len(nonmember_failures),
+            "seed": seed,
+        },
+        members_checked=members,
+        member_failures=member_failures,
+        nonmembers_checked=checked,
+        nonmember_failures=nonmember_failures,
+        seed=seed,
     )
 
 
@@ -717,36 +679,7 @@ def projection_differential(elem: G2Element) -> Tuple[Scalar, ...]:
     return tuple(elem.matrix[i][0] for i in range(N))
 
 
-class ProjectionReport:
-    """Checks that the projection intertwines the two almost complex structures."""
-
-    def __init__(self, kernel_ok, image_table_ok, intertwine_failures,
-                 preservation_failures):
-        self.kernel_ok = kernel_ok
-        self.image_table_ok = image_table_ok
-        self.intertwine_failures = intertwine_failures
-        self.preservation_failures = preservation_failures
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.kernel_ok
-            and self.image_table_ok
-            and not self.intertwine_failures
-            and not self.preservation_failures
-        )
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "kernel_is_h_span": self.kernel_ok,
-            "f_image_table": self.image_table_ok,
-            "intertwine_failures": len(self.intertwine_failures),
-            "form_preservation_failures": len(self.preservation_failures),
-            "ok": self.ok,
-        }
-
-
-def verify_projection() -> ProjectionReport:
+def verify_projection() -> Report:
     """dp kills the h-span, sends f_i to (-1)^i e_{i+1}, intertwines the
     algebra pairing with the cross-product rotation at e1, and every basis
     matrix infinitesimally preserves the three-form."""
@@ -787,8 +720,19 @@ def verify_projection() -> ProjectionReport:
         for name in BASIS_NAMES
         if not cp.preserves_form(basis[name].matrix)
     ]
-    return ProjectionReport(
-        kernel_ok, image_ok, intertwine_failures, preservation_failures
+    return Report(
+        kernel_ok and image_ok and not intertwine_failures
+        and not preservation_failures,
+        {
+            "kernel_is_h_span": kernel_ok,
+            "f_image_table": image_ok,
+            "intertwine_failures": len(intertwine_failures),
+            "form_preservation_failures": len(preservation_failures),
+        },
+        kernel_ok=kernel_ok,
+        image_table_ok=image_ok,
+        intertwine_failures=intertwine_failures,
+        preservation_failures=preservation_failures,
     )
 
 
@@ -858,39 +802,7 @@ S6_DBAR_20: Dict[Tuple[int, int], Form] = {
 }
 
 
-class StructureDisplayReport:
-    """Diff of the computed structure equations against the frozen displays."""
-
-    def __init__(self, df_failures, dbar_phi_failures, dbar20_failures,
-                 top_form_closed, dual_frame_ok):
-        self.df_failures = df_failures
-        self.dbar_phi_failures = dbar_phi_failures
-        self.dbar20_failures = dbar20_failures
-        self.top_form_closed = top_form_closed
-        self.dual_frame_ok = dual_frame_ok
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.df_failures
-            and not self.dbar_phi_failures
-            and not self.dbar20_failures
-            and self.top_form_closed
-            and self.dual_frame_ok
-        )
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "df_failures": self.df_failures,
-            "dbar_phi_failures": self.dbar_phi_failures,
-            "dbar_20_failures": [list(k) for k in self.dbar20_failures],
-            "top_form_closed": self.top_form_closed,
-            "dual_frame": self.dual_frame_ok,
-            "ok": self.ok,
-        }
-
-
-def s6_structure_package() -> StructureDisplayReport:
+def s6_structure_package() -> Report:
     """Recompute the coframe differentials and diff them against the frozen
     displays: the six real df's, the three dbar phi's, the three dbar's of
     (2,0) monomials, and closedness of phi1^phi2^phi3."""
@@ -929,8 +841,21 @@ def s6_structure_package() -> StructureDisplayReport:
     dual_ok = (
         coframe.x_vector(0) == want_x1 and coframe.x_vector(6) == want_x7
     )
-    return StructureDisplayReport(
-        df_failures, dbar_phi_failures, dbar20_failures, top_closed, dual_ok
+    return Report(
+        not df_failures and not dbar_phi_failures and not dbar20_failures
+        and top_closed and dual_ok,
+        {
+            "df_failures": df_failures,
+            "dbar_phi_failures": dbar_phi_failures,
+            "dbar_20_failures": [list(k) for k in dbar20_failures],
+            "top_form_closed": top_closed,
+            "dual_frame": dual_ok,
+        },
+        df_failures=df_failures,
+        dbar_phi_failures=dbar_phi_failures,
+        dbar20_failures=dbar20_failures,
+        top_form_closed=top_closed,
+        dual_frame_ok=dual_ok,
     )
 
 
@@ -974,27 +899,6 @@ REDUCTION_BRACKET_ERRATA: Dict[Tuple[str, str], List[Tuple[Scalar, str]]] = {
 }
 
 
-class ReductionBracketReport:
-    def __init__(self, mismatches, unregistered, checked):
-        self.mismatches = mismatches
-        self.unregistered = unregistered
-        self.checked = checked
-
-    @property
-    def ok(self) -> bool:
-        return not self.unregistered
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "checked": self.checked,
-            "mismatches": [f"[{a},{b}]" for a, b in self.mismatches],
-            "unregistered_mismatches": [
-                f"[{a},{b}]" for a, b in self.unregistered
-            ],
-            "ok": self.ok,
-        }
-
-
 def _frame_combo_vector(combo: List[Tuple[Scalar, str]]) -> List[SymScalar]:
     out = [SymScalar.const(0)] * 14
     for c, label in combo:
@@ -1003,7 +907,7 @@ def _frame_combo_vector(combo: List[Tuple[Scalar, str]]) -> List[SymScalar]:
     return out
 
 
-def verify_reduction_brackets() -> ReductionBracketReport:
+def verify_reduction_brackets() -> Report:
     """Brackets of complexified frame fields against their catalogued values.
 
     A mismatch passes only when pre-registered with the recomputed value;
@@ -1020,7 +924,18 @@ def verify_reduction_brackets() -> ReductionBracketReport:
         erratum = REDUCTION_BRACKET_ERRATA.get((name_a, name_b))
         if erratum is None or got != _frame_combo_vector(erratum):
             unregistered.append((name_a, name_b))
-    return ReductionBracketReport(mismatches, unregistered, len(REDUCTION_BRACKETS))
+    checked = len(REDUCTION_BRACKETS)
+    return Report(
+        not unregistered,
+        {
+            "checked": checked,
+            "mismatches": [f"[{a},{b}]" for a, b in mismatches],
+            "unregistered_mismatches": [f"[{a},{b}]" for a, b in unregistered],
+        },
+        checked=checked,
+        mismatches=mismatches,
+        unregistered=unregistered,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1043,11 +958,13 @@ def s6_basic_star(x: Form) -> Form:
     return out
 
 
+@lru_cache(maxsize=1)
 def s6_canonical_twist() -> Form:
     """The (0,1) twist form of the basic canonical generator.
 
     Defined by dbar(phi123) = -beta ^ phi123; solvability is part of the
-    claim and is verified, not assumed.
+    claim and is verified, not assumed (once per process: every level of
+    the plurigenus sweep reads the same form).
     """
     coframe = s6_model().coframe
     gen = Form.phi(N, 1).wedge(Form.phi(N, 2)).wedge(Form.phi(N, 3))
@@ -1115,47 +1032,6 @@ def s6_coframe_bundle():
     return PseudoholStructure(model, theta)
 
 
-class S6HodgeReport:
-    """The sphere's invariant census: kernels, plurigenera, duality transport."""
-
-    def __init__(self, h10, h20, plurigenera, kappa, h13, h23,
-                 serre_bijections_ok, star_generator_ok):
-        self.h10 = h10
-        self.h20 = h20
-        self.plurigenera = plurigenera
-        self.kappa = kappa
-        self.h13 = h13
-        self.h23 = h23
-        self.serre_bijections_ok = serre_bijections_ok
-        self.star_generator_ok = star_generator_ok
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.h10 == 0
-            and self.h20 == 0
-            and all(p == 1 for p in self.plurigenera)
-            and self.kappa == 0
-            and self.h13 == 0
-            and self.h23 == 0
-            and self.serre_bijections_ok
-            and self.star_generator_ok
-        )
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "h10": self.h10,
-            "h20": self.h20,
-            "h13": self.h13,
-            "h23": self.h23,
-            "plurigenera": list(self.plurigenera),
-            "kodaira_dimension": self.kappa,
-            "serre_bijections": self.serre_bijections_ok,
-            "star_on_generator": self.star_generator_ok,
-            "ok": self.ok,
-        }
-
-
 def _serre_transport_bijective(p: int) -> bool:
     """Is s -> conj(sphere-star s) a bijection from basic (p,0) monomial
     span onto the basic (3-p, 3) span?  Checked by exact rank."""
@@ -1169,7 +1045,7 @@ def _serre_transport_bijective(p: int) -> bool:
     return len(source) == len(target) and rank(images) == len(target)
 
 
-def s6_hodge_report(levels: int = 8) -> S6HodgeReport:
+def s6_hodge_report(levels: int = 8) -> Report:
     """Assemble the sphere census.
 
     h10 and h20 are kernels of the full-complex dbar on basic monomials
@@ -1193,6 +1069,26 @@ def s6_hodge_report(levels: int = 8) -> S6HodgeReport:
     want = gen.conjugate().scale(Scalar(0, 1))
     star_generator_ok = star_gen == want
 
-    return S6HodgeReport(
-        h10, h20, plurigenera, kappa, h13, h23, bijections, star_generator_ok
+    return Report(
+        h10 == 0 and h20 == 0 and all(p == 1 for p in plurigenera)
+        and kappa == 0 and h13 == 0 and h23 == 0
+        and bijections and star_generator_ok,
+        {
+            "h10": h10,
+            "h20": h20,
+            "h13": h13,
+            "h23": h23,
+            "plurigenera": plurigenera,
+            "kodaira_dimension": kappa,
+            "serre_bijections": bijections,
+            "star_on_generator": star_generator_ok,
+        },
+        h10=h10,
+        h20=h20,
+        plurigenera=plurigenera,
+        kappa=kappa,
+        h13=h13,
+        h23=h23,
+        serre_bijections_ok=bijections,
+        star_generator_ok=star_generator_ok,
     )

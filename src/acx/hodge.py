@@ -309,19 +309,21 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     return HarmonicSpace(model, p, q, blocks)
 
 
-class SerreReport:
-    def __init__(self, ok, dim_source, dim_target, detail=""):
-        self.ok = ok
-        self.dim_source = dim_source
-        self.dim_target = dim_target
-        self.detail = detail
+class Report:
+    """The outcome of one check: ``ok``, the JSON-ready ``summary()`` that
+    the command line prints, and the check's findings as attributes."""
 
-    def __bool__(self):
-        return self.ok
+    def __init__(self, ok: bool, summary=None, **findings):
+        self.ok = ok
+        self._summary = summary or {}
+        vars(self).update(findings)
+
+    def summary(self):
+        return {**self._summary, "ok": self.ok}
 
 
 def serre_pairing_check(model: LieACS, p: int, q: int, *,
-                        bundle_power: int = 0) -> SerreReport:
+                        bundle_power: int = 0) -> Report:
     """Does s -> conj(star s) carry harmonic (p,q) E-forms isomorphically
     onto harmonic (n-p, n-q) E*-forms with nonsingular wedge pairing?
     """
@@ -329,8 +331,13 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
     data = HermitianData(model)
     source = invariant_harmonic_space(model, p, q, bundle_power=bundle_power)
     target = invariant_harmonic_space(model, n - p, n - q, bundle_power=-bundle_power)
+
+    def verdict(detail: str = "") -> Report:
+        return Report(not detail, dim_source=source.dimension,
+                      dim_target=target.dimension, detail=detail)
+
     if source.dimension != target.dimension:
-        return SerreReport(False, source.dimension, target.dimension, "dimension mismatch")
+        return verdict("dimension mismatch")
     for sblock in source.blocks:
         ch_bar_key = tuple(v.conjugate() for v in sblock.character.values)
         tblock = next(
@@ -339,18 +346,15 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
         if sblock.dimension == 0:
             continue
         if tblock is None:
-            return SerreReport(False, source.dimension, target.dimension,
-                               "missing conjugate character block in target")
+            return verdict("missing conjugate character block in target")
         if tblock.dimension != sblock.dimension:
-            return SerreReport(False, source.dimension, target.dimension,
-                               "character block dimensions differ")
+            return verdict("character block dimensions differ")
         sources = sblock.basis_sections(n)
         targets = tblock.basis_sections(n)
         images = [[data.star(x).conjugate() for x in s] for s in sources]
         # each image must lie in the span of the independent target basis
         if rank(_coordinates(targets + images)) != len(targets):
-            return SerreReport(False, source.dimension, target.dimension,
-                               "Serre image is not harmonic")
+            return verdict("Serre image is not harmonic")
         # pairing matrix between the source basis and its images
         pairing = []
         for s in sources:
@@ -362,6 +366,5 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
                 row.append(acc)
             pairing.append(row)
         if not is_nonsingular(pairing):
-            return SerreReport(False, source.dimension, target.dimension,
-                               "pairing matrix is singular")
-    return SerreReport(True, source.dimension, target.dimension)
+            return verdict("pairing matrix is singular")
+    return verdict()

@@ -589,3 +589,80 @@ class TestComputeOnce:
         code, report = capture_json(["nijenhuis", "--model", "kt", "--a", "4*pi"])
         assert code == 0 and report["integrable"] is False
         assert calls == {"nijenhuis": 1, "build_coframe": 1}
+
+
+class TestFailingReports:
+    """The full JSON of reports whose checks fail; the golden corpus only
+    records passing ones."""
+
+    @staticmethod
+    def assert_pinned(argv, expected):
+        code, text = capture(argv)
+        assert code == 1
+        assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_g2_verify_with_wrong_catalogue_entry(self, monkeypatch):
+        from acx import g2
+
+        table = dict(g2.REFERENCE_BRACKET_TABLE)
+        table[("f2", "f4")] = {"h4": 1}
+        monkeypatch.setattr(g2, "REFERENCE_BRACKET_TABLE", table)
+        self.assert_pinned(
+            ["g2-verify", "--samples", "2", "--negatives", "1"],
+            {
+                "bracket_mismatches": [
+                    {"catalogued": {"h4": 1}, "computed": {"h4": "-1"},
+                     "pair": ["f2", "f4"]},
+                ],
+                "bracket_table": {
+                    "checked": 76, "dimension": 14, "h_closed": True,
+                    "jacobi_failures": 0, "mismatches": 1, "ok": False,
+                    "unregistered_mismatches": 1,
+                },
+                "cross_product": {
+                    "double_cross_failures": 0, "e1_cross_e6": True,
+                    "j_at_e1_table": True, "ok": True,
+                    "orthogonality_failures": 0,
+                },
+                "membership": {
+                    "member_failures": 0, "members_checked": 2,
+                    "nonmember_failures": 0, "nonmembers_checked": 1,
+                    "ok": True, "seed": 20260815,
+                },
+                "ok": False,
+                "projection": {
+                    "f_image_table": True, "form_preservation_failures": 0,
+                    "intertwine_failures": 0, "kernel_is_h_span": True,
+                    "ok": True,
+                },
+            },
+        )
+
+    def test_s6_report_without_erratum_and_wrong_display(self, monkeypatch):
+        from acx import g2
+
+        displays = dict(g2.S6_DF_DISPLAYS)
+        displays[2] = {**displays[2], (1, 7): -1}
+        monkeypatch.setattr(g2, "S6_DF_DISPLAYS", displays)
+        monkeypatch.setattr(g2, "REDUCTION_BRACKET_ERRATA", {})
+        self.assert_pinned(
+            ["s6-report", "--levels", "4"],
+            {
+                "census": {
+                    "h10": 0, "h13": 0, "h20": 0, "h23": 0,
+                    "kodaira_dimension": 0, "ok": True,
+                    "plurigenera": [1, 1, 1, 1], "serre_bijections": True,
+                    "star_on_generator": True,
+                },
+                "ok": False,
+                "reduction_brackets": {
+                    "checked": 6, "mismatches": ["[Xb2,Xb7]"], "ok": False,
+                    "unregistered_mismatches": ["[Xb2,Xb7]"],
+                },
+                "structure": {
+                    "dbar_20_failures": [], "dbar_phi_failures": [],
+                    "df_failures": [2], "dual_frame": True, "ok": False,
+                    "top_form_closed": True,
+                },
+            },
+        )

@@ -21,8 +21,9 @@ def _run(argv):
     )
 
 
-def test_traced_run_matches_untraced(tmp_path):
-    acx_argv = ["nijenhuis", "--model", "kt"]
+def _traced_span_names(tmp_path, acx_argv):
+    """Run acx traced and untraced; return the traced span names after
+    checking that both runs print the same bytes and succeed."""
     trace_path = tmp_path / "trace.json"
     traced = _run(["perfbench/tracer.py", str(trace_path), "--", *acx_argv])
     plain = _run(["-m", "acx.cli", *acx_argv])
@@ -37,6 +38,18 @@ def test_traced_run_matches_untraced(tmp_path):
         for child in span["children"]:
             yield from names(child)
 
-    seen = list(names(trace["spans"]))
+    return list(names(trace["spans"]))
+
+
+def test_traced_run_matches_untraced(tmp_path):
+    seen = _traced_span_names(tmp_path, ["nijenhuis", "--model", "kt"])
     assert seen.count("lie.nijenhuis") == 1
     assert seen.count("lie.integrability") == 1
+
+
+def test_traced_g2_verify_has_each_check_span(tmp_path):
+    seen = _traced_span_names(
+        tmp_path, ["g2-verify", "--samples", "2", "--negatives", "1"]
+    )
+    for span in ("g2.bracket_table", "g2.membership", "g2.projection"):
+        assert seen.count(span) == 1, span
