@@ -8,7 +8,9 @@ are never stored.
 
 from __future__ import annotations
 
-from .scalars import SymScalar
+from itertools import combinations
+
+from .scalars import SS_ONE, SS_ZERO, SymScalar
 
 
 class MultiIndex(tuple):
@@ -28,13 +30,11 @@ class MultiIndex(tuple):
         return len(self)
 
 
-EMPTY = MultiIndex()
-
-
 def merge_indices(a, b):
     """Merge two increasing index tuples; return (merged, sign) or None on overlap.
 
-    The sign is that of the permutation sorting a + b.
+    The sign is that of the permutation sorting a + b.  The merge of two
+    increasing tuples is increasing, so the result skips MultiIndex's checks.
     """
     out = []
     sign = 1
@@ -53,7 +53,7 @@ def merge_indices(a, b):
             j += 1
     out.extend(a[i:])
     out.extend(b[j:])
-    return MultiIndex(out), sign
+    return tuple.__new__(MultiIndex, out), sign
 
 
 def perm_sign(seq) -> int:
@@ -190,8 +190,6 @@ class Form:
         return hash((self.n, frozenset(self.terms.items())))
 
     def coefficient(self, alpha=(), beta=()) -> SymScalar:
-        from .scalars import SS_ZERO
-
         return self.terms.get((MultiIndex(alpha), MultiIndex(beta)), SS_ZERO)
 
     def bidegrees(self):
@@ -260,23 +258,31 @@ class Form:
         return out
 
 
-def wedge_all(factors, n=None) -> Form:
-    """Wedge a sequence of Forms left to right; empty product is 1."""
-    factors = list(factors)
-    if not factors:
-        if n is None:
-            raise ValueError("empty wedge needs an explicit coframe dimension")
-        return Form.one(n)
-    out = factors[0]
-    for f in factors[1:]:
-        out = out.wedge(f)
+def d_monomial(n: int, alpha, beta, d_generator) -> Form:
+    """d(phi_alpha wedge phibar_beta) by the graded Leibniz rule.
+
+    With g_1..g_k = phi^alpha then phibar^beta, d is the sum over r of
+    (-1)^(r-1) d(g_r) wedge (the monomial without g_r): d(g_r) is a 2-form,
+    so it moves to the front without a sign, and dropping g_r from a Form
+    key (alpha, beta) keeps the canonical order.  d_generator(A) is d of
+    phi^(A+1) for A < n and of phibar^(A+1-n) otherwise.
+    """
+    out = Form.zero(n)
+    gens = [a - 1 for a in alpha] + [n + b - 1 for b in beta]
+    p = len(alpha)
+    for r, A in enumerate(gens):
+        if r < p:
+            key = (tuple.__new__(MultiIndex, alpha[:r] + alpha[r + 1:]), beta)
+        else:
+            s = r - p
+            key = (alpha, tuple.__new__(MultiIndex, beta[:s] + beta[s + 1:]))
+        rest = Form(n, {key: SS_ONE if r % 2 == 0 else -SS_ONE})
+        out = out + d_generator(A).wedge(rest)
     return out
 
 
 def basis_monomials(n: int, p: int, q: int):
     """All (alpha, beta) with |alpha| = p, |beta| = q, in canonical order."""
-    from itertools import combinations
-
     alphas = [MultiIndex(c) for c in combinations(range(1, n + 1), p)]
     betas = [MultiIndex(c) for c in combinations(range(1, n + 1), q)]
     return [(a, b) for a in alphas for b in betas]

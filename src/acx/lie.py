@@ -16,10 +16,11 @@ closed under the bracket.  All three tests are implemented and cross-checked.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
-from .forms import Form, wedge_all
+from .forms import Form, d_monomial
 from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon
 from .scalars import SS_ONE, SS_ZERO, S_I, SymScalar
 
@@ -132,15 +133,11 @@ class LieAlgebra:
     def ce_d(self, form: Form) -> Form:
         """Extend d to the real exterior algebra by the graded Leibniz rule."""
         out = Form.zero(self.dim)
-        gens = {a: self.d_generator(a) for a in range(1, self.dim + 1)}
         for (idx, beta), c in form.terms.items():
             if beta:
                 raise ValueError(f"real-basis forms have no barred index, got {beta}")
-            for r, a in enumerate(idx):
-                piece = Form.monomial(self.dim, idx[:r], (), c if r % 2 == 0 else -c)
-                piece = piece.wedge(gens[a])
-                piece = piece.wedge(Form.monomial(self.dim, idx[r + 1:]))
-                out = out + piece
+            piece = d_monomial(self.dim, idx, beta, lambda A: self.d_generator(A + 1))
+            out = out + piece.scale(c)
         return out
 
 
@@ -280,22 +277,9 @@ class ComplexCoframe:
 
     def _d_monomial(self, alpha, beta) -> Form:
         key = (alpha, beta)
-        cached = self._d_mono_cache.get(key)
-        if cached is not None:
-            return cached
-        gens = [a - 1 for a in alpha] + [self.n + b - 1 for b in beta]
-        out = Form.zero(self.n)
-        for r, A in enumerate(gens):
-            prefix = wedge_all(
-                [self._gen_form(g) for g in gens[:r]], self.n
-            )
-            suffix = wedge_all(
-                [self._gen_form(g) for g in gens[r + 1:]], self.n
-            )
-            piece = prefix.wedge(self.d_generator(A)).wedge(suffix)
-            out = out + (piece if r % 2 == 0 else -piece)
-        self._d_mono_cache[key] = out
-        return out
+        if key not in self._d_mono_cache:
+            self._d_mono_cache[key] = d_monomial(self.n, alpha, beta, self.d_generator)
+        return self._d_mono_cache[key]
 
     def d(self, x: Form, lam: Form | None = None) -> Form:
         """d on constant-coefficient forms; with lam, d(chi x) = chi(lam^x + dx)."""
@@ -331,7 +315,7 @@ class ComplexCoframe:
         """Rewrite a real-basis form (keyed (idx, ())) over the complex coframe."""
         out = Form.zero(self.n)
         for (idx, _), c in x.terms.items():
-            piece = wedge_all([self.real_covector_form(a) for a in idx], self.n)
+            piece = reduce(Form.wedge, map(self.real_covector_form, idx), Form.one(self.n))
             out = out + piece.scale(c)
         return out
 

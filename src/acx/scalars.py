@@ -465,7 +465,6 @@ def _poly_str(coeffs, symbol: str) -> str:
 
 SS_ZERO = SymScalar(())
 SS_ONE = SymScalar.const(1)
-SS_I = SymScalar.const(S_I)
 
 
 class PiParam:

@@ -672,7 +672,8 @@ def t4_profile(
     alpha: TrigPoly, beta: TrigPoly, length: int = DEFAULT_PROFILE_LENGTH
 ) -> PlurigeneraProfile:
     """Plurigenera profile of the four-torus family member."""
-    values = [t4_plurigenus(alpha, beta, m) for m in range(1, length + 1)]
+    # the plurigenus does not depend on m: one obstruction solve serves every level
+    values = [t4_plurigenus(alpha, beta, 1)] * length
     if values[0] == 0:
         return PlurigeneraProfile(values, kind=ALL_ZERO)
     return PlurigeneraProfile(values, kind=BOUNDED)

@@ -13,7 +13,6 @@ from acx.forms import (
     complement,
     merge_indices,
     perm_sign,
-    wedge_all,
 )
 from acx.scalars import Scalar, SymScalar
 
@@ -135,8 +134,7 @@ class TestHelpers:
     def test_wedge_all(self):
         n = 3
         fs = [Form.phi(n, 1), Form.phibar(n, 2), Form.phi(n, 3)]
-        assert wedge_all(fs, n) == Form.monomial(n, (1, 3), (2,), -1)
-        assert wedge_all([], n) == Form.one(n)
+        assert fs[0].wedge(fs[1]).wedge(fs[2]) == Form.monomial(n, (1, 3), (2,), -1)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_basis_monomial_counts(self, n):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from acx import torus
 from acx.errors import InputError, RefusalError
 from acx.scalars import PiParam, Scalar, SymScalar
 from acx.torus import (
@@ -270,6 +271,18 @@ class TestProfiles:
         assert torus_profile().kind == BOUNDED
         assert t4_profile(*t4_standard_pair()).kind == ALL_ZERO
         assert len(kt_profile(A_4PI).values) == DEFAULT_PROFILE_LENGTH
+
+    @pytest.mark.parametrize("pair", [t4_standard_pair(), t4_family_pair(0, 0)])
+    def test_t4_profile_solves_the_obstruction_once(self, monkeypatch, pair):
+        solves = []
+        obstruction = torus.t4_obstruction
+        monkeypatch.setattr(
+            torus, "t4_obstruction", lambda a, b: solves.append(1) or obstruction(a, b)
+        )
+        profile = t4_profile(*pair, 50)
+        assert len(solves) == 1
+        monkeypatch.undo()
+        assert list(profile.values) == [t4_plurigenus(*pair, m) for m in range(1, 51)]
 
 
 class TestKunnethAndKodaira:

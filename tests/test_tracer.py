@@ -21,9 +21,9 @@ def _run(argv):
     )
 
 
-def _traced_span_names(tmp_path, acx_argv):
-    """Run acx traced and untraced; return the traced span names after
-    checking that both runs print the same bytes and succeed."""
+def _traced(tmp_path, acx_argv):
+    """Run acx traced and untraced; return the trace after checking that
+    both runs print the same bytes and succeed."""
     trace_path = tmp_path / "trace.json"
     traced = _run(["perfbench/tracer.py", str(trace_path), "--", *acx_argv])
     plain = _run(["-m", "acx.cli", *acx_argv])
@@ -32,24 +32,32 @@ def _traced_span_names(tmp_path, acx_argv):
     assert traced.stdout == plain.stdout
     trace = json.loads(trace_path.read_text())
     assert trace["exit"] == 0
+    return trace
 
-    def names(span):
-        yield span["name"]
-        for child in span["children"]:
-            yield from names(child)
 
-    return list(names(trace["spans"]))
+def _span_names(span):
+    yield span["name"]
+    for child in span["children"]:
+        yield from _span_names(child)
 
 
 def test_traced_run_matches_untraced(tmp_path):
-    seen = _traced_span_names(tmp_path, ["nijenhuis", "--model", "kt"])
+    seen = list(_span_names(_traced(tmp_path, ["nijenhuis", "--model", "kt"])["spans"]))
     assert seen.count("lie.nijenhuis") == 1
     assert seen.count("lie.integrability") == 1
 
 
 def test_traced_g2_verify_has_each_check_span(tmp_path):
-    seen = _traced_span_names(
-        tmp_path, ["g2-verify", "--samples", "2", "--negatives", "1"]
-    )
+    trace = _traced(tmp_path, ["g2-verify", "--samples", "2", "--negatives", "1"])
+    seen = list(_span_names(trace["spans"]))
     for span in ("g2.bracket_table", "g2.membership", "g2.projection"):
         assert seen.count(span) == 1, span
+
+
+def test_traced_model_file_hodge_counts_the_forms_layer(tmp_path):
+    trace = _traced(tmp_path, [
+        "hodge", "--model", "tests/golden/models/heis6.json", "--p", "1", "--q", "1",
+    ])
+    assert list(_span_names(trace["spans"])).count("hodge.harmonic") == 1
+    for name in ("forms.wedge", "hodge.operator_matrix"):
+        assert trace["aggregates"][name]["calls"] > 0, name
