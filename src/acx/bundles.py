@@ -66,14 +66,11 @@ class PseudoholStructure:
             if x.is_zero():
                 continue
             out[i] = out[i] + op(x, lam_form)
-            for (p, q), piece in x.components().items():
-                sign = -1 if (p + q) % 2 else 1
-                for j in range(self.rank):
-                    t = matrix[i][j]
-                    if t.is_zero():
-                        continue
-                    w = piece.wedge(t)
-                    out[j] = out[j] + (w if sign > 0 else -w)
+            signed = Form(x.n, {k: -c if (len(k[0]) + len(k[1])) % 2 else c
+                                for k, c in x.terms.items()})
+            for j, t in enumerate(matrix[i]):
+                if not t.is_zero():
+                    out[j] = out[j] + signed.wedge(t)
         return out
 
     def dual(self) -> "PseudoholStructure":

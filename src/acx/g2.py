@@ -43,8 +43,7 @@ BASIS_NAMES: Tuple[str, ...] = tuple(
 )
 
 
-def _sc(value) -> Scalar:
-    return Scalar.coerce(value)
+_sc = Scalar.coerce
 
 
 def _matrix_from_coordinates(x: Sequence[Scalar], y: Sequence[Scalar]):
@@ -63,24 +62,8 @@ def _matrix_from_coordinates(x: Sequence[Scalar], y: Sequence[Scalar]):
 
 
 def _coordinates_from_matrix(A):
-    x = (
-        A[0][1],
-        -A[0][2],
-        A[0][3],
-        -A[0][4],
-        A[0][5],
-        -A[0][6],
-    )
-    y = (
-        A[1][2],
-        -A[5][6],
-        -A[2][3],
-        A[2][4],
-        A[2][5],
-        -A[2][6],
-        A[4][5],
-        -A[4][6],
-    )
+    x = (A[0][1], -A[0][2], A[0][3], -A[0][4], A[0][5], -A[0][6])
+    y = (A[1][2], -A[5][6], -A[2][3], A[2][4], A[2][5], -A[2][6], A[4][5], -A[4][6])
     return x, y
 
 
@@ -454,12 +437,7 @@ class CrossProduct:
 
     @staticmethod
     def dot(u, v) -> Scalar:
-        u = CrossProduct._vec(u)
-        v = CrossProduct._vec(v)
-        acc = _sc(0)
-        for a, b in zip(u, v):
-            acc = acc + a * b
-        return acc
+        return sum((a * b for a, b in zip(CrossProduct._vec(u), CrossProduct._vec(v))), _sc(0))
 
     def is_member(self, A) -> bool:
         """Matrix membership: skew-symmetry plus the seven contractions

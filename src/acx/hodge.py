@@ -37,6 +37,9 @@ from .linalg import is_nonsingular, kernel_basis, rank, solve
 from .scalars import SS_ZERO, Scalar, SymScalar
 
 
+_I_POWERS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))  # i^k for k mod 4
+
+
 def star_monomial(n: int, alpha, beta):
     """star of phi_alpha ^ phibar_beta: returns (betahat, alphahat, coeff)."""
     alpha = MultiIndex(alpha)
@@ -51,11 +54,7 @@ def star_monomial(n: int, alpha, beta):
         + [2 * (j - 1) + 1 for j in beta + bhat]
         + [2 * (i - 1) for i in ahat]
     )
-    minus_i_pow = Scalar(0, -1)
-    c = Scalar(1)
-    for _ in range(n):
-        c = c * minus_i_pow
-    coeff = Scalar(Fraction(2) ** (p + q - n)) * c
+    coeff = _I_POWERS[-n % 4] * Fraction(2) ** (p + q - n)
     if eps < 0:
         coeff = -coeff
     return bhat, ahat, coeff
@@ -63,10 +62,7 @@ def star_monomial(n: int, alpha, beta):
 
 def volume_form(n: int) -> Form:
     """dV as a Form: (i/2)^n interleaved top monomial, canonically ordered."""
-    c = Scalar(1)
-    half_i = Scalar(0, Fraction(1, 2))
-    for _ in range(n):
-        c = c * half_i
+    c = _I_POWERS[n % 4] / 2 ** n
     if (n * (n - 1) // 2) % 2:
         c = -c
     full = tuple(range(1, n + 1))

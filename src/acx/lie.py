@@ -275,32 +275,42 @@ class ComplexCoframe:
     def d_phi(self, i) -> Form:
         return self.d_generator(i - 1)
 
-    def _d_monomial(self, alpha, beta) -> Form:
-        key = (alpha, beta)
-        if key not in self._d_mono_cache:
-            self._d_mono_cache[key] = d_monomial(self.n, alpha, beta, self.d_generator)
-        return self._d_mono_cache[key]
+    def _d_monomial(self, alpha, beta, shift=None) -> Form:
+        """d(phi_alpha ^ phibar_beta), or with shift = (dp, dq) only its part
+        of bidegree (|alpha| + dp, |beta| + dq)."""
+        key = (alpha, beta, shift)
+        out = self._d_mono_cache.get(key)
+        if out is None:
+            if shift is None:
+                out = d_monomial(self.n, alpha, beta, self.d_generator)
+            else:
+                dp, dq = shift
+                out = self._d_monomial(alpha, beta).project(len(alpha) + dp, len(beta) + dq)
+            self._d_mono_cache[key] = out
+        return out
+
+    def _d(self, x: Form, lam, shift) -> Form:
+        """d(chi x) = chi(lam^x + dx), or with a shift the part of it that
+        raises the bidegree of each part of x by the shift."""
+        terms = {}
+        for (alpha, beta), c in x.terms.items():
+            for k, v in self._d_monomial(alpha, beta, shift).terms.items():
+                acc = terms.get(k)
+                terms[k] = v * c if acc is None else acc + v * c
+        out = Form(self.n, terms)
+        if lam is not None:
+            out = out + (lam if shift is None else lam.project(*shift)).wedge(x)
+        return out
 
     def d(self, x: Form, lam: Form | None = None) -> Form:
         """d on constant-coefficient forms; with lam, d(chi x) = chi(lam^x + dx)."""
-        out = Form.zero(self.n)
-        for (alpha, beta), c in x.terms.items():
-            out = out + self._d_monomial(alpha, beta).scale(c)
-        if lam is not None:
-            out = out + lam.wedge(x)
-        return out
+        return self._d(x, lam, None)
 
     def dbar(self, x: Form, lam: Form | None = None) -> Form:
-        out = Form.zero(self.n)
-        for (p, q), comp in x.components().items():
-            out = out + self.d(comp, lam).project(p, q + 1)
-        return out
+        return self._d(x, lam, (0, 1))
 
     def del_op(self, x: Form, lam: Form | None = None) -> Form:
-        out = Form.zero(self.n)
-        for (p, q), comp in x.components().items():
-            out = out + self.d(comp, lam).project(p + 1, q)
-        return out
+        return self._d(x, lam, (1, 0))
 
     def real_covector_form(self, a) -> Form:
         """e^a expressed over the complex coframe."""

@@ -1,10 +1,11 @@
 """Exact scalars: Gaussian rationals and rational functions in one formal symbol.
 
-Scalar is Q(i).  Its components re and im are exact rationals, held as a
-plain int when the denominator is 1 and as a fractions.Fraction otherwise;
-no float ever appears (int / int is a float in Python, so every division
-goes through Fraction).  Arithmetic builds its result from components that
-are already in this form, so nothing is re-coerced on the way.
+Scalar is Q(i).  A value (a + b*i)/d is held as three ints a, b, d with
+d > 0 and gcd(a, b, d) = 1, so every value has exactly one representation
+and zero is (0, 0, 1); no float ever appears.  Sums and products of
+integral values (d = 1) skip the gcd, and every other result is normalised
+by one three-argument gcd.  The components re and im are read-only views:
+an int when integral and a fractions.Fraction otherwise.
 
 SymScalar is the field Q(i)(x) of rational functions in a single formal
 symbol x, which stands for pi in rational-multiple-of-pi contexts and for a
@@ -20,6 +21,7 @@ gcd.  The polynomial path runs only for values that involve the symbol.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _set = object.__setattr__
 _new = object.__new__
@@ -35,68 +37,81 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}") from exc
 
 
-def _rat(x):
-    """x as an exact rational: an int when integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _div(p, q):
-    """p / q for exact rationals p and nonzero q, never a float."""
-    if type(p) is int and type(q) is int:
-        return _rat(Fraction(p, q))
-    return _rat(p / q)
-
-
-def _scalar(re, im):
-    """A Scalar from components already in canonical form."""
+def _scalar(a, b, d):
+    """The Scalar (a + b*i)/d from a triple already in canonical form."""
     s = _new(Scalar)
-    _set(s, "re", re)
-    _set(s, "im", im)
+    _set(s, "a", a)
+    _set(s, "b", b)
+    _set(s, "d", d)
     return s
 
 
-class Scalar:
-    """A Gaussian rational re + im*i."""
+def _norm(a, b, d):
+    """The Scalar (a + b*i)/d for any d > 0."""
+    g = gcd(a, b, d)
+    return _scalar(a // g, b // g, d // g)
 
-    __slots__ = ("re", "im")
+
+class Scalar:
+    """A Gaussian rational re + im*i, stored as (a + b*i)/d (see the module
+    docstring for the invariant)."""
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        _set(self, "re", _rat(re))
-        _set(self, "im", _rat(im))
+        re, im = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (re, im))
+        d = lcm(re.denominator, im.denominator)
+        # gcd(a, b, d) = 1 since each of re and im is in lowest terms
+        _set(self, "a", re.numerator * (d // re.denominator))
+        _set(self, "b", im.numerator * (d // im.denominator))
+        _set(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self.a, self.d) if self.a % self.d else self.a // self.d
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d) if self.b % self.d else self.b // self.d
+
     @staticmethod
     def coerce(value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(value)
-        raise TypeError(f"cannot coerce {value!r} to Scalar")
+        s = _operand(value)
+        if s is NotImplemented:
+            raise TypeError(f"cannot coerce {value!r} to Scalar")
+        return s
 
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _operand(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _scalar(_rat(self.re + other.re), _rat(self.im + other.im))
+        d, f = self.d, other.d
+        if d == f:
+            if d == 1:
+                return _scalar(self.a + other.a, self.b + other.b, 1)
+            return _norm(self.a + other.a, self.b + other.b, d)
+        return _norm(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _scalar(-self.re, -self.im)
+        return _scalar(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         if type(other) is not Scalar:
             other = _operand(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _scalar(_rat(self.re - other.re), _rat(self.im - other.im))
+        d, f = self.d, other.d
+        if d == f:
+            if d == 1:
+                return _scalar(self.a - other.a, self.b - other.b, 1)
+            return _norm(self.a - other.a, self.b - other.b, d)
+        return _norm(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __rsub__(self, other):
         other = _operand(other)
@@ -107,19 +122,21 @@ class Scalar:
             other = _operand(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return _scalar(_rat(a * c), 0)
-        return _scalar(_rat(a * c - b * d), _rat(a * d + b * c))
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+        d = self.d * other.d
+        return _scalar(a, b, 1) if d == 1 else _norm(a, b, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        a, b = self.re, self.im
-        n = a * a + b * b
-        if not n:
+        a, b, d = self.a, self.b, self.d
+        if not a and not b:
             raise ZeroDivisionError("inverse of zero Scalar")
-        return _scalar(_div(a, n), _div(-b, n))
+        return _norm(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
         other = _operand(other)
@@ -130,23 +147,24 @@ class Scalar:
         return NotImplemented if other is NotImplemented else other * self.inverse()
 
     def conjugate(self) -> "Scalar":
-        return _scalar(self.re, -self.im)
+        return _scalar(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         if type(other) is not Scalar:
             other = _operand(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to the hash of the int or Fraction a real Scalar equals
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -161,6 +179,8 @@ def _operand(value):
     operator runs)."""
     if isinstance(value, Scalar):
         return value
+    if type(value) is int:
+        return _scalar(value, 0, 1)
     if isinstance(value, (int, Fraction)):
         return Scalar(value)
     return NotImplemented
@@ -173,18 +193,13 @@ S_I = Scalar(0, 1)
 
 def scalar_str(s: Scalar) -> str:
     """Canonical compact rendering, e.g. '3/4', '-i', '1+2i', '2-1/3i'."""
-    if s.im == 0:
-        return str(s.re)
-    if s.re == 0:
-        if s.im == 1:
-            return "i"
-        if s.im == -1:
-            return "-i"
-        return f"{s.im}i"
-    sign = "+" if s.im > 0 else "-"
-    mag = abs(s.im)
-    imag = "i" if mag == 1 else f"{mag}i"
-    return f"{s.re}{sign}{imag}"
+    re, im = s.re, s.im
+    if not im:
+        return str(re)
+    imag = {1: "i", -1: "-i"}.get(im) or f"{im}i"
+    if not re:
+        return imag
+    return f"{re}{'' if imag[0] == '-' else '+'}{imag}"
 
 
 # --- polynomials over Scalar, coefficients low degree -> high, no trailing zeros
@@ -198,13 +213,9 @@ def _pstrip(coeffs):
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        x = a[k] if k < len(a) else S_ZERO
-        y = b[k] if k < len(b) else S_ZERO
-        out.append(x + y)
-    return _pstrip(out)
+    if len(a) < len(b):
+        a, b = b, a
+    return _pstrip([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def _pneg(a):
@@ -225,20 +236,21 @@ def _pmul(a, b):
 def _pdivmod(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [S_ZERO] * max(0, len(a) - len(b) + 1)
+    nb = len(b)
+    q = [S_ZERO] * max(0, len(a) - nb + 1)
     r = list(a)
     binv = b[-1].inverse()
-    while len(r) >= len(b) and _pstrip(r):
-        r = list(_pstrip(r))
-        if len(r) < len(b):
-            break
-        c = r[-1] * binv
-        k = len(r) - len(b)
+    while True:
+        while r and r[-1].is_zero():
+            r.pop()
+        if len(r) < nb:
+            return _pstrip(q), tuple(r)
+        c = r.pop() * binv
+        k = len(r) + 1 - nb
         q[k] = c
-        for j, y in enumerate(b):
-            r[k + j] = r[k + j] - c * y
-        r = list(_pstrip(r))
-    return _pstrip(q), _pstrip(r)
+        # the leading term cancels exactly, so it is popped, not computed
+        for j in range(nb - 1):
+            r[k + j] = r[k + j] - c * b[j]
 
 
 def _pgcd(a, b):
@@ -323,9 +335,7 @@ class SymScalar:
     def coerce(value) -> "SymScalar":
         if isinstance(value, SymScalar):
             return value
-        if isinstance(value, (int, Fraction, Scalar)):
-            return _const(Scalar.coerce(value))
-        raise TypeError(f"cannot coerce {value!r} to SymScalar")
+        return _const(Scalar.coerce(value))
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and self.den is _P_ONE
@@ -421,7 +431,8 @@ class SymScalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant hashes as its Scalar, which it equals
+        return hash(self.constant_value() if self.is_constant() else (self.num, self.den))
 
     def __repr__(self):
         return f"SymScalar({self.num!r}, {self.den!r})"

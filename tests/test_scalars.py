@@ -3,6 +3,7 @@ and the structure-parameter wrapper."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -390,3 +391,93 @@ class TestMixedOperands:
                 OPS[op](Scalar(1), "x")
             with pytest.raises(TypeError):
                 OPS[op]("x", Scalar(1))
+
+
+# --- the normalised integer triple (a + b*i)/d
+
+
+def assert_triple(z):
+    """d > 0, gcd(a, b, d) = 1, and zero is exactly (0, 0, 1)."""
+    assert isinstance(z, Scalar)
+    assert all(type(v) is int for v in (z.a, z.b, z.d))
+    assert z.d > 0
+    assert gcd(z.a, z.b, z.d) == 1
+    if not z.a and not z.b:
+        assert (z.a, z.b, z.d) == (0, 0, 1)
+    assert Fraction(z.a, z.d) == z.re and Fraction(z.b, z.d) == z.im
+
+
+def rand_big_fraction(rng, bits=60):
+    return Fraction(rng.getrandbits(bits) - (1 << (bits - 1)), rng.getrandbits(bits) | 1)
+
+
+class TestTriple:
+    def test_every_result_is_normalised(self):
+        rng = random.Random(105)
+        for _ in range(400):
+            x, y = Scalar(*rand_gaussian(rng)), Scalar(*rand_gaussian(rng))
+            assert_triple(x)
+            for op in OPS:
+                if op == "/" and y.is_zero():
+                    continue
+                assert_triple(OPS[op](x, y))
+            assert_triple(-x)
+            assert_triple(x.conjugate())
+            if not x.is_zero():
+                assert_triple(x.inverse())
+
+    def test_zero_is_one_triple_however_built(self):
+        rng = random.Random(106)
+        for _ in range(100):
+            x = Scalar(*rand_gaussian(rng))
+            for z in (x - x, x + (-x), x * 0, Scalar(0) * x, Scalar(Fraction(0, 7), 0)):
+                assert (z.a, z.b, z.d) == (0, 0, 1)
+                assert z == Scalar(0) and not z
+
+    def test_sixty_bit_operands_match_fraction_pairs(self):
+        rng = random.Random(107)
+        for _ in range(300):
+            x = (rand_big_fraction(rng), rand_big_fraction(rng))
+            y = (rand_big_fraction(rng), rand_big_fraction(rng))
+            if rng.random() < 0.2:
+                y = (y[0], Fraction(0))
+            sx, sy = Scalar(*x), Scalar(*y)
+            assert (sx.re, sx.im) == x
+            for op, ref in REF_OPS.items():
+                z = OPS[op](sx, sy)
+                want = ref(x, y)
+                assert_triple(z)
+                assert_canonical_scalar(z)
+                assert (z.re, z.im) == want
+                assert str(z) == ref_str(*want)
+            inv = sx.inverse()
+            assert_triple(inv)
+            assert inv * sx == Scalar(1)
+
+
+class TestHashAgreesWithEquality:
+    def test_one_element_set(self):
+        assert len({1, Scalar(1), SymScalar.const(1)}) == 1
+        assert len({Fraction(1, 2), Scalar(Fraction(1, 2)), SymScalar.const(Fraction(1, 2))}) == 1
+        assert len({0, Scalar(0), SymScalar.const(0)}) == 1
+
+    def test_equal_values_built_differently_hash_equal(self):
+        assert hash(Scalar(Fraction(4, 2))) == hash(Scalar(3) / 3 * 2) == hash(2)
+        rng = random.Random(108)
+        for _ in range(200):
+            x, y = rand_scalar(rng), rand_scalar(rng)
+            if y.is_zero():
+                continue
+            z = x * y / y
+            assert z == x and hash(z) == hash(x)
+            assert hash(SymScalar.const(z)) == hash(x)
+            if x.im == 0:
+                assert x == x.re and hash(x) == hash(x.re)
+            else:
+                assert hash(x) == hash((x.re, x.im))
+
+    def test_symbolic_values_still_hash_by_num_and_den(self):
+        x = SymScalar.symbol()
+        u = (x + 1) / (x - 1)
+        assert hash(u) == hash((u.num, u.den))
+        assert hash(u * (x - 1) / (x - 1)) == hash(u)
