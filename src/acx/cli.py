@@ -47,8 +47,6 @@ from .torus import (
 )
 from . import g2 as sphere
 
-PRESETS = ("kt", "t4", "g2")
-
 # Upper limits on user-sized inputs, checked before any list is built: the
 # largest --m level and the number of levels in one --m spec, --length of a
 # plurigenera profile, s6-report --levels, and g2-verify --samples and
@@ -87,8 +85,6 @@ def _parse_a_list(text: str) -> List[PiParam]:
             out.append(PiParam.parse(chunk))
         except ValueError as exc:
             raise InputError(f"--a: {exc}") from exc
-    if not out:
-        raise InputError("--a: empty parameter list")
     return out
 
 
@@ -142,18 +138,44 @@ def _parse_t_member(text: Optional[str]):
     return t4_family_pair(t1, t2), f"t=({t1},{t2})"
 
 
-def _load_model(spec: str, a_values: Optional[List[PiParam]]):
-    """Resolve --model into ('kt'|'t4'|'g2'|'file', loaded-or-None)."""
-    if spec in PRESETS:
-        return spec, None
+def _family(args, frame: bool = False):
+    """Resolve --model, --a and --t once, before any work: (kind, member, desc).
+
+    kind is 'kt', 't4', 'g2' or 'file'.  member is the list of --a values
+    (kt), the (alpha, beta) pair (t4), or the model itself (g2, file); desc
+    holds the report's model/member/a keys.  --t applies to t4 only, --a to
+    kt and model files only, and on a model file --a must be one value equal
+    to its params.a.  With `frame` (the frame-level subcommands) kt takes one
+    --a, generic by default; otherwise kt needs --a.
+    """
+    spec = args.model
+    a_text, t_text = getattr(args, "a", None), getattr(args, "t", None)
+    kind = spec if spec in ("kt", "t4", "g2") else "file"
+    if t_text is not None and kind != "t4":
+        raise InputError("--t applies to the t4 preset only")
+    if a_text is not None and kind in ("t4", "g2"):
+        raise InputError(f"--a does not apply to the {kind} preset")
+    a_list = None if a_text is None else _parse_a_list(a_text)
+    if kind == "kt":
+        if a_list is None and not frame:
+            raise InputError("the kt preset needs --a (e.g. --a 4*pi,generic)")
+        a_list = a_list or [PiParam.generic()]
+        if frame and len(a_list) != 1:
+            raise InputError("this subcommand takes a single --a value")
+        desc = {"model": "kt", "a": str(a_list[0])} if frame else {"model": "kt"}
+        return kind, a_list, desc
+    if kind == "t4":
+        pair, member = _parse_t_member(t_text)
+        return kind, pair, {"model": "t4", "member": member}
+    if kind == "g2":
+        return kind, sphere.s6_model(), {"model": "g2"}
     model, param = load_model_file(spec)
-    if a_values is not None and param is not None and len(a_values) == 1:
-        if a_values[0] != param:
-            raise InputError(
-                "--a conflicts with the model file's params.a; "
-                "drop one of the two"
-            )
-    return "file", (model, param)
+    desc = {"model": spec} if param is None else {"model": spec, "a": str(param)}
+    if a_list is not None and param is None:
+        raise InputError("--a does not apply to a model file without params.a")
+    if a_list is not None and a_list != [param]:
+        raise InputError(f"--a must be one value, the file's params.a ({param})")
+    return kind, model, desc
 
 
 # ---------------------------------------------------------------------------
@@ -213,48 +235,28 @@ def _vector_str(coeffs, names, symbol: str) -> str:
 
 def _lie_model_for(args):
     """The constant-coefficient model behind frame-level subcommands."""
-    a_list = _parse_a_list(args.a) if getattr(args, "a", None) else None
-    kind, loaded = _load_model(args.model, a_list)
-    if kind == "kt":
-        a = a_list[0] if a_list else PiParam.generic()
-        if a_list and len(a_list) != 1:
-            raise InputError("this subcommand takes a single --a value")
-        return kt_model(a), {"model": "kt", "a": str(a)}
-    if kind == "g2":
-        if a_list:
-            raise InputError("--a does not apply to the g2 preset")
-        return sphere.s6_model(), {"model": "g2"}
+    kind, member, desc = _family(args, frame=True)
     if kind == "t4":
         raise RefusalError(_T4_LIE_REFUSAL)
-    model, param = loaded
-    desc = {"model": args.model}
-    if param is not None:
-        desc["a"] = str(param)
-    return model, desc
+    if kind == "g2" and getattr(args, "power", 0):
+        raise RefusalError(
+            "canonical powers of the sphere are exposed through plurigenera; "
+            "the full-frame canonical bundle is not the sphere's"
+        )
+    return (kt_model(member[0]) if kind == "kt" else member), desc
 
 
 def _cmd_nijenhuis(args):
     model, desc = _lie_model_for(args)
     tensor = nijenhuis(model.alg, model.J)
     names = model.alg.basis_names
-    entries = []
-    for (i, j), vec in sorted(tensor.values.items()):
-        entries.append(
-            {
-                "i": i,
-                "j": j,
-                "value": _vector_str(vec, names, model.symbol),
-            }
-        )
-    report = dict(desc)
-    report.update(
-        {
-            "integrable": is_integrable(tensor, model.coframe),
-            "nonzero_entries": len(entries),
-            "entries": entries,
-        }
-    )
-    return report, 0
+    entries = [
+        {"i": i, "j": j, "value": _vector_str(vec, names, model.symbol)}
+        for (i, j), vec in sorted(tensor.values.items())
+    ]
+    integrable = is_integrable(tensor, model.coframe)
+    return dict(desc, integrable=integrable, nonzero_entries=len(entries),
+                entries=entries), 0
 
 
 def _cmd_structure_eqs(args):
@@ -272,11 +274,7 @@ def _cmd_structure_eqs(args):
                 "part_02": d_full.project(0, 2).to_str(model.symbol),
             }
         )
-    report = dict(desc)
-    report.update(
-        {"n": model.n, "integrable": eqs.integrable(), "coframe": rows}
-    )
-    return report, 0
+    return dict(desc, n=model.n, integrable=eqs.integrable(), coframe=rows), 0
 
 
 def _kt_plurigenera_rows(a_list, levels, window):
@@ -304,90 +302,64 @@ def _kt_plurigenera_rows(a_list, levels, window):
     return rows
 
 
+def _values(kind, member, levels) -> Dict[str, object]:
+    """Plurigenera report fields of a t4 member, the sphere or a model file."""
+    if kind == "t4":
+        alpha, beta = member
+        return {
+            "obstruction": t4_obstruction(alpha, beta).to_str("pi"),
+            "values": [t4_plurigenus(alpha, beta, m) for m in levels],
+        }
+    if kind == "g2":
+        return {"values": [sphere.s6_plurigenus(m) for m in levels]}
+    return {
+        "values": [
+            invariant_harmonic_space(member, 0, 0, bundle_power=m).dimension
+            for m in levels
+        ]
+    }
+
+
+def _profile(kind, member, length: int) -> PlurigeneraProfile:
+    """Plurigenera profile of a t4 member, the sphere or a model file."""
+    if kind == "t4":
+        return t4_profile(*member, length)
+    return PlurigeneraProfile(_values(kind, member, range(1, length + 1))["values"])
+
+
+def _irregularity(kind, member) -> int:
+    """Closed (1,0)-form count of a t4 member, the sphere or a model file."""
+    if kind == "t4":
+        return t4_irregularity(*member)
+    return invariant_harmonic_space(member, 1, 0).dimension
+
+
 def _cmd_plurigenera(args):
     levels = _parse_m_spec(args.m)
     window = mode_window() if args.cross_check else None
-    a_list = _parse_a_list(args.a) if args.a else None
-    kind, loaded = _load_model(args.model, a_list)
-    report: Dict[str, object] = {"levels": levels}
-    if kind == "kt":
-        if not a_list:
-            raise InputError("the kt preset needs --a (e.g. --a 4*pi,generic)")
-        report["model"] = "kt"
-        report["rows"] = _kt_plurigenera_rows(a_list, levels, window)
-        if window is not None:
-            report["cross_check"] = {"window": window, "agreed": True}
+    kind, member, desc = _family(args)
+    report = dict(desc, levels=levels)
+    if kind != "kt":
+        report.update(_values(kind, member, levels))
         return report, 0
-    if kind == "t4":
-        (alpha, beta), member = _parse_t_member(args.t)
-        report.update(
-            {
-                "model": "t4",
-                "member": member,
-                "obstruction": t4_obstruction(alpha, beta).to_str("pi"),
-                "values": [t4_plurigenus(alpha, beta, m) for m in levels],
-            }
-        )
-        return report, 0
-    if kind == "g2":
-        report.update(
-            {
-                "model": "g2",
-                "values": [sphere.s6_plurigenus(m) for m in levels],
-            }
-        )
-        return report, 0
-    model, param = loaded
-    values = [
-        invariant_harmonic_space(model, 0, 0, bundle_power=m).dimension
-        for m in levels
-    ]
-    report.update({"model": args.model, "values": values})
-    if param is not None:
-        report["a"] = str(param)
+    report["rows"] = _kt_plurigenera_rows(member, levels, window)
+    if window is not None:
+        report["cross_check"] = {"window": window, "agreed": True}
     return report, 0
 
 
 def _cmd_irregularity(args):
-    a_list = _parse_a_list(args.a) if args.a else None
-    kind, loaded = _load_model(args.model, a_list)
+    kind, member, desc = _family(args)
     if kind == "kt":
-        if not a_list:
-            raise InputError("the kt preset needs --a (e.g. --a 4*pi,generic)")
-        rows = [{"a": str(a), "value": kt_irregularity(a)} for a in a_list]
-        return {"model": "kt", "rows": rows}, 0
-    if kind == "t4":
-        (alpha, beta), member = _parse_t_member(args.t)
-        return (
-            {
-                "model": "t4",
-                "member": member,
-                "value": t4_irregularity(alpha, beta),
-            },
-            0,
-        )
-    if kind == "g2":
-        dim = invariant_harmonic_space(sphere.s6_model(), 1, 0).dimension
-        return {"model": "g2", "value": dim}, 0
-    model, param = loaded
-    report = {
-        "model": args.model,
-        "value": invariant_harmonic_space(model, 1, 0).dimension,
-    }
-    if param is not None:
-        report["a"] = str(param)
-    return report, 0
+        rows = [{"a": str(a), "value": kt_irregularity(a)} for a in member]
+        return dict(desc, rows=rows), 0
+    return dict(desc, value=_irregularity(kind, member)), 0
 
 
 def _cmd_hodge(args):
     if args.p < 0 or args.q < 0:
         raise InputError("--p and --q must be non-negative")
     model, desc = _lie_model_for(args)
-    if args.power and args.model == "g2":
-        raise RefusalError(
-            "canonical powers of the sphere are exposed through plurigenera; "
-            "the full-frame canonical bundle is not the sphere's"
-        )
     _check_limit("--p/--q section monomials", section_count(model, args.p, args.q),
                  MAX_SECTIONS, low=0)
     space = invariant_harmonic_space(
@@ -400,17 +372,8 @@ def _cmd_hodge(args):
         }
         for blk in space.blocks
     ]
-    report = dict(desc)
-    report.update(
-        {
-            "p": args.p,
-            "q": args.q,
-            "bundle_power": args.power,
-            "dimension": space.dimension,
-            "blocks": blocks,
-        }
-    )
-    return report, 0
+    return dict(desc, p=args.p, q=args.q, bundle_power=args.power,
+                dimension=space.dimension, blocks=blocks), 0
 
 
 def _profile_report(profile: PlurigeneraProfile) -> Dict[str, object]:
@@ -424,41 +387,11 @@ def _profile_report(profile: PlurigeneraProfile) -> Dict[str, object]:
 
 def _cmd_kodaira(args):
     length = _check_limit("--length", args.length, MAX_LENGTH)
-    a_list = _parse_a_list(args.a) if args.a else None
-    kind, loaded = _load_model(args.model, a_list)
+    kind, member, desc = _family(args)
     if kind == "kt":
-        if not a_list:
-            raise InputError("the kt preset needs --a (e.g. --a 4*pi,generic)")
-        rows = []
-        for a in a_list:
-            prof = kt_profile(a, length)
-            row = {"a": str(a)}
-            row.update(_profile_report(prof))
-            rows.append(row)
-        return {"model": "kt", "rows": rows}, 0
-    if kind == "t4":
-        (alpha, beta), member = _parse_t_member(args.t)
-        prof = t4_profile(alpha, beta, length)
-        report = {"model": "t4", "member": member}
-        report.update(_profile_report(prof))
-        return report, 0
-    if kind == "g2":
-        values = [sphere.s6_plurigenus(m) for m in range(1, length + 1)]
-        prof = PlurigeneraProfile(values)
-        report = {"model": "g2"}
-        report.update(_profile_report(prof))
-        return report, 0
-    model, param = loaded
-    values = [
-        invariant_harmonic_space(model, 0, 0, bundle_power=m).dimension
-        for m in range(1, length + 1)
-    ]
-    prof = PlurigeneraProfile(values)
-    report = {"model": args.model}
-    if param is not None:
-        report["a"] = str(param)
-    report.update(_profile_report(prof))
-    return report, 0
+        rows = [dict(_profile_report(kt_profile(a, length)), a=str(a)) for a in member]
+        return dict(desc, rows=rows), 0
+    return dict(desc, **_profile_report(_profile(kind, member, length))), 0
 
 
 def _factor_profile(spec: str, length: int) -> PlurigeneraProfile:
@@ -489,8 +422,7 @@ def _factor_profile(spec: str, length: int) -> PlurigeneraProfile:
     if name == "torus":
         return torus_profile(length)
     if name == "s6":
-        values = [sphere.s6_plurigenus(m) for m in range(1, length + 1)]
-        return PlurigeneraProfile(values)
+        return _profile("g2", sphere.s6_model(), length)
     raise InputError(
         f"unknown factor {spec!r}; want kt:<a>, t4:std, t4:zero, rr:<g>, "
         "curve:<g>, torus, or s6"

@@ -195,9 +195,6 @@ class Form:
     def bidegrees(self):
         return sorted({(len(a), len(b)) for (a, b) in self.terms})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.bidegrees()) <= 1
-
     def bidegree(self):
         degs = self.bidegrees()
         if len(degs) != 1:
@@ -209,13 +206,6 @@ class Form:
             self.n,
             {k: c for k, c in self.terms.items() if len(k[0]) == p and len(k[1]) == q},
         )
-
-    def components(self):
-        """Split into bidegree-homogeneous pieces, keyed by (p, q)."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            out.setdefault((len(a), len(b)), {})[(a, b)] = c
-        return {pq: Form(self.n, t) for pq, t in out.items()}
 
     def conjugate(self) -> "Form":
         terms = {}

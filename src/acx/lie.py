@@ -228,7 +228,7 @@ class ComplexCoframe:
         self.C = rows + [[c.conjugate() for c in r] for r in rows]
         self.Cinv = mat_inverse(self.C)
         self._complex_constants = None
-        self._d_gen_cache = None
+        self._d_gen_cache = {}
         self._d_mono_cache = {}
 
     def phi_row(self, i):
@@ -257,35 +257,35 @@ class ComplexCoframe:
             return Form.phi(self.n, A + 1)
         return Form.phibar(self.n, A - self.n + 1)
 
-    def d_generator(self, A) -> Form:
-        """d(Phi^A) = -sum_{B<C} K^A_{BC} Phi^B wedge Phi^C."""
-        if self._d_gen_cache is None:
-            self._d_gen_cache = [None] * (2 * self.n)
-        if self._d_gen_cache[A] is None:
-            K = self.complex_constants()
+    def d_generator(self, A, shift=None) -> Form:
+        """d(Phi^A) = -sum_{B<C} K^A_{BC} Phi^B wedge Phi^C; with shift = (dp, dq)
+        only its part of bidegree (1 + dp, dq) for phi, (dp, 1 + dq) for phibar."""
+        key = (A, shift)
+        out = self._d_gen_cache.get(key)
+        if out is not None:
+            return out
+        if shift is None:
             out = Form.zero(self.n)
-            for (B, Cc), coords in K.items():
+            for (B, Cc), coords in self.complex_constants().items():
                 c = coords[A]
-                if c.is_zero():
-                    continue
-                out = out + self._gen_form(B).wedge(self._gen_form(Cc)).scale(-c)
-            self._d_gen_cache[A] = out
-        return self._d_gen_cache[A]
+                if not c.is_zero():
+                    out = out + self._gen_form(B).wedge(self._gen_form(Cc)).scale(-c)
+        else:
+            dp, dq = shift
+            out = self.d_generator(A).project(dp + (A < self.n), dq + (A >= self.n))
+        self._d_gen_cache[key] = out
+        return out
 
     def d_phi(self, i) -> Form:
         return self.d_generator(i - 1)
 
     def _d_monomial(self, alpha, beta, shift=None) -> Form:
         """d(phi_alpha ^ phibar_beta), or with shift = (dp, dq) only its part
-        of bidegree (|alpha| + dp, |beta| + dq)."""
+        of bidegree (|alpha| + dp, |beta| + dq), from the generators' parts."""
         key = (alpha, beta, shift)
         out = self._d_mono_cache.get(key)
         if out is None:
-            if shift is None:
-                out = d_monomial(self.n, alpha, beta, self.d_generator)
-            else:
-                dp, dq = shift
-                out = self._d_monomial(alpha, beta).project(len(alpha) + dp, len(beta) + dq)
+            out = d_monomial(self.n, alpha, beta, lambda A: self.d_generator(A, shift))
             self._d_mono_cache[key] = out
         return out
 

@@ -9,7 +9,10 @@ unset.  ``tests/test_golden.py`` compares each run with the recorded bytes.
 Re-record only in a change that means to alter the output, and review the
 diff of ``out/`` and ``cases.json`` before committing:
 
-    PYTHONPATH=src python tests/golden/record.py
+    python tests/golden/record.py
+
+Run as a script, it imports acx from the checkout's ``src``, as pytest does
+through ``pyproject.toml``.
 """
 
 from __future__ import annotations
@@ -77,4 +80,5 @@ def record():
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(REPO_ROOT / "src"))
     record()

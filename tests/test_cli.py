@@ -118,6 +118,115 @@ class TestModelRouting:
             capture(["nijenhuis", "--model", str(path), "--a", "pi"])
 
 
+# A model file without params.
+ABELIAN_FILE_OBJ = {
+    "dim": 4,
+    "brackets": [],
+    "J": [
+        ["0", "-1", "0", "0"],
+        ["1", "0", "0", "0"],
+        ["0", "0", "0", "-1"],
+        ["0", "0", "1", "0"],
+    ],
+}
+
+# Every subcommand that takes --model, with the options it needs besides.
+MODEL_COMMANDS = {
+    "nijenhuis": [],
+    "structure-eqs": [],
+    "plurigenera": ["--m", "1..2"],
+    "irregularity": [],
+    "hodge": ["--p", "0", "--q", "0"],
+    "kodaira": ["--length", "4"],
+}
+FRAME_COMMANDS = ("nijenhuis", "structure-eqs", "hodge")
+PROFILE_COMMANDS = ("plurigenera", "irregularity", "kodaira")
+
+_A_ON_PRESET = "--a does not apply to the {} preset"
+_A_ON_KT_FILE = "--a must be one value, the file's params.a (4*pi)"
+_A_ON_PLAIN_FILE = "--a does not apply to a model file without params.a"
+_T_OFF_T4 = "--t applies to the t4 preset only"
+
+# (subcommand, --model and option arguments, message); KT_FILE and
+# PLAIN_FILE stand for a model file with and without params.a.
+OPTION_RULE_CASES = (
+    [(cmd, ["t4", "--a", "pi"], _A_ON_PRESET.format("t4")) for cmd in MODEL_COMMANDS]
+    + [(cmd, ["g2", "--a", "pi"], _A_ON_PRESET.format("g2")) for cmd in MODEL_COMMANDS]
+    + [(cmd, ["KT_FILE", "--a", "pi"], _A_ON_KT_FILE) for cmd in MODEL_COMMANDS]
+    + [(cmd, ["KT_FILE", "--a", "4*pi,4*pi"], _A_ON_KT_FILE) for cmd in MODEL_COMMANDS]
+    + [(cmd, ["PLAIN_FILE", "--a", "4*pi"], _A_ON_PLAIN_FILE) for cmd in MODEL_COMMANDS]
+    + [(cmd, ["kt", "--a", "pi", "--t", "0,0"], _T_OFF_T4) for cmd in PROFILE_COMMANDS]
+    + [(cmd, ["g2", "--t", "0,0"], _T_OFF_T4) for cmd in PROFILE_COMMANDS]
+    + [(cmd, ["KT_FILE", "--t", "0,0"], _T_OFF_T4) for cmd in PROFILE_COMMANDS]
+    + [(cmd, ["PLAIN_FILE", "--t", "0,0"], _T_OFF_T4) for cmd in PROFILE_COMMANDS]
+    + [(cmd, ["kt", "--a", "4*pi,2*pi"], "this subcommand takes a single --a value")
+       for cmd in FRAME_COMMANDS]
+    + [(cmd, ["kt"], "the kt preset needs --a (e.g. --a 4*pi,generic)")
+       for cmd in PROFILE_COMMANDS]
+)
+
+
+class TestOptionRule:
+    """--t applies to t4 only and --a to kt and model files only, where it
+    must be one value equal to params.a; every subcommand that takes --model
+    rejects any other use with exit 2, before any work."""
+
+    @staticmethod
+    def model_files(tmp_path):
+        files = {"KT_FILE": KT_FILE_OBJ, "PLAIN_FILE": ABELIAN_FILE_OBJ}
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        return {name: str(tmp_path / f"{name}.json") for name in files}
+
+    @staticmethod
+    def argv(cmd, model_args, files):
+        model_args = [files.get(x, x) for x in model_args]
+        return [cmd, "--model"] + model_args + MODEL_COMMANDS[cmd]
+
+    @pytest.mark.parametrize(
+        "cmd, model_args, message", OPTION_RULE_CASES,
+        ids=[f"{cmd}-{'-'.join(args)}" for cmd, args, _ in OPTION_RULE_CASES],
+    )
+    def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                      cmd, model_args, message):
+        from acx import cli, g2
+
+        def boom(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        for name in ("invariant_harmonic_space", "nijenhuis", "kt_model",
+                     "kt_plurigenus", "kt_irregularity", "kt_profile",
+                     "t4_plurigenus", "t4_irregularity", "t4_profile"):
+            monkeypatch.setattr(cli, name, boom)
+        monkeypatch.setattr(g2, "s6_plurigenus", boom)
+        monkeypatch.setattr(g2, "s6_model", boom)
+        assert main(self.argv(cmd, model_args, self.model_files(tmp_path))) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("cmd", sorted(MODEL_COMMANDS))
+    def test_a_equal_to_the_files_params_a_is_accepted(self, tmp_path, cmd):
+        files = self.model_files(tmp_path)
+        code, with_a = capture(self.argv(cmd, ["KT_FILE", "--a", "4*pi"], files))
+        assert code == 0 and json.loads(with_a)["a"] == "4*pi"
+        assert capture(self.argv(cmd, ["KT_FILE"], files)) == (0, with_a)
+
+    def test_each_subcommand_loads_a_model_file_once(self, tmp_path, monkeypatch):
+        from acx import cli
+
+        loads, original = [], cli.load_model_file
+
+        def counting(path):
+            loads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(cli, "load_model_file", counting)
+        files = self.model_files(tmp_path)
+        for cmd in MODEL_COMMANDS:
+            loads.clear()
+            assert capture(self.argv(cmd, ["KT_FILE"], files))[0] == 0
+            assert loads == [files["KT_FILE"]], cmd
+
+
 class TestStructureCommands:
     def test_nijenhuis_kt(self):
         code, report = capture_json(

@@ -22,8 +22,8 @@ from test_properties import CASES, central_extension, conjugated_j
 
 def reference(cf, x, lam, dp, dq):
     out = Form.zero(cf.n)
-    for (p, q), comp in x.components().items():
-        out = out + cf.d(comp, lam).project(p + dp, q + dq)
+    for p, q in x.bidegrees():
+        out = out + cf.d(x.project(p, q), lam).project(p + dp, q + dq)
     return out
 
 

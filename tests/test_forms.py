@@ -104,9 +104,9 @@ class TestForm:
             for q in range(3):
                 x = x + rand_form(rng, n, p, q, density=2)
         total = Form.zero(n)
-        for (p, q), piece in x.components().items():
-            assert piece == x.project(p, q)
-            assert piece.is_homogeneous() and piece.bidegree() == (p, q)
+        for p, q in x.bidegrees():
+            piece = x.project(p, q)
+            assert piece.bidegree() == (p, q)
             total = total + piece
         assert total == x
 
