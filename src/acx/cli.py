@@ -26,7 +26,6 @@ from .torus import (
     IntInterval,
     PlurigeneraProfile,
     curve_profile,
-    kodaira_dimension,
     kt_first_nonzero,
     kt_irregularity,
     kt_mode_oracle,
@@ -145,8 +144,9 @@ def _family(args, frame: bool = False):
     (kt), the (alpha, beta) pair (t4), or the model itself (g2, file); desc
     holds the report's model/member/a keys.  --t applies to t4 only, --a to
     kt and model files only, and on a model file --a must be one value equal
-    to its params.a.  With `frame` (the frame-level subcommands) kt takes one
-    --a, generic by default; otherwise kt needs --a.
+    to its params.a; --cross-check applies to kt only.  With `frame` (the
+    frame-level subcommands) kt takes one --a, generic by default; otherwise
+    kt needs --a.
     """
     spec = args.model
     a_text, t_text = getattr(args, "a", None), getattr(args, "t", None)
@@ -155,6 +155,8 @@ def _family(args, frame: bool = False):
         raise InputError("--t applies to the t4 preset only")
     if a_text is not None and kind in ("t4", "g2"):
         raise InputError(f"--a does not apply to the {kind} preset")
+    if getattr(args, "cross_check", False) and kind != "kt":
+        raise InputError("--cross-check applies to the kt preset only")
     a_list = None if a_text is None else _parse_a_list(a_text)
     if kind == "kt":
         if a_list is None and not frame:
@@ -308,7 +310,7 @@ def _values(kind, member, levels) -> Dict[str, object]:
         alpha, beta = member
         return {
             "obstruction": t4_obstruction(alpha, beta).to_str("pi"),
-            "values": [t4_plurigenus(alpha, beta, m) for m in levels],
+            "values": [t4_plurigenus(alpha, beta, 1)] * len(levels),  # same at every m
         }
     if kind == "g2":
         return {"values": [sphere.s6_plurigenus(m) for m in levels]}
@@ -336,8 +338,8 @@ def _irregularity(kind, member) -> int:
 
 def _cmd_plurigenera(args):
     levels = _parse_m_spec(args.m)
-    window = mode_window() if args.cross_check else None
     kind, member, desc = _family(args)
+    window = mode_window() if args.cross_check else None
     report = dict(desc, levels=levels)
     if kind != "kt":
         report.update(_values(kind, member, levels))
@@ -381,7 +383,7 @@ def _profile_report(profile: PlurigeneraProfile) -> Dict[str, object]:
         "values": profile.values,
         "kind": profile.kind,
         "degree": profile.degree,
-        "kappa": kodaira_dimension(profile),
+        "kappa": profile.kappa,
     }
 
 
@@ -439,19 +441,14 @@ def _cmd_kunneth(args):
     product = profiles[0]
     for prof in profiles[1:]:
         product = kunneth(product, prof)
-    factor_rows = []
-    kappa_sum = 0.0
-    for spec, prof in zip(specs, profiles):
-        kappa = kodaira_dimension(prof)
-        kappa_sum = kappa_sum + kappa
-        row = {"factor": spec.strip()}
-        row.update(_profile_report(prof))
-        factor_rows.append(row)
-    product_kappa = kodaira_dimension(product)
+    factor_rows = [
+        dict(_profile_report(prof), factor=spec.strip())
+        for spec, prof in zip(specs, profiles)
+    ]
     report = {
         "factors": factor_rows,
         "product": _profile_report(product),
-        "kappa_additive": product_kappa == kappa_sum,
+        "kappa_additive": product.kappa == sum(prof.kappa for prof in profiles),
     }
     return report, 0 if report["kappa_additive"] else 1
 
@@ -503,7 +500,7 @@ def _cmd_rr(args):
         "genus": args.genus,
         "levels": levels,
         "values": values,
-        "kappa": kodaira_dimension(prof),
+        "kappa": prof.kappa,
     }
     return report, 0
 
@@ -566,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="1..12", help="levels: '4', '1..12', or a comma list")
     p.add_argument(
         "--cross-check", action="store_true",
-        help="re-derive each count by window enumeration (ACX_MODE_WINDOW)",
+        help="kt only: re-derive each count by window enumeration (ACX_MODE_WINDOW)",
     )
     sub.add_parser(
         "irregularity", parents=[common, model_arg, a_arg, t_arg],

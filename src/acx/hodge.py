@@ -262,8 +262,7 @@ def _operator_matrix(ctx: SectionContext, monomials, op):
 
 
 def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
-                             bundle_power: int = 0,
-                             characters=None) -> HarmonicSpace:
+                             bundle_power: int = 0) -> HarmonicSpace:
     """ker Laplacian on invariant (p,q)-forms valued in K^bundle_power,
     over the model's character blocks.
 
@@ -279,11 +278,9 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
         bundle = None
     else:
         bundle = CanonicalPower(model, bundle_power).structure()
-    if characters is None:
-        characters = model.characters(bundle_power)
     monomials = _section_monomials(model, p, q)
     blocks = []
-    for ch in characters:
+    for ch in model.characters(bundle_power):
         ctx = SectionContext(model, bundle, ch)
         if not monomials:
             blocks.append(HarmonicBlock(ch, monomials, ctx.rank, []))

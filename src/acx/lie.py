@@ -438,9 +438,10 @@ class Character:
 class LieACS:
     """An invariant almost complex model: algebra + J + coframe + metadata.
 
-    characters lists the Fourier blocks the model supplies for harmonic-space
-    computations (always at least the trivial one); basic, when set, restricts
-    section monomials to the given holomorphic/antiholomorphic index set.
+    characters, when set, is a callable: characters(bundle_power) returns the
+    Fourier blocks the model supplies for harmonic-space computations besides
+    the trivial one.  basic, when set, restricts section monomials to the
+    given holomorphic/antiholomorphic index set.
     """
 
     def __init__(self, alg, J, *, name="", symbol="x", param=None,
@@ -462,10 +463,9 @@ class LieACS:
         trivial = Character(self.alg, [SS_ZERO] * self.alg.dim)
         if self._characters is None:
             return [trivial]
-        extra = self._characters(bundle_power) if callable(self._characters) else list(self._characters)
         out = [trivial]
         seen = {trivial.key()}
-        for ch in extra:
+        for ch in self._characters(bundle_power):
             if ch.key() not in seen:
                 out.append(ch)
                 seen.add(ch.key())

@@ -37,6 +37,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}") from exc
 
 
+def _exact(value) -> Fraction:
+    """A non-float value as a Fraction.  A binary float is refused: 0.1 would
+    silently become 3602879701896397/36028797018963968."""
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a binary float; pass an int, Fraction or string")
+    return Fraction(value)
+
+
 def _scalar(a, b, d):
     """The Scalar (a + b*i)/d from a triple already in canonical form."""
     s = _new(Scalar)
@@ -59,7 +67,7 @@ class Scalar:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        re, im = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (re, im))
+        re, im = (v if isinstance(v, (int, Fraction)) else _exact(v) for v in (re, im))
         d = lcm(re.denominator, im.denominator)
         # gcd(a, b, d) = 1 since each of re and im is in lowest terms
         _set(self, "a", re.numerator * (d // re.denominator))
@@ -491,7 +499,7 @@ class PiParam:
         if kind not in ("rational_pi", "generic"):
             raise ValueError(f"unknown PiParam kind {kind!r}")
         if kind == "rational_pi":
-            q = Fraction(q)
+            q = _exact(q)
             if q == 0:
                 raise ValueError("a = 0 is not an almost complex structure parameter")
         else:
@@ -504,7 +512,7 @@ class PiParam:
 
     @staticmethod
     def rational_pi(q) -> "PiParam":
-        return PiParam("rational_pi", Fraction(q))
+        return PiParam("rational_pi", q)
 
     @staticmethod
     def generic() -> "PiParam":

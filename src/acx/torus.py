@@ -343,7 +343,12 @@ def t4_family_pair(t1, t2) -> Tuple[TrigPoly, TrigPoly]:
     )
 
 
-def _check_t4_pair(alpha: TrigPoly, beta: TrigPoly) -> None:
+def t4_obstruction(alpha: TrigPoly, beta: TrigPoly) -> TrigPoly:
+    """The section obstruction d^2(beta + i*alpha)/dw dwbar, exactly.
+
+    Nonzero as a trigonometric polynomial exactly when it is nonzero on a
+    dense open set of the torus.
+    """
     if not isinstance(alpha, TrigPoly) or not isinstance(beta, TrigPoly):
         raise InputError("coefficients must be trigonometric polynomials")
     if alpha.k != beta.k:
@@ -352,51 +357,40 @@ def _check_t4_pair(alpha: TrigPoly, beta: TrigPoly) -> None:
         raise InputError("coefficients must live on T^2 (x1,x2) or T^4")
     if not alpha.is_real() or not beta.is_real():
         raise InputError("coefficient polynomials must be real")
-
-
-def t4_obstruction(alpha: TrigPoly, beta: TrigPoly) -> TrigPoly:
-    """The section obstruction d^2(beta + i*alpha)/dw dwbar, exactly.
-
-    Nonzero as a trigonometric polynomial exactly when it is nonzero on a
-    dense open set of the torus.
-    """
-    _check_t4_pair(alpha, beta)
     gamma = beta + alpha.scale(Scalar(0, 1))
     return gamma.wirtinger(0, 1).wirtinger_bar(0, 1)
 
 
-def t4_plurigenus(alpha: TrigPoly, beta: TrigPoly, m: int) -> int:
-    """Plurigenus of the four-torus family member, on the two settled branches.
+def _t4_integrable(alpha: TrigPoly, beta: TrigPoly) -> bool:
+    """The member's branch, decided once for every invariant of the member.
 
-    Nonzero obstruction kills every pluricanonical section; constant
-    coefficients give the integrable structure with trivial canonical bundle.
-    Anything else is outside the settled derivation and is refused.
+    False when the obstruction is nonzero (it kills every pluricanonical
+    section); True for constant coefficients (the integrable structure with
+    trivial canonical bundle).  Anything else is outside the settled
+    derivation and is refused.
     """
-    m = int(m)
-    if m < 1:
-        raise InputError("plurigenus level m must be at least 1")
-    _check_t4_pair(alpha, beta)
     if not t4_obstruction(alpha, beta).is_zero():
-        return 0
+        return False
     if alpha.is_constant() and beta.is_constant():
-        return 1
+        return True
     raise RefusalError(
         "the settled derivation does not cover this coefficient pair: "
         "obstruction vanishes but the coefficients are not constant"
     )
+
+
+def t4_plurigenus(alpha: TrigPoly, beta: TrigPoly, m: int) -> int:
+    """Plurigenus of the four-torus family member: 1 on the integrable
+    branch, 0 on the obstructed one, at every level m."""
+    m = int(m)
+    if m < 1:
+        raise InputError("plurigenus level m must be at least 1")
+    return 1 if _t4_integrable(alpha, beta) else 0
 
 
 def t4_irregularity(alpha: TrigPoly, beta: TrigPoly) -> int:
     """Irregularity h^{1,0} of the four-torus family member, same branches."""
-    _check_t4_pair(alpha, beta)
-    if not t4_obstruction(alpha, beta).is_zero():
-        return 1
-    if alpha.is_constant() and beta.is_constant():
-        return 2
-    raise RefusalError(
-        "the settled derivation does not cover this coefficient pair: "
-        "obstruction vanishes but the coefficients are not constant"
-    )
+    return 2 if _t4_integrable(alpha, beta) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +479,7 @@ def rr_plurigenus(g: int, m: int) -> ProfileValue:
 ALL_ZERO = "all-zero"
 BOUNDED = "bounded"
 POLYNOMIAL = "polynomial"
+NEG_INF = float("-inf")
 
 
 def _poly_degree(values: Sequence[int]) -> Optional[int]:
@@ -510,32 +505,27 @@ def _poly_degree(values: Sequence[int]) -> Optional[int]:
 
 
 class PlurigeneraProfile:
-    """Exact plurigenera P_1..P_M with a growth classification.
+    """Exact plurigenera P_1..P_M with their growth order kappa.
 
-    The classification is one of all-zero, bounded, or polynomial of a given
-    degree.  Family constructors supply it from closed-form knowledge;
-    otherwise it is fitted by exact finite differences on the tail window
-    m in [ceil(M/2), M], refusing when the tail is not polynomial.
+    kappa is -inf when every plurigenus vanishes, 0 for bounded growth, and
+    the polynomial degree d >= 1 otherwise.  Family constructors supply it
+    from closed-form knowledge; otherwise it is fitted by exact finite
+    differences on the tail window m in [ceil(M/2), M], refusing when the
+    tail is not polynomial.
     """
 
-    __slots__ = ("values", "kind", "degree")
+    __slots__ = ("values", "kappa")
 
-    def __init__(
-        self,
-        values: Sequence[ProfileValue],
-        kind: Optional[str] = None,
-        degree: Optional[int] = None,
-    ):
+    def __init__(self, values: Sequence[ProfileValue], kappa=None):
         values = tuple(_normalize_value(v) for v in values)
         if len(values) < 4:
             raise InputError("profiles need at least four values to classify")
-        if kind is None:
-            kind, degree = self._classify(values)
+        if kappa is None:
+            kappa = self._classify(values)
         else:
-            self._check_consistent(values, kind, degree)
+            self._check_kappa(values, kappa)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "kappa", kappa)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlurigeneraProfile is immutable")
@@ -548,9 +538,9 @@ class PlurigeneraProfile:
         return values[start - 1 :]
 
     @classmethod
-    def _classify(cls, values) -> Tuple[str, Optional[int]]:
+    def _classify(cls, values) -> Union[float, int]:
         if all(v == 0 for v in values):
-            return ALL_ZERO, None
+            return NEG_INF
         tail = cls._tail(values)
         if any(isinstance(v, IntInterval) for v in tail):
             raise RefusalError(
@@ -567,87 +557,65 @@ class PlurigeneraProfile:
                 "tail window is identically zero but earlier values are not; "
                 "growth cannot be inferred from the window"
             )
-        if degree == 0:
-            return BOUNDED, None
-        return POLYNOMIAL, degree
+        return degree
 
     @classmethod
-    def _check_consistent(cls, values, kind, degree) -> None:
-        if kind not in (ALL_ZERO, BOUNDED, POLYNOMIAL):
-            raise InputError(f"unknown profile classification {kind!r}")
-        if kind == ALL_ZERO:
+    def _check_kappa(cls, values, kappa) -> None:
+        if kappa == NEG_INF:
             if any(v != 0 for v in values):
-                raise InputError("all-zero classification with a nonzero value")
-            if degree is not None:
-                raise InputError("all-zero classification carries no degree")
-        elif kind == BOUNDED:
-            if degree is not None:
-                raise InputError("bounded classification carries no degree")
-        else:
-            if not isinstance(degree, int) or degree < 1:
-                raise InputError("polynomial classification needs a degree >= 1")
+                raise InputError("kappa = -inf with a nonzero value")
+        elif type(kappa) is not int or kappa < 0:
+            raise InputError(f"kappa must be -inf or an integer >= 0, got {kappa!r}")
+        elif kappa >= 1:
+            # the tail decides the degree unless it holds an interval or is all zero
             tail = cls._tail(values)
-            if not any(isinstance(v, IntInterval) for v in tail):
-                fitted = _poly_degree(tail)
-                if fitted is not None and fitted >= 0 and fitted != degree:
-                    raise InputError(
-                        f"stored tail fits degree {fitted}, "
-                        f"inconsistent with declared degree {degree}"
-                    )
+            intervals = any(isinstance(v, IntInterval) for v in tail)
+            fitted = None if intervals else _poly_degree(tail)
+            if fitted not in (None, -1, kappa):
+                raise InputError(
+                    f"stored tail fits degree {fitted}, "
+                    f"inconsistent with declared kappa {kappa}"
+                )
 
     # -- access ---------------------------------------------------------------
+
+    @property
+    def kind(self) -> str:
+        """The growth class: all-zero, bounded, or polynomial."""
+        if self.kappa == NEG_INF:
+            return ALL_ZERO
+        return BOUNDED if self.kappa == 0 else POLYNOMIAL
+
+    @property
+    def degree(self) -> Optional[int]:
+        """The polynomial degree, None unless the growth is polynomial."""
+        return self.kappa if self.kappa >= 1 else None
 
     @property
     def length(self) -> int:
         return len(self.values)
 
-    def value(self, m: int) -> ProfileValue:
-        if not 1 <= m <= len(self.values):
-            raise InputError(f"level m={m} outside stored range 1..{len(self.values)}")
-        return self.values[m - 1]
-
     def __eq__(self, other):
         if not isinstance(other, PlurigeneraProfile):
             return NotImplemented
-        return (
-            self.values == other.values
-            and self.kind == other.kind
-            and self.degree == other.degree
-        )
+        return self.values == other.values and self.kappa == other.kappa
 
     def __repr__(self):
-        label = self.kind if self.degree is None else f"{self.kind}({self.degree})"
-        return f"PlurigeneraProfile({list(self.values)!r}, {label})"
+        return f"PlurigeneraProfile({list(self.values)!r}, kappa={self.kappa})"
 
 
 def kunneth(pa: PlurigeneraProfile, pb: PlurigeneraProfile) -> PlurigeneraProfile:
-    """Product profile: plurigenera multiply level-by-level.
-
-    The growth classification combines accordingly: an all-zero factor
-    absorbs, a bounded factor is neutral, polynomial degrees add.
-    """
+    """Product profile: plurigenera multiply level-by-level and kappa adds
+    (an all-zero factor's -inf absorbs)."""
     if pa.length != pb.length:
         raise InputError("profiles must store the same number of levels")
     values = [_value_mul(u, v) for u, v in zip(pa.values, pb.values)]
-    if pa.kind == ALL_ZERO or pb.kind == ALL_ZERO:
-        kind, degree = ALL_ZERO, None
-        values = [0] * len(values)
-    elif pa.kind == BOUNDED:
-        kind, degree = pb.kind, pb.degree
-    elif pb.kind == BOUNDED:
-        kind, degree = pa.kind, pa.degree
-    else:
-        kind, degree = POLYNOMIAL, pa.degree + pb.degree
-    return PlurigeneraProfile(values, kind=kind, degree=degree)
+    return PlurigeneraProfile(values, pa.kappa + pb.kappa)
 
 
 def kodaira_dimension(profile: PlurigeneraProfile) -> Union[float, int]:
     """Growth exponent of the profile: -inf, 0, or the polynomial degree."""
-    if profile.kind == ALL_ZERO:
-        return float("-inf")
-    if profile.kind == BOUNDED:
-        return 0
-    return profile.degree
+    return profile.kappa
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +631,7 @@ def kt_profile(a: PiParam, length: int = DEFAULT_PROFILE_LENGTH) -> PlurigeneraP
     the zero profile.
     """
     values = [kt_plurigenus(a, m) for m in range(1, length + 1)]
-    if a.kind == "rational_pi":
-        return PlurigeneraProfile(values, kind=BOUNDED)
-    return PlurigeneraProfile(values, kind=ALL_ZERO)
+    return PlurigeneraProfile(values, 0 if a.kind == "rational_pi" else NEG_INF)
 
 
 def t4_profile(
@@ -674,15 +640,13 @@ def t4_profile(
     """Plurigenera profile of the four-torus family member."""
     # the plurigenus does not depend on m: one obstruction solve serves every level
     values = [t4_plurigenus(alpha, beta, 1)] * length
-    if values[0] == 0:
-        return PlurigeneraProfile(values, kind=ALL_ZERO)
-    return PlurigeneraProfile(values, kind=BOUNDED)
+    return PlurigeneraProfile(values, 0 if values[0] else NEG_INF)
 
 
 def rr_profile(g: int, length: int = DEFAULT_PROFILE_LENGTH) -> PlurigeneraProfile:
     """Profile of the twisted torus-times-curve model: linear growth."""
     values = [rr_plurigenus(g, m) for m in range(1, length + 1)]
-    return PlurigeneraProfile(values, kind=POLYNOMIAL, degree=1)
+    return PlurigeneraProfile(values, 1)
 
 
 def curve_profile(g: int, length: int = DEFAULT_PROFILE_LENGTH) -> PlurigeneraProfile:
@@ -692,9 +656,9 @@ def curve_profile(g: int, length: int = DEFAULT_PROFILE_LENGTH) -> PlurigeneraPr
         raise InputError("curve profiles require genus at least 2")
     values: List[ProfileValue] = [g]
     values += [(2 * m - 1) * (g - 1) for m in range(2, length + 1)]
-    return PlurigeneraProfile(values, kind=POLYNOMIAL, degree=1)
+    return PlurigeneraProfile(values, 1)
 
 
 def torus_profile(length: int = DEFAULT_PROFILE_LENGTH) -> PlurigeneraProfile:
     """Profile of the standard complex torus: trivial canonical bundle."""
-    return PlurigeneraProfile([1] * length, kind=BOUNDED)
+    return PlurigeneraProfile([1] * length, 0)

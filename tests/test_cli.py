@@ -71,6 +71,21 @@ class TestPlurigenera:
         assert report["values"] == [1, 1, 1, 1]
         assert report["obstruction"] == "0"
 
+    @pytest.mark.parametrize("t_args", [[], ["--t", "0,0"]])
+    def test_t4_plurigenera_solves_the_obstruction_once(self, monkeypatch, t_args):
+        from acx import torus
+
+        solves = []
+        obstruction = torus.t4_obstruction
+        monkeypatch.setattr(
+            torus, "t4_obstruction", lambda a, b: solves.append(1) or obstruction(a, b)
+        )
+        code, report = capture_json(
+            ["plurigenera", "--model", "t4", "--m", "1..50"] + t_args
+        )
+        assert code == 0 and len(solves) == 1
+        assert report["values"] == [0 if not t_args else 1] * 50
+
     def test_m_spec_forms(self):
         code, report = capture_json(
             ["plurigenera", "--model", "kt", "--a", "pi", "--m", "2,4,8"]
@@ -146,6 +161,7 @@ _A_ON_PRESET = "--a does not apply to the {} preset"
 _A_ON_KT_FILE = "--a must be one value, the file's params.a (4*pi)"
 _A_ON_PLAIN_FILE = "--a does not apply to a model file without params.a"
 _T_OFF_T4 = "--t applies to the t4 preset only"
+_CROSS_CHECK_OFF_KT = "--cross-check applies to the kt preset only"
 
 # (subcommand, --model and option arguments, message); KT_FILE and
 # PLAIN_FILE stand for a model file with and without params.a.
@@ -163,13 +179,16 @@ OPTION_RULE_CASES = (
        for cmd in FRAME_COMMANDS]
     + [(cmd, ["kt"], "the kt preset needs --a (e.g. --a 4*pi,generic)")
        for cmd in PROFILE_COMMANDS]
+    + [("plurigenera", [model, "--cross-check"], _CROSS_CHECK_OFF_KT)
+       for model in ("t4", "g2", "KT_FILE")]
 )
 
 
 class TestOptionRule:
     """--t applies to t4 only and --a to kt and model files only, where it
-    must be one value equal to params.a; every subcommand that takes --model
-    rejects any other use with exit 2, before any work."""
+    must be one value equal to params.a, and plurigenera's --cross-check to
+    kt only; every subcommand that takes --model rejects any other use with
+    exit 2, before any work."""
 
     @staticmethod
     def model_files(tmp_path):

@@ -87,6 +87,12 @@ class TestScalar:
         assert Scalar(0, 1) != 1
         assert bool(Scalar(0)) is False
 
+    def test_binary_floats_are_refused(self):
+        for args in [(0.1,), (0, 0.5), (1.0,)]:
+            with pytest.raises(TypeError):
+                Scalar(*args)
+        assert Scalar("-1/2", "1/3") == Scalar(Fraction(-1, 2), Fraction(1, 3))
+
     def test_string_forms(self):
         assert scalar_str(Scalar(0)) == "0"
         assert scalar_str(Scalar(1)) == "1"
@@ -161,6 +167,13 @@ class TestPiParam:
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
             PiParam.rational_pi(0)
+
+    def test_binary_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            PiParam.rational_pi(0.1)
+        with pytest.raises(TypeError):
+            PiParam("rational_pi", 4.0)
+        assert PiParam.rational_pi("1/10") == PiParam.rational_pi(Fraction(1, 10))
 
     def test_symbol_semantics(self):
         a = PiParam.rational_pi(Fraction(4, 3))

@@ -238,13 +238,23 @@ class TestProfiles:
 
     def test_declared_kind_is_checked(self):
         with pytest.raises(InputError):
-            PlurigeneraProfile([0, 1, 0, 1], kind=ALL_ZERO)
+            PlurigeneraProfile([0, 1, 0, 1], float("-inf"))
         with pytest.raises(InputError):
-            PlurigeneraProfile([1, 3, 5, 7], kind=POLYNOMIAL, degree=2)
-        with pytest.raises(InputError):
-            PlurigeneraProfile([1, 1, 1, 1], kind=BOUNDED, degree=1)
-        with pytest.raises(InputError):
-            PlurigeneraProfile([1, 1, 1, 1], kind="mystery")
+            PlurigeneraProfile([1, 3, 5, 7], 2)
+        for bad in ("mystery", -1, 0.5, float("inf")):
+            with pytest.raises(InputError):
+                PlurigeneraProfile([1, 1, 1, 1], bad)
+
+    def test_kappa_is_the_one_growth_field(self):
+        assert PlurigeneraProfile.__slots__ == ("values", "kappa")
+        cases = [([0] * 4, float("-inf"), ALL_ZERO, None), ([1] * 4, 0, BOUNDED, None),
+                 ([1, 3, 5, 7], 1, POLYNOMIAL, 1)]
+        for values, kappa, kind, degree in cases:
+            p = PlurigeneraProfile(values)
+            assert (p.kappa, p.kind, p.degree) == (kappa, kind, degree)
+            assert p == PlurigeneraProfile(values, kappa)
+        with pytest.raises(TypeError):
+            PlurigeneraProfile([1, 1, 1, 1], kind=BOUNDED)
 
     def test_non_polynomial_tail_is_refused(self):
         with pytest.raises(RefusalError):
@@ -288,7 +298,7 @@ class TestProfiles:
 class TestKunnethAndKodaira:
     def test_kodaira_dimension_of_each_kind(self):
         assert kodaira_dimension(PlurigeneraProfile([0, 0, 0, 0])) == float("-inf")
-        assert kodaira_dimension(PlurigeneraProfile([0, 1, 0, 1], kind=BOUNDED)) == 0
+        assert kodaira_dimension(PlurigeneraProfile([0, 1, 0, 1], 0)) == 0
         assert kodaira_dimension(rr_profile(3)) == 1
 
     def test_pointwise_products_with_intervals(self):
@@ -321,6 +331,18 @@ class TestKunnethAndKodaira:
                 assert kodaira_dimension(prod) == kodaira_dimension(
                     pa
                 ) + kodaira_dimension(pb)
+
+    @pytest.mark.parametrize("length", [12, 50])
+    def test_kappa_additivity_against_a_refit(self, length):
+        """kunneth adds the factors' kappa; refitting the product's values
+        alone (no declared kappa) must give the same growth order."""
+        factors = [rr_profile(2, length), curve_profile(3, length),
+                   torus_profile(length), kt_profile(A_4PI, length),
+                   kt_profile(A_GEN, length)]
+        for pa in factors:
+            for pb in factors:
+                prod = kunneth(pa, pb)
+                assert PlurigeneraProfile(prod.values).kappa == prod.kappa
 
     def test_mismatched_lengths_are_rejected(self):
         with pytest.raises(InputError):
