@@ -111,15 +111,6 @@ class CanonicalPower:
         m = self.m if m is None else m
         return self.beta1.scale(m)
 
-    def beta_by_product_rule(self, m: int | None = None) -> Form:
-        """Rebuild beta_m by the inductive Leibniz expansion; equals m*beta_1."""
-        m = self.m if m is None else m
-        acc = Form.zero(self.model.n)
-        step = self.beta1 if m >= 0 else -self.beta1
-        for _ in range(abs(m)):
-            acc = acc + step
-        return acc
-
     def structure(self) -> PseudoholStructure:
         return PseudoholStructure(self.model, [[self.beta()]])
 

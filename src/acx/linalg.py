@@ -1,38 +1,69 @@
-"""Exact dense linear algebra over the SymScalar field (Gaussian elimination)."""
+"""Exact linear algebra over the SymScalar field Q(i)(x).
+
+Every elimination is one call of row_echelon, sparse Gauss-Jordan to the
+reduced row echelon form.  A row is a dict {column: nonzero entry}.  The
+columns are taken in order; each pivot comes from the unused rows holding
+the column, chosen after Markowitz (1957) by the key (nonzeros in the row,
+len(num) + len(den) of the entry, row index), which keeps fill-in and
+polynomial degrees low.  Clearing a column from the other rows touches only
+the pivot row's nonzeros and deletes every entry that cancels.  When every
+entry is constant, the entries are unwrapped to Scalar once, eliminated over
+Q(i) by the same loop, and wrapped once at the end.
+
+The pivot rule cannot change an output: for a fixed column order the
+reduced row echelon form is unique, so the rule decides only which row
+supplies each pivot, never the pivot columns or the echelon rows.
+"""
 
 from __future__ import annotations
 
-from .scalars import SS_ONE, SS_ZERO, SymScalar
+from .scalars import S_ONE, S_ZERO, SS_ONE, SS_ZERO, SymScalar, _const
 
 
 def row_echelon(rows):
-    """Reduce to row echelon form in place semantics; returns (matrix, pivots)."""
-    m = [[SymScalar.coerce(c) for c in row] for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
+    """The reduced row echelon form of a list of rows, as (rows, pivots):
+    the ascending pivot columns, and the dense reduced rows in pivot order,
+    one per pivot."""
+    sparse = [{j: c for j, c in enumerate(map(SymScalar.coerce, row)) if c.num}
+              for row in rows]
+    if not sparse:
+        return [], []
+    ncols = len(rows[0])
+    if all(c.is_constant() for row in sparse for c in row.values()):
+        sparse = [{j: c.num[0] for j, c in row.items()} for row in sparse]
+        zero, unit, wrap, size = S_ZERO, S_ONE, _const, lambda c: 0
+    else:
+        zero, unit, wrap = SS_ZERO, SS_ONE, lambda c: c
+        size = lambda c: len(c.num) + len(c.den)
+    unused = set(range(len(sparse)))
+    pivots, order = [], []
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
+        holders = [i for i, row in enumerate(sparse) if c in row]
+        candidates = unused.intersection(holders)
+        if not candidates:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = SS_ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        p = min(candidates, key=lambda i: (len(sparse[i]), size(sparse[i][c]), i))
+        inv = unit / sparse[p][c]
+        items = [(j, x * inv) for j, x in sparse[p].items() if j != c]
+        sparse[p] = dict(items + [(c, unit)])
+        for i in holders:
+            if i == p:
+                continue
+            row = sparse[i]
+            f = row.pop(c)
+            for j, x in items:
+                y = row.get(j, zero) - f * x
+                if y.is_zero():
+                    del row[j]
+                else:
+                    row[j] = y
+        unused.discard(p)
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        order.append(p)
+        if not unused:
             break
-    return m, pivots
+    return [[wrap(sparse[p][j]) if j in sparse[p] else SS_ZERO for j in range(ncols)]
+            for p in order], pivots
 
 
 def rank(rows) -> int:

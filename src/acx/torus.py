@@ -561,6 +561,12 @@ class PlurigeneraProfile:
 
     @classmethod
     def _check_kappa(cls, values, kappa) -> None:
+        """Refuse a declared kappa the values contradict: -inf needs every
+        value zero, and kappa >= 1 must equal the tail fit when the tail
+        decides a degree.  A declared kappa = 0 is not compared with the
+        values, because no finite window can refute bounded growth: kt at
+        a = 4/3*pi has the bounded (0 or 1) values 0, 0, 1, 0, 0, 1 up to
+        m = 6, and their tail 1, 0, 0, 1 fits degree 2 exactly."""
         if kappa == NEG_INF:
             if any(v != 0 for v in values):
                 raise InputError("kappa = -inf with a nonzero value")

@@ -71,7 +71,6 @@ class TestCanonicalPower:
         model = kt_model(A_GENERIC)
         can = CanonicalPower(model, m)
         assert can.beta() == can.beta1.scale(m)
-        assert can.beta() == can.beta_by_product_rule()
 
     def test_abelian_canonical_bundle_is_flat(self):
         can = CanonicalPower(abelian_model(2), 3)

@@ -321,6 +321,14 @@ class TestProfiles:
         assert report["rows"][0]["kappa"] == "-inf"
         assert report["rows"][0]["kind"] == "all-zero"
 
+    def test_kodaira_kt_bounded_with_a_degree_two_tail(self):
+        code, report = capture_json(
+            ["kodaira", "--model", "kt", "--a", "4/3*pi", "--length", "6"]
+        )
+        assert code == 0
+        assert report["rows"][0]["values"] == [0, 0, 1, 0, 0, 1]
+        assert report["rows"][0]["kappa"] == 0
+
     def test_kunneth_additivity(self):
         code, report = capture_json(
             ["kunneth", "--factors", "curve:2,curve:2,rr:2", "--length", "12"]

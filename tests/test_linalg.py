@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
-from acx import g2
+import pytest
+
+from acx import g2, linalg
+from acx.hodge import invariant_harmonic_space
 from acx.linalg import (
     identity,
     in_span,
@@ -13,10 +16,11 @@ from acx.linalg import (
     mat_mul,
     mat_vec,
     rank,
+    row_echelon,
     solve,
 )
-from acx.models import kt_J
-from acx.scalars import PiParam, Scalar, SymScalar
+from acx.models import kt_J, model_from_json
+from acx.scalars import SS_ONE, PiParam, Scalar, SymScalar
 
 
 def rand_matrix(rng, rows, cols, symbolic=False):
@@ -164,3 +168,163 @@ def test_mat_mul_matches_dense_loop(nil8_generic):
         cases.append((rand_matrix(rng, rows, inner, symbolic=True), raw_right))
     for a, b in cases:
         assert mat_mul(a, b) == dense_mat_mul(a, b)
+
+
+def dense_row_echelon(rows):
+    """The reduced row echelon form by dense Gauss-Jordan over SymScalar,
+    taking the first nonzero row as each pivot; returns every row, the zero
+    rows last, and the pivots."""
+    m = [[SymScalar.coerce(c) for c in row] for row in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if not m[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = SS_ONE / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+A = SymScalar.symbol()
+
+
+def sparse_entry(rng, symbolic):
+    """Zero half the time; otherwise a Gaussian rational c, or over Q(i)(a)
+    also c*a + 1 or c/(a + 2)."""
+    if rng.random() < 0.5:
+        return SymScalar.const(0)
+    c = Scalar(rng.randint(-3, 3), rng.randint(-2, 2))
+    kind = rng.random() if symbolic else 0
+    if kind < 0.5:
+        return SymScalar.const(c)
+    return c * A + 1 if kind < 0.75 else SymScalar.const(c) / (A + 2)
+
+
+def sparse_matrix(rng, rows, cols, symbolic):
+    return [[sparse_entry(rng, symbolic) for _ in range(cols)] for _ in range(rows)]
+
+
+def assert_matches_dense(rows):
+    got, pivots = row_echelon(rows)
+    ref, ref_pivots = dense_row_echelon(rows)
+    assert pivots == ref_pivots
+    assert got == ref[:len(pivots)]
+    assert all(len(row) == (len(rows[0]) if rows else 0) for row in got)
+    if all(SymScalar.coerce(c).is_constant() for row in rows for c in row):
+        # the constant path wraps each entry back in canonical constant form
+        assert all(c.is_constant() for row in got for c in row)
+
+
+class TestSparseEchelonAgainstDense:
+    """The reduced row echelon form is unique, so the sparse routine must
+    return exactly the dense reference's pivots and nonzero rows."""
+
+    @pytest.mark.parametrize("symbolic", [False, True], ids=["Qi", "Qi(a)"])
+    def test_random_shapes(self, symbolic):
+        rng = random.Random(f"echelon-{symbolic}")
+        for _ in range(60):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            assert_matches_dense(sparse_matrix(rng, rows, cols, symbolic))
+
+    @pytest.mark.parametrize("symbolic", [False, True], ids=["Qi", "Qi(a)"])
+    def test_rank_deficient(self, symbolic):
+        rng = random.Random(f"deficient-{symbolic}")
+        for _ in range(30):
+            rows, cols = rng.randint(2, 6), rng.randint(2, 7)
+            m = sparse_matrix(rng, rows, cols, symbolic)
+            i, j = rng.sample(range(rows), 2)
+            m.insert(rng.randint(0, rows), [x + y for x, y in zip(m[i], m[j])])
+            _, pivots = row_echelon(m)
+            assert len(pivots) <= rows
+            assert_matches_dense(m)
+
+    @pytest.mark.parametrize("symbolic", [False, True], ids=["Qi", "Qi(a)"])
+    def test_degenerate_shapes(self, symbolic):
+        rng = random.Random(f"shapes-{symbolic}")
+        zero = SymScalar.const(0)
+        for rows, cols in [(1, 1), (1, 6), (6, 1), (2, 9), (9, 2), (3, 3)]:
+            assert_matches_dense([[zero] * cols for _ in range(rows)])
+            for _ in range(8):
+                assert_matches_dense(sparse_matrix(rng, rows, cols, symbolic))
+        assert row_echelon([]) == ([], []) == dense_row_echelon([])
+
+    def test_raw_entries_are_coerced(self):
+        m = [[0, 2, Fraction(1, 3)], [Scalar(0, 1), 0, 1], [1, 1, 1]]
+        assert_matches_dense(m)
+        assert_matches_dense([list(row) for row in zip(*m)])
+
+    def test_inconsistent_and_singular_systems_are_still_detected(self):
+        rng = random.Random(47)
+        for symbolic in (False, True):
+            for _ in range(10):
+                m = sparse_matrix(rng, 3, 3, symbolic)
+                m[2] = [x + y for x, y in zip(m[0], m[1])]
+                x = [SymScalar.const(rng.randint(-2, 2)) for _ in range(3)]
+                b = mat_vec(m, x)
+                b[2] = b[2] + 1
+                assert solve(m, b) is None
+                with pytest.raises(ValueError, match="singular"):
+                    mat_inverse(m)
+
+
+def dense_two_step(seed, low=8, high=4):
+    """A 2-step nilpotent model file: e1..e{low} bracket into the center
+    e{low+1}..e{low+high} with coefficients drawn from -2..2, and the
+    standard J, so every operator matrix is constant."""
+    rng = random.Random(seed)
+    dim = low + high
+    brackets = []
+    for i in range(1, low + 1):
+        for j in range(i + 1, low + 1):
+            out = [[k, str(c), "0"] for k in range(low + 1, dim + 1)
+                   if (c := rng.randint(-2, 2))]
+            if out:
+                brackets.append({"i": i, "j": j, "out": out})
+    J = [["0"] * dim for _ in range(dim)]
+    for k in range(0, dim, 2):
+        J[k][k + 1], J[k + 1][k] = "-1", "1"
+    return {"dim": dim, "brackets": brackets, "J": J}
+
+
+@pytest.mark.parametrize("case", ["nil8-symbolic", "dense12-constant"])
+def test_harmonic_blocks_match_dense_elimination(monkeypatch, nil8_generic, case):
+    if case == "nil8-symbolic":
+        model, p, q, power = nil8_generic, 2, 1, 1
+    else:
+        model, p, q, power = model_from_json(dense_two_step(11))[0], 1, 1, 0
+    constant = []
+    real = linalg.row_echelon
+
+    def recording(rows):
+        constant.append(all(SymScalar.coerce(c).is_constant() for row in rows for c in row))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "row_echelon", recording)
+    sparse = invariant_harmonic_space(model, p, q, bundle_power=power)
+    monkeypatch.setattr(linalg, "row_echelon", dense_row_echelon)
+    dense = invariant_harmonic_space(model, p, q, bundle_power=power)
+    # the symbolic case meets at least one matrix over Q(i)(a); the dense
+    # model runs the constant path only
+    assert all(constant) == (case == "dense12-constant")
+    assert sparse.dimension > 0
+    assert len(sparse.blocks) == len(dense.blocks)
+    for s, d in zip(sparse.blocks, dense.blocks):
+        assert s.dimension == d.dimension
+        assert s.basis == d.basis

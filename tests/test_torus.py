@@ -245,6 +245,14 @@ class TestProfiles:
             with pytest.raises(InputError):
                 PlurigeneraProfile([1, 1, 1, 1], bad)
 
+    def test_declared_bounded_growth_is_not_refuted_by_a_finite_window(self):
+        # kt at a = 4/3*pi is bounded, yet its stored tail fits degree 2
+        p = kt_profile(PiParam.rational_pi(Fraction(4, 3)), 6)
+        assert p.values == (0, 0, 1, 0, 0, 1)
+        assert torus._poly_degree(PlurigeneraProfile._tail(p.values)) == 2
+        assert (p.kappa, p.kind) == (0, BOUNDED)
+        assert PlurigeneraProfile(p.values, 0) == p
+
     def test_kappa_is_the_one_growth_field(self):
         assert PlurigeneraProfile.__slots__ == ("values", "kappa")
         cases = [([0] * 4, float("-inf"), ALL_ZERO, None), ([1] * 4, 0, BOUNDED, None),
