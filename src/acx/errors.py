@@ -12,9 +12,9 @@ obstruction vanishes without the coefficients being constant).  The honest
 answer is to refuse rather than guess.  CLI exit code 1.
 
 InternalCheckError: two independent computations of the same quantity
-disagree (the three integrability tests, the two harmonic kernels, the star
-oracle, the canonical-bundle product rule, the mode oracle).  That is a fault
-of this package, never of the input.  CLI exit code 3.
+disagree (the three integrability tests, the two harmonic kernels, the
+canonical bundle check beta_1 ^ vol = dbar vol, the mode oracle, and the
+test-time star oracle).  A fault of acx, never of the input.  CLI exit code 3.
 """
 
 

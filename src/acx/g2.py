@@ -1,11 +1,11 @@
 """The compact exceptional symmetry algebra of the octonion cross product,
 its fourteen-dimensional matrix model, and the round six-sphere it acts on.
 
-Everything is exact: basis matrices over Gaussian rationals, brackets by
-honest matrix commutators with coordinate extraction re-verified entry by
-entry, the three-form and cross product generated from one seven-term
-display, and the sphere's invariant Dolbeault census run through the same
-coframe machinery as the torus models.
+Everything is exact: basis matrices over Gaussian rationals, kept as their
+nonzero entries, brackets by honest matrix commutators with coordinate
+extraction re-verified entry by entry, the three-form and cross product
+generated from one seven-term display, and the sphere's invariant Dolbeault
+census run through the same coframe machinery as the torus models.
 """
 
 from __future__ import annotations
@@ -61,16 +61,34 @@ def _matrix_from_coordinates(x: Sequence[Scalar], y: Sequence[Scalar]):
     )
 
 
-def _coordinates_from_matrix(A):
-    x = (A[0][1], -A[0][2], A[0][3], -A[0][4], A[0][5], -A[0][6])
-    y = (A[1][2], -A[5][6], -A[2][3], A[2][4], A[2][5], -A[2][6], A[4][5], -A[4][6])
-    return x, y
+_ZERO = _sc(0)
+
+# where _from_entries reads each coordinate, with its sign: the first entry,
+# row by row, that the coordinate alone places
+_READOUT = (
+    ((0, 1), 1), ((0, 2), -1), ((0, 3), 1), ((0, 4), -1), ((0, 5), 1), ((0, 6), -1),
+    ((1, 2), 1), ((5, 6), -1), ((2, 3), -1), ((2, 4), 1), ((2, 5), 1), ((2, 6), -1),
+    ((4, 5), 1), ((4, 6), -1),
+)
+
+
+@lru_cache(maxsize=1)
+def _placements():
+    """For each of the 14 coordinates, the ((i, j), sign) entries it places,
+    read off the display at the unit coordinate."""
+    out = []
+    for c in range(X_DIM + Y_DIM):
+        u = [_sc(int(k == c)) for k in range(X_DIM + Y_DIM)]
+        M = _matrix_from_coordinates(u[:X_DIM], u[X_DIM:])
+        out.append(tuple(((i, j), M[i][j].re) for i in range(N) for j in range(N) if M[i][j]))
+    return tuple(out)
 
 
 class G2Element:
-    """An element of the algebra, stored as coordinates plus its 7x7 matrix."""
+    """An element of the algebra: coordinates plus the nonzero entries
+    {(i, j): Scalar} of its 7x7 matrix (no entry is ever zero)."""
 
-    __slots__ = ("x", "y", "matrix")
+    __slots__ = ("x", "y", "entries")
 
     def __init__(self, x: Sequence, y: Sequence):
         x = tuple(_sc(c) for c in x)
@@ -80,12 +98,24 @@ class G2Element:
                 f"coordinates must be {X_DIM} + {Y_DIM} values, "
                 f"got {len(x)} + {len(y)}"
             )
+        entries: Dict[Tuple[int, int], Scalar] = {}
+        for c, places in zip(x + y, _placements()):
+            if not c.is_zero():
+                for pos, sign in places:
+                    t = c if sign > 0 else -c
+                    entries[pos] = entries[pos] + t if pos in entries else t
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "matrix", _matrix_from_coordinates(x, y))
+        object.__setattr__(self, "entries", {p: c for p, c in entries.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("G2Element is immutable")
+
+    @property
+    def matrix(self):
+        """The dense 7x7 view of the entries."""
+        E = self.entries
+        return tuple(tuple(E.get((i, j), _ZERO) for j in range(N)) for i in range(N))
 
     @staticmethod
     def zero() -> "G2Element":
@@ -101,16 +131,24 @@ class G2Element:
         A = tuple(tuple(_sc(c) for c in row) for row in A)
         if len(A) != N or any(len(row) != N for row in A):
             raise InputError("matrix must be 7x7")
-        x, y = _coordinates_from_matrix(A)
-        candidate = G2Element(x, y)
-        for i in range(N):
-            for j in range(N):
-                if candidate.matrix[i][j] != A[i][j]:
-                    raise InputError(
-                        f"matrix is not in the coordinate span: entry "
-                        f"({i + 1},{j + 1}) is {A[i][j]}, pattern forces "
-                        f"{candidate.matrix[i][j]}"
-                    )
+        return G2Element._from_entries({
+            (i, j): c for i, row in enumerate(A) for j, c in enumerate(row) if not c.is_zero()
+        })
+
+    @staticmethod
+    def _from_entries(E) -> "G2Element":
+        """from_matrix on nonzero entries.  Neither side holds a zero, so equal
+        dicts mean that all 49 entries agree."""
+        coords = [E.get(p, _ZERO) if s > 0 else -E.get(p, _ZERO) for p, s in _READOUT]
+        candidate = G2Element(coords[:X_DIM], coords[X_DIM:])
+        forced = candidate.entries
+        if forced != E:
+            i, j = min(p for p in E.keys() | forced.keys() if E.get(p) != forced.get(p))
+            raise InputError(
+                f"matrix is not in the coordinate span: entry "
+                f"({i + 1},{j + 1}) is {E.get((i, j), _ZERO)}, pattern forces "
+                f"{forced.get((i, j), _ZERO)}"
+            )
         return candidate
 
     # -- linear structure ----------------------------------------------------
@@ -137,7 +175,7 @@ class G2Element:
         return self.x + self.y
 
     def flatten(self) -> List[Scalar]:
-        return [self.matrix[i][j] for i in range(N) for j in range(N)]
+        return [c for row in self.matrix for c in row]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coordinates())
@@ -154,27 +192,18 @@ class G2Element:
         return f"G2Element(x={self.x}, y={self.y})"
 
 
-def _nonzero_rows(A):
-    return [[(j, c) for j, c in enumerate(row) if not c.is_zero()] for row in A]
-
-
-def commutator_matrix(A, B):
-    """[A, B] = AB - BA for 7x7 matrices of exact scalars.
-
-    Only products of two nonzero entries are formed: each basis matrix has
-    four nonzero entries of 49.
-    """
-    a_rows, b_rows = _nonzero_rows(A), _nonzero_rows(B)
-    z = _sc(0)
-    C = [[z] * N for _ in range(N)]
-    for i in range(N):
-        for k, a_ik in a_rows[i]:
-            for j, b_kj in b_rows[k]:
-                C[i][j] = C[i][j] + a_ik * b_kj
-        for k, b_ik in b_rows[i]:
-            for j, a_kj in a_rows[k]:
-                C[i][j] = C[i][j] - b_ik * a_kj
-    return C
+def _commutator_entries(a: G2Element, b: G2Element) -> Dict[Tuple[int, int], Scalar]:
+    """The nonzero entries of AB - BA, formed from nonzero entries only."""
+    C: Dict[Tuple[int, int], Scalar] = {}
+    for sign, p, q in ((1, a, b), (-1, b, a)):
+        q_rows: List[list] = [[] for _ in range(N)]
+        for (k, j), c in q.entries.items():
+            q_rows[k].append((j, c))
+        for (i, k), p_ik in p.entries.items():
+            for j, q_kj in q_rows[k]:
+                t = p_ik * q_kj if sign > 0 else -(p_ik * q_kj)
+                C[i, j] = C[i, j] + t if (i, j) in C else t
+    return {pos: c for pos, c in C.items() if not c.is_zero()}
 
 
 def bracket(a: G2Element, b: G2Element) -> G2Element:
@@ -183,9 +212,8 @@ def bracket(a: G2Element, b: G2Element) -> G2Element:
     Failure to re-enter the span would mean the matrix model is wrong, so it
     is reported as a hard refusal rather than silently projected.
     """
-    C = commutator_matrix(a.matrix, b.matrix)
     try:
-        return G2Element.from_matrix(C)
+        return G2Element._from_entries(_commutator_entries(a, b))
     except InputError as exc:
         raise RefusalError(
             f"commutator left the coordinate span; matrix model bug: {exc}"
@@ -654,7 +682,7 @@ def s6_model() -> LieACS:
 
 def projection_differential(elem: G2Element) -> Tuple[Scalar, ...]:
     """The base-point differential: an algebra element's matrix applied to e1."""
-    return tuple(elem.matrix[i][0] for i in range(N))
+    return tuple(elem.entries.get((i, 0), _ZERO) for i in range(N))
 
 
 def verify_projection() -> Report:

@@ -95,14 +95,15 @@ class LieAlgebra:
         return out
 
     def _check_jacobi(self):
-        basis = identity(self.dim)
+        """[[e_i,e_j],e_k] + cyclic = 0 on every basis triple, summed from ad."""
+        ad = self._ad
         for i, j, k in combinations(range(self.dim), 3):
-            acc = [SS_ZERO] * self.dim
+            acc = {}
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_vectors(basis[a], basis[b])
-                outer = self.bracket_vectors(inner, basis[c])
-                acc = [x + y for x, y in zip(acc, outer)]
-            if any(not x.is_zero() for x in acc):
+                for m, f in ad[a].get(b, ()):
+                    for n, g in ad[m].get(c, ()):
+                        acc[n] = acc.get(n, SS_ZERO) + f * g
+            if any(not x.is_zero() for x in acc.values()):
                 raise InputError(
                     f"Jacobi identity fails on basis triple ({i + 1},{j + 1},{k + 1})"
                 )

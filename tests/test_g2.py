@@ -145,7 +145,7 @@ class TestCrossProduct:
         rng = random.Random(15)
         a, b = rand_element(rng), rand_element(rng)
         assert cp.is_member(a.matrix)
-        assert cp.is_member(g2.commutator_matrix(a.matrix, b.matrix))
+        assert cp.is_member(g2.bracket(a, b).matrix)
 
     def test_plain_rotation_is_not_a_member(self):
         cp = g2.cross_product()

@@ -1,20 +1,47 @@
 """The nonzero-entry loops of the matrix model against dense references.
 
-commutator_matrix and CrossProduct.preserves_form sum over nonzero entries
-only.  The dense loops they replaced are kept here as references and must
-agree with them on every matrix below.
+bracket and CrossProduct.preserves_form sum over nonzero entries only, and
+G2Element stores only the nonzero entries of its matrix.  The loops they
+replaced are kept here as references and must agree with them on every
+matrix below; the span check is fed faults and must catch each of them.
 """
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from acx import g2
+from acx.cli import main
+from acx.errors import InputError, RefusalError
 from acx.scalars import Scalar
 
 N = g2.N
+
+
+def _nonzero_rows(A):
+    return [[(j, c) for j, c in enumerate(row) if not c.is_zero()] for row in A]
+
+
+def commutator_matrix(A, B):
+    """[A, B] = AB - BA over the nonzero entries of each row: the dense-matrix
+    commutator bracket used before elements kept their entries."""
+    a_rows, b_rows = _nonzero_rows(A), _nonzero_rows(B)
+    z = Scalar(0)
+    C = [[z] * N for _ in range(N)]
+    for i in range(N):
+        for k, a_ik in a_rows[i]:
+            for j, b_kj in b_rows[k]:
+                C[i][j] = C[i][j] + a_ik * b_kj
+        for k, b_ik in b_rows[i]:
+            for j, a_kj in a_rows[k]:
+                C[i][j] = C[i][j] - b_ik * a_kj
+    return C
 
 
 def dense_commutator(A, B):
@@ -56,7 +83,7 @@ def _members(rng, count):
     out = []
     for _ in range(count):
         coords = [_rand_scalar(rng) for _ in range(14)]
-        out.append(g2.G2Element(coords[:6], coords[6:]).matrix)
+        out.append(g2.G2Element(coords[:6], coords[6:]))
     return out
 
 
@@ -82,8 +109,10 @@ def _rotation():
     return A
 
 
-BASIS = [e.matrix for e in g2.g2_basis().values()]
-MEMBERS = _members(random.Random(31), 10)
+BASIS_ELEMENTS = list(g2.g2_basis().values())
+MEMBER_ELEMENTS = _members(random.Random(31), 10)
+BASIS = [e.matrix for e in BASIS_ELEMENTS]
+MEMBERS = [e.matrix for e in MEMBER_ELEMENTS]
 NON_MEMBERS = _skew_non_members(random.Random(32), 10)
 ROTATION = _rotation()
 
@@ -99,17 +128,124 @@ def test_preserves_form_matches_phi_reference(matrices, preserved):
         assert cp.preserves_form(A) == phi_preserves_form(A) == preserved
 
 
+def _rows(M):
+    return [list(row) for row in M]
+
+
 def test_commutator_matches_dense_reference_on_basis_pairs():
-    for A, B in itertools.product(BASIS, repeat=2):
-        assert g2.commutator_matrix(A, B) == dense_commutator(A, B)
+    for a, b in itertools.product(BASIS_ELEMENTS, repeat=2):
+        want = dense_commutator(a.matrix, b.matrix)
+        assert _rows(g2.bracket(a, b).matrix) == commutator_matrix(a.matrix, b.matrix) == want
 
 
 def test_commutator_matches_dense_reference_on_random_pairs():
-    pool = BASIS + MEMBERS + NON_MEMBERS + [ROTATION]
+    pool = BASIS_ELEMENTS + MEMBER_ELEMENTS
     rng = random.Random(33)
     for _ in range(120):
-        A, B = rng.choice(pool), rng.choice(pool)
-        assert g2.commutator_matrix(A, B) == dense_commutator(A, B)
+        a, b = rng.choice(pool), rng.choice(pool)
+        want = dense_commutator(a.matrix, b.matrix)
+        assert _rows(g2.bracket(a, b).matrix) == commutator_matrix(a.matrix, b.matrix) == want
+
+
+def _cancelling_elements():
+    # x6 = y4 cancels entry (2,4); x5 = -y3 cancels (2,5); a - a is zero
+    yield g2.G2Element((0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0, 0, 0))
+    yield g2.G2Element((0, 0, 0, 0, 2, 0), (0, 0, -2, 0, 0, 0, 0, 0))
+    a = MEMBER_ELEMENTS[0]
+    yield a - a
+    yield a + g2.G2Element(tuple(-c for c in a.x), (0,) * 8)
+
+
+def test_entries_hold_no_zero_and_match_the_display():
+    brackets = [g2.bracket(a, b) for a, b in zip(MEMBER_ELEMENTS, BASIS_ELEMENTS)]
+    for e in BASIS_ELEMENTS + MEMBER_ELEMENTS + brackets + list(_cancelling_elements()):
+        assert all(not c.is_zero() for c in e.entries.values())
+        assert e.matrix == g2._matrix_from_coordinates(e.x, e.y)
+        assert g2.G2Element.from_matrix(e.matrix) == e
+    assert list(_cancelling_elements())[2].entries == {}
+
+
+def test_placement_table_matches_the_display():
+    placements = g2._placements()
+    assert len(placements) == 14
+    for c in range(14):
+        unit = [Scalar(int(k == c)) for k in range(14)]
+        display = g2._matrix_from_coordinates(unit[:6], unit[6:])
+        dense = [[Scalar(0)] * N for _ in range(N)]
+        for (i, j), sign in placements[c]:
+            assert dense[i][j].is_zero()
+            dense[i][j] = Scalar(sign)
+        assert _rows(display) == dense
+
+
+def test_import_builds_no_placement_table():
+    code = (
+        "import acx.cli, acx.g2; "
+        "print(acx.g2._placements.cache_info().currsize, acx.g2.g2_basis.cache_info().currsize)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(g2.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.split() == ["0", "0"]
+
+
+def dense_span_refusal(A):
+    """The dense from_matrix loop: read the coordinates, rebuild the matrix
+    from the display, and word the first row-major entry that differs."""
+    x = (A[0][1], -A[0][2], A[0][3], -A[0][4], A[0][5], -A[0][6])
+    y = (A[1][2], -A[5][6], -A[2][3], A[2][4], A[2][5], -A[2][6], A[4][5], -A[4][6])
+    P = g2._matrix_from_coordinates(x, y)
+    for i, j in itertools.product(range(N), repeat=2):
+        if P[i][j] != A[i][j]:
+            return (
+                f"matrix is not in the coordinate span: entry ({i + 1},{j + 1}) "
+                f"is {A[i][j]}, pattern forces {P[i][j]}"
+            )
+    return None
+
+
+def test_off_pattern_commutator_is_refused_at_the_first_bad_entry(monkeypatch):
+    true_entries = g2._commutator_entries
+    pool = BASIS_ELEMENTS + MEMBER_ELEMENTS
+    rng = random.Random(36)
+    positions = list(itertools.product(range(N), repeat=2))
+    # one bad entry at each of the 49 places, then several at once
+    faults = [[p] for p in positions] + [rng.sample(positions, 3) for _ in range(20)]
+    for bad in faults:
+        a, b = rng.choice(pool), rng.choice(pool)
+        E = dict(true_entries(a, b))
+        for p in bad:
+            E[p] = E.get(p, Scalar(0)) + Scalar(rng.choice([1, -2]), rng.randint(0, 1))
+        E = {p: c for p, c in E.items() if not c.is_zero()}
+        dense = [[E.get((i, j), Scalar(0)) for j in range(N)] for i in range(N)]
+        want = dense_span_refusal(dense)
+        assert want is not None
+        with pytest.raises(InputError) as exc:
+            g2.G2Element.from_matrix(dense)
+        assert str(exc.value) == want
+        monkeypatch.setattr(g2, "_commutator_entries", lambda a, b, E=E: E)
+        with pytest.raises(RefusalError) as exc:
+            g2.bracket(a, b)
+        assert str(exc.value) == f"commutator left the coordinate span; matrix model bug: {want}"
+
+
+@pytest.mark.parametrize("pair, wrong", [(("f1", "f2"), "h3"), (("h1", "h2"), "f1")])
+def test_g2_verify_fails_on_a_wrong_bracket_inside_the_span(monkeypatch, capsys, pair, wrong):
+    basis = g2.g2_basis()
+    true_bracket = g2.bracket
+    a, b = (basis[n] for n in pair)
+
+    def bracket(u, v):
+        out = true_bracket(u, v)
+        return out + basis[wrong] if (u, v) == (a, b) else out
+
+    monkeypatch.setattr(g2, "bracket", bracket)
+    assert main(["g2-verify", "--samples", "2", "--negatives", "1"]) == 1
+    table = json.loads(capsys.readouterr().out)["bracket_table"]
+    assert table["ok"] is False
+    assert table["mismatches"] + table["jacobi_failures"] > 0
 
 
 def test_twist_form_is_solved_once(monkeypatch):

@@ -384,31 +384,43 @@ class TestSparseBracket:
                 LieAlgebra(alg.dim, perturbed)
             assert f"({want[0]},{want[1]},{want[2]})" in str(exc.value)
 
-    def test_jacobi_sweeps_every_basis_triple(self, sparse_models):
+    @pytest.mark.parametrize("name", ["g2", "nil8"])
+    def test_perturbing_any_constant_names_the_first_bad_triple(self, sparse_models, name):
+        from types import SimpleNamespace
+
+        alg, _ = sparse_models[name]
+        # on every bracket key, c^1_ij off by one: nil8 is 2-step nilpotent,
+        # so only a non-central output can break Jacobi there
+        for key in sorted(alg.brackets):
+            perturbed = {ij: dict(vec) for ij, vec in alg.brackets.items()}
+            perturbed[key][1] = perturbed[key].get(1, 0) + 1
+            want = dense_first_jacobi_failure(
+                SimpleNamespace(dim=alg.dim, brackets=perturbed)
+            )
+            assert want is not None
+            with pytest.raises(InputError, match=r"Jacobi identity fails on basis triple") as exc:
+                LieAlgebra(alg.dim, perturbed)
+            assert str(exc.value).endswith(f"({want[0]},{want[1]},{want[2]})")
+
+    def test_jacobi_sweeps_every_basis_triple(self):
+        # [e_a, e_b] = e_c and [e_c, e_d] = e_f break Jacobi on {a, b, d}
+        # alone, through the outer bracket with e_d: one algebra for each of
+        # the 364 triples of a 14-dim basis and each of its cyclic terms
         from itertools import combinations
+        from types import SimpleNamespace
 
-        alg, _ = sparse_models["g2"]
-
-        def one_hot(vec):
-            nonzero = [k for k, c in enumerate(vec) if not c.is_zero()]
-            return nonzero[0] if len(nonzero) == 1 and vec[nonzero[0]] == SS_ONE else None
-
-        class Recording(LieAlgebra):
-            calls = []
-
-            def bracket_vectors(self, u, v):
-                Recording.calls.append((one_hot(u), one_hot(v)))
-                return super().bracket_vectors(u, v)
-
-        Recording(alg.dim, alg.brackets)
-        inner, outer = Recording.calls[0::2], Recording.calls[1::2]
-        visited = [(a, b, c) for (a, b), (_, c) in zip(inner, outer)]
-        want = [
-            t
-            for i, j, k in combinations(range(alg.dim), 3)
-            for t in ((i, j, k), (j, k, i), (k, i, j))
-        ]
-        assert visited == want
+        dim = 14
+        for n, triple in enumerate(combinations(range(1, dim + 1), 3)):
+            c, f = [e for e in range(1, dim + 1) if e not in triple][:2]
+            for d in triple:
+                a, b = [e for e in triple if e != d]
+                brackets = {(a, b): {c: 1}, (min(c, d), max(c, d)): {f: 1 if c < d else -1}}
+                if n % 41 == 0:
+                    ref = dense_first_jacobi_failure(SimpleNamespace(dim=dim, brackets=brackets))
+                    assert ref == triple
+                with pytest.raises(InputError, match=r"Jacobi identity fails on basis triple") as exc:
+                    LieAlgebra(dim, brackets)
+                assert str(exc.value).endswith("({},{},{})".format(*triple))
 
 
 # --- the coframe choice and the J^2 check against the loops they replaced
