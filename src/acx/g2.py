@@ -91,8 +91,8 @@ class G2Element:
     __slots__ = ("x", "y", "entries")
 
     def __init__(self, x: Sequence, y: Sequence):
-        x = tuple(_sc(c) for c in x)
-        y = tuple(_sc(c) for c in y)
+        x = tuple(c if type(c) is Scalar else _sc(c) for c in x)
+        y = tuple(c if type(c) is Scalar else _sc(c) for c in y)
         if len(x) != X_DIM or len(y) != Y_DIM:
             raise InputError(
                 f"coordinates must be {X_DIM} + {Y_DIM} values, "
@@ -378,12 +378,14 @@ def verify_bracket_table() -> Report:
 
     jacobi_failures = []
     for na, nb, nc in itertools.combinations(BASIS_NAMES, 3):
-        total = (
-            bracket(cached_bracket(na, nb), basis[nc])
-            + bracket(cached_bracket(nb, nc), basis[na])
-            + bracket(cached_bracket(nc, na), basis[nb])
+        # the sum of the three outer brackets, coordinate by coordinate: an
+        # element is zero exactly when its 14 coordinates are
+        outer = (
+            bracket(cached_bracket(na, nb), basis[nc]).coordinates(),
+            bracket(cached_bracket(nb, nc), basis[na]).coordinates(),
+            bracket(cached_bracket(nc, na), basis[nb]).coordinates(),
         )
-        if not total.is_zero():
+        if any(u + v + w for u, v, w in zip(*outer)):
             jacobi_failures.append((na, nb, nc))
 
     dimension = rank([e.flatten() for e in basis.values()])

@@ -16,6 +16,20 @@ a constant (num of length at most one) always carries the one shared unit
 denominator _P_ONE, so is_constant() is an identity test, and arithmetic
 between constants is Scalar arithmetic that never enters the polynomial
 gcd.  The polynomial path runs only for values that involve the symbol.
+
+On that path reduced operands are combined by Henrici's (1956)
+cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1), so no gcd is ever taken
+of a full product.  For a/p * b/q, with g1 = gcd(a, q) and g2 = gcd(b, p),
+(a/g1)(b/g2) / ((p/g2)(q/g1)) is already reduced; division multiplies by
+the inverse q/b, rescaled to a monic denominator with no gcd.  For
+a/p + b/q, with g = gcd(p, q) (g = p when p == q), the sum is
+(a q + b p)/(p q) and reduced when g = 1; otherwise only gcd(t, g) of
+t = a q/g + b p/g is taken.  A gcd first splits off the power of x,
+gcd(a, b) = x^min(ord a, ord b) gcd(a/x^ord a, b/x^ord b), which is a
+monomial when either stripped part is constant; the rest is Euclid on
+Gaussian-integer coefficients over one common denominator.  Products,
+linear combinations and exact quotients run on such integer coefficients
+too, and each output coefficient is normalised once.
 """
 
 from __future__ import annotations
@@ -220,56 +234,187 @@ def _pstrip(coeffs):
     return tuple(coeffs[:i])
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    return _pstrip([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-
 def _pneg(a):
     return tuple(-c for c in a)
 
+
+def _lift(a):
+    """a as Gaussian-integer coefficients over one common denominator:
+    (re, im, d) with a[k] = (re[k] + im[k]*i)/d."""
+    d = lcm(*[c.d for c in a])
+    if d == 1:
+        return [c.a for c in a], [c.b for c in a], 1
+    return [c.a * (d // c.d) for c in a], [c.b * (d // c.d) for c in a], d
+
+
+def _conv(a, b):
+    """The product of two lifted polynomials, lifted."""
+    ar, ai, da = a
+    br, bi, db = b
+    re = [0] * (len(ar) + len(br) - 1)
+    if any(ai) or any(bi):
+        im = re[:]
+        for i, (x, y) in enumerate(zip(ar, ai)):
+            if x or y:
+                for j, (u, v) in enumerate(zip(br, bi), i):
+                    re[j] += x * u - y * v
+                    im[j] += x * v + y * u
+    else:
+        im = [0] * len(re)
+        for i, x in enumerate(ar):
+            if x:
+                for j, u in enumerate(br, i):
+                    re[j] += x * u
+    return re, im, da * db
+
+
+def _unlift(re, im, d):
+    """The polynomial with coefficients (re[k] + im[k]*i)/d, each
+    normalised once; trailing zeros are dropped."""
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    if d == 1:
+        return tuple(_scalar(x, y, 1) for x, y in zip(re[:n], im[:n]))
+    return tuple(_norm(x, y, d) for x, y in zip(re[:n], im[:n]))
+
+
+def _is_one(a):
+    return len(a) == 1 and a[0] == S_ONE
+
+
 def _pmul(a, b):
+    """a*b: one integer convolution over the product of the two common
+    denominators, and one normalisation per coefficient."""
     if not a or not b:
         return ()
-    out = [S_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _pstrip(out)
+    if len(a) == 1:
+        return b if a[0] == S_ONE else tuple(a[0] * y for y in b)
+    if len(b) == 1:
+        return a if b[0] == S_ONE else tuple(x * b[0] for x in a)
+    return _unlift(*_conv(_lift(a), _lift(b)))
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    nb = len(b)
-    q = [S_ZERO] * max(0, len(a) - nb + 1)
-    r = list(a)
-    binv = b[-1].inverse()
-    while True:
-        while r and r[-1].is_zero():
-            r.pop()
-        if len(r) < nb:
-            return _pstrip(q), tuple(r)
-        c = r.pop() * binv
-        k = len(r) + 1 - nb
-        q[k] = c
+def _pcomb(a, x, b, y, negate):
+    """a*x + b*y, or a*x - b*y when negate, over one common denominator;
+    x or y may be the unit polynomial."""
+    u = _lift(a) if _is_one(x) else _conv(_lift(a), _lift(x))
+    v = _lift(b) if _is_one(y) else _conv(_lift(b), _lift(y))
+    ur, ui, du = u
+    vr, vi, dv = v
+    d = lcm(du, dv)
+    su, sv = d // du, d // dv
+    if negate:
+        sv = -sv
+    n = max(len(ur), len(vr))
+    re, im = [0] * n, [0] * n
+    for k, (p, q) in enumerate(zip(ur, ui)):
+        re[k] = p * su
+        im[k] = q * su
+    for k, (p, q) in enumerate(zip(vr, vi)):
+        re[k] += p * sv
+        im[k] += q * sv
+    return _unlift(re, im, d)
+
+
+def _order(a):
+    """The power of x dividing the nonzero polynomial a."""
+    k = 0
+    while a[k].is_zero():
+        k += 1
+    return k
+
+
+def _lmonic(a):
+    """The lifted nonzero polynomial a divided by its leading coefficient,
+    with the content of the ints and the denominator divided out; its
+    leading coefficient is then (d, 0).  The old denominator cancels."""
+    re, im, _ = a
+    x, y = re[-1], im[-1]
+    if y:
+        # (u + v i)/(x + y i) = (u + v i)(x - y i)/(x^2 + y^2)
+        n = x * x + y * y
+        re, im = ([u * x + v * y for u, v in zip(re, im)],
+                  [v * x - u * y for u, v in zip(re, im)])
+    else:
+        n = x
+        if x < 0:
+            n, re, im = -x, [-u for u in re], [-v for v in im]
+    g = gcd(n, *re, *im)
+    if g == 1:
+        return re, im, n
+    return [u // g for u in re], [v // g for v in im], n // g
+
+
+def _ldivide(a, b):
+    """Long division of the lifted a by the lifted monic b, as (quotient
+    coefficients from the top down, each an unnormalised triple (re, im, e),
+    and the lifted remainder with no trailing zeros).  With the remainder
+    over a common denominator e and b = B/d, one step is
+    r - (t/e) x^k b = (r*d - t x^k B)/(e*d), so every step stays in the
+    integers."""
+    br, bi, d = b
+    rr, ri, e = a[0][:], a[1][:], a[2]
+    nb = len(br) - 1
+    quo = []
+    for k in range(len(rr) - 1 - nb, -1, -1):
         # the leading term cancels exactly, so it is popped, not computed
-        for j in range(nb - 1):
-            r[k + j] = r[k + j] - c * b[j]
+        t, u = rr.pop(), ri.pop()
+        quo.append((t, u, e))
+        if not t and not u:
+            continue
+        if d != 1:
+            rr, ri, e = [x * d for x in rr], [y * d for y in ri], e * d
+        for j in range(nb):
+            x, y = br[j], bi[j]
+            rr[k + j] -= t * x - u * y
+            ri[k + j] -= t * y + u * x
+    while rr and not rr[-1] and not ri[-1]:
+        rr.pop()
+        ri.pop()
+    return quo, (rr, ri, e)
+
+
+def _pquo(a, g):
+    """The exact quotient a/g for a monic divisor g of a."""
+    k = _order(g)
+    a, g = a[k:], g[k:]
+    if len(g) == 1:
+        return a
+    if len(a) == len(g):
+        return a[-1:]
+    quo, _ = _ldivide(_lift(a), _lift(g))
+    return tuple(_norm(*c) for c in reversed(quo))
 
 
 def _pgcd(a, b):
+    """The monic gcd of a and b, () when both are zero.  The power of x is
+    split off first: gcd(a, b) = x^min(ord a, ord b) gcd(a/x^ord a, b/x^ord b),
+    and when either stripped part is constant the gcd is that monomial.
+    Otherwise Euclid runs on lifted integer coefficients, each remainder
+    made monic and stripped of its content."""
     a, b = _pstrip(a), _pstrip(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a:
-        lead_inv = a[-1].inverse()
-        a = tuple(c * lead_inv for c in a)
-    return a
+    if not a or not b:
+        a = a or b
+        if a and a[-1] != S_ONE:
+            lead_inv = a[-1].inverse()
+            a = tuple(c * lead_inv for c in a)
+        return a
+    i, j = _order(a), _order(b)
+    a, b = a[i:], b[j:]
+    g = _P_ONE
+    if len(a) > 1 and len(b) > 1:
+        if len(a) < len(b):
+            a, b = b, a
+        u, v = _lift(a), _lmonic(_lift(b))
+        while len(v[0]) > 1:
+            _, r = _ldivide(u, v)
+            if not r[0]:
+                g = _unlift(*v)
+                break
+            u, v = v, _lmonic(r)
+    k = min(i, j)
+    return (S_ZERO,) * k + g if k else g
 
 
 _P_ONE = (S_ONE,)
@@ -284,10 +429,10 @@ def _sym(num, den):
 
 
 def _poly(num, den=_P_ONE):
-    """num/den with gcd(num, den) = 1 and den monic or _P_ONE, num possibly zero."""
+    """num/den with gcd(num, den) = 1 and den monic, num possibly zero."""
     if not num:
         return SS_ZERO
-    return _sym(num, den)
+    return _sym(num, _P_ONE if len(den) == 1 else den)
 
 
 def _const(c: Scalar) -> "SymScalar":
@@ -295,6 +440,38 @@ def _const(c: Scalar) -> "SymScalar":
     if c.is_zero():
         return SS_ZERO
     return _sym((c,), _P_ONE)
+
+
+def _sum(u, v, negate):
+    """u + v, or u - v when negate, by Henrici's rule: with g = gcd(p, q)
+    for u = a/p and v = b/q, only gcd(t, g) of t = a q/g + b p/g is taken,
+    and none at all when g = 1."""
+    a, b = u.num, v.num
+    if not b:
+        return u
+    if not a:
+        return -v if negate else v
+    p, q = u.den, v.den
+    if p is _P_ONE and q is _P_ONE:
+        if len(a) == 1 and len(b) == 1:
+            return _const(a[0] - b[0] if negate else a[0] + b[0])
+    if p is _P_ONE or q is _P_ONE:
+        # a + b/q = (a q + b)/q, and gcd(a q + b, q) = gcd(b, q) = 1
+        return _poly(_pcomb(a, q, b, p, negate), _pmul(p, q))
+    if p == q:
+        g, p1, q1 = p, _P_ONE, _P_ONE
+    else:
+        g = _pgcd(p, q)
+        if len(g) == 1:
+            return _poly(_pcomb(a, q, b, p, negate), _pmul(p, q))
+        p1, q1 = _pquo(p, g), _pquo(q, g)
+    t = _pcomb(a, q1, b, p1, negate)
+    if not t:
+        return SS_ZERO
+    g = _pgcd(t, g)
+    if len(g) > 1:
+        t, q = _pquo(t, g), _pquo(q, g)
+    return _poly(t, _pmul(p1, q))
 
 
 class SymScalar:
@@ -312,8 +489,7 @@ class SymScalar:
             if len(den) > 1:
                 g = _pgcd(num, den)
                 if len(g) > 1:
-                    num, _ = _pdivmod(num, g)
-                    den, _ = _pdivmod(den, g)
+                    num, den = _pquo(num, g), _pquo(den, g)
             lead = den[-1]
             if lead != S_ONE:
                 inv = lead.inverse()
@@ -356,22 +532,7 @@ class SymScalar:
     def __add__(self, other):
         if type(other) is not SymScalar:
             other = SymScalar.coerce(other)
-        a, b = self.num, other.num
-        if not b:
-            return self
-        if not a:
-            return other
-        p, q = self.den, other.den
-        if p is _P_ONE and q is _P_ONE:
-            if len(a) == 1 and len(b) == 1:
-                return _const(a[0] + b[0])
-            return _poly(_padd(a, b))
-        if p is _P_ONE:
-            # a + b/q = (a q + b)/q, and gcd(a q + b, q) = gcd(b, q) = 1
-            return _poly(_padd(_pmul(a, q), b), q)
-        if q is _P_ONE:
-            return _poly(_padd(a, _pmul(b, p)), p)
-        return SymScalar(_padd(_pmul(a, q), _pmul(b, p)), _pmul(p, q))
+        return _sum(self, other, False)
 
     __radd__ = __add__
 
@@ -382,10 +543,12 @@ class SymScalar:
         return _sym(_pneg(self.num), self.den)
 
     def __sub__(self, other):
-        return self + (-SymScalar.coerce(other))
+        if type(other) is not SymScalar:
+            other = SymScalar.coerce(other)
+        return _sum(self, other, True)
 
     def __rsub__(self, other):
-        return SymScalar.coerce(other) + (-self)
+        return _sum(SymScalar.coerce(other), self, True)
 
     def __mul__(self, other):
         if type(other) is not SymScalar:
@@ -393,28 +556,49 @@ class SymScalar:
         a, b = self.num, other.num
         if not a or not b:
             return SS_ZERO
-        if len(a) == 1 and self.den is _P_ONE:
+        p, q = self.den, other.den
+        if len(a) == 1 and p is _P_ONE:
             # a nonzero constant factor keeps the canonical form
-            if len(b) == 1 and other.den is _P_ONE:
+            if len(b) == 1 and q is _P_ONE:
                 return _const(a[0] * b[0])
-            return _sym(_pmul(a, b), other.den)
-        if len(b) == 1 and other.den is _P_ONE:
-            return _sym(_pmul(a, b), self.den)
-        return SymScalar(_pmul(a, b), _pmul(self.den, other.den))
+            return _sym(_pmul(a, b), q)
+        if len(b) == 1 and q is _P_ONE:
+            return _sym(_pmul(a, b), p)
+        # Henrici: with g1 = gcd(a, q) and g2 = gcd(b, p), the product
+        # (a/g1)(b/g2) / ((p/g2)(q/g1)) is already reduced
+        if q is not _P_ONE:
+            g = _pgcd(a, q)
+            if len(g) > 1:
+                a, q = _pquo(a, g), _pquo(q, g)
+        if p is not _P_ONE:
+            g = _pgcd(b, p)
+            if len(g) > 1:
+                b, p = _pquo(b, g), _pquo(p, g)
+        return _poly(_pmul(a, b), _pmul(p, q))
 
     __rmul__ = __mul__
+
+    def inverse(self) -> "SymScalar":
+        """den/num, rescaled so that the new denominator is monic."""
+        num, den = self.num, self.den
+        if not num:
+            raise ZeroDivisionError("division by zero SymScalar")
+        if den is _P_ONE and len(num) == 1:
+            return _sym((num[0].inverse(),), _P_ONE)
+        lead = num[-1]
+        if lead != S_ONE:
+            inv = lead.inverse()
+            den = tuple(c * inv for c in den)
+            num = tuple(c * inv for c in num)
+        return _poly(den, num)
 
     def __truediv__(self, other):
         if type(other) is not SymScalar:
             other = SymScalar.coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero SymScalar")
-        if self.is_constant() and other.is_constant():
-            return _const(self.constant_value() / other.num[0])
-        return SymScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return SymScalar.coerce(other) / self
+        return SymScalar.coerce(other) * self.inverse()
 
     def conjugate(self) -> "SymScalar":
         # The symbol is real (pi, or a real structure parameter), so

@@ -259,3 +259,53 @@ def test_twist_form_is_solved_once(monkeypatch):
     finally:
         g2.s6_canonical_twist.cache_clear()
     assert len(solves) == 1
+
+
+def jacobi_failures_by_element_sums():
+    """The Jacobi sweep as it summed whole elements with G2Element.__add__."""
+    basis = g2.g2_basis()
+    failures = []
+    for na, nb, nc in itertools.combinations(g2.BASIS_NAMES, 3):
+        total = (
+            g2.bracket(g2.bracket(basis[na], basis[nb]), basis[nc])
+            + g2.bracket(g2.bracket(basis[nb], basis[nc]), basis[na])
+            + g2.bracket(g2.bracket(basis[nc], basis[na]), basis[nb])
+        )
+        if not total.is_zero():
+            failures.append((na, nb, nc))
+    return failures
+
+
+@pytest.mark.parametrize("pair, wrong", [(("f1", "f2"), "h3"), (("h1", "f4"), "f1")])
+def test_coordinate_jacobi_sum_reports_the_same_triples(monkeypatch, pair, wrong):
+    basis = g2.g2_basis()
+    true_bracket = g2.bracket
+    a, b = (basis[n] for n in pair)
+
+    def bracket(u, v):
+        out = true_bracket(u, v)
+        if (u, v) == (a, b):
+            return out + basis[wrong]
+        if (u, v) == (b, a):
+            return out - basis[wrong]
+        return out
+
+    monkeypatch.setattr(g2, "bracket", bracket)
+    want = jacobi_failures_by_element_sums()
+    assert want
+    assert g2.verify_bracket_table().jacobi_failures == want
+
+
+def test_scalar_coordinates_are_kept_and_others_coerced():
+    coords = [Scalar(k, -k) for k in range(g2.X_DIM + g2.Y_DIM)]
+    elem = g2.G2Element(coords[:g2.X_DIM], coords[g2.X_DIM:])
+    assert all(c is d for c, d in zip(elem.coordinates(), coords))
+    mixed = g2.G2Element([1, Fraction(1, 2)] + [0] * (g2.X_DIM - 2),
+                         [Fraction(-3, 4)] + [0] * (g2.Y_DIM - 1))
+    assert mixed.coordinates()[:2] == (Scalar(1), Scalar(Fraction(1, 2)))
+    assert mixed.y[0] == Scalar(Fraction(-3, 4))
+    for bad in (0.5, "x", None):
+        with pytest.raises(TypeError):
+            g2.G2Element([bad] + [0] * (g2.X_DIM - 1), [0] * g2.Y_DIM)
+    with pytest.raises(InputError):
+        g2.G2Element([Scalar(1)] * g2.X_DIM, [Scalar(1)])

@@ -7,15 +7,18 @@ from math import gcd
 
 import pytest
 
+from acx import cli, g2, linalg, scalars
 from acx.scalars import (
     _P_ONE,
+    S_ONE,
+    S_ZERO,
     PiParam,
     Scalar,
     SymScalar,
-    _padd,
     _pgcd,
     _pmul,
     _pneg,
+    _pquo,
     parse_rational,
     scalar_str,
 )
@@ -250,10 +253,80 @@ def assert_canonical_sym(z):
         assert z.den is _P_ONE
         assert z.is_constant() == (len(z.num) <= 1)
     else:
-        assert len(_pgcd(z.num, z.den)) == 1
+        assert len(ref_pgcd(z.num, z.den)) == 1
         assert not z.is_constant()
     if not z.num:
         assert z.den is _P_ONE
+
+
+# --- reference polynomial arithmetic over Q(i): one Scalar operation per
+# coefficient pair, and a plain Euclidean gcd on the full operands
+
+
+def ref_pstrip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def ref_padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return ref_pstrip([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def ref_pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [S_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_pstrip(out)
+
+
+def ref_pdivmod(a, b):
+    nb = len(b)
+    q = [S_ZERO] * max(0, len(a) - nb + 1)
+    r = list(a)
+    binv = b[-1].inverse()
+    while True:
+        while r and r[-1].is_zero():
+            r.pop()
+        if len(r) < nb:
+            return ref_pstrip(q), tuple(r)
+        c = r.pop() * binv
+        k = len(r) + 1 - nb
+        q[k] = c
+        for j in range(nb - 1):
+            r[k + j] = r[k + j] - c * b[j]
+
+
+def ref_pgcd(a, b):
+    a, b = ref_pstrip(a), ref_pstrip(b)
+    while b:
+        _, r = ref_pdivmod(a, b)
+        a, b = b, r
+    if a:
+        lead_inv = a[-1].inverse()
+        a = tuple(c * lead_inv for c in a)
+    return a
+
+
+def ref_reduce(num, den):
+    """num/den in canonical form, as the SymScalar constructor once built
+    every sum, product and quotient: divide by the gcd, then make the
+    denominator monic."""
+    num, den = ref_pstrip(num), ref_pstrip(den)
+    if not num:
+        return (), (S_ONE,)
+    g = ref_pgcd(num, den)
+    num, den = ref_pdivmod(num, g)[0], ref_pdivmod(den, g)[0]
+    inv = den[-1].inverse()
+    return tuple(c * inv for c in num), tuple(c * inv for c in den)
 
 
 def rand_gaussian(rng):
@@ -282,15 +355,18 @@ def rand_operand(rng):
 
 
 def general_path(op, x, y):
-    """The operation computed on unreduced polynomial pairs, reduced by the
-    general SymScalar constructor (polynomial gcd, monic denominator)."""
+    """The operation computed on unreduced polynomial pairs and reduced by
+    one Euclidean gcd over Q(i), all with the reference routines: the
+    canonical (num, den) pair."""
     if op == "+":
-        return SymScalar(_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)), _pmul(x.den, y.den))
+        return ref_reduce(ref_padd(ref_pmul(x.num, y.den), ref_pmul(y.num, x.den)),
+                          ref_pmul(x.den, y.den))
     if op == "-":
-        return SymScalar(_padd(_pmul(x.num, y.den), _pneg(_pmul(y.num, x.den))), _pmul(x.den, y.den))
+        return ref_reduce(ref_padd(ref_pmul(x.num, y.den), _pneg(ref_pmul(y.num, x.den))),
+                          ref_pmul(x.den, y.den))
     if op == "*":
-        return SymScalar(_pmul(x.num, y.num), _pmul(x.den, y.den))
-    return SymScalar(_pmul(x.num, y.den), _pmul(x.den, y.num))
+        return ref_reduce(ref_pmul(x.num, y.num), ref_pmul(x.den, y.den))
+    return ref_reduce(ref_pmul(x.num, y.den), ref_pmul(x.den, y.num))
 
 
 class TestFastPathReference:
@@ -348,7 +424,8 @@ class TestFastPathReference:
                 z = OPS[op](x, y)
                 want = general_path(op, sx, sy)
                 assert_canonical_sym(z)
-                assert (z.num, z.den) == (want.num, want.den)
+                assert (z.num, z.den) == want
+                want = SymScalar(*want)
                 assert z == want and hash(z) == hash(want)
                 assert str(z) == str(want)
             neg = -sx
@@ -358,7 +435,7 @@ class TestFastPathReference:
                 tuple(c.conjugate() for c in neg.num),
                 tuple(c.conjugate() for c in neg.den),
             )
-            assert (sx == sy) == general_path("-", sx, sy).is_zero()
+            assert (sx == sy) == (not general_path("-", sx, sy)[0])
 
     def test_constants_are_recognised_however_built(self):
         rng = random.Random(103)
@@ -494,3 +571,160 @@ class TestHashAgreesWithEquality:
         u = (x + 1) / (x - 1)
         assert hash(u) == hash((u.num, u.den))
         assert hash(u * (x - 1) / (x - 1)) == hash(u)
+
+
+# --- Henrici cancellation and the integer polynomial kernels
+
+
+def poly(*coeffs):
+    """A polynomial tuple from its coefficients, low degree first."""
+    return ref_pstrip(tuple(Scalar.coerce(c) for c in coeffs))
+
+
+X = poly(0, 1)
+# a denominator seen in the 8-dim generic model, and two of its relatives
+NIL8_DEN = poly(Fraction(-1, 3), 0, Fraction(1, 3), 0, 1)
+
+
+def rand_coeff(rng):
+    pick = rng.random()
+    if pick < 0.2:
+        return S_ZERO
+    if pick < 0.5:
+        return Scalar(rng.randint(-3, 3))
+    return Scalar(rand_fraction(rng, 5), rand_fraction(rng, 5) if rng.random() < 0.5 else 0)
+
+
+def rand_ppoly(rng, deg):
+    coeffs = [rand_coeff(rng) for _ in range(deg)] + [Scalar(*rand_gaussian(rng)) or S_ONE]
+    return ref_pstrip(coeffs)
+
+
+def rand_monic(rng, deg):
+    return ref_pstrip([rand_coeff(rng) for _ in range(deg)] + [S_ONE])
+
+
+def rand_den_pair(rng):
+    """Two denominators of one of the shapes elimination meets."""
+    shape = rng.choice(["xk", "shared", "coprime", "common", "nil8"])
+    if shape == "xk":
+        return (poly(*[0] * rng.randint(1, 3), 1), poly(*[0] * rng.randint(0, 3), 1))
+    if shape == "shared":
+        p = rand_monic(rng, rng.randint(1, 3))
+        return p, p
+    if shape == "coprime":
+        return poly(rng.randint(-3, 3), 1), poly(rng.randint(4, 6), 0, 1)
+    if shape == "common":
+        f = rand_monic(rng, rng.randint(1, 2))
+        return (ref_pmul(f, rand_monic(rng, rng.randint(0, 2))),
+                ref_pmul(f, rand_monic(rng, rng.randint(0, 2))))
+    others = [NIL8_DEN, ref_pmul(X, NIL8_DEN), ref_pmul(X, X), poly(1, 0, 1), X]
+    return NIL8_DEN, rng.choice(others)
+
+
+def rand_fraction_over(rng, den):
+    """A canonical num/den over den or a divisor of it: the numerator is
+    sometimes built with a factor x, x + 1 or den itself."""
+    num = rand_ppoly(rng, rng.randint(0, 4))
+    if rng.random() < 0.4:
+        num = ref_pmul(num, rng.choice([X, poly(1, 1), den]))
+    return SymScalar(*ref_reduce(num, den))
+
+
+class TestHenrici:
+    def test_sums_products_and_quotients_match_the_reference(self):
+        rng = random.Random(131)
+        for _ in range(250):
+            p, q = rand_den_pair(rng)
+            u, v = rand_fraction_over(rng, p), rand_fraction_over(rng, q)
+            if rng.random() < 0.3:
+                # v = w - u, so that u + v = w cancels part or all of the
+                # denominators
+                w = rand_fraction_over(rng, rng.choice([(S_ONE,), X]))
+                v = SymScalar(*general_path("-", w, u))
+            for op in OPS:
+                if op == "/" and v.is_zero():
+                    continue
+                z = OPS[op](u, v)
+                num, den = general_path(op, u, v)
+                assert z.num == num and z.den == den
+                assert z.den[-1] == S_ONE
+                assert len(ref_pgcd(z.num, z.den)) == 1
+                assert_canonical_sym(z)
+
+    def test_pmul_matches_the_reference(self):
+        rng = random.Random(132)
+        for _ in range(300):
+            a, b = rand_ppoly(rng, rng.randint(0, 5)), rand_ppoly(rng, rng.randint(0, 5))
+            assert _pmul(a, b) == ref_pmul(a, b)
+        assert _pmul((), X) == () and _pmul(X, ()) == ()
+
+    def test_exact_quotient_matches_the_reference(self):
+        rng = random.Random(133)
+        for _ in range(200):
+            g = ref_pmul(poly(*[0] * rng.randint(0, 2), 1), rand_monic(rng, rng.randint(0, 3)))
+            a = ref_pmul(rand_ppoly(rng, rng.randint(0, 4)), g)
+            assert _pquo(a, g) == ref_pdivmod(a, g)[0]
+
+    def test_pgcd_matches_the_reference(self):
+        rng = random.Random(134)
+        for _ in range(200):
+            f = rand_monic(rng, rng.randint(0, 3))
+            a = ref_pmul(f, rand_ppoly(rng, rng.randint(0, 3)))
+            b = ref_pmul(f, rand_ppoly(rng, rng.randint(0, 3)))
+            if rng.random() < 0.3:
+                a = ref_pmul(a, poly(*[0] * rng.randint(1, 3), 1))
+            assert _pgcd(a, b) == ref_pgcd(a, b)
+
+    def test_pgcd_cases(self):
+        x1 = poly(1, 1)
+        assert _pgcd(poly(0, 0, 0, 1), poly(0, 1, 1)) == X
+        assert _pgcd(ref_pmul(poly(0, 0, 1), x1), ref_pmul(X, ref_pmul(x1, x1))) == ref_pmul(X, x1)
+        assert _pgcd((), poly(2, 2)) == x1
+        assert _pgcd(poly(0, Scalar(0, 3)), ()) == X
+        assert _pgcd((), ()) == ()
+        assert _pgcd(poly(3), poly(1, 0, 1)) == (S_ONE,)
+        assert _pgcd(poly(0, 0, 1), poly(Fraction(-5, 2))) == (S_ONE,)
+        assert _pgcd(NIL8_DEN, ref_pmul(NIL8_DEN, poly(0, 0, 7))) == NIL8_DEN
+
+    def test_inverse_needs_no_gcd(self, monkeypatch):
+        u = SymScalar(*ref_reduce(poly(1, 2, Scalar(0, 3)), NIL8_DEN))
+        monkeypatch.setattr(scalars, "_pgcd", _refuse)
+        inv = u.inverse()
+        assert (inv.num, inv.den) == ref_reduce(u.den, u.num)
+        assert SymScalar.const(Scalar(2, 1)).inverse() == SymScalar.const(Scalar(2, -1) / 5)
+        with pytest.raises(ZeroDivisionError):
+            SymScalar.const(0).inverse()
+
+
+def _refuse(*args):
+    raise AssertionError("constant values must not enter polynomial arithmetic")
+
+
+POLY_KERNELS = ("_pmul", "_pcomb", "_pgcd", "_pquo")
+
+
+class TestConstantPathStaysScalar:
+    """Constants never enter polynomial arithmetic, so every kernel of the
+    polynomial path can be made to fail without failing a constant run."""
+
+    @pytest.fixture
+    def refuse_polynomials(self, monkeypatch):
+        for name in POLY_KERNELS:
+            monkeypatch.setattr(scalars, name, _refuse)
+
+    def test_row_echelon_on_a_constant_matrix(self, refuse_polynomials):
+        rng = random.Random(141)
+        rows = [[SymScalar.const(Scalar(*rand_gaussian(rng))) for _ in range(7)]
+                for _ in range(5)]
+        ech, pivots = linalg.row_echelon(rows)
+        assert len(ech) == len(pivots) > 0
+        assert all(c.is_constant() for row in ech for c in row)
+
+    def test_nijenhuis_g2(self, refuse_polynomials, capsys):
+        g2.g2_algebra.cache_clear()
+        try:
+            assert cli.main(["nijenhuis", "--model", "g2"]) == 0
+        finally:
+            g2.g2_algebra.cache_clear()
+        assert capsys.readouterr().out
