@@ -6,13 +6,17 @@ tensor s_j, extended to bundle-valued (p,q)-forms by
 
     dbar_E(x tensor s_i) = dbar(x) tensor s_i + (-1)^(p+q) sum_j x ^ theta[i][j] tensor s_j.
 
-The canonical power K^m is the rank-1 case trivialized by vol^m with
-vol = phi^1 ^ ... ^ phi^n; its structure form is beta_m = m * beta_1 where
-dbar(vol) = beta_1 ^ vol (the product rule, exposed for verification).
+Every twist of dbar is such a theta.  The canonical power K^m is the rank-1
+case trivialized by g^m, g the wedge of the phi^i over the model's basic
+indices (all of them when it has none), with theta = beta_m = m * beta_1
+where dbar(g) = beta_1 ^ g (checked).  A Fourier character block with
+d(chi) = chi lambda, lambda imaginary, tensors the bundle with a flat unitary
+line bundle: theta + lambda^{0,1} I (hodge.SectionContext).
 
 The Hermitian connection of a unitary frame is omega = theta - conj(theta)^T;
-its (1,0) part drives the codifferential.  The dual structure on E* over the
-dual frame is theta* = -theta^T.
+its (1,0) part drives the codifferential, and for the character twist it is
+-conj(lambda^{0,1}) = lambda^{1,0}, so no separate (1,0) twist is needed.
+The dual structure on E* over the dual frame is theta* = -theta^T.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ class PseudoholStructure:
             raise InputError("theta must be a square matrix of (0,1)-forms")
         self.theta = [[_check_01(e, model.n) for e in row] for row in theta]
 
-    def dbar_section(self, comps, lam_form=None):
+    def dbar_section(self, comps):
         """dbar_E of sum_i comps[i] tensor s_i; comps are Forms, possibly mixed."""
-        return self._twisted(self.model.coframe.dbar, self.theta, comps, lam_form)
+        return self._twisted(self.model.coframe.dbar, self.theta, comps)
 
     def connection(self):
         """omega = theta - conj(theta)^T for the unitary frame."""
@@ -55,17 +59,17 @@ class PseudoholStructure:
         r = self.rank
         return [[-self.theta[j][i].conjugate() for j in range(r)] for i in range(r)]
 
-    def nabla10_section(self, comps, lam_form=None):
+    def nabla10_section(self, comps):
         """The (1,0) covariant derivative of sum_i comps[i] tensor s_i."""
-        return self._twisted(self.model.coframe.del_op, self.connection_10(), comps, lam_form)
+        return self._twisted(self.model.coframe.del_op, self.connection_10(), comps)
 
-    def _twisted(self, op, matrix, comps, lam_form):
+    def _twisted(self, op, matrix, comps):
         """op(x_i) tensor s_i + (-1)^(p+q) x_i ^ matrix[i][j] tensor s_j, summed."""
         out = [Form.zero(self.model.n) for _ in range(self.rank)]
         for i, x in enumerate(comps):
             if x.is_zero():
                 continue
-            out[i] = out[i] + op(x, lam_form)
+            out[i] = out[i] + op(x)
             signed = Form(x.n, {k: -c if (len(k[0]) + len(k[1])) % 2 else c
                                 for k, c in x.terms.items()})
             for j, t in enumerate(matrix[i]):
@@ -87,23 +91,25 @@ def trivial_structure(model: LieACS, rank: int = 1) -> PseudoholStructure:
 
 
 class CanonicalPower:
-    """K^m over a model, trivialized by vol^m, with beta_m = m * beta_1."""
+    """K^m over a model, trivialized by g^m, with beta_m = m * beta_1 and
+    dbar(g) = beta_1 ^ g; g is the wedge of phi^i over the basic indices (or
+    1..n), so g ^ phibar^i = (-1)^deg(g) phibar^i ^ g gives beta_1's signs."""
 
     def __init__(self, model: LieACS, m: int):
         if not isinstance(m, int):
             raise InputError(f"bad canonical power {m!r}")
         self.model = model
         self.m = m
-        self.vol = Form.monomial(model.n, tuple(range(1, model.n + 1)), ())
+        n = model.n
+        gen = tuple(sorted(model.basic)) if model.basic is not None else tuple(range(1, n + 1))
+        self.vol = Form.monomial(n, gen, ())
         dvol = model.coframe.dbar(self.vol)
-        sign = -1 if model.n % 2 else 1
-        full = tuple(range(1, model.n + 1))
         beta_terms = {}
-        for i in range(1, model.n + 1):
-            c = dvol.coefficient(full, (i,))
+        for i in range(1, n + 1):
+            c = dvol.coefficient(gen, (i,))
             if not c.is_zero():
-                beta_terms[((), (i,))] = c if sign > 0 else -c
-        self.beta1 = Form(model.n, beta_terms)
+                beta_terms[((), (i,))] = -c if len(gen) % 2 else c
+        self.beta1 = Form(n, beta_terms)
         if self.beta1.wedge(self.vol) != dvol:
             raise InternalCheckError("canonical bundle", "beta_1 does not reproduce dbar(vol)")
 
@@ -113,4 +119,3 @@ class CanonicalPower:
 
     def structure(self) -> PseudoholStructure:
         return PseudoholStructure(self.model, [[self.beta()]])
-

@@ -242,8 +242,8 @@ def _lie_model_for(args):
         raise RefusalError(_T4_LIE_REFUSAL)
     if kind == "g2" and getattr(args, "power", 0):
         raise RefusalError(
-            "canonical powers of the sphere are exposed through plurigenera; "
-            "the full-frame canonical bundle is not the sphere's"
+            "hodge --power on the sphere needs the sphere's basic star, which "
+            "hodge does not use; its plurigenera are in plurigenera and s6-report"
         )
     return (kt_model(member[0]) if kind == "kt" else member), desc
 

@@ -5,7 +5,9 @@ Everything is exact: basis matrices over Gaussian rationals, kept as their
 nonzero entries, brackets by honest matrix commutators with coordinate
 extraction re-verified entry by entry, the three-form and cross product
 generated from one seven-term display, and the sphere's invariant Dolbeault
-census run through the same coframe machinery as the torus models.
+census run through the same coframe machinery as the torus models: its
+canonical bundle is a bundles.CanonicalPower trivialized over the basic
+indices, like K^m on any other model.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
+from .bundles import CanonicalPower, PseudoholStructure
 from .errors import InputError, RefusalError
 from .forms import Form, perm_sign
 from .hodge import (
@@ -967,40 +970,23 @@ def s6_basic_star(x: Form) -> Form:
 
 
 @lru_cache(maxsize=1)
-def s6_canonical_twist() -> Form:
-    """The (0,1) twist form of the basic canonical generator.
-
-    Defined by dbar(phi123) = -beta ^ phi123; solvability is part of the
-    claim and is verified, not assumed (once per process: every level of
-    the plurigenus sweep reads the same form).
-    """
-    coframe = s6_model().coframe
-    gen = Form.phi(N, 1).wedge(Form.phi(N, 2)).wedge(Form.phi(N, 3))
-    db = coframe.dbar(gen)
-    beta = Form.zero(N)
-    for k in range(1, N + 1):
-        probe = Form.phibar(N, k).wedge(gen)
-        key = next(iter(probe.terms))
-        c = db.terms.get(key, SymScalar.const(0)) / probe.terms[key]
-        beta = beta + Form.phibar(N, k).scale(-c)
-    if not (beta.wedge(gen) + db).is_zero():
-        raise RefusalError(
-            "dbar of the canonical generator is not a multiple of the generator"
-        )
-    return beta
+def _s6_canonical() -> CanonicalPower:
+    """The sphere's canonical bundle, trivialized by phi1^phi2^phi3 (once per
+    process: every level of the plurigenus sweep reads it)."""
+    return CanonicalPower(s6_model(), 1)
 
 
 def s6_plurigenus(m: int) -> int:
     """Invariant pluricanonical sections of the sphere at level m.
 
     The basic canonical generator trivializes the bundle; an invariant
-    section is a constant multiple, and it is holomorphic exactly when m
-    times the twist form vanishes.
+    section is a constant multiple, and it is holomorphic exactly when
+    beta_m = m * beta_1 vanishes.
     """
     m = int(m)
     if m < 1:
         raise InputError("plurigenus level m must be at least 1")
-    return 1 if s6_canonical_twist().scale(m).is_zero() else 0
+    return 1 if _s6_canonical().beta(m).is_zero() else 0
 
 
 def s6_coframe_bundle():
@@ -1012,8 +998,6 @@ def s6_coframe_bundle():
     with theta[i][j] = -sum_k c^i_{jk} phibar^k, and the assembled matrix is
     re-checked against the structure equations term by term.
     """
-    from .bundles import PseudoholStructure
-
     model = s6_model()
     eqs = structure_equations(model.coframe)
     zero = Form.zero(N)

@@ -17,7 +17,9 @@ Conventions (all exact, all verified against each other in the tests):
   dbar* = -star del star on forms; on bundle-valued forms del is replaced by
   the (1,0) part of the Hermitian connection of the unitary frame.  The
   Laplacian is dbar dbar* + dbar* dbar, and its kernel is
-  ker dbar intersect ker dbar* (both sides computed).
+  ker dbar intersect ker dbar* (both sides computed).  A Fourier character
+  block is one more bundle: the flat unitary line bundle of the character,
+  tensored in by twisting theta (SectionContext).
 
 Invariant integration (top coefficient times total volume) is a Stokes-exact
 substitute for integration only on unimodular algebras; everything here
@@ -137,20 +139,26 @@ class SectionContext:
     """Bundle-valued invariant (p,q)-forms in one character block.
 
     A section is a list of Forms, one per frame element of the bundle
-    (trivial bundle: rank one, theta = 0).  All operators act blockwise in
-    the character chi with d(chi x) = chi(lambda ^ x + dx).
+    (trivial bundle: rank one, theta = 0).  A nontrivial character chi, with
+    d(chi) = chi lambda, tensors the bundle with a flat unitary line bundle:
+    the block's theta is theta + lambda^{0,1} I, and lambda must be
+    imaginary for chi to be unitary.
     """
 
     def __init__(self, model: LieACS, bundle: PseudoholStructure | None = None,
                  character: Character | None = None):
         self.model = model
         self.data = HermitianData(model)
-        self.bundle = bundle if bundle is not None else trivial_structure(model)
-        self.rank = self.bundle.rank
-        self.character = character
-        self.lam = None
+        bundle = bundle if bundle is not None else trivial_structure(model)
+        self.rank = bundle.rank
         if character is not None and not character.is_trivial():
-            self.lam = character.lambda_form(model.coframe)
+            if any(not (v + v.conjugate()).is_zero() for v in character.values):
+                raise InputError("a unitary character needs an imaginary lambda")
+            twist = character.lambda_form(model.coframe).project(0, 1)
+            theta = [[t + twist if i == j else t for j, t in enumerate(row)]
+                     for i, row in enumerate(bundle.theta)]
+            bundle = PseudoholStructure(model, theta)
+        self.bundle = bundle
 
     def wrap(self, x):
         if isinstance(x, Form):
@@ -160,10 +168,10 @@ class SectionContext:
         return list(x)
 
     def dbar(self, comps):
-        return self.bundle.dbar_section(self.wrap(comps), self.lam)
+        return self.bundle.dbar_section(self.wrap(comps))
 
     def nabla10(self, comps):
-        return self.bundle.nabla10_section(self.wrap(comps), self.lam)
+        return self.bundle.nabla10_section(self.wrap(comps))
 
     def star_section(self, comps):
         return [self.data.star(x) for x in self.wrap(comps)]

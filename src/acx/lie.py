@@ -12,6 +12,13 @@ Conventions.  d(xi)(x, y) = -xi([x, y]) on invariant 1-forms.  The Nijenhuis
 tensor is N(x, y) = [x, y] + J[Jx, y] + J[x, Jy] - [Jx, Jy]; J is integrable
 iff N = 0 iff the (0,2) parts of all d(phi^i) vanish iff the (1,0) frame is
 closed under the bracket.  All three tests are implemented and cross-checked.
+
+Characters.  A character lambda (vanishing on [g, g], imaginary-valued) is
+the derivative of a unitary character chi, d(chi) = chi lambda, so
+d(chi x) = chi(lambda ^ x + dx).  chi x is a section of a flat unitary line
+bundle whose dbar-form is lambda^{0,1}: the coframe's operators act on
+constant-coefficient forms only, and the twist lives in the bundle's theta
+(bundles, hodge.SectionContext).
 """
 
 from __future__ import annotations
@@ -232,10 +239,6 @@ class ComplexCoframe:
         self._d_gen_cache = {}
         self._d_mono_cache = {}
 
-    def phi_row(self, i):
-        """phi^i over the real dual basis (1 <= i <= n)."""
-        return list(self.C[i - 1])
-
     def x_vector(self, B):
         """Column B (0-based, 0..2n-1) of C^{-1}: X_{B+1} or Xbar_{B+1-n}."""
         return [self.Cinv[a][B] for a in range(2 * self.n)]
@@ -290,28 +293,25 @@ class ComplexCoframe:
             self._d_mono_cache[key] = out
         return out
 
-    def _d(self, x: Form, lam, shift) -> Form:
-        """d(chi x) = chi(lam^x + dx), or with a shift the part of it that
-        raises the bidegree of each part of x by the shift."""
+    def _d(self, x: Form, shift) -> Form:
+        """dx, or with a shift the part of it that raises the bidegree of
+        each part of x by the shift."""
         terms = {}
         for (alpha, beta), c in x.terms.items():
             for k, v in self._d_monomial(alpha, beta, shift).terms.items():
                 acc = terms.get(k)
                 terms[k] = v * c if acc is None else acc + v * c
-        out = Form(self.n, terms)
-        if lam is not None:
-            out = out + (lam if shift is None else lam.project(*shift)).wedge(x)
-        return out
+        return Form(self.n, terms)
 
-    def d(self, x: Form, lam: Form | None = None) -> Form:
-        """d on constant-coefficient forms; with lam, d(chi x) = chi(lam^x + dx)."""
-        return self._d(x, lam, None)
+    def d(self, x: Form) -> Form:
+        """d on constant-coefficient forms."""
+        return self._d(x, None)
 
-    def dbar(self, x: Form, lam: Form | None = None) -> Form:
-        return self._d(x, lam, (0, 1))
+    def dbar(self, x: Form) -> Form:
+        return self._d(x, (0, 1))
 
-    def del_op(self, x: Form, lam: Form | None = None) -> Form:
-        return self._d(x, lam, (1, 0))
+    def del_op(self, x: Form) -> Form:
+        return self._d(x, (1, 0))
 
     def real_covector_form(self, a) -> Form:
         """e^a expressed over the complex coframe."""
@@ -405,7 +405,8 @@ def is_integrable(tensor: NijenhuisTensor, coframe: ComplexCoframe) -> bool:
 
 class Character:
     """A Lie-algebra character lambda (vanishing on [g,g]), the derivative of
-    a unitary character chi; d(chi x) = chi(lambda ^ x + dx)."""
+    a unitary character chi when its values are imaginary;
+    d(chi x) = chi(lambda ^ x + dx)."""
 
     def __init__(self, alg: LieAlgebra, values):
         self.alg = alg
@@ -445,14 +446,13 @@ class LieACS:
     given holomorphic/antiholomorphic index set.
     """
 
-    def __init__(self, alg, J, *, name="", symbol="x", param=None,
-                 characters=None, basic=None):
+    def __init__(self, alg, J, *, name="", symbol="x", characters=None,
+                 basic=None):
         self.alg = alg
         self.J = J
         self.coframe = build_coframe(alg, J)
         self.name = name
         self.symbol = symbol
-        self.param = param
         self._characters = characters
         self.basic = frozenset(basic) if basic is not None else None
 

@@ -89,10 +89,7 @@ def kt_model(a: PiParam) -> LieACS:
                     out.append(_kt_character(alg, Fraction(0), sign * l))
         return out
 
-    return LieACS(
-        alg, kt_J(a),
-        name="kt", symbol=a.symbol_name, param=a, characters=characters,
-    )
+    return LieACS(alg, kt_J(a), name="kt", symbol=a.symbol_name, characters=characters)
 
 
 def abelian_model(n: int) -> LieACS:
@@ -211,8 +208,7 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
         and J.matrix == kt_J(param).matrix
     ):
         return kt_model(param), param
-    model = LieACS(alg, J, name=alg.name, symbol=param.symbol_name if param else "x",
-                   param=param)
+    model = LieACS(alg, J, name=alg.name, symbol=param.symbol_name if param else "x")
     return model, param
 
 

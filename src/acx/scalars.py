@@ -726,12 +726,6 @@ class PiParam:
             return SymScalar.symbol(coeff=self.q)
         return SymScalar.symbol()
 
-    def pi_value(self) -> SymScalar:
-        """pi as a SymScalar; only available on the rational_pi branch."""
-        if self.kind != "rational_pi":
-            raise ValueError("pi is not expressible on the generic branch")
-        return SymScalar.symbol()
-
     def __eq__(self, other):
         if not isinstance(other, PiParam):
             return NotImplemented

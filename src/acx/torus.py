@@ -522,8 +522,8 @@ class PlurigeneraProfile:
             raise InputError("profiles need at least four values to classify")
         if kappa is None:
             kappa = self._classify(values)
-        else:
-            self._check_kappa(values, kappa)
+        elif (refusal := self._check_kappa(values, kappa)) is not None:
+            raise InputError(refusal)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "kappa", kappa)
 
@@ -560,28 +560,27 @@ class PlurigeneraProfile:
         return degree
 
     @classmethod
-    def _check_kappa(cls, values, kappa) -> None:
-        """Refuse a declared kappa the values contradict: -inf needs every
-        value zero, and kappa >= 1 must equal the tail fit when the tail
-        decides a degree.  A declared kappa = 0 is not compared with the
-        values, because no finite window can refute bounded growth: kt at
+    def _check_kappa(cls, values, kappa) -> Optional[str]:
+        """Why a declared kappa is refused, or None: -inf needs every value
+        zero, and kappa >= 1 must equal the tail fit when the tail decides a
+        degree.  A declared kappa = 0 is not compared with the values,
+        because no finite window can refute bounded growth: kt at
         a = 4/3*pi has the bounded (0 or 1) values 0, 0, 1, 0, 0, 1 up to
         m = 6, and their tail 1, 0, 0, 1 fits degree 2 exactly."""
         if kappa == NEG_INF:
             if any(v != 0 for v in values):
-                raise InputError("kappa = -inf with a nonzero value")
+                return "kappa = -inf with a nonzero value"
         elif type(kappa) is not int or kappa < 0:
-            raise InputError(f"kappa must be -inf or an integer >= 0, got {kappa!r}")
+            return f"kappa must be -inf or an integer >= 0, got {kappa!r}"
         elif kappa >= 1:
             # the tail decides the degree unless it holds an interval or is all zero
             tail = cls._tail(values)
             intervals = any(isinstance(v, IntInterval) for v in tail)
             fitted = None if intervals else _poly_degree(tail)
             if fitted not in (None, -1, kappa):
-                raise InputError(
-                    f"stored tail fits degree {fitted}, "
-                    f"inconsistent with declared kappa {kappa}"
-                )
+                return (f"stored tail fits degree {fitted}, "
+                        f"inconsistent with declared kappa {kappa}")
+        return None
 
     # -- access ---------------------------------------------------------------
 
@@ -612,11 +611,16 @@ class PlurigeneraProfile:
 
 def kunneth(pa: PlurigeneraProfile, pb: PlurigeneraProfile) -> PlurigeneraProfile:
     """Product profile: plurigenera multiply level-by-level and kappa adds
-    (an all-zero factor's -inf absorbs)."""
+    (an all-zero factor's -inf absorbs), unless the product's values
+    contradict the sum; then kappa is fitted from them, so a caller sees the
+    failed additivity as kappa != pa.kappa + pb.kappa."""
     if pa.length != pb.length:
         raise InputError("profiles must store the same number of levels")
     values = [_value_mul(u, v) for u, v in zip(pa.values, pb.values)]
-    return PlurigeneraProfile(values, pa.kappa + pb.kappa)
+    kappa = pa.kappa + pb.kappa
+    if PlurigeneraProfile._check_kappa(values, kappa) is not None:
+        kappa = None
+    return PlurigeneraProfile(values, kappa)
 
 
 def kodaira_dimension(profile: PlurigeneraProfile) -> Union[float, int]:

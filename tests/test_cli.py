@@ -8,6 +8,7 @@ import pytest
 from acx import __version__
 from acx.cli import main, run
 from acx.errors import InputError, RefusalError
+from acx.forms import Form
 
 
 KT_FILE_OBJ = {
@@ -454,6 +455,60 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("internal check failed: integrability: ")
         assert "N=0:False (0,2)-parts:True frame-closed:False" in err
+
+    def test_failed_mode_oracle_exit_three(self, monkeypatch, capsys):
+        from acx import cli
+
+        monkeypatch.setattr(cli, "kt_mode_oracle", lambda *args, **kwargs: [])
+        code = main(["plurigenera", "--model", "kt", "--a", "4*pi", "--m", "1",
+                     "--cross-check"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "internal check failed: mode oracle: disagrees with the closed form"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["hodge", "--model", "kt", "--a", "4*pi", "--p", "0", "--q", "0",
+         "--power", "1"],
+        ["plurigenera", "--model", "g2", "--m", "1..3"],
+    ])
+    def test_failed_canonical_bundle_exit_three(self, monkeypatch, capsys, argv):
+        # a (0,0) term in dbar of every form: no beta_1 reproduces dbar(vol)
+        from acx import g2, lie
+
+        dbar = lie.ComplexCoframe.dbar
+        monkeypatch.setattr(lie.ComplexCoframe, "dbar",
+                            lambda self, x: dbar(self, x) + Form.one(self.n))
+        g2._s6_canonical.cache_clear()
+        try:
+            assert main(argv) == 3
+        finally:
+            g2._s6_canonical.cache_clear()
+        assert capsys.readouterr().err.startswith(
+            "internal check failed: canonical bundle: "
+        )
+
+    def test_contradicted_kappa_additivity_exit_one(self, monkeypatch, capsys):
+        # a curve declared bounded passes its own check (kappa = 0 is never
+        # compared), but its product with rr:2 grows quadratically, not linearly
+        from acx import cli
+        from acx.torus import PlurigeneraProfile
+
+        curve = cli.curve_profile
+        monkeypatch.setattr(cli, "curve_profile", lambda g, length: PlurigeneraProfile(
+            curve(g, length).values, 0))
+        assert main(["kunneth", "--factors", "curve:2,rr:2", "--length", "8"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [f["kappa"] for f in report["factors"]] == [0, 1]
+        assert report["product"]["kappa"] == 2
+        assert report["kappa_additive"] is False
+
+    def test_undecidable_kappa_additivity_is_true(self, capsys):
+        assert main(["kunneth", "--factors", "kt:4/3*pi,curve:2",
+                     "--length", "12"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["product"]["values"] == [0, 0, 5, 0, 0, 11, 0, 0, 17, 0, 0, 23]
+        assert report["kappa_additive"] is True
 
     def test_internal_check_error_is_not_an_input_error(self):
         from acx.errors import InternalCheckError

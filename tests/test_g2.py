@@ -10,6 +10,7 @@ import random
 import pytest
 
 from acx import g2
+from acx.bundles import CanonicalPower
 from acx.errors import InputError
 from acx.forms import Form
 from acx.scalars import Scalar, SymScalar
@@ -227,7 +228,9 @@ class TestSphereStructure:
 
 class TestSphereCanonical:
     def test_twist_vanishes(self):
-        assert g2.s6_canonical_twist().is_zero()
+        canonical = CanonicalPower(g2.s6_model(), 1)
+        assert canonical.vol == Form.phi(7, 1).wedge(Form.phi(7, 2)).wedge(Form.phi(7, 3))
+        assert canonical.beta1.is_zero()
 
     def test_plurigenus_levels(self):
         for m in range(1, 9):

@@ -248,17 +248,18 @@ def test_g2_verify_fails_on_a_wrong_bracket_inside_the_span(monkeypatch, capsys,
     assert table["mismatches"] + table["jacobi_failures"] > 0
 
 
-def test_twist_form_is_solved_once(monkeypatch):
-    # every solve fetches the sphere model exactly once
-    solves = []
-    model = g2.s6_model
-    monkeypatch.setattr(g2, "s6_model", lambda: solves.append(1) or model())
-    g2.s6_canonical_twist.cache_clear()
+def test_canonical_bundle_is_built_once_for_50_levels(monkeypatch):
+    builds = []
+    canonical = g2.CanonicalPower
+    monkeypatch.setattr(
+        g2, "CanonicalPower", lambda *args: builds.append(args) or canonical(*args)
+    )
+    g2._s6_canonical.cache_clear()
     try:
         assert [g2.s6_plurigenus(m) for m in range(1, 51)] == [1] * 50
     finally:
-        g2.s6_canonical_twist.cache_clear()
-    assert len(solves) == 1
+        g2._s6_canonical.cache_clear()
+    assert builds == [(g2.s6_model(), 1)]
 
 
 def jacobi_failures_by_element_sums():

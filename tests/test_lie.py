@@ -168,7 +168,7 @@ class TestComplexCoframe:
             J = model.J.matrix
             N = 2 * cf.n
             for i in range(1, cf.n + 1):
-                row = cf.phi_row(i)
+                row = cf.C[i - 1]
                 composed = [
                     sum((row[b] * J[b][c] for b in range(N)), SS_ZERO)
                     for c in range(N)
@@ -179,8 +179,8 @@ class TestComplexCoframe:
         cf = kt_model(A_GENERIC).coframe
         a = A_GENERIC.a_value()
         i = SymScalar.const(Scalar(0, 1))
-        assert cf.phi_row(1) == [SS_ONE, i, SS_ZERO, SS_ZERO]
-        assert cf.phi_row(2) == [SS_ZERO, SS_ZERO, SS_ONE, i * a]
+        assert cf.C[0] == [SS_ONE, i, SS_ZERO, SS_ZERO]
+        assert cf.C[1] == [SS_ZERO, SS_ZERO, SS_ONE, i * a]
 
     def test_dual_frame_columns(self):
         cf = kt_model(A_4PI).coframe

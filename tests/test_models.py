@@ -47,7 +47,6 @@ class TestPresets:
         assert model.n == 2
         assert model.alg.brackets == kt_algebra().brackets
         assert model.symbol == "pi"
-        assert model.param == A_4PI
 
     def test_kt_characters_depend_on_branch(self):
         rational = kt_model(A_4PI)

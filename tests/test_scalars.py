@@ -182,12 +182,9 @@ class TestPiParam:
         a = PiParam.rational_pi(Fraction(4, 3))
         assert a.symbol_name == "pi"
         assert a.a_value() == SymScalar.symbol(coeff=Fraction(4, 3))
-        assert a.pi_value() == SymScalar.symbol()
         g = PiParam.generic()
         assert g.symbol_name == "a"
         assert g.a_value() == SymScalar.symbol()
-        with pytest.raises(ValueError):
-            g.pi_value()
 
     def test_immutability_and_hash(self):
         a = PiParam.rational_pi(2)

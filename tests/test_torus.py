@@ -352,6 +352,13 @@ class TestKunnethAndKodaira:
                 prod = kunneth(pa, pb)
                 assert PlurigeneraProfile(prod.values).kappa == prod.kappa
 
+    def test_contradicted_sum_is_refitted(self):
+        # curve values with a fabricated kappa = 0 pass their own check; the
+        # product with rr grows quadratically, so the sum 1 is not its kappa
+        fabricated = PlurigeneraProfile(curve_profile(2, 8).values, 0)
+        prod = kunneth(fabricated, rr_profile(2, 8))
+        assert prod.kappa == 2 == PlurigeneraProfile(prod.values).kappa
+
     def test_mismatched_lengths_are_rejected(self):
         with pytest.raises(InputError):
             kunneth(rr_profile(2, 8), rr_profile(2, 6))
