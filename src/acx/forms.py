@@ -91,8 +91,8 @@ class Form:
             c = SymScalar.coerce(coeff)
             if not c.is_zero():
                 clean[(alpha, beta)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        _setn(self, n)
+        _setterms(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
@@ -166,11 +166,12 @@ class Form:
                 # move the phi block of the second factor past phibar_b1
                 sign = sa * sb * (-1 if (len(b1) * len(a2)) % 2 else 1)
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
                 key = (alpha, beta)
                 acc = terms.get(key)
-                terms[key] = c if acc is None else acc + c
+                if sign > 0:
+                    terms[key] = c if acc is None else acc + c
+                else:
+                    terms[key] = -c if acc is None else acc - c
         return Form(self.n, terms)
 
     # --- structure queries
@@ -246,6 +247,11 @@ class Form:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
+
+
+# the slot setters, which bypass the __setattr__ guard of a form being built
+_setn = Form.__dict__["n"].__set__
+_setterms = Form.__dict__["terms"].__set__
 
 
 def d_monomial(n: int, alpha, beta, d_generator) -> Form:

@@ -177,12 +177,11 @@ class ACStructure:
         return mat_vec(self.matrix, v)
 
 
-def nijenhuis_entry(alg: LieAlgebra, J: ACStructure, i: int, j: int):
-    """N(e_i, e_j) = [e_i,e_j] + J[Je_i,e_j] + J[e_i,Je_j] - [Je_i,Je_j]."""
-    ei = [SS_ONE if k == i - 1 else SS_ZERO for k in range(alg.dim)]
-    ej = [SS_ONE if k == j - 1 else SS_ZERO for k in range(alg.dim)]
-    Jei = J.apply(ei)
-    Jej = J.apply(ej)
+def _unit(dim, i):
+    return [SS_ONE if k == i - 1 else SS_ZERO for k in range(dim)]
+
+
+def _nijenhuis(alg, J, ei, ej, Jei, Jej):
     t1 = alg.bracket_vectors(ei, ej)
     t2 = J.apply(alg.bracket_vectors(Jei, ej))
     t3 = J.apply(alg.bracket_vectors(ei, Jej))
@@ -190,13 +189,23 @@ def nijenhuis_entry(alg: LieAlgebra, J: ACStructure, i: int, j: int):
     return [a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
 
 
+def nijenhuis_entry(alg: LieAlgebra, J: ACStructure, i: int, j: int):
+    """N(e_i, e_j) = [e_i,e_j] + J[Je_i,e_j] + J[e_i,Je_j] - [Je_i,Je_j]."""
+    ei, ej = _unit(alg.dim, i), _unit(alg.dim, j)
+    return _nijenhuis(alg, J, ei, ej, J.apply(ei), J.apply(ej))
+
+
 class NijenhuisTensor:
     def __init__(self, alg, J):
         self.alg = alg
         self.values = {}
+        # the basis vectors e_i and the columns J e_i, each formed once
+        units = [_unit(alg.dim, i) for i in range(1, alg.dim + 1)]
+        columns = [J.apply(e) for e in units]
         for i in range(1, alg.dim + 1):
             for j in range(i + 1, alg.dim + 1):
-                v = nijenhuis_entry(alg, J, i, j)
+                v = _nijenhuis(alg, J, units[i - 1], units[j - 1],
+                               columns[i - 1], columns[j - 1])
                 if any(not c.is_zero() for c in v):
                     self.values[(i, j)] = v
 

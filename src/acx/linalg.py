@@ -122,13 +122,15 @@ def is_nonsingular(rows) -> bool:
 
 
 def mat_vec(rows, v):
-    """A v, summing over the nonzero entries of v only."""
+    """A v, summing over the entries nonzero in both v and the row."""
     terms = [(k, c) for k, c in enumerate(map(SymScalar.coerce, v)) if not c.is_zero()]
     out = []
     for row in rows:
         acc = SS_ZERO
         for k, c in terms:
-            acc = acc + SymScalar.coerce(row[k]) * c
+            x = SymScalar.coerce(row[k])
+            if x.num:
+                acc = acc + x * c
         out.append(acc)
     return out
 

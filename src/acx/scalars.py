@@ -30,6 +30,12 @@ monomial when either stripped part is constant; the rest is Euclid on
 Gaussian-integer coefficients over one common denominator.  Products,
 linear combinations and exact quotients run on such integer coefficients
 too, and each output coefficient is normalised once.
+
+Construction.  Scalar and SymScalar are immutable: __setattr__ raises.  A
+value is built by object.__new__ and its slots are filled through the slot
+descriptors' __set__ (_seta, _setb, _setd, _setnum, _setden, fetched once at
+import), which bypasses that guard without the cost of a generic
+object.__setattr__ call; forms.Form and g2.G2Element are built the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-_set = object.__setattr__
 _new = object.__new__
 
 
@@ -62,9 +67,9 @@ def _exact(value) -> Fraction:
 def _scalar(a, b, d):
     """The Scalar (a + b*i)/d from a triple already in canonical form."""
     s = _new(Scalar)
-    _set(s, "a", a)
-    _set(s, "b", b)
-    _set(s, "d", d)
+    _seta(s, a)
+    _setb(s, b)
+    _setd(s, d)
     return s
 
 
@@ -84,9 +89,9 @@ class Scalar:
         re, im = (v if isinstance(v, (int, Fraction)) else _exact(v) for v in (re, im))
         d = lcm(re.denominator, im.denominator)
         # gcd(a, b, d) = 1 since each of re and im is in lowest terms
-        _set(self, "a", re.numerator * (d // re.denominator))
-        _set(self, "b", im.numerator * (d // im.denominator))
-        _set(self, "d", d)
+        _seta(self, re.numerator * (d // re.denominator))
+        _setb(self, im.numerator * (d // im.denominator))
+        _setd(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -193,6 +198,12 @@ class Scalar:
 
     def __str__(self):
         return scalar_str(self)
+
+
+# the slot setters, which bypass the __setattr__ guard of a value being built
+_seta = Scalar.__dict__["a"].__set__
+_setb = Scalar.__dict__["b"].__set__
+_setd = Scalar.__dict__["d"].__set__
 
 
 def _operand(value):
@@ -423,8 +434,8 @@ _P_ONE = (S_ONE,)
 def _sym(num, den):
     """A SymScalar from a num/den pair already in canonical form."""
     s = _new(SymScalar)
-    _set(s, "num", num)
-    _set(s, "den", den)
+    _setnum(s, num)
+    _setden(s, den)
     return s
 
 
@@ -497,8 +508,8 @@ class SymScalar:
                 den = tuple(c * inv for c in den)
         if not num or len(den) == 1:
             den = _P_ONE
-        _set(self, "num", num)
-        _set(self, "den", den)
+        _setnum(self, num)
+        _setden(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymScalar is immutable")
@@ -637,6 +648,10 @@ class SymScalar:
         if self.den is _P_ONE:
             return num
         return f"({num})/({_poly_str(self.den, symbol)})"
+
+
+_setnum = SymScalar.__dict__["num"].__set__
+_setden = SymScalar.__dict__["den"].__set__
 
 
 def _poly_str(coeffs, symbol: str) -> str:

@@ -258,9 +258,8 @@ def _mode_multiplier_vanishes(a: PiParam, coeff: Fraction, k: int, l: int) -> bo
 
     On the rational branch the value is pi*((coeff*q - l) + i*k); on the
     generic branch a and pi are rationally independent, so the value vanishes
-    only when both rational coordinates do.
+    only when both rational coordinates do.  coeff is a Fraction already.
     """
-    coeff = Fraction(coeff)
     if a.kind == "rational_pi":
         return k == 0 and coeff * a.q == l
     return coeff == 0 and k == 0 and l == 0
@@ -272,6 +271,8 @@ def kt_mode_oracle(
     """Cross-check oracle: enumerate the window and test each mode exactly."""
     if window is None:
         window = mode_window()
+    if not isinstance(coeff, Fraction):
+        coeff = Fraction(coeff)
     hits = []
     for k in range(-window, window + 1):
         for l in range(-window, window + 1):

@@ -129,6 +129,13 @@ class TestForm:
         x = Form.monomial(n, (1,), (2,), Scalar(0, 1)) - Form.monomial(n, (1, 2), ())
         assert x.to_str() == "i*phi1^phibar2 - phi1^phi2"
 
+    def test_immutable(self):
+        x = Form.phi(3, 1).wedge(Form.phibar(3, 2)) + Form.one(3)
+        for name, value in (("n", 2), ("terms", {}), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+        assert x.n == 3 and len(x.terms) == 2
+
 
 class TestHelpers:
     def test_wedge_all(self):

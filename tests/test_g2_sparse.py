@@ -1,9 +1,11 @@
 """The nonzero-entry loops of the matrix model against dense references.
 
-bracket and CrossProduct.preserves_form sum over nonzero entries only, and
-G2Element stores only the nonzero entries of its matrix.  The loops they
-replaced are kept here as references and must agree with them on every
-matrix below; the span check is fed faults and must catch each of them.
+bracket, CrossProduct.cross, dot, is_member and preserves_form sum over
+nonzero entries only, G2Element stores only the nonzero entries of its
+matrix, and membership_sample_check decides span membership against one
+reduced basis.  The loops they replaced are kept here as references and
+must agree with them on every input below; the span check is fed faults
+and must catch each of them, and g2-verify's sweep sizes are pinned.
 """
 
 import itertools
@@ -19,6 +21,7 @@ import pytest
 from acx import g2
 from acx.cli import main
 from acx.errors import InputError, RefusalError
+from acx.linalg import in_span
 from acx.scalars import Scalar
 
 N = g2.N
@@ -310,3 +313,178 @@ def test_scalar_coordinates_are_kept_and_others_coerced():
             g2.G2Element([bad] + [0] * (g2.X_DIM - 1), [0] * g2.Y_DIM)
     with pytest.raises(InputError):
         g2.G2Element([Scalar(1)] * g2.X_DIM, [Scalar(1)])
+
+
+def dense_cross(u, v):
+    """u x v over all 42 epsilon terms, zero components included."""
+    out = [Scalar(0)] * N
+    for (i, j, k), sign in g2._epsilon().items():
+        term = u[i - 1] * v[j - 1]
+        out[k - 1] = out[k - 1] + (term if sign > 0 else -term)
+    return tuple(out)
+
+
+def dense_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Scalar(0))
+
+
+def dense_is_member(A):
+    """Skew-symmetry on all 49 ordered pairs, then each row's contraction
+    filtered from all 42 epsilon terms."""
+    for i in range(N):
+        for j in range(N):
+            if A[i][j] != -A[j][i]:
+                return False
+    for i in range(1, N + 1):
+        acc = Scalar(0)
+        for (ii, j, k), sign in g2._epsilon().items():
+            if ii != i:
+                continue
+            term = A[j - 1][k - 1]
+            acc = acc + (term if sign > 0 else -term)
+        if not acc.is_zero():
+            return False
+    return True
+
+
+def dense_span_decision(A):
+    """The membership test's span decision as one in_span elimination of
+    the fourteen flattened basis matrices per sample."""
+    basis_vectors = [e.flatten() for e in BASIS_ELEMENTS]
+    return in_span(basis_vectors, [A[i][j] for i in range(N) for j in range(N)])
+
+
+def _rand_vector(rng):
+    return tuple(_rand_scalar(rng) if rng.random() < 0.6 else Scalar(0) for _ in range(N))
+
+
+def test_cross_and_dot_match_dense_reference_on_basis_pairs():
+    cp = g2.cross_product()
+    basis = [g2.basis_vector(k) for k in range(1, N + 1)]
+    for u, v in itertools.product(basis, repeat=2):
+        assert cp.cross(u, v) == dense_cross(u, v)
+        assert cp.dot(u, v) == dense_dot(u, v)
+
+
+def test_cross_and_dot_match_dense_reference_on_random_vectors():
+    cp = g2.cross_product()
+    rng = random.Random(37)
+    for _ in range(60):
+        u, v = _rand_vector(rng), _rand_vector(rng)
+        assert cp.cross(u, v) == dense_cross(u, v)
+        assert cp.dot(u, v) == dense_dot(u, v)
+        assert cp.dot(cp.cross(u, v), u).is_zero()
+    # raw components are coerced as before
+    raw = [1, Fraction(1, 2), 0, -3, 0, 0, 2]
+    coerced = tuple(Scalar(c) for c in raw)
+    assert cp.cross(raw, raw[::-1]) == dense_cross(coerced, coerced[::-1])
+    assert cp.dot(raw, raw) == dense_dot(coerced, coerced)
+
+
+def _single_entry_perturbations(A, rng):
+    for i, j in itertools.product(range(N), repeat=2):
+        B = [list(row) for row in A]
+        B[i][j] = B[i][j] + Scalar(rng.choice([1, -2]), rng.randint(0, 1))
+        yield B
+
+
+def _non_skew(rng, count):
+    out = []
+    for _ in range(count):
+        A = [[_rand_scalar(rng) if rng.random() < 0.5 else Scalar(0) for _ in range(N)]
+             for _ in range(N)]
+        out.append(A)
+    return out
+
+
+def test_is_member_matches_dense_reference():
+    cp = g2.cross_product()
+    rng = random.Random(38)
+    for A in BASIS + MEMBERS:
+        assert cp.is_member(A) is dense_is_member(A) is True
+    for A in NON_MEMBERS + [ROTATION]:
+        assert cp.is_member(A) is dense_is_member(A) is False
+    for A in _non_skew(rng, 20):
+        assert cp.is_member(A) is dense_is_member(A) is False
+    # every single-entry change of a member breaks skew-symmetry
+    for A in MEMBERS[:3]:
+        for B in _single_entry_perturbations(A, rng):
+            assert cp.is_member(B) is dense_is_member(B) is False
+    # a skew change at one pair keeps skew-symmetry and may leave the algebra
+    for A in MEMBERS[:2]:
+        for i, j in itertools.combinations(range(N), 2):
+            B = [list(row) for row in A]
+            v = _rand_scalar(rng)
+            B[i][j], B[j][i] = B[i][j] + v, B[j][i] - v
+            assert cp.is_member(B) == dense_is_member(B)
+
+
+def test_span_decision_matches_in_span_reference():
+    reduced = g2._reduced_basis([e.flatten() for e in BASIS_ELEMENTS])
+    assert len(reduced) == 14
+    rng = random.Random(39)
+    samples = list(MEMBERS) + list(NON_MEMBERS)
+    # members plus a skew non-member leave the span; members scaled stay in it
+    for A, B in zip(MEMBERS, NON_MEMBERS):
+        samples.append([[a + b for a, b in zip(r, s)] for r, s in zip(A, B)])
+        c = _rand_scalar(rng)
+        samples.append([[a * c for a in r] for r in A])
+    for _ in range(20):
+        A = [[Scalar(0)] * N for _ in range(N)]
+        for i in range(N):
+            for j in range(i + 1, N):
+                v = Scalar(rng.randint(-9, 9))
+                A[i][j], A[j][i] = v, -v
+        samples.append(A)
+    decisions = []
+    for A in samples:
+        flat = [A[i][j] for i in range(N) for j in range(N)]
+        decisions.append(g2._in_reduced_span(reduced, flat))
+        assert decisions[-1] is dense_span_decision(A)
+    assert True in decisions and False in decisions
+
+
+def test_g2_verify_sweep_sizes(monkeypatch, capsys):
+    """g2-verify through the CLI: 91 pair brackets and 1,092 outer brackets,
+    110 is_member calls, 10 span decisions against one reduced basis, and
+    the cross identities on all 49 basis pairs."""
+    counts = {}
+    dot_pairs = set()
+    basis_ids = {id(e) for e in BASIS_ELEMENTS}
+
+    def count(key):
+        counts[key] = counts.get(key, 0) + 1
+
+    def wrap(name, f, key=None):
+        def wrapper(*args):
+            count(key(*args) if key else name)
+            return f(*args)
+        return wrapper
+
+    def bracket_kind(a, b):
+        return "pair bracket" if id(a) in basis_ids and id(b) in basis_ids else "outer bracket"
+
+    def dot(u, v):
+        dot_pairs.add((tuple(u), tuple(v)))
+        count("dot")
+        return true_dot(u, v)
+
+    true_dot = g2.CrossProduct.dot
+    monkeypatch.setattr(g2, "bracket", wrap("bracket", g2.bracket, bracket_kind))
+    monkeypatch.setattr(g2, "_reduced_basis", wrap("reduced basis", g2._reduced_basis))
+    monkeypatch.setattr(g2, "_in_reduced_span", wrap("span decision", g2._in_reduced_span))
+    monkeypatch.setattr(g2.CrossProduct, "is_member",
+                        wrap("is_member", g2.CrossProduct.is_member))
+    monkeypatch.setattr(g2.CrossProduct, "dot", staticmethod(dot))
+    assert main(["g2-verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert counts == {
+        "pair bracket": 91,
+        "outer bracket": 1092,
+        "is_member": 110,
+        "reduced basis": 1,
+        "span decision": 10,
+        "dot": 3 * 49,
+    }
+    basis = [g2.basis_vector(k) for k in range(1, N + 1)]
+    assert set(itertools.product(basis, repeat=2)) <= dot_pairs

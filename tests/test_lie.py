@@ -126,6 +126,25 @@ class TestNijenhuis:
             alg, J = kt_algebra(), kt_J(a)
             assert not is_integrable(nijenhuis(alg, J), build_coframe(alg, J))
 
+    @pytest.mark.parametrize("model", ["kt", "g2"])
+    def test_tensor_reuses_the_J_columns(self, monkeypatch, model):
+        from acx import g2, lie
+
+        if model == "kt":
+            alg, J = kt_algebra(), kt_J(A_GENERIC)
+        else:
+            alg, J = g2.g2_algebra(), g2.g2_J()
+        calls = []
+        true_mat_vec = lie.mat_vec
+        monkeypatch.setattr(lie, "mat_vec", lambda m, v: calls.append(1) or true_mat_vec(m, v))
+        tensor = nijenhuis(alg, J)
+        pairs = alg.dim * (alg.dim - 1) // 2
+        # J e_i once per basis vector, then J of two brackets per entry
+        assert len(calls) == alg.dim + 2 * pairs
+        for i in range(1, alg.dim + 1):
+            for j in range(i + 1, alg.dim + 1):
+                assert tensor.entry(i, j) == nijenhuis_entry(alg, J, i, j)
+
     def test_kt_tensor_entries(self):
         alg, J = kt_algebra(), kt_J(A_GENERIC)
         a = A_GENERIC.a_value()

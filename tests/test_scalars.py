@@ -109,6 +109,16 @@ class TestScalar:
         with pytest.raises(ValueError):
             parse_rational("x")
 
+    def test_immutable(self):
+        # values built by the constructor and by the operators' fast path
+        for s in (Scalar(Fraction(1, 2), 3), Scalar(1) + Scalar(2), -Scalar(0, 1),
+                  Scalar(2) * Scalar(Fraction(1, 3))):
+            for name in ("a", "b", "d", "re", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(s, name, 5)
+        s = Scalar(3, 4)
+        assert (s.a, s.b, s.d) == (3, 4, 1)
+
 
 class TestSymScalar:
     def test_field_axioms_randomized(self):
@@ -151,6 +161,15 @@ class TestSymScalar:
         u = SymScalar.const(Scalar(0, -2)) * x * x
         assert u.to_str("pi") == "-2i*pi^2"
         assert SymScalar.const(0).to_str() == "0"
+
+    def test_immutable(self):
+        x = SymScalar.symbol()
+        for u in (SymScalar((1, 2), (3, 1)), x * x + 1, (x + 1) / (x - 1),
+                  SymScalar.const(Scalar(0, 1)), -x):
+            for name in ("num", "den", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(u, name, ())
+        assert (x / (x + 1)).den == (S_ONE, S_ONE)
 
 
 class TestPiParam:

@@ -96,6 +96,26 @@ class TestKTPlurigenera:
         with pytest.raises(InputError):
             kt_plurigenus(A_4PI, 0)
 
+    def test_mode_oracle_coerces_its_coefficient_once(self, monkeypatch):
+        class CountingFraction(Fraction):
+            built = 0
+
+            def __new__(cls, *args):
+                CountingFraction.built += 1
+                return super().__new__(cls, *args)
+
+        window = 5
+        want = kt_mode_oracle(A_4PI, Fraction(1, 2), window=window)
+        assert want == [(0, 2)]
+        coeff = CountingFraction(1, 2)
+        monkeypatch.setattr(torus, "Fraction", CountingFraction)
+        CountingFraction.built = 0
+        assert kt_mode_oracle(A_4PI, coeff, window=window) == want
+        assert CountingFraction.built == 0
+        assert kt_mode_oracle(A_4PI, "1/2", window=window) == want
+        assert kt_mode_oracle(A_GEN, 0, window=window) == [(0, 0)]
+        assert CountingFraction.built == 2
+
 
 class TestModeWindow:
     def test_default(self, monkeypatch):
