@@ -437,12 +437,7 @@ def _cmd_kunneth(args):
         raise InputError("--factors: want at least two comma-separated factors")
     _check_limit("--factors", len(specs), MAX_FACTORS)
     _check_limit("--length", args.length, MAX_LENGTH)
-    # a repeated spec is built once
-    built: Dict[str, PlurigeneraProfile] = {}
-    for spec in specs:
-        if spec.strip() not in built:
-            built[spec.strip()] = _factor_profile(spec, args.length)
-    profiles = [built[spec.strip()] for spec in specs]
+    profiles = [_factor_profile(s, args.length) for s in specs]
     product = profiles[0]
     for prof in profiles[1:]:
         product = kunneth(product, prof)

@@ -33,7 +33,7 @@ from .lie import (
     LieAlgebra,
     structure_equations,
 )
-from .linalg import rank, row_echelon
+from .linalg import rank, span_test
 from .scalars import Scalar, SymScalar
 from .torus import PlurigeneraProfile, kodaira_dimension
 
@@ -618,34 +618,6 @@ def verify_cross_identities() -> Report:
     )
 
 
-def _reduced_basis(vectors) -> List[Tuple[int, List[Tuple[int, Scalar]]]]:
-    """The reduced row echelon form of constant vectors, as (pivot column,
-    nonzero entries off the pivot) per row."""
-    ech, pivots = row_echelon(vectors)
-    return [
-        (p, [(j, c.constant_value()) for j, c in enumerate(row) if c and j != p])
-        for p, row in zip(pivots, ech)
-    ]
-
-
-def _in_reduced_span(reduced, target) -> bool:
-    """Whether target lies in the span of a _reduced_basis, exactly: each
-    pivot row has 1 at its pivot and 0 at the other pivots, so subtracting
-    target[pivot] times every pivot row leaves zero exactly when it does."""
-    rest = {j: c for j, c in enumerate(target) if c}
-    for p, row in reduced:
-        f = rest.pop(p, None)
-        if f is None:
-            continue
-        for j, c in row:
-            y = rest.get(j, _ZERO) - f * c
-            if y:
-                rest[j] = y
-            else:
-                rest.pop(j, None)
-    return not rest
-
-
 def membership_sample_check(
     members: int = 100, nonmembers: int = 10, seed: int = 20260815
 ) -> Report:
@@ -653,14 +625,14 @@ def membership_sample_check(
     random skew matrices outside the span must fail it.
 
     Span membership of the negatives is established independently by linear
-    algebra: the fourteen basis matrices are reduced once by row_echelon,
-    and each sample is decided exactly against that reduced basis, so the
-    two characterizations are compared rather than assumed.
+    algebra: linalg.span_test reduces the fourteen flattened basis matrices
+    once, and each sample is decided exactly against that reduced basis, so
+    the two characterizations are compared rather than assumed.
     """
     rng = random.Random(seed)
     cp = cross_product()
     basis_vectors = [e.flatten() for e in g2_basis().values()]
-    reduced = _reduced_basis(basis_vectors)
+    in_basis_span = span_test(basis_vectors)
 
     member_failures = []
     for trial in range(members):
@@ -686,7 +658,7 @@ def membership_sample_check(
                 A[i][j] = _sc(v)
                 A[j][i] = _sc(-v)
         flat = [A[i][j] for i in range(N) for j in range(N)]
-        if _in_reduced_span(reduced, flat):
+        if in_basis_span(flat):
             continue
         checked += 1
         if cp.is_member(A):

@@ -8,7 +8,9 @@ len(num) + len(den) of the entry, row index), which keeps fill-in and
 polynomial degrees low.  Clearing a column from the other rows touches only
 the pivot row's nonzeros and deletes every entry that cancels.  When every
 entry is constant, the entries are unwrapped to Scalar once, eliminated over
-Q(i) by the same loop, and wrapped once at the end.
+Q(i) by the same loop, and wrapped once at the end.  span_test reduces a
+set of vectors once and then decides span membership of each target by
+subtracting reduced rows, with no further elimination.
 
 The pivot rule cannot change an output: for a fixed column order the
 reduced row echelon form is unique, so the rule decides only which row
@@ -107,12 +109,31 @@ def solve(rows, rhs):
     return v
 
 
-def in_span(vectors, target) -> bool:
-    """Whether target lies in the span of the given vectors."""
-    if not vectors:
-        return all(SymScalar.coerce(c).is_zero() for c in target)
-    cols = [[SymScalar.coerce(v[i]) for v in vectors] for i in range(len(target))]
-    return solve(cols, target) is not None
+def span_test(vectors):
+    """A predicate deciding exactly whether a vector lies in the span of the
+    given vectors.  row_echelon reduces the vectors once; each reduced row
+    has 1 at its pivot and 0 at the other pivots, so subtracting target[p]
+    times the row of each pivot p leaves zero exactly when the target lies
+    in the span."""
+    ech, pivots = row_echelon(vectors)
+    rows = [(p, [(j, c) for j, c in enumerate(row) if c.num and j != p])
+            for p, row in zip(pivots, ech)]
+
+    def contains(target) -> bool:
+        rest = {j: c for j, c in enumerate(map(SymScalar.coerce, target)) if c.num}
+        for p, row in rows:
+            f = rest.pop(p, None)
+            if f is None:
+                continue
+            for j, c in row:
+                y = rest.get(j, SS_ZERO) - f * c
+                if y.is_zero():
+                    del rest[j]
+                else:
+                    rest[j] = y
+        return not rest
+
+    return contains
 
 
 def is_nonsingular(rows) -> bool:

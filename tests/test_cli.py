@@ -781,31 +781,6 @@ class TestComputeOnce:
         assert code == 0 and report["integrable"] is False
         assert calls == {"nijenhuis": 1, "build_coframe": 1}
 
-    def test_kunneth_builds_each_distinct_factor_once(self, monkeypatch):
-        from acx import cli
-
-        builds = []
-        factor_profile = cli._factor_profile
-
-        def counting(spec, length):
-            builds.append(spec)
-            return factor_profile(spec, length)
-
-        monkeypatch.setattr(cli, "_factor_profile", counting)
-        factors = "rr:3,rr:3, torus,rr:3 ,torus,rr:3"
-        code, report = capture_json(["kunneth", "--factors", factors, "--length", "12"])
-        assert code == 0 and report["kappa_additive"] is True
-        assert builds == ["rr:3", " torus"]
-        assert [row["factor"] for row in report["factors"]] == [
-            "rr:3", "rr:3", "torus", "rr:3", "torus", "rr:3"]
-        # the same product as from a fresh profile per listed factor
-        fresh = [factor_profile(spec, 12) for spec in factors.split(",")]
-        product = fresh[0]
-        for prof in fresh[1:]:
-            product = cli.kunneth(product, prof)
-        assert report["product"] == cli._jsonable(cli._profile_report(product))
-        assert report["product"]["kappa"] == 4
-
 
 class TestFailingReports:
     """The full JSON of reports whose checks fail; the golden corpus only

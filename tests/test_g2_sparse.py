@@ -21,7 +21,7 @@ import pytest
 from acx import g2
 from acx.cli import main
 from acx.errors import InputError, RefusalError
-from acx.linalg import in_span
+from acx.linalg import solve, span_test
 from acx.scalars import Scalar
 
 N = g2.N
@@ -348,10 +348,12 @@ def dense_is_member(A):
 
 
 def dense_span_decision(A):
-    """The membership test's span decision as one in_span elimination of
-    the fourteen flattened basis matrices per sample."""
+    """The membership test's span decision as one elimination per sample:
+    whether B c = flat(A) has a solution c, for the matrix B whose columns
+    are the fourteen flattened basis matrices."""
     basis_vectors = [e.flatten() for e in BASIS_ELEMENTS]
-    return in_span(basis_vectors, [A[i][j] for i in range(N) for j in range(N)])
+    cols = [list(row) for row in zip(*basis_vectors)]
+    return solve(cols, [A[i][j] for i in range(N) for j in range(N)]) is not None
 
 
 def _rand_vector(rng):
@@ -419,9 +421,8 @@ def test_is_member_matches_dense_reference():
             assert cp.is_member(B) == dense_is_member(B)
 
 
-def test_span_decision_matches_in_span_reference():
-    reduced = g2._reduced_basis([e.flatten() for e in BASIS_ELEMENTS])
-    assert len(reduced) == 14
+def test_span_test_matches_dense_reference():
+    in_basis_span = span_test([e.flatten() for e in BASIS_ELEMENTS])
     rng = random.Random(39)
     samples = list(MEMBERS) + list(NON_MEMBERS)
     # members plus a skew non-member leave the span; members scaled stay in it
@@ -439,7 +440,7 @@ def test_span_decision_matches_in_span_reference():
     decisions = []
     for A in samples:
         flat = [A[i][j] for i in range(N) for j in range(N)]
-        decisions.append(g2._in_reduced_span(reduced, flat))
+        decisions.append(in_basis_span(flat))
         assert decisions[-1] is dense_span_decision(A)
     assert True in decisions and False in decisions
 
@@ -469,10 +470,14 @@ def test_g2_verify_sweep_sizes(monkeypatch, capsys):
         count("dot")
         return true_dot(u, v)
 
+    def counting_span_test(vectors):
+        count("reduced basis")
+        return wrap("span decision", true_span_test(vectors))
+
     true_dot = g2.CrossProduct.dot
+    true_span_test = g2.span_test
     monkeypatch.setattr(g2, "bracket", wrap("bracket", g2.bracket, bracket_kind))
-    monkeypatch.setattr(g2, "_reduced_basis", wrap("reduced basis", g2._reduced_basis))
-    monkeypatch.setattr(g2, "_in_reduced_span", wrap("span decision", g2._in_reduced_span))
+    monkeypatch.setattr(g2, "span_test", counting_span_test)
     monkeypatch.setattr(g2.CrossProduct, "is_member",
                         wrap("is_member", g2.CrossProduct.is_member))
     monkeypatch.setattr(g2.CrossProduct, "dot", staticmethod(dot))

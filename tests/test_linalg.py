@@ -9,7 +9,6 @@ from acx import g2, linalg
 from acx.hodge import invariant_harmonic_space
 from acx.linalg import (
     identity,
-    in_span,
     is_nonsingular,
     kernel_basis,
     mat_inverse,
@@ -18,6 +17,7 @@ from acx.linalg import (
     rank,
     row_echelon,
     solve,
+    span_test,
 )
 from acx.models import kt_J, model_from_json
 from acx.scalars import SS_ONE, PiParam, Scalar, SymScalar
@@ -78,11 +78,31 @@ def test_in_span():
     vs = rand_matrix(rng, 3, 5)
     combo = [sum((vs[i][j] * SymScalar.const(i + 1) for i in range(3)),
                  SymScalar.const(0)) for j in range(5)]
-    assert in_span(vs, combo)
+    in_vs_span = span_test(vs)
+    assert in_vs_span(combo)
     outside = list(combo)
     outside[0] = outside[0] + SymScalar.symbol()
     if rank(vs + [outside]) > rank(vs):
-        assert not in_span(vs, outside)
+        assert not in_vs_span(outside)
+
+
+def test_span_test_matches_solve():
+    """span_test against one solve of V^T c = target per target, over
+    constant and symbolic vectors and targets in and out of the span."""
+    rng = random.Random(45)
+    for symbolic in (False, True):
+        for _ in range(6):
+            vs = rand_matrix(rng, rng.randint(1, 4), 5, symbolic=symbolic)
+            in_vs_span = span_test(vs)
+            cols = [list(col) for col in zip(*vs)]
+            coeffs = rand_matrix(rng, 1, len(vs), symbolic=True)[0]
+            combo = [sum((c * v[j] for c, v in zip(coeffs, vs)), SymScalar.const(0))
+                     for j in range(5)]
+            for target in [combo, rand_matrix(rng, 1, 5, symbolic=symbolic)[0]]:
+                assert in_vs_span(target) is (solve(cols, target) is not None)
+            assert in_vs_span(combo)
+    in_empty_span = span_test([])
+    assert in_empty_span([0, 0, 0]) and not in_empty_span([0, 1, 0])
 
 
 def test_rank_of_degenerate_matrices():
