@@ -22,7 +22,7 @@ The dual structure on E* over the dual frame is theta* = -theta^T.
 from __future__ import annotations
 
 from .errors import InputError, InternalCheckError
-from .forms import Form
+from .forms import Form, _form
 from .lie import LieACS
 
 
@@ -70,11 +70,13 @@ class PseudoholStructure:
             if x.is_zero():
                 continue
             out[i] = out[i] + op(x)
-            signed = Form(x.n, {k: -c if (len(k[0]) + len(k[1])) % 2 else c
-                                for k, c in x.terms.items()})
-            for j, t in enumerate(matrix[i]):
-                if not t.is_zero():
-                    out[j] = out[j] + signed.wedge(t)
+            row = [(j, t) for j, t in enumerate(matrix[i]) if not t.is_zero()]
+            if not row:
+                continue
+            signed = _form(x.n, {k: -c if (len(k[0]) + len(k[1])) % 2 else c
+                                 for k, c in x.terms.items()})
+            for j, t in row:
+                out[j] = out[j] + signed.wedge(t)
         return out
 
     def dual(self) -> "PseudoholStructure":

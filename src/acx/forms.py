@@ -4,6 +4,11 @@ A Form is a finite sum of monomials phi_alpha wedge phibar_beta with SymScalar
 coefficients, stored against the canonical monomial order: holomorphic indices
 ascending, then antiholomorphic indices ascending.  Coefficients of value zero
 are never stored.
+
+Form(n, terms) is the checked constructor: it validates every key and
+coerces every coefficient.  Results of Form arithmetic, whose keys are
+canonical by construction, are built by _form, which drops zero
+coefficients and checks nothing else.
 """
 
 from __future__ import annotations
@@ -97,6 +102,9 @@ class Form:
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Form is immutable")
+
     # --- constructors
 
     @staticmethod
@@ -133,17 +141,17 @@ class Form:
         for key, c in other.terms.items():
             acc = terms.get(key)
             terms[key] = c if acc is None else acc + c
-        return Form(self.n, terms)
+        return _form(self.n, terms)
 
     def __neg__(self):
-        return Form(self.n, {k: -c for k, c in self.terms.items()})
+        return _form(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff) -> "Form":
         c = SymScalar.coerce(coeff)
-        return Form(self.n, {k: v * c for k, v in self.terms.items()})
+        return _form(self.n, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, coeff):
         return self.scale(coeff)
@@ -172,7 +180,7 @@ class Form:
                     terms[key] = c if acc is None else acc + c
                 else:
                     terms[key] = -c if acc is None else acc - c
-        return Form(self.n, terms)
+        return _form(self.n, terms)
 
     # --- structure queries
 
@@ -203,7 +211,7 @@ class Form:
         return degs[0]
 
     def project(self, p: int, q: int) -> "Form":
-        return Form(
+        return _form(
             self.n,
             {k: c for k, c in self.terms.items() if len(k[0]) == p and len(k[1]) == q},
         )
@@ -216,7 +224,7 @@ class Form:
             if (len(a) * len(b)) % 2:
                 cc = -cc
             terms[(b, a)] = cc
-        return Form(self.n, terms)
+        return _form(self.n, terms)
 
     def monomials(self):
         return sorted(self.terms.keys())
@@ -254,6 +262,22 @@ _setn = Form.__dict__["n"].__set__
 _setterms = Form.__dict__["terms"].__set__
 
 
+def _form(n: int, terms) -> Form:
+    """The Form with these terms, built without Form's checks: the keys
+    must already be (MultiIndex, MultiIndex) pairs with indices at most n
+    and the coefficients SymScalars, as on every result of Form
+    arithmetic; only the zero coefficients are dropped.  The form keeps
+    the dict, so the caller passes one it no longer uses."""
+    for c in terms.values():
+        if not c.num:
+            terms = {k: c for k, c in terms.items() if c.num}
+            break
+    f = object.__new__(Form)
+    _setn(f, n)
+    _setterms(f, terms)
+    return f
+
+
 def d_monomial(n: int, alpha, beta, d_generator) -> Form:
     """d(phi_alpha wedge phibar_beta) by the graded Leibniz rule.
 
@@ -272,7 +296,7 @@ def d_monomial(n: int, alpha, beta, d_generator) -> Form:
         else:
             s = r - p
             key = (alpha, tuple.__new__(MultiIndex, beta[:s] + beta[s + 1:]))
-        rest = Form(n, {key: SS_ONE if r % 2 == 0 else -SS_ONE})
+        rest = _form(n, {key: SS_ONE if r % 2 == 0 else -SS_ONE})
         out = out + d_generator(A).wedge(rest)
     return out
 

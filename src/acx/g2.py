@@ -118,6 +118,9 @@ class G2Element:
     def __setattr__(self, name, value):
         raise AttributeError("G2Element is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("G2Element is immutable")
+
     @property
     def matrix(self):
         """The dense 7x7 view of the entries."""
@@ -1013,7 +1016,7 @@ def s6_basic_star(x: Form) -> Form:
         if not (set(alpha) <= {1, 2, 3} and set(beta) <= {1, 2, 3}):
             raise InputError("sphere star is defined on basic monomials only")
         bhat, ahat, coeff = star_monomial(3, alpha, beta)
-        out = out + Form.monomial(N, bhat, ahat, c * SymScalar.const(coeff))
+        out = out + Form.monomial(N, bhat, ahat, c * coeff)
     return out
 
 

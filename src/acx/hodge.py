@@ -29,21 +29,25 @@ refuses non-unimodular input.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
 from .errors import InputError, InternalCheckError
-from .forms import Form, MultiIndex, basis_monomials, complement, perm_sign
+from .forms import Form, MultiIndex, _form, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
-from .linalg import is_nonsingular, kernel_basis, rank, solve
+from .linalg import is_nonsingular, kernel_basis, solve, span_test
 from .scalars import SS_ZERO, Scalar, SymScalar
 
 
 _I_POWERS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))  # i^k for k mod 4
 
 
+@lru_cache(maxsize=None)
 def star_monomial(n: int, alpha, beta):
-    """star of phi_alpha ^ phibar_beta: returns (betahat, alphahat, coeff)."""
+    """star of phi_alpha ^ phibar_beta: returns (betahat, alphahat, coeff),
+    with coeff a SymScalar.  star maps monomials one to one, so the value is
+    cached per (n, alpha, beta): at most 4^n entries for each n."""
     alpha = MultiIndex(alpha)
     beta = MultiIndex(beta)
     p, q = len(alpha), len(beta)
@@ -59,7 +63,7 @@ def star_monomial(n: int, alpha, beta):
     coeff = _I_POWERS[-n % 4] * Fraction(2) ** (p + q - n)
     if eps < 0:
         coeff = -coeff
-    return bhat, ahat, coeff
+    return bhat, ahat, SymScalar.const(coeff)
 
 
 def volume_form(n: int) -> Form:
@@ -98,11 +102,11 @@ class HermitianData:
         return x.coefficient(full, full) / self.vol_coeff
 
     def star(self, x: Form) -> Form:
-        out = Form.zero(self.n)
+        terms = {}
         for (alpha, beta), c in x.terms.items():
             bhat, ahat, coeff = star_monomial(self.n, alpha, beta)
-            out = out + Form.monomial(self.n, bhat, ahat, c * SymScalar.const(coeff))
-        return out
+            terms[(bhat, ahat)] = c * coeff
+        return _form(self.n, terms)
 
     def star_oracle(self, x: Form) -> Form:
         """Solve h(w, x) dV = w ^ conj(star x) for star x, monomial by monomial.
@@ -275,7 +279,14 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     over the model's character blocks.
 
     The kernel is computed twice, as ker(Laplacian) and as
-    ker(dbar) intersect ker(dbar*), and the two must agree.
+    ker(dbar) intersect ker(dbar*), and the two must agree.  They are
+    compared as lists: kernel_basis reads its basis off the reduced row
+    echelon form, which is unique for a given space of rows, and two
+    matrices with one kernel have one row space (its annihilator).  So equal
+    kernels give equal bases, and the list comparison decides the same
+    predicate as a rank test on the stacked bases, with no elimination.
+    Equal lists always span one space, so a fault in that canonical form
+    could only raise a false alarm, never hide a disagreement.
     """
     if not model.alg.is_unimodular():
         raise InputError(
@@ -303,8 +314,7 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
                 "harmonic kernels",
                 "Laplacian kernel disagrees with ker dbar intersect ker dbar*",
             )
-        # independent bases of one size span one space iff stacked they keep that rank
-        if rank(lap_kernel + both_kernel) != len(lap_kernel):
+        if lap_kernel != both_kernel:
             raise InternalCheckError("harmonic kernels", "they span different spaces")
         blocks.append(HarmonicBlock(ch, monomials, ctx.rank, both_kernel))
     return HarmonicSpace(model, p, q, blocks)
@@ -353,8 +363,10 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
         sources = sblock.basis_sections(n)
         targets = tblock.basis_sections(n)
         images = [[data.star(x).conjugate() for x in s] for s in sources]
-        # each image must lie in the span of the independent target basis
-        if rank(_coordinates(targets + images)) != len(targets):
+        # each image must lie in the span of the target basis
+        coords = _coordinates(targets + images)
+        in_target = span_test(coords[:len(targets)])
+        if not all(map(in_target, coords[len(targets):])):
             return verdict("Serre image is not harmonic")
         # pairing matrix between the source basis and its images
         pairing = []

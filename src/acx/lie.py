@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
-from .forms import Form, d_monomial
+from .forms import Form, _form, d_monomial
 from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon
 from .scalars import SS_ONE, SS_ZERO, S_I, SymScalar
 
@@ -310,7 +310,7 @@ class ComplexCoframe:
             for k, v in self._d_monomial(alpha, beta, shift).terms.items():
                 acc = terms.get(k)
                 terms[k] = v * c if acc is None else acc + v * c
-        return Form(self.n, terms)
+        return _form(self.n, terms)
 
     def d(self, x: Form) -> Form:
         """d on constant-coefficient forms."""

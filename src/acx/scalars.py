@@ -31,11 +31,12 @@ Gaussian-integer coefficients over one common denominator.  Products,
 linear combinations and exact quotients run on such integer coefficients
 too, and each output coefficient is normalised once.
 
-Construction.  Scalar and SymScalar are immutable: __setattr__ raises.  A
-value is built by object.__new__ and its slots are filled through the slot
-descriptors' __set__ (_seta, _setb, _setd, _setnum, _setden, fetched once at
-import), which bypasses that guard without the cost of a generic
-object.__setattr__ call; forms.Form and g2.G2Element are built the same way.
+Construction.  Scalar and SymScalar are immutable: __setattr__ and
+__delattr__ raise.  A value is built by object.__new__ and its slots are
+filled through the slot descriptors' __set__ (_seta, _setb, _setd, _setnum,
+_setden, fetched once at import), which bypasses that guard without the
+cost of a generic object.__setattr__ call; forms.Form and g2.G2Element are
+built the same way.
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ class Scalar:
         _setd(self, d)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Scalar is immutable")
 
     @property
@@ -512,6 +516,9 @@ class SymScalar:
         _setden(self, den)
 
     def __setattr__(self, name, value):
+        raise AttributeError("SymScalar is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("SymScalar is immutable")
 
     @staticmethod

@@ -136,6 +136,13 @@ class TestForm:
                 setattr(x, name, value)
         assert x.n == 3 and len(x.terms) == 2
 
+    def test_attributes_cannot_be_deleted(self):
+        x = Form.phi(3, 1) + Form.one(3)
+        for name in ("n", "terms", "extra"):
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert x.n == 3 and len(x.terms) == 2
+
 
 class TestHelpers:
     def test_wedge_all(self):

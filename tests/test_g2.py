@@ -53,6 +53,13 @@ class TestElements:
         with pytest.raises(AttributeError):
             elem.x = ()
 
+    def test_attributes_cannot_be_deleted(self):
+        elem = g2.G2Element.zero()
+        for name in ("x", "y", "entries", "extra"):
+            with pytest.raises(AttributeError):
+                delattr(elem, name)
+        assert elem == g2.G2Element.zero()
+
     def test_bracket_closes_and_is_antisymmetric(self):
         rng = random.Random(12)
         for _ in range(6):

@@ -348,3 +348,80 @@ def test_harmonic_blocks_match_dense_elimination(monkeypatch, nil8_generic, case
     for s, d in zip(sparse.blocks, dense.blocks):
         assert s.dimension == d.dimension
         assert s.basis == d.basis
+
+
+def fraction_entry(rng, symbolic):
+    """Zero a third of the time; otherwise a Gaussian rational with
+    non-unit denominators, or over Q(i)(a) also c*a + 1 or c/(a - 3)."""
+    if rng.random() < 1 / 3:
+        return SymScalar.const(0)
+    c = Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+               Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    kind = rng.random() if symbolic else 0
+    if kind < 0.5:
+        return SymScalar.const(c)
+    return c * A + 1 if kind < 0.75 else SymScalar.const(c) / (A - 3)
+
+
+class TestKernelBasisIsCanonical:
+    """kernel_basis reads its basis off the reduced row echelon form, which is
+    unique for a row space, and matrices with one kernel have one row space.
+    So equal kernels give equal lists, which is what lets the harmonic
+    kernels be compared with == instead of a rank of the stacked bases."""
+
+    @staticmethod
+    def matrix(rng, rows, cols, symbolic):
+        return [[fraction_entry(rng, symbolic) for _ in range(cols)] for _ in range(rows)]
+
+    def invertible(self, rng, n, symbolic):
+        while True:
+            m = self.matrix(rng, n, n, symbolic)
+            if is_nonsingular(m):
+                return m
+
+    @staticmethod
+    def old_test_says_equal(k1, k2):
+        # the stacked-rank test the list comparison replaced
+        return len(k1) == len(k2) and rank(k1 + k2) == len(k1)
+
+    @pytest.mark.parametrize("symbolic", [False, True], ids=["Qi", "Qi(a)"])
+    def test_equal_kernels_give_equal_lists(self, symbolic):
+        rng = random.Random(f"canonical-{symbolic}")
+        for _ in range(12):
+            rows, cols = rng.randint(1, 4), rng.randint(2, 6)
+            a = self.matrix(rng, rows, cols, symbolic)
+            kernel = kernel_basis(a, cols)
+            # M A for invertible M, and A stacked on B A, keep the kernel
+            # but change every row
+            ma = mat_mul(self.invertible(rng, rows, symbolic), a)
+            stacked = ma + mat_mul(self.matrix(rng, 2, rows, symbolic), a)
+            for same in (ma, stacked):
+                assert kernel_basis(same, cols) == kernel
+                assert self.old_test_says_equal(kernel_basis(same, cols), kernel)
+
+    @pytest.mark.parametrize("symbolic", [False, True], ids=["Qi", "Qi(a)"])
+    def test_different_kernels_give_different_lists(self, symbolic):
+        rng = random.Random(f"perturbed-{symbolic}")
+        same_size = 0
+        for _ in range(12):
+            rows, cols = rng.randint(1, 4), rng.randint(2, 6)
+            a = self.matrix(rng, rows, cols, symbolic)
+            kernel = kernel_basis(a, cols)
+            if not kernel:
+                continue
+            # change an entry (i, j) with v[j] != 0 for a kernel vector v:
+            # then A' v != 0, so ker A' differs from ker A
+            v = rng.choice(kernel)
+            j = rng.choice([k for k, c in enumerate(v) if not c.is_zero()])
+            i = rng.randrange(rows)
+            b = [list(row) for row in a]
+            delta = Fraction(rng.randint(1, 5), rng.randint(2, 4))
+            b[i][j] = b[i][j] + (delta * A if symbolic else delta)
+            assert mat_vec(b, v) != mat_vec(a, v)
+            other = kernel_basis(b, cols)
+            assert other != kernel
+            assert not self.old_test_says_equal(other, kernel)
+            same_size += len(other) == len(kernel)
+        # the perturbations also reach kernels of equal size, where only
+        # the spans tell them apart
+        assert same_size > 0

@@ -10,11 +10,17 @@ from itertools import combinations
 
 import pytest
 
-from acx.forms import Form
-from acx.hodge import invariant_harmonic_space, serre_pairing_check
+from acx.bundles import CanonicalPower
+from acx.forms import Form, MultiIndex
+from acx.hodge import (
+    HermitianData,
+    invariant_harmonic_space,
+    serre_pairing_check,
+    star_monomial,
+)
 from acx.lie import ACStructure, LieACS, LieAlgebra, is_integrable, nijenhuis
 from acx.linalg import is_nonsingular, kernel_basis, mat_inverse, mat_mul
-from acx.scalars import PiParam, SymScalar
+from acx.scalars import PiParam, Scalar, SymScalar
 
 from test_scalars import assert_canonical_sym
 
@@ -125,3 +131,51 @@ def test_scalars_are_canonical(generated):
         entries += [c for vec in blk.basis for c in vec]
     for c in entries:
         assert_canonical_sym(c)
+
+
+def random_form(rng, n, size=4):
+    """Up to `size` monomials of random bidegrees with Gaussian-integer
+    coefficients, some times a + 1 for the generic parameter a."""
+    a = PiParam.generic().a_value()
+    terms = {}
+    for _ in range(size):
+        alpha = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        beta = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        c = Scalar(rng.randint(-3, 3), rng.randint(-2, 2))
+        terms[(tuple(alpha), tuple(beta))] = c * (a + 1) if rng.random() < 0.3 else c
+    return Form(n, terms)
+
+
+def assert_trusted(f):
+    """A result built without Form's checks passes them: it equals its
+    re-validated copy, and holds MultiIndex keys and no zero coefficient."""
+    assert f == Form(f.n, f.terms)
+    for (alpha, beta), c in f.terms.items():
+        assert type(alpha) is MultiIndex and type(beta) is MultiIndex
+        assert type(c) is SymScalar and not c.is_zero()
+
+
+def test_unchecked_results_pass_the_checks(generated):
+    model = generated[0]
+    n, cf = model.n, model.coframe
+    data = HermitianData(model)
+    bundle = CanonicalPower(model, 1).structure()
+    rng = random.Random(f"trusted-{model.name}-{n}")
+    for _ in range(6):
+        x, y = random_form(rng, n), random_form(rng, n)
+        c = SymScalar.const(Scalar(rng.randint(-3, 3), rng.randint(1, 2)))
+        results = [x + y, x - y, -x, x - x, x.scale(c), x.scale(0), x.wedge(y),
+                   x.wedge(x), x.conjugate(), cf.d(x), cf.dbar(x), cf.del_op(x),
+                   data.star(x)]
+        results += [x.project(p, q) for p in range(n + 1) for q in range(n + 1)]
+        results += bundle.dbar_section([x]) + bundle.nabla10_section([x])
+        for f in results:
+            assert_trusted(f)
+        assert (x - x).is_zero() and x.scale(0).is_zero()
+        # star maps each monomial to one monomial: fold star_monomial over
+        # the single monomials of x with the checked constructor
+        fold = Form.zero(n)
+        for (alpha, beta), coeff in x.terms.items():
+            bhat, ahat, s = star_monomial(n, alpha, beta)
+            fold = fold + Form(n, {(bhat, ahat): coeff * s})
+        assert data.star(x) == fold

@@ -119,6 +119,13 @@ class TestScalar:
         s = Scalar(3, 4)
         assert (s.a, s.b, s.d) == (3, 4, 1)
 
+    def test_attributes_cannot_be_deleted(self):
+        s = Scalar(Fraction(1, 2), 3)
+        for name in ("a", "b", "d", "re", "extra"):
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+        assert (s.a, s.b, s.d) == (1, 6, 2)
+
 
 class TestSymScalar:
     def test_field_axioms_randomized(self):
@@ -170,6 +177,13 @@ class TestSymScalar:
                 with pytest.raises(AttributeError):
                     setattr(u, name, ())
         assert (x / (x + 1)).den == (S_ONE, S_ONE)
+
+    def test_attributes_cannot_be_deleted(self):
+        u = SymScalar.symbol() + 1
+        for name in ("num", "den", "extra"):
+            with pytest.raises(AttributeError):
+                delattr(u, name)
+        assert (u.num, u.den) == ((S_ONE, S_ONE), (S_ONE,))
 
 
 class TestPiParam:
