@@ -7,90 +7,63 @@ one-symbol function fields, so every result is exact and reproducible.
 
 __version__ = "0.1.0"
 
-from .errors import InputError, RefusalError
-from .scalars import PiParam, Scalar, SymScalar
-from .forms import Form, MultiIndex
-from .lie import (
-    ACStructure,
-    ComplexCoframe,
-    LieACS,
-    LieAlgebra,
-    build_coframe,
-    is_integrable,
-    nijenhuis,
-    structure_equations,
-)
-from .bundles import CanonicalPower, PseudoholStructure
-from .hodge import (
-    HermitianData,
-    SectionContext,
-    invariant_harmonic_space,
-    serre_pairing_check,
-)
-from .models import abelian_model, kt_model, load_model_file
-from .torus import (
-    IntInterval,
-    PlurigeneraProfile,
-    kodaira_dimension,
-    kt_irregularity,
-    kt_plurigenus,
-    kunneth,
-    rr_plurigenus,
-    t4_irregularity,
-    t4_obstruction,
-    t4_plurigenus,
-)
-from .g2 import (
-    G2Element,
-    cross_product,
-    g2_algebra,
-    s6_hodge_report,
-    s6_model,
-    s6_plurigenus,
-    verify_bracket_table,
-)
+# Each exported name is imported from its module on first access (PEP 562),
+# so `import acx` loads no library module and a command-line invocation pays
+# only for the modules its subcommand uses.
+_EXPORTS = {
+    "errors": ("InputError", "RefusalError"),
+    "scalars": ("PiParam", "Scalar", "SymScalar"),
+    "forms": ("Form", "MultiIndex"),
+    "lie": (
+        "ACStructure",
+        "ComplexCoframe",
+        "LieACS",
+        "LieAlgebra",
+        "build_coframe",
+        "is_integrable",
+        "nijenhuis",
+        "structure_equations",
+    ),
+    "bundles": ("CanonicalPower", "PseudoholStructure"),
+    "hodge": (
+        "HermitianData",
+        "SectionContext",
+        "invariant_harmonic_space",
+        "serre_pairing_check",
+    ),
+    "models": ("abelian_model", "kt_model", "load_model_file"),
+    "torus": (
+        "IntInterval",
+        "PlurigeneraProfile",
+        "kodaira_dimension",
+        "kt_irregularity",
+        "kt_plurigenus",
+        "kunneth",
+        "rr_plurigenus",
+        "t4_irregularity",
+        "t4_obstruction",
+        "t4_plurigenus",
+    ),
+    "g2": (
+        "G2Element",
+        "cross_product",
+        "g2_algebra",
+        "s6_hodge_report",
+        "s6_model",
+        "s6_plurigenus",
+        "verify_bracket_table",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ACStructure",
-    "CanonicalPower",
-    "ComplexCoframe",
-    "Form",
-    "G2Element",
-    "HermitianData",
-    "InputError",
-    "IntInterval",
-    "LieACS",
-    "LieAlgebra",
-    "MultiIndex",
-    "PiParam",
-    "PlurigeneraProfile",
-    "PseudoholStructure",
-    "RefusalError",
-    "Scalar",
-    "SectionContext",
-    "SymScalar",
-    "abelian_model",
-    "build_coframe",
-    "cross_product",
-    "g2_algebra",
-    "invariant_harmonic_space",
-    "is_integrable",
-    "kodaira_dimension",
-    "kt_irregularity",
-    "kt_model",
-    "kt_plurigenus",
-    "kunneth",
-    "load_model_file",
-    "nijenhuis",
-    "rr_plurigenus",
-    "s6_hodge_report",
-    "s6_model",
-    "s6_plurigenus",
-    "serre_pairing_check",
-    "structure_equations",
-    "t4_irregularity",
-    "t4_obstruction",
-    "t4_plurigenus",
-    "verify_bracket_table",
-    "__version__",
-]
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]

@@ -17,34 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import InputError, InternalCheckError, RefusalError
-from .hodge import invariant_harmonic_space, section_count
-from .lie import is_integrable, nijenhuis, structure_equations
-from .models import kt_model, load_model_file
 from .scalars import PiParam
-from .torus import (
-    DEFAULT_PROFILE_LENGTH,
-    IntInterval,
-    PlurigeneraProfile,
-    curve_profile,
-    kt_first_nonzero,
-    kt_irregularity,
-    kt_mode_oracle,
-    kt_plurigenus,
-    kt_profile,
-    kt_solvable_modes,
-    kunneth,
-    mode_window,
-    rr_plurigenus,
-    rr_profile,
-    t4_family_pair,
-    t4_irregularity,
-    t4_obstruction,
-    t4_plurigenus,
-    t4_profile,
-    t4_standard_pair,
-    torus_profile,
-)
-from . import g2 as sphere
+
+# The library modules (g2, hodge, lie, models, torus) are imported by the code
+# paths that use them, so each invocation loads only what its subcommand needs.
 
 # Upper limits on user-sized inputs, checked before any list is built: the
 # largest --m level and the number of levels in one --m spec, --length of a
@@ -125,8 +101,10 @@ def _check_limit(option: str, value: int, limit: int, low: int = 1) -> int:
 
 def _parse_t_member(text: Optional[str]):
     """--t 't1,t2' selects the deformation-family member; None is standard."""
+    from . import torus
+
     if text is None:
-        return t4_standard_pair(), "standard"
+        return torus.t4_standard_pair(), "standard"
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError("--t: want two comma-separated rationals, e.g. 0,0")
@@ -134,7 +112,7 @@ def _parse_t_member(text: Optional[str]):
         t1, t2 = Fraction(parts[0].strip()), Fraction(parts[1].strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--t: {exc}") from exc
-    return t4_family_pair(t1, t2), f"t=({t1},{t2})"
+    return torus.t4_family_pair(t1, t2), f"t=({t1},{t2})"
 
 
 def _family(args, frame: bool = False):
@@ -170,8 +148,12 @@ def _family(args, frame: bool = False):
         pair, member = _parse_t_member(t_text)
         return kind, pair, {"model": "t4", "member": member}
     if kind == "g2":
+        from . import g2 as sphere
+
         return kind, sphere.s6_model(), {"model": "g2"}
-    model, param = load_model_file(spec)
+    from . import models
+
+    model, param = models.load_model_file(spec)
     desc = {"model": spec} if param is None else {"model": spec, "a": str(param)}
     if a_list is not None and param is None:
         raise InputError("--a does not apply to a model file without params.a")
@@ -186,8 +168,6 @@ def _family(args, frame: bool = False):
 
 
 def _jsonable(value):
-    if isinstance(value, IntInterval):
-        return [value.lo, value.hi]
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float):
@@ -245,25 +225,33 @@ def _lie_model_for(args):
             "hodge --power on the sphere needs the sphere's basic star, which "
             "hodge does not use; its plurigenera are in plurigenera and s6-report"
         )
-    return (kt_model(member[0]) if kind == "kt" else member), desc
+    if kind == "kt":
+        from . import models
+
+        return models.kt_model(member[0]), desc
+    return member, desc
 
 
 def _cmd_nijenhuis(args):
+    from . import lie
+
     model, desc = _lie_model_for(args)
-    tensor = nijenhuis(model.alg, model.J)
+    tensor = lie.nijenhuis(model.alg, model.J)
     names = model.alg.basis_names
     entries = [
         {"i": i, "j": j, "value": _vector_str(vec, names, model.symbol)}
         for (i, j), vec in sorted(tensor.values.items())
     ]
-    integrable = is_integrable(tensor, model.coframe)
+    integrable = lie.is_integrable(tensor, model.coframe)
     return dict(desc, integrable=integrable, nonzero_entries=len(entries),
                 entries=entries), 0
 
 
 def _cmd_structure_eqs(args):
+    from . import lie
+
     model, desc = _lie_model_for(args)
-    eqs = structure_equations(model.coframe)
+    eqs = lie.structure_equations(model.coframe)
     rows = []
     for i in range(1, model.n + 1):
         d_full = model.coframe.d_phi(i)
@@ -281,24 +269,26 @@ def _cmd_structure_eqs(args):
 
 def _kt_plurigenera_rows(a_list, levels, window):
     """Rows per a; with a window, each level is re-derived by enumeration."""
+    from . import torus
+
     rows = []
     for a in a_list:
-        values = [kt_plurigenus(a, m) for m in levels]
+        values = [torus.kt_plurigenus(a, m) for m in levels]
         if window is not None:
             for m in levels:
                 coeff = Fraction(m, 4)
                 closed = {
                     mode
-                    for mode in kt_solvable_modes(a, coeff)
+                    for mode in torus.kt_solvable_modes(a, coeff)
                     if all(abs(c) <= window for c in mode)
                 }
-                if closed != set(kt_mode_oracle(a, coeff, window=window)):
+                if closed != set(torus.kt_mode_oracle(a, coeff, window=window)):
                     raise InternalCheckError(
                         "mode oracle",
                         f"disagrees with the closed form at a={a}, m={m}",
                     )
         row = {"a": str(a), "values": values}
-        first = kt_first_nonzero(a)
+        first = torus.kt_first_nonzero(a)
         row["first_nonzero"] = first
         rows.append(row)
     return rows
@@ -307,43 +297,56 @@ def _kt_plurigenera_rows(a_list, levels, window):
 def _values(kind, member, levels) -> Dict[str, object]:
     """Plurigenera report fields of a t4 member, the sphere or a model file."""
     if kind == "t4":
+        from . import torus
+
         alpha, beta = member
-        return {
-            "obstruction": t4_obstruction(alpha, beta).to_str("pi"),
-            "values": [t4_plurigenus(alpha, beta, 1)] * len(levels),  # same at every m
-        }
+        obstruction = torus.t4_obstruction(alpha, beta)
+        value = torus.t4_plurigenus(alpha, beta, 1, obstruction)  # same at every m
+        return {"obstruction": obstruction.to_str("pi"), "values": [value] * len(levels)}
     if kind == "g2":
+        from . import g2 as sphere
+
         return {"values": [sphere.s6_plurigenus(m) for m in levels]}
+    from . import hodge
+
     return {
         "values": [
-            invariant_harmonic_space(member, 0, 0, bundle_power=m).dimension
+            hodge.invariant_harmonic_space(member, 0, 0, bundle_power=m).dimension
             for m in levels
         ]
     }
 
 
-def _profile(kind, member, length: int) -> PlurigeneraProfile:
+def _profile(kind, member, length: int):
     """Plurigenera profile of a t4 member, the sphere or a model file."""
+    from . import torus
+
     if kind == "t4":
-        return t4_profile(*member, length)
-    return PlurigeneraProfile(_values(kind, member, range(1, length + 1))["values"])
+        return torus.t4_profile(*member, length)
+    return torus.PlurigeneraProfile(_values(kind, member, range(1, length + 1))["values"])
 
 
 def _irregularity(kind, member) -> int:
     """Closed (1,0)-form count of a t4 member, the sphere or a model file."""
     if kind == "t4":
-        return t4_irregularity(*member)
-    return invariant_harmonic_space(member, 1, 0).dimension
+        from . import torus
+
+        return torus.t4_irregularity(*member)
+    from . import hodge
+
+    return hodge.invariant_harmonic_space(member, 1, 0).dimension
 
 
 def _cmd_plurigenera(args):
     levels = _parse_m_spec(args.m)
     kind, member, desc = _family(args)
-    window = mode_window() if args.cross_check else None
     report = dict(desc, levels=levels)
     if kind != "kt":
         report.update(_values(kind, member, levels))
         return report, 0
+    from . import torus
+
+    window = torus.mode_window() if args.cross_check else None
     report["rows"] = _kt_plurigenera_rows(member, levels, window)
     if window is not None:
         report["cross_check"] = {"window": window, "agreed": True}
@@ -353,18 +356,22 @@ def _cmd_plurigenera(args):
 def _cmd_irregularity(args):
     kind, member, desc = _family(args)
     if kind == "kt":
-        rows = [{"a": str(a), "value": kt_irregularity(a)} for a in member]
+        from . import torus
+
+        rows = [{"a": str(a), "value": torus.kt_irregularity(a)} for a in member]
         return dict(desc, rows=rows), 0
     return dict(desc, value=_irregularity(kind, member)), 0
 
 
 def _cmd_hodge(args):
+    from . import hodge
+
     if args.p < 0 or args.q < 0:
         raise InputError("--p and --q must be non-negative")
     model, desc = _lie_model_for(args)
-    _check_limit("--p/--q section monomials", section_count(model, args.p, args.q),
+    _check_limit("--p/--q section monomials", hodge.section_count(model, args.p, args.q),
                  MAX_SECTIONS, low=0)
-    space = invariant_harmonic_space(
+    space = hodge.invariant_harmonic_space(
         model, args.p, args.q, bundle_power=args.power
     )
     blocks = [
@@ -378,25 +385,45 @@ def _cmd_hodge(args):
                 dimension=space.dimension, blocks=blocks), 0
 
 
-def _profile_report(profile: PlurigeneraProfile) -> Dict[str, object]:
+def _interval_values(values) -> list:
+    """Plurigenus values for a report, each torus.IntInterval as [lo, hi]."""
+    from . import torus
+
+    return [[v.lo, v.hi] if isinstance(v, torus.IntInterval) else v for v in values]
+
+
+def _profile_report(profile) -> Dict[str, object]:
     return {
-        "values": profile.values,
+        "values": _interval_values(profile.values),
         "kind": profile.kind,
         "degree": profile.degree,
         "kappa": profile.kappa,
     }
 
 
+def _profile_length(args) -> int:
+    """--length, whose default (None) is torus.DEFAULT_PROFILE_LENGTH."""
+    from . import torus
+
+    length = torus.DEFAULT_PROFILE_LENGTH if args.length is None else args.length
+    return _check_limit("--length", length, MAX_LENGTH)
+
+
 def _cmd_kodaira(args):
-    length = _check_limit("--length", args.length, MAX_LENGTH)
+    from . import torus
+
+    length = _profile_length(args)
     kind, member, desc = _family(args)
     if kind == "kt":
-        rows = [dict(_profile_report(kt_profile(a, length)), a=str(a)) for a in member]
+        rows = [dict(_profile_report(torus.kt_profile(a, length)), a=str(a))
+                for a in member]
         return dict(desc, rows=rows), 0
     return dict(desc, **_profile_report(_profile(kind, member, length))), 0
 
 
-def _factor_profile(spec: str, length: int) -> PlurigeneraProfile:
+def _factor_profile(spec: str, length: int):
+    from . import torus
+
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
     arg = arg.strip()
@@ -404,26 +431,28 @@ def _factor_profile(spec: str, length: int) -> PlurigeneraProfile:
         if not arg:
             raise InputError(f"factor {spec!r}: want kt:<a>, e.g. kt:4*pi")
         try:
-            return kt_profile(PiParam.parse(arg), length)
+            return torus.kt_profile(PiParam.parse(arg), length)
         except ValueError as exc:
             raise InputError(f"factor {spec!r}: {exc}") from exc
     if name == "t4":
         if arg in ("", "std", "standard"):
-            alpha, beta = t4_standard_pair()
+            alpha, beta = torus.t4_standard_pair()
         elif arg in ("0", "zero"):
-            alpha, beta = t4_family_pair(0, 0)
+            alpha, beta = torus.t4_family_pair(0, 0)
         else:
             raise InputError(f"factor {spec!r}: want t4:std or t4:zero")
-        return t4_profile(alpha, beta, length)
+        return torus.t4_profile(alpha, beta, length)
     if name in ("rr", "curve"):
         try:
             genus = int(arg)
         except ValueError as exc:
             raise InputError(f"factor {spec!r}: want {name}:<genus>") from exc
-        return (rr_profile if name == "rr" else curve_profile)(genus, length)
+        return (torus.rr_profile if name == "rr" else torus.curve_profile)(genus, length)
     if name == "torus":
-        return torus_profile(length)
+        return torus.torus_profile(length)
     if name == "s6":
+        from . import g2 as sphere
+
         return _profile("g2", sphere.s6_model(), length)
     raise InputError(
         f"unknown factor {spec!r}; want kt:<a>, t4:std, t4:zero, rr:<g>, "
@@ -432,15 +461,17 @@ def _factor_profile(spec: str, length: int) -> PlurigeneraProfile:
 
 
 def _cmd_kunneth(args):
+    from . import torus
+
     specs = [s for s in (args.factors or "").split(",") if s.strip()]
     if len(specs) < 2:
         raise InputError("--factors: want at least two comma-separated factors")
     _check_limit("--factors", len(specs), MAX_FACTORS)
-    _check_limit("--length", args.length, MAX_LENGTH)
-    profiles = [_factor_profile(s, args.length) for s in specs]
+    length = _profile_length(args)
+    profiles = [_factor_profile(s, length) for s in specs]
     product = profiles[0]
     for prof in profiles[1:]:
-        product = kunneth(product, prof)
+        product = torus.kunneth(product, prof)
     factor_rows = [
         dict(_profile_report(prof), factor=spec.strip())
         for spec, prof in zip(specs, profiles)
@@ -454,6 +485,8 @@ def _cmd_kunneth(args):
 
 
 def _cmd_g2_verify(args):
+    from . import g2 as sphere
+
     members = _check_limit("--samples", args.samples, MAX_SAMPLES, low=0)
     nonmembers = _check_limit("--negatives", args.negatives, MAX_SAMPLES, low=0)
     table = sphere.verify_bracket_table()
@@ -476,6 +509,8 @@ def _cmd_g2_verify(args):
 
 
 def _cmd_s6_report(args):
+    from . import g2 as sphere
+
     levels = _check_limit("--levels", args.levels, MAX_LEVELS)
     structure = sphere.s6_structure_package()
     reduction = sphere.verify_reduction_brackets()
@@ -491,15 +526,17 @@ def _cmd_s6_report(args):
 
 
 def _cmd_rr(args):
+    from . import torus
+
     levels = _parse_m_spec(args.m)
     if args.genus < 2:
         raise InputError("--genus must be at least 2")
-    values = [rr_plurigenus(args.genus, m) for m in levels]
-    prof = rr_profile(args.genus, max(DEFAULT_PROFILE_LENGTH, max(levels)))
+    values = [torus.rr_plurigenus(args.genus, m) for m in levels]
+    prof = torus.rr_profile(args.genus, max(torus.DEFAULT_PROFILE_LENGTH, max(levels)))
     report = {
         "genus": args.genus,
         "levels": levels,
-        "values": values,
+        "values": _interval_values(values),
         "kappa": prof.kappa,
     }
     return report, 0
@@ -510,33 +547,74 @@ def _cmd_rr(args):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "table"), default="json",
-        help="output format (default json)",
-    )
-    common.add_argument(
-        "--meta", action="store_true",
-        help="include tool and invocation metadata in the report",
-    )
+# Shared option groups, in the order a subcommand adds them: (flag, kwargs).
+_COMMON = (
+    ("--format", dict(choices=("json", "table"), default="json",
+                      help="output format (default json)")),
+    ("--meta", dict(action="store_true",
+                    help="include tool and invocation metadata in the report")),
+)
+_MODEL = (("--model", dict(
+    required=True, help="preset kt, t4, or g2; or a path to a model JSON file",
+)),)
+_A = (("--a", dict(
+    default=None,
+    help="structure parameter(s): 'q*pi' or 'generic', comma-separated",
+)),)
+_T = (("--t", dict(
+    default=None, help="t4 family member as 't1,t2' (default: the standard member)",
+)),)
+# None stands for torus.DEFAULT_PROFILE_LENGTH (see _profile_length)
+_LENGTH = ("--length", dict(type=int, default=None))
 
-    model_arg = argparse.ArgumentParser(add_help=False)
-    model_arg.add_argument(
-        "--model", required=True,
-        help="preset kt, t4, or g2; or a path to a model JSON file",
-    )
-    a_arg = argparse.ArgumentParser(add_help=False)
-    a_arg.add_argument(
-        "--a", default=None,
-        help="structure parameter(s): 'q*pi' or 'generic', comma-separated",
-    )
-    t_arg = argparse.ArgumentParser(add_help=False)
-    t_arg.add_argument(
-        "--t", default=None,
-        help="t4 family member as 't1,t2' (default: the standard member)",
-    )
+# One row per subcommand: (name, help, shared option groups, own arguments).
+_SUBCOMMANDS = (
+    ("nijenhuis", "integrability tensor of a model", (_COMMON, _MODEL, _A), ()),
+    ("structure-eqs", "coframe differentials split by bidegree",
+     (_COMMON, _MODEL, _A), ()),
+    ("plurigenera", "pluricanonical section counts", (_COMMON, _MODEL, _A, _T), (
+        ("--m", dict(default="1..12", help="levels: '4', '1..12', or a comma list")),
+        ("--cross-check", dict(
+            action="store_true",
+            help="kt only: re-derive each count by window enumeration (ACX_MODE_WINDOW)",
+        )),
+    )),
+    ("irregularity", "closed (1,0)-form counts", (_COMMON, _MODEL, _A, _T), ()),
+    ("hodge", "invariant harmonic (p,q) dimensions", (_COMMON, _MODEL, _A), (
+        ("--p", dict(type=int, required=True)),
+        ("--q", dict(type=int, required=True)),
+        ("--power", dict(type=int, default=0,
+                         help="canonical bundle power twisting the forms (default 0)")),
+    )),
+    ("kodaira", "Kodaira dimension from the plurigenera profile",
+     (_COMMON, _MODEL, _A, _T), (_LENGTH,)),
+    ("kunneth", "product profiles and Kodaira dimension additivity", (_COMMON,), (
+        ("--factors", dict(
+            required=True,
+            help="comma list of kt:<a>, t4:std, t4:zero, rr:<g>, curve:<g>, torus, s6",
+        )),
+        _LENGTH,
+    )),
+    ("g2-verify", "bracket catalogue, Jacobi, membership, and cross identities",
+     (_COMMON,), (
+         ("--samples", dict(type=int, default=100)),
+         ("--negatives", dict(type=int, default=10)),
+         ("--seed", dict(type=int, default=20260815)),
+     )),
+    ("s6-report", "sphere structure displays and invariant census", (_COMMON,),
+     (("--levels", dict(type=int, default=8)),)),
+    ("rr", "curve-fibration plurigenera by degree count", (_COMMON,), (
+        ("--genus", dict(type=int, required=True)),
+        ("--m", dict(default="1..6")),
+    )),
+)
 
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The acx parser.  When argv[0] names a subcommand, only that subparser
+    is built; otherwise (no arguments, --help, --version, an unknown command)
+    all of them are.  Help text, usage errors and exit codes are the same
+    either way."""
     parser = argparse.ArgumentParser(
         prog="acx",
         description=(
@@ -546,71 +624,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "nijenhuis", parents=[common, model_arg, a_arg],
-        help="integrability tensor of a model",
-    )
-    sub.add_parser(
-        "structure-eqs", parents=[common, model_arg, a_arg],
-        help="coframe differentials split by bidegree",
-    )
-    p = sub.add_parser(
-        "plurigenera", parents=[common, model_arg, a_arg, t_arg],
-        help="pluricanonical section counts",
-    )
-    p.add_argument("--m", default="1..12", help="levels: '4', '1..12', or a comma list")
-    p.add_argument(
-        "--cross-check", action="store_true",
-        help="kt only: re-derive each count by window enumeration (ACX_MODE_WINDOW)",
-    )
-    sub.add_parser(
-        "irregularity", parents=[common, model_arg, a_arg, t_arg],
-        help="closed (1,0)-form counts",
-    )
-    p = sub.add_parser(
-        "hodge", parents=[common, model_arg, a_arg],
-        help="invariant harmonic (p,q) dimensions",
-    )
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument(
-        "--power", type=int, default=0,
-        help="canonical bundle power twisting the forms (default 0)",
-    )
-    p = sub.add_parser(
-        "kodaira", parents=[common, model_arg, a_arg, t_arg],
-        help="Kodaira dimension from the plurigenera profile",
-    )
-    p.add_argument("--length", type=int, default=DEFAULT_PROFILE_LENGTH)
-    p = sub.add_parser(
-        "kunneth", parents=[common],
-        help="product profiles and Kodaira dimension additivity",
-    )
-    p.add_argument(
-        "--factors", required=True,
-        help="comma list of kt:<a>, t4:std, t4:zero, rr:<g>, curve:<g>, torus, s6",
-    )
-    p.add_argument("--length", type=int, default=DEFAULT_PROFILE_LENGTH)
-    p = sub.add_parser(
-        "g2-verify", parents=[common],
-        help="bracket catalogue, Jacobi, membership, and cross identities",
-    )
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--negatives", type=int, default=10)
-    p.add_argument("--seed", type=int, default=20260815)
-    p = sub.add_parser(
-        "s6-report", parents=[common],
-        help="sphere structure displays and invariant census",
-    )
-    p.add_argument("--levels", type=int, default=8)
-    p = sub.add_parser(
-        "rr", parents=[common],
-        help="curve-fibration plurigenera by degree count",
-    )
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--m", default="1..6")
+    specs = [spec for spec in _SUBCOMMANDS if argv and spec[0] == argv[0]]
+    # with one subparser, the top-level usage still lists every subcommand
+    metavar = "{" + ",".join(spec[0] for spec in _SUBCOMMANDS) + "}" if specs else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, groups, own in specs or _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for group in groups + (own,):
+            for flag, kwargs in group:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -631,8 +653,8 @@ _HANDLERS = {
 def run(argv: Sequence[str], stdout=None) -> int:
     """Parse argv, dispatch, print the report; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(list(argv))
+    argv = list(argv)
+    args = _build_parser(argv).parse_args(argv)
     report, code = _HANDLERS[args.command](args)
     if args.meta:
         report = dict(report)
@@ -640,7 +662,7 @@ def run(argv: Sequence[str], stdout=None) -> int:
             "tool": "acx",
             "version": __version__,
             "subcommand": args.command,
-            "argv": list(argv),
+            "argv": argv,
         }
     stdout.write(_render(report, args.format))
     return code

@@ -13,8 +13,9 @@ answer is to refuse rather than guess.  CLI exit code 1.
 
 InternalCheckError: two independent computations of the same quantity
 disagree (the three integrability tests, the two harmonic kernels, the
-canonical bundle check beta_1 ^ vol = dbar vol, the mode oracle, and the
-test-time star oracle).  A fault of acx, never of the input.  CLI exit code 3.
+canonical bundle check beta_1 ^ vol = dbar vol, and the mode oracle; the
+tests' star oracle raises it too).  A fault of acx, never of the input.  CLI
+exit code 3.
 """
 
 

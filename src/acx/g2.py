@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .bundles import CanonicalPower, PseudoholStructure
+from .bundles import CanonicalPower
 from .errors import InputError, RefusalError
-from .forms import Form, perm_sign
+from .forms import Form, _form, perm_sign
 from .hodge import (
     Report,
     _section_monomials,
@@ -1011,13 +1011,13 @@ def s6_basic_star(x: Form) -> Form:
     Purely pointwise, so unlike the differential it never leaves the basic
     span; inputs with non-basic indices are rejected.
     """
-    out = Form.zero(N)
+    terms = {}
     for (alpha, beta), c in x.terms.items():
         if not (set(alpha) <= {1, 2, 3} and set(beta) <= {1, 2, 3}):
             raise InputError("sphere star is defined on basic monomials only")
         bhat, ahat, coeff = star_monomial(3, alpha, beta)
-        out = out + Form.monomial(N, bhat, ahat, c * coeff)
-    return out
+        terms[(bhat, ahat)] = c * coeff
+    return _form(N, terms)
 
 
 @lru_cache(maxsize=1)
@@ -1038,41 +1038,6 @@ def s6_plurigenus(m: int) -> int:
     if m < 1:
         raise InputError("plurigenus level m must be at least 1")
     return 1 if _s6_canonical().beta(m).is_zero() else 0
-
-
-def s6_coframe_bundle():
-    """The rank-three bundle spanned by the basic coframe, with the operator
-    read off the structure equations.
-
-    Writing dbar(phi^i) = sum_{j,k} c^i_{jk} phi^j ^ phibar^k, the frame
-    section s_i = phi^i satisfies dbar s_i = sum_j theta[i][j] tensor s_j
-    with theta[i][j] = -sum_k c^i_{jk} phibar^k, and the assembled matrix is
-    re-checked against the structure equations term by term.
-    """
-    model = s6_model()
-    eqs = structure_equations(model.coframe)
-    zero = Form.zero(N)
-    theta = [[zero for _ in range(3)] for _ in range(3)]
-    for i in range(1, 4):
-        for (alpha, beta), c in eqs.dbar_phi(i).terms.items():
-            (j,), (k,) = alpha, beta
-            if j > 3:
-                raise RefusalError(
-                    "the coframe span is not preserved: "
-                    f"dbar phi^{i} has a phi^{j} component"
-                )
-            theta[i - 1][j - 1] = theta[i - 1][j - 1] - Form.monomial(
-                N, (), (k,), c
-            )
-    for i in range(1, 4):
-        total = Form.zero(N)
-        for j in range(1, 4):
-            total = total + theta[i - 1][j - 1].wedge(Form.phi(N, j))
-        if not (total - eqs.dbar_phi(i)).is_zero():
-            raise RefusalError(
-                f"coframe-bundle operator does not reproduce dbar phi^{i}"
-            )
-    return PseudoholStructure(model, theta)
 
 
 def _serre_transport_bijective(p: int) -> bool:

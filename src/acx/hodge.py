@@ -12,7 +12,8 @@ Conventions (all exact, all verified against each other in the tests):
   where eps is the sign of the permutation taking the source order
   (alpha unprimed, beta primed, betahat primed, alphahat unprimed) to the
   interleaved order (1, 1', 2, 2', ..., n, n').  star is characterized by
-  h(x, y) dV = x ^ conj(star y), which star_oracle solves directly.
+  h(x, y) dV = x ^ conj(star y), which the tests' star oracle solves
+  directly.
 
   dbar* = -star del star on forms; on bundle-valued forms del is replaced by
   the (1,0) part of the Hermitian connection of the unitary frame.  The
@@ -36,7 +37,7 @@ from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
 from .errors import InputError, InternalCheckError
 from .forms import Form, MultiIndex, _form, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
-from .linalg import is_nonsingular, kernel_basis, solve, span_test
+from .linalg import is_nonsingular, kernel_basis, span_test
 from .scalars import SS_ZERO, Scalar, SymScalar
 
 
@@ -108,36 +109,6 @@ class HermitianData:
             terms[(bhat, ahat)] = c * coeff
         return _form(self.n, terms)
 
-    def star_oracle(self, x: Form) -> Form:
-        """Solve h(w, x) dV = w ^ conj(star x) for star x, monomial by monomial.
-
-        Independent of the closed star formula; used to pin it down.
-        """
-        if x.is_zero():
-            return Form.zero(self.n)
-        (p, q) = x.bidegree()
-        target = basis_monomials(self.n, self.n - q, self.n - p)
-        probes = basis_monomials(self.n, p, q)
-        full = tuple(range(1, self.n + 1))
-        # unknowns: conj(coefficients) of star x over target monomials
-        rows = []
-        rhs = []
-        for (wa, wb) in probes:
-            w = Form.monomial(self.n, wa, wb)
-            row = []
-            for (ta, tb) in target:
-                candidate = Form.monomial(self.n, ta, tb).conjugate()
-                row.append(w.wedge(candidate).coefficient(full, full))
-            rows.append(row)
-            rhs.append(self.h(w, x) * self.vol_coeff)
-        sol = solve(rows, rhs)
-        if sol is None:
-            raise InternalCheckError("star oracle", "the system is inconsistent")
-        out = Form.zero(self.n)
-        for (ta, tb), c in zip(target, sol):
-            out = out + Form.monomial(self.n, ta, tb, c.conjugate())
-        return out
-
 
 class SectionContext:
     """Bundle-valued invariant (p,q)-forms in one character block.
@@ -191,12 +162,6 @@ class SectionContext:
         b = self.dbar_star(self.dbar(comps))
         return [x + y for x, y in zip(a, b)]
 
-    def inner(self, x_comps, y_comps) -> SymScalar:
-        acc = SS_ZERO
-        for x, y in zip(self.wrap(x_comps), self.wrap(y_comps)):
-            acc = acc + self.data.h(x, y)
-        return acc
-
 
 def _section_monomials(model: LieACS, p: int, q: int):
     monos = basis_monomials(model.n, p, q)
@@ -231,12 +196,11 @@ class HarmonicBlock:
         """Each basis vector as a list of rank Forms."""
         out = []
         for vec in self.basis:
-            comps = [Form.zero(n) for _ in range(self.rank)]
+            comps = [{} for _ in range(self.rank)]
             for col, c in enumerate(vec):
                 mono_idx, frame_idx = divmod(col, self.rank)
-                a, b = self.monomials[mono_idx]
-                comps[frame_idx] = comps[frame_idx] + Form.monomial(n, a, b, c)
-            out.append(comps)
+                comps[frame_idx][self.monomials[mono_idx]] = c
+            out.append([_form(n, terms) for terms in comps])
         return out
 
 

@@ -23,7 +23,6 @@ constant-coefficient forms only, and the twist lives in the bundle's theta
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
@@ -138,16 +137,6 @@ class LieAlgebra:
                 terms[((i, j), ())] = -c
         return Form(self.dim, terms)
 
-    def ce_d(self, form: Form) -> Form:
-        """Extend d to the real exterior algebra by the graded Leibniz rule."""
-        out = Form.zero(self.dim)
-        for (idx, beta), c in form.terms.items():
-            if beta:
-                raise ValueError(f"real-basis forms have no barred index, got {beta}")
-            piece = d_monomial(self.dim, idx, beta, lambda A: self.d_generator(A + 1))
-            out = out + piece.scale(c)
-        return out
-
 
 # --- almost complex structures
 
@@ -187,12 +176,6 @@ def _nijenhuis(alg, J, ei, ej, Jei, Jej):
     t3 = J.apply(alg.bracket_vectors(ei, Jej))
     t4 = alg.bracket_vectors(Jei, Jej)
     return [a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
-
-
-def nijenhuis_entry(alg: LieAlgebra, J: ACStructure, i: int, j: int):
-    """N(e_i, e_j) = [e_i,e_j] + J[Je_i,e_j] + J[e_i,Je_j] - [Je_i,Je_j]."""
-    ei, ej = _unit(alg.dim, i), _unit(alg.dim, j)
-    return _nijenhuis(alg, J, ei, ej, J.apply(ei), J.apply(ej))
 
 
 class NijenhuisTensor:
@@ -329,14 +312,6 @@ class ComplexCoframe:
             c = self.Cinv[a - 1][A]
             if not c.is_zero():
                 out = out + self._gen_form(A).scale(c)
-        return out
-
-    def to_complex(self, x: Form) -> Form:
-        """Rewrite a real-basis form (keyed (idx, ())) over the complex coframe."""
-        out = Form.zero(self.n)
-        for (idx, _), c in x.terms.items():
-            piece = reduce(Form.wedge, map(self.real_covector_form, idx), Form.one(self.n))
-            out = out + piece.scale(c)
         return out
 
 

@@ -575,6 +575,12 @@ class SymScalar:
         if not a or not b:
             return SS_ZERO
         p, q = self.den, other.den
+        # the constant 1 (numerator and denominator the polynomial 1) returns
+        # the other factor itself
+        if p is _P_ONE and a == _P_ONE:
+            return other
+        if q is _P_ONE and b == _P_ONE:
+            return self
         if len(a) == 1 and p is _P_ONE:
             # a nonzero constant factor keeps the canonical form
             if len(b) == 1 and q is _P_ONE:
@@ -714,6 +720,9 @@ class PiParam:
         object.__setattr__(self, "q", q)
 
     def __setattr__(self, name, value):
+        raise AttributeError("PiParam is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("PiParam is immutable")
 
     @staticmethod

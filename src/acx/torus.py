@@ -80,6 +80,9 @@ class TrigPoly:
     def __setattr__(self, name, value):
         raise AttributeError("TrigPoly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("TrigPoly is immutable")
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -89,11 +92,6 @@ class TrigPoly:
     @staticmethod
     def constant(k: int, value) -> "TrigPoly":
         return TrigPoly(k, {(0,) * k: SymScalar.coerce(value)})
-
-    @staticmethod
-    def exponential(k: int, freq: Sequence[int], coeff=1) -> "TrigPoly":
-        """coeff * exp(2*pi*i freq.x)."""
-        return TrigPoly(k, {tuple(freq): SymScalar.coerce(coeff)})
 
     @staticmethod
     def cos2pi(k: int, freq: Sequence[int]) -> "TrigPoly":
@@ -362,15 +360,19 @@ def t4_obstruction(alpha: TrigPoly, beta: TrigPoly) -> TrigPoly:
     return gamma.wirtinger(0, 1).wirtinger_bar(0, 1)
 
 
-def _t4_integrable(alpha: TrigPoly, beta: TrigPoly) -> bool:
+def _t4_integrable(alpha: TrigPoly, beta: TrigPoly,
+                   obstruction: Optional[TrigPoly] = None) -> bool:
     """The member's branch, decided once for every invariant of the member.
 
     False when the obstruction is nonzero (it kills every pluricanonical
     section); True for constant coefficients (the integrable structure with
     trivial canonical bundle).  Anything else is outside the settled
-    derivation and is refused.
+    derivation and is refused.  `obstruction` is t4_obstruction(alpha, beta)
+    when the caller already holds it.
     """
-    if not t4_obstruction(alpha, beta).is_zero():
+    if obstruction is None:
+        obstruction = t4_obstruction(alpha, beta)
+    if not obstruction.is_zero():
         return False
     if alpha.is_constant() and beta.is_constant():
         return True
@@ -380,13 +382,15 @@ def _t4_integrable(alpha: TrigPoly, beta: TrigPoly) -> bool:
     )
 
 
-def t4_plurigenus(alpha: TrigPoly, beta: TrigPoly, m: int) -> int:
+def t4_plurigenus(alpha: TrigPoly, beta: TrigPoly, m: int,
+                  obstruction: Optional[TrigPoly] = None) -> int:
     """Plurigenus of the four-torus family member: 1 on the integrable
-    branch, 0 on the obstructed one, at every level m."""
+    branch, 0 on the obstructed one, at every level m.  `obstruction` is
+    t4_obstruction(alpha, beta) when the caller already holds it."""
     m = int(m)
     if m < 1:
         raise InputError("plurigenus level m must be at least 1")
-    return 1 if _t4_integrable(alpha, beta) else 0
+    return 1 if _t4_integrable(alpha, beta, obstruction) else 0
 
 
 def t4_irregularity(alpha: TrigPoly, beta: TrigPoly) -> int:
@@ -415,6 +419,9 @@ class IntInterval:
         object.__setattr__(self, "hi", hi)
 
     def __setattr__(self, name, value):
+        raise AttributeError("IntInterval is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("IntInterval is immutable")
 
     def is_point(self) -> bool:
@@ -529,6 +536,9 @@ class PlurigeneraProfile:
         object.__setattr__(self, "kappa", kappa)
 
     def __setattr__(self, name, value):
+        raise AttributeError("PlurigeneraProfile is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("PlurigeneraProfile is immutable")
 
     # -- classification ------------------------------------------------------

@@ -209,15 +209,27 @@ class TestOptionRule:
     )
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
                                       cmd, model_args, message):
-        from acx import cli, g2
+        from acx import g2, hodge, lie, models, torus
 
         def boom(*args, **kwargs):
             raise AssertionError("work started before the options were checked")
 
-        for name in ("invariant_harmonic_space", "nijenhuis", "kt_model",
-                     "kt_plurigenus", "kt_irregularity", "kt_profile",
-                     "t4_plurigenus", "t4_irregularity", "t4_profile"):
-            monkeypatch.setattr(cli, name, boom)
+        # loading a model file resolves its params.a, which --a is checked
+        # against, so the loader keeps the kt_model it builds a kt file with
+        kt_model, load_model_file = models.kt_model, models.load_model_file
+
+        def load(path):
+            with monkeypatch.context() as loading:
+                loading.setattr(models, "kt_model", kt_model)
+                return load_model_file(path)
+
+        monkeypatch.setattr(models, "load_model_file", load)
+        for module, name in ((hodge, "invariant_harmonic_space"), (lie, "nijenhuis"),
+                             (models, "kt_model"), (torus, "kt_plurigenus"),
+                             (torus, "kt_irregularity"), (torus, "kt_profile"),
+                             (torus, "t4_plurigenus"), (torus, "t4_irregularity"),
+                             (torus, "t4_profile")):
+            monkeypatch.setattr(module, name, boom)
         monkeypatch.setattr(g2, "s6_plurigenus", boom)
         monkeypatch.setattr(g2, "s6_model", boom)
         assert main(self.argv(cmd, model_args, self.model_files(tmp_path))) == 2
@@ -231,15 +243,15 @@ class TestOptionRule:
         assert capture(self.argv(cmd, ["KT_FILE"], files)) == (0, with_a)
 
     def test_each_subcommand_loads_a_model_file_once(self, tmp_path, monkeypatch):
-        from acx import cli
+        from acx import models
 
-        loads, original = [], cli.load_model_file
+        loads, original = [], models.load_model_file
 
         def counting(path):
             loads.append(path)
             return original(path)
 
-        monkeypatch.setattr(cli, "load_model_file", counting)
+        monkeypatch.setattr(models, "load_model_file", counting)
         files = self.model_files(tmp_path)
         for cmd in MODEL_COMMANDS:
             loads.clear()
@@ -457,9 +469,9 @@ class TestMainExitCodes:
         assert "N=0:False (0,2)-parts:True frame-closed:False" in err
 
     def test_failed_mode_oracle_exit_three(self, monkeypatch, capsys):
-        from acx import cli
+        from acx import torus
 
-        monkeypatch.setattr(cli, "kt_mode_oracle", lambda *args, **kwargs: [])
+        monkeypatch.setattr(torus, "kt_mode_oracle", lambda *args, **kwargs: [])
         code = main(["plurigenera", "--model", "kt", "--a", "4*pi", "--m", "1",
                      "--cross-check"])
         assert code == 3
@@ -491,11 +503,11 @@ class TestMainExitCodes:
     def test_contradicted_kappa_additivity_exit_one(self, monkeypatch, capsys):
         # a curve declared bounded passes its own check (kappa = 0 is never
         # compared), but its product with rr:2 grows quadratically, not linearly
-        from acx import cli
+        from acx import torus
         from acx.torus import PlurigeneraProfile
 
-        curve = cli.curve_profile
-        monkeypatch.setattr(cli, "curve_profile", lambda g, length: PlurigeneraProfile(
+        curve = torus.curve_profile
+        monkeypatch.setattr(torus, "curve_profile", lambda g, length: PlurigeneraProfile(
             curve(g, length).values, 0))
         assert main(["kunneth", "--factors", "curve:2,rr:2", "--length", "8"]) == 1
         report = json.loads(capsys.readouterr().out)
@@ -616,12 +628,12 @@ class TestInputLimits:
         assert code == 0 and report["dimension"] == MAX_SECTIONS
 
     def test_section_limit(self, tmp_path, monkeypatch, capsys):
-        from acx import cli
+        from acx import cli, hodge
 
         def boom(*args, **kwargs):
             raise AssertionError("work started before the limit was checked")
 
-        monkeypatch.setattr(cli, "invariant_harmonic_space", boom)
+        monkeypatch.setattr(hodge, "invariant_harmonic_space", boom)
         dim24 = self.abelian_file(tmp_path, 24)
         assert main(["hodge", "--model", dim24, "--p", "6", "--q", "6"]) == 2
         assert capsys.readouterr().err == (
@@ -762,7 +774,7 @@ class TestInputFaults:
 
 class TestComputeOnce:
     def test_nijenhuis_builds_one_tensor_and_one_coframe(self, monkeypatch):
-        from acx import cli, lie
+        from acx import lie
 
         calls = {"nijenhuis": 0, "build_coframe": 0}
 
@@ -772,10 +784,8 @@ class TestComputeOnce:
                 return fn(*args)
             return wrapper
 
-        # the names the CLI, is_integrable and LieACS call through
-        tensor = counting("nijenhuis", lie.nijenhuis)
-        monkeypatch.setattr(cli, "nijenhuis", tensor)
-        monkeypatch.setattr(lie, "nijenhuis", tensor)
+        # the name the CLI, is_integrable and LieACS call through
+        monkeypatch.setattr(lie, "nijenhuis", counting("nijenhuis", lie.nijenhuis))
         monkeypatch.setattr(lie, "build_coframe", counting("build_coframe", lie.build_coframe))
         code, report = capture_json(["nijenhuis", "--model", "kt", "--a", "4*pi"])
         assert code == 0 and report["integrable"] is False

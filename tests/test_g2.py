@@ -10,10 +10,46 @@ import random
 import pytest
 
 from acx import g2
-from acx.bundles import CanonicalPower
-from acx.errors import InputError
+from acx.bundles import CanonicalPower, PseudoholStructure
+from acx.errors import InputError, RefusalError
 from acx.forms import Form
+from acx.lie import structure_equations
 from acx.scalars import Scalar, SymScalar
+
+
+def s6_coframe_bundle():
+    """The rank-three bundle spanned by the basic coframe, with the operator
+    read off the structure equations.
+
+    Writing dbar(phi^i) = sum_{j,k} c^i_{jk} phi^j ^ phibar^k, the frame
+    section s_i = phi^i satisfies dbar s_i = sum_j theta[i][j] tensor s_j
+    with theta[i][j] = -sum_k c^i_{jk} phibar^k, and the assembled matrix is
+    re-checked against the structure equations term by term.
+    """
+    model = g2.s6_model()
+    eqs = structure_equations(model.coframe)
+    zero = Form.zero(g2.N)
+    theta = [[zero for _ in range(3)] for _ in range(3)]
+    for i in range(1, 4):
+        for (alpha, beta), c in eqs.dbar_phi(i).terms.items():
+            (j,), (k,) = alpha, beta
+            if j > 3:
+                raise RefusalError(
+                    "the coframe span is not preserved: "
+                    f"dbar phi^{i} has a phi^{j} component"
+                )
+            theta[i - 1][j - 1] = theta[i - 1][j - 1] - Form.monomial(
+                g2.N, (), (k,), c
+            )
+    for i in range(1, 4):
+        total = Form.zero(g2.N)
+        for j in range(1, 4):
+            total = total + theta[i - 1][j - 1].wedge(Form.phi(g2.N, j))
+        if not (total - eqs.dbar_phi(i)).is_zero():
+            raise RefusalError(
+                f"coframe-bundle operator does not reproduce dbar phi^{i}"
+            )
+    return PseudoholStructure(model, theta)
 
 
 def rand_element(rng):
@@ -260,7 +296,7 @@ class TestSphereCanonical:
 
 class TestCoframeBundle:
     def test_operator_entries(self):
-        bundle = g2.s6_coframe_bundle()
+        bundle = s6_coframe_bundle()
         assert len(bundle.theta) == 3
         for row in bundle.theta:
             for entry in row:
@@ -273,7 +309,7 @@ class TestCoframeBundle:
         )
 
     def test_frame_sections_reproduce_operator(self):
-        bundle = g2.s6_coframe_bundle()
+        bundle = s6_coframe_bundle()
         for i in range(3):
             comps = [
                 Form.one(7) if j == i else Form.zero(7) for j in range(3)
@@ -282,7 +318,7 @@ class TestCoframeBundle:
             assert out == list(bundle.theta[i])
 
     def test_connection_is_skew_hermitian(self):
-        bundle = g2.s6_coframe_bundle()
+        bundle = s6_coframe_bundle()
         omega = bundle.connection()
         for i in range(3):
             for j in range(3):
@@ -290,7 +326,7 @@ class TestCoframeBundle:
                 assert omega[i][j].project(0, 1) == bundle.theta[i][j]
 
     def test_dual_is_involutive(self):
-        bundle = g2.s6_coframe_bundle()
+        bundle = s6_coframe_bundle()
         dual = bundle.dual()
         for i in range(3):
             for j in range(3):

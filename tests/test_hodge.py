@@ -23,6 +23,47 @@ from acx.scalars import PiParam, Scalar, SymScalar
 from acx.torus import kt_irregularity, kt_plurigenus
 
 
+def star_oracle(data, x):
+    """Solve h(w, x) dV = w ^ conj(star x) for star x, monomial by monomial.
+
+    Independent of the closed star formula; used to pin it down.
+    """
+    n = data.n
+    if x.is_zero():
+        return Form.zero(n)
+    (p, q) = x.bidegree()
+    target = basis_monomials(n, n - q, n - p)
+    probes = basis_monomials(n, p, q)
+    full = tuple(range(1, n + 1))
+    # unknowns: conj(coefficients) of star x over target monomials
+    rows = []
+    rhs = []
+    for (wa, wb) in probes:
+        w = Form.monomial(n, wa, wb)
+        row = []
+        for (ta, tb) in target:
+            candidate = Form.monomial(n, ta, tb).conjugate()
+            row.append(w.wedge(candidate).coefficient(full, full))
+        rows.append(row)
+        rhs.append(data.h(w, x) * data.vol_coeff)
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        raise InternalCheckError("star oracle", "the system is inconsistent")
+    out = Form.zero(n)
+    for (ta, tb), c in zip(target, sol):
+        out = out + Form.monomial(n, ta, tb, c.conjugate())
+    return out
+
+
+def inner(ctx, x_comps, y_comps):
+    """The pointwise pairing of two sections of ctx's bundle, summed over
+    its frame."""
+    acc = SymScalar.const(0)
+    for x, y in zip(ctx.wrap(x_comps), ctx.wrap(y_comps)):
+        acc = acc + ctx.data.h(x, y)
+    return acc
+
+
 A_PARAMS = [
     PiParam.rational_pi(4),
     PiParam.rational_pi(2),
@@ -59,7 +100,7 @@ class TestStar:
             for q in range(n + 1):
                 for (al, be) in basis_monomials(n, p, q):
                     x = Form.monomial(n, al, be)
-                    assert data.star(x) == data.star_oracle(x)
+                    assert data.star(x) == star_oracle(data, x)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_defining_equation_on_all_monomial_pairs(self, n):
@@ -111,8 +152,8 @@ class TestAdjointness:
             for q in range(n):
                 for x in _all_monomial_forms(n, p, q):
                     for y in _all_monomial_forms(n, p, q + 1):
-                        lhs = ctx.inner(ctx.dbar([x]), [y])
-                        rhs = ctx.inner([x], ctx.dbar_star([y]))
+                        lhs = inner(ctx, ctx.dbar([x]), [y])
+                        rhs = inner(ctx, [x], ctx.dbar_star([y]))
                         assert lhs == rhs
 
     def test_dbar_star_is_the_exact_adjoint_on_abelian(self):
@@ -122,8 +163,8 @@ class TestAdjointness:
             for q in range(2):
                 for x in _all_monomial_forms(2, p, q):
                     for y in _all_monomial_forms(2, p, q + 1):
-                        assert ctx.inner(ctx.dbar([x]), [y]) == ctx.inner(
-                            [x], ctx.dbar_star([y])
+                        assert inner(ctx, ctx.dbar([x]), [y]) == inner(
+                            ctx, [x], ctx.dbar_star([y])
                         )
 
     def test_adjointness_inside_a_character_block(self):
@@ -135,8 +176,8 @@ class TestAdjointness:
             ctx = SectionContext(model, character=ch)
             for x in _all_monomial_forms(2, 0, 0):
                 for y in _all_monomial_forms(2, 0, 1):
-                    assert ctx.inner(ctx.dbar([x]), [y]) == ctx.inner(
-                        [x], ctx.dbar_star([y])
+                    assert inner(ctx, ctx.dbar([x]), [y]) == inner(
+                        ctx, [x], ctx.dbar_star([y])
                     )
 
     def test_laplacian_is_self_adjoint_and_nonnegative_diagonal(self):
@@ -144,8 +185,8 @@ class TestAdjointness:
         ctx = SectionContext(model)
         for x in _all_monomial_forms(2, 1, 1):
             for y in _all_monomial_forms(2, 1, 1):
-                assert ctx.inner(ctx.laplacian([x]), [y]) == ctx.inner(
-                    [x], ctx.laplacian([y])
+                assert inner(ctx, ctx.laplacian([x]), [y]) == inner(
+                    ctx, [x], ctx.laplacian([y])
                 )
 
 

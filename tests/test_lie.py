@@ -3,11 +3,12 @@ invariant differential."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from acx.errors import InputError
-from acx.forms import Form, basis_monomials
+from acx.forms import Form, basis_monomials, d_monomial
 from acx.lie import (
     ACStructure,
     Character,
@@ -15,7 +16,6 @@ from acx.lie import (
     build_coframe,
     is_integrable,
     nijenhuis,
-    nijenhuis_entry,
     structure_equations,
 )
 from acx.linalg import mat_inverse, mat_mul, rank
@@ -25,6 +25,37 @@ from acx.scalars import SS_ONE, SS_ZERO, S_I, PiParam, Scalar, SymScalar
 
 A_GENERIC = PiParam.generic()
 A_4PI = PiParam.rational_pi(4)
+
+
+def ce_d(alg, form):
+    """d on the real exterior algebra (Forms keyed (idx, ())) by the graded
+    Leibniz rule."""
+    out = Form.zero(alg.dim)
+    for (idx, beta), c in form.terms.items():
+        if beta:
+            raise ValueError(f"real-basis forms have no barred index, got {beta}")
+        piece = d_monomial(alg.dim, idx, beta, lambda A: alg.d_generator(A + 1))
+        out = out + piece.scale(c)
+    return out
+
+
+def to_complex(cf, x):
+    """Rewrite a real-basis form (keyed (idx, ())) over the complex coframe."""
+    out = Form.zero(cf.n)
+    for (idx, _), c in x.terms.items():
+        piece = reduce(Form.wedge, map(cf.real_covector_form, idx), Form.one(cf.n))
+        out = out + piece.scale(c)
+    return out
+
+
+def nijenhuis_entry(alg, J, i, j):
+    """N(e_i, e_j) = [e_i,e_j] + J[Je_i,e_j] + J[e_i,Je_j] - [Je_i,Je_j]."""
+    ei = [SS_ONE if k == i else SS_ZERO for k in range(1, alg.dim + 1)]
+    ej = [SS_ONE if k == j else SS_ZERO for k in range(1, alg.dim + 1)]
+    Jei, Jej = J.apply(ei), J.apply(ej)
+    terms = (alg.bracket_vectors(ei, ej), J.apply(alg.bracket_vectors(Jei, ej)),
+             J.apply(alg.bracket_vectors(ei, Jej)), alg.bracket_vectors(Jei, Jej))
+    return [a + b + c - d for a, b, c, d in zip(*terms)]
 
 
 def rand_real_form(rng, alg, degree, density=3):
@@ -89,13 +120,13 @@ class TestLieAlgebra:
         for degree in (1, 2):
             for _ in range(10):
                 xi = rand_real_form(rng, alg, degree)
-                assert alg.ce_d(alg.ce_d(xi)).is_zero()
+                assert ce_d(alg, ce_d(alg, xi)).is_zero()
 
     def test_ce_d_of_a_generator_is_d_generator(self):
         alg = kt_algebra()
         for k in range(1, alg.dim + 1):
-            assert alg.ce_d(Form.monomial(alg.dim, (k,))) == alg.d_generator(k)
-        assert alg.ce_d(Form.monomial(alg.dim, (4,))) == Form(4, {((2, 3), ()): -1})
+            assert ce_d(alg, Form.monomial(alg.dim, (k,))) == alg.d_generator(k)
+        assert ce_d(alg, Form.monomial(alg.dim, (4,))) == Form(4, {((2, 3), ()): -1})
 
 
 class TestACStructure:
@@ -225,7 +256,7 @@ class TestComplexCoframe:
             for degree in (1, 2, 3):
                 for _ in range(6):
                     xi = rand_real_form(rng, model.alg, degree)
-                    assert cf.d(cf.to_complex(xi)) == cf.to_complex(model.alg.ce_d(xi))
+                    assert cf.d(to_complex(cf, xi)) == to_complex(cf, ce_d(model.alg, xi))
 
     def test_d_squares_to_zero_on_complex_forms(self):
         rng = random.Random(54)

@@ -22,13 +22,14 @@ from acx.lie import ACStructure, LieACS, LieAlgebra, is_integrable, nijenhuis
 from acx.linalg import is_nonsingular, kernel_basis, mat_inverse, mat_mul
 from acx.scalars import PiParam, Scalar, SymScalar
 
+from test_lie import ce_d
 from test_scalars import assert_canonical_sym
 
 
 def closed_two_forms(alg):
     """A basis of the closed real 2-forms, as {(i, j): coefficient} dicts."""
     pairs = list(combinations(range(1, alg.dim + 1), 2))
-    images = [alg.ce_d(Form(alg.dim, {(pair, ()): 1})) for pair in pairs]
+    images = [ce_d(alg, Form(alg.dim, {(pair, ()): 1})) for pair in pairs]
     keys = sorted({key for image in images for key in image.terms})
     rows = [[image.terms.get(key, SymScalar.const(0)) for image in images] for key in keys]
     return [dict(zip(pairs, v)) for v in kernel_basis(rows, ncols=len(pairs))]

@@ -12,6 +12,7 @@ from acx.scalars import (
     _P_ONE,
     S_ONE,
     S_ZERO,
+    SS_ONE,
     PiParam,
     Scalar,
     SymScalar,
@@ -177,6 +178,20 @@ class TestSymScalar:
                 with pytest.raises(AttributeError):
                     setattr(u, name, ())
         assert (x / (x + 1)).den == (S_ONE, S_ONE)
+
+    def test_product_by_one_is_the_other_factor(self):
+        rng = random.Random(17)
+        x = SymScalar.symbol()
+        ones = (SS_ONE, SymScalar.const(1), SymScalar.const(Fraction(3, 3)), x / x)
+        values = [SymScalar.const(rand_scalar(rng)) for _ in range(10)]
+        values += [rand_sym(rng) for _ in range(10)]
+        # 1 * 1 returns one of two equal operands, not a chosen one
+        values = [z for z in values if z != SS_ONE]
+        assert len(values) >= 15
+        for z in values:
+            for one in ones:
+                assert z * one is z
+                assert one * z is z
 
     def test_attributes_cannot_be_deleted(self):
         u = SymScalar.symbol() + 1

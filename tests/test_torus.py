@@ -38,6 +38,11 @@ from acx.torus import (
 )
 
 
+def exponential(k, freq, coeff=1):
+    """coeff * exp(2*pi*i freq.x) on the k-torus."""
+    return TrigPoly(k, {tuple(freq): SymScalar.coerce(coeff)})
+
+
 A_4PI = PiParam.rational_pi(4)
 A_2PI = PiParam.rational_pi(2)
 A_4PI3 = PiParam.rational_pi(Fraction(4, 3))
@@ -155,12 +160,12 @@ class TestTrigPoly:
         f = TrigPoly.cos2pi(4, (1, 2, 0, 0))
         assert f.is_real()
         assert f.conjugate() == f
-        h = TrigPoly.exponential(4, (1, 0, 0, 0))
+        h = exponential(4, (1, 0, 0, 0))
         assert not h.is_real()
-        assert h.conjugate() == TrigPoly.exponential(4, (-1, 0, 0, 0))
+        assert h.conjugate() == exponential(4, (-1, 0, 0, 0))
 
     def test_wirtinger_derivatives(self):
-        f = TrigPoly.exponential(4, (1, -1, 0, 0))
+        f = exponential(4, (1, -1, 0, 0))
         half = SymScalar.const(Fraction(1, 2))
         i = SymScalar.const(Scalar(0, 1))
         expected_w = (f.partial(0) - f.partial(1).scale(i)).scale(half)
@@ -212,7 +217,7 @@ class TestT4Family:
             t4_irregularity(alpha, beta)
 
     def test_pair_validation(self):
-        bad = TrigPoly.exponential(4, (1, 0, 0, 0))
+        bad = exponential(4, (1, 0, 0, 0))
         with pytest.raises(InputError):
             t4_obstruction(bad, TrigPoly.constant(4, 0))
         with pytest.raises(InputError):
@@ -231,6 +236,21 @@ class TestIntInterval:
             IntInterval(2, 1)
         with pytest.raises(InputError):
             IntInterval(-1, 0)
+
+
+@pytest.mark.parametrize("value, names", [
+    (PiParam.generic(), ("kind", "q")),
+    (PiParam.rational_pi(4), ("kind", "q")),
+    (t4_standard_pair()[0], ("k", "terms")),
+    (IntInterval(1, 2), ("lo", "hi")),
+    (curve_profile(2, 8), ("values", "kappa")),
+], ids=["PiParam-generic", "PiParam-rational", "TrigPoly", "IntInterval",
+        "PlurigeneraProfile"])
+def test_attributes_cannot_be_deleted(value, names):
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert all(hasattr(value, name) for name in names)
 
 
 class TestRiemannRoch:
