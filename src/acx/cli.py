@@ -17,19 +17,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import InputError, InternalCheckError, RefusalError
-from .scalars import PiParam
+from .scalars import PiParam, parse_rational
 
 # The library modules (g2, hodge, lie, models, torus) are imported by the code
 # paths that use them, so each invocation loads only what its subcommand needs.
 
 # Upper limits on user-sized inputs, checked before any list is built: the
 # largest --m level and the number of levels in one --m spec, --length of a
-# plurigenera profile, s6-report --levels, and g2-verify --samples and
-# --negatives (ACX_MODE_WINDOW is bounded in torus.mode_window).
+# plurigenera profile, s6-report --levels, g2-verify --samples and
+# --negatives, and the genus of rr --genus and the rr:/curve: factors
+# (ACX_MODE_WINDOW is bounded in torus.mode_window, rational literals in
+# scalars.parse_rational).
 MAX_LEVEL = 1000
 MAX_LENGTH = 1000
 MAX_LEVELS = 1000
 MAX_SAMPLES = 1000
+MAX_GENUS = 10**6
 
 # Most hodge section monomials C(k,p)*C(k,q) (k = n, or the size of the
 # model's basic set): the column count of each operator matrix.  400 admits
@@ -109,8 +112,8 @@ def _parse_t_member(text: Optional[str]):
     if len(parts) != 2:
         raise InputError("--t: want two comma-separated rationals, e.g. 0,0")
     try:
-        t1, t2 = Fraction(parts[0].strip()), Fraction(parts[1].strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        t1, t2 = parse_rational(parts[0]), parse_rational(parts[1])
+    except ValueError as exc:
         raise InputError(f"--t: {exc}") from exc
     return torus.t4_family_pair(t1, t2), f"t=({t1},{t2})"
 
@@ -447,6 +450,8 @@ def _factor_profile(spec: str, length: int):
             genus = int(arg)
         except ValueError as exc:
             raise InputError(f"factor {spec!r}: want {name}:<genus>") from exc
+        if genus > MAX_GENUS:
+            raise InputError(f"factor {spec!r}: genus must be at most {MAX_GENUS}")
         return (torus.rr_profile if name == "rr" else torus.curve_profile)(genus, length)
     if name == "torus":
         return torus.torus_profile(length)
@@ -531,6 +536,8 @@ def _cmd_rr(args):
     levels = _parse_m_spec(args.m)
     if args.genus < 2:
         raise InputError("--genus must be at least 2")
+    if args.genus > MAX_GENUS:
+        raise InputError(f"--genus must be at most {MAX_GENUS}")
     values = [torus.rr_plurigenus(args.genus, m) for m in levels]
     prof = torus.rr_profile(args.genus, max(torus.DEFAULT_PROFILE_LENGTH, max(levels)))
     report = {

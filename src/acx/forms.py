@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .scalars import SS_ONE, SS_ZERO, SymScalar
+from .scalars import SS_ONE, SS_ZERO, SymScalar, _Frozen
 
 
 class MultiIndex(tuple):
@@ -76,7 +76,7 @@ def complement(alpha, n):
     return MultiIndex(tuple(k for k in range(1, n + 1) if k not in inside))
 
 
-class Form:
+class Form(_Frozen):
     """A form of mixed bidegree over an n-dimensional complex coframe."""
 
     __slots__ = ("n", "terms")
@@ -98,12 +98,6 @@ class Form:
                 clean[(alpha, beta)] = c
         _setn(self, n)
         _setterms(self, clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Form is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Form is immutable")
 
     # --- constructors
 
@@ -257,7 +251,7 @@ class Form:
         return out
 
 
-# the slot setters, which bypass the __setattr__ guard of a form being built
+# the slot setters (see scalars._Frozen)
 _setn = Form.__dict__["n"].__set__
 _setterms = Form.__dict__["terms"].__set__
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -34,7 +35,7 @@ from .lie import (
     structure_equations,
 )
 from .linalg import rank, span_test
-from .scalars import Scalar, SymScalar
+from .scalars import Scalar, SymScalar, _Frozen
 from .torus import PlurigeneraProfile, kodaira_dimension
 
 X_DIM = 6
@@ -66,15 +67,6 @@ def _matrix_from_coordinates(x: Sequence[Scalar], y: Sequence[Scalar]):
 
 _ZERO = _sc(0)
 
-# where _from_entries reads each coordinate, with its sign: the first entry,
-# row by row, that the coordinate alone places
-_READOUT = (
-    ((0, 1), 1), ((0, 2), -1), ((0, 3), 1), ((0, 4), -1), ((0, 5), 1), ((0, 6), -1),
-    ((1, 2), 1), ((5, 6), -1), ((2, 3), -1), ((2, 4), 1), ((2, 5), 1), ((2, 6), -1),
-    ((4, 5), 1), ((4, 6), -1),
-)
-
-
 @lru_cache(maxsize=1)
 def _placements():
     """For each of the 14 coordinates, the ((i, j), sign) entries it places,
@@ -87,7 +79,16 @@ def _placements():
     return tuple(out)
 
 
-class G2Element:
+@lru_cache(maxsize=1)
+def _readout():
+    """Where _from_entries reads each coordinate, with its sign: the first
+    entry, row by row, that no other coordinate places."""
+    places = _placements()
+    shared = Counter(pos for p in places for pos, _ in p)
+    return tuple(next((pos, s) for pos, s in p if shared[pos] == 1) for p in places)
+
+
+class G2Element(_Frozen):
     """An element of the algebra: coordinates plus the nonzero entries
     {(i, j): Scalar} of its 7x7 matrix (no entry is ever zero)."""
 
@@ -114,12 +115,6 @@ class G2Element:
         _setx(self, x)
         _sety(self, y)
         _setentries(self, {p: c for p, c in entries.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("G2Element is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("G2Element is immutable")
 
     @property
     def matrix(self):
@@ -150,7 +145,7 @@ class G2Element:
         """from_matrix on nonzero entries.  Neither side holds a zero, so equal
         dicts mean that all 49 entries agree."""
         coords = []
-        for p, s in _READOUT:
+        for p, s in _readout():
             c = E.get(p)
             coords.append(_ZERO if c is None else c if s > 0 else -c)
         candidate = G2Element(coords[:X_DIM], coords[X_DIM:])
@@ -205,7 +200,7 @@ class G2Element:
         return f"G2Element(x={self.x}, y={self.y})"
 
 
-# the slot setters, which bypass the __setattr__ guard of an element being built
+# the slot setters (see scalars._Frozen)
 _setx = G2Element.__dict__["x"].__set__
 _sety = G2Element.__dict__["y"].__set__
 _setentries = G2Element.__dict__["entries"].__set__
@@ -819,10 +814,7 @@ S6_DF_DISPLAYS: Dict[int, Dict[Tuple[int, int], int]] = {
 
 
 def _form7(terms) -> Form:
-    out = Form.zero(N)
-    for (alpha, beta), (re, im) in terms.items():
-        out = out + Form.monomial(N, alpha, beta, Scalar(re, im))
-    return out
+    return Form(N, {key: Scalar(re, im) for key, (re, im) in terms.items()})
 
 
 _HALF = Fraction(1, 2)

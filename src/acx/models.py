@@ -74,20 +74,12 @@ def kt_model(a: PiParam) -> LieACS:
     alg = kt_algebra()
 
     def characters(bundle_power: int):
-        out = []
+        # LieACS.characters drops the trivial character and repeats
         if a.kind != "rational_pi":
-            return out
-        q = a.q
-        seen = set()
-        for l in (q / 4, bundle_power * q / 4):
-            if l == 0 or l.denominator != 1:
-                continue
-            for sign in (1, -1):
-                key = (0, sign * l)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(_kt_character(alg, Fraction(0), sign * l))
-        return out
+            return []
+        return [_kt_character(alg, Fraction(0), sign * l)
+                for l in (a.q / 4, bundle_power * a.q / 4) if l.denominator == 1
+                for sign in (1, -1)]
 
     return LieACS(alg, kt_J(a), name="kt", symbol=a.symbol_name, characters=characters)
 
@@ -152,9 +144,9 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
         j_rows = obj["J"]
     except KeyError as exc:
         raise InputError(f"model file missing key {exc}") from exc
-    if isinstance(dim, int) and dim > MAX_DIM:
+    if type(dim) is int and dim > MAX_DIM:
         raise InputError(f"model dim must be at most {MAX_DIM}, got {dim}")
-    if not isinstance(dim, int) or dim < 2 or dim % 2:
+    if type(dim) is not int or dim < 2 or dim % 2:
         raise InputError(f"model dim must be a positive even integer, got {dim!r}")
     entries = obj.get("brackets", [])
     if not isinstance(entries, list):
@@ -166,7 +158,7 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
             out = entry["out"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad bracket entry {entry!r}") from exc
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
+        if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
             raise InputError(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i},{j})")
         if not isinstance(out, list):
             raise InputError(f"bracket ({i},{j}): out must be a list of [k, re, im]")
@@ -175,7 +167,7 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
             if not (isinstance(item, (list, tuple)) and len(item) == 3):
                 raise InputError(f"bracket output entries are [k, re, im], got {item!r}")
             k, re, im = item
-            if not (isinstance(k, int) and 1 <= k <= dim):
+            if not (type(k) is int and 1 <= k <= dim):
                 raise InputError(f"bracket output index {k!r} out of range")
             field = f"bracket ({i},{j}) output {item!r}"
             vec[k] = SymScalar.const(Scalar(_rational(re, field), _rational(im, field)))
@@ -218,6 +210,6 @@ def load_model_file(path: str) -> tuple[LieACS, PiParam | None]:
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int over Python's digit limit
         raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_json(obj)

@@ -31,12 +31,13 @@ Gaussian-integer coefficients over one common denominator.  Products,
 linear combinations and exact quotients run on such integer coefficients
 too, and each output coefficient is normalised once.
 
-Construction.  Scalar and SymScalar are immutable: __setattr__ and
-__delattr__ raise.  A value is built by object.__new__ and its slots are
-filled through the slot descriptors' __set__ (_seta, _setb, _setd, _setnum,
-_setden, fetched once at import), which bypasses that guard without the
-cost of a generic object.__setattr__ call; forms.Form and g2.G2Element are
-built the same way.
+Construction.  The exact value types (Scalar, SymScalar, PiParam, forms.Form,
+g2.G2Element, torus.TrigPoly, IntInterval and PlurigeneraProfile) are hashed
+and used as dict keys, so all subclass the one immutable base _Frozen.  The
+hot types (Scalar, SymScalar, Form, G2Element) fill their slots through the
+slot descriptors' __set__ (_seta, _setb, _setd, _setnum, _setden, fetched
+once at import), which is cheaper than a generic object.__setattr__ call;
+the cold types call object.__setattr__.
 """
 
 from __future__ import annotations
@@ -47,10 +48,23 @@ from math import gcd, lcm
 _new = object.__new__
 
 
+# Most digits in the numerator or the denominator of a rational literal, a
+# decimal exponent e counting as |e| more digits.
+MAX_LITERAL_DIGITS = 1000
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or an integer literal into a Fraction."""
+    """Parse 'p/q', an integer or a decimal literal into a Fraction.  A literal
+    over MAX_LITERAL_DIGITS is refused before any integer is built."""
     if not isinstance(text, str):
         raise ValueError(f"expected rational string, got {text!r}")
+    mantissa, _, exp = text.strip().lower().partition("e")
+    exp = exp.lstrip("+-").replace("_", "").lstrip("0")
+    size = max(sum(c.isdecimal() for c in part) for part in mantissa.split("/"))
+    if exp.isdecimal():
+        size += int(exp[:9])  # a longer exponent is over 10**8 anyway
+    if size > MAX_LITERAL_DIGITS:
+        raise ValueError(f"rational literal over {MAX_LITERAL_DIGITS} digits")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -80,7 +94,22 @@ def _norm(a, b, d):
     return _scalar(a // g, b // g, d // g)
 
 
-class Scalar:
+class _Frozen:
+    """Base of the immutable value types: assigning or deleting an attribute
+    raises AttributeError.  Subclasses fill their slots while being built
+    through the slot descriptors' __set__ or object.__setattr__, both of
+    which bypass this guard."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Scalar(_Frozen):
     """A Gaussian rational re + im*i, stored as (a + b*i)/d (see the module
     docstring for the invariant)."""
 
@@ -93,12 +122,6 @@ class Scalar:
         _seta(self, re.numerator * (d // re.denominator))
         _setb(self, im.numerator * (d // im.denominator))
         _setd(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Scalar is immutable")
 
     @property
     def re(self):
@@ -204,7 +227,7 @@ class Scalar:
         return scalar_str(self)
 
 
-# the slot setters, which bypass the __setattr__ guard of a value being built
+# the slot setters (see _Frozen)
 _seta = Scalar.__dict__["a"].__set__
 _setb = Scalar.__dict__["b"].__set__
 _setd = Scalar.__dict__["d"].__set__
@@ -489,7 +512,7 @@ def _sum(u, v, negate):
     return _poly(t, _pmul(p1, q))
 
 
-class SymScalar:
+class SymScalar(_Frozen):
     """An element of Q(i)(x): num/den with den monic and gcd(num, den) = 1."""
 
     __slots__ = ("num", "den")
@@ -514,12 +537,6 @@ class SymScalar:
             den = _P_ONE
         _setnum(self, num)
         _setden(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymScalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SymScalar is immutable")
 
     @staticmethod
     def const(value) -> "SymScalar":
@@ -698,7 +715,7 @@ SS_ZERO = SymScalar(())
 SS_ONE = SymScalar.const(1)
 
 
-class PiParam:
+class PiParam(_Frozen):
     """The structure parameter a: either a rational multiple of pi or generic.
 
     RationalPi(q) carries a = q*pi with the formal symbol meaning pi;
@@ -718,12 +735,6 @@ class PiParam:
             q = None
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiParam is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PiParam is immutable")
 
     @staticmethod
     def rational_pi(q) -> "PiParam":

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, RefusalError
-from .scalars import PiParam, Scalar, SymScalar
+from .scalars import PiParam, Scalar, SymScalar, _Frozen
 
 Freq = Tuple[int, ...]
 
@@ -51,7 +51,7 @@ def mode_window() -> int:
 # ---------------------------------------------------------------------------
 
 
-class TrigPoly:
+class TrigPoly(_Frozen):
     """A finite Fourier sum sum_nu c_nu exp(2*pi*i nu.x) on a k-torus.
 
     Coefficients are SymScalar values whose symbol stands for pi, so the
@@ -76,12 +76,6 @@ class TrigPoly:
                 clean[freq] = value
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrigPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TrigPoly is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -403,7 +397,7 @@ def t4_irregularity(alpha: TrigPoly, beta: TrigPoly) -> int:
 # ---------------------------------------------------------------------------
 
 
-class IntInterval:
+class IntInterval(_Frozen):
     """A closed integer interval [lo, hi] of candidate dimensions."""
 
     __slots__ = ("lo", "hi")
@@ -417,12 +411,6 @@ class IntInterval:
             raise InputError("dimension intervals are nonnegative")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntInterval is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("IntInterval is immutable")
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -512,7 +500,7 @@ def _poly_degree(values: Sequence[int]) -> Optional[int]:
     return last_nonzero
 
 
-class PlurigeneraProfile:
+class PlurigeneraProfile(_Frozen):
     """Exact plurigenera P_1..P_M with their growth order kappa.
 
     kappa is -inf when every plurigenus vanishes, 0 for bounded growth, and
@@ -534,12 +522,6 @@ class PlurigeneraProfile:
             raise InputError(refusal)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "kappa", kappa)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlurigeneraProfile is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PlurigeneraProfile is immutable")
 
     # -- classification ------------------------------------------------------
 

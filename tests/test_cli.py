@@ -434,9 +434,16 @@ class TestMainExitCodes:
 
     def test_bad_model_file_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
-        bad.write_text("{not json")
-        assert main(["nijenhuis", "--model", str(bad)]) == 2
-        assert "input error:" in capsys.readouterr().err
+        for content, reason in [
+            (b"{not json", "Expecting property name"),
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+            (b'{"dim": ' + b"9" * 5000 + b', "J": []}', "Exceeds the limit (4300 digits)"),
+        ]:
+            bad.write_bytes(content)
+            assert main(["nijenhuis", "--model", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: model file {bad} is not valid JSON: ")
+            assert reason in err
 
     def test_mode_window_env_gate(self, monkeypatch, capsys):
         monkeypatch.setenv("ACX_MODE_WINDOW", "0")
@@ -531,6 +538,9 @@ class TestMainExitCodes:
         assert str(exc) == "star oracle: the system is inconsistent"
 
 
+_LITERAL_OVER = "rational literal over 1000 digits"
+
+
 class TestInputLimits:
     @pytest.mark.parametrize(
         "spec, message",
@@ -577,6 +587,25 @@ class TestInputLimits:
             (["g2-verify", "--negatives", "-1"], "--negatives: must be at least 0"),
             (["g2-verify", "--samples", "1001"], "--samples: must be at most 1000"),
             (["g2-verify", "--negatives", "1001"], "--negatives: must be at most 1000"),
+            (["plurigenera", "--model", "t4", "--t", "1e5000,0"], f"--t: {_LITERAL_OVER}"),
+            (["plurigenera", "--model", "t4", "--t", "1e3000000,1"], f"--t: {_LITERAL_OVER}"),
+            (["plurigenera", "--model", "t4", "--t", "1e999999999,0"], f"--t: {_LITERAL_OVER}"),
+            (["plurigenera", "--model", "t4", "--t", "0,1" + "0" * 1000], f"--t: {_LITERAL_OVER}"),
+            (["plurigenera", "--model", "t4", "--t", "1/1" + "0" * 1000 + ",0"],
+             f"--t: {_LITERAL_OVER}"),
+            (["plurigenera", "--model", "kt", "--a", "1e5000*pi"], f"--a: {_LITERAL_OVER}"),
+            (["plurigenera", "--model", "kt", "--a", "1.5e-1000*pi"], f"--a: {_LITERAL_OVER}"),
+            (["kunneth", "--factors", "kt:1e5000*pi,torus"],
+             f"factor 'kt:1e5000*pi': {_LITERAL_OVER}"),
+            (["rr", "--genus", "9" * 4299, "--m", "1000"], "--genus must be at most 1000000"),
+            (["rr", "--genus", "1000001"], "--genus must be at most 1000000"),
+            (["kunneth", "--factors", "rr:1000001,torus"],
+             "factor 'rr:1000001': genus must be at most 1000000"),
+            (["kunneth", "--factors", "curve:1000001,torus"],
+             "factor 'curve:1000001': genus must be at most 1000000"),
+            pytest.param(["kunneth", "--factors", f"rr:{'9' * 4299},torus"],
+                         f"factor 'rr:{'9' * 4299}': genus must be at most 1000000",
+                         id="rr-factor-of-4299-digits"),
         ],
     )
     def test_lower_and_sample_limits(self, capsys, argv, message):
@@ -665,6 +694,40 @@ class TestInputLimits:
         code, report = capture_json(["kunneth", "--factors", factors, "--length", "4"])
         assert code == 0 and len(report["factors"]) == MAX_FACTORS == 8
 
+    @pytest.mark.parametrize("option, value", [("--t", "1e999999999,0"), ("--a", "1e999999999*pi")])
+    def test_rational_literal_limit_is_checked_before_any_integer(
+        self, monkeypatch, option, value
+    ):
+        from acx import scalars
+
+        def boom(*args):
+            raise AssertionError("a Fraction was built before the limit was checked")
+
+        monkeypatch.setattr(scalars, "Fraction", boom)
+        model = "t4" if option == "--t" else "kt"
+        assert main(["plurigenera", "--model", model, option, value]) == 2
+
+    def test_rational_literal_limit_is_inclusive(self):
+        big = "9" * 1000
+        code, report = capture_json(
+            ["plurigenera", "--model", "t4", "--t", f"1e999,{big}/{big[:-1]}7", "--m", "1"]
+        )
+        assert code == 0 and report["member"] == f"t=(1{'0' * 999},{big}/{big[:-1]}7)"
+        code, report = capture_json(
+            ["plurigenera", "--model", "kt", f"--a=-{big}/4*pi", "--m", "1"]
+        )
+        assert code == 0 and report["rows"][0]["a"] == f"-{big}/4*pi"
+
+    def test_genus_limit_is_inclusive(self):
+        from acx.cli import MAX_GENUS
+
+        code, report = capture_json(["rr", "--genus", str(MAX_GENUS), "--m", "3"])
+        assert code == 0 and report["values"] == [5 * (MAX_GENUS - 1)]
+        code, report = capture_json(
+            ["kunneth", "--factors", f"rr:{MAX_GENUS},curve:{MAX_GENUS}", "--length", "4"]
+        )
+        assert code == 0 and report["product"]["kappa"] == 2
+
 
 class TestInputFaults:
     """Malformed input exits 2 with a message of acx's own, never a traceback
@@ -684,6 +747,15 @@ class TestInputFaults:
             ({"params": 7}, "params must be a JSON object"),
             ({"params": {"a": 5}}, "params.a must be a string"),
             ({"brackets": [{"i": 2, "j": 3, "out": 5}]}, "bracket (2,3): out must be a list"),
+            ({"brackets": [{"i": 2, "j": 3, "out": [[4, "1e1001", "0"]]}]},
+             "bracket (2,3) output [4, '1e1001', '0']: rational literal over 1000 digits"),
+            ({"dim": True}, "model dim must be a positive even integer, got True"),
+            ({"brackets": [{"i": True, "j": 3, "out": [[4, "1", "0"]]}]},
+             "bracket indices must satisfy 1 <= i < j <= dim, got (True,3)"),
+            ({"brackets": [{"i": 1, "j": True, "out": [[4, "1", "0"]]}]},
+             "bracket indices must satisfy 1 <= i < j <= dim, got (1,True)"),
+            ({"brackets": [{"i": 2, "j": 3, "out": [[True, "1", "0"]]}]},
+             "bracket output index True out of range"),
         ],
     )
     def test_bad_shapes(self, tmp_path, capsys, overrides, message):

@@ -7,6 +7,8 @@ import pytest
 
 from acx import torus
 from acx.errors import InputError, RefusalError
+from acx.forms import Form
+from acx.g2 import G2Element
 from acx.scalars import PiParam, Scalar, SymScalar
 from acx.torus import (
     ALL_ZERO,
@@ -244,13 +246,25 @@ class TestIntInterval:
     (t4_standard_pair()[0], ("k", "terms")),
     (IntInterval(1, 2), ("lo", "hi")),
     (curve_profile(2, 8), ("values", "kappa")),
+    (Scalar(1, Fraction(1, 2)), ("a", "b", "d")),
+    (SymScalar.symbol(2) + 1, ("num", "den")),
+    (Form.phi(3, 1) + Form.phibar(3, 2), ("n", "terms")),
+    (G2Element((1,) * 6, (0, 2) * 4), ("x", "y", "entries")),
 ], ids=["PiParam-generic", "PiParam-rational", "TrigPoly", "IntInterval",
-        "PlurigeneraProfile"])
+        "PlurigeneraProfile", "Scalar", "SymScalar", "Form", "G2Element"])
 def test_attributes_cannot_be_deleted(value, names):
+    """Every exact value type refuses assignment and deletion with its own
+    name in the message, and has no __dict__ (the shared base has empty
+    __slots__)."""
+    message = f"^{type(value).__name__} is immutable$"
+    before = {name: getattr(value, name) for name in names}
     for name in names + ("extra",):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match=message):
             delattr(value, name)
-    assert all(hasattr(value, name) for name in names)
+    assert {name: getattr(value, name) for name in names} == before
+    assert not hasattr(value, "__dict__")
 
 
 class TestRiemannRoch:
