@@ -424,7 +424,10 @@ def _cmd_kodaira(args):
     return dict(desc, **_profile_report(_profile(kind, member, length))), 0
 
 
-def _factor_profile(spec: str, length: int):
+def _parse_factor(spec: str):
+    """Check one kunneth factor spec and return the function of the profile
+    length that builds its profile.  _cmd_kunneth parses every spec before
+    it builds any profile."""
     from . import torus
 
     name, _, arg = spec.partition(":")
@@ -434,9 +437,10 @@ def _factor_profile(spec: str, length: int):
         if not arg:
             raise InputError(f"factor {spec!r}: want kt:<a>, e.g. kt:4*pi")
         try:
-            return torus.kt_profile(PiParam.parse(arg), length)
+            a = PiParam.parse(arg)
         except ValueError as exc:
             raise InputError(f"factor {spec!r}: {exc}") from exc
+        return lambda length: torus.kt_profile(a, length)
     if name == "t4":
         if arg in ("", "std", "standard"):
             alpha, beta = torus.t4_standard_pair()
@@ -444,7 +448,7 @@ def _factor_profile(spec: str, length: int):
             alpha, beta = torus.t4_family_pair(0, 0)
         else:
             raise InputError(f"factor {spec!r}: want t4:std or t4:zero")
-        return torus.t4_profile(alpha, beta, length)
+        return lambda length: torus.t4_profile(alpha, beta, length)
     if name in ("rr", "curve"):
         try:
             genus = int(arg)
@@ -452,13 +456,21 @@ def _factor_profile(spec: str, length: int):
             raise InputError(f"factor {spec!r}: want {name}:<genus>") from exc
         if genus > MAX_GENUS:
             raise InputError(f"factor {spec!r}: genus must be at most {MAX_GENUS}")
-        return (torus.rr_profile if name == "rr" else torus.curve_profile)(genus, length)
+        # the profile builders' own lower bounds, checked before any build
+        if genus < 2:
+            raise InputError("fiber genus must be at least 2" if name == "rr"
+                             else "curve profiles require genus at least 2")
+        build = torus.rr_profile if name == "rr" else torus.curve_profile
+        return lambda length: build(genus, length)
     if name == "torus":
-        return torus.torus_profile(length)
+        return torus.torus_profile
     if name == "s6":
-        from . import g2 as sphere
+        def s6_profile(length):
+            from . import g2 as sphere
 
-        return _profile("g2", sphere.s6_model(), length)
+            return _profile("g2", sphere.s6_model(), length)
+
+        return s6_profile
     raise InputError(
         f"unknown factor {spec!r}; want kt:<a>, t4:std, t4:zero, rr:<g>, "
         "curve:<g>, torus, or s6"
@@ -473,7 +485,8 @@ def _cmd_kunneth(args):
         raise InputError("--factors: want at least two comma-separated factors")
     _check_limit("--factors", len(specs), MAX_FACTORS)
     length = _profile_length(args)
-    profiles = [_factor_profile(s, length) for s in specs]
+    builds = [_parse_factor(s) for s in specs]
+    profiles = [build(length) for build in builds]
     product = profiles[0]
     for prof in profiles[1:]:
         product = torus.kunneth(product, prof)

@@ -8,6 +8,15 @@ generated from one seven-term display, and the sphere's invariant Dolbeault
 census run through the same coframe machinery as the torus models: its
 canonical bundle is a bundles.CanonicalPower trivialized over the basic
 indices, like K^m on any other model.
+
+A G2Element is held lifted, in the convention of Scalar and of the
+polynomial kernels in scalars: its coordinates and matrix entries are
+Gaussian-integer pairs (re, im) over one denominator den > 0, with gcd 1
+over all of them.  Commutators, the re-entry check, the Jacobi sums, the
+h-closure test and the membership sample run on those integers, and
+CrossProduct.is_member reads the integers of its Scalar entries.  Scalars
+appear only as views at the API boundary (x, y, entries, matrix,
+coordinates(), flatten()) and in refusal messages.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .bundles import CanonicalPower
@@ -35,7 +45,7 @@ from .lie import (
     structure_equations,
 )
 from .linalg import rank, span_test
-from .scalars import Scalar, SymScalar, _Frozen
+from .scalars import Scalar, SymScalar, _Frozen, _lift, _new, _norm, _scalar
 from .torus import PlurigeneraProfile, kodaira_dimension
 
 X_DIM = 6
@@ -48,6 +58,10 @@ BASIS_NAMES: Tuple[str, ...] = tuple(
 
 
 _sc = Scalar.coerce
+
+# A lifted value is a Gaussian-integer pair (re, im) standing for
+# (re + im*i)/den over the denominator of the element that holds it.
+Lifted = Tuple[int, int]
 
 
 def _matrix_from_coordinates(x: Sequence[Scalar], y: Sequence[Scalar]):
@@ -88,11 +102,54 @@ def _readout():
     return tuple(next((pos, s) for pos, s in p if shared[pos] == 1) for p in places)
 
 
-class G2Element(_Frozen):
-    """An element of the algebra: coordinates plus the nonzero entries
-    {(i, j): Scalar} of its 7x7 matrix (no entry is ever zero)."""
+def _place(coords: Dict[int, Lifted]) -> Dict[Tuple[int, int], Lifted]:
+    """The nonzero matrix entries that nonzero lifted coordinates place."""
+    E: Dict[Tuple[int, int], Lifted] = {}
+    places = _placements()
+    for k, (r, i) in coords.items():
+        for pos, sign in places[k]:
+            t = E.get(pos)
+            if sign < 0:
+                E[pos] = (-r, -i) if t is None else (t[0] - r, t[1] - i)
+            else:
+                E[pos] = (r, i) if t is None else (t[0] + r, t[1] + i)
+    return {p: v for p, v in E.items() if v[0] or v[1]}
 
-    __slots__ = ("x", "y", "entries")
+
+def _view(v, den: int) -> Scalar:
+    """The Scalar (re + im*i)/den of a lifted value; None is zero."""
+    if v is None:
+        return _ZERO
+    return _scalar(v[0], v[1], 1) if den == 1 else _norm(v[0], v[1], den)
+
+
+def _element(coords: Dict[int, Lifted], den: int, entries=None) -> "G2Element":
+    """The element with these nonzero lifted coordinates over den > 0,
+    reduced by one gcd; entries, when given, are the ones coords place."""
+    if den > 1:
+        g = gcd(den, *(c for v in coords.values() for c in v))
+        if g > 1:
+            den //= g
+            coords = {k: (r // g, i // g) for k, (r, i) in coords.items()}
+            if entries is not None:
+                entries = {p: (r // g, i // g) for p, (r, i) in entries.items()}
+    e = _new(G2Element)
+    _setden(e, den)
+    _setcoords(e, coords)
+    _setentries(e, _place(coords) if entries is None else entries)
+    _setscalars(e, None)
+    return e
+
+
+class G2Element(_Frozen):
+    """An element of the algebra, held lifted: its nonzero coordinates
+    {k: (re, im)} (k = 0..13 for f1..f6, h1..h8) and the nonzero entries
+    {(i, j): (re, im)} of its 7x7 matrix, all Gaussian integers over one
+    denominator den > 0 with gcd 1 over all of them, so that equal elements
+    are held alike.  x, y, entries, matrix, coordinates() and flatten() are
+    Scalar views built on demand; coordinates given as Scalars are kept."""
+
+    __slots__ = ("den", "_coords", "_entries", "_scalars")
 
     def __init__(self, x: Sequence, y: Sequence):
         x = tuple(c if type(c) is Scalar else _sc(c) for c in x)
@@ -102,25 +159,43 @@ class G2Element(_Frozen):
                 f"coordinates must be {X_DIM} + {Y_DIM} values, "
                 f"got {len(x)} + {len(y)}"
             )
-        entries: Dict[Tuple[int, int], Scalar] = {}
-        for c, places in zip(x + y, _placements()):
-            if not c:
-                continue
-            neg = None  # -c, formed at most once
-            for pos, sign in places:
-                if sign < 0 and neg is None:
-                    neg = -c
-                t = c if sign > 0 else neg
-                entries[pos] = entries[pos] + t if pos in entries else t
-        _setx(self, x)
-        _sety(self, y)
-        _setentries(self, {p: c for p, c in entries.items() if c})
+        scalars = x + y
+        # over the lcm of the denominators the gcd is already 1: if p^e is
+        # the power of a prime p in the lcm, p^e divides some c.d, so den // c.d
+        # is prime to p, and p does not divide both c.a and c.b
+        re, im, den = _lift(scalars)
+        coords = {k: v for k, v in enumerate(zip(re, im)) if v[0] or v[1]}
+        _setden(self, den)
+        _setcoords(self, coords)
+        _setentries(self, _place(coords))
+        _setscalars(self, scalars)
+
+    def coordinates(self) -> Tuple[Scalar, ...]:
+        if self._scalars is not None:
+            return self._scalars
+        den, get = self.den, self._coords.get
+        return tuple(_view(get(k), den) for k in range(X_DIM + Y_DIM))
+
+    @property
+    def x(self) -> Tuple[Scalar, ...]:
+        return self.coordinates()[:X_DIM]
+
+    @property
+    def y(self) -> Tuple[Scalar, ...]:
+        return self.coordinates()[X_DIM:]
+
+    @property
+    def entries(self) -> Dict[Tuple[int, int], Scalar]:
+        """The nonzero matrix entries as Scalars."""
+        return {p: _view(v, self.den) for p, v in self._entries.items()}
 
     @property
     def matrix(self):
         """The dense 7x7 view of the entries."""
-        E = self.entries
-        return tuple(tuple(E.get((i, j), _ZERO) for j in range(N)) for i in range(N))
+        M = [[_ZERO] * N for _ in range(N)]
+        for (i, j), v in self._entries.items():
+            M[i][j] = _view(v, self.den)
+        return tuple(map(tuple, M))
 
     @staticmethod
     def zero() -> "G2Element":
@@ -136,88 +211,98 @@ class G2Element(_Frozen):
         A = tuple(tuple(_sc(c) for c in row) for row in A)
         if len(A) != N or any(len(row) != N for row in A):
             raise InputError("matrix must be 7x7")
-        return G2Element._from_entries({
-            (i, j): c for i, row in enumerate(A) for j, c in enumerate(row) if not c.is_zero()
-        })
+        nonzero = {(i, j): c for i, row in enumerate(A) for j, c in enumerate(row) if c}
+        re, im, den = _lift(nonzero.values())
+        return G2Element._from_entries(dict(zip(nonzero, zip(re, im))), den)
 
     @staticmethod
-    def _from_entries(E) -> "G2Element":
-        """from_matrix on nonzero entries.  Neither side holds a zero, so equal
-        dicts mean that all 49 entries agree."""
-        coords = []
-        for p, s in _readout():
-            c = E.get(p)
-            coords.append(_ZERO if c is None else c if s > 0 else -c)
-        candidate = G2Element(coords[:X_DIM], coords[X_DIM:])
-        forced = candidate.entries
+    def _from_entries(E: Dict[Tuple[int, int], Lifted], den: int) -> "G2Element":
+        """from_matrix on nonzero lifted entries over den.  Neither side holds
+        a zero, so equal dicts mean that all 49 entries agree."""
+        coords = {}
+        for k, (p, s) in enumerate(_readout()):
+            v = E.get(p)
+            if v is not None:
+                coords[k] = v if s > 0 else (-v[0], -v[1])
+        forced = _place(coords)
         if forced != E:
             i, j = min(p for p in E.keys() | forced.keys() if E.get(p) != forced.get(p))
             raise InputError(
                 f"matrix is not in the coordinate span: entry "
-                f"({i + 1},{j + 1}) is {E.get((i, j), _ZERO)}, pattern forces "
-                f"{forced.get((i, j), _ZERO)}"
+                f"({i + 1},{j + 1}) is {_view(E.get((i, j)), den)}, pattern forces "
+                f"{_view(forced.get((i, j)), den)}"
             )
-        return candidate
+        return _element(coords, den, forced)
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "G2Element") -> "G2Element":
-        return G2Element(
-            tuple(a + b for a, b in zip(self.x, other.x)),
-            tuple(a + b for a, b in zip(self.y, other.y)),
-        )
+        d, f = self.den, other.den
+        coords = {k: (r * f, i * f) for k, (r, i) in self._coords.items()}
+        for k, (r, i) in other._coords.items():
+            t = coords.get(k, (0, 0))
+            coords[k] = (t[0] + r * d, t[1] + i * d)
+        return _element({k: v for k, v in coords.items() if v[0] or v[1]}, d * f)
 
     def __neg__(self) -> "G2Element":
-        return G2Element(tuple(-a for a in self.x), tuple(-a for a in self.y))
+        return _element(
+            {k: (-r, -i) for k, (r, i) in self._coords.items()}, self.den,
+            {p: (-r, -i) for p, (r, i) in self._entries.items()},
+        )
 
     def __sub__(self, other: "G2Element") -> "G2Element":
         return self + (-other)
 
     def scale(self, c) -> "G2Element":
         c = _sc(c)
-        return G2Element(
-            tuple(a * c for a in self.x), tuple(a * c for a in self.y)
-        )
-
-    def coordinates(self) -> Tuple[Scalar, ...]:
-        return self.x + self.y
+        a, b = c.a, c.b
+        coords = {k: (r * a - i * b, r * b + i * a) for k, (r, i) in self._coords.items()}
+        return _element({k: v for k, v in coords.items() if v[0] or v[1]}, self.den * c.d)
 
     def flatten(self) -> List[Scalar]:
         return [c for row in self.matrix for c in row]
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coordinates())
+        return not self._coords
 
     def __eq__(self, other):
         if not isinstance(other, G2Element):
             return NotImplemented
-        return self.x == other.x and self.y == other.y
+        return self.den == other.den and self._coords == other._coords
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return hash((self.den, frozenset(self._coords.items())))
 
     def __repr__(self):
         return f"G2Element(x={self.x}, y={self.y})"
 
 
 # the slot setters (see scalars._Frozen)
-_setx = G2Element.__dict__["x"].__set__
-_sety = G2Element.__dict__["y"].__set__
-_setentries = G2Element.__dict__["entries"].__set__
+_setden = G2Element.__dict__["den"].__set__
+_setcoords = G2Element.__dict__["_coords"].__set__
+_setentries = G2Element.__dict__["_entries"].__set__
+_setscalars = G2Element.__dict__["_scalars"].__set__
 
 
-def _commutator_entries(a: G2Element, b: G2Element) -> Dict[Tuple[int, int], Scalar]:
-    """The nonzero entries of AB - BA, formed from nonzero entries only."""
-    C: Dict[Tuple[int, int], Scalar] = {}
+def _commutator_entries(a: G2Element, b: G2Element):
+    """The nonzero entries of AB - BA, lifted over a.den * b.den and formed
+    from nonzero entries only, with that denominator."""
+    C: Dict[Tuple[int, int], List[int]] = {}
     for sign, p, q in ((1, a, b), (-1, b, a)):
         q_rows: List[list] = [[] for _ in range(N)]
-        for (k, j), c in q.entries.items():
-            q_rows[k].append((j, c))
-        for (i, k), p_ik in p.entries.items():
-            for j, q_kj in q_rows[k]:
-                t = p_ik * q_kj if sign > 0 else -(p_ik * q_kj)
-                C[i, j] = C[i, j] + t if (i, j) in C else t
-    return {pos: c for pos, c in C.items() if not c.is_zero()}
+        for (k, j), v in q._entries.items():
+            q_rows[k].append((j, v))
+        for (i, k), (x, y) in p._entries.items():
+            if sign < 0:
+                x, y = -x, -y
+            for j, (u, w) in q_rows[k]:
+                t = C.get((i, j))
+                if t is None:
+                    C[i, j] = [x * u - y * w, x * w + y * u]
+                else:
+                    t[0] += x * u - y * w
+                    t[1] += x * w + y * u
+    return {pos: (r, i) for pos, (r, i) in C.items() if r or i}, a.den * b.den
 
 
 def bracket(a: G2Element, b: G2Element) -> G2Element:
@@ -227,7 +312,7 @@ def bracket(a: G2Element, b: G2Element) -> G2Element:
     is reported as a hard refusal rather than silently projected.
     """
     try:
-        return G2Element._from_entries(_commutator_entries(a, b))
+        return G2Element._from_entries(*_commutator_entries(a, b))
     except InputError as exc:
         raise RefusalError(
             f"commutator left the coordinate span; matrix model bug: {exc}"
@@ -343,11 +428,8 @@ BRACKET_TABLE_ERRATA: Dict[Tuple[str, str], Dict[str, int]] = {}
 
 
 def _coordinate_dict(elem: G2Element) -> Dict[str, Scalar]:
-    return {
-        name: c
-        for name, c in zip(BASIS_NAMES, elem.coordinates())
-        if not c.is_zero()
-    }
+    """The nonzero coordinates by basis name, as Scalars."""
+    return {BASIS_NAMES[k]: _view(v, elem.den) for k, v in sorted(elem._coords.items())}
 
 
 def verify_bracket_table() -> Report:
@@ -386,24 +468,28 @@ def verify_bracket_table() -> Report:
 
     h_names = [n for n in BASIS_NAMES if n.startswith("h")]
     h_closed = all(
-        all(c.is_zero() for c in cached_bracket(na, nb).x)
+        all(k >= X_DIM for k in cached_bracket(na, nb)._coords)
         for na, nb in itertools.combinations(h_names, 2)
     )
 
     jacobi_failures = []
     for na, nb, nc in itertools.combinations(BASIS_NAMES, 3):
-        # the sum of the three outer brackets over their nonzero coordinates:
-        # an element is zero exactly when its 14 coordinates are
-        total: Dict[int, Scalar] = {}
-        for outer in (
+        # the sum of the three outer brackets over their nonzero lifted
+        # coordinates, brought to one denominator: an element is zero exactly
+        # when its 14 coordinates are
+        outers = (
             bracket(cached_bracket(na, nb), basis[nc]),
             bracket(cached_bracket(nb, nc), basis[na]),
             bracket(cached_bracket(nc, na), basis[nb]),
-        ):
-            for k, c in enumerate(outer.coordinates()):
-                if c:
-                    total[k] = total[k] + c if k in total else c
-        if any(total.values()):
+        )
+        den = lcm(*[e.den for e in outers])
+        total: Dict[int, Lifted] = {}
+        for outer in outers:
+            s = den // outer.den
+            for k, (r, i) in outer._coords.items():
+                t = total.get(k, (0, 0))
+                total[k] = (t[0] + r * s, t[1] + i * s)
+        if any(r or i for r, i in total.values()):
             jacobi_failures.append((na, nb, nc))
 
     dimension = rank([e.flatten() for e in basis.values()])
@@ -513,10 +599,12 @@ class CrossProduct:
         """Matrix membership: skew-symmetry plus the seven contractions
         sum_{j,k} eps_{ijk} A[j][k] = 0.
 
-        Skew-symmetry takes one exact comparison per unordered pair i <= j.
-        On a skew matrix the (j, k) and (k, j) terms of a contraction are
-        equal, so each row of the contraction table holds the terms with
-        j < k only, and zero entries are skipped.
+        Both run on the entries' integers (a + b*i)/d, which are canonical.
+        Skew-symmetry takes one comparison of (a, b, d) with (-a', -b', d')
+        per unordered pair i <= j.  On a skew matrix the (j, k) and (k, j)
+        terms of a contraction are equal, so each row of the contraction
+        table holds the terms with j < k only; zero entries are skipped and
+        the rest are summed over the lcm of their denominators.
         """
         A = tuple(tuple(c if type(c) is Scalar else _sc(c) for c in row) for row in A)
         if len(A) != N or any(len(row) != N for row in A):
@@ -524,15 +612,17 @@ class CrossProduct:
         for i, row in enumerate(A):
             for j in range(i, N):
                 a, b = row[j], A[j][i]
-                if (a or b) and a != -b:
+                if a.a != -b.a or a.b != -b.b or a.d != b.d:
                     return False
         for terms in self._contractions:
-            acc = _ZERO
-            for j, k, sign in terms:
-                a = A[j][k]
-                if a:
-                    acc = acc + a if sign > 0 else acc - a
-            if acc:
+            nonzero = [(A[j][k], sign) for j, k, sign in terms if A[j][k]]
+            den = lcm(*[a.d for a, _ in nonzero])
+            re = im = 0
+            for a, sign in nonzero:
+                s = den // a.d if sign > 0 else -(den // a.d)
+                re += a.a * s
+                im += a.b * s
+            if re or im:
                 return False
         return True
 
@@ -634,11 +724,13 @@ def membership_sample_check(
 
     member_failures = []
     for trial in range(members):
-        # the basis is the coordinate basis: coefficients are coordinates
-        coeffs = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis_vectors
-        ]
-        elem = G2Element(coeffs[:X_DIM], coeffs[X_DIM:])
+        # the basis is the coordinate basis: coefficients are coordinates,
+        # drawn as numerator and denominator and lifted over their lcm
+        coeffs = [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis_vectors]
+        den = lcm(*[d for _, d in coeffs])
+        elem = _element(
+            {k: (n * (den // d), 0) for k, (n, d) in enumerate(coeffs) if n}, den
+        )
         if not cp.is_member(elem.matrix):
             member_failures.append(trial)
 
@@ -652,7 +744,7 @@ def membership_sample_check(
         A = [[_sc(0)] * N for _ in range(N)]
         for i in range(N):
             for j in range(i + 1, N):
-                v = Fraction(rng.randint(-9, 9))
+                v = rng.randint(-9, 9)
                 A[i][j] = _sc(v)
                 A[j][i] = _sc(-v)
         flat = [A[i][j] for i in range(N) for j in range(N)]
@@ -691,13 +783,10 @@ def g2_algebra() -> LieAlgebra:
     for i in range(14):
         for j in range(i + 1, 14):
             out = bracket(basis[i], basis[j])
-            vec = {
-                k + 1: c
-                for k, c in enumerate(out.coordinates())
-                if not c.is_zero()
-            }
-            if vec:
-                brackets[(i + 1, j + 1)] = vec
+            if out._coords:
+                brackets[(i + 1, j + 1)] = {
+                    k + 1: _view(v, out.den) for k, v in sorted(out._coords.items())
+                }
     return LieAlgebra(
         14, brackets, basis_names=list(BASIS_NAMES), name="g2"
     )
@@ -733,7 +822,7 @@ def s6_model() -> LieACS:
 
 def projection_differential(elem: G2Element) -> Tuple[Scalar, ...]:
     """The base-point differential: an algebra element's matrix applied to e1."""
-    return tuple(elem.entries.get((i, 0), _ZERO) for i in range(N))
+    return tuple(_view(elem._entries.get((i, 0)), elem.den) for i in range(N))
 
 
 def verify_projection() -> Report:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
-from .forms import Form, _form, d_monomial
+from .forms import Form, MultiIndex, _form, d_monomial
 from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon
 from .scalars import SS_ONE, SS_ZERO, S_I, SymScalar
 
@@ -261,11 +261,17 @@ class ComplexCoframe:
         if out is not None:
             return out
         if shift is None:
-            out = Form.zero(self.n)
+            # for B < C, Phi^B wedge Phi^C is the canonical monomial with the
+            # phi indices of B, C first: sign +1, and one key per pair
+            n = self.n
+            terms = {}
             for (B, Cc), coords in self.complex_constants().items():
                 c = coords[A]
                 if not c.is_zero():
-                    out = out + self._gen_form(B).wedge(self._gen_form(Cc)).scale(-c)
+                    alpha = MultiIndex(k + 1 for k in (B, Cc) if k < n)
+                    beta = MultiIndex(k - n + 1 for k in (B, Cc) if k >= n)
+                    terms[(alpha, beta)] = -c
+            out = _form(n, terms)
         else:
             dp, dq = shift
             out = self.d_generator(A).project(dp + (A < self.n), dq + (A >= self.n))

@@ -679,10 +679,10 @@ class TestInputLimits:
     def test_factor_limit(self, monkeypatch, capsys):
         from acx import cli
 
-        def boom(spec, length):
-            raise AssertionError("a profile was built before the limit was checked")
+        def boom(spec):
+            raise AssertionError("a factor was parsed before the limit was checked")
 
-        monkeypatch.setattr(cli, "_factor_profile", boom)
+        monkeypatch.setattr(cli, "_parse_factor", boom)
         factors = ",".join(["rr:2"] * (cli.MAX_FACTORS + 1))
         assert main(["kunneth", "--factors", factors]) == 2
         assert capsys.readouterr().err == "input error: --factors: must be at most 8\n"
@@ -693,6 +693,32 @@ class TestInputLimits:
         factors = ",".join(["rr:2"] * MAX_FACTORS)
         code, report = capture_json(["kunneth", "--factors", factors, "--length", "4"])
         assert code == 0 and len(report["factors"]) == MAX_FACTORS == 8
+
+    @pytest.mark.parametrize("bad, message", [
+        ("rr:x", "factor 'rr:x': want rr:<genus>"),
+        ("rr:1", "fiber genus must be at least 2"),
+        ("curve:1", "curve profiles require genus at least 2"),
+        ("rr:1000001", "factor 'rr:1000001': genus must be at most 1000000"),
+        ("kt:", "factor 'kt:': want kt:<a>, e.g. kt:4*pi"),
+        ("kt:x*pi", "factor 'kt:x*pi': bad rational literal 'x'"),
+        ("t4:bad", "factor 't4:bad': want t4:std or t4:zero"),
+        ("nope", "unknown factor 'nope'; want kt:<a>, t4:std, t4:zero, rr:<g>, "
+                 "curve:<g>, torus, or s6"),
+    ])
+    def test_every_factor_is_checked_before_any_profile_is_built(
+        self, monkeypatch, capsys, bad, message
+    ):
+        from acx import g2, torus
+
+        built = []
+        for module, name in [(g2, "s6_model"), (torus, "kt_profile"), (torus, "t4_profile"),
+                             (torus, "rr_profile"), (torus, "curve_profile"),
+                             (torus, "torus_profile")]:
+            monkeypatch.setattr(module, name, lambda *args, name=name: built.append(name))
+        factors = f"s6,kt:4*pi,t4:std,rr:2,curve:2,torus,s6,{bad}"
+        assert main(["kunneth", "--factors", factors]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert built == []
 
     @pytest.mark.parametrize("option, value", [("--t", "1e999999999,0"), ("--a", "1e999999999*pi")])
     def test_rational_literal_limit_is_checked_before_any_integer(

@@ -2,14 +2,16 @@
 
 bracket, CrossProduct.cross, dot, is_member and preserves_form sum over
 nonzero entries only, G2Element stores only the nonzero entries of its
-matrix, and membership_sample_check decides span membership against one
-reduced basis.  The loops they replaced are kept here as references and
-must agree with them on every input below; the span check is fed faults
-and must catch each of them, and g2-verify's sweep sizes are pinned.
+matrix, as Gaussian integers over one denominator, and
+membership_sample_check decides span membership against one reduced basis.
+The loops they replaced are kept here as references and must agree with
+them on every input below; the span check is fed faults and must catch
+each of them, and g2-verify's sweep sizes are pinned.
 """
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -210,6 +212,10 @@ def dense_span_refusal(A):
 
 
 def test_off_pattern_commutator_is_refused_at_the_first_bad_entry(monkeypatch):
+    """_commutator_entries returns Gaussian-integer entries (re, im) over one
+    denominator; the faults are made on Scalar entries and lifted back over
+    six times the lcm of their denominators, so the refusal must also render
+    unreduced entries in lowest terms."""
     true_entries = g2._commutator_entries
     pool = BASIS_ELEMENTS + MEMBER_ELEMENTS
     rng = random.Random(36)
@@ -218,7 +224,8 @@ def test_off_pattern_commutator_is_refused_at_the_first_bad_entry(monkeypatch):
     faults = [[p] for p in positions] + [rng.sample(positions, 3) for _ in range(20)]
     for bad in faults:
         a, b = rng.choice(pool), rng.choice(pool)
-        E = dict(true_entries(a, b))
+        lifted, den = true_entries(a, b)
+        E = {p: Scalar(Fraction(r, den), Fraction(i, den)) for p, (r, i) in lifted.items()}
         for p in bad:
             E[p] = E.get(p, Scalar(0)) + Scalar(rng.choice([1, -2]), rng.randint(0, 1))
         E = {p: c for p, c in E.items() if not c.is_zero()}
@@ -228,7 +235,9 @@ def test_off_pattern_commutator_is_refused_at_the_first_bad_entry(monkeypatch):
         with pytest.raises(InputError) as exc:
             g2.G2Element.from_matrix(dense)
         assert str(exc.value) == want
-        monkeypatch.setattr(g2, "_commutator_entries", lambda a, b, E=E: E)
+        den = 6 * math.lcm(*(c.d for c in E.values()))
+        lifted = {p: (c.a * (den // c.d), c.b * (den // c.d)) for p, c in E.items()}
+        monkeypatch.setattr(g2, "_commutator_entries", lambda a, b, E=(lifted, den): E)
         with pytest.raises(RefusalError) as exc:
             g2.bracket(a, b)
         assert str(exc.value) == f"commutator left the coordinate span; matrix model bug: {want}"
@@ -297,6 +306,28 @@ def test_coordinate_jacobi_sum_reports_the_same_triples(monkeypatch, pair, wrong
     monkeypatch.setattr(g2, "bracket", bracket)
     want = jacobi_failures_by_element_sums()
     assert want
+    assert g2.verify_bracket_table().jacobi_failures == want
+
+
+def test_coordinate_jacobi_sum_brings_denominators_together(monkeypatch):
+    """Shift every outer bracket [., e] by a multiple of h1 that depends on
+    e: 1/2 for f2, 1/3 for f3, -5/6 for f4.  The shifts cancel on the triple
+    (f2, f3, f4) only over a common denominator."""
+    basis = g2.g2_basis()
+    basis_ids = {id(e) for e in basis.values()}
+    shifts = {id(basis["f2"]): Fraction(1, 2), id(basis["f3"]): Fraction(1, 3),
+              id(basis["f4"]): Fraction(-5, 6)}
+    true_bracket = g2.bracket
+
+    def bracket(u, v):
+        out = true_bracket(u, v)
+        if id(u) in basis_ids or id(v) not in shifts:
+            return out
+        return out + basis["h1"].scale(shifts[id(v)])
+
+    monkeypatch.setattr(g2, "bracket", bracket)
+    want = jacobi_failures_by_element_sums()
+    assert want and ("f2", "f3", "f4") not in want
     assert g2.verify_bracket_table().jacobi_failures == want
 
 
@@ -493,3 +524,106 @@ def test_g2_verify_sweep_sizes(monkeypatch, capsys):
     }
     basis = [g2.basis_vector(k) for k in range(1, N + 1)]
     assert set(itertools.product(basis, repeat=2)) <= dot_pairs
+
+
+def _gaussian_elements(rng, count):
+    """Elements with coordinates over denominators up to 12 and nonzero
+    imaginary parts, so the lifted denominator is not one."""
+    out = []
+    while len(out) < count:
+        coords = [
+            Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                   Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+            if rng.random() < 0.7 else Scalar(0)
+            for _ in range(14)
+        ]
+        elem = g2.G2Element(coords[:6], coords[6:])
+        if elem.den > 1 and any(c.im for c in elem.coordinates()):
+            out.append(elem)
+    return out
+
+
+GAUSSIAN_ELEMENTS = _gaussian_elements(random.Random(40), 12)
+
+
+def test_bracket_matches_dense_commutator_read_back_through_from_matrix():
+    pool = GAUSSIAN_ELEMENTS + BASIS_ELEMENTS[:4]
+    seen_denominators = set()
+    for a, b in itertools.product(pool, repeat=2):
+        got = g2.bracket(a, b)
+        want = g2.G2Element.from_matrix(dense_commutator(a.matrix, b.matrix))
+        assert got == want and hash(got) == hash(want)
+        assert _rows(got.matrix) == dense_commutator(a.matrix, b.matrix)
+        seen_denominators.add(got.den)
+    assert max(seen_denominators) > 1
+
+
+def _scaled(A, c):
+    return [[a * c for a in row] for row in A]
+
+
+def test_is_member_matches_dense_reference_on_gaussian_rational_matrices():
+    cp = g2.cross_product()
+    rng = random.Random(41)
+    members = [e.matrix for e in GAUSSIAN_ELEMENTS]
+    members += [_scaled(A, Scalar(Fraction(2, 7), Fraction(-1, 3))) for A in members[:4]]
+    for A in members:
+        assert cp.is_member(A) is dense_is_member(A) is True
+    non_members = list(NON_MEMBERS)
+    for A in members[:6]:
+        # equal numerators over different denominators are not skew
+        i, j = rng.sample(range(N), 2)
+        B = [list(row) for row in A]
+        B[i][j], B[j][i] = Scalar(Fraction(1, 2)), Scalar(Fraction(-1, 3))
+        non_members.append(B)
+        # a skew change at one pair keeps skew-symmetry but leaves the algebra
+        v = Scalar(Fraction(rng.randint(1, 9), rng.randint(2, 12)), Fraction(1, 5))
+        B = [list(row) for row in A]
+        B[i][j], B[j][i] = B[i][j] + v, B[j][i] - v
+        non_members.append(B)
+    for A in non_members:
+        assert cp.is_member(A) is dense_is_member(A) is False
+    # the first contraction sums terms over three different denominators
+    # that cancel: the element y1 = 1/2, y2 = 5/6
+    E = [[Scalar(0)] * N for _ in range(N)]
+    for (j, k), c in (((1, 2), Fraction(1, 2)), ((3, 4), Fraction(1, 3)),
+                      ((5, 6), Fraction(-5, 6))):
+        E[j][k], E[k][j] = Scalar(c), Scalar(-c)
+    assert cp.is_member(E) is dense_is_member(E) is True
+    assert g2.G2Element.from_matrix(E) == g2.G2Element(
+        (0,) * 6, (Fraction(1, 2), Fraction(5, 6)) + (0,) * 6
+    )
+    # the contractions read the upper triangle only: a lower entry with the
+    # right numerator over another denominator breaks skew-symmetry alone
+    F = [list(row) for row in E]
+    F[2][1] = Scalar(Fraction(-1, 3))
+    assert cp.is_member(F) is dense_is_member(F) is False
+    E[5][6], E[6][5] = Scalar(Fraction(-4, 5)), Scalar(Fraction(4, 5))
+    assert cp.is_member(E) is dense_is_member(E) is False
+
+
+def test_the_four_constructions_agree_on_equality_and_hash():
+    rng = random.Random(42)
+    for _ in range(20):
+        values = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(14)]
+        from_scalars = g2.G2Element([Scalar(v) for v in values[:6]],
+                                    [Scalar(v) for v in values[6:]])
+        from_numbers = g2.G2Element(
+            [int(v) if v.denominator == 1 else v for v in values[:6]], values[6:]
+        )
+        from_matrix = g2.G2Element.from_matrix(from_scalars.matrix)
+        # [h1, e] + (e - [h1, e]) is e through a bracket result
+        h1 = g2.g2_basis()["h1"]
+        through_bracket = g2.bracket(h1, from_numbers) + (from_scalars - g2.bracket(h1, from_scalars))
+        built = [from_scalars, from_numbers, from_matrix, through_bracket]
+        for e in built:
+            assert e == from_scalars and hash(e) == hash(from_scalars)
+            assert e.coordinates() == tuple(Scalar(v) for v in values)
+            assert e.entries == from_scalars.entries
+        assert len(set(built)) == 1
+    # a bracket result equals the element built from its coordinates
+    a, b = GAUSSIAN_ELEMENTS[:2]
+    ab = g2.bracket(a, b)
+    rebuilt = g2.G2Element(ab.x, ab.y)
+    assert rebuilt == ab and hash(rebuilt) == hash(ab) and rebuilt.den == ab.den
+    assert g2.G2Element.zero() == ab - ab and hash(ab - ab) == hash(g2.G2Element.zero())
