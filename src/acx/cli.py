@@ -27,7 +27,8 @@ from .scalars import PiParam, parse_rational
 # plurigenera profile, s6-report --levels, g2-verify --samples and
 # --negatives, and the genus of rr --genus and the rr:/curve: factors
 # (ACX_MODE_WINDOW is bounded in torus.mode_window, rational literals in
-# scalars.parse_rational).
+# scalars.parse_rational; --length and --levels are at least
+# torus.MIN_PROFILE_LENGTH).
 MAX_LEVEL = 1000
 MAX_LENGTH = 1000
 MAX_LEVELS = 1000
@@ -39,6 +40,11 @@ MAX_GENUS = 10**6
 # every (p,q) at dim <= 12; (3,3) at dim 12 takes 0.7 s on an abelian file and
 # 87 s on a dense 2-step nilpotent one (2-vCPU Xeon VM).
 MAX_SECTIONS = 400
+
+# Most --a values, counted before any is parsed.  Sixteen generic values take
+# 15 s with plurigenera --cross-check at --m 1..1000; one takes 55 s at
+# ACX_MODE_WINDOW=256 (2-vCPU Xeon VM).
+MAX_A_VALUES = 16
 
 # Most kunneth --factors.  Eight s6 factors, the slowest profile to build, take
 # 3.5 s at --length 1000 (2-vCPU Xeon VM).
@@ -57,8 +63,11 @@ _T4_LIE_REFUSAL = (
 
 
 def _parse_a_list(text: str) -> List[PiParam]:
+    chunks = text.split(",")
+    if len(chunks) > MAX_A_VALUES:
+        raise InputError(f"--a: at most {MAX_A_VALUES} values")
     out = []
-    for chunk in text.split(","):
+    for chunk in chunks:
         try:
             out.append(PiParam.parse(chunk))
         except ValueError as exc:
@@ -409,7 +418,7 @@ def _profile_length(args) -> int:
     from . import torus
 
     length = torus.DEFAULT_PROFILE_LENGTH if args.length is None else args.length
-    return _check_limit("--length", length, MAX_LENGTH)
+    return _check_limit("--length", length, MAX_LENGTH, low=torus.MIN_PROFILE_LENGTH)
 
 
 def _cmd_kodaira(args):
@@ -502,45 +511,42 @@ def _cmd_kunneth(args):
     return report, 0 if report["kappa_additive"] else 1
 
 
+def _checks(**reports):
+    """The report of named checks, each summary under its name, and its exit
+    code: 0 if every check is ok, else 1."""
+    report = {name: r.summary() for name, r in reports.items()}
+    report["ok"] = all(r.ok for r in reports.values())
+    return report, 0 if report["ok"] else 1
+
+
 def _cmd_g2_verify(args):
     from . import g2 as sphere
 
     members = _check_limit("--samples", args.samples, MAX_SAMPLES, low=0)
     nonmembers = _check_limit("--negatives", args.negatives, MAX_SAMPLES, low=0)
     table = sphere.verify_bracket_table()
-    crossrep = sphere.verify_cross_identities()
-    membership = sphere.membership_sample_check(
-        members=members, nonmembers=nonmembers, seed=args.seed
+    report, code = _checks(
+        bracket_table=table,
+        cross_product=sphere.verify_cross_identities(),
+        membership=sphere.membership_sample_check(
+            members=members, nonmembers=nonmembers, seed=args.seed
+        ),
+        projection=sphere.verify_projection(),
     )
-    projection = sphere.verify_projection()
-    ok = table.ok and crossrep.ok and membership.ok and projection.ok
-    report = {
-        "bracket_table": table.summary(),
-        "cross_product": crossrep.summary(),
-        "membership": membership.summary(),
-        "projection": projection.summary(),
-        "ok": ok,
-    }
     if table.mismatches:
         report["bracket_mismatches"] = table.mismatches
-    return report, 0 if ok else 1
+    return report, code
 
 
 def _cmd_s6_report(args):
-    from . import g2 as sphere
+    from . import g2 as sphere, torus
 
-    levels = _check_limit("--levels", args.levels, MAX_LEVELS)
-    structure = sphere.s6_structure_package()
-    reduction = sphere.verify_reduction_brackets()
-    census = sphere.s6_hodge_report(levels=levels)
-    ok = structure.ok and reduction.ok and census.ok
-    report = {
-        "structure": structure.summary(),
-        "reduction_brackets": reduction.summary(),
-        "census": census.summary(),
-        "ok": ok,
-    }
-    return report, 0 if ok else 1
+    levels = _check_limit("--levels", args.levels, MAX_LEVELS, low=torus.MIN_PROFILE_LENGTH)
+    return _checks(
+        structure=sphere.s6_structure_package(),
+        reduction_brackets=sphere.verify_reduction_brackets(),
+        census=sphere.s6_hodge_report(levels=levels),
+    )
 
 
 def _cmd_rr(args):

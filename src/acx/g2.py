@@ -34,6 +34,7 @@ from .errors import InputError, RefusalError
 from .forms import Form, _form, perm_sign
 from .hodge import (
     Report,
+    _coordinates,
     _section_monomials,
     invariant_harmonic_space,
     star_monomial,
@@ -451,7 +452,7 @@ def verify_bracket_table() -> Report:
         return got
 
     mismatches = []
-    unregistered = []
+    unregistered_mismatches = []
     for (na, nb), table_value in REFERENCE_BRACKET_TABLE.items():
         computed = _coordinate_dict(cached_bracket(na, nb))
         if computed == table_value:
@@ -464,7 +465,7 @@ def verify_bracket_table() -> Report:
         mismatches.append(diff)
         erratum = BRACKET_TABLE_ERRATA.get((na, nb))
         if erratum is None or computed != erratum:
-            unregistered.append(diff)
+            unregistered_mismatches.append(diff)
 
     h_names = [n for n in BASIS_NAMES if n.startswith("h")]
     h_closed = all(
@@ -493,23 +494,14 @@ def verify_bracket_table() -> Report:
             jacobi_failures.append((na, nb, nc))
 
     dimension = rank([e.flatten() for e in basis.values()])
-    checked = len(REFERENCE_BRACKET_TABLE)
     return Report(
-        not unregistered and not jacobi_failures and h_closed and dimension == 14,
-        {
-            "checked": checked,
-            "mismatches": len(mismatches),
-            "unregistered_mismatches": len(unregistered),
-            "jacobi_failures": len(jacobi_failures),
-            "h_closed": h_closed,
-            "dimension": dimension,
-        },
-        checked=checked,
+        not unregistered_mismatches and not jacobi_failures and h_closed
+        and dimension == 14,
+        {"checked": len(REFERENCE_BRACKET_TABLE), "h_closed": h_closed,
+         "dimension": dimension},
         mismatches=mismatches,
-        unregistered=unregistered,
+        unregistered_mismatches=unregistered_mismatches,
         jacobi_failures=jacobi_failures,
-        h_closed=h_closed,
-        dimension=dimension,
     )
 
 
@@ -693,16 +685,9 @@ def verify_cross_identities() -> Report:
             j_ok = False
     return Report(
         not ortho and not double and e1e6 and j_ok,
-        {
-            "orthogonality_failures": len(ortho),
-            "double_cross_failures": len(double),
-            "e1_cross_e6": e1e6,
-            "j_at_e1_table": j_ok,
-        },
+        {"e1_cross_e6": e1e6, "j_at_e1_table": j_ok},
         orthogonality_failures=ortho,
         double_cross_failures=double,
-        e1_cross_e6_ok=e1e6,
-        j_table_ok=j_ok,
     )
 
 
@@ -755,18 +740,9 @@ def membership_sample_check(
             nonmember_failures.append(attempts)
     return Report(
         not member_failures and not nonmember_failures,
-        {
-            "members_checked": members,
-            "member_failures": len(member_failures),
-            "nonmembers_checked": checked,
-            "nonmember_failures": len(nonmember_failures),
-            "seed": seed,
-        },
-        members_checked=members,
+        {"members_checked": members, "nonmembers_checked": checked, "seed": seed},
         member_failures=member_failures,
-        nonmembers_checked=checked,
         nonmember_failures=nonmember_failures,
-        seed=seed,
     )
 
 
@@ -833,7 +809,7 @@ def verify_projection() -> Report:
     cp = cross_product()
     zero7 = tuple(_sc(0) for _ in range(N))
 
-    kernel_ok = all(
+    kernel_is_h_span = all(
         projection_differential(basis[f"h{j}"]) == zero7 for j in range(1, 9)
     )
     image_ok = True
@@ -861,24 +837,17 @@ def verify_projection() -> Report:
         if lhs != rhs:
             intertwine_failures.append(name)
 
-    preservation_failures = [
+    form_preservation_failures = [
         name
         for name in BASIS_NAMES
         if not cp.preserves_form(basis[name].matrix)
     ]
     return Report(
-        kernel_ok and image_ok and not intertwine_failures
-        and not preservation_failures,
-        {
-            "kernel_is_h_span": kernel_ok,
-            "f_image_table": image_ok,
-            "intertwine_failures": len(intertwine_failures),
-            "form_preservation_failures": len(preservation_failures),
-        },
-        kernel_ok=kernel_ok,
-        image_table_ok=image_ok,
+        kernel_is_h_span and image_ok and not intertwine_failures
+        and not form_preservation_failures,
+        {"kernel_is_h_span": kernel_is_h_span, "f_image_table": image_ok},
         intertwine_failures=intertwine_failures,
-        preservation_failures=preservation_failures,
+        form_preservation_failures=form_preservation_failures,
     )
 
 
@@ -966,11 +935,11 @@ def s6_structure_package() -> Report:
         if eqs.dbar_phi(i) != want:
             dbar_phi_failures.append(i)
 
-    dbar20_failures = []
+    dbar_20_failures = []
     for (i, j), want in S6_DBAR_20.items():
         got = coframe.dbar(Form.phi(N, i).wedge(Form.phi(N, j)))
         if got != want:
-            dbar20_failures.append((i, j))
+            dbar_20_failures.append([i, j])
 
     top = Form.phi(N, 1).wedge(Form.phi(N, 2)).wedge(Form.phi(N, 3))
     top_closed = coframe.dbar(top).is_zero()
@@ -985,20 +954,15 @@ def s6_structure_package() -> Report:
         coframe.x_vector(0) == want_x1 and coframe.x_vector(6) == want_x7
     )
     return Report(
-        not df_failures and not dbar_phi_failures and not dbar20_failures
+        not df_failures and not dbar_phi_failures and not dbar_20_failures
         and top_closed and dual_ok,
         {
             "df_failures": df_failures,
             "dbar_phi_failures": dbar_phi_failures,
-            "dbar_20_failures": [list(k) for k in dbar20_failures],
+            "dbar_20_failures": dbar_20_failures,
             "top_form_closed": top_closed,
             "dual_frame": dual_ok,
         },
-        df_failures=df_failures,
-        dbar_phi_failures=dbar_phi_failures,
-        dbar20_failures=dbar20_failures,
-        top_form_closed=top_closed,
-        dual_frame_ok=dual_ok,
     )
 
 
@@ -1054,30 +1018,24 @@ def verify_reduction_brackets() -> Report:
     """Brackets of complexified frame fields against their catalogued values.
 
     A mismatch passes only when pre-registered with the recomputed value;
-    anything else is reported as unregistered and fails the check.
+    any other one is also an unregistered mismatch and fails the check.
+    Both lists hold the brackets as printed, such as "[Xb2,Xb7]".
     """
     alg = g2_algebra()
     mismatches = []
-    unregistered = []
+    unregistered_mismatches = []
     for name_a, name_b, combo in REDUCTION_BRACKETS:
         got = alg.bracket_vectors(_frame_vector(name_a), _frame_vector(name_b))
         if got == _frame_combo_vector(combo):
             continue
-        mismatches.append((name_a, name_b))
+        mismatches.append(f"[{name_a},{name_b}]")
         erratum = REDUCTION_BRACKET_ERRATA.get((name_a, name_b))
         if erratum is None or got != _frame_combo_vector(erratum):
-            unregistered.append((name_a, name_b))
-    checked = len(REDUCTION_BRACKETS)
+            unregistered_mismatches.append(mismatches[-1])
     return Report(
-        not unregistered,
-        {
-            "checked": checked,
-            "mismatches": [f"[{a},{b}]" for a, b in mismatches],
-            "unregistered_mismatches": [f"[{a},{b}]" for a, b in unregistered],
-        },
-        checked=checked,
-        mismatches=mismatches,
-        unregistered=unregistered,
+        not unregistered_mismatches,
+        {"checked": len(REDUCTION_BRACKETS), "mismatches": mismatches,
+         "unregistered_mismatches": unregistered_mismatches},
     )
 
 
@@ -1127,11 +1085,8 @@ def _serre_transport_bijective(p: int) -> bool:
     model = s6_model()
     source = _section_monomials(model, p, 0)
     target = _section_monomials(model, 3 - p, 3)
-    images = []
-    for (a, b) in source:
-        img = s6_basic_star(Form.monomial(N, a, b)).conjugate()
-        images.append([img.terms.get(key, SymScalar.const(0)) for key in target])
-    return len(source) == len(target) and rank(images) == len(target)
+    images = [[s6_basic_star(Form.monomial(N, a, b)).conjugate()] for (a, b) in source]
+    return len(source) == len(target) and rank(_coordinates(images)) == len(target)
 
 
 def s6_hodge_report(levels: int = 8) -> Report:
@@ -1147,37 +1102,22 @@ def s6_hodge_report(levels: int = 8) -> Report:
     h10 = invariant_harmonic_space(model, 1, 0).dimension
     h20 = invariant_harmonic_space(model, 2, 0).dimension
     plurigenera = [s6_plurigenus(m) for m in range(1, levels + 1)]
-    profile = PlurigeneraProfile(plurigenera)
-    kappa = kodaira_dimension(profile)
     bijections = _serre_transport_bijective(1) and _serre_transport_bijective(2)
-    h13 = h20 if bijections else None
-    h23 = h10 if bijections else None
-
     gen = Form.phi(N, 1).wedge(Form.phi(N, 2)).wedge(Form.phi(N, 3))
-    star_gen = s6_basic_star(gen).conjugate()
-    want = gen.conjugate().scale(Scalar(0, 1))
-    star_generator_ok = star_gen == want
-
+    star_on_generator = s6_basic_star(gen).conjugate() == gen.conjugate().scale(_I)
+    shown = {
+        "h10": h10,
+        "h20": h20,
+        "h13": h20 if bijections else None,
+        "h23": h10 if bijections else None,
+        "plurigenera": plurigenera,
+        "kodaira_dimension": kodaira_dimension(PlurigeneraProfile(plurigenera)),
+        "serre_bijections": bijections,
+        "star_on_generator": star_on_generator,
+    }
     return Report(
-        h10 == 0 and h20 == 0 and all(p == 1 for p in plurigenera)
-        and kappa == 0 and h13 == 0 and h23 == 0
-        and bijections and star_generator_ok,
-        {
-            "h10": h10,
-            "h20": h20,
-            "h13": h13,
-            "h23": h23,
-            "plurigenera": plurigenera,
-            "kodaira_dimension": kappa,
-            "serre_bijections": bijections,
-            "star_on_generator": star_generator_ok,
-        },
-        h10=h10,
-        h20=h20,
-        plurigenera=plurigenera,
-        kappa=kappa,
-        h13=h13,
-        h23=h23,
-        serre_bijections_ok=bijections,
-        star_generator_ok=star_generator_ok,
+        all(shown[k] == 0 for k in ("h10", "h20", "h13", "h23", "kodaira_dimension"))
+        and all(p == 1 for p in plurigenera)
+        and bijections and star_on_generator,
+        shown,
     )

@@ -285,16 +285,23 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
 
 
 class Report:
-    """The outcome of one check: ``ok``, the JSON-ready ``summary()`` that
-    the command line prints, and the check's findings as attributes."""
+    """The outcome of one check, each finding stated once.
 
-    def __init__(self, ok: bool, summary=None, **findings):
+    ``shown`` maps findings to the values the command line prints; each
+    keyword is a failure list, printed as its length.  Every finding is an
+    attribute under its printed key (a key given twice raises TypeError),
+    and ``summary()``, the JSON-ready digest the command line prints, is
+    derived from them with ``ok`` last.
+    """
+
+    def __init__(self, ok: bool, shown=None, **failures):
+        shown = shown or {}
+        vars(self).update(**shown, **failures)
         self.ok = ok
-        self._summary = summary or {}
-        vars(self).update(findings)
+        self._printed = {**shown, **{k: len(v) for k, v in failures.items()}}
 
     def summary(self):
-        return {**self._summary, "ok": self.ok}
+        return {**self._printed, "ok": self.ok}
 
 
 def serre_pairing_check(model: LieACS, p: int, q: int, *,
@@ -308,8 +315,8 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
     target = invariant_harmonic_space(model, n - p, n - q, bundle_power=-bundle_power)
 
     def verdict(detail: str = "") -> Report:
-        return Report(not detail, dim_source=source.dimension,
-                      dim_target=target.dimension, detail=detail)
+        return Report(not detail, {"dim_source": source.dimension,
+                                   "dim_target": target.dimension, "detail": detail})
 
     if source.dimension != target.dimension:
         return verdict("dimension mismatch")

@@ -20,6 +20,9 @@ from .scalars import PiParam, Scalar, SymScalar, _Frozen
 Freq = Tuple[int, ...]
 
 DEFAULT_PROFILE_LENGTH = 12
+# The fewest values a profile classifies; the CLI checks --length and
+# s6-report --levels against it before any model is built.
+MIN_PROFILE_LENGTH = 4
 DEFAULT_MODE_WINDOW = 32
 # The oracles test (2 * window + 1)^2 modes per level, so the window is capped.
 MAX_MODE_WINDOW = 256
@@ -514,8 +517,10 @@ class PlurigeneraProfile(_Frozen):
 
     def __init__(self, values: Sequence[ProfileValue], kappa=None):
         values = tuple(_normalize_value(v) for v in values)
-        if len(values) < 4:
-            raise InputError("profiles need at least four values to classify")
+        if len(values) < MIN_PROFILE_LENGTH:
+            raise InputError(
+                f"profiles need at least {MIN_PROFILE_LENGTH} values to classify"
+            )
         if kappa is None:
             kappa = self._classify(values)
         elif (refusal := self._check_kappa(values, kappa)) is not None:

@@ -579,10 +579,10 @@ class TestInputLimits:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["kodaira", "--model", "t4", "--length", "0"], "--length: must be at least 1"),
+            (["kodaira", "--model", "t4", "--length", "0"], "--length: must be at least 4"),
             (["kunneth", "--factors", "rr:2,torus", "--length", "-1"],
-             "--length: must be at least 1"),
-            (["s6-report", "--levels", "0"], "--levels: must be at least 1"),
+             "--length: must be at least 4"),
+            (["s6-report", "--levels", "0"], "--levels: must be at least 4"),
             (["g2-verify", "--samples", "-3"], "--samples: must be at least 0"),
             (["g2-verify", "--negatives", "-1"], "--negatives: must be at least 0"),
             (["g2-verify", "--samples", "1001"], "--samples: must be at most 1000"),
@@ -694,6 +694,44 @@ class TestInputLimits:
         code, report = capture_json(["kunneth", "--factors", factors, "--length", "4"])
         assert code == 0 and len(report["factors"]) == MAX_FACTORS == 8
 
+    @staticmethod
+    def record_builds(monkeypatch):
+        """The names of g2.s6_model and the torus profile builders, in the
+        order the invocation calls them (each call builds nothing)."""
+        from acx import g2, torus
+
+        built = []
+        for module, name in [(g2, "s6_model"), (torus, "kt_profile"), (torus, "t4_profile"),
+                             (torus, "rr_profile"), (torus, "curve_profile"),
+                             (torus, "torus_profile")]:
+            monkeypatch.setattr(module, name, lambda *args, name=name: built.append(name))
+        return built
+
+    @pytest.mark.parametrize("argv, option", [
+        (["kodaira", "--model", "g2", "--length", "3"], "--length"),
+        (["kunneth", "--factors", ",".join(["s6"] * 8), "--length", "3"], "--length"),
+        (["s6-report", "--levels", "3"], "--levels"),
+    ])
+    def test_profile_floor_is_checked_before_any_model_is_built(
+        self, monkeypatch, capsys, argv, option
+    ):
+        built = self.record_builds(monkeypatch)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {option}: must be at least 4\n"
+        assert built == []
+
+    def test_a_count_limit(self, capsys):
+        from acx.cli import MAX_A_VALUES
+
+        a = ",".join(f"{k}*pi" for k in range(1, MAX_A_VALUES + 1))
+        code, report = capture_json(["plurigenera", "--model", "kt", "--a", a, "--m", "1"])
+        assert code == 0 and len(report["rows"]) == MAX_A_VALUES == 16
+        # one more value is refused, before any literal is parsed
+        for text in (f"{a},17*pi", ",".join(["x*pi"] * (MAX_A_VALUES + 1))):
+            argv = ["plurigenera", "--model", "kt", "--a", text, "--m", "1"]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "input error: --a: at most 16 values\n"
+
     @pytest.mark.parametrize("bad, message", [
         ("rr:x", "factor 'rr:x': want rr:<genus>"),
         ("rr:1", "fiber genus must be at least 2"),
@@ -708,13 +746,7 @@ class TestInputLimits:
     def test_every_factor_is_checked_before_any_profile_is_built(
         self, monkeypatch, capsys, bad, message
     ):
-        from acx import g2, torus
-
-        built = []
-        for module, name in [(g2, "s6_model"), (torus, "kt_profile"), (torus, "t4_profile"),
-                             (torus, "rr_profile"), (torus, "curve_profile"),
-                             (torus, "torus_profile")]:
-            monkeypatch.setattr(module, name, lambda *args, name=name: built.append(name))
+        built = self.record_builds(monkeypatch)
         factors = f"s6,kt:4*pi,t4:std,rr:2,curve:2,torus,s6,{bad}"
         assert main(["kunneth", "--factors", factors]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"

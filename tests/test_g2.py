@@ -13,7 +13,9 @@ from acx import g2
 from acx.bundles import CanonicalPower, PseudoholStructure
 from acx.errors import InputError, RefusalError
 from acx.forms import Form
+from acx.hodge import serre_pairing_check
 from acx.lie import structure_equations
+from acx.models import abelian_model
 from acx.scalars import Scalar, SymScalar
 
 
@@ -118,7 +120,7 @@ class TestBracketTable:
 
     def test_no_mismatches_and_empty_errata(self, bracket_report):
         assert bracket_report.mismatches == []
-        assert bracket_report.unregistered == []
+        assert bracket_report.unregistered_mismatches == []
         assert g2.BRACKET_TABLE_ERRATA == {}
 
     def test_jacobi_sweep_is_clean(self, bracket_report):
@@ -149,7 +151,9 @@ class TestBracketTable:
         assert report.checked == 76
         assert [d["pair"] for d in report.mismatches] == [("f1", "f4"), ("f2", "f4")]
         assert report.mismatches[1]["computed"] == {"h4": "-1"}
-        assert [d["pair"] for d in report.unregistered] == [("f2", "f4")]
+        assert [d["pair"] for d in report.unregistered_mismatches] == [("f2", "f4")]
+        assert report.summary()["mismatches"] == 2
+        assert report.summary()["unregistered_mismatches"] == 1
         assert not report.ok
 
 
@@ -157,8 +161,8 @@ class TestCrossProduct:
     def test_report(self, cross_report):
         assert cross_report.orthogonality_failures == []
         assert cross_report.double_cross_failures == []
-        assert cross_report.e1_cross_e6_ok
-        assert cross_report.j_table_ok
+        assert cross_report.e1_cross_e6 is True
+        assert cross_report.j_at_e1_table is True
         assert cross_report.ok
 
     def test_e1_cross_e6_is_e7(self):
@@ -231,10 +235,10 @@ class TestCrossProduct:
 
 class TestProjection:
     def test_report(self, projection_report):
-        assert projection_report.kernel_ok
-        assert projection_report.image_table_ok
+        assert projection_report.kernel_is_h_span is True
+        assert projection_report.f_image_table is True
         assert projection_report.intertwine_failures == []
-        assert projection_report.preservation_failures == []
+        assert projection_report.form_preservation_failures == []
         assert projection_report.ok
 
     def test_differential_spot_values(self):
@@ -255,15 +259,15 @@ class TestSphereStructure:
     def test_structure_displays(self, structure_report):
         assert structure_report.df_failures == []
         assert structure_report.dbar_phi_failures == []
-        assert structure_report.dbar20_failures == []
+        assert structure_report.dbar_20_failures == []
         assert structure_report.top_form_closed
-        assert structure_report.dual_frame_ok
+        assert structure_report.dual_frame is True
         assert structure_report.ok
 
     def test_reduction_brackets(self, reduction_report):
         assert reduction_report.checked == 6
-        assert reduction_report.unregistered == []
-        assert reduction_report.mismatches == [("Xb2", "Xb7")]
+        assert reduction_report.unregistered_mismatches == []
+        assert reduction_report.mismatches == ["[Xb2,Xb7]"]
         assert reduction_report.ok
         assert reduction_report.summary()["mismatches"] == ["[Xb2,Xb7]"]
         assert set(g2.REDUCTION_BRACKET_ERRATA) == {("Xb2", "Xb7")}
@@ -345,14 +349,35 @@ class TestSphereCensus:
 
     def test_plurigenera_and_kodaira(self, sphere_census):
         assert list(sphere_census.plurigenera) == [1] * 8
-        assert sphere_census.kappa == 0
+        assert sphere_census.kodaira_dimension == 0
 
     def test_duality_transport(self, sphere_census):
-        assert sphere_census.serre_bijections_ok
-        assert sphere_census.star_generator_ok
+        assert sphere_census.serre_bijections is True
+        assert sphere_census.star_on_generator is True
 
     def test_report_ok(self, sphere_census):
         assert sphere_census.ok
         summary = sphere_census.summary()
         assert summary["kodaira_dimension"] == 0
         assert summary["ok"] is True
+
+
+@pytest.fixture(scope="module")
+def serre_report():
+    return serre_pairing_check(abelian_model(2), 1, 1)
+
+
+@pytest.mark.parametrize("check", [
+    "bracket_report", "cross_report", "membership_report", "projection_report",
+    "structure_report", "reduction_report", "sphere_census", "serre_report",
+])
+def test_each_printed_finding_is_an_attribute_under_its_key(request, check):
+    report = request.getfixturevalue(check)
+    summary = report.summary()
+    assert list(summary)[-1] == "ok" and summary["ok"] is report.ok
+    for key, printed in summary.items():
+        value = getattr(report, key)
+        if isinstance(value, list) and isinstance(printed, int):
+            assert len(value) == printed, key
+        else:
+            assert value == printed, key

@@ -346,3 +346,16 @@ class TestComputeOnce:
         assert space.dimension >= 8
         assert len(calls) == 2 * len(space.blocks) == 2
 
+
+
+class TestReport:
+    def test_findings_are_attributes_and_failure_lists_print_as_lengths(self):
+        report = hodge.Report(False, {"checked": 3, "shown": ["[a,b]"]},
+                              failures=[(1, 2), (3, 4)])
+        assert (report.checked, report.shown, report.failures) == (3, ["[a,b]"], [(1, 2), (3, 4)])
+        assert report.summary() == {"checked": 3, "shown": ["[a,b]"], "failures": 2, "ok": False}
+        assert list(report.summary())[-1] == "ok"
+
+    def test_a_finding_stated_twice_is_refused(self):
+        with pytest.raises(TypeError):
+            hodge.Report(True, {"failures": 0}, failures=[])
