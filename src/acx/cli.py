@@ -38,7 +38,7 @@ MAX_GENUS = 10**6
 # Most hodge section monomials C(k,p)*C(k,q) (k = n, or the size of the
 # model's basic set): the column count of each operator matrix.  400 admits
 # every (p,q) at dim <= 12; (3,3) at dim 12 takes 0.7 s on an abelian file and
-# 87 s on a dense 2-step nilpotent one (2-vCPU Xeon VM).
+# 27 s on a dense 2-step nilpotent one (2-vCPU Xeon VM).
 MAX_SECTIONS = 400
 
 # Most --a values, counted before any is parsed.  Sixteen generic values take

@@ -1,69 +1,89 @@
 """Exact linear algebra over the SymScalar field Q(i)(x).
 
-Every elimination is one call of row_echelon, sparse Gauss-Jordan to the
+Every elimination is one call of row_echelon, sparse elimination to the
 reduced row echelon form.  A row is a dict {column: nonzero entry}.  The
-columns are taken in order; each pivot comes from the unused rows holding
-the column, chosen after Markowitz (1957) by the key (nonzeros in the row,
-len(num) + len(den) of the entry, row index), which keeps fill-in and
-polynomial degrees low.  Clearing a column from the other rows touches only
-the pivot row's nonzeros and deletes every entry that cancels.  When every
-entry is constant, the entries are unwrapped to Scalar once, eliminated over
-Q(i) by the same loop, and wrapped once at the end.  span_test reduces a
-set of vectors once and then decides span membership of each target by
-subtracting reduced rows, with no further elimination.
+columns are taken in order; each pivot comes from the rows without a pivot
+that hold the column, chosen after Markowitz (1957) by the key (nonzeros
+in the row, cost of the entry, row index).  Over Q(i)(x) the cost puts
+units of Q(i)[x, 1/x] (entries c*x^k) first, whose multiples keep updates
+on the gcd-free Laurent path of the scalars, then len(num) + len(den);
+over Q(i) it is the entry's height, the bit lengths of max(|a|, |b|) and
+of d.  The pivot column is cleared from the rows without a pivot only;
+back substitution then clears each pivot column, from the last up, from
+the pivot rows above it.  One update, _eliminate, serves both and
+span_test too: it touches only the pivot row's nonzeros and deletes every
+entry that cancels.  When every entry is constant, the entries are
+unwrapped to Scalar once, eliminated over Q(i) by the same loop, and
+wrapped once at the end.  span_test reduces a set of vectors once and then
+decides span membership of each target by subtracting reduced rows, with
+no further elimination.
 
-The pivot rule cannot change an output: for a fixed column order the
-reduced row echelon form is unique, so the rule decides only which row
-supplies each pivot, never the pivot columns or the echelon rows.
+The pivot rule and the order of updates cannot change an output: for a
+fixed column order the reduced row echelon form is unique, so they decide
+only which row supplies each pivot and in which order rows are updated,
+never the pivot columns or the echelon rows.
 """
 
 from __future__ import annotations
 
-from .scalars import S_ONE, S_ZERO, SS_ONE, SS_ZERO, SymScalar, _const
+from .scalars import S_ONE, S_ZERO, SS_ONE, SS_ZERO, SymScalar, _const, _xpow
+
+
+def _eliminate(row, c, items, zero):
+    """Subtract row[c] times a pivot row from row, in place: items are the
+    pivot row's entries off its pivot column c, where it holds 1.  The entry
+    at c goes, and so does every entry that cancels."""
+    f = row.pop(c)
+    for j, x in items:
+        y = row.get(j, zero) - f * x
+        if y.is_zero():
+            del row[j]
+        else:
+            row[j] = y
 
 
 def row_echelon(rows):
     """The reduced row echelon form of a list of rows, as (rows, pivots):
     the ascending pivot columns, and the dense reduced rows in pivot order,
     one per pivot."""
-    sparse = [{j: c for j, c in enumerate(map(SymScalar.coerce, row)) if c.num}
-              for row in rows]
-    if not sparse:
+    if not rows:
         return [], []
     ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("rows of unequal length")
+    sparse = [{j: c for j, c in enumerate(map(SymScalar.coerce, row)) if c.num}
+              for row in rows]
     if all(c.is_constant() for row in sparse for c in row.values()):
         sparse = [{j: c.num[0] for j, c in row.items()} for row in sparse]
-        zero, unit, wrap, size = S_ZERO, S_ONE, _const, lambda c: 0
+        zero, unit, wrap = S_ZERO, S_ONE, _const
+        size = lambda c: max(abs(c.a), abs(c.b)).bit_length() + c.d.bit_length()
     else:
         zero, unit, wrap = SS_ZERO, SS_ONE, lambda c: c
-        size = lambda c: len(c.num) + len(c.den)
+        size = lambda c: (_xpow(c.den) < 0 or any(c.num[:-1]), len(c.num) + len(c.den))
     unused = set(range(len(sparse)))
     pivots, order = [], []
     for c in range(ncols):
-        holders = [i for i, row in enumerate(sparse) if c in row]
-        candidates = unused.intersection(holders)
-        if not candidates:
+        holders = [i for i in unused if c in sparse[i]]
+        if not holders:
             continue
-        p = min(candidates, key=lambda i: (len(sparse[i]), size(sparse[i][c]), i))
+        p = min(holders, key=lambda i: (len(sparse[i]), size(sparse[i][c]), i))
         inv = unit / sparse[p][c]
         items = [(j, x * inv) for j, x in sparse[p].items() if j != c]
         sparse[p] = dict(items + [(c, unit)])
         for i in holders:
-            if i == p:
-                continue
-            row = sparse[i]
-            f = row.pop(c)
-            for j, x in items:
-                y = row.get(j, zero) - f * x
-                if y.is_zero():
-                    del row[j]
-                else:
-                    row[j] = y
+            if i != p:
+                _eliminate(sparse[i], c, items, zero)
         unused.discard(p)
         pivots.append(c)
         order.append(p)
         if not unused:
             break
+    for k in range(len(order) - 1, 0, -1):
+        c, row = pivots[k], sparse[order[k]]
+        items = [(j, x) for j, x in row.items() if j != c]
+        for p in order[:k]:
+            if c in sparse[p]:
+                _eliminate(sparse[p], c, items, zero)
     return [[wrap(sparse[p][j]) if j in sparse[p] else SS_ZERO for j in range(ncols)]
             for p in order], pivots
 
@@ -122,15 +142,8 @@ def span_test(vectors):
     def contains(target) -> bool:
         rest = {j: c for j, c in enumerate(map(SymScalar.coerce, target)) if c.num}
         for p, row in rows:
-            f = rest.pop(p, None)
-            if f is None:
-                continue
-            for j, c in row:
-                y = rest.get(j, SS_ZERO) - f * c
-                if y.is_zero():
-                    del rest[j]
-                else:
-                    rest[j] = y
+            if p in rest:
+                _eliminate(rest, p, row, SS_ZERO)
         return not rest
 
     return contains

@@ -17,19 +17,24 @@ denominator _P_ONE, so is_constant() is an identity test, and arithmetic
 between constants is Scalar arithmetic that never enters the polynomial
 gcd.  The polynomial path runs only for values that involve the symbol.
 
-On that path reduced operands are combined by Henrici's (1956)
-cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1), so no gcd is ever taken
-of a full product.  For a/p * b/q, with g1 = gcd(a, q) and g2 = gcd(b, p),
-(a/g1)(b/g2) / ((p/g2)(q/g1)) is already reduced; division multiplies by
-the inverse q/b, rescaled to a monic denominator with no gcd.  For
-a/p + b/q, with g = gcd(p, q) (g = p when p == q), the sum is
-(a q + b p)/(p q) and reduced when g = 1; otherwise only gcd(t, g) of
-t = a q/g + b p/g is taken.  A gcd first splits off the power of x,
-gcd(a, b) = x^min(ord a, ord b) gcd(a/x^ord a, b/x^ord b), which is a
-monomial when either stripped part is constant; the rest is Euclid on
-Gaussian-integer coefficients over one common denominator.  Products,
-linear combinations and exact quotients run on such integer coefficients
-too, and each output coefficient is normalised once.
+Laurent path: when both denominators are powers of x (the Laurent
+polynomials of Q(i)[x, 1/x], such as the entries of a J with a generic
+parameter), a product is one integer convolution of the numerators with
+their powers of x split off, a sum adds coefficients over the larger
+power, and only the common power of x then cancels, so no gcd is taken.
+Other reduced operands are combined by Henrici's (1956) cross-cancellation
+(Knuth, TAOCP vol. 2, 4.5.1), so no gcd is ever taken of a full product.
+For a/p * b/q, with g1 = gcd(a, q) and g2 = gcd(b, p), (a/g1)(b/g2) /
+((p/g2)(q/g1)) is already reduced; division multiplies by the inverse q/b,
+rescaled to a monic denominator with no gcd.  For a/p + b/q, with g =
+gcd(p, q) (g = p when p == q), the sum is (a q + b p)/(p q) and reduced
+when g = 1; otherwise only gcd(t, g) of t = a q/g + b p/g is taken.  A gcd
+first splits off the power of x, gcd(a, b) = x^min(ord a, ord b)
+gcd(a/x^ord a, b/x^ord b), which is a monomial when either stripped part
+is constant; the rest is Euclid on Gaussian-integer coefficients over one
+common denominator.  Products, linear combinations and exact quotients run
+on such integer coefficients too, and each output coefficient is
+normalised once.
 
 Construction.  The exact value types (Scalar, SymScalar, PiParam, forms.Form,
 g2.G2Element, torus.TrigPoly, IntInterval and PlurigeneraProfile) are hashed
@@ -270,13 +275,22 @@ def scalar_str(s: Scalar) -> str:
 
 def _pstrip(coeffs):
     i = len(coeffs)
-    while i > 0 and coeffs[i - 1].is_zero():
+    while i > 0 and not (coeffs[i - 1].a or coeffs[i - 1].b):
         i -= 1
     return tuple(coeffs[:i])
 
 
 def _pneg(a):
     return tuple(-c for c in a)
+
+
+def _padd(a, b):
+    """a + b coefficient by coefficient; where one side is zero, the other
+    side's Scalar is kept as it is."""
+    if len(a) < len(b):
+        a, b = b, a
+    t = [x if not (y.a or y.b) else y if not (x.a or x.b) else x + y for x, y in zip(a, b)]
+    return _pstrip(t + list(a[len(b):]))
 
 
 def _lift(a):
@@ -317,7 +331,7 @@ def _unlift(re, im, d):
         n -= 1
     if d == 1:
         return tuple(_scalar(x, y, 1) for x, y in zip(re[:n], im[:n]))
-    return tuple(_norm(x, y, d) for x, y in zip(re[:n], im[:n]))
+    return tuple(_norm(x, y, d) if x or y else S_ZERO for x, y in zip(re[:n], im[:n]))
 
 
 def _is_one(a):
@@ -361,9 +375,15 @@ def _pcomb(a, x, b, y, negate):
 def _order(a):
     """The power of x dividing the nonzero polynomial a."""
     k = 0
-    while a[k].is_zero():
+    while not (a[k].a or a[k].b):
         k += 1
     return k
+
+
+def _xpow(p):
+    """k when the monic polynomial p is x^k, else -1."""
+    k = len(p) - 1
+    return -1 if k and any(p[:k]) else k
 
 
 def _lmonic(a):
@@ -483,10 +503,24 @@ def _const(c: Scalar) -> "SymScalar":
     return _sym((c,), _P_ONE)
 
 
+def _laurent(num, k):
+    """num/x^k in canonical form, for k of either sign: only the common
+    power of x cancels."""
+    if not num:
+        return SS_ZERO
+    if k > 0:
+        m = min(_order(num), k)
+        num, k = num[m:], k - m
+    if k > 0:
+        return _sym(num, (S_ZERO,) * k + _P_ONE)
+    return _sym((S_ZERO,) * -k + num, _P_ONE)
+
+
 def _sum(u, v, negate):
-    """u + v, or u - v when negate, by Henrici's rule: with g = gcd(p, q)
-    for u = a/p and v = b/q, only gcd(t, g) of t = a q/g + b p/g is taken,
-    and none at all when g = 1."""
+    """u + v, or u - v when negate.  Over denominators x^i and x^j the
+    coefficients add over x^max(i, j); otherwise Henrici's rule: with
+    g = gcd(p, q) for u = a/p and v = b/q, only gcd(t, g) of
+    t = a q/g + b p/g is taken, and none at all when g = 1."""
     a, b = u.num, v.num
     if not b:
         return u
@@ -496,6 +530,12 @@ def _sum(u, v, negate):
     if p is _P_ONE and q is _P_ONE:
         if len(a) == 1 and len(b) == 1:
             return _const(a[0] - b[0] if negate else a[0] + b[0])
+    i, j = _xpow(p), _xpow(q)
+    if i >= 0 and j >= 0:
+        k = max(i, j)
+        if negate:
+            b = _pneg(b)
+        return _laurent(_padd((S_ZERO,) * (k - i) + a, (S_ZERO,) * (k - j) + b), k)
     if p is _P_ONE or q is _P_ONE:
         # a + b/q = (a q + b)/q, and gcd(a q + b, q) = gcd(b, q) = 1
         return _poly(_pcomb(a, q, b, p, negate), _pmul(p, q))
@@ -608,13 +648,26 @@ class SymScalar(_Frozen):
             return _sym(_pmul(a, b), q)
         if len(b) == 1 and q is _P_ONE:
             return _sym(_pmul(a, b), p)
+        i, j = _xpow(p), _xpow(q)
+        if i >= 0 and j >= 0:
+            # Laurent factors: with the powers of x split off the numerators,
+            # one product, and a monomial factor scales the other
+            m, n = _order(a), _order(b)
+            return _laurent(_pmul(a[m:], b[n:]), i + j - m - n)
         # Henrici: with g1 = gcd(a, q) and g2 = gcd(b, p), the product
-        # (a/g1)(b/g2) / ((p/g2)(q/g1)) is already reduced
-        if q is not _P_ONE:
+        # (a/g1)(b/g2) / ((p/g2)(q/g1)) is already reduced; the gcd with a
+        # power of x is the power of x dividing the other side
+        if j > 0:
+            m = min(_order(a), j)
+            a, q = a[m:], q[m:]
+        elif j < 0:
             g = _pgcd(a, q)
             if len(g) > 1:
                 a, q = _pquo(a, g), _pquo(q, g)
-        if p is not _P_ONE:
+        if i > 0:
+            m = min(_order(b), i)
+            b, p = b[m:], p[m:]
+        elif i < 0:
             g = _pgcd(b, p)
             if len(g) > 1:
                 b, p = _pquo(b, g), _pquo(p, g)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from acx import g2, linalg
+from acx import g2, linalg, scalars
 from acx.hodge import invariant_harmonic_space
 from acx.linalg import (
     identity,
@@ -226,14 +226,18 @@ A = SymScalar.symbol()
 
 
 def sparse_entry(rng, symbolic):
-    """Zero half the time; otherwise a Gaussian rational c, or over Q(i)(a)
-    also c*a + 1 or c/(a + 2)."""
+    """Zero half the time; otherwise a Gaussian rational c, over Q(i)(a)
+    also c*a + 1 or c/(a + 2), and over Q(i)[a, 1/a] also a unit c*a^k or
+    c*a^k + a^j, for k and j from -2 to 2."""
     if rng.random() < 0.5:
         return SymScalar.const(0)
     c = Scalar(rng.randint(-3, 3), rng.randint(-2, 2))
     kind = rng.random() if symbolic else 0
     if kind < 0.5:
         return SymScalar.const(c)
+    if symbolic == "laurent":
+        unit = SymScalar.symbol(coeff=c or 1, power=rng.randint(-2, 2))
+        return unit if kind < 0.75 else unit + SymScalar.symbol(power=rng.randint(-2, 2))
     return c * A + 1 if kind < 0.75 else SymScalar.const(c) / (A + 2)
 
 
@@ -256,14 +260,16 @@ class TestSparseEchelonAgainstDense:
     """The reduced row echelon form is unique, so the sparse routine must
     return exactly the dense reference's pivots and nonzero rows."""
 
-    @pytest.mark.parametrize("symbolic", [False, True], ids=["Qi", "Qi(a)"])
+    @pytest.mark.parametrize("symbolic", [False, True, "laurent"],
+                             ids=["Qi", "Qi(a)", "Laurent"])
     def test_random_shapes(self, symbolic):
         rng = random.Random(f"echelon-{symbolic}")
         for _ in range(60):
             rows, cols = rng.randint(1, 7), rng.randint(1, 7)
             assert_matches_dense(sparse_matrix(rng, rows, cols, symbolic))
 
-    @pytest.mark.parametrize("symbolic", [False, True], ids=["Qi", "Qi(a)"])
+    @pytest.mark.parametrize("symbolic", [False, True, "laurent"],
+                             ids=["Qi", "Qi(a)", "Laurent"])
     def test_rank_deficient(self, symbolic):
         rng = random.Random(f"deficient-{symbolic}")
         for _ in range(30):
@@ -285,10 +291,42 @@ class TestSparseEchelonAgainstDense:
                 assert_matches_dense(sparse_matrix(rng, rows, cols, symbolic))
         assert row_echelon([]) == ([], []) == dense_row_echelon([])
 
+    def test_large_heights(self):
+        # 60-bit entries beside small ones, so that the height breaks ties
+        rng = random.Random("heights")
+        for _ in range(15):
+            rows, cols = rng.randint(2, 7), rng.randint(2, 7)
+
+            def entry():
+                if rng.random() < 0.3:
+                    return 0
+                bits = rng.choice([2, 60])
+                big = lambda: rng.randint(-2**bits, 2**bits)
+                return Scalar(Fraction(big(), rng.randint(1, 2**bits)), rng.choice([0, big()]))
+
+            assert_matches_dense([[entry() for _ in range(cols)] for _ in range(rows)])
+
+    def test_unit_pivots_keep_updates_gcd_free(self, monkeypatch):
+        # both rows hold two entries, and 1 + a comes first, but the unit a
+        # is the pivot: every update then stays over powers of a
+        rows = [[A + 1, A, 0], [A, 1, 0], [0, A, 1 / A]]
+        want = dense_row_echelon(rows)
+        monkeypatch.setattr(scalars, "_pgcd", _refuse_gcd)
+        assert row_echelon(rows) == (want[0], want[1])
+
     def test_raw_entries_are_coerced(self):
         m = [[0, 2, Fraction(1, 3)], [Scalar(0, 1), 0, 1], [1, 1, 1]]
         assert_matches_dense(m)
         assert_matches_dense([list(row) for row in zip(*m)])
+
+    def test_ragged_rows_are_refused(self):
+        for rows in ([[1], [0, 1]], [[0, 1], [1]], [[1, 0, 1], [0, 1]]):
+            with pytest.raises(ValueError, match="unequal length"):
+                row_echelon(rows)
+            with pytest.raises(ValueError, match="unequal length"):
+                rank(rows)
+        with pytest.raises(ValueError, match="unequal length"):
+            solve([[1, 0], [0]], [1, 1])
 
     def test_inconsistent_and_singular_systems_are_still_detected(self):
         rng = random.Random(47)
@@ -302,6 +340,10 @@ class TestSparseEchelonAgainstDense:
                 assert solve(m, b) is None
                 with pytest.raises(ValueError, match="singular"):
                     mat_inverse(m)
+
+
+def _refuse_gcd(*args):
+    raise AssertionError("a unit pivot left the Laurent path")
 
 
 def dense_two_step(seed, low=8, high=4):

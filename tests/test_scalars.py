@@ -742,11 +742,83 @@ class TestHenrici:
             SymScalar.const(0).inverse()
 
 
+def laurent(terms):
+    """sum c x^k over the {k: c} items, built by the checked constructor."""
+    low = min(terms)
+    num = [S_ZERO] * (max(terms) - low + 1)
+    for k, c in terms.items():
+        num[k - low] = c
+    return SymScalar(num, poly(*[0] * -low, 1) if low < 0 else (S_ONE,))
+
+
+def rand_laurent_terms(rng):
+    """c x^k, or a sum of up to four such terms, k from -3 to 3, with
+    Gaussian-rational coefficients over non-unit denominators."""
+    def coeff():
+        re = Fraction(rng.choice([-7, -5, -3, -1, 1, 2, 3, 5]), rng.randint(2, 6))
+        return Scalar(re, Fraction(rng.randint(-5, 5), rng.randint(2, 5)))
+
+    count = 1 if rng.random() < 0.4 else rng.randint(2, 4)
+    return {rng.randint(-3, 3): coeff() for _ in range(count)}
+
+
+class TestLaurentPath:
+    """Over denominators that are powers of x, sums and products take no
+    gcd, yet give exactly what the checked constructor makes of the
+    unreduced numerator and denominator."""
+
+    def test_matches_the_checked_constructor(self, monkeypatch):
+        rng = random.Random(135)
+        cases = []
+        for _ in range(300):
+            t = rand_laurent_terms(rng)
+            pick = rng.random()
+            if pick < 0.2:
+                # v = -u + c x^k: the sum cancels to one term
+                s = rand_laurent_terms(rng)
+                s = {k: -c for k, c in t.items()} | {max(t) + 1: next(iter(s.values()))}
+            elif pick < 0.35:
+                # the inverse power: the product is a constant
+                (k, c), = list(t.items())[:1]
+                t, s = {k: c}, {-k: next(iter(rand_laurent_terms(rng).values()))}
+            else:
+                s = rand_laurent_terms(rng)
+            u, v = laurent(t), laurent(s)
+            den = ref_pmul(u.den, v.den)
+            cases.append((u, v, {
+                "*": SymScalar(ref_pmul(u.num, v.num), den),
+                "+": SymScalar(ref_padd(ref_pmul(u.num, v.den), ref_pmul(v.num, u.den)), den),
+                "-": SymScalar(ref_padd(ref_pmul(u.num, v.den),
+                                        _pneg(ref_pmul(v.num, u.den))), den),
+            }))
+        for name in ("_pgcd", "_pquo"):
+            monkeypatch.setattr(scalars, name, _no_gcd)
+        for u, v, want in cases:
+            for op, w in want.items():
+                z = OPS[op](u, v)
+                assert (z.num, z.den) == (w.num, w.den)
+                assert z == w and hash(z) == hash(w)
+                assert (z.den is _P_ONE) == (len(w.den) == 1)
+
+    def test_common_power_of_x_cancels(self):
+        x = SymScalar.symbol()
+        inv = SymScalar.symbol(power=-1)
+        assert x * inv == 1 and (x * inv).den is _P_ONE
+        assert (x + 1) * inv * inv == SymScalar((1, 1), (0, 0, 1))
+        assert (inv + x) - inv == x and ((inv + x) - inv).den is _P_ONE
+        assert (inv + 1) - inv == 1 and ((inv + 1) - inv).is_constant()
+        assert inv * inv - inv * inv == 0
+
+
+def _no_gcd(*args):
+    raise AssertionError("the Laurent path took a polynomial gcd")
+
+
 def _refuse(*args):
     raise AssertionError("constant values must not enter polynomial arithmetic")
 
 
-POLY_KERNELS = ("_pmul", "_pcomb", "_pgcd", "_pquo")
+POLY_KERNELS = ("_pmul", "_padd", "_pcomb", "_pgcd", "_pquo")
 
 
 class TestConstantPathStaysScalar:
