@@ -22,32 +22,31 @@ from .scalars import PiParam, parse_rational
 # The library modules (g2, hodge, lie, models, torus) are imported by the code
 # paths that use them, so each invocation loads only what its subcommand needs.
 
-# Upper limits on user-sized inputs, checked before any list is built: the
-# largest --m level and the number of levels in one --m spec, --length of a
-# plurigenera profile, s6-report --levels, g2-verify --samples and
-# --negatives, and the genus of rr --genus and the rr:/curve: factors
-# (ACX_MODE_WINDOW is bounded in torus.mode_window, rational literals in
-# scalars.parse_rational; --length and --levels are at least
-# torus.MIN_PROFILE_LENGTH).
+# Upper limits on user-sized inputs, checked before any list is built.
+# MAX_LEVEL bounds the plurigenus levels one invocation computes: the largest
+# --m level and the number of levels in one --m spec, --length of a profile
+# and s6-report --levels (the last two are at least torus.MIN_PROFILE_LENGTH).
+# MAX_SAMPLES bounds g2-verify --samples and --negatives, MAX_GENUS the genus
+# of rr --genus and the rr:/curve: factors (rational literals are bounded in
+# scalars.parse_rational).
 MAX_LEVEL = 1000
-MAX_LENGTH = 1000
-MAX_LEVELS = 1000
 MAX_SAMPLES = 1000
 MAX_GENUS = 10**6
 
 # Most hodge section monomials C(k,p)*C(k,q) (k = n, or the size of the
 # model's basic set): the column count of each operator matrix.  400 admits
 # every (p,q) at dim <= 12; (3,3) at dim 12 takes 0.7 s on an abelian file and
-# 27 s on a dense 2-step nilpotent one (2-vCPU Xeon VM).
+# 25-27 s on a dense 2-step nilpotent one, and (1,2) on a dense dim-18 file
+# 51 s, the slowest admitted input found (2-vCPU Xeon VM).
 MAX_SECTIONS = 400
 
 # Most --a values, counted before any is parsed.  Sixteen generic values take
-# 15 s with plurigenera --cross-check at --m 1..1000; one takes 55 s at
-# ACX_MODE_WINDOW=256 (2-vCPU Xeon VM).
+# 19-20 s with plurigenera --cross-check at --m 1..1000, which tests
+# (2 * torus.MODE_WINDOW + 1)^2 modes per level and value (2-vCPU Xeon VM).
 MAX_A_VALUES = 16
 
 # Most kunneth --factors.  Eight s6 factors, the slowest profile to build, take
-# 3.5 s at --length 1000 (2-vCPU Xeon VM).
+# 0.42 s at --length 1000 (2-vCPU Xeon VM).
 MAX_FACTORS = 8
 
 _T4_LIE_REFUSAL = (
@@ -418,7 +417,7 @@ def _profile_length(args) -> int:
     from . import torus
 
     length = torus.DEFAULT_PROFILE_LENGTH if args.length is None else args.length
-    return _check_limit("--length", length, MAX_LENGTH, low=torus.MIN_PROFILE_LENGTH)
+    return _check_limit("--length", length, MAX_LEVEL, low=torus.MIN_PROFILE_LENGTH)
 
 
 def _cmd_kodaira(args):
@@ -471,6 +470,8 @@ def _parse_factor(spec: str):
                              else "curve profiles require genus at least 2")
         build = torus.rr_profile if name == "rr" else torus.curve_profile
         return lambda length: build(genus, length)
+    if name in ("torus", "s6") and arg:
+        raise InputError(f"factor {spec!r}: {name} takes no argument")
     if name == "torus":
         return torus.torus_profile
     if name == "s6":
@@ -541,7 +542,7 @@ def _cmd_g2_verify(args):
 def _cmd_s6_report(args):
     from . import g2 as sphere, torus
 
-    levels = _check_limit("--levels", args.levels, MAX_LEVELS, low=torus.MIN_PROFILE_LENGTH)
+    levels = _check_limit("--levels", args.levels, MAX_LEVEL, low=torus.MIN_PROFILE_LENGTH)
     return _checks(
         structure=sphere.s6_structure_package(),
         reduction_brackets=sphere.verify_reduction_brackets(),
@@ -602,7 +603,7 @@ _SUBCOMMANDS = (
         ("--m", dict(default="1..12", help="levels: '4', '1..12', or a comma list")),
         ("--cross-check", dict(
             action="store_true",
-            help="kt only: re-derive each count by window enumeration (ACX_MODE_WINDOW)",
+            help="kt only: re-derive each count by window enumeration",
         )),
     )),
     ("irregularity", "closed (1,0)-form counts", (_COMMON, _MODEL, _A, _T), ()),

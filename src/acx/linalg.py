@@ -116,6 +116,8 @@ def kernel_basis(rows, ncols=None):
 
 def solve(rows, rhs):
     """One solution of A v = rhs, or None if inconsistent."""
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side length differs from the row count")
     if not rows:
         return None
     ncols = len(rows[0])

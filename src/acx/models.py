@@ -210,6 +210,7 @@ def load_model_file(path: str) -> tuple[LieACS, PiParam | None]:
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an int over Python's digit limit
+    # bad JSON or UTF-8, an int over Python's digit limit, or too deep nesting
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_json(obj)

@@ -10,7 +10,6 @@ differences -- never floating point.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -23,30 +22,15 @@ DEFAULT_PROFILE_LENGTH = 12
 # The fewest values a profile classifies; the CLI checks --length and
 # s6-report --levels against it before any model is built.
 MIN_PROFILE_LENGTH = 4
-DEFAULT_MODE_WINDOW = 32
-# The oracles test (2 * window + 1)^2 modes per level, so the window is capped.
-MAX_MODE_WINDOW = 256
+# The window of the Fourier-mode cross-check oracles: they test
+# (2 * MODE_WINDOW + 1)^2 modes per level.  The main solvers never enumerate.
+MODE_WINDOW = 32
 
 
 def mode_window() -> int:
-    """Enumeration window for the Fourier-mode cross-check oracles.
-
-    Overridable through the ACX_MODE_WINDOW environment variable (1 to
-    MAX_MODE_WINDOW); the main solvers never enumerate, so the window only
-    affects cross-checks.
-    """
-    raw = os.environ.get("ACX_MODE_WINDOW")
-    if raw is None:
-        return DEFAULT_MODE_WINDOW
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"ACX_MODE_WINDOW must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InputError("ACX_MODE_WINDOW must be a positive integer")
-    if value > MAX_MODE_WINDOW:
-        raise InputError(f"ACX_MODE_WINDOW must be at most {MAX_MODE_WINDOW}")
-    return value
+    """Enumeration window for the Fourier-mode cross-check oracles (the
+    benchmark's tracer, perfbench/tracer.py, counts modes through it)."""
+    return MODE_WINDOW
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 ``cases.json`` lists each case as ``{"name", "argv", "exit"}``; the stdout of
 case ``name`` is kept byte for byte in ``out/<name>.txt``.  Every case runs
 in-process through ``acx.cli.main`` from the repository root (so model-file
-paths, which ``--meta`` echoes, are repo-relative) with ``ACX_MODE_WINDOW``
-unset.  ``tests/test_golden.py`` compares each run with the recorded bytes.
+paths, which ``--meta`` echoes, are repo-relative).  acx reads no environment
+variable, so a case's output depends on its argv and the repository's files
+only.  ``tests/test_golden.py`` compares each run with the recorded bytes.
 
 Re-record only in a change that means to alter the output, and review the
 diff of ``out/`` and ``cases.json`` before committing:
@@ -43,7 +44,6 @@ def run_case(argv):
     from acx.cli import main
 
     saved_cwd = os.getcwd()
-    saved_window = os.environ.pop("ACX_MODE_WINDOW", None)
     stdout = io.StringIO()
     try:
         os.chdir(REPO_ROOT)
@@ -55,8 +55,6 @@ def run_case(argv):
                 code = exc.code
     finally:
         os.chdir(saved_cwd)
-        if saved_window is not None:
-            os.environ["ACX_MODE_WINDOW"] = saved_window
     return code, stdout.getvalue().encode("utf-8")
 
 

@@ -56,6 +56,19 @@ class TestPlurigenera:
         assert by_a["4*pi"]["first_nonzero"] == 1
         assert by_a["2*pi"]["first_nonzero"] == 2
 
+    def test_cross_check_window_is_a_constant(self, monkeypatch):
+        # the window was once read from ACX_MODE_WINDOW; no value of it changes a run
+        argv = ["plurigenera", "--model", "kt", "--a", "2*pi", "--m", "1..4", "--cross-check"]
+        monkeypatch.delenv("ACX_MODE_WINDOW", raising=False)
+        want = capture(argv)
+        for value in ("0", "8", "257", "huge"):
+            monkeypatch.setenv("ACX_MODE_WINDOW", value)
+            assert capture(argv) == want
+        code, text = want
+        report = json.loads(text)
+        assert code == 0 and report["rows"][0]["values"] == [0, 1, 0, 1]
+        assert report["cross_check"] == {"window": 32, "agreed": True}
+
     def test_t4_members(self):
         code, report = capture_json(
             ["plurigenera", "--model", "t4", "--m", "1..4"]
@@ -438,30 +451,13 @@ class TestMainExitCodes:
             (b"{not json", "Expecting property name"),
             (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
             (b'{"dim": ' + b"9" * 5000 + b', "J": []}', "Exceeds the limit (4300 digits)"),
+            (b"[" * 1000 + b"]" * 1000, "maximum recursion depth exceeded"),
         ]:
             bad.write_bytes(content)
             assert main(["nijenhuis", "--model", str(bad)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"input error: model file {bad} is not valid JSON: ")
             assert reason in err
-
-    def test_mode_window_env_gate(self, monkeypatch, capsys):
-        monkeypatch.setenv("ACX_MODE_WINDOW", "0")
-        code = main(
-            ["plurigenera", "--model", "kt", "--a", "4*pi", "--m", "1",
-             "--cross-check"]
-        )
-        assert code == 2
-        assert "input error:" in capsys.readouterr().err
-
-    def test_mode_window_env_valid(self, monkeypatch):
-        monkeypatch.setenv("ACX_MODE_WINDOW", "8")
-        code, report = capture_json(
-            ["plurigenera", "--model", "kt", "--a", "2*pi", "--m", "1..4",
-             "--cross-check"]
-        )
-        assert code == 0
-        assert report["rows"][0]["values"] == [0, 1, 0, 1]
 
     def test_failed_cross_check_exit_three(self, monkeypatch, capsys):
         # make the (0,2)-parts test contradict the other two
@@ -627,18 +623,6 @@ class TestInputLimits:
         assert code == 0
         assert report["membership"]["members_checked"] == 0
 
-    def test_mode_window_upper_limit(self, monkeypatch, capsys):
-        from acx.torus import MAX_MODE_WINDOW
-
-        argv = ["plurigenera", "--model", "kt", "--a", "4*pi", "--m", "1", "--cross-check"]
-        monkeypatch.setenv("ACX_MODE_WINDOW", str(MAX_MODE_WINDOW + 1))
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"input error: ACX_MODE_WINDOW must be at most {MAX_MODE_WINDOW}" in err
-        monkeypatch.setenv("ACX_MODE_WINDOW", str(MAX_MODE_WINDOW))
-        code, report = capture_json(argv)
-        assert code == 0 and report["cross_check"]["window"] == MAX_MODE_WINDOW
-
     @staticmethod
     def abelian_file(tmp_path, dim):
         J = [["0"] * dim for _ in range(dim)]
@@ -740,6 +724,8 @@ class TestInputLimits:
         ("kt:", "factor 'kt:': want kt:<a>, e.g. kt:4*pi"),
         ("kt:x*pi", "factor 'kt:x*pi': bad rational literal 'x'"),
         ("t4:bad", "factor 't4:bad': want t4:std or t4:zero"),
+        ("torus:5", "factor 'torus:5': torus takes no argument"),
+        ("s6:x", "factor 's6:x': s6 takes no argument"),
         ("nope", "unknown factor 'nope'; want kt:<a>, t4:std, t4:zero, rr:<g>, "
                  "curve:<g>, torus, or s6"),
     ])

@@ -328,6 +328,11 @@ class TestSparseEchelonAgainstDense:
         with pytest.raises(ValueError, match="unequal length"):
             solve([[1, 0], [0]], [1, 1])
 
+    def test_rhs_of_another_length_is_refused(self):
+        for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 5]), ([], [1])):
+            with pytest.raises(ValueError, match="row count"):
+                solve(rows, rhs)
+
     def test_inconsistent_and_singular_systems_are_still_detected(self):
         rng = random.Random(47)
         for symbolic in (False, True):

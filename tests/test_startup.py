@@ -73,7 +73,6 @@ SMOKE_CASES = _smoke_cases()
 def fresh_process(args):
     """Run `python <args>` from the repository root in a new process."""
     env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
-    env.pop("ACX_MODE_WINDOW", None)
     return subprocess.run(
         [sys.executable, *args], cwd=golden.REPO_ROOT, env=env,
         stdin=subprocess.DEVNULL, capture_output=True, timeout=120,

@@ -27,7 +27,6 @@ from acx.torus import (
     kt_profile,
     kt_solvable_modes,
     kunneth,
-    mode_window,
     rr_plurigenus,
     rr_profile,
     t4_family_pair,
@@ -122,22 +121,6 @@ class TestKTPlurigenera:
         assert kt_mode_oracle(A_4PI, "1/2", window=window) == want
         assert kt_mode_oracle(A_GEN, 0, window=window) == [(0, 0)]
         assert CountingFraction.built == 2
-
-
-class TestModeWindow:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("ACX_MODE_WINDOW", raising=False)
-        assert mode_window() == 32
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ACX_MODE_WINDOW", "7")
-        assert mode_window() == 7
-
-    @pytest.mark.parametrize("bad", ["0", "-3", "huge", "2.5"])
-    def test_env_rejections(self, monkeypatch, bad):
-        monkeypatch.setenv("ACX_MODE_WINDOW", bad)
-        with pytest.raises(InputError):
-            mode_window()
 
 
 class TestIrregularity:
