@@ -231,11 +231,6 @@ def _lie_model_for(args):
     kind, member, desc = _family(args, frame=True)
     if kind == "t4":
         raise RefusalError(_T4_LIE_REFUSAL)
-    if kind == "g2" and getattr(args, "power", 0):
-        raise RefusalError(
-            "hodge --power on the sphere needs the sphere's basic star, which "
-            "hodge does not use; its plurigenera are in plurigenera and s6-report"
-        )
     if kind == "kt":
         from . import models
 
@@ -278,35 +273,28 @@ def _cmd_structure_eqs(args):
     return dict(desc, n=model.n, integrable=eqs.integrable(), coframe=rows), 0
 
 
-def _kt_plurigenera_rows(a_list, levels, window):
-    """Rows per a; with a window, each level is re-derived by enumeration."""
-    from . import torus
+def _values(kind, member, levels, cross_check) -> Dict[str, object]:
+    """Plurigenera report fields of one --a value (kt), a t4 member, the sphere
+    or a model file.  With cross_check (kt only), each level is re-derived by
+    enumerating the modes of torus.MODE_WINDOW."""
+    if kind == "kt":
+        from . import torus
 
-    rows = []
-    for a in a_list:
-        values = [torus.kt_plurigenus(a, m) for m in levels]
-        if window is not None:
+        values = [torus.kt_plurigenus(member, m) for m in levels]
+        if cross_check:
             for m in levels:
                 coeff = Fraction(m, 4)
                 closed = {
                     mode
-                    for mode in torus.kt_solvable_modes(a, coeff)
-                    if all(abs(c) <= window for c in mode)
+                    for mode in torus.kt_solvable_modes(member, coeff)
+                    if all(abs(c) <= torus.MODE_WINDOW for c in mode)
                 }
-                if closed != set(torus.kt_mode_oracle(a, coeff, window=window)):
+                if closed != set(torus.kt_mode_oracle(member, coeff)):
                     raise InternalCheckError(
                         "mode oracle",
-                        f"disagrees with the closed form at a={a}, m={m}",
+                        f"disagrees with the closed form at a={member}, m={m}",
                     )
-        row = {"a": str(a), "values": values}
-        first = torus.kt_first_nonzero(a)
-        row["first_nonzero"] = first
-        rows.append(row)
-    return rows
-
-
-def _values(kind, member, levels) -> Dict[str, object]:
-    """Plurigenera report fields of a t4 member, the sphere or a model file."""
+        return {"values": values, "first_nonzero": torus.kt_first_nonzero(member)}
     if kind == "t4":
         from . import torus
 
@@ -329,49 +317,57 @@ def _values(kind, member, levels) -> Dict[str, object]:
 
 
 def _profile(kind, member, length: int):
-    """Plurigenera profile of a t4 member, the sphere or a model file."""
+    """Plurigenera profile of one family member: a _values member, a genus
+    (rr, curve) or the torus (member None)."""
     from . import torus
 
+    if kind == "kt":
+        return torus.kt_profile(member, length)
     if kind == "t4":
         return torus.t4_profile(*member, length)
-    return torus.PlurigeneraProfile(_values(kind, member, range(1, length + 1))["values"])
+    if kind in ("rr", "curve"):
+        build = torus.rr_profile if kind == "rr" else torus.curve_profile
+        return build(member, length)
+    if kind == "torus":
+        return torus.torus_profile(length)
+    levels = range(1, length + 1)
+    return torus.PlurigeneraProfile(_values(kind, member, levels, False)["values"])
 
 
-def _irregularity(kind, member) -> int:
-    """Closed (1,0)-form count of a t4 member, the sphere or a model file."""
-    if kind == "t4":
-        from . import torus
-
-        return torus.t4_irregularity(*member)
-    from . import hodge
-
-    return hodge.invariant_harmonic_space(member, 1, 0).dimension
+def _per_member(kind, member, desc, fields) -> Dict[str, object]:
+    """desc plus fields(member); for kt, whose member is the list of --a
+    values, desc plus one row of fields(a) per value instead."""
+    if kind == "kt":
+        return dict(desc, rows=[{**fields(a), "a": str(a)} for a in member])
+    return {**desc, **fields(member)}
 
 
 def _cmd_plurigenera(args):
     levels = _parse_m_spec(args.m)
     kind, member, desc = _family(args)
-    report = dict(desc, levels=levels)
-    if kind != "kt":
-        report.update(_values(kind, member, levels))
-        return report, 0
-    from . import torus
+    report = _per_member(kind, member, dict(desc, levels=levels),
+                         lambda m: _values(kind, m, levels, args.cross_check))
+    if args.cross_check:
+        from . import torus
 
-    window = torus.mode_window() if args.cross_check else None
-    report["rows"] = _kt_plurigenera_rows(member, levels, window)
-    if window is not None:
-        report["cross_check"] = {"window": window, "agreed": True}
+        report["cross_check"] = {"window": torus.MODE_WINDOW, "agreed": True}
     return report, 0
 
 
 def _cmd_irregularity(args):
     kind, member, desc = _family(args)
-    if kind == "kt":
-        from . import torus
 
-        rows = [{"a": str(a), "value": torus.kt_irregularity(a)} for a in member]
-        return dict(desc, rows=rows), 0
-    return dict(desc, value=_irregularity(kind, member)), 0
+    def value(member) -> int:  # closed (1,0)-forms of one family member
+        if kind in ("kt", "t4"):
+            from . import torus
+
+            return (torus.kt_irregularity(member) if kind == "kt"
+                    else torus.t4_irregularity(*member))
+        from . import hodge
+
+        return hodge.invariant_harmonic_space(member, 1, 0).dimension
+
+    return _per_member(kind, member, desc, lambda m: {"value": value(m)}), 0
 
 
 def _cmd_hodge(args):
@@ -421,21 +417,15 @@ def _profile_length(args) -> int:
 
 
 def _cmd_kodaira(args):
-    from . import torus
-
     length = _profile_length(args)
     kind, member, desc = _family(args)
-    if kind == "kt":
-        rows = [dict(_profile_report(torus.kt_profile(a, length)), a=str(a))
-                for a in member]
-        return dict(desc, rows=rows), 0
-    return dict(desc, **_profile_report(_profile(kind, member, length))), 0
+    return _per_member(kind, member, desc,
+                       lambda m: _profile_report(_profile(kind, m, length))), 0
 
 
 def _parse_factor(spec: str):
-    """Check one kunneth factor spec and return the function of the profile
-    length that builds its profile.  _cmd_kunneth parses every spec before
-    it builds any profile."""
+    """Check one kunneth factor spec and return its (kind, member) for
+    _profile.  _cmd_kunneth parses every spec before it builds any profile."""
     from . import torus
 
     name, _, arg = spec.partition(":")
@@ -445,18 +435,15 @@ def _parse_factor(spec: str):
         if not arg:
             raise InputError(f"factor {spec!r}: want kt:<a>, e.g. kt:4*pi")
         try:
-            a = PiParam.parse(arg)
+            return "kt", PiParam.parse(arg)
         except ValueError as exc:
             raise InputError(f"factor {spec!r}: {exc}") from exc
-        return lambda length: torus.kt_profile(a, length)
     if name == "t4":
         if arg in ("", "std", "standard"):
-            alpha, beta = torus.t4_standard_pair()
-        elif arg in ("0", "zero"):
-            alpha, beta = torus.t4_family_pair(0, 0)
-        else:
-            raise InputError(f"factor {spec!r}: want t4:std or t4:zero")
-        return lambda length: torus.t4_profile(alpha, beta, length)
+            return "t4", torus.t4_standard_pair()
+        if arg in ("0", "zero"):
+            return "t4", torus.t4_family_pair(0, 0)
+        raise InputError(f"factor {spec!r}: want t4:std or t4:zero")
     if name in ("rr", "curve"):
         try:
             genus = int(arg)
@@ -468,19 +455,13 @@ def _parse_factor(spec: str):
         if genus < 2:
             raise InputError("fiber genus must be at least 2" if name == "rr"
                              else "curve profiles require genus at least 2")
-        build = torus.rr_profile if name == "rr" else torus.curve_profile
-        return lambda length: build(genus, length)
+        return name, genus
     if name in ("torus", "s6") and arg:
         raise InputError(f"factor {spec!r}: {name} takes no argument")
     if name == "torus":
-        return torus.torus_profile
+        return "torus", None
     if name == "s6":
-        def s6_profile(length):
-            from . import g2 as sphere
-
-            return _profile("g2", sphere.s6_model(), length)
-
-        return s6_profile
+        return "g2", None
     raise InputError(
         f"unknown factor {spec!r}; want kt:<a>, t4:std, t4:zero, rr:<g>, "
         "curve:<g>, torus, or s6"
@@ -495,8 +476,8 @@ def _cmd_kunneth(args):
         raise InputError("--factors: want at least two comma-separated factors")
     _check_limit("--factors", len(specs), MAX_FACTORS)
     length = _profile_length(args)
-    builds = [_parse_factor(s) for s in specs]
-    profiles = [build(length) for build in builds]
+    factors = [_parse_factor(s) for s in specs]
+    profiles = [_profile(kind, member, length) for kind, member in factors]
     product = profiles[0]
     for prof in profiles[1:]:
         product = torus.kunneth(product, prof)
@@ -594,47 +575,52 @@ _T = (("--t", dict(
 # None stands for torus.DEFAULT_PROFILE_LENGTH (see _profile_length)
 _LENGTH = ("--length", dict(type=int, default=None))
 
-# One row per subcommand: (name, help, shared option groups, own arguments).
+# One row per subcommand: (name, help, shared option groups, own arguments, handler).
 _SUBCOMMANDS = (
-    ("nijenhuis", "integrability tensor of a model", (_COMMON, _MODEL, _A), ()),
+    ("nijenhuis", "integrability tensor of a model", (_COMMON, _MODEL, _A), (),
+     _cmd_nijenhuis),
     ("structure-eqs", "coframe differentials split by bidegree",
-     (_COMMON, _MODEL, _A), ()),
+     (_COMMON, _MODEL, _A), (), _cmd_structure_eqs),
     ("plurigenera", "pluricanonical section counts", (_COMMON, _MODEL, _A, _T), (
         ("--m", dict(default="1..12", help="levels: '4', '1..12', or a comma list")),
         ("--cross-check", dict(
             action="store_true",
             help="kt only: re-derive each count by window enumeration",
         )),
-    )),
-    ("irregularity", "closed (1,0)-form counts", (_COMMON, _MODEL, _A, _T), ()),
+    ), _cmd_plurigenera),
+    ("irregularity", "closed (1,0)-form counts", (_COMMON, _MODEL, _A, _T), (),
+     _cmd_irregularity),
     ("hodge", "invariant harmonic (p,q) dimensions", (_COMMON, _MODEL, _A), (
         ("--p", dict(type=int, required=True)),
         ("--q", dict(type=int, required=True)),
         ("--power", dict(type=int, default=0,
                          help="canonical bundle power twisting the forms (default 0)")),
-    )),
+    ), _cmd_hodge),
     ("kodaira", "Kodaira dimension from the plurigenera profile",
-     (_COMMON, _MODEL, _A, _T), (_LENGTH,)),
+     (_COMMON, _MODEL, _A, _T), (_LENGTH,), _cmd_kodaira),
     ("kunneth", "product profiles and Kodaira dimension additivity", (_COMMON,), (
         ("--factors", dict(
             required=True,
             help="comma list of kt:<a>, t4:std, t4:zero, rr:<g>, curve:<g>, torus, s6",
         )),
         _LENGTH,
-    )),
+    ), _cmd_kunneth),
     ("g2-verify", "bracket catalogue, Jacobi, membership, and cross identities",
      (_COMMON,), (
          ("--samples", dict(type=int, default=100)),
          ("--negatives", dict(type=int, default=10)),
          ("--seed", dict(type=int, default=20260815)),
-     )),
+     ), _cmd_g2_verify),
     ("s6-report", "sphere structure displays and invariant census", (_COMMON,),
-     (("--levels", dict(type=int, default=8)),)),
+     (("--levels", dict(type=int, default=8)),), _cmd_s6_report),
     ("rr", "curve-fibration plurigenera by degree count", (_COMMON,), (
         ("--genus", dict(type=int, required=True)),
         ("--m", dict(default="1..6")),
-    )),
+    ), _cmd_rr),
 )
+
+# run dispatches through this dict, so a handler can be wrapped in place
+_HANDLERS = {row[0]: row[-1] for row in _SUBCOMMANDS}
 
 
 def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
@@ -655,26 +641,12 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     # with one subparser, the top-level usage still lists every subcommand
     metavar = "{" + ",".join(spec[0] for spec in _SUBCOMMANDS) + "}" if specs else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, groups, own in specs or _SUBCOMMANDS:
+    for name, help_text, groups, own, _ in specs or _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         for group in groups + (own,):
             for flag, kwargs in group:
                 p.add_argument(flag, **kwargs)
     return parser
-
-
-_HANDLERS = {
-    "nijenhuis": _cmd_nijenhuis,
-    "structure-eqs": _cmd_structure_eqs,
-    "plurigenera": _cmd_plurigenera,
-    "irregularity": _cmd_irregularity,
-    "hodge": _cmd_hodge,
-    "kodaira": _cmd_kodaira,
-    "kunneth": _cmd_kunneth,
-    "g2-verify": _cmd_g2_verify,
-    "s6-report": _cmd_s6_report,
-    "rr": _cmd_rr,
-}
 
 
 def run(argv: Sequence[str], stdout=None) -> int:

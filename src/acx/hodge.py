@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import comb
 
 from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, RefusalError
 from .forms import Form, MultiIndex, _form, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
 from .linalg import is_nonsingular, kernel_basis, span_test
@@ -250,13 +250,17 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     kernels give equal bases, and the list comparison decides the same
     predicate as a rank test on the stacked bases, with no elimination.
     Equal lists always span one space, so a fault in that canonical form
-    could only raise a false alarm, never hide a disagreement.
+    could only raise a false alarm, never hide a disagreement.  A model with
+    basic indices is refused at q >= 1, where dbar* needs the quotient's star.
     """
     if not model.alg.is_unimodular():
         raise InputError(
             "invariant Hodge theory requires a unimodular algebra: "
             "integration by parts fails otherwise"
         )
+    if model.basic is not None and q >= 1:
+        raise RefusalError(f"hodge on {model.name} computes (p,0) only: at q >= 1, "
+                           "dbar* needs the quotient's own star")
     if bundle_power == 0:
         bundle = None
     else:

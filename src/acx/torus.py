@@ -244,12 +244,9 @@ def _mode_multiplier_vanishes(a: PiParam, coeff: Fraction, k: int, l: int) -> bo
     return coeff == 0 and k == 0 and l == 0
 
 
-def kt_mode_oracle(
-    a: PiParam, coeff: Fraction, window: Optional[int] = None
-) -> List[Tuple[int, int]]:
-    """Cross-check oracle: enumerate the window and test each mode exactly."""
-    if window is None:
-        window = mode_window()
+def kt_mode_oracle(a: PiParam, coeff: Fraction) -> List[Tuple[int, int]]:
+    """Cross-check oracle: test each mode of the window mode_window() exactly."""
+    window = mode_window()
     if not isinstance(coeff, Fraction):
         coeff = Fraction(coeff)
     hits = []

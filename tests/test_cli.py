@@ -298,13 +298,6 @@ class TestStructureCommands:
         with pytest.raises(RefusalError):
             capture(["hodge", "--model", "t4", "--p", "0", "--q", "0"])
 
-    def test_g2_power_refuses(self):
-        with pytest.raises(RefusalError):
-            capture(
-                ["hodge", "--model", "g2", "--p", "0", "--q", "0",
-                 "--power", "1"]
-            )
-
 
 class TestHodgeAndIrregularity:
     def test_kt_irregularity(self):
@@ -333,6 +326,25 @@ class TestHodgeAndIrregularity:
         assert report["dimension"] == 1
         assert sum(b["dimension"] for b in report["blocks"]) == 1
         assert len(report["blocks"]) == 3
+
+    @pytest.mark.parametrize("p", range(4))
+    def test_g2_refuses_q_at_least_one(self, capsys, p):
+        # Serre duality would pair (3,3) and (0,3) with (0,0) and (3,0), which
+        # are 1: the sphere's dbar* at q >= 1 needs the quotient's own star
+        for q in (1, 2, 3):
+            assert main(["hodge", "--model", "g2", "--p", str(p), "--q", str(q)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("refused: hodge on s6 computes (p,0) only")
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_g2_power_at_00_is_the_plurigenus(self, m):
+        from acx import g2
+
+        code, report = capture_json(
+            ["hodge", "--model", "g2", "--p", "0", "--q", "0", "--power", str(m)]
+        )
+        assert code == 0
+        assert report["dimension"] == g2.s6_plurigenus(m) == 1
 
 
 class TestProfiles:
@@ -367,6 +379,23 @@ class TestProfiles:
     def test_kunneth_needs_two_factors(self):
         with pytest.raises(InputError):
             capture(["kunneth", "--factors", "torus"])
+
+    @pytest.mark.parametrize("factor, family", [
+        ("kt:4*pi", ["--model", "kt", "--a", "4*pi"]),
+        ("t4:std", ["--model", "t4"]),
+        ("t4:zero", ["--model", "t4", "--t", "0,0"]),
+        ("s6", ["--model", "g2"]),
+    ])
+    def test_kunneth_factor_is_the_kodaira_report(self, factor, family):
+        # both go through one profile builder, so they agree field by field
+        code, product = capture_json(["kunneth", "--factors", f"{factor},torus",
+                                      "--length", "8"])
+        assert code == 0
+        code, kodaira = capture_json(["kodaira", *family, "--length", "8"])
+        assert code == 0
+        row = kodaira["rows"][0] if "rows" in kodaira else kodaira
+        fields = ("values", "kind", "degree", "kappa")
+        assert {k: product["factors"][0][k] for k in fields} == {k: row[k] for k in fields}
 
 
 class TestSevenDimensional:

@@ -80,16 +80,17 @@ class TestKTPlurigenera:
         assert kt_first_nonzero(A_GEN) is None
 
     def test_mode_oracle_agrees_with_closed_form(self):
+        # the oracle always enumerates the fixed window of torus.MODE_WINDOW
+        assert torus.MODE_WINDOW == torus.mode_window() == 32
         for a in (A_4PI, A_2PI, A_PI, A_GEN):
             for m in (1, 2, 3, 4):
                 coeff = Fraction(m, 4)
-                window = 6
                 closed = {
                     mode
                     for mode in kt_solvable_modes(a, coeff)
-                    if all(abs(c) <= window for c in mode)
+                    if all(abs(c) <= torus.MODE_WINDOW for c in mode)
                 }
-                assert closed == set(kt_mode_oracle(a, coeff, window=window))
+                assert closed == set(kt_mode_oracle(a, coeff))
 
     def test_solvable_modes_shape(self):
         assert kt_solvable_modes(A_4PI, Fraction(1, 4)) == [(0, 1)]
@@ -110,16 +111,15 @@ class TestKTPlurigenera:
                 CountingFraction.built += 1
                 return super().__new__(cls, *args)
 
-        window = 5
-        want = kt_mode_oracle(A_4PI, Fraction(1, 2), window=window)
+        want = kt_mode_oracle(A_4PI, Fraction(1, 2))
         assert want == [(0, 2)]
         coeff = CountingFraction(1, 2)
         monkeypatch.setattr(torus, "Fraction", CountingFraction)
         CountingFraction.built = 0
-        assert kt_mode_oracle(A_4PI, coeff, window=window) == want
+        assert kt_mode_oracle(A_4PI, coeff) == want
         assert CountingFraction.built == 0
-        assert kt_mode_oracle(A_4PI, "1/2", window=window) == want
-        assert kt_mode_oracle(A_GEN, 0, window=window) == [(0, 0)]
+        assert kt_mode_oracle(A_4PI, "1/2") == want
+        assert kt_mode_oracle(A_GEN, 0) == [(0, 0)]
         assert CountingFraction.built == 2
 
 

@@ -23,7 +23,7 @@ def _run(argv):
 
 def _traced(tmp_path, acx_argv):
     """Run acx traced and untraced; return the trace after checking that
-    both runs print the same bytes and succeed."""
+    both runs print the same bytes and succeed, with one handler span."""
     trace_path = tmp_path / "trace.json"
     traced = _run(["perfbench/tracer.py", str(trace_path), "--", *acx_argv])
     plain = _run(["-m", "acx.cli", *acx_argv])
@@ -32,6 +32,8 @@ def _traced(tmp_path, acx_argv):
     assert traced.stdout == plain.stdout
     trace = json.loads(trace_path.read_text())
     assert trace["exit"] == 0
+    # the tracer wraps the entries of cli._HANDLERS; run dispatches through them
+    assert list(_span_names(trace["spans"])).count("cli.handler") == 1
     return trace
 
 
