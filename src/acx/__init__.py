@@ -22,7 +22,6 @@ _EXPORTS = {
         "build_coframe",
         "is_integrable",
         "nijenhuis",
-        "structure_equations",
     ),
     "bundles": ("CanonicalPower", "PseudoholStructure"),
     "hodge": (

@@ -246,7 +246,7 @@ def _cmd_nijenhuis(args):
     names = model.alg.basis_names
     entries = [
         {"i": i, "j": j, "value": _vector_str(vec, names, model.symbol)}
-        for (i, j), vec in sorted(tensor.values.items())
+        for (i, j), vec in sorted(tensor.items())
     ]
     integrable = lie.is_integrable(tensor, model.coframe)
     return dict(desc, integrable=integrable, nonzero_entries=len(entries),
@@ -254,23 +254,23 @@ def _cmd_nijenhuis(args):
 
 
 def _cmd_structure_eqs(args):
-    from . import lie
-
     model, desc = _lie_model_for(args)
-    eqs = lie.structure_equations(model.coframe)
     rows = []
+    integrable = True
     for i in range(1, model.n + 1):
         d_full = model.coframe.d_phi(i)
+        part_02 = d_full.project(0, 2)
+        integrable = integrable and part_02.is_zero()
         rows.append(
             {
                 "i": i,
                 "d": d_full.to_str(model.symbol),
                 "part_20": d_full.project(2, 0).to_str(model.symbol),
-                "part_11": eqs.dbar_phi(i).to_str(model.symbol),
-                "part_02": d_full.project(0, 2).to_str(model.symbol),
+                "part_11": d_full.project(1, 1).to_str(model.symbol),
+                "part_02": part_02.to_str(model.symbol),
             }
         )
-    return dict(desc, n=model.n, integrable=eqs.integrable(), coframe=rows), 0
+    return dict(desc, n=model.n, integrable=integrable, coframe=rows), 0
 
 
 def _values(kind, member, levels, cross_check) -> Dict[str, object]:

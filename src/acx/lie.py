@@ -6,12 +6,15 @@ matrix J with J^2 = -I.  build_coframe produces the (1,0) coframe
 phi^i = eta - i*(eta o J), normalized so the leading real-dual coefficient is
 one, together with the dual (1,0) frame X_i and the complexified structure
 constants, from which the Chevalley-Eilenberg differential is assembled on
-the exterior algebra of the coframe.
+the exterior algebra of the coframe.  The coframe holds the structure
+equations: ComplexCoframe.d_phi(i) is d(phi^i), and its bidegree parts are
+its projections.
 
 Conventions.  d(xi)(x, y) = -xi([x, y]) on invariant 1-forms.  The Nijenhuis
-tensor is N(x, y) = [x, y] + J[Jx, y] + J[x, Jy] - [Jx, Jy]; J is integrable
-iff N = 0 iff the (0,2) parts of all d(phi^i) vanish iff the (1,0) frame is
-closed under the bracket.  All three tests are implemented and cross-checked.
+tensor is N(x, y) = [x, y] + J[Jx, y] + J[x, Jy] - [Jx, Jy]; nijenhuis returns
+its nonzero entries.  J is integrable iff N = 0 iff the (0,2) parts of all
+d(phi^i) vanish iff the (1,0) frame is closed under the bracket.  All three
+tests are implemented and cross-checked (is_integrable).
 
 Characters.  A character lambda (vanishing on [g, g], imaginary-valued) is
 the derivative of a unitary character chi, d(chi) = chi lambda, so
@@ -71,14 +74,8 @@ class LieAlgebra:
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a 0-based coefficient list."""
         out = [SS_ZERO] * self.dim
-        if i == j:
-            return out
-        sign = 1
-        if i > j:
-            i, j = j, i
-            sign = -1
-        for k, c in self.brackets.get((i, j), {}).items():
-            out[k - 1] = c if sign > 0 else -c
+        for k, c in self._ad[i - 1].get(j - 1, ()):
+            out[k] = c
         return out
 
     def bracket_vectors(self, u, v):
@@ -115,14 +112,11 @@ class LieAlgebra:
                 )
 
     def is_unimodular(self):
-        """tr(ad e_i) = 0 for every i."""
-        for i in range(1, self.dim + 1):
-            tr = SS_ZERO
-            for j in range(1, self.dim + 1):
-                tr = tr + self.bracket_basis(i, j)[j - 1]
-            if not tr.is_zero():
-                return False
-        return True
+        """tr(ad e_b) = 0 for every b: the e_a-coefficients of [e_b, e_a]."""
+        return all(
+            sum((c for a, terms in row.items() for k, c in terms if k == a), SS_ZERO).is_zero()
+            for row in self._ad
+        )
 
     def d_generator(self, k) -> Form:
         """Chevalley-Eilenberg d of e^k: d(xi)(x,y) = -xi([x,y]).
@@ -166,47 +160,26 @@ class ACStructure:
         return mat_vec(self.matrix, v)
 
 
-def _unit(dim, i):
-    return [SS_ONE if k == i - 1 else SS_ZERO for k in range(dim)]
-
-
-def _nijenhuis(alg, J, ei, ej, Jei, Jej):
-    t1 = alg.bracket_vectors(ei, ej)
-    t2 = J.apply(alg.bracket_vectors(Jei, ej))
-    t3 = J.apply(alg.bracket_vectors(ei, Jej))
-    t4 = alg.bracket_vectors(Jei, Jej)
-    return [a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
-
-
-class NijenhuisTensor:
-    def __init__(self, alg, J):
-        self.alg = alg
-        self.values = {}
-        # the basis vectors e_i and the columns J e_i, each formed once
-        units = [_unit(alg.dim, i) for i in range(1, alg.dim + 1)]
-        columns = [J.apply(e) for e in units]
-        for i in range(1, alg.dim + 1):
-            for j in range(i + 1, alg.dim + 1):
-                v = _nijenhuis(alg, J, units[i - 1], units[j - 1],
-                               columns[i - 1], columns[j - 1])
-                if any(not c.is_zero() for c in v):
-                    self.values[(i, j)] = v
-
-    def entry(self, i, j):
-        if i == j:
-            return [SS_ZERO] * self.alg.dim
-        if i < j:
-            return self.values.get((i, j), [SS_ZERO] * self.alg.dim)
-        return [-c for c in self.entry(j, i)]
-
-    def is_zero(self):
-        return not self.values
-
-
-def nijenhuis(alg: LieAlgebra, J: ACStructure) -> NijenhuisTensor:
+def nijenhuis(alg: LieAlgebra, J: ACStructure) -> dict:
+    """The nonzero entries {(i, j): N(e_i, e_j)} for i < j, each a 0-based
+    coefficient list.  N is antisymmetric, so they determine it, and J is
+    integrable iff there are none."""
     if J.dim != alg.dim:
         raise InputError("J dimension does not match the algebra")
-    return NijenhuisTensor(alg, J)
+    # the basis vectors e_i and the columns J e_i, each formed once
+    units = identity(alg.dim)
+    columns = [J.apply(e) for e in units]
+    entries = {}
+    for i, j in combinations(range(alg.dim), 2):
+        ei, ej, Jei, Jej = units[i], units[j], columns[i], columns[j]
+        t1 = alg.bracket_vectors(ei, ej)
+        t2 = J.apply(alg.bracket_vectors(Jei, ej))
+        t3 = J.apply(alg.bracket_vectors(ei, Jej))
+        t4 = alg.bracket_vectors(Jei, Jej)
+        v = [a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
+        if any(not c.is_zero() for c in v):
+            entries[(i + 1, j + 1)] = v
+    return entries
 
 
 # --- the complex coframe
@@ -347,35 +320,14 @@ def build_coframe(alg: LieAlgebra, J: ACStructure) -> ComplexCoframe:
     return ComplexCoframe(alg, J, chosen)
 
 
-class StructureEquations:
-    """d(phi^i) with its bidegree split, plus the integrability verdict."""
-
-    def __init__(self, coframe: ComplexCoframe):
-        self.coframe = coframe
-        self.d_phi = [coframe.d_phi(i) for i in range(1, coframe.n + 1)]
-
-    def component(self, i, p, q) -> Form:
-        return self.d_phi[i - 1].project(p, q)
-
-    def dbar_phi(self, i) -> Form:
-        return self.component(i, 1, 1)
-
-    def integrable(self) -> bool:
-        return all(self.component(i, 0, 2).is_zero() for i in range(1, self.coframe.n + 1))
-
-
-def structure_equations(coframe: ComplexCoframe) -> StructureEquations:
-    return StructureEquations(coframe)
-
-
-def is_integrable(tensor: NijenhuisTensor, coframe: ComplexCoframe) -> bool:
-    """Three equivalent tests, cross-checked: N = 0; no (0,2) parts; the
-    (1,0) frame closes under the bracket.  tensor and coframe belong to the
-    same algebra and J."""
-    by_nijenhuis = tensor.is_zero()
-    by_forms = StructureEquations(coframe).integrable()
-    K = coframe.complex_constants()
+def is_integrable(tensor: dict, coframe: ComplexCoframe) -> bool:
+    """Three equivalent tests, cross-checked: N = 0 (tensor holds the entries
+    nijenhuis returns); no d(phi^i) has a (0,2) part; the (1,0) frame closes
+    under the bracket.  tensor and coframe belong to the same algebra and J."""
+    by_nijenhuis = not tensor
     n = coframe.n
+    by_forms = all(coframe.d_phi(i).project(0, 2).is_zero() for i in range(1, n + 1))
+    K = coframe.complex_constants()
     by_frame = all(
         all(K[(A, B)][Cc].is_zero() for Cc in range(n, 2 * n))
         for A in range(n)

@@ -33,6 +33,12 @@ from .scalars import PiParam, Scalar, SymScalar, parse_rational
 # Xeon VM); the cost grows faster than cubically in dim.
 MAX_DIM = 24
 
+# Most bytes read from a model file, checked before decoding.  A dim-24 file
+# with every bracket output filled and every literal at
+# scalars.MAX_LITERAL_DIGITS digits in numerator and denominator is about
+# 28 MB, or 56 MB with a digit separator between every two digits.
+MAX_FILE_BYTES = 64 * 2**20
+
 
 def kt_algebra() -> LieAlgebra:
     """dim 4, [e_2, e_3] = e_4, all other brackets zero."""
@@ -109,7 +115,9 @@ def _rational(text, field: str) -> Fraction:
 
 def _parse_j_entry(text, param: PiParam | None, field: str) -> SymScalar:
     """A J entry: a rational string, or a rational multiple of 'a' or '1/a'."""
-    s = str(text).strip().replace(" ", "")
+    if not isinstance(text, str):
+        raise InputError(f"{field}: expected rational string, got {text!r}")
+    s = text.strip().replace(" ", "")
     if "a" not in s:
         return SymScalar.const(_rational(s, field))
     if param is None:
@@ -169,6 +177,8 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
             k, re, im = item
             if not (type(k) is int and 1 <= k <= dim):
                 raise InputError(f"bracket output index {k!r} out of range")
+            if k in vec:
+                raise InputError(f"bracket ({i},{j}): duplicate output index {k}")
             field = f"bracket ({i},{j}) output {item!r}"
             vec[k] = SymScalar.const(Scalar(_rational(re, field), _rational(im, field)))
         if (i, j) in brackets:
@@ -206,10 +216,14 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
 
 def load_model_file(path: str) -> tuple[LieACS, PiParam | None]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
+    if len(data) > MAX_FILE_BYTES:
+        raise InputError(f"model file {path} is over {MAX_FILE_BYTES} bytes")
+    try:
+        obj = json.loads(data.decode("utf-8"))
     # bad JSON or UTF-8, an int over Python's digit limit, or too deep nesting
     except (ValueError, RecursionError) as exc:
         raise InputError(f"model file {path} is not valid JSON: {exc}") from exc

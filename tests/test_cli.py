@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -489,11 +490,12 @@ class TestMainExitCodes:
             assert reason in err
 
     def test_failed_cross_check_exit_three(self, monkeypatch, capsys):
-        # make the (0,2)-parts test contradict the other two
-        from acx import lie
+        # make the (0,2)-parts test contradict the other two: every d(phi^i)
+        # reads as zero
+        from acx import forms, lie
 
         monkeypatch.setattr(
-            lie.StructureEquations, "integrable", lambda self: True
+            lie.ComplexCoframe, "d_phi", lambda self, i: forms.Form.zero(self.n)
         )
         assert main(["nijenhuis", "--model", "kt", "--a", "4*pi"]) == 3
         err = capsys.readouterr().err
@@ -829,6 +831,12 @@ class TestInputFaults:
              "bracket indices must satisfy 1 <= i < j <= dim, got (1,True)"),
             ({"brackets": [{"i": 2, "j": 3, "out": [[True, "1", "0"]]}]},
              "bracket output index True out of range"),
+            ({"brackets": [{"i": 2, "j": 3, "out": [[4, "1", "0"], [4, "2", "0"]]}]},
+             "bracket (2,3): duplicate output index 4"),
+            ({"J": [["0", -1, "0", "0"], *KT_FILE_OBJ["J"][1:]]},
+             "J entry (1,2): expected rational string, got -1"),
+            ({"J": [["0", False, "0", "0"], *KT_FILE_OBJ["J"][1:]]},
+             "J entry (1,2): expected rational string, got False"),
         ],
     )
     def test_bad_shapes(self, tmp_path, capsys, overrides, message):
@@ -849,6 +857,28 @@ class TestInputFaults:
         code, err = self._run_file(tmp_path, capsys, J=J)
         assert code == 2
         assert err == "input error: J entry (3,4): bad rational literal '1/0'\n"
+
+    def test_model_file_size_cap(self, tmp_path, monkeypatch, capsys):
+        from acx import models
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(KT_FILE_OBJ))
+        size = path.stat().st_size
+        monkeypatch.setattr(models, "MAX_FILE_BYTES", size)
+        assert capture_json(["nijenhuis", "--model", str(path)])[0] == 0
+        monkeypatch.setattr(models, "MAX_FILE_BYTES", size - 1)
+        assert main(["nijenhuis", "--model", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: model file {path} is over {size - 1} bytes\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_model_stream_is_refused(self, monkeypatch, capsys):
+        from acx import models
+
+        monkeypatch.setattr(models, "MAX_FILE_BYTES", 1000)
+        assert main(["nijenhuis", "--model", "/dev/zero"]) == 2
+        assert capsys.readouterr().err == "input error: model file /dev/zero is over 1000 bytes\n"
 
     @pytest.mark.parametrize("flag", ["--p", "--q"])
     def test_negative_degree_rejected(self, capsys, flag):

@@ -145,3 +145,11 @@ def test_an_invocation_loads_only_what_it_uses(argv, unused):
     assert result["exit"] == 0
     assert "acx.cli" in result["loaded"]
     assert unused.isdisjoint(result["loaded"])
+
+
+def test_every_export_resolves():
+    # each export is imported on first access, so a stale _EXPORTS row shows
+    # only when its name is used
+    import acx
+
+    assert [name for name in acx.__all__ if not hasattr(acx, name)] == []
