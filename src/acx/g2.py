@@ -1079,7 +1079,7 @@ def _serre_transport_bijective(p: int) -> bool:
     model = s6_model()
     source = _section_monomials(model, p, 0)
     target = _section_monomials(model, 3 - p, 3)
-    images = [[s6_basic_star(Form.monomial(N, a, b)).conjugate()] for (a, b) in source]
+    images = [s6_basic_star(Form.monomial(N, a, b)).conjugate() for (a, b) in source]
     return len(source) == len(target) and rank(_coordinates(images)) == len(target)
 
 

@@ -15,12 +15,14 @@ Conventions (all exact, all verified against each other in the tests):
   h(x, y) dV = x ^ conj(star y), which the tests' star oracle solves
   directly.
 
-  dbar* = -star del star on forms; on bundle-valued forms del is replaced by
-  the (1,0) part of the Hermitian connection of the unitary frame.  The
-  Laplacian is dbar dbar* + dbar* dbar, and its kernel is
-  ker dbar intersect ker dbar* (both sides computed).  A Fourier character
-  block is one more bundle: the flat unitary line bundle of the character,
-  tensored in by twisting theta (SectionContext).
+  Harmonic computations are valued in line bundles: K^m, twisted in each
+  Fourier character block by the flat unitary line bundle of the character
+  (SectionContext).  A section is a Form, its coefficient on the bundle's
+  one frame element; rank-r structures stay in bundles.  The codifferential
+  is dbar* = -star nabla10 star, with nabla10 the (1,0) part of the
+  Hermitian connection of the unitary frame (del on the trivial bundle).
+  The Laplacian is dbar dbar* + dbar* dbar, and its kernel is
+  ker dbar intersect ker dbar* (both sides computed).
 
 Invariant integration (top coefficient times total volume) is a Stokes-exact
 substitute for integration only on unimodular algebras; everything here
@@ -77,7 +79,7 @@ def volume_form(n: int) -> Form:
 
 
 class HermitianData:
-    """Metric data of a model: h, dV, integration, and the star operator."""
+    """Metric data of a model: dV, integration, and the star operator."""
 
     def __init__(self, model: LieACS):
         self.model = model
@@ -85,17 +87,6 @@ class HermitianData:
         self.dV = volume_form(self.n)
         full = tuple(range(1, self.n + 1))
         self.vol_coeff = self.dV.coefficient(full, full)
-
-    def h(self, x: Form, y: Form) -> SymScalar:
-        """Pointwise Hermitian pairing, linear in x, antilinear in y."""
-        acc = SS_ZERO
-        for key, cx in x.terms.items():
-            cy = y.terms.get(key)
-            if cy is None:
-                continue
-            weight = Fraction(2) ** (len(key[0]) + len(key[1]))
-            acc = acc + cx * cy.conjugate() * SymScalar.const(weight)
-        return acc
 
     def integral(self, x: Form) -> SymScalar:
         """Integral of an (n,n)-form over the model (total volume 1)."""
@@ -111,13 +102,13 @@ class HermitianData:
 
 
 class SectionContext:
-    """Bundle-valued invariant (p,q)-forms in one character block.
+    """Invariant (p,q)-forms valued in a line bundle, in one character block.
 
-    A section is a list of Forms, one per frame element of the bundle
-    (trivial bundle: rank one, theta = 0).  A nontrivial character chi, with
-    d(chi) = chi lambda, tensors the bundle with a flat unitary line bundle:
-    the block's theta is theta + lambda^{0,1} I, and lambda must be
-    imaginary for chi to be unitary.
+    A section is a Form, its coefficient on the bundle's one frame element
+    (trivial bundle: theta = 0); rank-r structures stay in bundles, and are
+    refused here.  A nontrivial character chi, with d(chi) = chi lambda,
+    tensors the bundle with a flat unitary line bundle: the block's theta is
+    theta + lambda^{0,1}, and lambda must be imaginary for chi to be unitary.
     """
 
     def __init__(self, model: LieACS, bundle: PseudoholStructure | None = None,
@@ -125,42 +116,27 @@ class SectionContext:
         self.model = model
         self.data = HermitianData(model)
         bundle = bundle if bundle is not None else trivial_structure(model)
-        self.rank = bundle.rank
+        if bundle.rank != 1:
+            raise InputError("harmonic sections are valued in line bundles, "
+                             f"not in a bundle of rank {bundle.rank}")
         if character is not None and not character.is_trivial():
             if any(not (v + v.conjugate()).is_zero() for v in character.values):
                 raise InputError("a unitary character needs an imaginary lambda")
             twist = character.lambda_form(model.coframe).project(0, 1)
-            theta = [[t + twist if i == j else t for j, t in enumerate(row)]
-                     for i, row in enumerate(bundle.theta)]
-            bundle = PseudoholStructure(model, theta)
+            bundle = PseudoholStructure(model, [[bundle.theta[0][0] + twist]])
         self.bundle = bundle
 
-    def wrap(self, x):
-        if isinstance(x, Form):
-            if self.rank != 1:
-                raise InputError("bare Form only valid for rank-1 bundles")
-            return [x]
-        return list(x)
+    def dbar(self, x: Form) -> Form:
+        return self.bundle.dbar_section([x])[0]
 
-    def dbar(self, comps):
-        return self.bundle.dbar_section(self.wrap(comps))
+    def nabla10(self, x: Form) -> Form:
+        return self.bundle.nabla10_section([x])[0]
 
-    def nabla10(self, comps):
-        return self.bundle.nabla10_section(self.wrap(comps))
+    def dbar_star(self, x: Form) -> Form:
+        return -self.data.star(self.nabla10(self.data.star(x)))
 
-    def star_section(self, comps):
-        return [self.data.star(x) for x in self.wrap(comps)]
-
-    def dbar_star(self, comps):
-        starred = self.star_section(comps)
-        moved = self.nabla10(starred)
-        return [-self.data.star(x) for x in moved]
-
-    def laplacian(self, comps):
-        comps = self.wrap(comps)
-        a = self.dbar(self.dbar_star(comps))
-        b = self.dbar_star(self.dbar(comps))
-        return [x + y for x, y in zip(a, b)]
+    def laplacian(self, x: Form) -> Form:
+        return self.dbar(self.dbar_star(x)) + self.dbar_star(self.dbar(x))
 
 
 def _section_monomials(model: LieACS, p: int, q: int):
@@ -176,16 +152,16 @@ def _section_monomials(model: LieACS, p: int, q: int):
 
 def section_count(model: LieACS, p: int, q: int) -> int:
     """len(_section_monomials(model, p, q)) for p, q >= 0, without the list:
-    the column count of each operator matrix on a rank-one bundle."""
+    the column count of each operator matrix, one column per monomial, as
+    a section is a line-bundle-valued Form."""
     k = model.n if model.basic is None else len(model.basic)
     return comb(k, p) * comb(k, q)
 
 
 class HarmonicBlock:
-    def __init__(self, character, monomials, rank, basis):
+    def __init__(self, character, monomials, basis):
         self.character = character
         self.monomials = monomials
-        self.rank = rank
         self.basis = basis
 
     @property
@@ -193,15 +169,8 @@ class HarmonicBlock:
         return len(self.basis)
 
     def basis_sections(self, n):
-        """Each basis vector as a list of rank Forms."""
-        out = []
-        for vec in self.basis:
-            comps = [{} for _ in range(self.rank)]
-            for col, c in enumerate(vec):
-                mono_idx, frame_idx = divmod(col, self.rank)
-                comps[frame_idx][self.monomials[mono_idx]] = c
-            out.append([_form(n, terms) for terms in comps])
-        return out
+        """Each basis vector as a Form over the block's monomials."""
+        return [_form(n, dict(zip(self.monomials, vec))) for vec in self.basis]
 
 
 class HarmonicSpace:
@@ -216,23 +185,18 @@ class HarmonicSpace:
         return sum(b.dimension for b in self.blocks)
 
 
-def _coordinates(sections):
-    """Each section (a list of Forms, one per frame index) as its coordinate
-    vector over the sorted (frame index, monomial) keys the sections contain."""
-    keys = sorted({(j, key) for sec in sections for j, f in enumerate(sec) for key in f.terms})
-    return [[sec[j].terms.get(key, SS_ZERO) for (j, key) in keys] for sec in sections]
+def _coordinates(forms):
+    """Each Form as its coordinate vector over the sorted monomial keys the
+    forms contain."""
+    keys = sorted({key for f in forms for key in f.terms})
+    return [[f.terms.get(key, SS_ZERO) for key in keys] for f in forms]
 
 
 def _operator_matrix(ctx: SectionContext, monomials, op):
-    """Columns: op applied to each (monomial, frame) basis section; rows: the
-    sorted (frame index, monomial) keys of the images."""
+    """Columns: op applied to each monomial section; rows: the sorted
+    monomial keys of the images."""
     n = ctx.model.n
-    images = []
-    for (a, b) in monomials:
-        for i in range(ctx.rank):
-            comps = [Form.zero(n)] * ctx.rank
-            comps[i] = Form.monomial(n, a, b)
-            images.append(op(comps))
+    images = [op(Form.monomial(n, a, b)) for (a, b) in monomials]
     rows = [list(row) for row in zip(*_coordinates(images))]
     return rows, len(images)
 
@@ -270,7 +234,7 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     for ch in model.characters(bundle_power):
         ctx = SectionContext(model, bundle, ch)
         if not monomials:
-            blocks.append(HarmonicBlock(ch, monomials, ctx.rank, []))
+            blocks.append(HarmonicBlock(ch, monomials, []))
             continue
         lap_rows, ncols = _operator_matrix(ctx, monomials, ctx.laplacian)
         lap_kernel = kernel_basis(lap_rows, ncols=ncols)
@@ -284,7 +248,7 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
             )
         if lap_kernel != both_kernel:
             raise InternalCheckError("harmonic kernels", "they span different spaces")
-        blocks.append(HarmonicBlock(ch, monomials, ctx.rank, both_kernel))
+        blocks.append(HarmonicBlock(ch, monomials, both_kernel))
     return HarmonicSpace(model, p, q, blocks)
 
 
@@ -337,22 +301,14 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
             return verdict("character block dimensions differ")
         sources = sblock.basis_sections(n)
         targets = tblock.basis_sections(n)
-        images = [[data.star(x).conjugate() for x in s] for s in sources]
+        images = [data.star(s).conjugate() for s in sources]
         # each image must lie in the span of the target basis
         coords = _coordinates(targets + images)
         in_target = span_test(coords[:len(targets)])
         if not all(map(in_target, coords[len(targets):])):
             return verdict("Serre image is not harmonic")
         # pairing matrix between the source basis and its images
-        pairing = []
-        for s in sources:
-            row = []
-            for img in images:
-                acc = SS_ZERO
-                for x, y in zip(s, img):
-                    acc = acc + data.integral(x.wedge(y))
-                row.append(acc)
-            pairing.append(row)
+        pairing = [[data.integral(s.wedge(img)) for img in images] for s in sources]
         if not is_nonsingular(pairing):
             return verdict("pairing matrix is singular")
     return verdict()

@@ -71,13 +71,6 @@ class LieAlgebra:
             self._ad[j - 1][i - 1] = [(k - 1, -c) for k, c in vec.items()]
         self._check_jacobi()
 
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a 0-based coefficient list."""
-        out = [SS_ZERO] * self.dim
-        for k, c in self._ad[i - 1].get(j - 1, ()):
-            out[k] = c
-        return out
-
     def bracket_vectors(self, u, v):
         """[u, v] for coefficient lists u, v (0-based, SymScalar entries).
 

@@ -114,23 +114,6 @@ def kernel_basis(rows, ncols=None):
     return basis
 
 
-def solve(rows, rhs):
-    """One solution of A v = rhs, or None if inconsistent."""
-    if len(rhs) != len(rows):
-        raise ValueError("right-hand side length differs from the row count")
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    ech, pivots = row_echelon([list(r) + [b] for r, b in zip(rows, rhs)])
-    # inconsistent iff the right-hand-side column holds a pivot
-    if pivots and pivots[-1] == ncols:
-        return None
-    v = [SS_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        v[pc] = ech[r][ncols]
-    return v
-
-
 def span_test(vectors):
     """A predicate deciding exactly whether a vector lies in the span of the
     given vectors.  row_echelon reduces the vectors once; each reduced row

@@ -67,7 +67,8 @@ def twisted_operators(rng, model):
     out = [(lam, b.dbar_section, b.nabla10_section) for lam, b in bundles]
     for ch in model.characters(1)[1:]:
         ctx = SectionContext(model, character=ch)
-        out.append((ch.lambda_form(model.coframe), ctx.dbar, ctx.nabla10))
+        out.append((ch.lambda_form(model.coframe), lambda x, ctx=ctx: [ctx.dbar(x[0])],
+                    lambda x, ctx=ctx: [ctx.nabla10(x[0])]))
     return out
 
 

@@ -1,10 +1,12 @@
 """Metric pairing, star operator, adjoints, and invariant harmonic spaces."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from acx import hodge, linalg
+from acx.bundles import trivial_structure
 from acx.cli import main
 from acx.errors import InputError, InternalCheckError
 from acx.forms import Form, basis_monomials
@@ -17,10 +19,40 @@ from acx.hodge import (
     volume_form,
 )
 from acx.lie import LieAlgebra, ACStructure, LieACS
-from acx.linalg import identity
+from acx.linalg import identity, row_echelon
 from acx.models import abelian_model, kt_model
-from acx.scalars import PiParam, Scalar, SymScalar
+from acx.scalars import SS_ZERO, PiParam, Scalar, SymScalar
 from acx.torus import kt_irregularity, kt_plurigenus
+
+
+def h(x, y):
+    """The pointwise Hermitian pairing of two forms, linear in x, antilinear
+    in y: monomials orthogonal, h(phi_alpha ^ phibar_beta, same) = 2^(p+q)."""
+    acc = SS_ZERO
+    for key, cx in x.terms.items():
+        cy = y.terms.get(key)
+        if cy is None:
+            continue
+        weight = Fraction(2) ** (len(key[0]) + len(key[1]))
+        acc = acc + cx * cy.conjugate() * SymScalar.const(weight)
+    return acc
+
+
+def solve(rows, rhs):
+    """One solution of A v = rhs, or None if inconsistent."""
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side length differs from the row count")
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    ech, pivots = row_echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    # inconsistent iff the right-hand-side column holds a pivot
+    if pivots and pivots[-1] == ncols:
+        return None
+    v = [SS_ZERO] * ncols
+    for r, pc in enumerate(pivots):
+        v[pc] = ech[r][ncols]
+    return v
 
 
 def star_oracle(data, x):
@@ -45,23 +77,14 @@ def star_oracle(data, x):
             candidate = Form.monomial(n, ta, tb).conjugate()
             row.append(w.wedge(candidate).coefficient(full, full))
         rows.append(row)
-        rhs.append(data.h(w, x) * data.vol_coeff)
-    sol = linalg.solve(rows, rhs)
+        rhs.append(h(w, x) * data.vol_coeff)
+    sol = solve(rows, rhs)
     if sol is None:
         raise InternalCheckError("star oracle", "the system is inconsistent")
     out = Form.zero(n)
     for (ta, tb), c in zip(target, sol):
         out = out + Form.monomial(n, ta, tb, c.conjugate())
     return out
-
-
-def inner(ctx, x_comps, y_comps):
-    """The pointwise pairing of two sections of ctx's bundle, summed over
-    its frame."""
-    acc = SymScalar.const(0)
-    for x, y in zip(ctx.wrap(x_comps), ctx.wrap(y_comps)):
-        acc = acc + ctx.data.h(x, y)
-    return acc
 
 
 A_PARAMS = [
@@ -114,7 +137,7 @@ class TestStar:
         ]
         for x in monos:
             for y in monos:
-                lhs = dV.scale(data.h(x, y))
+                lhs = dV.scale(h(x, y))
                 rhs = x.wedge(data.star(y).conjugate()).project(n, n)
                 assert lhs == rhs
 
@@ -122,15 +145,15 @@ class TestStar:
         n = 2
         data = HermitianData(abelian_model(n))
         one = Form.one(n)
-        assert data.h(one, one) == SymScalar.const(1)
+        assert h(one, one) == SymScalar.const(1)
         x = Form.phi(n, 1)
-        assert data.h(x, x) == SymScalar.const(2)
+        assert h(x, x) == SymScalar.const(2)
         top = Form.monomial(n, (1, 2), (1, 2))
-        assert data.h(top, top) == SymScalar.const(16)
+        assert h(top, top) == SymScalar.const(16)
         i = SymScalar.const(Scalar(0, 1))
-        assert data.h(x.scale(i), x) == i * SymScalar.const(2)
-        assert data.h(x, x.scale(i)) == -i * SymScalar.const(2)
-        assert data.h(x, Form.phibar(n, 1)) == SymScalar.const(0)
+        assert h(x.scale(i), x) == i * SymScalar.const(2)
+        assert h(x, x.scale(i)) == -i * SymScalar.const(2)
+        assert h(x, Form.phibar(n, 1)) == SymScalar.const(0)
 
     def test_integral_normalization(self):
         for n in (1, 2, 3):
@@ -152,8 +175,8 @@ class TestAdjointness:
             for q in range(n):
                 for x in _all_monomial_forms(n, p, q):
                     for y in _all_monomial_forms(n, p, q + 1):
-                        lhs = inner(ctx, ctx.dbar([x]), [y])
-                        rhs = inner(ctx, [x], ctx.dbar_star([y]))
+                        lhs = h(ctx.dbar(x), y)
+                        rhs = h(x, ctx.dbar_star(y))
                         assert lhs == rhs
 
     def test_dbar_star_is_the_exact_adjoint_on_abelian(self):
@@ -163,9 +186,7 @@ class TestAdjointness:
             for q in range(2):
                 for x in _all_monomial_forms(2, p, q):
                     for y in _all_monomial_forms(2, p, q + 1):
-                        assert inner(ctx, ctx.dbar([x]), [y]) == inner(
-                            ctx, [x], ctx.dbar_star([y])
-                        )
+                        assert h(ctx.dbar(x), y) == h(x, ctx.dbar_star(y))
 
     def test_adjointness_inside_a_character_block(self):
         model = kt_model(PiParam.rational_pi(4))
@@ -176,18 +197,14 @@ class TestAdjointness:
             ctx = SectionContext(model, character=ch)
             for x in _all_monomial_forms(2, 0, 0):
                 for y in _all_monomial_forms(2, 0, 1):
-                    assert inner(ctx, ctx.dbar([x]), [y]) == inner(
-                        ctx, [x], ctx.dbar_star([y])
-                    )
+                    assert h(ctx.dbar(x), y) == h(x, ctx.dbar_star(y))
 
     def test_laplacian_is_self_adjoint_and_nonnegative_diagonal(self):
         model = kt_model(PiParam.generic())
         ctx = SectionContext(model)
         for x in _all_monomial_forms(2, 1, 1):
             for y in _all_monomial_forms(2, 1, 1):
-                assert inner(ctx, ctx.laplacian([x]), [y]) == inner(
-                    ctx, [x], ctx.laplacian([y])
-                )
+                assert h(ctx.laplacian(x), y) == h(x, ctx.laplacian(y))
 
 
 class TestHarmonicSpaces:
@@ -247,6 +264,43 @@ class TestHarmonicSpaces:
         keys = {blk.character.key() for blk in space.blocks}
         assert len(keys) == len(space.blocks)
         assert sum(blk.dimension for blk in space.blocks) == space.dimension
+
+    @pytest.mark.parametrize("m", [1, -1, 2])
+    def test_twisted_serre_pairing_on_kt(self, m):
+        """K^m against K^-m on kt(4 pi): the source and target blocks carry
+        nontrivial conjugate characters."""
+        model = kt_model(PiParam.rational_pi(4))
+        dims = {}
+        for p in range(3):
+            for q in range(3):
+                report = serre_pairing_check(model, p, q, bundle_power=m)
+                assert report.ok, (p, q, report.detail)
+                dims[(p, q)] = report.dim_source
+        if m == 1:
+            assert dims[(1, 1)] == 3
+        if m == -1:
+            assert dims[(2, 1)] == 2
+        space = invariant_harmonic_space(model, 1, 1, bundle_power=m)
+        assert any(b.dimension for b in space.blocks if not b.character.is_trivial())
+
+
+class TestLineBundles:
+    """Harmonic sections are valued in line bundles: a section is a Form."""
+
+    @pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "character"])
+    def test_a_bundle_of_rank_two_is_refused(self, twisted):
+        model = kt_model(PiParam.rational_pi(4))
+        ch = model.characters(1)[1] if twisted else None
+        assert ch is None or not ch.is_trivial()
+        with pytest.raises(InputError, match="line bundles"):
+            SectionContext(model, trivial_structure(model, 2), ch)
+
+    def test_operators_take_and_return_a_form(self):
+        model = kt_model(PiParam.rational_pi(4))
+        ctx = SectionContext(model, character=model.characters(1)[1])
+        x = Form.monomial(2, (1,), ())
+        for op in (ctx.dbar, ctx.nabla10, ctx.dbar_star, ctx.laplacian):
+            assert isinstance(op(x), Form)
 
 
 class TestCrossChecksFail:

@@ -26,6 +26,24 @@ A_GENERIC = PiParam.generic()
 A_4PI = PiParam.rational_pi(4)
 
 
+def unit(dim, i):
+    """e_i (1-based) as a coefficient list."""
+    return [SS_ONE if k == i - 1 else SS_ZERO for k in range(dim)]
+
+
+def table_bracket(alg, i, j):
+    """[e_i, e_j] read off the brackets table, which holds i < j only:
+    [e_j, e_i] = -[e_i, e_j], and [e_i, e_i] = 0."""
+    out = [SS_ZERO] * alg.dim
+    if i < j:
+        for k, c in alg.brackets.get((i, j), {}).items():
+            out[k - 1] = c
+    elif j < i:
+        for k, c in alg.brackets.get((j, i), {}).items():
+            out[k - 1] = -c
+    return out
+
+
 def ce_d(alg, form):
     """d on the real exterior algebra (Forms keyed (idx, ())) by the graded
     Leibniz rule."""
@@ -101,10 +119,10 @@ class TestLieAlgebra:
     def test_kt_bracket_table(self):
         alg = kt_algebra()
         assert alg.dim == 4
-        e4 = [SS_ZERO, SS_ZERO, SS_ZERO, SS_ONE]
-        assert alg.bracket_basis(2, 3) == e4
-        assert alg.bracket_basis(3, 2) == [-c for c in e4]
-        assert alg.bracket_basis(1, 2) == [SS_ZERO] * 4
+        e = [None] + [unit(4, i) for i in range(1, 5)]
+        assert alg.bracket_vectors(e[2], e[3]) == e[4] == table_bracket(alg, 2, 3)
+        assert alg.bracket_vectors(e[3], e[2]) == [-c for c in e[4]]
+        assert alg.bracket_vectors(e[1], e[2]) == [SS_ZERO] * 4
         assert alg.is_unimodular()
 
     def test_differential_of_generators(self):
@@ -411,10 +429,9 @@ class TestSparseBracket:
     def test_basis_brackets_match_the_table(self, sparse_models):
         alg, _ = sparse_models["g2"]
         for i in range(1, alg.dim + 1):
-            ei = [SS_ONE if k == i - 1 else SS_ZERO for k in range(alg.dim)]
             for j in range(1, alg.dim + 1):
-                ej = [SS_ONE if k == j - 1 else SS_ZERO for k in range(alg.dim)]
-                assert alg.bracket_vectors(ei, ej) == alg.bracket_basis(i, j)
+                got = alg.bracket_vectors(unit(alg.dim, i), unit(alg.dim, j))
+                assert got == table_bracket(alg, i, j)
 
     def test_perturbed_g2_constant_fails_jacobi_at_first_bad_triple(self, sparse_models):
         alg, _ = sparse_models["g2"]

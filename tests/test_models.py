@@ -18,6 +18,8 @@ from acx.models import (
 from acx.scalars import PiParam
 from acx.torus import kt_plurigenus
 
+from test_lie import table_bracket, unit
+
 
 A_4PI = PiParam.rational_pi(4)
 
@@ -100,7 +102,9 @@ class TestModelFiles:
             "J": [["0", "-1"], ["1", "0"]],
         }
         model, _ = load_model_file(write_model(tmp_path, obj))
-        vec = model.alg.bracket_basis(1, 2)
+        alg = model.alg
+        vec = alg.bracket_vectors(unit(2, 1), unit(2, 2))
+        assert vec == table_bracket(alg, 1, 2)
         assert not vec[0].is_zero()
 
     def test_parametric_entry_without_params_is_rejected(self, tmp_path):
