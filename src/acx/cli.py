@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -688,5 +689,48 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+def _tool_attached() -> bool:
+    """A profiler or tracer (cProfile, coverage, a debugger) is attached."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return (
+        sys.getprofile() is not None
+        or sys.gettrace() is not None
+        or (monitoring is not None
+            and any(monitoring.get_tool(i) is not None for i in range(6)))
+    )
+
+
+def console_main() -> None:
+    """Run `main` on sys.argv and end the process with its exit code: the
+    `acx` script and `python -m acx.cli`.
+
+    Once stdout and stderr are flushed no output depends on the rest of the
+    process, so it ends with os._exit and skips interpreter teardown (module
+    teardown, a final garbage collection, freeing every object), 9-15 ms of
+    each invocation (Python 3.11, 2-vCPU Xeon VM).  It leaves through
+    sys.exit, as a plain script does, when a flush fails or a stream is
+    closed (None), so the interpreter reports it as before, or when a
+    profiler or tracer is attached, since those report at exit.
+    KeyboardInterrupt, and a SystemExit whose code is not an int or None,
+    pass through.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        # argparse leaves this way after --help, --version and usage errors
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    if not _tool_attached():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -3,10 +3,11 @@
 import io
 import json
 import os
+import sys
 
 import pytest
 
-from acx import __version__
+from acx import __version__, cli
 from acx.cli import main, run
 from acx.errors import InputError, RefusalError
 from acx.forms import Form
@@ -563,6 +564,62 @@ class TestMainExitCodes:
         assert not isinstance(exc, (ValueError, RefusalError))
         assert exc.check == "star oracle"
         assert str(exc) == "star oracle: the system is inconsistent"
+
+
+class TestConsoleMain:
+    """How `console_main`, the `acx` script, ends the process.  os._exit is
+    replaced by a recorder, so the test process survives."""
+
+    @pytest.fixture
+    def exits(self, monkeypatch):
+        recorded = []
+
+        def fake_exit(code):
+            recorded.append(code)
+            raise SystemExit("os._exit")
+
+        monkeypatch.setattr(os, "_exit", fake_exit)
+        monkeypatch.setattr(cli, "_tool_attached", lambda: False)
+        return recorded
+
+    @staticmethod
+    def console_main(monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["acx", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main()
+        return exc.value.code
+
+    @pytest.mark.parametrize("argv, code", [
+        (["rr", "--genus", "2", "--m", "2"], 0),
+        (["--version"], 0),
+        (["bogus"], 2),
+        (["rr", "--genus", "1", "--m", "2"], 2),
+    ], ids=["success", "version", "usage-error", "input-error"])
+    def test_flushes_then_ends_with_os_exit(self, monkeypatch, exits, argv, code):
+        assert self.console_main(monkeypatch, argv) == "os._exit"
+        assert exits == [code]
+
+    def test_failed_flush_ends_through_sys_exit(self, monkeypatch, exits):
+        class Unflushable(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Unflushable())
+        assert self.console_main(monkeypatch, ["rr", "--genus", "2", "--m", "2"]) == 0
+        assert exits == []
+
+    def test_attached_tool_ends_through_sys_exit(self, monkeypatch, exits):
+        monkeypatch.setattr(cli, "_tool_attached", lambda: True)
+        assert self.console_main(monkeypatch, ["bogus"]) == 2
+        assert exits == []
+
+    def test_other_exits_pass_through(self, monkeypatch, exits):
+        def leave(args):
+            raise SystemExit("stopped")
+
+        monkeypatch.setitem(cli._HANDLERS, "rr", leave)
+        assert self.console_main(monkeypatch, ["rr", "--genus", "2"]) == "stopped"
+        assert exits == []
 
 
 _LITERAL_OVER = "rational literal over 1000 digits"

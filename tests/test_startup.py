@@ -1,17 +1,23 @@
-"""What an invocation loads and builds: the per-subcommand imports and the
-one-subparser parser.
+"""What an invocation loads and builds, and how its process ends: the
+per-subcommand imports, the one-subparser parser and the exit without
+interpreter teardown.
 
 Each subcommand imports the library modules it uses when it runs, and the
 parser is built with only the subparser that argv names.  The in-process
 golden run cannot see a missing import once an earlier case has imported the
 module, so the smoke cases here run in fresh processes.  The usage corpus
 pins help text and argparse errors to the bytes the full parser prints.
+A process ends with os._exit once its output is flushed, which only a fresh
+process shows: every exit code, the help paths, a failing stdout, an
+interrupt and an attached profiler are run in one.
 """
 
+import ast
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -44,6 +50,7 @@ USAGE_CASES = (
     ]
 )
 ARGPARSE_ERRORS = [case for case in USAGE_CASES if case[2] == 2]
+HELP_AND_VERSION = [case for case in USAGE_CASES if case[2] == 0]
 
 
 def _kind(argv):
@@ -70,12 +77,15 @@ def _smoke_cases():
 SMOKE_CASES = _smoke_cases()
 
 
-def fresh_process(args):
-    """Run `python <args>` from the repository root in a new process."""
+def fresh_process(args, stdout=subprocess.PIPE):
+    """Run `python <args>` from the repository root in a new process, with
+    stdout block-buffered as a user has it unless args pass -u."""
     env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, *args], cwd=golden.REPO_ROOT, env=env,
-        stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+        stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE,
+        timeout=120,
     )
 
 
@@ -101,6 +111,16 @@ def test_argparse_error_in_a_fresh_process(name, argv, code):
     assert proc.returncode == code
     assert proc.stdout == b""
     assert proc.stderr == (USAGE_DIR / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name, argv, code", HELP_AND_VERSION,
+                         ids=[case[0] for case in HELP_AND_VERSION])
+def test_help_and_version_in_a_fresh_process(name, argv, code):
+    # argparse leaves through SystemExit(0); its output must still be flushed
+    proc = fresh_process(["-m", "acx.cli", *argv])
+    assert proc.returncode == code
+    assert proc.stdout == (USAGE_DIR / f"{name}.txt").read_bytes()
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("name, argv, code", USAGE_CASES,
@@ -153,3 +173,101 @@ def test_every_export_resolves():
     import acx
 
     assert [name for name in acx.__all__ if not hasattr(acx, name)] == []
+
+
+# Runs acx.cli as __main__, as `python -m acx.cli` does, after a patch.
+_PATCHED_RUN = """
+import runpy
+{patch}
+runpy.run_module("acx.cli", run_name="__main__", alter_sys=True)
+"""
+
+# each block asks for the Laplacian kernel, then for ker dbar intersect
+# ker dbar*: the second answer loses a vector (TestCrossChecksFail in
+# test_hodge.py)
+_TAMPER_SECOND_KERNEL = """
+from acx import hodge
+real, calls = hodge.kernel_basis, []
+def fake(rows, ncols=None):
+    basis = real(rows, ncols=ncols)
+    calls.append(rows)
+    return basis[:-1] if len(calls) % 2 == 0 else basis
+hodge.kernel_basis = fake
+"""
+
+_INTERRUPT = """
+from acx import torus
+def interrupted(*args):
+    raise KeyboardInterrupt
+torus.rr_plurigenus = interrupted
+"""
+
+
+def test_failed_internal_check_in_a_fresh_process():
+    proc = fresh_process(["-c", _PATCHED_RUN.format(patch=_TAMPER_SECOND_KERNEL),
+                          "hodge", "--model", "kt", "--a", "generic", "--p", "1", "--q", "1"])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"internal check failed: harmonic kernels: ")
+    assert proc.stderr.count(b"\n") == 1
+
+
+def test_interrupt_in_a_fresh_process():
+    proc = fresh_process(["-c", _PATCHED_RUN.format(patch=_INTERRUPT), "rr", "--genus", "2"])
+    assert proc.returncode == -2  # ended by SIGINT, as an uncaught interrupt ends Python
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"Traceback (most recent call last):\n")
+    assert proc.stderr.endswith(b"\nKeyboardInterrupt\n")
+
+
+# 20 kB of report, more than a stdout buffer holds, so the write inside run
+# fails whether stdout is buffered or not
+_LARGE_REPORT = ["plurigenera", "--model", "kt", "--a", "pi", "--m", "1..1000"]
+
+
+@pytest.mark.parametrize("unbuffered", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_is_an_internal_error(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = fresh_process([*unbuffered, "-m", "acx.cli", *_LARGE_REPORT], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == b"internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_full_device_stdout_is_an_internal_error(unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = fresh_process([*unbuffered, "-m", "acx.cli", *_LARGE_REPORT], stdout=full)
+    assert proc.returncode == 3
+    assert proc.stderr == b"internal error: OSError: [Errno 28] No space left on device\n"
+
+
+def test_closed_stdout_is_an_internal_error():
+    # a process started with descriptor 1 closed has sys.stdout None
+    close_stdout = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+    proc = fresh_process(["-c", close_stdout, sys.executable, "-m", "acx.cli",
+                          "rr", "--genus", "2"])
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        b"internal error: AttributeError: 'NoneType' object has no attribute 'write'\n")
+
+
+def test_profiler_reports_in_a_fresh_process():
+    proc = fresh_process(["-m", "cProfile", "-s", "tottime", "-m", "acx.cli",
+                          "rr", "--genus", "2"])
+    assert proc.returncode == 0
+    assert b"function calls" in proc.stdout
+
+
+def test_acx_script_is_the_main_block_entry():
+    text = (golden.REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S)
+    script = re.search(r'^acx = "acx\.cli:(\w+)"$', scripts.group(1), re.M)
+    tree = ast.parse((golden.REPO_ROOT / "src" / "acx" / "cli.py").read_text("utf-8"))
+    block = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block[0].body] == [f"{script.group(1)}()"]
