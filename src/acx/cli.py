@@ -670,7 +670,11 @@ def run(argv: Sequence[str], stdout=None) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return run(sys.argv[1:] if argv is None else argv)
+        code = run(sys.argv[1:] if argv is None else argv)
+        # a report that fits the stdout buffer is written here, so a failed
+        # write is an internal error whatever the buffering
+        sys.stdout.flush()
+        return code
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
@@ -707,28 +711,30 @@ def console_main() -> None:
     Once stdout and stderr are flushed no output depends on the rest of the
     process, so it ends with os._exit and skips interpreter teardown (module
     teardown, a final garbage collection, freeing every object), 9-15 ms of
-    each invocation (Python 3.11, 2-vCPU Xeon VM).  It leaves through
-    sys.exit, as a plain script does, when a flush fails or a stream is
-    closed (None), so the interpreter reports it as before, or when a
-    profiler or tracer is attached, since those report at exit.
-    KeyboardInterrupt, and a SystemExit whose code is not an int or None,
-    pass through.
+    each invocation (Python 3.11, 2-vCPU Xeon VM).  A flush that fails after
+    `main` returned fails on a report `main` has already flushed and
+    reported as an internal error, so the process still ends with os._exit
+    and its code.  It leaves through sys.exit, as a plain script does, when
+    a flush fails after argparse's SystemExit, so the interpreter reports
+    it, or when a profiler or tracer is attached, since those report at
+    exit.  KeyboardInterrupt, and a SystemExit whose code is not an int or
+    None, pass through.
     """
     try:
-        code = main()
+        code, reported = main(), True
     except SystemExit as exc:
         # argparse leaves this way after --help, --version and usage errors
         if exc.code is not None and not isinstance(exc.code, int):
             raise
-        code = exc.code or 0
+        code, reported = exc.code or 0, False
     if not _tool_attached():
         try:
             sys.stdout.flush()
             sys.stderr.flush()
         except (AttributeError, OSError, ValueError):
-            pass
-        else:
-            os._exit(code)
+            if not reported:
+                sys.exit(code)
+        os._exit(code)
     sys.exit(code)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .scalars import SS_ONE, SS_ZERO, SymScalar, _Frozen
+from .scalars import SS_ZERO, SymScalar, _Frozen
 
 
 class MultiIndex(tuple):
@@ -278,21 +278,37 @@ def d_monomial(n: int, alpha, beta, d_generator) -> Form:
     With g_1..g_k = phi^alpha then phibar^beta, d is the sum over r of
     (-1)^(r-1) d(g_r) wedge (the monomial without g_r): d(g_r) is a 2-form,
     so it moves to the front without a sign, and dropping g_r from a Form
-    key (alpha, beta) keeps the canonical order.  d_generator(A) is d of
-    phi^(A+1) for A < n and of phibar^(A+1-n) otherwise.
+    key (alpha, beta) keeps the canonical order.  Each term of d(g_r) is
+    merged with that rest monomial, with the sign of the merge, straight
+    into one dict: k reads of d_generator and no Form.wedge.  d_generator(A)
+    is d of phi^(A+1) for A < n and of phibar^(A+1-n) otherwise.
     """
-    out = Form.zero(n)
+    terms = {}
     gens = [a - 1 for a in alpha] + [n + b - 1 for b in beta]
     p = len(alpha)
     for r, A in enumerate(gens):
         if r < p:
-            key = (tuple.__new__(MultiIndex, alpha[:r] + alpha[r + 1:]), beta)
+            ra, rb = alpha[:r] + alpha[r + 1:], beta
         else:
             s = r - p
-            key = (alpha, tuple.__new__(MultiIndex, beta[:s] + beta[s + 1:]))
-        rest = _form(n, {key: SS_ONE if r % 2 == 0 else -SS_ONE})
-        out = out + d_generator(A).wedge(rest)
-    return out
+            ra, rb = alpha, beta[:s] + beta[s + 1:]
+        for (a1, b1), c in d_generator(A).terms.items():
+            ma = merge_indices(a1, ra)
+            if ma is None:
+                continue
+            mb = merge_indices(b1, rb)
+            if mb is None:
+                continue
+            # (-1)^r from the Leibniz rule (r counts from 0), and phi_ra
+            # moves past phibar_b1
+            sign = ma[1] * mb[1] * (-1 if (r + len(b1) * len(ra)) % 2 else 1)
+            key = (ma[0], mb[0])
+            acc = terms.get(key)
+            if sign > 0:
+                terms[key] = c if acc is None else acc + c
+            else:
+                terms[key] = -c if acc is None else acc - c
+    return _form(n, terms)
 
 
 def basis_monomials(n: int, p: int, q: int):

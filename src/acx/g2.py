@@ -12,11 +12,13 @@ indices, like K^m on any other model.
 A G2Element is held lifted, in the convention of Scalar and of the
 polynomial kernels in scalars: its coordinates and matrix entries are
 Gaussian-integer pairs (re, im) over one denominator den > 0, with gcd 1
-over all of them.  Commutators, the re-entry check, the Jacobi sums, the
-h-closure test and the membership sample run on those integers, and
-CrossProduct.is_member reads the integers of its Scalar entries.  Scalars
-appear only as views at the API boundary (x, y, entries, matrix,
-coordinates(), flatten()) and in refusal messages.
+over all of them.  Commutators, the re-entry check, the Jacobi sums and
+the h-closure test run on those integers, and so do the membership and
+three-form invariance kernels of CrossProduct: is_member and
+preserves_form lift a Scalar matrix once, while the membership sample and
+the projection check hand them an element's own entries.  Scalars appear
+only as views at the API boundary (x, y, entries, matrix, coordinates(),
+flatten()), as the span test's input and in refusal messages.
 """
 
 from __future__ import annotations
@@ -91,11 +93,16 @@ def _placements():
 
 @lru_cache(maxsize=1)
 def _readout():
-    """Where _from_entries reads each coordinate, with its sign: the first
-    entry, row by row, that no other coordinate places."""
+    """Where _from_entries reads each coordinate, as {(i, j): (k, sign)}:
+    coordinate k is sign times the first entry, row by row, that no other
+    coordinate places."""
     places = _placements()
     shared = Counter(pos for p in places for pos, _ in p)
-    return tuple(next((pos, s) for pos, s in p if shared[pos] == 1) for p in places)
+    out = {}
+    for k, p in enumerate(places):
+        pos, sign = next((pos, s) for pos, s in p if shared[pos] == 1)
+        out[pos] = (k, sign)
+    return out
 
 
 def _place(coords: Dict[int, Lifted]) -> Dict[Tuple[int, int], Lifted]:
@@ -110,6 +117,17 @@ def _place(coords: Dict[int, Lifted]) -> Dict[Tuple[int, int], Lifted]:
             else:
                 E[pos] = (r, i) if t is None else (t[0] + r, t[1] + i)
     return {p: v for p, v in E.items() if v[0] or v[1]}
+
+
+def _lift_matrix(A) -> Tuple[Dict[Tuple[int, int], Lifted], int]:
+    """The nonzero entries {(i, j): (re, im)} of a 7x7 matrix, lifted over
+    one denominator, and that denominator."""
+    A = tuple(tuple(c if type(c) is Scalar else _sc(c) for c in row) for row in A)
+    if len(A) != N or any(len(row) != N for row in A):
+        raise InputError("matrix must be 7x7")
+    nonzero = {(i, j): c for i, row in enumerate(A) for j, c in enumerate(row) if c}
+    re, im, den = _lift(nonzero.values())
+    return dict(zip(nonzero, zip(re, im))), den
 
 
 def _view(v, den: int) -> Scalar:
@@ -134,6 +152,7 @@ def _element(coords: Dict[int, Lifted], den: int, entries=None) -> "G2Element":
     _setcoords(e, coords)
     _setentries(e, _place(coords) if entries is None else entries)
     _setscalars(e, None)
+    _setrows(e, None)
     return e
 
 
@@ -143,9 +162,11 @@ class G2Element(_Frozen):
     {(i, j): (re, im)} of its 7x7 matrix, all Gaussian integers over one
     denominator den > 0 with gcd 1 over all of them, so that equal elements
     are held alike.  x, y, entries, matrix, coordinates() and flatten() are
-    Scalar views built on demand; coordinates given as Scalars are kept."""
+    Scalar views built on demand; coordinates given as Scalars are kept.
+    The entries by row, [(j, (re, im)), ...] for each row i, are filled in
+    on first use by _row_index."""
 
-    __slots__ = ("den", "_coords", "_entries", "_scalars")
+    __slots__ = ("den", "_coords", "_entries", "_scalars", "_rows")
 
     def __init__(self, x: Sequence, y: Sequence):
         x = tuple(c if type(c) is Scalar else _sc(c) for c in x)
@@ -165,6 +186,7 @@ class G2Element(_Frozen):
         _setcoords(self, coords)
         _setentries(self, _place(coords))
         _setscalars(self, scalars)
+        _setrows(self, None)
 
     def coordinates(self) -> Tuple[Scalar, ...]:
         if self._scalars is not None:
@@ -204,22 +226,18 @@ class G2Element(_Frozen):
         A matrix outside the coordinate pattern (hence outside the algebra)
         is rejected.
         """
-        A = tuple(tuple(_sc(c) for c in row) for row in A)
-        if len(A) != N or any(len(row) != N for row in A):
-            raise InputError("matrix must be 7x7")
-        nonzero = {(i, j): c for i, row in enumerate(A) for j, c in enumerate(row) if c}
-        re, im, den = _lift(nonzero.values())
-        return G2Element._from_entries(dict(zip(nonzero, zip(re, im))), den)
+        return G2Element._from_entries(*_lift_matrix(A))
 
     @staticmethod
     def _from_entries(E: Dict[Tuple[int, int], Lifted], den: int) -> "G2Element":
         """from_matrix on nonzero lifted entries over den.  Neither side holds
         a zero, so equal dicts mean that all 49 entries agree."""
         coords = {}
-        for k, (p, s) in enumerate(_readout()):
-            v = E.get(p)
-            if v is not None:
-                coords[k] = v if s > 0 else (-v[0], -v[1])
+        readout = _readout()
+        for p, v in E.items():
+            ks = readout.get(p)
+            if ks is not None:
+                coords[ks[0]] = v if ks[1] > 0 else (-v[0], -v[1])
         forced = _place(coords)
         if forced != E:
             i, j = min(p for p in E.keys() | forced.keys() if E.get(p) != forced.get(p))
@@ -278,6 +296,18 @@ _setden = G2Element.__dict__["den"].__set__
 _setcoords = G2Element.__dict__["_coords"].__set__
 _setentries = G2Element.__dict__["_entries"].__set__
 _setscalars = G2Element.__dict__["_scalars"].__set__
+_setrows = G2Element.__dict__["_rows"].__set__
+
+
+def _row_index(e: G2Element) -> List[List[Tuple[int, Lifted]]]:
+    """The nonzero lifted entries of e by row, built once per element."""
+    rows = e._rows
+    if rows is None:
+        rows = [[] for _ in range(N)]
+        for (k, j), v in e._entries.items():
+            rows[k].append((j, v))
+        _setrows(e, rows)
+    return rows
 
 
 def _commutator_entries(a: G2Element, b: G2Element):
@@ -285,9 +315,7 @@ def _commutator_entries(a: G2Element, b: G2Element):
     from nonzero entries only, with that denominator."""
     C: Dict[Tuple[int, int], List[int]] = {}
     for sign, p, q in ((1, a, b), (-1, b, a)):
-        q_rows: List[list] = [[] for _ in range(N)]
-        for (k, j), v in q._entries.items():
-            q_rows[k].append((j, v))
+        q_rows = _row_index(q)
         for (i, k), (x, y) in p._entries.items():
             if sign < 0:
                 x, y = -x, -y
@@ -318,16 +346,7 @@ def bracket(a: G2Element, b: G2Element) -> G2Element:
 @lru_cache(maxsize=1)
 def g2_basis() -> Dict[str, G2Element]:
     """The fourteen basis elements f1..f6, h1..h8."""
-    out: Dict[str, G2Element] = {}
-    for i in range(X_DIM):
-        x = [0] * X_DIM
-        x[i] = 1
-        out[f"f{i + 1}"] = G2Element(x, (0,) * Y_DIM)
-    for j in range(Y_DIM):
-        y = [0] * Y_DIM
-        y[j] = 1
-        out[f"h{j + 1}"] = G2Element((0,) * X_DIM, y)
-    return out
+    return {name: _element({k: (1, 0)}, 1) for k, name in enumerate(BASIS_NAMES)}
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +547,12 @@ def _epsilon() -> Dict[Tuple[int, int, int], int]:
 class CrossProduct:
     """The seven-dimensional cross product and the calibration three-form.
 
-    Besides epsilon it keeps two 0-based tables read off it: the (k, sign)
-    terms of each product u_i v_j in u x v, and for each row i the terms
-    (j, k, sign) with j < k of the contraction sum_{j,k} eps_{ijk} A[j][k].
+    Besides epsilon it keeps three 0-based tables read off it: the (k, sign)
+    terms of each product u_i v_j in u x v; for each row i the terms
+    (j, k, sign) with j < k of the contraction sum_{j,k} eps_{ijk} A[j][k];
+    and for each basis triple (i, j, k), i < j < k, the terms (l, c, sign)
+    of sum_l A[l][i] eps(l,j,k) + A[l][j] eps(i,l,k) + A[l][k] eps(i,j,l),
+    the three-form's infinitesimal change under A on (e_i, e_j, e_k).
     """
 
     def __init__(self):
@@ -541,6 +563,15 @@ class CrossProduct:
             self._cross.setdefault((i - 1, j - 1), []).append((k - 1, sign))
             if j < k:
                 self._contractions[i - 1].append((j - 1, k - 1, sign))
+        self._invariance: List[List[Tuple[int, int, int]]] = []
+        for triple in itertools.combinations(range(1, N + 1), 3):
+            terms = []
+            for slot, c in enumerate(triple):
+                for l in range(1, N + 1):
+                    sign = self.epsilon.get(triple[:slot] + (l,) + triple[slot + 1:])
+                    if sign:
+                        terms.append((l - 1, c - 1, sign))
+            self._invariance.append(terms)
 
     @staticmethod
     def _vec(u) -> Tuple[Scalar, ...]:
@@ -584,57 +615,46 @@ class CrossProduct:
 
     def is_member(self, A) -> bool:
         """Matrix membership: skew-symmetry plus the seven contractions
-        sum_{j,k} eps_{ijk} A[j][k] = 0.
+        sum_{j,k} eps_{ijk} A[j][k] = 0, decided on the lifted entries."""
+        return self._is_member_lifted(_lift_matrix(A)[0])
 
-        Both run on the entries' integers (a + b*i)/d, which are canonical.
-        Skew-symmetry takes one comparison of (a, b, d) with (-a', -b', d')
-        per unordered pair i <= j.  On a skew matrix the (j, k) and (k, j)
-        terms of a contraction are equal, so each row of the contraction
-        table holds the terms with j < k only; zero entries are skipped and
-        the rest are summed over the lcm of their denominators.
+    def _is_member_lifted(self, E: Dict[Tuple[int, int], Lifted]) -> bool:
+        """is_member on nonzero entries (re, im) over one denominator.
+
+        Neither E nor a zero sum depends on the denominator: a sum of
+        entries over one denominator is zero exactly when its integer
+        numerator is.  Skew-symmetry takes one comparison per nonzero entry
+        with its transpose (a diagonal entry fails it).  On a skew matrix
+        the (j, k) and (k, j) terms of a contraction are equal, so each row
+        of the contraction table holds the terms with j < k only.
         """
-        A = tuple(tuple(c if type(c) is Scalar else _sc(c) for c in row) for row in A)
-        if len(A) != N or any(len(row) != N for row in A):
-            raise InputError("matrix must be 7x7")
-        for i, row in enumerate(A):
-            for j in range(i, N):
-                a, b = row[j], A[j][i]
-                if a.a != -b.a or a.b != -b.b or a.d != b.d:
-                    return False
-        for terms in self._contractions:
-            nonzero = [(A[j][k], sign) for j, k, sign in terms if A[j][k]]
-            den = lcm(*[a.d for a, _ in nonzero])
-            re = im = 0
-            for a, sign in nonzero:
-                s = den // a.d if sign > 0 else -(den // a.d)
-                re += a.a * s
-                im += a.b * s
-            if re or im:
+        for (i, j), (r, m) in E.items():
+            if E.get((j, i)) != (-r, -m):
                 return False
-        return True
+        return all(_vanishes(E, terms) for terms in self._contractions)
 
     def preserves_form(self, A) -> bool:
-        """Infinitesimal invariance of the three-form on all 35 basis triples.
+        """Infinitesimal invariance of the three-form on all 35 basis
+        triples, decided on the lifted entries."""
+        return self._preserves_form_lifted(_lift_matrix(A)[0])
 
-        On (e_i, e_j, e_k) the contraction is sum_l A[l][i] eps(l,j,k) +
-        A[l][j] eps(i,l,k) + A[l][k] eps(i,j,l), taken over nonzero A[l][.].
-        """
-        A = tuple(tuple(_sc(c) for c in row) for row in A)
-        # A e_c is column c of A; 1-indexed like the eps keys
-        columns = {
-            c + 1: [(l + 1, A[l][c]) for l in range(N) if not A[l][c].is_zero()]
-            for c in range(N)
-        }
-        for triple in itertools.combinations(range(1, N + 1), 3):
-            total = _sc(0)
-            for slot, c in enumerate(triple):
-                for l, a in columns[c]:
-                    sign = self.epsilon.get(triple[:slot] + (l,) + triple[slot + 1:])
-                    if sign:
-                        total = total + a if sign > 0 else total - a
-            if not total.is_zero():
-                return False
-        return True
+    def _preserves_form_lifted(self, E: Dict[Tuple[int, int], Lifted]) -> bool:
+        """preserves_form on nonzero entries (re, im) over one denominator:
+        one integer sum per basis triple, from its row of the invariance
+        table."""
+        return all(_vanishes(E, terms) for terms in self._invariance)
+
+
+def _vanishes(E: Dict[Tuple[int, int], Lifted], terms) -> bool:
+    """Is sum sign * E[(j, k)] over the (j, k, sign) terms zero?  Entries
+    absent from E are zero."""
+    re = im = 0
+    for j, k, sign in terms:
+        v = E.get((j, k))
+        if v is not None:
+            re += sign * v[0]
+            im += sign * v[1]
+    return not (re or im)
 
 
 @lru_cache(maxsize=1)
@@ -711,7 +731,7 @@ def membership_sample_check(
         elem = _element(
             {k: (n * (den // d), 0) for k, (n, d) in enumerate(coeffs) if n}, den
         )
-        if not cp.is_member(elem.matrix):
+        if not cp._is_member_lifted(elem._entries):
             member_failures.append(trial)
 
     nonmember_failures = []
@@ -721,17 +741,17 @@ def membership_sample_check(
         attempts += 1
         if attempts > 50 * nonmembers:
             raise RefusalError("could not sample enough off-span skew matrices")
-        A = [[_sc(0)] * N for _ in range(N)]
+        E: Dict[Tuple[int, int], Lifted] = {}
         for i in range(N):
             for j in range(i + 1, N):
                 v = rng.randint(-9, 9)
-                A[i][j] = _sc(v)
-                A[j][i] = _sc(-v)
-        flat = [A[i][j] for i in range(N) for j in range(N)]
+                if v:
+                    E[i, j], E[j, i] = (v, 0), (-v, 0)
+        flat = [_view(E.get((i, j)), 1) for i in range(N) for j in range(N)]
         if in_basis_span(flat):
             continue
         checked += 1
-        if cp.is_member(A):
+        if cp._is_member_lifted(E):
             nonmember_failures.append(attempts)
     return Report(
         not member_failures and not nonmember_failures,
@@ -835,7 +855,7 @@ def verify_projection() -> Report:
     form_preservation_failures = [
         name
         for name in BASIS_NAMES
-        if not cp.preserves_form(basis[name].matrix)
+        if not cp._preserves_form_lifted(basis[name]._entries)
     ]
     return Report(
         kernel_is_h_span and image_ok and not intertwine_failures

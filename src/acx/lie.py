@@ -31,7 +31,7 @@ from itertools import combinations
 from .errors import InputError, InternalCheckError
 from .forms import Form, MultiIndex, _form, d_monomial
 from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon
-from .scalars import SS_ONE, SS_ZERO, S_I, SymScalar
+from .scalars import SS_ONE, SS_ZERO, S_I, SymScalar, _lift
 
 
 # --- Lie algebras
@@ -56,7 +56,11 @@ class LieAlgebra:
         for (i, j), out in (brackets or {}).items():
             if not (1 <= i < j <= dim):
                 raise InputError(f"bracket key ({i},{j}) must satisfy 1 <= i < j <= dim")
-            vec = {k: SymScalar.coerce(c) for k, c in out.items() if not SymScalar.coerce(c).is_zero()}
+            vec = {}
+            for k, c in out.items():
+                c = SymScalar.coerce(c)
+                if c.num:
+                    vec[k] = c
             for k in vec:
                 if not (1 <= k <= dim):
                     raise InputError(f"bracket output index {k} out of range")
@@ -91,18 +95,24 @@ class LieAlgebra:
         return out
 
     def _check_jacobi(self):
-        """[[e_i,e_j],e_k] + cyclic = 0 on every basis triple, summed from ad."""
-        ad = self._ad
-        for i, j, k in combinations(range(self.dim), 3):
-            acc = {}
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, f in ad[a].get(b, ()):
-                    for n, g in ad[m].get(c, ()):
-                        acc[n] = acc.get(n, SS_ZERO) + f * g
-            if any(not x.is_zero() for x in acc.values()):
-                raise InputError(
-                    f"Jacobi identity fails on basis triple ({i + 1},{j + 1},{k + 1})"
-                )
+        """[[e_i,e_j],e_k] + cyclic = 0 on every basis triple, summed from ad.
+
+        When the structure constants are all constant, they are unwrapped
+        once, as on row_echelon's constant path, and lifted to Gaussian
+        integers (re, im) over one denominator D: every product of two is
+        over D^2, so a sum vanishes exactly when its integer numerator does.
+        """
+        constants = [c for row in self._ad for terms in row.values() for _, c in terms]
+        if all(c.is_constant() for c in constants):
+            re, im, _ = _lift([c.num[0] for c in constants])
+            lifted = iter(zip(re, im))
+            ad = [{b: [(k, next(lifted)) for k, _ in terms] for b, terms in row.items()}
+                  for row in self._ad]
+            bad = _first_constant_jacobi_failure(ad)
+        else:
+            bad = _first_jacobi_failure(self._ad)
+        if bad:
+            raise InputError("Jacobi identity fails on basis triple ({},{},{})".format(*bad))
 
     def is_unimodular(self):
         """tr(ad e_b) = 0 for every b: the e_a-coefficients of [e_b, e_a]."""
@@ -123,6 +133,39 @@ class LieAlgebra:
             if c is not None:
                 terms[((i, j), ())] = -c
         return Form(self.dim, terms)
+
+
+def _first_jacobi_failure(ad):
+    """The first basis triple (1-based, in combinations order) on which the
+    cyclic sum of [[e_a,e_b],e_c] over ad is nonzero, or None."""
+    for i, j, k in combinations(range(len(ad)), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, f in ad[a].get(b, ()):
+                for n, g in ad[m].get(c, ()):
+                    acc[n] = acc.get(n, SS_ZERO) + f * g
+        if any(not x.is_zero() for x in acc.values()):
+            return i + 1, j + 1, k + 1
+    return None
+
+
+def _first_constant_jacobi_failure(ad):
+    """_first_jacobi_failure on constants lifted to (re, im) over one
+    denominator."""
+    for i, j, k in combinations(range(len(ad)), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, (fr, fi) in ad[a].get(b, ()):
+                for n, (gr, gi) in ad[m].get(c, ()):
+                    t = acc.get(n)
+                    if t is None:
+                        acc[n] = [fr * gr - fi * gi, fr * gi + fi * gr]
+                    else:
+                        t[0] += fr * gr - fi * gi
+                        t[1] += fr * gi + fi * gr
+        if any(re or im for re, im in acc.values()):
+            return i + 1, j + 1, k + 1
+    return None
 
 
 # --- almost complex structures

@@ -599,14 +599,23 @@ class TestConsoleMain:
         assert self.console_main(monkeypatch, argv) == "os._exit"
         assert exits == [code]
 
-    def test_failed_flush_ends_through_sys_exit(self, monkeypatch, exits):
-        class Unflushable(io.StringIO):
-            def flush(self):
-                raise BrokenPipeError(32, "Broken pipe")
+    class Unflushable(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
 
-        monkeypatch.setattr(sys, "stdout", Unflushable())
-        assert self.console_main(monkeypatch, ["rr", "--genus", "2", "--m", "2"]) == 0
+    def test_failed_flush_ends_through_sys_exit(self, monkeypatch, exits):
+        # argparse's output is flushed by no one before console_main
+        monkeypatch.setattr(sys, "stdout", self.Unflushable())
+        assert self.console_main(monkeypatch, ["--version"]) == 0
         assert exits == []
+
+    def test_failed_report_flush_is_an_internal_error(self, monkeypatch, capsys, exits):
+        # main flushes the report and reports the failure; the interpreter
+        # would report it again, so the process still ends with os._exit
+        monkeypatch.setattr(sys, "stdout", self.Unflushable())
+        assert self.console_main(monkeypatch, ["rr", "--genus", "2", "--m", "2"]) == "os._exit"
+        assert exits == [3]
+        assert capsys.readouterr().err == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
     def test_attached_tool_ends_through_sys_exit(self, monkeypatch, exits):
         monkeypatch.setattr(cli, "_tool_attached", lambda: True)

@@ -18,6 +18,10 @@ ALLOWED = {
     "abelian_model": "exported in acx.__all__ as a library entry point",
     "serre_pairing_check": "exported in acx.__all__ as a library entry point",
     "G2Element.from_matrix": "the tests build group elements from matrices",
+    "CrossProduct.is_member": "the Scalar-matrix entry of the lifted membership "
+                              "kernel, which g2-verify calls on lifted entries",
+    "CrossProduct.preserves_form": "the Scalar-matrix entry of the lifted invariance "
+                                   "kernel, which g2-verify calls on lifted entries",
     "PseudoholStructure.connection": "the tests check omega = theta - conj(theta)^T",
     "PseudoholStructure.dual": "the tests check the dual involution",
     "Form.bidegree": "the tests read a homogeneous form's bidegree",

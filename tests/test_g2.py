@@ -84,6 +84,13 @@ class TestElements:
             g2.G2Element((1, 2), (3,))
         with pytest.raises(InputError):
             g2.G2Element.from_matrix([[Scalar(0)] * 6 for _ in range(6)])
+        # the membership and invariance tests refuse every other shape alike
+        cp = g2.cross_product()
+        for rows, cols in ((3, 3), (7, 8), (8, 7)):
+            A = [[Scalar(0)] * cols for _ in range(rows)]
+            for test in (cp.is_member, cp.preserves_form):
+                with pytest.raises(InputError, match="^matrix must be 7x7$"):
+                    test(A)
 
     def test_immutable(self):
         elem = g2.G2Element.zero()

@@ -1,9 +1,10 @@
 """The nonzero-entry loops of the matrix model against dense references.
 
 bracket, CrossProduct.cross, dot, is_member and preserves_form sum over
-nonzero entries only, G2Element stores only the nonzero entries of its
-matrix, as Gaussian integers over one denominator, and
-membership_sample_check decides span membership against one reduced basis.
+nonzero entries only (the last two on entries lifted over one
+denominator), G2Element stores only the nonzero entries of its matrix, as
+Gaussian integers over one denominator, and membership_sample_check
+decides span membership against one reduced basis.
 The loops they replaced are kept here as references and must agree with
 them on every input below; the span check is fed faults and must catch
 each of them, and g2-verify's sweep sizes are pinned.
@@ -161,6 +162,17 @@ def _cancelling_elements():
     a = MEMBER_ELEMENTS[0]
     yield a - a
     yield a + g2.G2Element(tuple(-c for c in a.x), (0,) * 8)
+
+
+def test_row_index_is_built_once_per_element():
+    a, b = (g2.G2Element(e.x, e.y) for e in MEMBER_ELEMENTS[:2])
+    assert a._rows is None and b._rows is None
+    want = g2.bracket(a, b)
+    rows = a._rows
+    assert sorted((i, j, v) for i, row in enumerate(rows) for j, v in row) == sorted(
+        (i, j, v) for (i, j), v in a._entries.items())
+    assert g2.bracket(b, a) == -want and g2.bracket(a, a).is_zero()
+    assert a._rows is rows
 
 
 def test_entries_hold_no_zero_and_match_the_display():
@@ -454,6 +466,69 @@ def test_is_member_matches_dense_reference():
             assert cp.is_member(B) == dense_is_member(B)
 
 
+def dense_preserves_form(A):
+    """The invariance test over Scalars as it ran before the lifted kernel:
+    on each of the 35 basis triples (i, j, k), the sum over all seven l of
+    A[l][i] eps(l,j,k) + A[l][j] eps(i,l,k) + A[l][k] eps(i,j,l)."""
+    eps = g2._epsilon()
+    for triple in itertools.combinations(range(1, N + 1), 3):
+        total = Scalar(0)
+        for slot, c in enumerate(triple):
+            for l in range(1, N + 1):
+                sign = eps.get(triple[:slot] + (l,) + triple[slot + 1:])
+                if sign:
+                    a = A[l - 1][c - 1]
+                    total = total + a if sign > 0 else total - a
+        if not total.is_zero():
+            return False
+    return True
+
+
+def _random_matrix(rng, skew):
+    A = [[Scalar(0)] * N for _ in range(N)]
+    for i in range(N):
+        for j in range(i + 1 if skew else 0, N):
+            if rng.random() < 0.6:
+                A[i][j] = _rand_scalar(rng)
+                if skew:
+                    A[j][i] = -A[i][j]
+    return A
+
+
+def test_lifted_kernels_match_dense_references_on_random_matrices():
+    """is_member and preserves_form lift their input once and decide on
+    integers; they must agree with the Scalar loops on skew and non-skew
+    matrices with complex entries over denominators other than one."""
+    cp = g2.cross_product()
+    rng = random.Random(43)
+    matrices = []
+    for e in GAUSSIAN_ELEMENTS:
+        A = [list(row) for row in e.matrix]
+        i, j = rng.sample(range(N), 2)
+        v = _rand_scalar(rng)
+        skew, plain = [list(row) for row in A], [list(row) for row in A]
+        skew[i][j], skew[j][i] = skew[i][j] + v, skew[j][i] - v
+        plain[i][j] = plain[i][j] + v
+        matrices += [A, _scaled(A, _rand_scalar(rng)), skew, plain]
+    for _ in range(15):
+        matrices += [_random_matrix(rng, True), _random_matrix(rng, False)]
+    outcomes = set()
+    for A in matrices:
+        member, preserved = dense_is_member(A), dense_preserves_form(A)
+        assert cp.is_member(A) is member
+        assert cp.preserves_form(A) is preserved
+        E, den = g2._lift_matrix(A)
+        assert cp._is_member_lifted(E) is member
+        assert cp._preserves_form_lifted(E) is preserved
+        outcomes.add((member, preserved, den > 1))
+    assert {(True, True, True), (False, False, True)} <= outcomes
+    # g2-verify hands an element's own entries, over den > 1 here, to the kernels
+    for e in GAUSSIAN_ELEMENTS:
+        assert e.den > 1
+        assert cp._is_member_lifted(e._entries) is dense_is_member(e.matrix) is True
+        assert cp._preserves_form_lifted(e._entries) is dense_preserves_form(e.matrix) is True
+
+
 def test_span_test_matches_dense_reference():
     in_basis_span = span_test([e.flatten() for e in BASIS_ELEMENTS])
     rng = random.Random(39)
@@ -480,8 +555,10 @@ def test_span_test_matches_dense_reference():
 
 def test_g2_verify_sweep_sizes(monkeypatch, capsys):
     """g2-verify through the CLI: 91 pair brackets and 1,092 outer brackets,
-    110 is_member calls, 10 span decisions against one reduced basis, and
-    the cross identities on all 49 basis pairs."""
+    110 decisions of the lifted membership kernel (100 members and 10
+    non-members), 10 span decisions against one reduced basis, 14
+    form-preservation decisions, and the cross identities on all 49 basis
+    pairs."""
     counts = {}
     dot_pairs = set()
     basis_ids = {id(e) for e in BASIS_ELEMENTS}
@@ -511,17 +588,30 @@ def test_g2_verify_sweep_sizes(monkeypatch, capsys):
     true_span_test = g2.span_test
     monkeypatch.setattr(g2, "bracket", wrap("bracket", g2.bracket, bracket_kind))
     monkeypatch.setattr(g2, "span_test", counting_span_test)
-    monkeypatch.setattr(g2.CrossProduct, "is_member",
-                        wrap("is_member", g2.CrossProduct.is_member))
+
+    def decision(name, f):
+        def wrapper(*args):
+            out = f(*args)
+            count(f"{name} {out}")
+            return out
+        return wrapper
+
+    for name in ("is_member", "preserves_form"):
+        monkeypatch.setattr(g2.CrossProduct, name, wrap(name, getattr(g2.CrossProduct, name)))
+        lifted = f"_{name}_lifted"
+        monkeypatch.setattr(g2.CrossProduct, lifted,
+                            decision(lifted, getattr(g2.CrossProduct, lifted)))
     monkeypatch.setattr(g2.CrossProduct, "dot", staticmethod(dot))
     assert main(["g2-verify"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
     assert counts == {
         "pair bracket": 91,
         "outer bracket": 1092,
-        "is_member": 110,
+        "_is_member_lifted True": 100,
+        "_is_member_lifted False": 10,
         "reduced basis": 1,
         "span decision": 10,
+        "_preserves_form_lifted True": 14,
         "dot": 3 * 49,
     }
     basis = [g2.basis_vector(k) for k in range(1, N + 1)]

@@ -1,7 +1,8 @@
 """d of a monomial by the graded Leibniz rule, against the rules it replaced.
 
 `forms.d_monomial` computes d(g_1 ^ ... ^ g_k) as the sum over r of
-(-1)^(r-1) d(g_r) ^ (the monomial without g_r).  The references below are the
+(-1)^(r-1) d(g_r) ^ (the monomial without g_r), merging the terms of each
+d(g_r) into one dict with no Form.wedge.  The references below are the
 earlier forms of the same rule: a prefix and a suffix product around each
 d(g_r) on the complex coframe, and a three-factor product per position on the
 real basis.
@@ -115,15 +116,20 @@ def test_generated_coframes_match_the_prefix_suffix_rule(case):
 
 
 @pytest.mark.parametrize("alpha, beta", [((2,), ()), ((1, 3), (2, 4))])
-def test_degree_k_monomial_costs_k_wedges(nil8_generic, monkeypatch, alpha, beta):
+def test_degree_k_monomial_costs_k_generator_reads(nil8_generic, monkeypatch, alpha, beta):
+    """d of a degree-k monomial reads d(g_r) once for each of its k
+    generators and merges the terms into one dict, with no Form.wedge."""
     cf = build_coframe(nil8_generic.alg, nil8_generic.J)
     for A in range(2 * cf.n):
         cf.d_generator(A)
-    calls = []
-    wedge = Form.wedge
-    monkeypatch.setattr(Form, "wedge", lambda x, y: calls.append(1) or wedge(x, y))
+    reads, wedges = [], []
+    d_generator, wedge = cf.d_generator, Form.wedge
+    monkeypatch.setattr(cf, "d_generator", lambda *args: reads.append(args) or d_generator(*args))
+    monkeypatch.setattr(Form, "wedge", lambda x, y: wedges.append(1) or wedge(x, y))
     got = cf.d(Form.monomial(cf.n, alpha, beta))
-    assert len(calls) == len(alpha) + len(beta)
+    gens = [a - 1 for a in alpha] + [cf.n + b - 1 for b in beta]
+    assert reads == [(A, None) for A in gens]
+    assert wedges == []
     monkeypatch.undo()
     assert got == reference_d_monomial(cf, MultiIndex(alpha), MultiIndex(beta))
 

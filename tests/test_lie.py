@@ -469,6 +469,38 @@ class TestSparseBracket:
                 LieAlgebra(alg.dim, perturbed)
             assert str(exc.value).endswith(f"({want[0]},{want[1]},{want[2]})")
 
+    def test_constant_jacobi_path_matches_the_symbolic_path(self, sparse_models, monkeypatch):
+        """A constant algebra is checked on its constants lifted to Gaussian
+        integers, with no SymScalar product; with is_constant answering
+        False the same algebra takes the SymScalar path, which must refuse
+        it with the same message, naming the same triple."""
+        alg, _ = sparse_models["g2"]
+        broken = []
+        for n, key in enumerate(sorted(alg.brackets)[::9]):
+            perturbed = {ij: dict(vec) for ij, vec in alg.brackets.items()}
+            k = min(perturbed[key])
+            # off by 1, by a Gaussian rational, and by a complex unit
+            shift = (1, Scalar(Fraction(2, 3), Fraction(-1, 5)), S_I)[n % 3]
+            perturbed[key][k] = perturbed[key][k] + shift
+            broken.append((alg.dim, perturbed))
+        broken.append((3, {(1, 2): {3: Fraction(1, 2)}, (1, 3): {1: Scalar(0, 3)}}))
+        symbolic_products = []
+        product = SymScalar.__mul__
+        monkeypatch.setattr(SymScalar, "__mul__",
+                            lambda a, b: symbolic_products.append(1) or product(a, b))
+        for dim, brackets in broken:
+            with pytest.raises(InputError) as constant:
+                LieAlgebra(dim, brackets)
+            assert symbolic_products == []
+            with monkeypatch.context() as m:
+                m.setattr(SymScalar, "is_constant", lambda self: False)
+                with pytest.raises(InputError) as symbolic:
+                    LieAlgebra(dim, brackets)
+            assert symbolic_products
+            symbolic_products.clear()
+            assert str(constant.value) == str(symbolic.value)
+            assert str(constant.value).startswith("Jacobi identity fails on basis triple (")
+
     def test_jacobi_sweeps_every_basis_triple(self):
         # [e_a, e_b] = e_c and [e_c, e_d] = e_f break Jacobi on {a, b, d}
         # alone, through the outer bracket with e_d: one algebra for each of

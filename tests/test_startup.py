@@ -221,16 +221,23 @@ def test_interrupt_in_a_fresh_process():
 
 
 # 20 kB of report, more than a stdout buffer holds, so the write inside run
-# fails whether stdout is buffered or not
+# fails whether stdout is buffered or not; the small report fits the buffer,
+# so when stdout is buffered only main's flush writes it
 _LARGE_REPORT = ["plurigenera", "--model", "kt", "--a", "pi", "--m", "1..1000"]
+_SMALL_REPORT = ["rr", "--genus", "2"]
+_REPORTS = [
+    pytest.param(unbuffered, report, id=prefix + mode)
+    for prefix, report in (("", _LARGE_REPORT), ("small-", _SMALL_REPORT))
+    for mode, unbuffered in (("buffered", []), ("unbuffered", ["-u"]))
+]
 
 
-@pytest.mark.parametrize("unbuffered", [[], ["-u"]], ids=["buffered", "unbuffered"])
-def test_closed_stdout_pipe_is_an_internal_error(unbuffered):
+@pytest.mark.parametrize("unbuffered, report", _REPORTS)
+def test_closed_stdout_pipe_is_an_internal_error(unbuffered, report):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = fresh_process([*unbuffered, "-m", "acx.cli", *_LARGE_REPORT], stdout=write_end)
+        proc = fresh_process([*unbuffered, "-m", "acx.cli", *report], stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 3
@@ -238,10 +245,10 @@ def test_closed_stdout_pipe_is_an_internal_error(unbuffered):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("unbuffered", [[], ["-u"]], ids=["buffered", "unbuffered"])
-def test_full_device_stdout_is_an_internal_error(unbuffered):
+@pytest.mark.parametrize("unbuffered, report", _REPORTS)
+def test_full_device_stdout_is_an_internal_error(unbuffered, report):
     with open("/dev/full", "wb") as full:
-        proc = fresh_process([*unbuffered, "-m", "acx.cli", *_LARGE_REPORT], stdout=full)
+        proc = fresh_process([*unbuffered, "-m", "acx.cli", *report], stdout=full)
     assert proc.returncode == 3
     assert proc.stderr == b"internal error: OSError: [Errno 28] No space left on device\n"
 

@@ -61,5 +61,12 @@ def test_traced_model_file_hodge_counts_the_forms_layer(tmp_path):
         "hodge", "--model", "tests/golden/models/heis6.json", "--p", "1", "--q", "1",
     ])
     assert list(_span_names(trace["spans"])).count("hodge.harmonic") == 1
-    for name in ("forms.wedge", "hodge.operator_matrix"):
-        assert trace["aggregates"][name]["calls"] > 0, name
+    assert trace["aggregates"]["hodge.operator_matrix"]["calls"] > 0
+    # d of a monomial merges its terms without Form.wedge; the twisted run's
+    # canonical bundle checks beta_1 ^ vol = dbar(vol) with one
+    assert trace["aggregates"]["forms.wedge"]["calls"] == 0
+    twisted = _traced(tmp_path, [
+        "hodge", "--model", "tests/golden/models/heis6.json", "--p", "1", "--q", "1",
+        "--power", "1",
+    ])
+    assert twisted["aggregates"]["forms.wedge"]["calls"] > 0
