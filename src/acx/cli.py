@@ -624,12 +624,20 @@ _SUBCOMMANDS = (
 _HANDLERS = {row[0]: row[-1] for row in _SUBCOMMANDS}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a failed write of its text raises, as a report's does."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The acx parser.  When argv[0] names a subcommand, only that subparser
     is built; otherwise (no arguments, --help, --version, an unknown command)
     all of them are.  Help text, usage errors and exit codes are the same
     either way."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acx",
         description=(
             "Exact invariant almost-complex geometry: structure equations, "
@@ -650,9 +658,8 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Sequence[str], stdout=None) -> int:
+def run(argv: Sequence[str]) -> int:
     """Parse argv, dispatch, print the report; returns the exit code."""
-    stdout = stdout if stdout is not None else sys.stdout
     argv = list(argv)
     args = _build_parser(argv).parse_args(argv)
     report, code = _HANDLERS[args.command](args)
@@ -664,33 +671,44 @@ def run(argv: Sequence[str], stdout=None) -> int:
             "subcommand": args.command,
             "argv": argv,
         }
-    stdout.write(_render(report, args.format))
+    sys.stdout.write(_render(report, args.format))
     return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """acx on argv (default sys.argv[1:]): every outcome, argparse's exits
+    included, is an exit code, and acx's errors are reported on stderr.
+    stdout is flushed here, so output that cannot be written is an internal
+    error whatever the buffering; an error that stderr cannot take keeps its
+    code.  KeyboardInterrupt, and a SystemExit whose code is not an int or
+    None, pass through."""
     try:
-        code = run(sys.argv[1:] if argv is None else argv)
-        # a report that fits the stdout buffer is written here, so a failed
-        # write is an internal error whatever the buffering
-        sys.stdout.flush()
+        try:
+            code = run(sys.argv[1:] if argv is None else argv)
+        except SystemExit as exc:  # argparse's, after --help, --version or a usage error
+            if exc.code is not None and not isinstance(exc.code, int):
+                raise
+            code = exc.code or 0
+        # None if stdout was closed at start: argparse then wrote to stderr
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except RefusalError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"refused: {exc}", 1
     except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"internal check failed: {exc}", 3
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"input error: {exc}", 2
     except ValueError as exc:
         # any other ValueError comes from inside acx, not from the input
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"internal error: {exc}", 3
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"internal error: {type(exc).__name__}: {exc}", 3
+    try:
+        sys.stderr.write(message + "\n")
+    except (AttributeError, OSError):
+        pass  # stderr is closed or cannot be written: the code is the only report
+    return code
 
 
 def _tool_attached() -> bool:
@@ -705,37 +723,20 @@ def _tool_attached() -> bool:
 
 
 def console_main() -> None:
-    """Run `main` on sys.argv and end the process with its exit code: the
-    `acx` script and `python -m acx.cli`.
+    """End the process with `main`'s exit code: the `acx` script and
+    `python -m acx.cli`.
 
-    Once stdout and stderr are flushed no output depends on the rest of the
-    process, so it ends with os._exit and skips interpreter teardown (module
-    teardown, a final garbage collection, freeing every object), 9-15 ms of
-    each invocation (Python 3.11, 2-vCPU Xeon VM).  A flush that fails after
-    `main` returned fails on a report `main` has already flushed and
-    reported as an internal error, so the process still ends with os._exit
-    and its code.  It leaves through sys.exit, as a plain script does, when
-    a flush fails after argparse's SystemExit, so the interpreter reports
-    it, or when a profiler or tracer is attached, since those report at
-    exit.  KeyboardInterrupt, and a SystemExit whose code is not an int or
-    None, pass through.
+    `main` has flushed stdout, and stderr is line-buffered, so no output
+    depends on the rest of the process: it ends with os._exit and skips
+    interpreter teardown (module teardown, a final garbage collection,
+    freeing every object), 9-15 ms of each invocation (Python 3.11, 2-vCPU
+    Xeon VM).  It leaves through sys.exit when a profiler or tracer is
+    attached, since those report at exit.
     """
-    try:
-        code, reported = main(), True
-    except SystemExit as exc:
-        # argparse leaves this way after --help, --version and usage errors
-        if exc.code is not None and not isinstance(exc.code, int):
-            raise
-        code, reported = exc.code or 0, False
-    if not _tool_attached():
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except (AttributeError, OSError, ValueError):
-            if not reported:
-                sys.exit(code)
-        os._exit(code)
-    sys.exit(code)
+    code = main()
+    if _tool_attached():
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Invariant frames: Lie algebras, almost complex structures, complex coframes.
 
-Everything is exact.  A LieAlgebra is given by structure constants on a real
-basis e_1..e_N (Jacobi is checked on construction).  An ACStructure is a
+Everything is exact.  A LieAlgebra is given by Gaussian-rational structure
+constants on a real basis e_1..e_N (Jacobi is checked on construction, on the
+constants lifted to Gaussian integers).  An ACStructure is a
 matrix J with J^2 = -I.  build_coframe produces the (1,0) coframe
 phi^i = eta - i*(eta o J), normalized so the leading real-dual coefficient is
 one, together with the dual (1,0) frame X_i and the complexified structure
@@ -41,7 +42,8 @@ class LieAlgebra:
     """A real Lie algebra by structure constants; Jacobi checked on construction.
 
     brackets maps (i, j) with i < j to {k: coeff} meaning
-    [e_i, e_j] = sum_k coeff * e_k.  Indices are 1-based.
+    [e_i, e_j] = sum_k coeff * e_k.  Indices are 1-based, and each coeff is a
+    Gaussian rational (a constant SymScalar or anything Scalar coerces).
     """
 
     def __init__(self, dim, brackets=None, *, basis_names=None, name=""):
@@ -59,6 +61,9 @@ class LieAlgebra:
             vec = {}
             for k, c in out.items():
                 c = SymScalar.coerce(c)
+                if not c.is_constant():
+                    raise InputError(f"bracket ({i},{j}): structure constants are "
+                                     f"Gaussian rationals, got {c}")
                 if c.num:
                     vec[k] = c
             for k in vec:
@@ -97,20 +102,16 @@ class LieAlgebra:
     def _check_jacobi(self):
         """[[e_i,e_j],e_k] + cyclic = 0 on every basis triple, summed from ad.
 
-        When the structure constants are all constant, they are unwrapped
-        once, as on row_echelon's constant path, and lifted to Gaussian
-        integers (re, im) over one denominator D: every product of two is
-        over D^2, so a sum vanishes exactly when its integer numerator does.
+        The structure constants are lifted once to Gaussian integers (re, im)
+        over one denominator D: every product of two is over D^2, so a sum
+        vanishes exactly when its integer numerator does.
         """
-        constants = [c for row in self._ad for terms in row.values() for _, c in terms]
-        if all(c.is_constant() for c in constants):
-            re, im, _ = _lift([c.num[0] for c in constants])
-            lifted = iter(zip(re, im))
-            ad = [{b: [(k, next(lifted)) for k, _ in terms] for b, terms in row.items()}
-                  for row in self._ad]
-            bad = _first_constant_jacobi_failure(ad)
-        else:
-            bad = _first_jacobi_failure(self._ad)
+        constants = [c.num[0] for row in self._ad for terms in row.values() for _, c in terms]
+        re, im, _ = _lift(constants)
+        lifted = iter(zip(re, im))
+        ad = [{b: [(k, next(lifted)) for k, _ in terms] for b, terms in row.items()}
+              for row in self._ad]
+        bad = _first_jacobi_failure(ad)
         if bad:
             raise InputError("Jacobi identity fails on basis triple ({},{},{})".format(*bad))
 
@@ -137,21 +138,8 @@ class LieAlgebra:
 
 def _first_jacobi_failure(ad):
     """The first basis triple (1-based, in combinations order) on which the
-    cyclic sum of [[e_a,e_b],e_c] over ad is nonzero, or None."""
-    for i, j, k in combinations(range(len(ad)), 3):
-        acc = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, f in ad[a].get(b, ()):
-                for n, g in ad[m].get(c, ()):
-                    acc[n] = acc.get(n, SS_ZERO) + f * g
-        if any(not x.is_zero() for x in acc.values()):
-            return i + 1, j + 1, k + 1
-    return None
-
-
-def _first_constant_jacobi_failure(ad):
-    """_first_jacobi_failure on constants lifted to (re, im) over one
-    denominator."""
+    cyclic sum of [[e_a,e_b],e_c] over ad, whose constants are lifted to
+    (re, im) over one denominator, is nonzero, or None."""
     for i, j, k in combinations(range(len(ad)), 3):
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):

@@ -49,10 +49,7 @@ def run_case(argv):
         os.chdir(REPO_ROOT)
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
+            code = main(list(argv))
     finally:
         os.chdir(saved_cwd)
     return code, stdout.getvalue().encode("utf-8")

@@ -5,6 +5,7 @@ independent closed form; nothing is read back from the code under test.  All
 comparisons are exact — there are no tolerances anywhere in this file.
 """
 
+import contextlib
 import io
 import json
 import math
@@ -354,18 +355,9 @@ def test_criterion_10_connection_and_dual_involution():
 
 def test_criterion_11_parameter_jump_through_cli():
     out = io.StringIO()
-    code = run(
-        [
-            "plurigenera",
-            "--model",
-            "kt",
-            "--a",
-            "39/10*pi,4*pi,41/10*pi",
-            "--m",
-            "1",
-        ],
-        stdout=out,
-    )
+    with contextlib.redirect_stdout(out):
+        code = run(["plurigenera", "--model", "kt", "--a", "39/10*pi,4*pi,41/10*pi",
+                    "--m", "1"])
     assert code == 0
     report = json.loads(out.getvalue())
     observed = [row["values"][0] for row in report["rows"]]

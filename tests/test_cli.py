@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, and byte determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -28,7 +29,8 @@ KT_FILE_OBJ = {
 
 def capture(argv):
     out = io.StringIO()
-    code = run(argv, stdout=out)
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
     return code, out.getvalue()
 
 
@@ -603,15 +605,14 @@ class TestConsoleMain:
         def flush(self):
             raise BrokenPipeError(32, "Broken pipe")
 
-    def test_failed_flush_ends_through_sys_exit(self, monkeypatch, exits):
-        # argparse's output is flushed by no one before console_main
+    def test_failed_version_flush_is_an_internal_error(self, monkeypatch, capsys, exits):
+        # main flushes argparse's output as it flushes a report
         monkeypatch.setattr(sys, "stdout", self.Unflushable())
-        assert self.console_main(monkeypatch, ["--version"]) == 0
-        assert exits == []
+        assert self.console_main(monkeypatch, ["--version"]) == "os._exit"
+        assert exits == [3]
+        assert capsys.readouterr().err == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
     def test_failed_report_flush_is_an_internal_error(self, monkeypatch, capsys, exits):
-        # main flushes the report and reports the failure; the interpreter
-        # would report it again, so the process still ends with os._exit
         monkeypatch.setattr(sys, "stdout", self.Unflushable())
         assert self.console_main(monkeypatch, ["rr", "--genus", "2", "--m", "2"]) == "os._exit"
         assert exits == [3]

@@ -469,11 +469,20 @@ class TestSparseBracket:
                 LieAlgebra(alg.dim, perturbed)
             assert str(exc.value).endswith(f"({want[0]},{want[1]},{want[2]})")
 
-    def test_constant_jacobi_path_matches_the_symbolic_path(self, sparse_models, monkeypatch):
-        """A constant algebra is checked on its constants lifted to Gaussian
-        integers, with no SymScalar product; with is_constant answering
-        False the same algebra takes the SymScalar path, which must refuse
-        it with the same message, naming the same triple."""
+    def test_symbolic_structure_constant_is_refused(self):
+        x = SymScalar.symbol()
+        for c in (x, x / (x + 1)):
+            with pytest.raises(InputError) as exc:
+                LieAlgebra(3, {(1, 2): {3: c}})
+            assert str(exc.value) == (
+                f"bracket (1,2): structure constants are Gaussian rationals, got {c}")
+
+    def test_gaussian_rational_failure_names_the_dense_first_triple(
+            self, sparse_models, monkeypatch):
+        """The constants are lifted to Gaussian integers and swept with no
+        SymScalar product; the triple named is the dense loop's first."""
+        from types import SimpleNamespace
+
         alg, _ = sparse_models["g2"]
         broken = []
         for n, key in enumerate(sorted(alg.brackets)[::9]):
@@ -484,22 +493,19 @@ class TestSparseBracket:
             perturbed[key][k] = perturbed[key][k] + shift
             broken.append((alg.dim, perturbed))
         broken.append((3, {(1, 2): {3: Fraction(1, 2)}, (1, 3): {1: Scalar(0, 3)}}))
+        wants = [dense_first_jacobi_failure(SimpleNamespace(dim=dim, brackets=brackets))
+                 for dim, brackets in broken]
         symbolic_products = []
         product = SymScalar.__mul__
         monkeypatch.setattr(SymScalar, "__mul__",
                             lambda a, b: symbolic_products.append(1) or product(a, b))
-        for dim, brackets in broken:
-            with pytest.raises(InputError) as constant:
+        for (dim, brackets), want in zip(broken, wants):
+            assert want is not None
+            with pytest.raises(InputError) as exc:
                 LieAlgebra(dim, brackets)
-            assert symbolic_products == []
-            with monkeypatch.context() as m:
-                m.setattr(SymScalar, "is_constant", lambda self: False)
-                with pytest.raises(InputError) as symbolic:
-                    LieAlgebra(dim, brackets)
-            assert symbolic_products
-            symbolic_products.clear()
-            assert str(constant.value) == str(symbolic.value)
-            assert str(constant.value).startswith("Jacobi identity fails on basis triple (")
+            assert str(exc.value) == "Jacobi identity fails on basis triple ({},{},{})".format(
+                *want)
+        assert symbolic_products == []
 
     def test_jacobi_sweeps_every_basis_triple(self):
         # [e_a, e_b] = e_c and [e_c, e_d] = e_f break Jacobi on {a, b, d}

@@ -77,14 +77,14 @@ def _smoke_cases():
 SMOKE_CASES = _smoke_cases()
 
 
-def fresh_process(args, stdout=subprocess.PIPE):
+def fresh_process(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run `python <args>` from the repository root in a new process, with
     stdout block-buffered as a user has it unless args pass -u."""
     env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, *args], cwd=golden.REPO_ROOT, env=env,
-        stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE,
+        stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr,
         timeout=120,
     )
 
@@ -129,9 +129,7 @@ def test_usage_output_is_that_of_the_full_parser(monkeypatch, name, argv, code):
     monkeypatch.setenv("COLUMNS", "80")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-    assert exc.value.code == code
+        assert main(argv) == code
     pinned, empty = (out, err) if code == 0 else (err, out)
     assert pinned.getvalue() == (USAGE_DIR / f"{name}.txt").read_text()
     assert empty.getvalue() == ""
@@ -221,13 +219,15 @@ def test_interrupt_in_a_fresh_process():
 
 
 # 20 kB of report, more than a stdout buffer holds, so the write inside run
-# fails whether stdout is buffered or not; the small report fits the buffer,
-# so when stdout is buffered only main's flush writes it
+# fails whether stdout is buffered or not; the small report, the version and
+# the help text fit the buffer, so when stdout is buffered only main's flush
+# writes them, and unbuffered, argparse's own write fails
 _LARGE_REPORT = ["plurigenera", "--model", "kt", "--a", "pi", "--m", "1..1000"]
 _SMALL_REPORT = ["rr", "--genus", "2"]
 _REPORTS = [
     pytest.param(unbuffered, report, id=prefix + mode)
-    for prefix, report in (("", _LARGE_REPORT), ("small-", _SMALL_REPORT))
+    for prefix, report in (("", _LARGE_REPORT), ("small-", _SMALL_REPORT),
+                           ("version-", ["--version"]), ("help-rr-", ["rr", "--help"]))
     for mode, unbuffered in (("buffered", []), ("unbuffered", ["-u"]))
 ]
 
@@ -253,14 +253,35 @@ def test_full_device_stdout_is_an_internal_error(unbuffered, report):
     assert proc.stderr == b"internal error: OSError: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, code", [(["bogus"], 3), (["rr", "--genus", "1"], 2)],
+                         ids=["usage-error", "input-error"])
+def test_full_device_stderr_keeps_the_exit_code_in_the_taxonomy(argv, code):
+    # argparse's usage text is output that cannot be written, so exit 3; an
+    # input error's message is lost, and the code is all that is left of it
+    with open("/dev/full", "wb") as full:
+        proc = fresh_process(["-m", "acx.cli", *argv], stderr=full)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+
+
+# a process started with descriptor 1 closed has sys.stdout None
+_CLOSE_STDOUT = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+
+
 def test_closed_stdout_is_an_internal_error():
-    # a process started with descriptor 1 closed has sys.stdout None
-    close_stdout = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
-    proc = fresh_process(["-c", close_stdout, sys.executable, "-m", "acx.cli",
+    proc = fresh_process(["-c", _CLOSE_STDOUT, sys.executable, "-m", "acx.cli",
                           "rr", "--genus", "2"])
     assert proc.returncode == 3
     assert proc.stderr == (
         b"internal error: AttributeError: 'NoneType' object has no attribute 'write'\n")
+
+
+def test_usage_error_with_closed_stdout_keeps_its_exit_code():
+    # main flushes stdout after argparse's exit, but there is none to flush
+    proc = fresh_process(["-c", _CLOSE_STDOUT, sys.executable, "-m", "acx.cli", "bogus"])
+    assert proc.returncode == 2
+    assert proc.stderr == (USAGE_DIR / "unknown-command.txt").read_bytes()
 
 
 def test_profiler_reports_in_a_fresh_process():
