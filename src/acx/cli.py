@@ -631,6 +631,14 @@ class _Parser(argparse.ArgumentParser):
         if message:
             (file or sys.stderr).write(message)
 
+    def error(self, message):
+        """argparse's usage error, exit 2.  With descriptor 2 closed
+        (sys.stderr is None) it writes nothing, as acx's own input errors
+        then do; argparse would print its usage text to stdout."""
+        if sys.stderr is None:
+            self.exit(2)
+        super().error(message)
+
 
 def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The acx parser.  When argv[0] names a subcommand, only that subparser

@@ -12,13 +12,19 @@ indices, like K^m on any other model.
 A G2Element is held lifted, in the convention of Scalar and of the
 polynomial kernels in scalars: its coordinates and matrix entries are
 Gaussian-integer pairs (re, im) over one denominator den > 0, with gcd 1
-over all of them.  Commutators, the re-entry check, the Jacobi sums and
-the h-closure test run on those integers, and so do the membership and
-three-form invariance kernels of CrossProduct: is_member and
-preserves_form lift a Scalar matrix once, while the membership sample and
-the projection check hand them an element's own entries.  Scalars appear
-only as views at the API boundary (x, y, entries, matrix, coordinates(),
-flatten()), as the span test's input and in refusal messages.
+over all of them.  Commutators and the re-entry check run on those
+integers, and so do the membership and three-form invariance kernels of
+CrossProduct: is_member and preserves_form lift a Scalar matrix once, while
+the membership sample and the projection check hand them an element's own
+entries.  Scalars appear only as views at the API boundary (x, y, entries,
+matrix, coordinates(), flatten()), as the structure constants, as the span
+test's input and in refusal messages.
+
+The 91 basis commutators are taken in one place, _basis_brackets: the
+catalogue diff, the h-closure test and the Jacobi sweep of
+verify_bracket_table read them, and g2_algebra builds its LieAlgebra on
+them.  That sweep is the one LieAlgebra runs, lie._jacobi_failures, on the
+structure constants lifted to Gaussian integers.
 """
 
 from __future__ import annotations
@@ -41,14 +47,14 @@ from .hodge import (
     invariant_harmonic_space,
     star_monomial,
 )
-from .lie import ACStructure, LieACS, LieAlgebra
+from .lie import ACStructure, LieACS, LieAlgebra, _jacobi_failures
 from .linalg import rank, span_test
 from .scalars import Scalar, SymScalar, _Frozen, _lift, _new, _norm, _scalar
 from .torus import PlurigeneraProfile, kodaira_dimension
 
 X_DIM = 6
 Y_DIM = 8
-N = 7
+N = 7  # the octonion dimension: 7-vectors and 7x7 matrices
 
 BASIS_NAMES: Tuple[str, ...] = tuple(
     [f"f{i}" for i in range(1, X_DIM + 1)] + [f"h{j}" for j in range(1, Y_DIM + 1)]
@@ -442,33 +448,33 @@ REFERENCE_BRACKET_TABLE: Dict[Tuple[str, str], Dict[str, int]] = {
 BRACKET_TABLE_ERRATA: Dict[Tuple[str, str], Dict[str, int]] = {}
 
 
-def _coordinate_dict(elem: G2Element) -> Dict[str, Scalar]:
-    """The nonzero coordinates by basis name, as Scalars."""
-    return {BASIS_NAMES[k]: _view(v, elem.den) for k, v in sorted(elem._coords.items())}
+def _basis_brackets() -> Dict[Tuple[int, int], Dict[int, Scalar]]:
+    """The 91 basis commutators [e_i, e_j], i < j, each taken by bracket (so
+    re-entering the span is checked entry by entry), as LieAlgebra takes
+    them: {(i, j): {k: coeff}}, 1-based, the nonzero coefficients as Scalars."""
+    basis = list(g2_basis().values())
+    table = {}
+    for i, j in itertools.combinations(range(X_DIM + Y_DIM), 2):
+        out = bracket(basis[i], basis[j])
+        table[i + 1, j + 1] = {k + 1: _view(v, out.den) for k, v in sorted(out._coords.items())}
+    return table
 
 
 def verify_bracket_table() -> Report:
-    """Recompute every catalogued bracket by commutator and diff the results.
+    """Diff the basis commutators against every catalogued bracket.
 
-    Also checks that the h-span closes under brackets, that the Jacobi
-    identity holds on all 364 basis triples, and that the fourteen matrices
-    are linearly independent.
+    Also checks, on the same commutators, that the h-span closes under
+    brackets and that the Jacobi identity holds for the structure constants
+    on all 364 basis triples (lie._jacobi_failures, the sweep LieAlgebra
+    runs, listing every failing triple), and that the fourteen matrices are
+    linearly independent.
     """
-    basis = g2_basis()
-    pair_cache: Dict[Tuple[str, str], G2Element] = {}
-
-    def cached_bracket(na: str, nb: str) -> G2Element:
-        got = pair_cache.get((na, nb))
-        if got is None:
-            got = bracket(basis[na], basis[nb])
-            pair_cache[(na, nb)] = got
-            pair_cache[(nb, na)] = -got
-        return got
-
+    table = _basis_brackets()
+    index = {name: k for k, name in enumerate(BASIS_NAMES, 1)}
     mismatches = []
     unregistered_mismatches = []
     for (na, nb), table_value in REFERENCE_BRACKET_TABLE.items():
-        computed = _coordinate_dict(cached_bracket(na, nb))
+        computed = {BASIS_NAMES[k - 1]: c for k, c in table[index[na], index[nb]].items()}
         if computed == table_value:
             continue
         diff = {
@@ -481,36 +487,15 @@ def verify_bracket_table() -> Report:
         if erratum is None or computed != erratum:
             unregistered_mismatches.append(diff)
 
-    h_names = [n for n in BASIS_NAMES if n.startswith("h")]
-    h_closed = all(
-        all(k >= X_DIM for k in cached_bracket(na, nb)._coords)
-        for na, nb in itertools.combinations(h_names, 2)
-    )
-
-    jacobi_failures = []
-    for na, nb, nc in itertools.combinations(BASIS_NAMES, 3):
-        # the sum of the three outer brackets over their nonzero lifted
-        # coordinates, brought to one denominator: an element is zero exactly
-        # when its 14 coordinates are
-        outers = (
-            bracket(cached_bracket(na, nb), basis[nc]),
-            bracket(cached_bracket(nb, nc), basis[na]),
-            bracket(cached_bracket(nc, na), basis[nb]),
-        )
-        den = lcm(*[e.den for e in outers])
-        total: Dict[int, Lifted] = {}
-        for outer in outers:
-            s = den // outer.den
-            for k, (r, i) in outer._coords.items():
-                t = total.get(k, (0, 0))
-                total[k] = (t[0] + r * s, t[1] + i * s)
-        if any(r or i for r, i in total.values()):
-            jacobi_failures.append((na, nb, nc))
-
-    dimension = rank([e.flatten() for e in basis.values()])
+    h_closed = all(k > X_DIM for (i, _), out in table.items() if i > X_DIM for k in out)
+    jacobi_failures = [
+        tuple(BASIS_NAMES[t - 1] for t in triple)
+        for triple in _jacobi_failures(X_DIM + Y_DIM, table)
+    ]
+    dimension = rank([e.flatten() for e in g2_basis().values()])
     return Report(
         not unregistered_mismatches and not jacobi_failures and h_closed
-        and dimension == 14,
+        and dimension == X_DIM + Y_DIM,
         {"checked": len(REFERENCE_BRACKET_TABLE), "h_closed": h_closed,
          "dimension": dimension},
         mismatches=mismatches,
@@ -769,25 +754,15 @@ def membership_sample_check(
 @lru_cache(maxsize=1)
 def g2_algebra() -> LieAlgebra:
     """Structure constants extracted from matrix commutators (not the table)."""
-    basis = list(g2_basis().values())
-    brackets = {}
-    for i in range(14):
-        for j in range(i + 1, 14):
-            out = bracket(basis[i], basis[j])
-            if out._coords:
-                brackets[(i + 1, j + 1)] = {
-                    k + 1: _view(v, out.den) for k, v in sorted(out._coords.items())
-                }
-    return LieAlgebra(
-        14, brackets, basis_names=list(BASIS_NAMES), name="g2"
-    )
+    return LieAlgebra(X_DIM + Y_DIM, _basis_brackets(), basis_names=list(BASIS_NAMES), name="g2")
 
 
 @lru_cache(maxsize=1)
 def g2_J() -> ACStructure:
     """The invariant almost complex structure pairing (e1,e2), (e3,e4), ..."""
-    matrix = [[0] * 14 for _ in range(14)]
-    for pair in range(7):
+    dim = X_DIM + Y_DIM
+    matrix = [[0] * dim for _ in range(dim)]
+    for pair in range(dim // 2):
         odd = 2 * pair
         even = 2 * pair + 1
         matrix[even][odd] = -1
@@ -817,9 +792,9 @@ def projection_differential(elem: G2Element) -> Tuple[Scalar, ...]:
 
 
 def verify_projection() -> Report:
-    """dp kills the h-span, sends f_i to (-1)^i e_{i+1}, intertwines the
-    algebra pairing with the cross-product rotation at e1, and every basis
-    matrix infinitesimally preserves the three-form."""
+    """dp kills the h-span, sends f_i to (-1)^i e_{i+1}, intertwines g2_J
+    with the cross-product rotation at e1, and every basis matrix
+    infinitesimally preserves the three-form."""
     basis = g2_basis()
     cp = cross_product()
     zero7 = tuple(_sc(0) for _ in range(N))
@@ -835,19 +810,13 @@ def verify_projection() -> Report:
         if projection_differential(basis[f"f{i}"]) != want:
             image_ok = False
 
-    # J on the algebra: f1 -> -f2, f3 -> -f4, ..., h7 -> -h8 and back.
-    j_images = {}
-    for pair in range(7):
-        a = BASIS_NAMES[2 * pair]
-        b = BASIS_NAMES[2 * pair + 1]
-        j_images[a] = -basis[b]
-        j_images[b] = basis[a]
-
-    # the cross-product rotation at e1 is v -> e1 x v
+    # the cross-product rotation at e1 is v -> e1 x v; J(e_b) is column b of g2_J
+    J = g2_J().matrix
     e1 = basis_vector(1)
     intertwine_failures = []
-    for name in BASIS_NAMES:
-        lhs = projection_differential(j_images[name])
+    for b, name in enumerate(BASIS_NAMES):
+        column = [row[b].constant_value() for row in J]
+        lhs = projection_differential(G2Element(column[:X_DIM], column[X_DIM:]))
         rhs = cp.cross(e1, projection_differential(basis[name]))
         if lhs != rhs:
             intertwine_failures.append(name)
@@ -887,7 +856,7 @@ S6_DF_DISPLAYS: Dict[int, Dict[Tuple[int, int], int]] = {
 
 
 def _form7(terms) -> Form:
-    return Form(N, {key: Scalar(re, im) for key, (re, im) in terms.items()})
+    return Form((X_DIM + Y_DIM) // 2, {key: Scalar(re, im) for key, (re, im) in terms.items()})
 
 
 _HALF = Fraction(1, 2)
@@ -939,7 +908,7 @@ def s6_structure_package() -> Report:
 
     df_failures = []
     for k, terms in S6_DF_DISPLAYS.items():
-        want = Form(14, {(key, ()): SymScalar.const(c) for key, c in terms.items()})
+        want = Form(alg.dim, {(key, ()): SymScalar.const(c) for key, c in terms.items()})
         got = alg.d_generator(k)
         if got != want:
             df_failures.append(k)
@@ -951,21 +920,20 @@ def s6_structure_package() -> Report:
 
     dbar_20_failures = []
     for (i, j), want in S6_DBAR_20.items():
-        got = coframe.dbar(Form.phi(N, i).wedge(Form.phi(N, j)))
+        got = coframe.dbar(Form.phi(model.n, i).wedge(Form.phi(model.n, j)))
         if got != want:
             dbar_20_failures.append([i, j])
 
-    top = Form.phi(N, 1).wedge(Form.phi(N, 2)).wedge(Form.phi(N, 3))
-    top_closed = coframe.dbar(top).is_zero()
+    top_closed = coframe.dbar(_s6_canonical().vol).is_zero()
 
     # dual frame spot check: X_1 = (e1 + i e2)/2, X_7 = (e13 + i e14)/2
     half_i = SymScalar.const(Scalar(0, _HALF))
     half = SymScalar.const(Scalar(_HALF))
     zero = SymScalar.const(0)
-    want_x1 = [half, half_i] + [zero] * 12
-    want_x7 = [zero] * 12 + [half, half_i]
+    want_x1 = [half, half_i] + [zero] * (alg.dim - 2)
+    want_x7 = [zero] * (alg.dim - 2) + [half, half_i]
     dual_ok = (
-        coframe.x_vector(0) == want_x1 and coframe.x_vector(6) == want_x7
+        coframe.x_vector(0) == want_x1 and coframe.x_vector(model.n - 1) == want_x7
     )
     return Report(
         not df_failures and not dbar_phi_failures and not dbar_20_failures
@@ -989,12 +957,12 @@ def _frame_vector(label: str) -> List[SymScalar]:
     """X1..X7, Xb1..Xb7 from the coframe; f/h names as real basis vectors."""
     coframe = s6_model().coframe
     if label.startswith("Xb"):
-        return coframe.x_vector(7 + int(label[2:]) - 1)
+        return coframe.x_vector(coframe.n + int(label[2:]) - 1)
     if label.startswith("X"):
         return coframe.x_vector(int(label[1:]) - 1)
     idx = BASIS_NAMES.index(label)
     return [
-        SymScalar.const(1 if k == idx else 0) for k in range(14)
+        SymScalar.const(1 if k == idx else 0) for k in range(X_DIM + Y_DIM)
     ]
 
 
@@ -1021,7 +989,7 @@ REDUCTION_BRACKET_ERRATA: Dict[Tuple[str, str], List[Tuple[Scalar, str]]] = {
 
 
 def _frame_combo_vector(combo: List[Tuple[Scalar, str]]) -> List[SymScalar]:
-    out = [SymScalar.const(0)] * 14
+    out = [SymScalar.const(0)] * (X_DIM + Y_DIM)
     for c, label in combo:
         vec = _frame_vector(label)
         out = [w + SymScalar.const(c) * v for w, v in zip(out, vec)]
@@ -1064,13 +1032,14 @@ def s6_basic_star(x: Form) -> Form:
     Purely pointwise, so unlike the differential it never leaves the basic
     span; inputs with non-basic indices are rejected.
     """
+    model = s6_model()
     terms = {}
     for (alpha, beta), c in x.terms.items():
-        if not (set(alpha) <= {1, 2, 3} and set(beta) <= {1, 2, 3}):
+        if not (set(alpha) <= model.basic and set(beta) <= model.basic):
             raise InputError("sphere star is defined on basic monomials only")
-        bhat, ahat, coeff = star_monomial(3, alpha, beta)
+        bhat, ahat, coeff = star_monomial(len(model.basic), alpha, beta)
         terms[(bhat, ahat)] = c * coeff
-    return _form(N, terms)
+    return _form(model.n, terms)
 
 
 @lru_cache(maxsize=1)
@@ -1097,9 +1066,10 @@ def _serre_transport_bijective(p: int) -> bool:
     """Is s -> conj(sphere-star s) a bijection from basic (p,0) monomial
     span onto the basic (3-p, 3) span?  Checked by exact rank."""
     model = s6_model()
+    d = len(model.basic)
     source = _section_monomials(model, p, 0)
-    target = _section_monomials(model, 3 - p, 3)
-    images = [s6_basic_star(Form.monomial(N, a, b)).conjugate() for (a, b) in source]
+    target = _section_monomials(model, d - p, d)
+    images = [s6_basic_star(Form.monomial(model.n, a, b)).conjugate() for (a, b) in source]
     return len(source) == len(target) and rank(_coordinates(images)) == len(target)
 
 
@@ -1117,7 +1087,7 @@ def s6_hodge_report(levels: int = 8) -> Report:
     h20 = invariant_harmonic_space(model, 2, 0).dimension
     plurigenera = [s6_plurigenus(m) for m in range(1, levels + 1)]
     bijections = _serre_transport_bijective(1) and _serre_transport_bijective(2)
-    gen = Form.phi(N, 1).wedge(Form.phi(N, 2)).wedge(Form.phi(N, 3))
+    gen = _s6_canonical().vol
     star_on_generator = s6_basic_star(gen).conjugate() == gen.conjugate().scale(_I)
     shown = {
         "h10": h10,

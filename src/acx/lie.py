@@ -32,7 +32,7 @@ from itertools import combinations
 from .errors import InputError, InternalCheckError
 from .forms import Form, MultiIndex, _form, d_monomial
 from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon
-from .scalars import SS_ONE, SS_ZERO, S_I, SymScalar, _lift
+from .scalars import SS_ONE, SS_ZERO, S_I, Scalar, SymScalar, _lift
 
 
 # --- Lie algebras
@@ -100,18 +100,8 @@ class LieAlgebra:
         return out
 
     def _check_jacobi(self):
-        """[[e_i,e_j],e_k] + cyclic = 0 on every basis triple, summed from ad.
-
-        The structure constants are lifted once to Gaussian integers (re, im)
-        over one denominator D: every product of two is over D^2, so a sum
-        vanishes exactly when its integer numerator does.
-        """
-        constants = [c.num[0] for row in self._ad for terms in row.values() for _, c in terms]
-        re, im, _ = _lift(constants)
-        lifted = iter(zip(re, im))
-        ad = [{b: [(k, next(lifted)) for k, _ in terms] for b, terms in row.items()}
-              for row in self._ad]
-        bad = _first_jacobi_failure(ad)
+        """Refuse the algebra on the first basis triple _jacobi_failures yields."""
+        bad = next(_jacobi_failures(self.dim, self.brackets), None)
         if bad:
             raise InputError("Jacobi identity fails on basis triple ({},{},{})".format(*bad))
 
@@ -136,11 +126,23 @@ class LieAlgebra:
         return Form(self.dim, terms)
 
 
-def _first_jacobi_failure(ad):
-    """The first basis triple (1-based, in combinations order) on which the
-    cyclic sum of [[e_a,e_b],e_c] over ad, whose constants are lifted to
-    (re, im) over one denominator, is nonzero, or None."""
-    for i, j, k in combinations(range(len(ad)), 3):
+def _jacobi_failures(dim, brackets):
+    """Every basis triple (1-based, in combinations order) on which
+    [[e_a,e_b],e_c] + cyclic is nonzero; brackets as LieAlgebra.brackets,
+    each constant a Scalar or a constant SymScalar.
+
+    The constants are lifted once to Gaussian integers (re, im) over one
+    denominator D: every product of two is over D^2, so a sum vanishes
+    exactly when its integer numerator does.
+    """
+    terms = [(i - 1, j - 1, k - 1, c) for (i, j), vec in brackets.items() for k, c in vec.items()]
+    re, im, _ = _lift([c if type(c) is Scalar else c.constant_value() for *_, c in terms])
+    # ad[a][b]: the 0-based (k, (re, im)) terms of [e_a, e_b]
+    ad = [{} for _ in range(dim)]
+    for (i, j, k, _), r, m in zip(terms, re, im):
+        ad[i].setdefault(j, []).append((k, (r, m)))
+        ad[j].setdefault(i, []).append((k, (-r, -m)))
+    for i, j, k in combinations(range(dim), 3):
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, (fr, fi) in ad[a].get(b, ()):
@@ -151,9 +153,8 @@ def _first_jacobi_failure(ad):
                     else:
                         t[0] += fr * gr - fi * gi
                         t[1] += fr * gi + fi * gr
-        if any(re or im for re, im in acc.values()):
-            return i + 1, j + 1, k + 1
-    return None
+        if any(x or y for x, y in acc.values()):
+            yield i + 1, j + 1, k + 1
 
 
 # --- almost complex structures

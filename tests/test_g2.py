@@ -14,6 +14,7 @@ from acx.bundles import CanonicalPower, PseudoholStructure
 from acx.errors import InputError, RefusalError
 from acx.forms import Form
 from acx.hodge import serre_pairing_check
+from acx.lie import ACStructure
 from acx.models import abelian_model
 from acx.scalars import Scalar, SymScalar
 
@@ -29,7 +30,7 @@ def s6_coframe_bundle():
     """
     model = g2.s6_model()
     d_phi = model.coframe.d_phi
-    zero = Form.zero(g2.N)
+    zero = Form.zero(model.n)
     theta = [[zero for _ in range(3)] for _ in range(3)]
     for i in range(1, 4):
         for (alpha, beta), c in d_phi(i).project(1, 1).terms.items():
@@ -40,12 +41,12 @@ def s6_coframe_bundle():
                     f"dbar phi^{i} has a phi^{j} component"
                 )
             theta[i - 1][j - 1] = theta[i - 1][j - 1] - Form.monomial(
-                g2.N, (), (k,), c
+                model.n, (), (k,), c
             )
     for i in range(1, 4):
-        total = Form.zero(g2.N)
+        total = Form.zero(model.n)
         for j in range(1, 4):
-            total = total + theta[i - 1][j - 1].wedge(Form.phi(g2.N, j))
+            total = total + theta[i - 1][j - 1].wedge(Form.phi(model.n, j))
         if not (total - d_phi(i).project(1, 1)).is_zero():
             raise RefusalError(
                 f"coframe-bundle operator does not reproduce dbar phi^{i}"
@@ -253,6 +254,16 @@ class TestProjection:
         assert g2.projection_differential(basis["f1"]) == tuple(-c for c in e2)
         zero7 = tuple(Scalar(0) for _ in range(7))
         assert g2.projection_differential(basis["h3"]) == zero7
+
+    def test_intertwining_reads_J_from_g2_J(self, monkeypatch):
+        # swapping the entries of the pair (f1, f2) gives J(f1) = f2 and
+        # J(f2) = -f1: still J^2 = -I, but not the rotation at e1
+        matrix = [row[:] for row in g2.g2_J().matrix]
+        matrix[0][1], matrix[1][0] = matrix[1][0], matrix[0][1]
+        monkeypatch.setattr(g2, "g2_J", lambda: ACStructure(matrix))
+        report = g2.verify_projection()
+        assert report.intertwine_failures == ["f1", "f2"]
+        assert not report.ok
 
 
 class TestSphereStructure:

@@ -18,16 +18,19 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from acx import g2
 from acx.cli import main
 from acx.errors import InputError, RefusalError
+from acx.lie import LieAlgebra
 from acx.linalg import span_test
-from acx.scalars import Scalar
+from acx.scalars import Scalar, SymScalar
 
 from test_hodge import solve
+from test_lie import dense_jacobi_failures
 
 N = g2.N
 
@@ -288,61 +291,84 @@ def test_canonical_bundle_is_built_once_for_50_levels(monkeypatch):
     assert builds == [(g2.s6_model(), 1)]
 
 
-def jacobi_failures_by_element_sums():
-    """The Jacobi sweep as it summed whole elements with G2Element.__add__."""
+def perturb_brackets(monkeypatch, shifts):
+    """Patch g2.bracket so that [e_u, e_v] gains s * e_w, and [e_v, e_u]
+    loses it, for each ((u, v), w, s) in shifts; return the structure
+    constants this gives, built independently from g2_algebra's."""
     basis = g2.g2_basis()
-    failures = []
-    for na, nb, nc in itertools.combinations(g2.BASIS_NAMES, 3):
-        total = (
-            g2.bracket(g2.bracket(basis[na], basis[nb]), basis[nc])
-            + g2.bracket(g2.bracket(basis[nb], basis[nc]), basis[na])
-            + g2.bracket(g2.bracket(basis[nc], basis[na]), basis[nb])
-        )
-        if not total.is_zero():
-            failures.append((na, nb, nc))
-    return failures
+    index = {name: k for k, name in enumerate(g2.BASIS_NAMES, 1)}
+    brackets = {ij: dict(vec) for ij, vec in g2.g2_algebra().brackets.items()}
+    extra = {}
+    for (u, v), w, s in shifts:
+        extra[u, v] = basis[w].scale(s)
+        extra[v, u] = basis[w].scale(-s)
+        i, j = index[u], index[v]
+        if i > j:
+            i, j, s = j, i, -s
+        vec = brackets.setdefault((i, j), {})
+        vec[index[w]] = vec.get(index[w], SymScalar.const(0)) + SymScalar.const(s)
+    names = {id(e): name for name, e in basis.items()}
+    true_bracket = g2.bracket
+
+    def bracket(a, b):
+        out = true_bracket(a, b)
+        shift = extra.get((names.get(id(a)), names.get(id(b))))
+        return out if shift is None else out + shift
+
+    monkeypatch.setattr(g2, "bracket", bracket)
+    return brackets
+
+
+def dense_failure_names(brackets):
+    """dense_jacobi_failures on these constants, by basis name."""
+    alg = SimpleNamespace(dim=g2.X_DIM + g2.Y_DIM, brackets=brackets)
+    return [tuple(g2.BASIS_NAMES[t - 1] for t in triple) for triple in dense_jacobi_failures(alg)]
 
 
 @pytest.mark.parametrize("pair, wrong", [(("f1", "f2"), "h3"), (("h1", "f4"), "f1")])
 def test_coordinate_jacobi_sum_reports_the_same_triples(monkeypatch, pair, wrong):
-    basis = g2.g2_basis()
-    true_bracket = g2.bracket
-    a, b = (basis[n] for n in pair)
-
-    def bracket(u, v):
-        out = true_bracket(u, v)
-        if (u, v) == (a, b):
-            return out + basis[wrong]
-        if (u, v) == (b, a):
-            return out - basis[wrong]
-        return out
-
-    monkeypatch.setattr(g2, "bracket", bracket)
-    want = jacobi_failures_by_element_sums()
+    want = dense_failure_names(perturb_brackets(monkeypatch, [(pair, wrong, 1)]))
     assert want
     assert g2.verify_bracket_table().jacobi_failures == want
 
 
 def test_coordinate_jacobi_sum_brings_denominators_together(monkeypatch):
-    """Shift every outer bracket [., e] by a multiple of h1 that depends on
-    e: 1/2 for f2, 1/3 for f3, -5/6 for f4.  The shifts cancel on the triple
-    (f2, f3, f4) only over a common denominator."""
-    basis = g2.g2_basis()
-    basis_ids = {id(e) for e in basis.values()}
-    shifts = {id(basis["f2"]): Fraction(1, 2), id(basis["f3"]): Fraction(1, 3),
-              id(basis["f4"]): Fraction(-5, 6)}
-    true_bracket = g2.bracket
-
-    def bracket(u, v):
-        out = true_bracket(u, v)
-        if id(u) in basis_ids or id(v) not in shifts:
-            return out
-        return out + basis["h1"].scale(shifts[id(v)])
-
-    monkeypatch.setattr(g2, "bracket", bracket)
-    want = jacobi_failures_by_element_sums()
+    """[f5, f4], [h2, f2] and [h4, f3] gain 1/2, 1/3 and -5/6 times h1.  The
+    triple (f2, f3, f4) reaches them through [f2, f3] = f5 - h3,
+    [f3, f4] = h2 and [f4, f2] = h4, so its sum changes by
+    (1/2 + 1/3 - 5/6) h1 = 0, which holds only over a common denominator;
+    other triples reach only some of them and fail."""
+    shifts = [(("f5", "f4"), "h1", Fraction(1, 2)), (("h2", "f2"), "h1", Fraction(1, 3)),
+              (("h4", "f3"), "h1", Fraction(-5, 6))]
+    want = dense_failure_names(perturb_brackets(monkeypatch, shifts))
     assert want and ("f2", "f3", "f4") not in want
     assert g2.verify_bracket_table().jacobi_failures == want
+
+
+def test_perturbed_commutators_fail_g2_verify_and_the_algebra(monkeypatch, capsys):
+    """g2-verify's Jacobi sweep and LieAlgebra's are one: on the same
+    perturbed commutators the first lists the dense reference's triples
+    and the second refuses on the first of them."""
+    brackets = perturb_brackets(monkeypatch, [(("f1", "f3"), "h5", Fraction(2, 3))])
+    want = dense_failure_names(brackets)
+    assert len(want) > 1
+    reports = []
+    verify = g2.verify_bracket_table
+    monkeypatch.setattr(g2, "verify_bracket_table", lambda: reports.append(verify()) or reports[-1])
+    assert main(["g2-verify", "--samples", "2", "--negatives", "1"]) == 1
+    table = json.loads(capsys.readouterr().out)["bracket_table"]
+    assert (table["jacobi_failures"], table["ok"]) == (len(want), False)
+    assert reports[0].jacobi_failures == want
+    with pytest.raises(InputError) as exc:
+        LieAlgebra(g2.X_DIM + g2.Y_DIM, g2._basis_brackets())
+    first = [g2.BASIS_NAMES.index(name) + 1 for name in want[0]]
+    assert str(exc.value) == "Jacobi identity fails on basis triple ({},{},{})".format(*first)
+
+
+def test_catalogue_pairs_are_in_basis_order():
+    # verify_bracket_table looks each pair up among the commutators [e_i, e_j], i < j
+    order = {name: k for k, name in enumerate(g2.BASIS_NAMES)}
+    assert all(order[a] < order[b] for a, b in g2.REFERENCE_BRACKET_TABLE)
 
 
 def test_scalar_coordinates_are_kept_and_others_coerced():
@@ -554,8 +580,8 @@ def test_span_test_matches_dense_reference():
 
 
 def test_g2_verify_sweep_sizes(monkeypatch, capsys):
-    """g2-verify through the CLI: 91 pair brackets and 1,092 outer brackets,
-    110 decisions of the lifted membership kernel (100 members and 10
+    """g2-verify through the CLI: the 91 basis commutators and no bracket
+    of any other element, 110 decisions of the lifted membership kernel (100 members and 10
     non-members), 10 span decisions against one reduced basis, 14
     form-preservation decisions, and the cross identities on all 49 basis
     pairs."""
@@ -606,7 +632,6 @@ def test_g2_verify_sweep_sizes(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
     assert counts == {
         "pair bracket": 91,
-        "outer bracket": 1092,
         "_is_member_lifted True": 100,
         "_is_member_lifted False": 10,
         "reduced basis": 1,

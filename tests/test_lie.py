@@ -361,8 +361,9 @@ def dense_bracket(alg, u, v):
     return out
 
 
-def dense_first_jacobi_failure(alg):
-    """The first basis triple, in combinations order, where Jacobi fails."""
+def dense_jacobi_failures(alg):
+    """Each basis triple (1-based), in combinations order, where Jacobi
+    fails, as a generator; alg needs only dim and brackets."""
     from itertools import combinations
 
     basis = [[SS_ONE if k == i else SS_ZERO for k in range(alg.dim)] for i in range(alg.dim)]
@@ -372,8 +373,12 @@ def dense_first_jacobi_failure(alg):
             outer = dense_bracket(alg, dense_bracket(alg, basis[a], basis[b]), basis[c])
             acc = [x + y for x, y in zip(acc, outer)]
         if any(not x.is_zero() for x in acc):
-            return (i + 1, j + 1, k + 1)
-    return None
+            yield i + 1, j + 1, k + 1
+
+
+def dense_first_jacobi_failure(alg):
+    """The first basis triple, in combinations order, where Jacobi fails."""
+    return next(dense_jacobi_failures(alg), None)
 
 
 @pytest.fixture

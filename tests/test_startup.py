@@ -284,6 +284,28 @@ def test_usage_error_with_closed_stdout_keeps_its_exit_code():
     assert proc.stderr == (USAGE_DIR / "unknown-command.txt").read_bytes()
 
 
+# a process started with descriptor 2 closed has sys.stderr None
+_CLOSE_STDERR = "import os, sys; os.close(2); os.execv(sys.executable, sys.argv[1:])"
+
+
+@pytest.mark.parametrize("name, argv, code", USAGE_CASES,
+                         ids=[case[0] for case in USAGE_CASES])
+def test_usage_with_closed_stderr(name, argv, code):
+    # argparse would print a usage error's text to stdout when stderr is
+    # None; it exits 2 with nothing written, as acx's own input errors do,
+    # and help and version text still goes to stdout
+    proc = fresh_process(["-c", _CLOSE_STDERR, sys.executable, "-m", "acx.cli", *argv])
+    assert proc.returncode == code
+    assert proc.stdout == ((USAGE_DIR / f"{name}.txt").read_bytes() if code == 0 else b"")
+
+
+def test_input_error_with_closed_stderr_exits_2():
+    proc = fresh_process(["-c", _CLOSE_STDERR, sys.executable, "-m", "acx.cli",
+                          "rr", "--genus", "1"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+
+
 def test_profiler_reports_in_a_fresh_process():
     proc = fresh_process(["-m", "cProfile", "-s", "tottime", "-m", "acx.cli",
                           "rr", "--genus", "2"])
