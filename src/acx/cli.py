@@ -36,18 +36,17 @@ MAX_GENUS = 10**6
 
 # Most hodge section monomials C(k,p)*C(k,q) (k = n, or the size of the
 # model's basic set): the column count of each operator matrix.  400 admits
-# every (p,q) at dim <= 12; (3,3) at dim 12 takes 0.7 s on an abelian file and
-# 25-27 s on a dense 2-step nilpotent one, and (1,2) on a dense dim-18 file
-# 51 s, the slowest admitted input found (2-vCPU Xeon VM).
+# every (p,q) at dim <= 12 and (1,2) at dim 18; the README's
+# slowest-invocation table times those inputs.
 MAX_SECTIONS = 400
 
-# Most --a values, counted before any is parsed.  Sixteen generic values take
-# 19-20 s with plurigenera --cross-check at --m 1..1000, which tests
-# (2 * torus.MODE_WINDOW + 1)^2 modes per level and value (2-vCPU Xeon VM).
+# Most --a values, counted before any is parsed; plurigenera --cross-check
+# tests (2 * torus.MODE_WINDOW + 1)^2 modes per level and value.  The
+# README's slowest-invocation table times sixteen values.
 MAX_A_VALUES = 16
 
-# Most kunneth --factors.  Eight s6 factors, the slowest profile to build, take
-# 0.42 s at --length 1000 (2-vCPU Xeon VM).
+# Most kunneth --factors; the README's slowest-invocation table times eight
+# s6 factors, the slowest profile to build.
 MAX_FACTORS = 8
 
 _T4_LIE_REFUSAL = (
@@ -276,25 +275,14 @@ def _cmd_structure_eqs(args):
 
 def _values(kind, member, levels, cross_check) -> Dict[str, object]:
     """Plurigenera report fields of one --a value (kt), a t4 member, the sphere
-    or a model file.  With cross_check (kt only), each level is re-derived by
-    enumerating the modes of torus.MODE_WINDOW."""
+    or a model file.  With cross_check (kt only), torus.kt_mode_cross_check
+    re-derives each level by enumerating the modes of torus.MODE_WINDOW."""
     if kind == "kt":
         from . import torus
 
         values = [torus.kt_plurigenus(member, m) for m in levels]
         if cross_check:
-            for m in levels:
-                coeff = Fraction(m, 4)
-                closed = {
-                    mode
-                    for mode in torus.kt_solvable_modes(member, coeff)
-                    if all(abs(c) <= torus.MODE_WINDOW for c in mode)
-                }
-                if closed != set(torus.kt_mode_oracle(member, coeff)):
-                    raise InternalCheckError(
-                        "mode oracle",
-                        f"disagrees with the closed form at a={member}, m={m}",
-                    )
+            torus.kt_mode_cross_check(member, levels)
         return {"values": values, "first_nonzero": torus.kt_first_nonzero(member)}
     if kind == "t4":
         from . import torus
@@ -737,9 +725,9 @@ def console_main() -> None:
     `main` has flushed stdout, and stderr is line-buffered, so no output
     depends on the rest of the process: it ends with os._exit and skips
     interpreter teardown (module teardown, a final garbage collection,
-    freeing every object), 9-15 ms of each invocation (Python 3.11, 2-vCPU
-    Xeon VM).  It leaves through sys.exit when a profiler or tracer is
-    attached, since those report at exit.
+    freeing every object), whose cost the README states.  It leaves through
+    sys.exit when a profiler or tracer is attached, since those report at
+    exit.
     """
     code = main()
     if _tool_attached():

@@ -16,7 +16,8 @@ over all of them.  Commutators and the re-entry check run on those
 integers, and so do the membership and three-form invariance kernels of
 CrossProduct: is_member and preserves_form lift a Scalar matrix once, while
 the membership sample and the projection check hand them an element's own
-entries.  Scalars appear only as views at the API boundary (x, y, entries,
+entries.  An element holds nothing else: it keeps no Scalar and no row
+index.  Scalars appear only as views at the API boundary (x, y, entries,
 matrix, coordinates(), flatten()), as the structure constants, as the span
 test's input and in refusal messages.
 
@@ -143,22 +144,18 @@ def _view(v, den: int) -> Scalar:
     return _scalar(v[0], v[1], 1) if den == 1 else _norm(v[0], v[1], den)
 
 
-def _element(coords: Dict[int, Lifted], den: int, entries=None) -> "G2Element":
+def _element(coords: Dict[int, Lifted], den: int) -> "G2Element":
     """The element with these nonzero lifted coordinates over den > 0,
-    reduced by one gcd; entries, when given, are the ones coords place."""
+    reduced by one gcd."""
     if den > 1:
         g = gcd(den, *(c for v in coords.values() for c in v))
         if g > 1:
             den //= g
             coords = {k: (r // g, i // g) for k, (r, i) in coords.items()}
-            if entries is not None:
-                entries = {p: (r // g, i // g) for p, (r, i) in entries.items()}
     e = _new(G2Element)
     _setden(e, den)
     _setcoords(e, coords)
-    _setentries(e, _place(coords) if entries is None else entries)
-    _setscalars(e, None)
-    _setrows(e, None)
+    _setentries(e, _place(coords))
     return e
 
 
@@ -168,11 +165,9 @@ class G2Element(_Frozen):
     {(i, j): (re, im)} of its 7x7 matrix, all Gaussian integers over one
     denominator den > 0 with gcd 1 over all of them, so that equal elements
     are held alike.  x, y, entries, matrix, coordinates() and flatten() are
-    Scalar views built on demand; coordinates given as Scalars are kept.
-    The entries by row, [(j, (re, im)), ...] for each row i, are filled in
-    on first use by _row_index."""
+    Scalar views built on demand."""
 
-    __slots__ = ("den", "_coords", "_entries", "_scalars", "_rows")
+    __slots__ = ("den", "_coords", "_entries")
 
     def __init__(self, x: Sequence, y: Sequence):
         x = tuple(c if type(c) is Scalar else _sc(c) for c in x)
@@ -182,21 +177,16 @@ class G2Element(_Frozen):
                 f"coordinates must be {X_DIM} + {Y_DIM} values, "
                 f"got {len(x)} + {len(y)}"
             )
-        scalars = x + y
         # over the lcm of the denominators the gcd is already 1: if p^e is
         # the power of a prime p in the lcm, p^e divides some c.d, so den // c.d
         # is prime to p, and p does not divide both c.a and c.b
-        re, im, den = _lift(scalars)
+        re, im, den = _lift(x + y)
         coords = {k: v for k, v in enumerate(zip(re, im)) if v[0] or v[1]}
         _setden(self, den)
         _setcoords(self, coords)
         _setentries(self, _place(coords))
-        _setscalars(self, scalars)
-        _setrows(self, None)
 
     def coordinates(self) -> Tuple[Scalar, ...]:
-        if self._scalars is not None:
-            return self._scalars
         den, get = self.den, self._coords.get
         return tuple(_view(get(k), den) for k in range(X_DIM + Y_DIM))
 
@@ -252,7 +242,7 @@ class G2Element(_Frozen):
                 f"({i + 1},{j + 1}) is {_view(E.get((i, j)), den)}, pattern forces "
                 f"{_view(forced.get((i, j)), den)}"
             )
-        return _element(coords, den, forced)
+        return _element(coords, den)
 
     # -- linear structure ----------------------------------------------------
 
@@ -265,10 +255,7 @@ class G2Element(_Frozen):
         return _element({k: v for k, v in coords.items() if v[0] or v[1]}, d * f)
 
     def __neg__(self) -> "G2Element":
-        return _element(
-            {k: (-r, -i) for k, (r, i) in self._coords.items()}, self.den,
-            {p: (-r, -i) for p, (r, i) in self._entries.items()},
-        )
+        return _element({k: (-r, -i) for k, (r, i) in self._coords.items()}, self.den)
 
     def __sub__(self, other: "G2Element") -> "G2Element":
         return self + (-other)
@@ -301,19 +288,6 @@ class G2Element(_Frozen):
 _setden = G2Element.__dict__["den"].__set__
 _setcoords = G2Element.__dict__["_coords"].__set__
 _setentries = G2Element.__dict__["_entries"].__set__
-_setscalars = G2Element.__dict__["_scalars"].__set__
-_setrows = G2Element.__dict__["_rows"].__set__
-
-
-def _row_index(e: G2Element) -> List[List[Tuple[int, Lifted]]]:
-    """The nonzero lifted entries of e by row, built once per element."""
-    rows = e._rows
-    if rows is None:
-        rows = [[] for _ in range(N)]
-        for (k, j), v in e._entries.items():
-            rows[k].append((j, v))
-        _setrows(e, rows)
-    return rows
 
 
 def _commutator_entries(a: G2Element, b: G2Element):
@@ -321,7 +295,9 @@ def _commutator_entries(a: G2Element, b: G2Element):
     from nonzero entries only, with that denominator."""
     C: Dict[Tuple[int, int], List[int]] = {}
     for sign, p, q in ((1, a, b), (-1, b, a)):
-        q_rows = _row_index(q)
+        q_rows = [[] for _ in range(N)]
+        for (k, j), v in q._entries.items():
+            q_rows[k].append((j, v))
         for (i, k), (x, y) in p._entries.items():
             if sign < 0:
                 x, y = -x, -y

@@ -409,8 +409,9 @@ class LieACS:
 
     characters, when set, is a callable: characters(bundle_power) returns the
     Fourier blocks the model supplies for harmonic-space computations besides
-    the trivial one.  basic, when set, restricts section monomials to the
-    given holomorphic/antiholomorphic index set.
+    the trivial one, which is built once, with the model.  basic, when set,
+    restricts section monomials to the given holomorphic/antiholomorphic
+    index set.
     """
 
     def __init__(self, alg, J, *, name="", symbol="x", characters=None,
@@ -421,6 +422,7 @@ class LieACS:
         self.name = name
         self.symbol = symbol
         self._characters = characters
+        self._trivial = Character(alg, [SS_ZERO] * alg.dim)
         self.basic = frozenset(basic) if basic is not None else None
 
     @property
@@ -428,13 +430,9 @@ class LieACS:
         return self.coframe.n
 
     def characters(self, bundle_power=0):
-        trivial = Character(self.alg, [SS_ZERO] * self.alg.dim)
-        if self._characters is None:
-            return [trivial]
-        out = [trivial]
-        seen = {trivial.key()}
-        for ch in self._characters(bundle_power):
-            if ch.key() not in seen:
-                out.append(ch)
-                seen.add(ch.key())
-        return out
+        """The trivial character, then the model's own blocks, each once."""
+        out = {self._trivial.key(): self._trivial}
+        if self._characters is not None:
+            for ch in self._characters(bundle_power):
+                out.setdefault(ch.key(), ch)
+        return list(out.values())

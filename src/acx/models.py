@@ -28,9 +28,8 @@ from .errors import InputError
 from .lie import ACStructure, Character, LieACS, LieAlgebra
 from .scalars import PiParam, Scalar, SymScalar, parse_rational
 
-# Largest model-file dim.  structure-eqs on an abelian or a dense 2-step
-# nilpotent file takes up to 0.5 s at dim 24 and about 1 s at 32-40 (2-vCPU
-# Xeon VM); the cost grows faster than cubically in dim.
+# Largest model-file dim; building a model costs more than cubically in dim.
+# The README's slowest-invocation table times dense dim-24 files.
 MAX_DIM = 24
 
 # Most bytes read from a model file, checked before decoding.  A dim-24 file

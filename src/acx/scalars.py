@@ -43,9 +43,6 @@ hot types (Scalar, SymScalar, Form, G2Element) fill their slots through the
 slot descriptors' __set__ (_seta, _setb, _setd, _setnum, _setden and their
 like in forms and g2, fetched once at import), which is cheaper than a
 generic object.__setattr__ call; the cold types call object.__setattr__.
-G2Element holds no Scalars: like the lifted polynomials below (_lift), its
-coordinates and matrix entries are Gaussian-integer pairs over one
-denominator with gcd 1, and Scalars are built only as views of them.
 """
 
 from __future__ import annotations

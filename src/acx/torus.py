@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import InputError, RefusalError
+from .errors import InputError, InternalCheckError, RefusalError
 from .scalars import PiParam, Scalar, SymScalar, _Frozen
 
 Freq = Tuple[int, ...]
@@ -232,29 +232,44 @@ def kt_solvable_modes(a: PiParam, coeff: Fraction) -> List[Tuple[int, int]]:
     return []
 
 
-def _mode_multiplier_vanishes(a: PiParam, coeff: Fraction, k: int, l: int) -> bool:
-    """Exact zero test for coeff*a + pi*(i*k - l) at one mode.
-
-    On the rational branch the value is pi*((coeff*q - l) + i*k); on the
-    generic branch a and pi are rationally independent, so the value vanishes
-    only when both rational coordinates do.  coeff is a Fraction already.
-    """
-    if a.kind == "rational_pi":
-        return k == 0 and coeff * a.q == l
-    return coeff == 0 and k == 0 and l == 0
+def _mode_solves(k: int, l: int, target: Optional[int]) -> bool:
+    """The oracle's per-mode test: (k, l) is the one mode (0, target)."""
+    return k == 0 and l == target
 
 
 def kt_mode_oracle(a: PiParam, coeff: Fraction) -> List[Tuple[int, int]]:
-    """Cross-check oracle: test each mode of the window mode_window() exactly."""
+    """Cross-check oracle: test each mode of the window mode_window() exactly.
+
+    coeff*a + pi*(i*k - l) vanishes only at k = 0 and one l, the target,
+    worked out once per call: l = coeff*q on the rational branch a = q*pi,
+    if that is an integer; on the generic branch, where a and pi are
+    rationally independent, l = 0 if coeff = 0; else no mode solves.
+    """
     window = mode_window()
     if not isinstance(coeff, Fraction):
         coeff = Fraction(coeff)
-    hits = []
-    for k in range(-window, window + 1):
-        for l in range(-window, window + 1):
-            if _mode_multiplier_vanishes(a, coeff, k, l):
-                hits.append((k, l))
-    return hits
+    target = None
+    if a.kind == "rational_pi":
+        l = coeff * a.q
+        target = l.numerator if l.denominator == 1 else None
+    elif coeff == 0:
+        target = 0
+    modes = range(-window, window + 1)
+    return [(k, l) for k in modes for l in modes if _mode_solves(k, l, target)]
+
+
+def kt_mode_cross_check(a: PiParam, levels: Sequence[int]) -> None:
+    """Re-derive the closed-form modes of each plurigenus level m (the
+    coefficient m/4) by kt_mode_oracle, within the window."""
+    window = mode_window()
+    for m in levels:
+        coeff = Fraction(m, 4)
+        closed = {mode for mode in kt_solvable_modes(a, coeff)
+                  if all(abs(c) <= window for c in mode)}
+        if closed != set(kt_mode_oracle(a, coeff)):
+            raise InternalCheckError(
+                "mode oracle", f"disagrees with the closed form at a={a}, m={m}"
+            )
 
 
 def kt_plurigenus(a: PiParam, m: int) -> int:

@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, and byte determinism."""
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -320,6 +322,10 @@ class TestHodgeAndIrregularity:
         )
         assert code == 0
         assert report["value"] == 2
+        # a negative first value needs the = form; "--t -1,0" reads as an option
+        code, report = capture_json(["irregularity", "--model", "t4", "--t=-1,0"])
+        assert code == 0
+        assert (report["member"], report["value"]) == ("t=(-1,0)", 1)
 
     def test_hodge_blocks(self):
         code, report = capture_json(
@@ -1032,6 +1038,43 @@ class TestComputeOnce:
         code, report = capture_json(["nijenhuis", "--model", "kt", "--a", "4*pi"])
         assert code == 0 and report["integrable"] is False
         assert calls == {"nijenhuis": 1, "build_coframe": 1}
+
+    def test_cross_check_decides_each_window_mode_once(self, monkeypatch):
+        from acx import torus
+
+        calls = []
+        solves = torus._mode_solves
+        monkeypatch.setattr(torus, "_mode_solves",
+                            lambda k, l, target: calls.append(1) or solves(k, l, target))
+        code, report = capture_json(["plurigenera", "--model", "kt", "--a", "4*pi,generic",
+                                     "--m", "1..3", "--cross-check"])
+        assert code == 0 and report["cross_check"]["agreed"] is True
+        # two values, three levels, (2 * 32 + 1)^2 modes each
+        assert len(calls) == 2 * 3 * (2 * torus.MODE_WINDOW + 1) ** 2 == 25350
+
+    def test_a_model_builds_one_trivial_character(self, tmp_path, monkeypatch):
+        from acx import lie
+
+        trivial = []
+        init = lie.Character.__init__
+
+        def counting(self, alg, values):
+            init(self, alg, values)
+            trivial.append(self.is_trivial())
+
+        monkeypatch.setattr(lie.Character, "__init__", counting)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(KT_FILE_OBJ))
+        code, report = capture_json(["plurigenera", "--model", str(path), "--m", "1..50"])
+        assert code == 0 and report["values"] == [1] * 50
+        assert trivial.count(True) == 1
+
+    def test_cli_constructs_no_internal_check_error(self):
+        # every cross-check raises beside the computations it compares
+        tree = ast.parse(inspect.getsource(cli))
+        built = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "InternalCheckError"]
+        assert built == []
 
 
 class TestFailingReports:
