@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -613,7 +614,12 @@ _HANDLERS = {row[0]: row[-1] for row in _SUBCOMMANDS}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a failed write of its text raises, as a report's does."""
+    """argparse's parser, but a failed write of its text raises, as a report's
+    does, and an argument starting with - and a digit is a value (--a -4*pi)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def _print_message(self, message, file=None):
         if message:

@@ -22,7 +22,7 @@ Conventions (all exact, all verified against each other in the tests):
   is dbar* = -star nabla10 star, with nabla10 the (1,0) part of the
   Hermitian connection of the unitary frame (del on the trivial bundle).
   The Laplacian is dbar dbar* + dbar* dbar, and its kernel is
-  ker dbar intersect ker dbar* (both sides computed).
+  ker dbar intersect ker dbar* (the one computed, the other certified equal).
 
 Invariant integration (top coefficient times total volume) is a Stokes-exact
 substitute for integration only on unimodular algebras; everything here
@@ -39,7 +39,7 @@ from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
 from .errors import InputError, InternalCheckError, RefusalError
 from .forms import Form, MultiIndex, _form, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
-from .linalg import is_nonsingular, kernel_basis, span_test
+from .linalg import certify_kernel, is_nonsingular, kernel_basis, span_test
 from .scalars import SS_ZERO, Scalar, SymScalar
 
 
@@ -206,16 +206,13 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     """ker Laplacian on invariant (p,q)-forms valued in K^bundle_power,
     over the model's character blocks.
 
-    The kernel is computed twice, as ker(Laplacian) and as
-    ker(dbar) intersect ker(dbar*), and the two must agree.  They are
-    compared as lists: kernel_basis reads its basis off the reduced row
-    echelon form, which is unique for a given space of rows, and two
-    matrices with one kernel have one row space (its annihilator).  So equal
-    kernels give equal bases, and the list comparison decides the same
-    predicate as a rank test on the stacked bases, with no elimination.
-    Equal lists always span one space, so a fault in that canonical form
-    could only raise a false alarm, never hide a disagreement.  A model with
-    basic indices is refused at q >= 1, where dbar* needs the quotient's star.
+    Each block's basis K is ker(dbar) intersect ker(dbar*), one elimination;
+    certify_kernel proves that the Laplacian's matrix, built on its own from
+    ctx.laplacian, has kernel span K (Laplacian v = 0 for v in K, and a rank
+    mod p of at least ncols - |K|).  An undecided block eliminates the
+    Laplacian too, and its canonical basis must equal K, read off the same
+    unique echelon form.  A model with basic indices is refused at q >= 1,
+    where dbar* needs the quotient's star.
     """
     if not model.alg.is_unimodular():
         raise InputError(
@@ -233,21 +230,17 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     blocks = []
     for ch in model.characters(bundle_power):
         ctx = SectionContext(model, bundle, ch)
-        if not monomials:
-            blocks.append(HarmonicBlock(ch, monomials, []))
-            continue
-        lap_rows, ncols = _operator_matrix(ctx, monomials, ctx.laplacian)
-        lap_kernel = kernel_basis(lap_rows, ncols=ncols)
-        db_rows, _ = _operator_matrix(ctx, monomials, ctx.dbar)
+        db_rows, ncols = _operator_matrix(ctx, monomials, ctx.dbar)
         ds_rows, _ = _operator_matrix(ctx, monomials, ctx.dbar_star)
         both_kernel = kernel_basis(db_rows + ds_rows, ncols=ncols)
-        if len(lap_kernel) != len(both_kernel):
-            raise InternalCheckError(
-                "harmonic kernels",
-                "Laplacian kernel disagrees with ker dbar intersect ker dbar*",
-            )
-        if lap_kernel != both_kernel:
-            raise InternalCheckError("harmonic kernels", "they span different spaces")
+        lap_rows, _ = _operator_matrix(ctx, monomials, ctx.laplacian)
+        if not certify_kernel(lap_rows, ncols, both_kernel):
+            lap_kernel = kernel_basis(lap_rows, ncols=ncols)
+            if len(lap_kernel) != len(both_kernel):
+                raise InternalCheckError("harmonic kernels", "Laplacian kernel disagrees "
+                                         "with ker dbar intersect ker dbar*")
+            if lap_kernel != both_kernel:
+                raise InternalCheckError("harmonic kernels", "they span different spaces")
         blocks.append(HarmonicBlock(ch, monomials, both_kernel))
     return HarmonicSpace(model, p, q, blocks)
 

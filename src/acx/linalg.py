@@ -22,11 +22,26 @@ The pivot rule and the order of updates cannot change an output: for a
 fixed column order the reduced row echelon form is unique, so they decide
 only which row supplies each pivot and in which order rows are updated,
 never the pivot columns or the echelon rows.
+
+certify_kernel proves ker A = span K with no elimination over Q(i)(x):
+(i) A v = 0, exactly, for every v in K, so span K lies in ker A; (ii) the
+rows, scaled into Z[i][x] and sent into F_p by x -> _X0 and i -> _ROOT (a
+square root of -1 mod the prime _P), have rank >= ncols - |K|.  A minor
+nonzero mod p is nonzero over Q(i)(x), so dim ker A <= |K|, and the vectors
+of K end in distinct columns, so they are independent.  Nothing is random:
+a bad prime or point can only leave the rank short, which is "undecided".
 """
 
 from __future__ import annotations
 
-from .scalars import S_ONE, S_ZERO, SS_ONE, SS_ZERO, SymScalar, _const, _xpow
+from .scalars import (S_ONE, S_ZERO, SS_ONE, SS_ZERO, SymScalar, _P_ONE, _const, _lift, _sym,
+                      _xpow)
+
+# certify_kernel's prime (the least = 1 mod 4 above 2^61), a square root of
+# -1 modulo it, and the value x is sent to
+_P = 2**61 + 21
+_ROOT = 1035093963448091331
+_X0 = 982451653
 
 
 def _eliminate(row, c, items, zero):
@@ -132,6 +147,70 @@ def span_test(vectors):
         return not rest
 
     return contains
+
+
+def _lift_vector(v):
+    """v's nonzero entries times one factor that clears every denominator, as
+    (column, re, im): Gaussian-integer coefficients in x, low degree first."""
+    entries = [(j, c) for j, c in enumerate(v) if c.num]
+    for den in {c.den for _, c in entries if _xpow(c.den) < 0}:
+        entries = [(j, c * _sym(den, _P_ONE)) for j, c in entries]
+    top = max((len(c.den) for _, c in entries), default=1)
+    re, im, _ = _lift([s for _, c in entries for s in (S_ZERO,) * (top - len(c.den)) + c.num])
+    lifted, k = [], 0
+    for j, c in entries:
+        n = top - len(c.den) + len(c.num)
+        lifted.append((j, re[k:k + n], im[k:k + n]))
+        k += n
+    return lifted
+
+
+def certify_kernel(rows, ncols, basis) -> bool:
+    """True ("certified") when ker A = span basis, A given by its rows; False
+    ("undecided") otherwise.  One pass over the lifted rows files them by
+    column for (i) and reduces them mod p for (ii), which stops at ncols -
+    |basis| pivots."""
+    ends = [max((j for j, c in enumerate(v) if c.num), default=-1) for v in basis]
+    if -1 in ends or len(set(ends)) < len(ends):
+        return False
+    columns, reduced = [[] for _ in range(ncols)], []
+    for i, row in enumerate(rows):
+        lifted = _lift_vector(row)
+        for j, re, im in lifted:
+            columns[j].append((i, re, im))
+        values = ((j, sum((a + b * _ROOT) * pow(_X0, k, _P)
+                          for k, (a, b) in enumerate(zip(re, im))) % _P) for j, re, im in lifted)
+        reduced.append({j: r for j, r in values if r})
+    for v in basis:
+        acc = {}
+        for j, vr, vi in _lift_vector(v):
+            for i, ar, ai in columns[j]:
+                re, im = acc.get(i) or acc.setdefault(i, ([], []))
+                if len(re) < len(ar) + len(vr) - 1:
+                    re += [0] * (len(ar) + len(vr) - 1 - len(re))
+                    im += [0] * (len(re) - len(im))
+                for s, (x, y) in enumerate(zip(ar, ai)):
+                    for t, (u, w) in enumerate(zip(vr, vi), s):
+                        re[t] += x * u - y * w
+                        im[t] += x * w + y * u
+        if any(any(re) or any(im) for re, im in acc.values()):
+            return False
+    need, pivots = ncols - len(basis), {}
+    for row in reduced:
+        while row and len(pivots) < need:
+            c = min(row)
+            if c not in pivots:
+                inv = pow(row[c], -1, _P)
+                pivots[c] = [(j, x * inv % _P) for j, x in row.items()]
+                break
+            f = row[c]
+            for j, x in pivots[c]:
+                y = (row.get(j, 0) - f * x) % _P
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return len(pivots) >= need
 
 
 def is_nonsingular(rows) -> bool:

@@ -322,10 +322,23 @@ class TestHodgeAndIrregularity:
         )
         assert code == 0
         assert report["value"] == 2
-        # a negative first value needs the = form; "--t -1,0" reads as an option
-        code, report = capture_json(["irregularity", "--model", "t4", "--t=-1,0"])
-        assert code == 0
-        assert (report["member"], report["value"]) == ("t=(-1,0)", 1)
+        # a value that starts with - and a digit is read as a value
+        for argv in (["--t=-1,0"], ["--t", "-1,0"]):
+            code, report = capture_json(["irregularity", "--model", "t4", *argv])
+            assert code == 0
+            assert (report["member"], report["value"]) == ("t=(-1,0)", 1)
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (["plurigenera", "--model", "kt", "--a", "-4*pi", "--m", "1..2"],
+         ["plurigenera", "--model", "kt", "--a=-4*pi", "--m", "1..2"]),
+        (["irregularity", "--model", "t4", "--t", "-1,0"],
+         ["irregularity", "--model", "t4", "--t=-1,0"]),
+    ], ids=["a", "t"])
+    def test_a_negative_value_needs_no_equals_sign(self, capsys, spaced, joined):
+        assert main(joined) == 0
+        want = capsys.readouterr()
+        assert main(spaced) == 0
+        assert capsys.readouterr() == want and want.err == ""
 
     def test_hodge_blocks(self):
         code, report = capture_json(

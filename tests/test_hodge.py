@@ -308,16 +308,17 @@ class TestCrossChecksFail:
     by tampering with one of the two computations they compare."""
 
     @staticmethod
-    def tamper_second_kernel(monkeypatch, tamper):
-        # each block asks for the Laplacian kernel, then for
-        # ker dbar intersect ker dbar*: tamper with the second answer
+    def tamper_both_kernel(monkeypatch, tamper):
+        # each block asks for ker dbar intersect ker dbar* first: tamper with
+        # that answer, which then fails the certificate, so the block
+        # eliminates the Laplacian too and compares the two kernels
         real = hodge.kernel_basis
         calls = []
 
         def fake(rows, ncols=None):
             basis = real(rows, ncols=ncols)
             calls.append(rows)
-            return tamper(basis, ncols) if len(calls) % 2 == 0 else basis
+            return tamper(basis, ncols) if len(calls) == 1 else basis
 
         monkeypatch.setattr(hodge, "kernel_basis", fake)
 
@@ -328,19 +329,19 @@ class TestCrossChecksFail:
         return identity(ncols)[:len(basis)]
 
     def test_kernels_of_different_sizes(self, monkeypatch):
-        self.tamper_second_kernel(monkeypatch, lambda basis, ncols: basis[:-1])
+        self.tamper_both_kernel(monkeypatch, lambda basis, ncols: basis[:-1])
         with pytest.raises(InternalCheckError, match="Laplacian kernel disagrees"):
             invariant_harmonic_space(kt_model(PiParam.generic()), 1, 1)
 
     def test_kernels_with_different_spans(self, monkeypatch):
-        self.tamper_second_kernel(monkeypatch, self.standard_vectors)
+        self.tamper_both_kernel(monkeypatch, self.standard_vectors)
         with pytest.raises(InternalCheckError, match="they span different spaces"):
             invariant_harmonic_space(kt_model(PiParam.generic()), 1, 1)
 
     @pytest.mark.parametrize("which", ["size", "span"])
     def test_kernel_disagreement_exits_three(self, monkeypatch, capsys, which):
         tamper = self.standard_vectors if which == "span" else (lambda basis, ncols: basis[:-1])
-        self.tamper_second_kernel(monkeypatch, tamper)
+        self.tamper_both_kernel(monkeypatch, tamper)
         assert main(["hodge", "--model", "kt", "--a", "generic", "--p", "1", "--q", "1"]) == 3
         assert capsys.readouterr().err.startswith("internal check failed: harmonic kernels: ")
 
@@ -362,6 +363,38 @@ class TestCrossChecksFail:
         assert not report.ok
         assert (report.dim_source, report.dim_target) == (3, 3)
         assert report.detail == "Serre image is not harmonic"
+
+    def test_perturbed_laplacian(self, monkeypatch):
+        # one Laplacian entry changes in a column where the first kernel
+        # vector is 1, so Laplacian v != 0 there: the certificate must reject
+        # it and the elimination must find the disagreement (in a column
+        # where every kernel vector vanishes, the kernel could stay the same)
+        real_kernel, real_matrix, real_certify = (hodge.kernel_basis, hodge._operator_matrix,
+                                                  hodge.certify_kernel)
+        kernels, verdicts = [], []
+
+        def kernel(rows, ncols=None):
+            kernels.append(real_kernel(rows, ncols=ncols))
+            return kernels[-1]
+
+        def matrix(ctx, monomials, op):
+            rows, ncols = real_matrix(ctx, monomials, op)
+            if op.__name__ == "laplacian":
+                column = max(j for j, c in enumerate(kernels[0][0]) if c.num)
+                rows[0][column] = rows[0][column] + 1
+            return rows, ncols
+
+        def certify(*args):
+            verdicts.append(real_certify(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(hodge, "kernel_basis", kernel)
+        monkeypatch.setattr(hodge, "_operator_matrix", matrix)
+        monkeypatch.setattr(hodge, "certify_kernel", certify)
+        with pytest.raises(InternalCheckError,
+                           match="Laplacian kernel disagrees|they span different spaces"):
+            invariant_harmonic_space(kt_model(PiParam.generic()), 1, 1)
+        assert verdicts == [False]
 
 
 class TestComputeOnce:
@@ -392,14 +425,39 @@ class TestComputeOnce:
         assert calls == []
 
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 1)])
-    def test_two_eliminations_per_block(self, monkeypatch, nil8_generic, p, q):
-        # the Laplacian kernel and ker dbar intersect ker dbar*; the two
-        # canonical bases are compared entry by entry
+    def test_one_elimination_per_certified_block(self, monkeypatch, nil8_generic, p, q):
+        # ker dbar intersect ker dbar* is eliminated; the Laplacian's kernel
+        # is certified equal to it with no elimination
         calls = self.count_eliminations(monkeypatch)
         space = invariant_harmonic_space(nil8_generic, p, q)
         assert space.dimension >= 8
+        assert len(calls) == len(space.blocks) == 1
+
+    def test_two_eliminations_per_undecided_block(self, monkeypatch, nil8_generic):
+        # an undecided block eliminates the Laplacian too and compares the
+        # two canonical bases entry by entry
+        monkeypatch.setattr(hodge, "certify_kernel", lambda rows, ncols, basis: False)
+        calls = self.count_eliminations(monkeypatch)
+        space = invariant_harmonic_space(nil8_generic, 2, 1)
         assert len(calls) == 2 * len(space.blocks) == 2
 
+    def test_undecided_blocks_keep_the_golden_output(self, monkeypatch):
+        # every hodge case of the golden corpus, with each block left to the
+        # elimination and list comparison: the same bytes, two kernels a block
+        from test_golden import CASES, golden
+
+        asked, kernels = [], []
+        real = hodge.kernel_basis
+        monkeypatch.setattr(hodge, "certify_kernel",
+                            lambda rows, ncols, basis: asked.append(ncols) or False)
+        monkeypatch.setattr(hodge, "kernel_basis",
+                            lambda rows, ncols=None: kernels.append(ncols) or real(rows, ncols))
+        cases = [case for case in CASES if case["argv"][0] == "hodge"]
+        for case in cases:
+            code, out = golden.run_case(case["argv"])
+            assert (code, out) == (case["exit"], golden.out_path(case["name"]).read_bytes())
+        assert len(cases) >= 20 and asked
+        assert len(kernels) == 2 * len(asked)
 
 
 class TestReport:

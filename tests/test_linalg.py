@@ -8,6 +8,7 @@ import pytest
 from acx import g2, linalg, scalars
 from acx.hodge import invariant_harmonic_space
 from acx.linalg import (
+    certify_kernel,
     identity,
     is_nonsingular,
     kernel_basis,
@@ -473,3 +474,95 @@ class TestKernelBasisIsCanonical:
         # the perturbations also reach kernels of equal size, where only
         # the spans tell them apart
         assert same_size > 0
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin with the twelve prime bases 2..37, exact
+    below psi_12 = 318665857834031151167461 (Sorenson and Webster, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestCertifyKernel:
+    """certify_kernel proves ker A = span K from A v = 0 for v in K and
+    rank(A mod p) >= ncols - |K|; anything short of a proof is undecided."""
+
+    def test_the_prime_and_the_root(self):
+        p, root = linalg._P, linalg._ROOT
+        assert p < 318665857834031151167461 and is_prime(p) and p % 4 == 1
+        assert root * root % p == p - 1
+        # the least prime = 1 (mod 4) above 2^61
+        assert p == 2**61 + 21 == 2305843009213693973
+        assert not any(is_prime(n) for n in range(2**61 + 1, p, 4))
+        assert 0 < linalg._X0 < p
+        assert [n for n in range(60) if is_prime(n)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+    @pytest.mark.parametrize("symbolic", [False, True], ids=["Qi", "Qi(a)"])
+    def test_true_kernels_are_certified_and_wrong_ones_are_not(self, symbolic):
+        rng = random.Random(f"certify-{symbolic}")
+        wrong = 0
+        for _ in range(12):
+            rows, cols = rng.randint(1, 4), rng.randint(2, 6)
+            a = TestKernelBasisIsCanonical.matrix(rng, rows, cols, symbolic)
+            kernel = kernel_basis(a, cols)
+            assert certify_kernel(a, cols, kernel)
+            if not kernel:
+                continue
+            # a lost vector, a repeated one, and a perturbed entry of A in a
+            # column where a kernel vector is nonzero
+            v = rng.choice(kernel)
+            j = max(k for k, c in enumerate(v) if c.num)
+            b = [list(row) for row in a]
+            i = rng.randrange(rows)
+            b[i][j] = b[i][j] + (A if symbolic else 1)
+            for matrix, basis in ((a, kernel[:-1]), (a, kernel + [v]), (b, kernel)):
+                assert not certify_kernel(matrix, cols, basis)
+                wrong += 1
+        assert wrong > 0
+
+    def test_a_denominator_divisible_by_p_is_undecided(self):
+        # det = 1/p, so rank 2 and ker = 0; each row times its denominator
+        # is (p, 1) or (p, 2), which has rank 1 mod p
+        inv_p = SymScalar.const(Fraction(1, linalg._P))
+        a = [[SS_ONE, inv_p], [SS_ONE, inv_p + inv_p]]
+        assert kernel_basis(a, 2) == []
+        assert certify_kernel(a, 2, []) is False
+
+    def test_a_denominator_vanishing_at_the_point_is_undecided(self):
+        # the same matrix with 1/(a - x0) for 1/p
+        pole = SS_ONE / (A - linalg._X0)
+        a = [[SS_ONE, pole], [SS_ONE, pole + pole]]
+        assert kernel_basis(a, 2) == []
+        assert certify_kernel(a, 2, []) is False
+
+    def test_a_rank_lost_mod_p_is_undecided(self):
+        a = [[SymScalar.const(linalg._P)]]
+        assert kernel_basis(a, 1) == []
+        assert certify_kernel(a, 1, []) is False
+
+    def test_a_block_without_rows(self):
+        assert certify_kernel([], 3, identity(3))
+        assert not certify_kernel([], 3, identity(3)[:2])
+        assert not certify_kernel([], 3, [])
+        assert certify_kernel([], 0, [])
+

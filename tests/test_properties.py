@@ -123,6 +123,26 @@ def test_harmonic_kernels_agree_and_serre_pairing_is_nonsingular(generated):
         assert report.ok, (p, q, report.detail)
 
 
+def test_certificate_agrees_with_elimination(generated, monkeypatch):
+    # each block's certificate, against the elimination of the Laplacian and
+    # the list comparison it replaces
+    from acx import hodge
+
+    model, degrees = generated
+    real, asked = hodge.certify_kernel, []
+
+    def certify(rows, ncols, basis):
+        asked.append((rows, ncols, basis, real(rows, ncols, basis)))
+        return asked[-1][-1]
+
+    monkeypatch.setattr(hodge, "certify_kernel", certify)
+    for p, q in degrees:
+        invariant_harmonic_space(model, p, q)
+    assert asked
+    for rows, ncols, basis, verdict in asked:
+        assert verdict == (kernel_basis(rows, ncols=ncols) == basis)
+
+
 def test_scalars_are_canonical(generated):
     model = generated[0]
     cf = model.coframe

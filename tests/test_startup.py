@@ -180,16 +180,16 @@ import runpy
 runpy.run_module("acx.cli", run_name="__main__", alter_sys=True)
 """
 
-# each block asks for the Laplacian kernel, then for ker dbar intersect
-# ker dbar*: the second answer loses a vector (TestCrossChecksFail in
-# test_hodge.py)
-_TAMPER_SECOND_KERNEL = """
+# each block asks for ker dbar intersect ker dbar* first: that answer loses a
+# vector, fails the certificate, and the Laplacian's elimination finds the
+# disagreement (TestCrossChecksFail in test_hodge.py)
+_TAMPER_BOTH_KERNEL = """
 from acx import hodge
 real, calls = hodge.kernel_basis, []
 def fake(rows, ncols=None):
     basis = real(rows, ncols=ncols)
     calls.append(rows)
-    return basis[:-1] if len(calls) % 2 == 0 else basis
+    return basis[:-1] if len(calls) == 1 else basis
 hodge.kernel_basis = fake
 """
 
@@ -202,7 +202,7 @@ torus.rr_plurigenus = interrupted
 
 
 def test_failed_internal_check_in_a_fresh_process():
-    proc = fresh_process(["-c", _PATCHED_RUN.format(patch=_TAMPER_SECOND_KERNEL),
+    proc = fresh_process(["-c", _PATCHED_RUN.format(patch=_TAMPER_BOTH_KERNEL),
                           "hodge", "--model", "kt", "--a", "generic", "--p", "1", "--q", "1"])
     assert proc.returncode == 3
     assert proc.stdout == b""
