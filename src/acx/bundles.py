@@ -9,14 +9,12 @@ tensor s_j, extended to bundle-valued (p,q)-forms by
 Every twist of dbar is such a theta.  The canonical power K^m is the rank-1
 case trivialized by g^m, g the wedge of the phi^i over the model's basic
 indices (all of them when it has none), with theta = beta_m = m * beta_1
-where dbar(g) = beta_1 ^ g (checked).  A Fourier character block with
-d(chi) = chi lambda, lambda imaginary, tensors the bundle with a flat unitary
-line bundle: theta + lambda^{0,1} I (hodge.SectionContext).
+where dbar(g) = beta_1 ^ g (checked).  A character block twists theta as
+hodge.SectionContext sets out.
 
 The Hermitian connection of a unitary frame is omega = theta - conj(theta)^T;
-its (1,0) part drives the codifferential, and for the character twist it is
--conj(lambda^{0,1}) = lambda^{1,0}, so no separate (1,0) twist is needed.
-The dual structure on E* over the dual frame is theta* = -theta^T.
+its (1,0) part drives the codifferential.  The dual structure on E* over the
+dual frame is theta* = -theta^T.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ are never stored.
 Form(n, terms) is the checked constructor: it validates every key and
 coerces every coefficient.  Results of Form arithmetic, whose keys are
 canonical by construction, are built by _form, which drops zero
-coefficients and checks nothing else.
+coefficients and checks nothing else.  A Form is an immutable value
+(scalars._Frozen); both builders fill its slots through the slot
+descriptors _setn and _setterms.
 """
 
 from __future__ import annotations

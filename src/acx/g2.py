@@ -17,15 +17,16 @@ integers, and so do the membership and three-form invariance kernels of
 CrossProduct: is_member and preserves_form lift a Scalar matrix once, while
 the membership sample and the projection check hand them an element's own
 entries.  An element holds nothing else: it keeps no Scalar and no row
-index.  Scalars appear only as views at the API boundary (x, y, entries,
-matrix, coordinates(), flatten()), as the structure constants, as the span
-test's input and in refusal messages.
+index, and it is an immutable value (scalars._Frozen) whose slots are
+filled through the slot descriptors _setden, _setcoords and _setentries.
+Scalars appear only as views at the API boundary (x, y, entries, matrix,
+coordinates(), flatten()), as the structure constants, as the span test's
+input and in refusal messages.
 
 The 91 basis commutators are taken in one place, _basis_brackets: the
 catalogue diff, the h-closure test and the Jacobi sweep of
 verify_bracket_table read them, and g2_algebra builds its LieAlgebra on
-them.  That sweep is the one LieAlgebra runs, lie._jacobi_failures, on the
-structure constants lifted to Gaussian integers.
+them.  That sweep is lie._jacobi_failures, the one LieAlgebra runs.
 """
 
 from __future__ import annotations

@@ -16,13 +16,12 @@ Conventions (all exact, all verified against each other in the tests):
   directly.
 
   Harmonic computations are valued in line bundles: K^m, twisted in each
-  Fourier character block by the flat unitary line bundle of the character
-  (SectionContext).  A section is a Form, its coefficient on the bundle's
-  one frame element; rank-r structures stay in bundles.  The codifferential
-  is dbar* = -star nabla10 star, with nabla10 the (1,0) part of the
-  Hermitian connection of the unitary frame (del on the trivial bundle).
-  The Laplacian is dbar dbar* + dbar* dbar, and its kernel is
-  ker dbar intersect ker dbar* (the one computed, the other certified equal).
+  character block as SectionContext sets out.  The codifferential is
+  dbar* = -star nabla10 star, with nabla10 the (1,0) part of the Hermitian
+  connection of the unitary frame (del on the trivial bundle).  The
+  Laplacian is dbar dbar* + dbar* dbar, and its kernel is ker dbar
+  intersect ker dbar* (the one computed, the other certified equal by
+  linalg.certify_kernel).
 
 Invariant integration (top coefficient times total volume) is a Stokes-exact
 substitute for integration only on unimodular algebras; everything here
@@ -106,9 +105,12 @@ class SectionContext:
 
     A section is a Form, its coefficient on the bundle's one frame element
     (trivial bundle: theta = 0); rank-r structures stay in bundles, and are
-    refused here.  A nontrivial character chi, with d(chi) = chi lambda,
-    tensors the bundle with a flat unitary line bundle: the block's theta is
-    theta + lambda^{0,1}, and lambda must be imaginary for chi to be unitary.
+    refused here.  A nontrivial character chi, d(chi) = chi lambda with lambda
+    imaginary (any other lambda is refused), gives d(chi x) = chi(lambda ^ x
+    + dx): chi x is a section of the flat unitary line bundle whose dbar-form
+    is lambda^{0,1}.  The coframe's operators act on constant coefficients
+    only, so the twist lives in theta, as theta + lambda^{0,1}; the (1,0)
+    connection -conj(theta) then picks up lambda^{1,0} by itself.
     """
 
     def __init__(self, model: LieACS, bundle: PseudoholStructure | None = None,
@@ -208,11 +210,9 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
 
     Each block's basis K is ker(dbar) intersect ker(dbar*), one elimination;
     certify_kernel proves that the Laplacian's matrix, built on its own from
-    ctx.laplacian, has kernel span K (Laplacian v = 0 for v in K, and a rank
-    mod p of at least ncols - |K|).  An undecided block eliminates the
-    Laplacian too, and its canonical basis must equal K, read off the same
-    unique echelon form.  A model with basic indices is refused at q >= 1,
-    where dbar* needs the quotient's star.
+    ctx.laplacian, has kernel span K.  An undecided block eliminates the
+    Laplacian too, and its kernel_basis must equal K.  A model with basic
+    indices is refused at q >= 1, where dbar* needs the quotient's star.
     """
     if not model.alg.is_unimodular():
         raise InputError(
@@ -268,7 +268,8 @@ class Report:
 def serre_pairing_check(model: LieACS, p: int, q: int, *,
                         bundle_power: int = 0) -> Report:
     """Does s -> conj(star s) carry harmonic (p,q) E-forms isomorphically
-    onto harmonic (n-p, n-q) E*-forms with nonsingular wedge pairing?
+    onto harmonic (n-p, n-q) E*-forms with nonsingular wedge pairing?  Each
+    block tests all its images with one linalg.span_test of the target basis.
     """
     n = model.n
     data = HermitianData(model)
@@ -295,7 +296,6 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
         sources = sblock.basis_sections(n)
         targets = tblock.basis_sections(n)
         images = [data.star(s).conjugate() for s in sources]
-        # each image must lie in the span of the target basis
         coords = _coordinates(targets + images)
         in_target = span_test(coords[:len(targets)])
         if not all(map(in_target, coords[len(targets):])):

@@ -17,12 +17,8 @@ its nonzero entries.  J is integrable iff N = 0 iff the (0,2) parts of all
 d(phi^i) vanish iff the (1,0) frame is closed under the bracket.  All three
 tests are implemented and cross-checked (is_integrable).
 
-Characters.  A character lambda (vanishing on [g, g], imaginary-valued) is
-the derivative of a unitary character chi, d(chi) = chi lambda, so
-d(chi x) = chi(lambda ^ x + dx).  chi x is a section of a flat unitary line
-bundle whose dbar-form is lambda^{0,1}: the coframe's operators act on
-constant-coefficient forms only, and the twist lives in the bundle's theta
-(bundles, hodge.SectionContext).
+Characters.  A Character is a character lambda of the algebra (vanishing
+on [g, g]); how it twists a character block is hodge.SectionContext's.
 """
 
 from __future__ import annotations

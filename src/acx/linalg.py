@@ -1,7 +1,8 @@
 """Exact linear algebra over the SymScalar field Q(i)(x).
 
-Every elimination is one call of row_echelon, sparse elimination to the
-reduced row echelon form.  A row is a dict {column: nonzero entry}.  The
+Every elimination over Q(i)(x) is one call of row_echelon, sparse
+elimination to the reduced row echelon form; certify_kernel's rank mod p,
+over F_p, is the one other.  A row is a dict {column: nonzero entry}.  The
 columns are taken in order; each pivot comes from the rows without a pivot
 that hold the column, chosen after Markowitz (1957) by the key (nonzeros
 in the row, cost of the entry, row index).  Over Q(i)(x) the cost puts
@@ -21,7 +22,8 @@ no further elimination.
 The pivot rule and the order of updates cannot change an output: for a
 fixed column order the reduced row echelon form is unique, so they decide
 only which row supplies each pivot and in which order rows are updated,
-never the pivot columns or the echelon rows.
+never the pivot columns or the echelon rows.  So kernel_basis is canonical:
+matrices with one kernel have one row space, hence one kernel basis.
 
 certify_kernel proves ker A = span K with no elimination over Q(i)(x):
 (i) A v = 0, exactly, for every v in K, so span K lies in ker A; (ii) the

@@ -36,13 +36,13 @@ common denominator.  Products, linear combinations and exact quotients run
 on such integer coefficients too, and each output coefficient is
 normalised once.
 
-Construction.  The exact value types (Scalar, SymScalar, PiParam, forms.Form,
-g2.G2Element, torus.TrigPoly, IntInterval and PlurigeneraProfile) are hashed
-and used as dict keys, so all subclass the one immutable base _Frozen.  The
-hot types (Scalar, SymScalar, Form, G2Element) fill their slots through the
-slot descriptors' __set__ (_seta, _setb, _setd, _setnum, _setden and their
-like in forms and g2, fetched once at import), which is cheaper than a
-generic object.__setattr__ call; the cold types call object.__setattr__.
+Construction.  The exact value types are hashed and used as dict keys, so
+each subclasses the one immutable base _Frozen and declares __slots__:
+assigning or deleting an attribute raises AttributeError("<Type> is
+immutable"), and no value has a __dict__.  Each module says how its own
+types fill their slots.  Scalar and SymScalar, hot, use the slot
+descriptors' __set__ (_seta, _setb, _setd, _setnum, _setden, fetched once
+at import), cheaper than object.__setattr__, which PiParam calls.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ irregularity, Riemann-Roch curve profiles, products, and Kodaira dimension.
 Coefficient bookkeeping is exact throughout: trigonometric polynomials carry
 Gaussian-rational-times-pi-power coefficients, Fourier-mode solvability is
 decided in closed form, and growth classification uses exact finite
-differences -- never floating point.
+differences -- never floating point.  The immutable values here
+(scalars._Frozen) fill their slots with object.__setattr__.
 """
 
 from __future__ import annotations
@@ -148,17 +149,17 @@ class TrigPoly(_Frozen):
             terms[freq] = coeff * factor
         return TrigPoly(self.k, terms)
 
-    def wirtinger(self, j1: int = 0, j2: int = 1) -> "TrigPoly":
-        """d/dw for w = x_{j1} + i x_{j2}: (1/2)(d/dx_{j1} - i d/dx_{j2})."""
+    def wirtinger(self) -> "TrigPoly":
+        """d/dw for w = x_1 + i x_2: (1/2)(d/dx_1 - i d/dx_2)."""
         half = SymScalar.const(Scalar(Fraction(1, 2)))
         minus_half_i = SymScalar.const(Scalar(0, Fraction(-1, 2)))
-        return self.partial(j1).scale(half) + self.partial(j2).scale(minus_half_i)
+        return self.partial(0).scale(half) + self.partial(1).scale(minus_half_i)
 
-    def wirtinger_bar(self, j1: int = 0, j2: int = 1) -> "TrigPoly":
-        """d/dwbar for w = x_{j1} + i x_{j2}: (1/2)(d/dx_{j1} + i d/dx_{j2})."""
+    def wirtinger_bar(self) -> "TrigPoly":
+        """d/dwbar for w = x_1 + i x_2: (1/2)(d/dx_1 + i d/dx_2)."""
         half = SymScalar.const(Scalar(Fraction(1, 2)))
         half_i = SymScalar.const(Scalar(0, Fraction(1, 2)))
-        return self.partial(j1).scale(half) + self.partial(j2).scale(half_i)
+        return self.partial(0).scale(half) + self.partial(1).scale(half_i)
 
     # -- predicates ----------------------------------------------------------
 
@@ -350,7 +351,7 @@ def t4_obstruction(alpha: TrigPoly, beta: TrigPoly) -> TrigPoly:
     if not alpha.is_real() or not beta.is_real():
         raise InputError("coefficient polynomials must be real")
     gamma = beta + alpha.scale(Scalar(0, 1))
-    return gamma.wirtinger(0, 1).wirtinger_bar(0, 1)
+    return gamma.wirtinger().wirtinger_bar()
 
 
 def _t4_integrable(alpha: TrigPoly, beta: TrigPoly,

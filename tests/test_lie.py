@@ -45,8 +45,9 @@ def table_bracket(alg, i, j):
 
 
 def ce_d(alg, form):
-    """d on the real exterior algebra (Forms keyed (idx, ())) by the graded
-    Leibniz rule."""
+    """d on the real exterior algebra (Forms keyed (idx, ())): the graded
+    Leibniz rule of forms.d_monomial, fed with the real-basis d of each
+    generator, LieAlgebra.d_generator."""
     out = Form.zero(alg.dim)
     for (idx, beta), c in form.terms.items():
         if beta:
