@@ -529,12 +529,11 @@ def _cmd_rr(args):
         raise InputError("--genus must be at least 2")
     if args.genus > MAX_GENUS:
         raise InputError(f"--genus must be at most {MAX_GENUS}")
-    values = [torus.rr_plurigenus(args.genus, m) for m in levels]
     prof = torus.rr_profile(args.genus, max(torus.DEFAULT_PROFILE_LENGTH, max(levels)))
     report = {
         "genus": args.genus,
         "levels": levels,
-        "values": _interval_values(values),
+        "values": _interval_values(prof.values[m - 1] for m in levels),
         "kappa": prof.kappa,
     }
     return report, 0

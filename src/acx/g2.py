@@ -20,7 +20,7 @@ entries.  An element holds nothing else: it keeps no Scalar and no row
 index, and it is an immutable value (scalars._Frozen) whose slots are
 filled through the slot descriptors _setden, _setcoords and _setentries.
 Scalars appear only as views at the API boundary (x, y, entries, matrix,
-coordinates(), flatten()), as the structure constants, as the span test's
+coordinates()), as the structure constants, as the span test's
 input and in refusal messages.
 
 The 91 basis commutators are taken in one place, _basis_brackets: the
@@ -44,7 +44,6 @@ from .errors import InputError, RefusalError
 from .forms import Form, _form, perm_sign
 from .hodge import (
     Report,
-    _coordinates,
     _section_monomials,
     invariant_harmonic_space,
     star_monomial,
@@ -165,8 +164,8 @@ class G2Element(_Frozen):
     {k: (re, im)} (k = 0..13 for f1..f6, h1..h8) and the nonzero entries
     {(i, j): (re, im)} of its 7x7 matrix, all Gaussian integers over one
     denominator den > 0 with gcd 1 over all of them, so that equal elements
-    are held alike.  x, y, entries, matrix, coordinates() and flatten() are
-    Scalar views built on demand."""
+    are held alike.  x, y, entries, matrix and coordinates() are Scalar
+    views built on demand."""
 
     __slots__ = ("den", "_coords", "_entries")
 
@@ -266,9 +265,6 @@ class G2Element(_Frozen):
         a, b = c.a, c.b
         coords = {k: (r * a - i * b, r * b + i * a) for k, (r, i) in self._coords.items()}
         return _element({k: v for k, v in coords.items() if v[0] or v[1]}, self.den * c.d)
-
-    def flatten(self) -> List[Scalar]:
-        return [c for row in self.matrix for c in row]
 
     def is_zero(self) -> bool:
         return not self._coords
@@ -469,7 +465,7 @@ def verify_bracket_table() -> Report:
         tuple(BASIS_NAMES[t - 1] for t in triple)
         for triple in _jacobi_failures(X_DIM + Y_DIM, table)
     ]
-    dimension = rank([e.flatten() for e in g2_basis().values()])
+    dimension = rank([e.entries for e in g2_basis().values()])
     return Report(
         not unregistered_mismatches and not jacobi_failures and h_closed
         and dimension == X_DIM + Y_DIM,
@@ -675,13 +671,14 @@ def membership_sample_check(
     random skew matrices outside the span must fail it.
 
     Span membership of the negatives is established independently by linear
-    algebra: linalg.span_test reduces the fourteen flattened basis matrices
-    once, and each sample is decided exactly against that reduced basis, so
-    the two characterizations are compared rather than assumed.
+    algebra: linalg.span_test reduces the entries of the fourteen basis
+    matrices once, and each sample's entries are decided exactly against
+    that reduced basis, so the two characterizations are compared rather
+    than assumed.
     """
     rng = random.Random(seed)
     cp = cross_product()
-    basis_vectors = [e.flatten() for e in g2_basis().values()]
+    basis_vectors = [e.entries for e in g2_basis().values()]
     in_basis_span = span_test(basis_vectors)
 
     member_failures = []
@@ -709,8 +706,7 @@ def membership_sample_check(
                 v = rng.randint(-9, 9)
                 if v:
                     E[i, j], E[j, i] = (v, 0), (-v, 0)
-        flat = [_view(E.get((i, j)), 1) for i in range(N) for j in range(N)]
-        if in_basis_span(flat):
+        if in_basis_span({p: _view(v, 1) for p, v in E.items()}):
             continue
         checked += 1
         if cp._is_member_lifted(E):
@@ -1047,7 +1043,7 @@ def _serre_transport_bijective(p: int) -> bool:
     source = _section_monomials(model, p, 0)
     target = _section_monomials(model, d - p, d)
     images = [s6_basic_star(Form.monomial(model.n, a, b)).conjugate() for (a, b) in source]
-    return len(source) == len(target) and rank(_coordinates(images)) == len(target)
+    return len(source) == len(target) and rank([img.terms for img in images]) == len(target)
 
 
 def s6_hodge_report(levels: int = 8) -> Report:

@@ -38,8 +38,8 @@ from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
 from .errors import InputError, InternalCheckError, RefusalError
 from .forms import Form, MultiIndex, _form, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
-from .linalg import certify_kernel, is_nonsingular, kernel_basis, span_test
-from .scalars import SS_ZERO, Scalar, SymScalar
+from .linalg import certify_kernel, kernel_basis, rank, span_test, sparse_rows
+from .scalars import Scalar, SymScalar
 
 
 _I_POWERS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))  # i^k for k mod 4
@@ -172,7 +172,7 @@ class HarmonicBlock:
 
     def basis_sections(self, n):
         """Each basis vector as a Form over the block's monomials."""
-        return [_form(n, dict(zip(self.monomials, vec))) for vec in self.basis]
+        return [_form(n, {self.monomials[j]: c for j, c in vec.items()}) for vec in self.basis]
 
 
 class HarmonicSpace:
@@ -187,20 +187,15 @@ class HarmonicSpace:
         return sum(b.dimension for b in self.blocks)
 
 
-def _coordinates(forms):
-    """Each Form as its coordinate vector over the sorted monomial keys the
-    forms contain."""
-    keys = sorted({key for f in forms for key in f.terms})
-    return [[f.terms.get(key, SS_ZERO) for key in keys] for f in forms]
-
-
 def _operator_matrix(ctx: SectionContext, monomials, op):
     """Columns: op applied to each monomial section; rows: the sorted
-    monomial keys of the images."""
+    monomial keys of the images, each a dict row of the image terms."""
     n = ctx.model.n
-    images = [op(Form.monomial(n, a, b)) for (a, b) in monomials]
-    rows = [list(row) for row in zip(*_coordinates(images))]
-    return rows, len(images)
+    rows = {}
+    for j, (a, b) in enumerate(monomials):
+        for key, c in op(Form.monomial(n, a, b)).terms.items():
+            rows.setdefault(key, {})[j] = c
+    return [rows[key] for key in sorted(rows)], len(monomials)
 
 
 def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
@@ -214,6 +209,8 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     Laplacian too, and its kernel_basis must equal K.  A model with basic
     indices is refused at q >= 1, where dbar* needs the quotient's star.
     """
+    if p < 0 or q < 0:
+        raise InputError(f"the bidegree ({p},{q}) must be non-negative")
     if not model.alg.is_unimodular():
         raise InputError(
             "invariant Hodge theory requires a unimodular algebra: "
@@ -232,10 +229,10 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
         ctx = SectionContext(model, bundle, ch)
         db_rows, ncols = _operator_matrix(ctx, monomials, ctx.dbar)
         ds_rows, _ = _operator_matrix(ctx, monomials, ctx.dbar_star)
-        both_kernel = kernel_basis(db_rows + ds_rows, ncols=ncols)
+        both_kernel = kernel_basis(db_rows + ds_rows, ncols)
         lap_rows, _ = _operator_matrix(ctx, monomials, ctx.laplacian)
         if not certify_kernel(lap_rows, ncols, both_kernel):
-            lap_kernel = kernel_basis(lap_rows, ncols=ncols)
+            lap_kernel = kernel_basis(lap_rows, ncols)
             if len(lap_kernel) != len(both_kernel):
                 raise InternalCheckError("harmonic kernels", "Laplacian kernel disagrees "
                                          "with ker dbar intersect ker dbar*")
@@ -296,12 +293,11 @@ def serre_pairing_check(model: LieACS, p: int, q: int, *,
         sources = sblock.basis_sections(n)
         targets = tblock.basis_sections(n)
         images = [data.star(s).conjugate() for s in sources]
-        coords = _coordinates(targets + images)
-        in_target = span_test(coords[:len(targets)])
-        if not all(map(in_target, coords[len(targets):])):
+        in_target = span_test([t.terms for t in targets])
+        if not all(in_target(img.terms) for img in images):
             return verdict("Serre image is not harmonic")
         # pairing matrix between the source basis and its images
         pairing = [[data.integral(s.wedge(img)) for img in images] for s in sources]
-        if not is_nonsingular(pairing):
+        if rank(sparse_rows(pairing)) != len(pairing):
             return verdict("pairing matrix is singular")
     return verdict()

@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .errors import InputError, InternalCheckError
 from .forms import Form, MultiIndex, _form, d_monomial
-from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon
+from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon, sparse_rows
 from .scalars import SS_ONE, SS_ZERO, S_I, Scalar, SymScalar, _lift
 
 
@@ -330,7 +330,7 @@ def build_coframe(alg: LieAlgebra, J: ACStructure) -> ComplexCoframe:
         [c - i_unit * j for c, j in zip(row, jrow)]
         for row, jrow in zip(identity(alg.dim), J.matrix)
     ]
-    _, pivots = row_echelon(list(zip(*candidates)))
+    _, pivots = row_echelon(sparse_rows(list(zip(*candidates))))
     if len(pivots) < n:
         raise InputError("could not build a full (1,0) coframe")
     chosen = []

@@ -2,14 +2,17 @@
 
 Every elimination over Q(i)(x) is one call of row_echelon, sparse
 elimination to the reduced row echelon form; certify_kernel's rank mod p,
-over F_p, is the one other.  A row is a dict {column: nonzero entry}.  The
-columns are taken in order; each pivot comes from the rows without a pivot
-that hold the column, chosen after Markowitz (1957) by the key (nonzeros
-in the row, cost of the entry, row index).  Over Q(i)(x) the cost puts
-units of Q(i)[x, 1/x] (entries c*x^k) first, whose multiples keep updates
-on the gcd-free Laurent path of the scalars, then len(num) + len(den);
-over Q(i) it is the entry's height, the bit lengths of max(|a|, |b|) and
-of d.  The pivot column is cleared from the rows without a pivot only;
+over F_p, is the one other.  A row or vector is a dict {column: entry}:
+the elimination functions drop its zero entries and return dicts of
+nonzero entries.  Only sparse_rows, which turns dense rows into dict rows,
+and the small dense helpers mat_vec, mat_mul, mat_inverse and identity
+take or return lists.  The columns are taken in sorted key order; each
+pivot comes from the rows without a pivot that hold the column, chosen
+after Markowitz (1957) by the key (nonzeros in the row, cost of the
+entry, row index).  Over Q(i)(x) the cost puts units of Q(i)[x, 1/x]
+(entries c*x^k) first, whose multiples keep updates on the gcd-free
+Laurent path of the scalars, then len(num) + len(den); over Q(i) it is
+the entry's height, the bit lengths of max(|a|, |b|) and of d.  The pivot column is cleared from the rows without a pivot only;
 back substitution then clears each pivot column, from the last up, from
 the pivot rows above it.  One update, _eliminate, serves both and
 span_test too: it touches only the pivot row's nonzeros and deletes every
@@ -59,16 +62,19 @@ def _eliminate(row, c, items, zero):
             row[j] = y
 
 
-def row_echelon(rows):
-    """The reduced row echelon form of a list of rows, as (rows, pivots):
-    the ascending pivot columns, and the dense reduced rows in pivot order,
-    one per pivot."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
+def sparse_rows(rows):
+    """Dense rows as dict rows {column: entry}: the one way in for a matrix
+    written out in full."""
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows of unequal length")
-    sparse = [{j: c for j, c in enumerate(map(SymScalar.coerce, row)) if c.num}
+    return [dict(enumerate(row)) for row in rows]
+
+
+def row_echelon(rows):
+    """The reduced row echelon form of a list of dict rows, as (rows,
+    pivots): the ascending pivot columns, and the reduced rows in pivot
+    order, one per pivot.  The columns are taken in sorted key order."""
+    sparse = [{j: c for j, c in zip(row, map(SymScalar.coerce, row.values())) if c.num}
               for row in rows]
     if all(c.is_constant() for row in sparse for c in row.values()):
         sparse = [{j: c.num[0] for j, c in row.items()} for row in sparse]
@@ -79,7 +85,7 @@ def row_echelon(rows):
         size = lambda c: (_xpow(c.den) < 0 or any(c.num[:-1]), len(c.num) + len(c.den))
     unused = set(range(len(sparse)))
     pivots, order = [], []
-    for c in range(ncols):
+    for c in sorted({j for row in sparse for j in row}):
         holders = [i for i in unused if c in sparse[i]]
         if not holders:
             continue
@@ -101,8 +107,7 @@ def row_echelon(rows):
         for p in order[:k]:
             if c in sparse[p]:
                 _eliminate(sparse[p], c, items, zero)
-    return [[wrap(sparse[p][j]) if j in sparse[p] else SS_ZERO for j in range(ncols)]
-            for p in order], pivots
+    return [{j: wrap(x) for j, x in sparse[p].items()} for p in order], pivots
 
 
 def rank(rows) -> int:
@@ -110,39 +115,34 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def kernel_basis(rows, ncols=None):
-    """Basis of {v : A v = 0} for A given as a list of rows."""
+def kernel_basis(rows, ncols):
+    """Basis of {v : A v = 0}, A given by its dict rows over the columns
+    0..ncols-1, as dict vectors."""
     if not rows:
-        if ncols is None:
-            raise ValueError("kernel of an empty matrix needs ncols")
-        return identity(ncols)
-    ncols = len(rows[0])
+        return [{c: SS_ONE} for c in range(ncols)]
     ech, pivots = row_echelon(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [SS_ZERO] * ncols
-        v[fc] = SS_ONE
-        for r, pc in enumerate(pivots):
+    for fc in range(ncols):
+        if fc not in pivot_set:
             # row r reads: v[pc] + sum_{c > pc} ech[r][c] v[c] = 0
-            v[pc] = -ech[r][fc]
-        basis.append(v)
+            v = {pc: -row[fc] for pc, row in zip(pivots, ech) if fc in row}
+            v[fc] = SS_ONE
+            basis.append(v)
     return basis
 
 
 def span_test(vectors):
-    """A predicate deciding exactly whether a vector lies in the span of the
-    given vectors.  row_echelon reduces the vectors once; each reduced row
-    has 1 at its pivot and 0 at the other pivots, so subtracting target[p]
-    times the row of each pivot p leaves zero exactly when the target lies
-    in the span."""
+    """A predicate deciding exactly whether a dict vector lies in the span of
+    the given dict vectors.  row_echelon reduces the vectors once; each
+    reduced row has 1 at its pivot and 0 at the other pivots, so subtracting
+    target[p] times the row of each pivot p leaves zero exactly when the
+    target lies in the span."""
     ech, pivots = row_echelon(vectors)
-    rows = [(p, [(j, c) for j, c in enumerate(row) if c.num and j != p])
-            for p, row in zip(pivots, ech)]
+    rows = [(p, [(j, c) for j, c in row.items() if j != p]) for p, row in zip(pivots, ech)]
 
     def contains(target) -> bool:
-        rest = {j: c for j, c in enumerate(map(SymScalar.coerce, target)) if c.num}
+        rest = {j: c for j, c in zip(target, map(SymScalar.coerce, target.values())) if c.num}
         for p, row in rows:
             if p in rest:
                 _eliminate(rest, p, row, SS_ZERO)
@@ -154,7 +154,7 @@ def span_test(vectors):
 def _lift_vector(v):
     """v's nonzero entries times one factor that clears every denominator, as
     (column, re, im): Gaussian-integer coefficients in x, low degree first."""
-    entries = [(j, c) for j, c in enumerate(v) if c.num]
+    entries = [(j, c) for j, c in v.items() if c.num]
     for den in {c.den for _, c in entries if _xpow(c.den) < 0}:
         entries = [(j, c * _sym(den, _P_ONE)) for j, c in entries]
     top = max((len(c.den) for _, c in entries), default=1)
@@ -172,7 +172,7 @@ def certify_kernel(rows, ncols, basis) -> bool:
     ("undecided") otherwise.  One pass over the lifted rows files them by
     column for (i) and reduces them mod p for (ii), which stops at ncols -
     |basis| pivots."""
-    ends = [max((j for j, c in enumerate(v) if c.num), default=-1) for v in basis]
+    ends = [max((j for j, c in v.items() if c.num), default=-1) for v in basis]
     if -1 in ends or len(set(ends)) < len(ends):
         return False
     columns, reduced = [[] for _ in range(ncols)], []
@@ -215,12 +215,6 @@ def certify_kernel(rows, ncols, basis) -> bool:
     return len(pivots) >= need
 
 
-def is_nonsingular(rows) -> bool:
-    if not rows:
-        return True
-    return len(rows) == len(rows[0]) and rank(rows) == len(rows)
-
-
 def mat_vec(rows, v):
     """A v, summing over the entries nonzero in both v and the row."""
     terms = [(k, c) for k, c in enumerate(map(SymScalar.coerce, v)) if not c.is_zero()]
@@ -248,10 +242,10 @@ def mat_inverse(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("inverse of a non-square matrix")
-    ech, pivots = row_echelon([list(row) + e for row, e in zip(rows, identity(n))])
+    ech, pivots = row_echelon(sparse_rows([list(row) + e for row, e in zip(rows, identity(n))]))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in ech]
+    return [[row.get(j, SS_ZERO) for j in range(n, 2 * n)] for row in ech]
 
 
 def identity(n):

@@ -21,7 +21,7 @@ from acx.hodge import (
     invariant_harmonic_space,
     volume_form,
 )
-from acx.linalg import kernel_basis, span_test
+from acx.linalg import kernel_basis, span_test, sparse_rows
 from acx.models import abelian_model, kt_model
 from acx.scalars import PiParam, Scalar, SymScalar
 from acx.torus import (
@@ -307,12 +307,12 @@ def test_criterion_09_pairing_star_adjointness_and_kernels():
                     lap_rows, ncols = _operator_matrix(
                         ctx, monomials, ctx.laplacian
                     )
-                    lap_kernel = kernel_basis(lap_rows, ncols=ncols)
+                    lap_kernel = kernel_basis(sparse_rows(lap_rows), ncols)
                     db_rows, _ = _operator_matrix(ctx, monomials, ctx.dbar)
                     ds_rows, _ = _operator_matrix(
                         ctx, monomials, ctx.dbar_star
                     )
-                    both_kernel = kernel_basis(db_rows + ds_rows, ncols=ncols)
+                    both_kernel = kernel_basis(sparse_rows(db_rows + ds_rows), ncols)
                     assert len(lap_kernel) == len(both_kernel)
                     in_lap_kernel = span_test(lap_kernel)
                     for vec in both_kernel:

@@ -27,7 +27,6 @@ ALLOWED = {
     "PseudoholStructure.dual": "the tests check the dual involution",
     "Form.bidegree": "the tests read a homogeneous form's bidegree",
     "Form.one": "the tests build the constant form 1 as the unit of the wedge",
-    "G2Element.entries": "the tests compare elements' nonzero matrix entries as Scalars",
     "TrigPoly.constant": "the tests build constant trigonometric polynomials",
 }
 

@@ -422,7 +422,7 @@ def dense_span_decision(A):
     """The membership test's span decision as one elimination per sample:
     whether B c = flat(A) has a solution c, for the matrix B whose columns
     are the fourteen flattened basis matrices."""
-    basis_vectors = [e.flatten() for e in BASIS_ELEMENTS]
+    basis_vectors = [[c for row in e.matrix for c in row] for e in BASIS_ELEMENTS]
     cols = [list(row) for row in zip(*basis_vectors)]
     return solve(cols, [A[i][j] for i in range(N) for j in range(N)]) is not None
 
@@ -556,7 +556,7 @@ def test_lifted_kernels_match_dense_references_on_random_matrices():
 
 
 def test_span_test_matches_dense_reference():
-    in_basis_span = span_test([e.flatten() for e in BASIS_ELEMENTS])
+    in_basis_span = span_test([e.entries for e in BASIS_ELEMENTS])
     rng = random.Random(39)
     samples = list(MEMBERS) + list(NON_MEMBERS)
     # members plus a skew non-member leave the span; members scaled stay in it
@@ -573,8 +573,7 @@ def test_span_test_matches_dense_reference():
         samples.append(A)
     decisions = []
     for A in samples:
-        flat = [A[i][j] for i in range(N) for j in range(N)]
-        decisions.append(in_basis_span(flat))
+        decisions.append(in_basis_span({(i, j): A[i][j] for i in range(N) for j in range(N)}))
         assert decisions[-1] is dense_span_decision(A)
     assert True in decisions and False in decisions
 

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from acx import hodge, linalg
-from acx.bundles import trivial_structure
+from acx.bundles import CanonicalPower, trivial_structure
 from acx.cli import main
 from acx.errors import InputError, InternalCheckError
 from acx.forms import Form, basis_monomials
@@ -19,7 +19,7 @@ from acx.hodge import (
     volume_form,
 )
 from acx.lie import LieAlgebra, ACStructure, LieACS
-from acx.linalg import identity, row_echelon
+from acx.linalg import row_echelon, sparse_rows
 from acx.models import abelian_model, kt_model
 from acx.scalars import SS_ZERO, PiParam, Scalar, SymScalar
 from acx.torus import kt_irregularity, kt_plurigenus
@@ -45,13 +45,13 @@ def solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    ech, pivots = row_echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    ech, pivots = row_echelon(sparse_rows([list(r) + [b] for r, b in zip(rows, rhs)]))
     # inconsistent iff the right-hand-side column holds a pivot
     if pivots and pivots[-1] == ncols:
         return None
     v = [SS_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        v[pc] = ech[r][ncols]
+    for row, pc in zip(ech, pivots):
+        v[pc] = row.get(ncols, SS_ZERO)
     return v
 
 
@@ -239,6 +239,32 @@ class TestHarmonicSpaces:
                     want = len(hodge._section_monomials(model, p, q))
                     assert hodge.section_count(model, p, q) == want
 
+    def test_a_negative_bidegree_is_refused(self):
+        with pytest.raises(InputError, match=r"bidegree \(-1,0\) must be non-negative"):
+            invariant_harmonic_space(abelian_model(2), -1, 0)
+
+    def test_a_negative_serre_target_is_refused(self):
+        # the target bidegree (n-p, n-q) of (3,0) on a 2-dim model
+        with pytest.raises(InputError, match=r"bidegree \(-1,2\) must be non-negative"):
+            serre_pairing_check(abelian_model(2), 3, 0)
+
+    @pytest.mark.parametrize("p,q,power", [(1, 1, 0), (2, 1, 1)])
+    def test_operator_matrix_rows_hold_only_nonzero_entries(self, nil8_generic, p, q, power):
+        # one dict row per monomial key of the images, each entry a nonzero
+        # image term in a column below ncols, and no image term lost
+        model = nil8_generic
+        bundle = CanonicalPower(model, power).structure() if power else None
+        monomials = hodge._section_monomials(model, p, q)
+        for ch in model.characters(power):
+            ctx = SectionContext(model, bundle, ch)
+            for op in (ctx.dbar, ctx.dbar_star, ctx.laplacian):
+                rows, ncols = hodge._operator_matrix(ctx, monomials, op)
+                assert ncols == len(monomials) and rows
+                assert all(row and all(0 <= j < ncols and not c.is_zero() for j, c in row.items())
+                           for row in rows)
+                terms = sum(len(op(Form.monomial(model.n, a, b)).terms) for a, b in monomials)
+                assert sum(map(len, rows)) == terms
+
     def test_non_unimodular_input_is_refused(self):
         alg = LieAlgebra(2, {(1, 2): {2: 1}})
         J = ACStructure([[0, -1], [1, 0]])
@@ -326,7 +352,7 @@ class TestCrossChecksFail:
     def standard_vectors(basis, ncols):
         # as many standard basis vectors as the true kernel has: on kt (1,1)
         # they span another 3-dim subspace of the 4 monomials
-        return identity(ncols)[:len(basis)]
+        return [{j: SymScalar.const(1)} for j in range(len(basis))]
 
     def test_kernels_of_different_sizes(self, monkeypatch):
         self.tamper_both_kernel(monkeypatch, lambda basis, ncols: basis[:-1])
@@ -380,8 +406,8 @@ class TestCrossChecksFail:
         def matrix(ctx, monomials, op):
             rows, ncols = real_matrix(ctx, monomials, op)
             if op.__name__ == "laplacian":
-                column = max(j for j, c in enumerate(kernels[0][0]) if c.num)
-                rows[0][column] = rows[0][column] + 1
+                column = max(j for j, c in kernels[0][0].items() if c.num)
+                rows[0][column] = rows[0].get(column, SS_ZERO) + 1
             return rows, ncols
 
         def certify(*args):

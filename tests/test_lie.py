@@ -17,7 +17,7 @@ from acx.lie import (
     is_integrable,
     nijenhuis,
 )
-from acx.linalg import mat_inverse, mat_mul, rank
+from acx.linalg import mat_inverse, mat_mul, rank, sparse_rows
 from acx.models import abelian_model, kt_algebra, kt_J, kt_model
 from acx.scalars import SS_ONE, SS_ZERO, S_I, PiParam, Scalar, SymScalar
 
@@ -548,7 +548,7 @@ def greedy_coframe(alg, J):
         for b in range(N):
             c = SS_ONE if b == a - 1 else SS_ZERO
             row.append(c - SymScalar.const(S_I) * J.matrix[a - 1][b])
-        if rank(chosen + [row]) > len(chosen):
+        if rank(sparse_rows(chosen + [row])) > len(chosen):
             lead = next(c for c in row if not c.is_zero())
             inv = SS_ONE / lead
             chosen.append([c * inv for c in row])

@@ -10,7 +10,6 @@ from acx.hodge import invariant_harmonic_space
 from acx.linalg import (
     certify_kernel,
     identity,
-    is_nonsingular,
     kernel_basis,
     mat_inverse,
     mat_mul,
@@ -18,9 +17,10 @@ from acx.linalg import (
     rank,
     row_echelon,
     span_test,
+    sparse_rows,
 )
 from acx.models import kt_J, model_from_json
-from acx.scalars import SS_ONE, PiParam, Scalar, SymScalar
+from acx.scalars import SS_ONE, SS_ZERO, PiParam, Scalar, SymScalar
 
 from test_hodge import solve
 
@@ -35,12 +35,22 @@ def rand_matrix(rng, rows, cols, symbolic=False):
     return [[entry() for _ in range(cols)] for _ in range(rows)]
 
 
+def dense(v, ncols):
+    """A dict vector written out over the columns 0..ncols-1."""
+    return [v.get(j, SS_ZERO) for j in range(ncols)]
+
+
+def nonzero_rows(rows):
+    """Dense rows as dicts of their nonzero entries."""
+    return [{j: c for j, c in enumerate(row) if c.num} for row in rows]
+
+
 def test_inverse_roundtrip():
     rng = random.Random(41)
     done = 0
     while done < 6:
         a = rand_matrix(rng, 3, 3, symbolic=True)
-        if not is_nonsingular(a):
+        if rank(sparse_rows(a)) < 3:
             continue
         inv = mat_inverse(a)
         assert mat_mul(a, inv) == identity(3)
@@ -53,11 +63,11 @@ def test_kernel_vectors_annihilate():
     for _ in range(25):
         rows, cols = rng.randint(2, 4), rng.randint(2, 5)
         a = rand_matrix(rng, rows, cols)
-        kb = kernel_basis(a, cols)
+        kb = kernel_basis(sparse_rows(a), cols)
         zero = [SymScalar.const(0)] * rows
         for v in kb:
-            assert mat_vec(a, v) == zero
-        assert rank(a) + len(kb) == cols
+            assert mat_vec(a, dense(v, cols)) == zero
+        assert rank(sparse_rows(a)) + len(kb) == cols
         assert rank(kb) == len(kb)
 
 
@@ -80,12 +90,12 @@ def test_in_span():
     vs = rand_matrix(rng, 3, 5)
     combo = [sum((vs[i][j] * SymScalar.const(i + 1) for i in range(3)),
                  SymScalar.const(0)) for j in range(5)]
-    in_vs_span = span_test(vs)
-    assert in_vs_span(combo)
+    in_vs_span = span_test(sparse_rows(vs))
+    assert in_vs_span(dict(enumerate(combo)))
     outside = list(combo)
     outside[0] = outside[0] + SymScalar.symbol()
-    if rank(vs + [outside]) > rank(vs):
-        assert not in_vs_span(outside)
+    if rank(sparse_rows(vs + [outside])) > rank(sparse_rows(vs)):
+        assert not in_vs_span(dict(enumerate(outside)))
 
 
 def test_span_test_matches_solve():
@@ -95,24 +105,24 @@ def test_span_test_matches_solve():
     for symbolic in (False, True):
         for _ in range(6):
             vs = rand_matrix(rng, rng.randint(1, 4), 5, symbolic=symbolic)
-            in_vs_span = span_test(vs)
+            in_vs_span = span_test(sparse_rows(vs))
             cols = [list(col) for col in zip(*vs)]
             coeffs = rand_matrix(rng, 1, len(vs), symbolic=True)[0]
             combo = [sum((c * v[j] for c, v in zip(coeffs, vs)), SymScalar.const(0))
                      for j in range(5)]
             for target in [combo, rand_matrix(rng, 1, 5, symbolic=symbolic)[0]]:
-                assert in_vs_span(target) is (solve(cols, target) is not None)
-            assert in_vs_span(combo)
+                assert in_vs_span(dict(enumerate(target))) is (solve(cols, target) is not None)
+            assert in_vs_span(dict(enumerate(combo)))
     in_empty_span = span_test([])
-    assert in_empty_span([0, 0, 0]) and not in_empty_span([0, 1, 0])
+    assert in_empty_span({0: 0, 1: 0, 2: 0}) and not in_empty_span({0: 0, 1: 1, 2: 0})
 
 
 def test_rank_of_degenerate_matrices():
-    z = [[SymScalar.const(0)] * 3 for _ in range(2)]
+    z = sparse_rows([[SymScalar.const(0)] * 3 for _ in range(2)])
     assert rank(z) == 0
-    assert kernel_basis(z, 3) is not None and len(kernel_basis(z, 3)) == 3
-    assert rank(identity(4)) == 4
-    assert is_nonsingular(identity(2)) and not is_nonsingular(z)
+    assert kernel_basis(z, 3) == [{0: SS_ONE}, {1: SS_ONE}, {2: SS_ONE}]
+    assert rank(sparse_rows(identity(4))) == 4
+    assert rank(sparse_rows(identity(2))) == 2
 
 
 
@@ -247,15 +257,24 @@ def sparse_matrix(rng, rows, cols, symbolic):
     return [[sparse_entry(rng, symbolic) for _ in range(cols)] for _ in range(rows)]
 
 
+def dense_reference(rows):
+    """dense_row_echelon on dict rows over int columns, returning
+    row_echelon's shape: the nonzero reduced rows as dicts, and the pivots."""
+    ncols = 1 + max((j for row in rows for j in row), default=-1)
+    ref, pivots = dense_row_echelon([dense(row, ncols) for row in rows])
+    return nonzero_rows(ref[:len(pivots)]), pivots
+
+
 def assert_matches_dense(rows):
-    got, pivots = row_echelon(rows)
+    got, pivots = row_echelon(sparse_rows(rows))
     ref, ref_pivots = dense_row_echelon(rows)
     assert pivots == ref_pivots
-    assert got == ref[:len(pivots)]
-    assert all(len(row) == (len(rows[0]) if rows else 0) for row in got)
+    # equal dicts of nonzero entries: no zero entry is kept
+    assert got == nonzero_rows(ref[:len(pivots)])
+    assert all(0 <= j < len(rows[0]) for row in got for j in row)
     if all(SymScalar.coerce(c).is_constant() for row in rows for c in row):
         # the constant path wraps each entry back in canonical constant form
-        assert all(c.is_constant() for row in got for c in row)
+        assert all(c.is_constant() for row in got for c in row.values())
 
 
 class TestSparseEchelonAgainstDense:
@@ -279,7 +298,7 @@ class TestSparseEchelonAgainstDense:
             m = sparse_matrix(rng, rows, cols, symbolic)
             i, j = rng.sample(range(rows), 2)
             m.insert(rng.randint(0, rows), [x + y for x, y in zip(m[i], m[j])])
-            _, pivots = row_echelon(m)
+            _, pivots = row_echelon(sparse_rows(m))
             assert len(pivots) <= rows
             assert_matches_dense(m)
 
@@ -314,7 +333,7 @@ class TestSparseEchelonAgainstDense:
         rows = [[A + 1, A, 0], [A, 1, 0], [0, A, 1 / A]]
         want = dense_row_echelon(rows)
         monkeypatch.setattr(scalars, "_pgcd", _refuse_gcd)
-        assert row_echelon(rows) == (want[0], want[1])
+        assert row_echelon(sparse_rows(rows)) == (nonzero_rows(want[0]), want[1])
 
     def test_raw_entries_are_coerced(self):
         m = [[0, 2, Fraction(1, 3)], [Scalar(0, 1), 0, 1], [1, 1, 1]]
@@ -324,9 +343,7 @@ class TestSparseEchelonAgainstDense:
     def test_ragged_rows_are_refused(self):
         for rows in ([[1], [0, 1]], [[0, 1], [1]], [[1, 0, 1], [0, 1]]):
             with pytest.raises(ValueError, match="unequal length"):
-                row_echelon(rows)
-            with pytest.raises(ValueError, match="unequal length"):
-                rank(rows)
+                sparse_rows(rows)
         with pytest.raises(ValueError, match="unequal length"):
             solve([[1, 0], [0]], [1, 1])
 
@@ -382,12 +399,13 @@ def test_harmonic_blocks_match_dense_elimination(monkeypatch, nil8_generic, case
     real = linalg.row_echelon
 
     def recording(rows):
-        constant.append(all(SymScalar.coerce(c).is_constant() for row in rows for c in row))
+        constant.append(all(SymScalar.coerce(c).is_constant()
+                            for row in rows for c in row.values()))
         return real(rows)
 
     monkeypatch.setattr(linalg, "row_echelon", recording)
     sparse = invariant_harmonic_space(model, p, q, bundle_power=power)
-    monkeypatch.setattr(linalg, "row_echelon", dense_row_echelon)
+    monkeypatch.setattr(linalg, "row_echelon", dense_reference)
     dense = invariant_harmonic_space(model, p, q, bundle_power=power)
     # the symbolic case meets at least one matrix over Q(i)(a); the dense
     # model runs the constant path only
@@ -425,7 +443,7 @@ class TestKernelBasisIsCanonical:
     def invertible(self, rng, n, symbolic):
         while True:
             m = self.matrix(rng, n, n, symbolic)
-            if is_nonsingular(m):
+            if rank(sparse_rows(m)) == n:
                 return m
 
     @staticmethod
@@ -439,12 +457,12 @@ class TestKernelBasisIsCanonical:
         for _ in range(12):
             rows, cols = rng.randint(1, 4), rng.randint(2, 6)
             a = self.matrix(rng, rows, cols, symbolic)
-            kernel = kernel_basis(a, cols)
+            kernel = kernel_basis(sparse_rows(a), cols)
             # M A for invertible M, and A stacked on B A, keep the kernel
             # but change every row
             ma = mat_mul(self.invertible(rng, rows, symbolic), a)
             stacked = ma + mat_mul(self.matrix(rng, 2, rows, symbolic), a)
-            for same in (ma, stacked):
+            for same in map(sparse_rows, (ma, stacked)):
                 assert kernel_basis(same, cols) == kernel
                 assert self.old_test_says_equal(kernel_basis(same, cols), kernel)
 
@@ -455,19 +473,19 @@ class TestKernelBasisIsCanonical:
         for _ in range(12):
             rows, cols = rng.randint(1, 4), rng.randint(2, 6)
             a = self.matrix(rng, rows, cols, symbolic)
-            kernel = kernel_basis(a, cols)
+            kernel = kernel_basis(sparse_rows(a), cols)
             if not kernel:
                 continue
             # change an entry (i, j) with v[j] != 0 for a kernel vector v:
             # then A' v != 0, so ker A' differs from ker A
             v = rng.choice(kernel)
-            j = rng.choice([k for k, c in enumerate(v) if not c.is_zero()])
+            j = rng.choice(sorted(k for k, c in v.items() if not c.is_zero()))
             i = rng.randrange(rows)
             b = [list(row) for row in a]
             delta = Fraction(rng.randint(1, 5), rng.randint(2, 4))
             b[i][j] = b[i][j] + (delta * A if symbolic else delta)
-            assert mat_vec(b, v) != mat_vec(a, v)
-            other = kernel_basis(b, cols)
+            assert mat_vec(b, dense(v, cols)) != mat_vec(a, dense(v, cols))
+            other = kernel_basis(sparse_rows(b), cols)
             assert other != kernel
             assert not self.old_test_says_equal(other, kernel)
             same_size += len(other) == len(kernel)
@@ -524,19 +542,19 @@ class TestCertifyKernel:
         for _ in range(12):
             rows, cols = rng.randint(1, 4), rng.randint(2, 6)
             a = TestKernelBasisIsCanonical.matrix(rng, rows, cols, symbolic)
-            kernel = kernel_basis(a, cols)
-            assert certify_kernel(a, cols, kernel)
+            kernel = kernel_basis(sparse_rows(a), cols)
+            assert certify_kernel(sparse_rows(a), cols, kernel)
             if not kernel:
                 continue
             # a lost vector, a repeated one, and a perturbed entry of A in a
             # column where a kernel vector is nonzero
             v = rng.choice(kernel)
-            j = max(k for k, c in enumerate(v) if c.num)
+            j = max(k for k, c in v.items() if c.num)
             b = [list(row) for row in a]
             i = rng.randrange(rows)
             b[i][j] = b[i][j] + (A if symbolic else 1)
             for matrix, basis in ((a, kernel[:-1]), (a, kernel + [v]), (b, kernel)):
-                assert not certify_kernel(matrix, cols, basis)
+                assert not certify_kernel(sparse_rows(matrix), cols, basis)
                 wrong += 1
         assert wrong > 0
 
@@ -544,25 +562,51 @@ class TestCertifyKernel:
         # det = 1/p, so rank 2 and ker = 0; each row times its denominator
         # is (p, 1) or (p, 2), which has rank 1 mod p
         inv_p = SymScalar.const(Fraction(1, linalg._P))
-        a = [[SS_ONE, inv_p], [SS_ONE, inv_p + inv_p]]
+        a = sparse_rows([[SS_ONE, inv_p], [SS_ONE, inv_p + inv_p]])
         assert kernel_basis(a, 2) == []
         assert certify_kernel(a, 2, []) is False
 
     def test_a_denominator_vanishing_at_the_point_is_undecided(self):
         # the same matrix with 1/(a - x0) for 1/p
         pole = SS_ONE / (A - linalg._X0)
-        a = [[SS_ONE, pole], [SS_ONE, pole + pole]]
+        a = sparse_rows([[SS_ONE, pole], [SS_ONE, pole + pole]])
         assert kernel_basis(a, 2) == []
         assert certify_kernel(a, 2, []) is False
 
     def test_a_rank_lost_mod_p_is_undecided(self):
-        a = [[SymScalar.const(linalg._P)]]
+        a = [{0: SymScalar.const(linalg._P)}]
         assert kernel_basis(a, 1) == []
         assert certify_kernel(a, 1, []) is False
 
     def test_a_block_without_rows(self):
-        assert certify_kernel([], 3, identity(3))
-        assert not certify_kernel([], 3, identity(3)[:2])
+        units = kernel_basis([], 3)
+        assert certify_kernel([], 3, units)
+        assert not certify_kernel([], 3, units[:2])
         assert not certify_kernel([], 3, [])
         assert certify_kernel([], 0, [])
 
+
+
+class TestExplicitZeros:
+    """A dict row may hold an explicit zero entry: the elimination functions
+    drop it, so they never pivot on it and never keep it as a leftover."""
+
+    def test_row_echelon(self):
+        rows = [{0: SS_ZERO, 1: SymScalar.const(2)}, {0: 0, 2: A, 1: Scalar(0)}]
+        assert row_echelon(rows) == ([{1: SS_ONE}, {2: SS_ONE}], [1, 2])
+        assert row_echelon([{0: 0}, {3: SS_ZERO}]) == ([], [])
+        assert kernel_basis([{0: SS_ZERO, 1: SS_ONE}], 2) == [{0: SS_ONE}]
+
+    def test_span_test(self):
+        in_span = span_test([{0: SS_ZERO, 1: SS_ONE, 2: A}])
+        assert in_span({1: SymScalar.const(3), 2: 3 * A, 0: SS_ZERO, 4: 0})
+        assert in_span({0: 0, 5: SS_ZERO})
+        assert not in_span({0: SS_ONE, 1: SS_ZERO})
+
+    def test_certify_kernel(self):
+        # ker of the row (1, 0, 0) is spanned by e1 and e2; the zero entries
+        # at column 2 would make both vectors end in one column
+        rows = [{0: SS_ONE, 2: SS_ZERO}]
+        basis = [{1: SS_ONE, 2: SS_ZERO}, {2: SS_ONE}]
+        assert certify_kernel(rows, 3, basis)
+        assert not certify_kernel(rows, 3, [{1: SS_ONE, 2: SS_ZERO}, {0: SS_ZERO}])

@@ -19,8 +19,8 @@ from acx.hodge import (
     star_monomial,
 )
 from acx.lie import ACStructure, LieACS, LieAlgebra, is_integrable, nijenhuis
-from acx.linalg import is_nonsingular, kernel_basis, mat_inverse, mat_mul
-from acx.scalars import PiParam, Scalar, SymScalar
+from acx.linalg import kernel_basis, mat_inverse, mat_mul, rank, sparse_rows
+from acx.scalars import SS_ZERO, PiParam, Scalar, SymScalar
 
 from test_lie import ce_d
 from test_scalars import assert_canonical_sym
@@ -32,7 +32,8 @@ def closed_two_forms(alg):
     images = [ce_d(alg, Form(alg.dim, {(pair, ()): 1})) for pair in pairs]
     keys = sorted({key for image in images for key in image.terms})
     rows = [[image.terms.get(key, SymScalar.const(0)) for image in images] for key in keys]
-    return [dict(zip(pairs, v)) for v in kernel_basis(rows, ncols=len(pairs))]
+    return [{pair: v.get(j, SS_ZERO) for j, pair in enumerate(pairs)}
+            for v in kernel_basis(sparse_rows(rows), len(pairs))]
 
 
 def central_extension(rng, base, dim):
@@ -66,7 +67,7 @@ def conjugated_j(rng, dim, generic, mix):
         for _ in range(mix):
             r, c = rng.sample(range(dim), 2)
             p[r][c] = rng.choice([1, -1])
-        if is_nonsingular(p):
+        if rank(sparse_rows(p)) == dim:
             break
     return mat_mul(mat_mul(p, j0), mat_inverse(p))
 
@@ -149,7 +150,7 @@ def test_scalars_are_canonical(generated):
     entries = [c for row in model.J.matrix + cf.C + cf.Cinv for c in row]
     entries += [c for coords in cf.complex_constants().values() for c in coords]
     for blk in invariant_harmonic_space(model, 1, 0).blocks:
-        entries += [c for vec in blk.basis for c in vec]
+        entries += [c for vec in blk.basis for c in vec.values()]
     for c in entries:
         assert_canonical_sym(c)
 
