@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -180,8 +179,6 @@ def _family(args, frame: bool = False):
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
         return "-inf" if value == float("-inf") else value
     if isinstance(value, dict):

@@ -34,8 +34,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
@@ -50,7 +49,7 @@ from .hodge import (
 )
 from .lie import ACStructure, LieACS, LieAlgebra, _jacobi_failures
 from .linalg import rank, span_test
-from .scalars import Scalar, SymScalar, _Frozen, _lift, _new, _norm, _scalar
+from .scalars import S_I, S_ONE, Scalar, SymScalar, _Frozen, _lift, _new, _norm, _scalar
 from .torus import PlurigeneraProfile, kodaira_dimension
 
 X_DIM = 6
@@ -828,45 +827,43 @@ S6_DF_DISPLAYS: Dict[int, Dict[Tuple[int, int], int]] = {
 }
 
 
-def _form7(terms) -> Form:
-    return Form((X_DIM + Y_DIM) // 2, {key: Scalar(re, im) for key, (re, im) in terms.items()})
-
-
-_HALF = Fraction(1, 2)
+_form7 = partial(Form, (X_DIM + Y_DIM) // 2)
+_HALF = S_ONE / 2
+_HALF_I = S_I / 2
 
 S6_DBAR_PHI: Dict[int, Form] = {
     1: _form7({
-        ((1,), (4,)): (0, -_HALF),
-        ((2,), (5,)): (0, -1),
-        ((3,), (6,)): (0, 1),
+        ((1,), (4,)): -_HALF_I,
+        ((2,), (5,)): -S_I,
+        ((3,), (6,)): S_I,
     }),
     2: _form7({
-        ((1,), (3,)): (0, -_HALF),
-        ((2,), (4,)): (-_HALF, _HALF),
-        ((3,), (7,)): (0, 1),
+        ((1,), (3,)): -_HALF_I,
+        ((2,), (4,)): _HALF_I - _HALF,
+        ((3,), (7,)): S_I,
     }),
     3: _form7({
-        ((1,), (2,)): (0, _HALF),
-        ((2,), (1,)): (0, -_HALF),
-        ((3,), (4,)): (_HALF, 0),
+        ((1,), (2,)): _HALF_I,
+        ((2,), (1,)): -_HALF_I,
+        ((3,), (4,)): _HALF,
     }),
 }
 
 S6_DBAR_20: Dict[Tuple[int, int], Form] = {
     (1, 2): _form7({
-        ((1, 2), (4,)): (_HALF, 0),
-        ((2, 3), (6,)): (0, 1),
-        ((1, 3), (7,)): (0, -1),
+        ((1, 2), (4,)): _HALF,
+        ((2, 3), (6,)): S_I,
+        ((1, 3), (7,)): -S_I,
     }),
     (2, 3): _form7({
-        ((1, 3), (3,)): (0, _HALF),
-        ((2, 3), (4,)): (0, -_HALF),
-        ((1, 2), (2,)): (0, _HALF),
+        ((1, 3), (3,)): _HALF_I,
+        ((2, 3), (4,)): -_HALF_I,
+        ((1, 2), (2,)): _HALF_I,
     }),
     (3, 1): _form7({
-        ((1, 2), (1,)): (0, -_HALF),
-        ((1, 3), (4,)): (_HALF, -_HALF),
-        ((2, 3), (5,)): (0, -1),
+        ((1, 2), (1,)): -_HALF_I,
+        ((1, 3), (4,)): _HALF - _HALF_I,
+        ((2, 3), (5,)): -S_I,
     }),
 }
 
@@ -900,8 +897,8 @@ def s6_structure_package() -> Report:
     top_closed = coframe.dbar(_s6_canonical().vol).is_zero()
 
     # dual frame spot check: X_1 = (e1 + i e2)/2, X_7 = (e13 + i e14)/2
-    half_i = SymScalar.const(Scalar(0, _HALF))
-    half = SymScalar.const(Scalar(_HALF))
+    half_i = SymScalar.const(_HALF_I)
+    half = SymScalar.const(_HALF)
     zero = SymScalar.const(0)
     want_x1 = [half, half_i] + [zero] * (alg.dim - 2)
     want_x7 = [zero] * (alg.dim - 2) + [half, half_i]
@@ -939,16 +936,13 @@ def _frame_vector(label: str) -> List[SymScalar]:
     ]
 
 
-_I = Scalar(0, 1)
-_HALF_I = Scalar(0, _HALF)
-
 # Each entry: bracket of two frame fields equals a scalar combination.
 REDUCTION_BRACKETS: List[Tuple[str, str, List[Tuple[Scalar, str]]]] = [
-    ("Xb1", "Xb2", [(-_I, "X3"), (_HALF_I, "Xb5")]),
+    ("Xb1", "Xb2", [(-S_I, "X3"), (_HALF_I, "Xb5")]),
     ("Xb3", "Xb5", [(_HALF_I, "h1")]),
     ("X3", "Xb3", [(_HALF_I, "h2")]),
     ("Xb1", "Xb7", [(-_HALF_I, "h2")]),
-    ("Xb2", "Xb7", [(_I, "Xb6")]),
+    ("Xb2", "Xb7", [(S_I, "Xb6")]),
     ("Xb2", "Xb6", [(_HALF_I, "h1"), (_HALF_I, "h2")]),
 ]
 
@@ -957,7 +951,7 @@ REDUCTION_BRACKETS: List[Tuple[str, str, List[Tuple[Scalar, str]]]] = [
 # (1/4)([f3,h7] - i[f3,h8] - i[f4,h7] - [f4,h8]) = (1/2)(f6 + i f5), which
 # is i*Xb3; the catalogued i*Xb6 is inconsistent with the table it cites.
 REDUCTION_BRACKET_ERRATA: Dict[Tuple[str, str], List[Tuple[Scalar, str]]] = {
-    ("Xb2", "Xb7"): [(_I, "Xb3")],
+    ("Xb2", "Xb7"): [(S_I, "Xb3")],
 }
 
 
@@ -1061,7 +1055,7 @@ def s6_hodge_report(levels: int = 8) -> Report:
     plurigenera = [s6_plurigenus(m) for m in range(1, levels + 1)]
     bijections = _serre_transport_bijective(1) and _serre_transport_bijective(2)
     gen = _s6_canonical().vol
-    star_on_generator = s6_basic_star(gen).conjugate() == gen.conjugate().scale(_I)
+    star_on_generator = s6_basic_star(gen).conjugate() == gen.conjugate().scale(S_I)
     shown = {
         "h10": h10,
         "h20": h20,

@@ -30,7 +30,6 @@ refuses non-unimodular input.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -62,7 +61,7 @@ def star_monomial(n: int, alpha, beta):
         + [2 * (j - 1) + 1 for j in beta + bhat]
         + [2 * (i - 1) for i in ahat]
     )
-    coeff = _I_POWERS[-n % 4] * Fraction(2) ** (p + q - n)
+    coeff = _I_POWERS[-n % 4] * 2 ** max(p + q - n, 0) / 2 ** max(n - p - q, 0)
     if eps < 0:
         coeff = -coeff
     return bhat, ahat, SymScalar.const(coeff)
@@ -153,9 +152,11 @@ def _section_monomials(model: LieACS, p: int, q: int):
 
 
 def section_count(model: LieACS, p: int, q: int) -> int:
-    """len(_section_monomials(model, p, q)) for p, q >= 0, without the list:
-    the column count of each operator matrix, one column per monomial, as
-    a section is a line-bundle-valued Form."""
+    """len(_section_monomials(model, p, q)), without the list: the column
+    count of each operator matrix, one column per monomial, as a section is
+    a line-bundle-valued Form.  A negative p or q is refused."""
+    if p < 0 or q < 0:
+        raise InputError(f"the bidegree ({p},{q}) must be non-negative")
     k = model.n if model.basic is None else len(model.basic)
     return comb(k, p) * comb(k, q)
 

@@ -70,12 +70,16 @@ def sparse_rows(rows):
     return [dict(enumerate(row)) for row in rows]
 
 
+def _nonzero(row):
+    """A dict row's nonzero entries, coerced to SymScalar."""
+    return {j: c for j, c in zip(row, map(SymScalar.coerce, row.values())) if c.num}
+
+
 def row_echelon(rows):
     """The reduced row echelon form of a list of dict rows, as (rows,
     pivots): the ascending pivot columns, and the reduced rows in pivot
     order, one per pivot.  The columns are taken in sorted key order."""
-    sparse = [{j: c for j, c in zip(row, map(SymScalar.coerce, row.values())) if c.num}
-              for row in rows]
+    sparse = [_nonzero(row) for row in rows]
     if all(c.is_constant() for row in sparse for c in row.values()):
         sparse = [{j: c.num[0] for j, c in row.items()} for row in sparse]
         zero, unit, wrap = S_ZERO, S_ONE, _const
@@ -142,7 +146,7 @@ def span_test(vectors):
     rows = [(p, [(j, c) for j, c in row.items() if j != p]) for p, row in zip(pivots, ech)]
 
     def contains(target) -> bool:
-        rest = {j: c for j, c in zip(target, map(SymScalar.coerce, target.values())) if c.num}
+        rest = _nonzero(target)
         for p, row in rows:
             if p in rest:
                 _eliminate(rest, p, row, SS_ZERO)
@@ -154,7 +158,7 @@ def span_test(vectors):
 def _lift_vector(v):
     """v's nonzero entries times one factor that clears every denominator, as
     (column, re, im): Gaussian-integer coefficients in x, low degree first."""
-    entries = [(j, c) for j, c in v.items() if c.num]
+    entries = list(_nonzero(v).items())
     for den in {c.den for _, c in entries if _xpow(c.den) < 0}:
         entries = [(j, c * _sym(den, _P_ONE)) for j, c in entries]
     top = max((len(c.den) for _, c in entries), default=1)
@@ -172,7 +176,8 @@ def certify_kernel(rows, ncols, basis) -> bool:
     ("undecided") otherwise.  One pass over the lifted rows files them by
     column for (i) and reduces them mod p for (ii), which stops at ncols -
     |basis| pivots."""
-    ends = [max((j for j, c in v.items() if c.num), default=-1) for v in basis]
+    basis = [_nonzero(v) for v in basis]
+    ends = [max(v, default=-1) for v in basis]
     if -1 in ends or len(set(ends)) < len(ends):
         return False
     columns, reduced = [[] for _ in range(ncols)], []

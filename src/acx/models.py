@@ -22,7 +22,6 @@ is loaded as that preset, character blocks included.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import InputError
 from .lie import ACStructure, Character, LieACS, LieAlgebra
@@ -57,16 +56,10 @@ def kt_J(a: PiParam) -> ACStructure:
     ])
 
 
-def _kt_character(alg: LieAlgebra, k: Fraction, l: Fraction) -> Character:
-    # lambda = 2 pi i (k e^1 + l e^2); the symbol is pi on this branch
-    two_i_k = Scalar(0, 2 * k)
-    two_i_l = Scalar(0, 2 * l)
-    return Character(alg, [
-        SymScalar.symbol(coeff=two_i_k),
-        SymScalar.symbol(coeff=two_i_l),
-        SymScalar.const(0),
-        SymScalar.const(0),
-    ])
+def _kt_character(alg: LieAlgebra, l) -> Character:
+    # lambda = 2 pi i (k e^1 + l e^2) at k = 0; the symbol is pi on this branch
+    zero = SymScalar.const(0)
+    return Character(alg, [zero, SymScalar.symbol(coeff=Scalar(0, 2 * l)), zero, zero])
 
 
 def kt_model(a: PiParam) -> LieACS:
@@ -82,7 +75,7 @@ def kt_model(a: PiParam) -> LieACS:
         # LieACS.characters drops the trivial character and repeats
         if a.kind != "rational_pi":
             return []
-        return [_kt_character(alg, Fraction(0), sign * l)
+        return [_kt_character(alg, sign * l)
                 for l in (a.q / 4, bundle_power * a.q / 4) if l.denominator == 1
                 for sign in (1, -1)]
 
@@ -104,7 +97,7 @@ def abelian_model(n: int) -> LieACS:
     return LieACS(alg, ACStructure(rows), name=f"abelian{n}", symbol="x")
 
 
-def _rational(text, field: str) -> Fraction:
+def _rational(text, field: str):
     """parse_rational, failing as an InputError that names the field."""
     try:
         return parse_rational(text)

@@ -5,7 +5,10 @@ d > 0 and gcd(a, b, d) = 1, so every value has exactly one representation
 and zero is (0, 0, 1); no float ever appears.  Sums and products of
 integral values (d = 1) skip the gcd, and every other result is normalised
 by one three-argument gcd.  The components re and im are read-only views:
-an int when integral and a fractions.Fraction otherwise.
+an int when integral and a fractions.Fraction otherwise.  _fraction builds
+every Fraction acx builds and imports fractions (and with it decimal) on the
+first: literal parsing (model files, --a, --t), the kt and t4 arithmetic,
+and a non-integral re or im.  A process that builds none never loads them.
 
 SymScalar is the field Q(i)(x) of rational functions in a single formal
 symbol x, which stands for pi in rational-multiple-of-pi contexts and for a
@@ -47,7 +50,7 @@ at import), cheaper than object.__setattr__, which PiParam calls.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd, lcm
 
 _new = object.__new__
@@ -58,7 +61,21 @@ _new = object.__new__
 MAX_LITERAL_DIGITS = 1000
 
 
-def parse_rational(text: str) -> Fraction:
+def _fraction(*args):
+    """fractions.Fraction(*args), importing fractions on the first call."""
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
+def _is_fraction(value) -> bool:
+    """Whether value is a Fraction, decided without importing fractions: no
+    Fraction exists before the module is loaded."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
+def parse_rational(text: str):
     """Parse 'p/q', an integer or a decimal literal into a Fraction.  A literal
     over MAX_LITERAL_DIGITS is refused before any integer is built."""
     if not isinstance(text, str):
@@ -71,17 +88,17 @@ def parse_rational(text: str) -> Fraction:
     if size > MAX_LITERAL_DIGITS:
         raise ValueError(f"rational literal over {MAX_LITERAL_DIGITS} digits")
     try:
-        return Fraction(text.strip())
+        return _fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
 
 
-def _exact(value) -> Fraction:
-    """A non-float value as a Fraction.  A binary float is refused: 0.1 would
-    silently become 3602879701896397/36028797018963968."""
+def _exact(value):
+    """A non-float value as a Fraction, a Fraction as it is.  A binary float is
+    refused: 0.1 would silently become 3602879701896397/36028797018963968."""
     if isinstance(value, float):
         raise TypeError(f"{value!r} is a binary float; pass an int, Fraction or string")
-    return Fraction(value)
+    return value if _is_fraction(value) else _fraction(value)
 
 
 def _scalar(a, b, d):
@@ -121,7 +138,7 @@ class Scalar(_Frozen):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        re, im = (v if isinstance(v, (int, Fraction)) else _exact(v) for v in (re, im))
+        re, im = (v if isinstance(v, int) else _exact(v) for v in (re, im))
         d = lcm(re.denominator, im.denominator)
         # gcd(a, b, d) = 1 since each of re and im is in lowest terms
         _seta(self, re.numerator * (d // re.denominator))
@@ -130,11 +147,11 @@ class Scalar(_Frozen):
 
     @property
     def re(self):
-        return Fraction(self.a, self.d) if self.a % self.d else self.a // self.d
+        return _fraction(self.a, self.d) if self.a % self.d else self.a // self.d
 
     @property
     def im(self):
-        return Fraction(self.b, self.d) if self.b % self.d else self.b // self.d
+        return _fraction(self.b, self.d) if self.b % self.d else self.b // self.d
 
     @staticmethod
     def coerce(value) -> "Scalar":
@@ -246,7 +263,7 @@ def _operand(value):
         return value
     if type(value) is int:
         return _scalar(value, 0, 1)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int) or _is_fraction(value):
         return Scalar(value)
     return NotImplemented
 
@@ -256,15 +273,21 @@ S_ONE = Scalar(1)
 S_I = Scalar(0, 1)
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms as str(Fraction(n, d)) renders it, for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def scalar_str(s: Scalar) -> str:
     """Canonical compact rendering, e.g. '3/4', '-i', '1+2i', '2-1/3i'."""
-    re, im = s.re, s.im
-    if not im:
-        return str(re)
-    imag = {1: "i", -1: "-i"}.get(im) or f"{im}i"
-    if not re:
+    a, b, d = s.a, s.b, s.d
+    if not b:
+        return _ratio_str(a, d)
+    imag = "i" if b == d else "-i" if b == -d else f"{_ratio_str(b, d)}i"
+    if not a:
         return imag
-    return f"{re}{'' if imag[0] == '-' else '+'}{imag}"
+    return f"{_ratio_str(a, d)}{'' if imag[0] == '-' else '+'}{imag}"
 
 
 # --- polynomials over Scalar, coefficients low degree -> high, no trailing zeros
@@ -777,7 +800,7 @@ class PiParam(_Frozen):
 
     __slots__ = ("kind", "q")
 
-    def __init__(self, kind: str, q: Fraction | None = None):
+    def __init__(self, kind: str, q=None):
         if kind not in ("rational_pi", "generic"):
             raise ValueError(f"unknown PiParam kind {kind!r}")
         if kind == "rational_pi":

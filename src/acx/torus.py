@@ -11,11 +11,10 @@ differences -- never floating point.  The immutable values here
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, InternalCheckError, RefusalError
-from .scalars import PiParam, Scalar, SymScalar, _Frozen
+from .scalars import S_I, S_ONE, PiParam, Scalar, SymScalar, _exact, _fraction, _Frozen
 
 Freq = Tuple[int, ...]
 
@@ -37,6 +36,10 @@ def mode_window() -> int:
 # ---------------------------------------------------------------------------
 # Trigonometric polynomials
 # ---------------------------------------------------------------------------
+
+# the coefficients 1/2 and i/2 of cos, sin and the Wirtinger derivatives
+_HALF = SymScalar.const(S_ONE / 2)
+_HALF_I = SymScalar.const(S_I / 2)
 
 
 class TrigPoly(_Frozen):
@@ -80,10 +83,9 @@ class TrigPoly(_Frozen):
         """cos(2*pi freq.x) = (e_+ + e_-)/2."""
         nu = tuple(int(n) for n in freq)
         neg = tuple(-n for n in nu)
-        half = SymScalar.const(Scalar(Fraction(1, 2)))
         if nu == neg:
             return TrigPoly(k, {nu: SymScalar.const(1)})
-        return TrigPoly(k, {nu: half, neg: half})
+        return TrigPoly(k, {nu: _HALF, neg: _HALF})
 
     @staticmethod
     def sin2pi(k: int, freq: Sequence[int]) -> "TrigPoly":
@@ -92,8 +94,7 @@ class TrigPoly(_Frozen):
         neg = tuple(-n for n in nu)
         if nu == neg:
             return TrigPoly.zero(k)
-        c = SymScalar.const(Scalar(0, Fraction(-1, 2)))  # 1/(2i) = -i/2
-        return TrigPoly(k, {nu: c, neg: -c})
+        return TrigPoly(k, {nu: -_HALF_I, neg: _HALF_I})  # 1/(2i) = -i/2
 
     # -- ring structure ------------------------------------------------------
 
@@ -151,15 +152,11 @@ class TrigPoly(_Frozen):
 
     def wirtinger(self) -> "TrigPoly":
         """d/dw for w = x_1 + i x_2: (1/2)(d/dx_1 - i d/dx_2)."""
-        half = SymScalar.const(Scalar(Fraction(1, 2)))
-        minus_half_i = SymScalar.const(Scalar(0, Fraction(-1, 2)))
-        return self.partial(0).scale(half) + self.partial(1).scale(minus_half_i)
+        return self.partial(0).scale(_HALF) + self.partial(1).scale(-_HALF_I)
 
     def wirtinger_bar(self) -> "TrigPoly":
         """d/dwbar for w = x_1 + i x_2: (1/2)(d/dx_1 + i d/dx_2)."""
-        half = SymScalar.const(Scalar(Fraction(1, 2)))
-        half_i = SymScalar.const(Scalar(0, Fraction(1, 2)))
-        return self.partial(0).scale(half) + self.partial(1).scale(half_i)
+        return self.partial(0).scale(_HALF) + self.partial(1).scale(_HALF_I)
 
     # -- predicates ----------------------------------------------------------
 
@@ -215,14 +212,14 @@ class TrigPoly(_Frozen):
 # for a rational coefficient `coeff`.  The solvable modes are closed-form.
 
 
-def kt_solvable_modes(a: PiParam, coeff: Fraction) -> List[Tuple[int, int]]:
+def kt_solvable_modes(a: PiParam, coeff) -> List[Tuple[int, int]]:
     """All (k, l) in Z^2 with coeff*a + pi*(i*k - l) = 0, in closed form.
 
     The real part forces l = coeff*(a/pi) and the imaginary part forces
     k = 0; on the generic branch a/pi is irrational so only coeff = 0
     contributes (the constants).
     """
-    coeff = Fraction(coeff)
+    coeff = _exact(coeff)
     if coeff == 0:
         return [(0, 0)]
     if a.kind == "rational_pi":
@@ -238,7 +235,7 @@ def _mode_solves(k: int, l: int, target: Optional[int]) -> bool:
     return k == 0 and l == target
 
 
-def kt_mode_oracle(a: PiParam, coeff: Fraction) -> List[Tuple[int, int]]:
+def kt_mode_oracle(a: PiParam, coeff) -> List[Tuple[int, int]]:
     """Cross-check oracle: test each mode of the window mode_window() exactly.
 
     coeff*a + pi*(i*k - l) vanishes only at k = 0 and one l, the target,
@@ -247,8 +244,7 @@ def kt_mode_oracle(a: PiParam, coeff: Fraction) -> List[Tuple[int, int]]:
     rationally independent, l = 0 if coeff = 0; else no mode solves.
     """
     window = mode_window()
-    if not isinstance(coeff, Fraction):
-        coeff = Fraction(coeff)
+    coeff = _exact(coeff)
     target = None
     if a.kind == "rational_pi":
         l = coeff * a.q
@@ -264,7 +260,7 @@ def kt_mode_cross_check(a: PiParam, levels: Sequence[int]) -> None:
     coefficient m/4) by kt_mode_oracle, within the window."""
     window = mode_window()
     for m in levels:
-        coeff = Fraction(m, 4)
+        coeff = _fraction(m, 4)
         closed = {mode for mode in kt_solvable_modes(a, coeff)
                   if all(abs(c) <= window for c in mode)}
         if closed != set(kt_mode_oracle(a, coeff)):
@@ -284,7 +280,7 @@ def kt_plurigenus(a: PiParam, m: int) -> int:
     m = int(m)
     if m < 1:
         raise InputError("plurigenus level m must be at least 1")
-    return len(kt_solvable_modes(a, Fraction(m, 4)))
+    return len(kt_solvable_modes(a, _fraction(m, 4)))
 
 
 def kt_first_nonzero(a: PiParam) -> Optional[int]:
@@ -310,8 +306,8 @@ def kt_irregularity(a: PiParam) -> int:
     """
     if not isinstance(a, PiParam):
         raise InputError("parameter must be a PiParam")
-    g2_modes = kt_solvable_modes(a, Fraction(-1, 4))
-    g1_modes = kt_solvable_modes(a, Fraction(0))
+    g2_modes = kt_solvable_modes(a, _fraction(-1, 4))
+    g1_modes = kt_solvable_modes(a, 0)
     quarter_a = a.a_value() / SymScalar.const(4)
     surviving_g2 = [mode for mode in g2_modes if quarter_a.is_zero()]
     return len(g1_modes) + len(surviving_g2)
@@ -330,10 +326,7 @@ def t4_standard_pair() -> Tuple[TrigPoly, TrigPoly]:
 def t4_family_pair(t1, t2) -> Tuple[TrigPoly, TrigPoly]:
     """The deformation-family member (t1*alpha, t2*beta); (0,0) is integrable."""
     alpha, beta = t4_standard_pair()
-    return (
-        alpha.scale(Scalar(Fraction(t1))),
-        beta.scale(Scalar(Fraction(t2))),
-    )
+    return alpha.scale(Scalar(t1)), beta.scale(Scalar(t2))
 
 
 def t4_obstruction(alpha: TrigPoly, beta: TrigPoly) -> TrigPoly:

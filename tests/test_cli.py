@@ -864,7 +864,7 @@ class TestInputLimits:
         def boom(*args):
             raise AssertionError("a Fraction was built before the limit was checked")
 
-        monkeypatch.setattr(scalars, "Fraction", boom)
+        monkeypatch.setattr(scalars, "_fraction", boom)
         model = "t4" if option == "--t" else "kt"
         assert main(["plurigenera", "--model", model, option, value]) == 2
 

@@ -243,6 +243,12 @@ class TestHarmonicSpaces:
         with pytest.raises(InputError, match=r"bidegree \(-1,0\) must be non-negative"):
             invariant_harmonic_space(abelian_model(2), -1, 0)
 
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, -2)])
+    def test_section_count_refuses_a_negative_bidegree(self, p, q):
+        # math.comb's bare ValueError would read as a fault of acx
+        with pytest.raises(InputError, match=rf"bidegree \({p},{q}\) must be non-negative"):
+            hodge.section_count(abelian_model(2), p, q)
+
     def test_a_negative_serre_target_is_refused(self):
         # the target bidegree (n-p, n-q) of (3,0) on a 2-dim model
         with pytest.raises(InputError, match=r"bidegree \(-1,2\) must be non-negative"):

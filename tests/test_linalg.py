@@ -610,3 +610,23 @@ class TestExplicitZeros:
         basis = [{1: SS_ONE, 2: SS_ZERO}, {2: SS_ONE}]
         assert certify_kernel(rows, 3, basis)
         assert not certify_kernel(rows, 3, [{1: SS_ONE, 2: SS_ZERO}, {0: SS_ZERO}])
+
+
+class TestRawEntries:
+    """The elimination functions coerce int and Scalar entries of dict rows
+    to SymScalar, as the rows that hodge assembles hold."""
+
+    def test_certify_kernel(self):
+        assert certify_kernel([{0: 1}], 1, [])
+        rows = [{0: 1, 1: Scalar(-1), 2: 0}]
+        basis = [{0: 1, 1: Scalar(1)}, {2: 2, 0: 0}]
+        assert certify_kernel(rows, 3, basis)
+        assert not certify_kernel(rows, 3, [{0: 1, 1: 1}, {0: 0}])
+        assert not certify_kernel(rows, 3, [{0: 1, 1: Scalar(2)}, {2: 1}])
+
+    def test_the_same_rows_as_symscalars(self):
+        rows = [{0: 1, 1: Scalar(-1), 2: 0}]
+        coerced = [{0: SS_ONE, 1: -SS_ONE}]
+        assert row_echelon(rows) == row_echelon(coerced)
+        assert kernel_basis(rows, 3) == kernel_basis(coerced, 3)
+        assert certify_kernel(rows, 3, kernel_basis(rows, 3))

@@ -2,6 +2,7 @@
 and the structure-parameter wrapper."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -526,6 +527,30 @@ class TestMixedOperands:
                 OPS[op](Scalar(1), "x")
             with pytest.raises(TypeError):
                 OPS[op]("x", Scalar(1))
+
+    def test_accepted_operand_types(self):
+        # an operand is absorbed when it is an int, a bool or a Fraction;
+        # any other type is left to its own reflected operator
+        for value, triple in [(3, (3, 0, 1)), (True, (1, 0, 1)), (False, (0, 0, 1)),
+                              (Fraction(-3, 4), (-3, 0, 4))]:
+            s = scalars._operand(value)
+            assert type(s) is Scalar and (s.a, s.b, s.d) == triple
+            assert all(type(v) is int for v in (s.a, s.b, s.d))
+            assert Scalar(1) + value == Scalar(1) + Scalar(value)
+        for value in (0.5, Decimal("0.5"), "1/2", SymScalar.const(1)):
+            assert scalars._operand(value) is NotImplemented
+            with pytest.raises(TypeError):
+                Scalar.coerce(value)
+
+    def test_accepted_constructor_types(self):
+        # the constructor also parses a string or a Decimal exactly
+        for value in (Fraction(1, 2), "1/2", Decimal("0.5")):
+            assert Scalar(value) == Scalar(0, value) * Scalar(0, -1) == Fraction(1, 2)
+        s = Scalar(True, False)
+        assert (s.a, s.b, s.d) == (1, 0, 1)
+        for value in (0.5, SymScalar.const(1)):
+            with pytest.raises(TypeError):
+                Scalar(value)
 
 
 # --- the normalised integer triple (a + b*i)/d

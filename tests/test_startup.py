@@ -150,18 +150,31 @@ print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
 """
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (["rr", "--genus", "2"],
-     {"acx.g2", "acx.hodge", "acx.lie", "acx.models", "random"}),
+# fractions imports decimal; only scalars._fraction imports fractions, on the
+# first Fraction acx builds
+_FRACTIONS = {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv, used, unused", [
+    (["rr", "--genus", "2"], set(),
+     {"acx.g2", "acx.hodge", "acx.lie", "acx.models", "random", *_FRACTIONS}),
+    (["--version"], set(), _FRACTIONS),
+    (["g2-verify", "--seed", "1"], {"acx.g2"}, _FRACTIONS),
+    (["s6-report"], {"acx.g2", "acx.hodge"}, _FRACTIONS),
+    (["nijenhuis", "--model", "g2"], {"acx.g2", "acx.lie"}, _FRACTIONS),
+    (["structure-eqs", "--model", "g2"], {"acx.g2"}, _FRACTIONS),
+    (["plurigenera", "--model", "kt", "--a", "4*pi", "--m", "1..4"], _FRACTIONS,
+     {"acx.g2", "acx.hodge", "random"}),
     (["hodge", "--model", "tests/golden/models/heis6.json", "--p", "1", "--q", "0"],
-     {"acx.g2", "random"}),
-], ids=["rr", "hodge-file"])
-def test_an_invocation_loads_only_what_it_uses(argv, unused):
+     _FRACTIONS, {"acx.g2", "random"}),
+], ids=["rr", "version", "g2-verify", "s6-report", "nijenhuis-g2", "structure-eqs-g2",
+        "plurigenera-kt", "hodge-file"])
+def test_an_invocation_loads_only_what_it_uses(argv, used, unused):
     # modules the interpreter loaded at start-up are not counted
     proc = fresh_process(["-c", _LOADED, *argv])
     result = json.loads(proc.stdout)
     assert result["exit"] == 0
-    assert "acx.cli" in result["loaded"]
+    assert {"acx.cli", *used} <= set(result["loaded"])
     assert unused.isdisjoint(result["loaded"])
 
 

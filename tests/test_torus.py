@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from acx import torus
+from acx import scalars, torus
 from acx.errors import InputError, RefusalError
 from acx.forms import Form
 from acx.g2 import G2Element
@@ -104,23 +104,29 @@ class TestKTPlurigenera:
             kt_plurigenus(A_4PI, 0)
 
     def test_mode_oracle_coerces_its_coefficient_once(self, monkeypatch):
-        class CountingFraction(Fraction):
-            built = 0
+        # scalars._fraction builds every Fraction acx builds
+        built = []
 
-            def __new__(cls, *args):
-                CountingFraction.built += 1
-                return super().__new__(cls, *args)
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
 
         want = kt_mode_oracle(A_4PI, Fraction(1, 2))
         assert want == [(0, 2)]
-        coeff = CountingFraction(1, 2)
-        monkeypatch.setattr(torus, "Fraction", CountingFraction)
-        CountingFraction.built = 0
-        assert kt_mode_oracle(A_4PI, coeff) == want
-        assert CountingFraction.built == 0
+        monkeypatch.setattr(scalars, "_fraction", counting)
+        assert kt_mode_oracle(A_4PI, Fraction(1, 2)) == want
+        assert built == []
         assert kt_mode_oracle(A_4PI, "1/2") == want
         assert kt_mode_oracle(A_GEN, 0) == [(0, 0)]
-        assert CountingFraction.built == 2
+        assert built == [("1/2",), (0,)]
+
+    def test_binary_float_coefficients_are_refused(self):
+        # as by Scalar: Fraction(0.1) would silently take the float's binary value
+        for call in (lambda: kt_solvable_modes(A_4PI, 0.25),
+                     lambda: kt_mode_oracle(A_4PI, 0.5),
+                     lambda: t4_family_pair(0.5, 0)):
+            with pytest.raises(TypeError, match="binary float"):
+                call()
 
 
 class TestIrregularity:
