@@ -7,10 +7,9 @@ tensor s_j, extended to bundle-valued (p,q)-forms by
     dbar_E(x tensor s_i) = dbar(x) tensor s_i + (-1)^(p+q) sum_j x ^ theta[i][j] tensor s_j.
 
 Every twist of dbar is such a theta.  The canonical power K^m is the rank-1
-case trivialized by g^m, g the wedge of the phi^i over the model's basic
-indices (all of them when it has none), with theta = beta_m = m * beta_1
-where dbar(g) = beta_1 ^ g (checked).  A character block twists theta as
-hodge.SectionContext sets out.
+case trivialized by g^m, g the wedge of the phi^i over the model's indices
+(LieACS.indices), with theta = beta_m = m * beta_1 where dbar(g) = beta_1 ^ g
+(checked).  A character block twists theta as hodge.SectionContext sets out.
 
 The Hermitian connection of a unitary frame is omega = theta - conj(theta)^T;
 its (1,0) part drives the codifferential.  The dual structure on E* over the
@@ -92,8 +91,8 @@ def trivial_structure(model: LieACS, rank: int = 1) -> PseudoholStructure:
 
 class CanonicalPower:
     """K^m over a model, trivialized by g^m, with beta_m = m * beta_1 and
-    dbar(g) = beta_1 ^ g; g is the wedge of phi^i over the basic indices (or
-    1..n), so g ^ phibar^i = (-1)^deg(g) phibar^i ^ g gives beta_1's signs."""
+    dbar(g) = beta_1 ^ g; g is the wedge of phi^i over the model's indices,
+    so g ^ phibar^i = (-1)^deg(g) phibar^i ^ g gives beta_1's signs."""
 
     def __init__(self, model: LieACS, m: int):
         if not isinstance(m, int):
@@ -101,7 +100,7 @@ class CanonicalPower:
         self.model = model
         self.m = m
         n = model.n
-        gen = tuple(sorted(model.basic)) if model.basic is not None else tuple(range(1, n + 1))
+        gen = model.indices
         self.vol = Form.monomial(n, gen, ())
         dvol = model.coframe.dbar(self.vol)
         beta_terms = {}

@@ -34,8 +34,8 @@ MAX_LEVEL = 1000
 MAX_SAMPLES = 1000
 MAX_GENUS = 10**6
 
-# Most hodge section monomials C(k,p)*C(k,q) (k = n, or the size of the
-# model's basic set): the column count of each operator matrix.  400 admits
+# Most hodge section monomials C(k,p)*C(k,q) (k = len(model.indices), n
+# except on the sphere): the column count of each operator matrix.  400 admits
 # every (p,q) at dim <= 12 and (1,2) at dim 18; the README's
 # slowest-invocation table times those inputs.
 MAX_SECTIONS = 400

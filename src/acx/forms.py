@@ -186,13 +186,8 @@ class Form(_Frozen):
     def __bool__(self):
         return not self.is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+    def _key(self):
+        return self.n, self.terms
 
     def coefficient(self, alpha=(), beta=()) -> SymScalar:
         return self.terms.get((MultiIndex(alpha), MultiIndex(beta)), SS_ZERO)

@@ -40,13 +40,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .bundles import CanonicalPower
 from .errors import InputError, RefusalError
-from .forms import Form, _form, perm_sign
-from .hodge import (
-    Report,
-    _section_monomials,
-    invariant_harmonic_space,
-    star_monomial,
-)
+from .forms import Form, perm_sign
+from .hodge import Report, _section_monomials, _star, invariant_harmonic_space
 from .lie import ACStructure, LieACS, LieAlgebra, _jacobi_failures
 from .linalg import rank, span_test
 from .scalars import S_I, S_ONE, Scalar, SymScalar, _Frozen, _lift, _new, _norm, _scalar
@@ -268,13 +263,8 @@ class G2Element(_Frozen):
     def is_zero(self) -> bool:
         return not self._coords
 
-    def __eq__(self, other):
-        if not isinstance(other, G2Element):
-            return NotImplemented
-        return self.den == other.den and self._coords == other._coords
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self._coords.items())))
+    def _key(self):
+        return self.den, self._coords
 
     def __repr__(self):
         return f"G2Element(x={self.x}, y={self.y})"
@@ -1000,13 +990,10 @@ def s6_basic_star(x: Form) -> Form:
     span; inputs with non-basic indices are rejected.
     """
     model = s6_model()
-    terms = {}
-    for (alpha, beta), c in x.terms.items():
-        if not (set(alpha) <= model.basic and set(beta) <= model.basic):
-            raise InputError("sphere star is defined on basic monomials only")
-        bhat, ahat, coeff = star_monomial(len(model.basic), alpha, beta)
-        terms[(bhat, ahat)] = c * coeff
-    return _form(model.n, terms)
+    basic = set(model.indices)
+    if not all(basic.issuperset(alpha + beta) for alpha, beta in x.terms):
+        raise InputError("sphere star is defined on basic monomials only")
+    return _star(x, model.n, len(basic))
 
 
 @lru_cache(maxsize=1)
@@ -1033,7 +1020,7 @@ def _serre_transport_bijective(p: int) -> bool:
     """Is s -> conj(sphere-star s) a bijection from basic (p,0) monomial
     span onto the basic (3-p, 3) span?  Checked by exact rank."""
     model = s6_model()
-    d = len(model.basic)
+    d = len(model.indices)
     source = _section_monomials(model, p, 0)
     target = _section_monomials(model, d - p, d)
     images = [s6_basic_star(Form.monomial(model.n, a, b)).conjugate() for (a, b) in source]

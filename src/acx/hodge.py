@@ -92,11 +92,16 @@ class HermitianData:
         return x.coefficient(full, full) / self.vol_coeff
 
     def star(self, x: Form) -> Form:
-        terms = {}
-        for (alpha, beta), c in x.terms.items():
-            bhat, ahat, coeff = star_monomial(self.n, alpha, beta)
-            terms[(bhat, ahat)] = c * coeff
-        return _form(self.n, terms)
+        return _star(x, self.n, self.n)
+
+
+def _star(x: Form, n: int, k: int) -> Form:
+    """star in complex dimension k, monomial by monomial, of a Form over n."""
+    terms = {}
+    for (alpha, beta), c in x.terms.items():
+        bhat, ahat, coeff = star_monomial(k, alpha, beta)
+        terms[(bhat, ahat)] = c * coeff
+    return _form(n, terms)
 
 
 class SectionContext:
@@ -141,23 +146,18 @@ class SectionContext:
 
 
 def _section_monomials(model: LieACS, p: int, q: int):
-    monos = basis_monomials(model.n, p, q)
-    if model.basic is not None:
-        monos = [
-            (a, b)
-            for (a, b) in monos
-            if set(a) <= model.basic and set(b) <= model.basic
-        ]
-    return monos
+    indices = set(model.indices)
+    return [(a, b) for a, b in basis_monomials(model.n, p, q)
+            if indices.issuperset(a) and indices.issuperset(b)]
 
 
 def section_count(model: LieACS, p: int, q: int) -> int:
     """len(_section_monomials(model, p, q)), without the list: the column
-    count of each operator matrix, one column per monomial, as a section is
-    a line-bundle-valued Form.  A negative p or q is refused."""
+    count of each operator matrix, one per (p,q) monomial over model.indices,
+    as a section is a line-bundle-valued Form.  A negative p or q is refused."""
     if p < 0 or q < 0:
         raise InputError(f"the bidegree ({p},{q}) must be non-negative")
-    k = model.n if model.basic is None else len(model.basic)
+    k = len(model.indices)
     return comb(k, p) * comb(k, q)
 
 
@@ -207,8 +207,8 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     Each block's basis K is ker(dbar) intersect ker(dbar*), one elimination;
     certify_kernel proves that the Laplacian's matrix, built on its own from
     ctx.laplacian, has kernel span K.  An undecided block eliminates the
-    Laplacian too, and its kernel_basis must equal K.  A model with basic
-    indices is refused at q >= 1, where dbar* needs the quotient's star.
+    Laplacian too, and its kernel_basis must equal K.  A model with fewer
+    than n indices is refused at q >= 1, where dbar* needs the quotient's star.
     """
     if p < 0 or q < 0:
         raise InputError(f"the bidegree ({p},{q}) must be non-negative")
@@ -217,7 +217,7 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
             "invariant Hodge theory requires a unimodular algebra: "
             "integration by parts fails otherwise"
         )
-    if model.basic is not None and q >= 1:
+    if len(model.indices) < model.n and q >= 1:
         raise RefusalError(f"hodge on {model.name} computes (p,0) only: at q >= 1, "
                            "dbar* needs the quotient's own star")
     if bundle_power == 0:

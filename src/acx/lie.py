@@ -405,9 +405,9 @@ class LieACS:
 
     characters, when set, is a callable: characters(bundle_power) returns the
     Fourier blocks the model supplies for harmonic-space computations besides
-    the trivial one, which is built once, with the model.  basic, when set,
-    restricts section monomials to the given holomorphic/antiholomorphic
-    index set.
+    the trivial one, which is built once, with the model.  indices is the
+    sorted holomorphic/antiholomorphic index set that section monomials are
+    drawn from: 1..n, or the basic set, which only the sphere passes.
     """
 
     def __init__(self, alg, J, *, name="", symbol="x", characters=None,
@@ -419,7 +419,7 @@ class LieACS:
         self.symbol = symbol
         self._characters = characters
         self._trivial = Character(alg, [SS_ZERO] * alg.dim)
-        self.basic = frozenset(basic) if basic is not None else None
+        self.indices = tuple(sorted(basic) if basic is not None else range(1, self.n + 1))
 
     @property
     def n(self):

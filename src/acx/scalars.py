@@ -46,6 +46,12 @@ immutable"), and no value has a __dict__.  Each module says how its own
 types fill their slots.  Scalar and SymScalar, hot, use the slot
 descriptors' __set__ (_seta, _setb, _setd, _setnum, _setden, fetched once
 at import), cheaper than object.__setattr__, which PiParam calls.
+
+Identity comes from a per-type _key(), a tuple: _Frozen's __eq__ compares
+the keys of two values of one type, and its __hash__ hashes the key, a dict
+in it as the frozenset of its items.  Scalar and SymScalar, hot, keep their
+own pair, which compares across int, Fraction and Scalar; a real Scalar
+hashes as the number it equals, computed from its ints by _ratio_hash.
 """
 
 from __future__ import annotations
@@ -116,11 +122,20 @@ def _norm(a, b, d):
     return _scalar(a // g, b // g, d // g)
 
 
+def _ratio_hash(n, d):
+    """hash(Fraction(n, d)) for d > 0, computed from the ints as
+    Fraction.__hash__ does."""
+    g, m = gcd(n, d), sys.hash_info.modulus
+    n, d = n // g, d // g
+    h = abs(n) * pow(d, -1, m) % m if d % m else sys.hash_info.inf
+    return h if n >= 0 else -2 if h == 1 else -h
+
+
 class _Frozen:
     """Base of the immutable value types: assigning or deleting an attribute
     raises AttributeError.  Subclasses fill their slots while being built
     through the slot descriptors' __set__ or object.__setattr__, both of
-    which bypass this guard."""
+    which bypass this guard.  __eq__ and __hash__ read _key()."""
 
     __slots__ = ()
 
@@ -129,6 +144,14 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(tuple(frozenset(v.items()) if type(v) is dict else v for v in self._key()))
 
 
 class Scalar(_Frozen):
@@ -239,8 +262,9 @@ class Scalar(_Frozen):
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        # equal to the hash of the int or Fraction a real Scalar equals
-        return hash((self.re, self.im)) if self.b else hash(self.re)
+        # that of the int or Fraction a real Scalar equals, else of (re, im)
+        a, b, d = self.a, self.b, self.d
+        return hash((_ratio_hash(a, d), _ratio_hash(b, d))) if b else _ratio_hash(a, d)
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -844,13 +868,8 @@ class PiParam(_Frozen):
             return SymScalar.symbol(coeff=self.q)
         return SymScalar.symbol()
 
-    def __eq__(self, other):
-        if not isinstance(other, PiParam):
-            return NotImplemented
-        return self.kind == other.kind and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.kind, self.q))
+    def _key(self):
+        return self.kind, self.q
 
     def __repr__(self):
         if self.kind == "rational_pi":

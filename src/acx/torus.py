@@ -178,13 +178,8 @@ class TrigPoly(_Frozen):
     def coefficient(self, freq: Sequence[int]) -> SymScalar:
         return self.terms.get(tuple(int(n) for n in freq), SymScalar.const(0))
 
-    def __eq__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return self.k == other.k and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.k, frozenset(self.terms.items())))
+    def _key(self):
+        return self.k, self.terms
 
     def __repr__(self):
         return f"TrigPoly(k={self.k}, {len(self.terms)} terms)"
@@ -408,15 +403,17 @@ class IntInterval(_Frozen):
     def is_point(self) -> bool:
         return self.lo == self.hi
 
+    def _key(self):
+        return self.lo, self.hi
+
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.lo == other and self.hi == other
-        if isinstance(other, IntInterval):
-            return self.lo == other.lo and self.hi == other.hi
-        return NotImplemented
+            return self.lo == other == self.hi
+        return super().__eq__(other)
 
     def __hash__(self):
-        return hash((self.lo, self.hi))
+        # a one-point interval equals its int, so it hashes as that int
+        return hash(self.lo) if self.is_point() else super().__hash__()
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -588,10 +585,8 @@ class PlurigeneraProfile(_Frozen):
     def length(self) -> int:
         return len(self.values)
 
-    def __eq__(self, other):
-        if not isinstance(other, PlurigeneraProfile):
-            return NotImplemented
-        return self.values == other.values and self.kappa == other.kappa
+    def _key(self):
+        return self.values, self.kappa
 
     def __repr__(self):
         return f"PlurigeneraProfile({list(self.values)!r}, kappa={self.kappa})"

@@ -271,7 +271,7 @@ class TestSphereStructure:
         model = g2.s6_model()
         assert model.alg.dim == 14
         assert model.n == 7
-        assert model.basic == {1, 2, 3}
+        assert model.indices == (1, 2, 3)
 
     def test_structure_displays(self, structure_report):
         assert structure_report.df_failures == []

@@ -1,10 +1,12 @@
 """Preset models and the JSON model-file loader."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from acx.errors import InputError
+from acx.g2 import s6_model
 from acx.hodge import invariant_harmonic_space
 from acx.lie import is_integrable, nijenhuis
 from acx.models import (
@@ -22,6 +24,7 @@ from test_lie import table_bracket, unit
 
 
 A_4PI = PiParam.rational_pi(4)
+HEIS6 = Path(__file__).parent / "golden" / "models" / "heis6.json"
 
 
 KT_FILE = {
@@ -64,6 +67,14 @@ class TestPresets:
         assert is_integrable(nijenhuis(model.alg, model.J), model.coframe)
         with pytest.raises(InputError):
             abelian_model(0)
+
+
+def test_section_indices_are_one_to_n_except_on_the_sphere(tmp_path):
+    file_model, _ = load_model_file(write_model(tmp_path, KT_FILE))
+    for model in (abelian_model(3), kt_model(A_4PI), kt_model(PiParam.generic()),
+                  file_model, load_model_file(str(HEIS6))[0]):
+        assert model.indices == tuple(range(1, model.n + 1))
+    assert s6_model().indices == (1, 2, 3)
 
 
 class TestModelFiles:

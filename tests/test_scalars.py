@@ -2,6 +2,7 @@
 and the structure-parameter wrapper."""
 
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -641,6 +642,17 @@ class TestHashAgreesWithEquality:
         u = (x + 1) / (x - 1)
         assert hash(u) == hash((u.num, u.den))
         assert hash(u * (x - 1) / (x - 1)) == hash(u)
+
+    def test_ratio_hash_is_the_hash_of_the_fraction(self):
+        rng = random.Random(37)
+        big = 10**30
+        pairs = [(rng.randint(-big, big), rng.randint(1, big)) for _ in range(2000)]
+        m = sys.hash_info.modulus
+        # a denominator the modulus divides hashes as inf, before and after reduction
+        pairs += [(n, k * m) for n in (-3, -1, 0, 1, 7, m, 2 * m + 1) for k in (1, 2, 5)]
+        pairs += [(-1, 1), (-2, 1), (m - 1, 1), (-m - 1, 1), (1 - m, 2)]
+        for n, d in pairs:
+            assert scalars._ratio_hash(n, d) == hash(Fraction(n, d)), (n, d)
 
 
 # --- Henrici cancellation and the integer polynomial kernels

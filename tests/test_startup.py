@@ -178,6 +178,15 @@ def test_an_invocation_loads_only_what_it_uses(argv, used, unused):
     assert unused.isdisjoint(result["loaded"])
 
 
+@pytest.mark.parametrize("value", ["Scalar(0, 1) / 2", "SymScalar.const(Scalar(1) / 3)"])
+def test_hashing_a_scalar_builds_no_fraction(value):
+    # a Scalar hashes as the Fractions it equals, computed from its ints
+    code = (f"import sys; from acx.scalars import Scalar, SymScalar; hash({value}); "
+            "print(sorted(m for m in sys.modules if m in ('fractions', 'decimal')))")
+    proc = fresh_process(["-c", code])
+    assert proc.returncode == 0 and proc.stdout == b"[]\n", proc.stderr
+
+
 def test_every_export_resolves():
     # each export is imported on first access, so a stale _EXPORTS row shows
     # only when its name is used

@@ -228,23 +228,33 @@ class TestIntInterval:
         with pytest.raises(InputError):
             IntInterval(-1, 0)
 
+    def test_a_point_hashes_as_its_int(self):
+        assert len({IntInterval(2, 2), 2}) == 1
+        assert len({IntInterval(1, 2), 1, 2}) == 3
 
-@pytest.mark.parametrize("value, names", [
-    (PiParam.generic(), ("kind", "q")),
-    (PiParam.rational_pi(4), ("kind", "q")),
-    (t4_standard_pair()[0], ("k", "terms")),
-    (IntInterval(1, 2), ("lo", "hi")),
-    (curve_profile(2, 8), ("values", "kappa")),
-    (Scalar(1, Fraction(1, 2)), ("a", "b", "d")),
-    (SymScalar.symbol(2) + 1, ("num", "den")),
-    (Form.phi(3, 1) + Form.phibar(3, 2), ("n", "terms")),
-    (G2Element((1,) * 6, (0, 2) * 4), ("x", "y", "entries")),
+
+# (build, attribute names): each exact value type, built by a call that makes
+# a new value each time
+VALUES = pytest.mark.parametrize("build, names", [
+    (PiParam.generic, ("kind", "q")),
+    (lambda: PiParam.rational_pi(4), ("kind", "q")),
+    (lambda: t4_standard_pair()[0], ("k", "terms")),
+    (lambda: IntInterval(1, 2), ("lo", "hi")),
+    (lambda: curve_profile(2, 8), ("values", "kappa")),
+    (lambda: Scalar(1, Fraction(1, 2)), ("a", "b", "d")),
+    (lambda: SymScalar.symbol(2) + 1, ("num", "den")),
+    (lambda: Form.phi(3, 1) + Form.phibar(3, 2), ("n", "terms")),
+    (lambda: G2Element((1,) * 6, (0, 2) * 4), ("x", "y", "entries")),
 ], ids=["PiParam-generic", "PiParam-rational", "TrigPoly", "IntInterval",
         "PlurigeneraProfile", "Scalar", "SymScalar", "Form", "G2Element"])
-def test_attributes_cannot_be_deleted(value, names):
+
+
+@VALUES
+def test_attributes_cannot_be_deleted(build, names):
     """Every exact value type refuses assignment and deletion with its own
     name in the message, and has no __dict__ (the shared base has empty
     __slots__)."""
+    value = build()
     message = f"^{type(value).__name__} is immutable$"
     before = {name: getattr(value, name) for name in names}
     for name in names + ("extra",):
@@ -254,6 +264,18 @@ def test_attributes_cannot_be_deleted(value, names):
             delattr(value, name)
     assert {name: getattr(value, name) for name in names} == before
     assert not hasattr(value, "__dict__")
+
+
+@VALUES
+def test_equal_values_hash_alike(build, names):
+    """Every exact value type equals an equal copy built anew, and the two
+    hash alike; a value of another type is not equal to it."""
+    value, copy = build(), build()
+    assert value is not copy
+    assert value == copy and not value != copy
+    assert hash(value) == hash(copy)
+    assert len({value, copy}) == 1
+    assert value != object() and value != "value"
 
 
 class TestRiemannRoch:
