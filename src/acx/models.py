@@ -76,7 +76,7 @@ def kt_model(a: PiParam) -> LieACS:
         if a.kind != "rational_pi":
             return []
         return [_kt_character(alg, sign * l)
-                for l in (a.q / 4, bundle_power * a.q / 4) if l.denominator == 1
+                for l in (a.q / 4, bundle_power * a.q / 4) if l.d == 1
                 for sign in (1, -1)]
 
     return LieACS(alg, kt_J(a), name="kt", symbol=a.symbol_name, characters=characters)

@@ -6,9 +6,11 @@ and zero is (0, 0, 1); no float ever appears.  Sums and products of
 integral values (d = 1) skip the gcd, and every other result is normalised
 by one three-argument gcd.  The components re and im are read-only views:
 an int when integral and a fractions.Fraction otherwise.  _fraction builds
-every Fraction acx builds and imports fractions (and with it decimal) on the
-first: literal parsing (model files, --a, --t), the kt and t4 arithmetic,
-and a non-integral re or im.  A process that builds none never loads them.
+every Fraction acx builds, for a non-integral re or im only, and imports
+fractions (and with it decimal and numbers) on the first.  parse_rational
+reads a literal (model files, --a, --t) straight into a real Scalar,
+PiParam.q is one, and the kt and t4 arithmetic runs on them, so no acx
+invocation builds a Fraction or loads fractions.
 
 SymScalar is the field Q(i)(x) of rational functions in a single formal
 symbol x, which stands for pi in rational-multiple-of-pi contexts and for a
@@ -81,9 +83,43 @@ def _is_fraction(value) -> bool:
     return fractions is not None and isinstance(value, fractions.Fraction)
 
 
-def parse_rational(text: str):
-    """Parse 'p/q', an integer or a decimal literal into a Fraction.  A literal
-    over MAX_LITERAL_DIGITS is refused before any integer is built."""
+def _is_digits(s: str) -> bool:
+    """Whether s is decimal digits with single underscores between them (PEP
+    515), the form in which int() reads them."""
+    return all(part.isdecimal() for part in s.split("_"))
+
+
+def _literal_ints(text: str):
+    """(n, d) with n/d the value of the rational literal text, not reduced and
+    d >= 0, or None when text is no literal.  The grammar is that of
+    fractions.Fraction on Python 3.11: whitespace around, an optional sign,
+    then 'p/q', or digits with an optional fractional part and an optional
+    exponent; a digit is any Unicode decimal digit, and single underscores
+    may stand between digits."""
+    s = text.strip()
+    sign = s[:1] if s[:1] in ("+", "-") else ""
+    s = s[len(sign):]
+    p, slash, q = s.partition("/")
+    if slash:
+        if not (_is_digits(p) and _is_digits(q)):
+            return None
+        n, d = int(p), int(q)
+    else:
+        mantissa, e, exp = s.replace("E", "e").partition("e")
+        whole, _, frac = mantissa.partition(".")
+        if not ((whole or frac) and _is_digits(whole or "0") and _is_digits(frac or "0")
+                and (not e or _is_digits(exp[1:] if exp[:1] in ("+", "-") else exp))):
+            return None
+        n, d = int(whole + frac), 10 ** (len(frac) - frac.count("_"))
+        x = int(exp) if e else 0
+        n, d = (n * 10**x, d) if x >= 0 else (n, d * 10**-x)
+    return (-n if sign == "-" else n), d
+
+
+def parse_rational(text: str) -> "Scalar":
+    """Parse 'p/q', an integer or a decimal literal, in the grammar of
+    _literal_ints, into a real Scalar; no Fraction is built.  A literal over
+    MAX_LITERAL_DIGITS is refused before any integer is built."""
     if not isinstance(text, str):
         raise ValueError(f"expected rational string, got {text!r}")
     mantissa, _, exp = text.strip().lower().partition("e")
@@ -93,18 +129,32 @@ def parse_rational(text: str):
         size += int(exp[:9])  # a longer exponent is over 10**8 anyway
     if size > MAX_LITERAL_DIGITS:
         raise ValueError(f"rational literal over {MAX_LITERAL_DIGITS} digits")
-    try:
-        return _fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {text!r}") from exc
+    ints = _literal_ints(text)
+    if ints is None or not ints[1]:
+        raise ValueError(f"bad rational literal {text!r}")
+    return _norm(ints[0], 0, ints[1])
 
 
-def _exact(value):
-    """A non-float value as a Fraction, a Fraction as it is.  A binary float is
-    refused: 0.1 would silently become 3602879701896397/36028797018963968."""
+def _ratio(value):
+    """A real value as the ints (n, d) of n/d in lowest terms, d > 0: an int,
+    a real Scalar, a rational string (parse_rational), or a value with an
+    exact as_integer_ratio(), such as a Fraction or a Decimal.  A binary
+    float is refused: 0.1 would silently become
+    3602879701896397/36028797018963968."""
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, str):
+        value = parse_rational(value)
+    if isinstance(value, Scalar):
+        if value.b:
+            raise TypeError(f"{value} is not real")
+        return value.a, value.d
     if isinstance(value, float):
         raise TypeError(f"{value!r} is a binary float; pass an int, Fraction or string")
-    return value if _is_fraction(value) else _fraction(value)
+    try:
+        return value.as_integer_ratio()
+    except AttributeError:
+        raise TypeError(f"cannot make a Scalar from {value!r}") from None
 
 
 def _scalar(a, b, d):
@@ -161,11 +211,11 @@ class Scalar(_Frozen):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        re, im = (v if isinstance(v, int) else _exact(v) for v in (re, im))
-        d = lcm(re.denominator, im.denominator)
+        (a, p), (b, q) = _ratio(re), _ratio(im)
+        d = lcm(p, q)
         # gcd(a, b, d) = 1 since each of re and im is in lowest terms
-        _seta(self, re.numerator * (d // re.denominator))
-        _setb(self, im.numerator * (d // im.denominator))
+        _seta(self, a * (d // p))
+        _setb(self, b * (d // q))
         _setd(self, d)
 
     @property
@@ -819,7 +869,9 @@ class PiParam(_Frozen):
     """The structure parameter a: either a rational multiple of pi or generic.
 
     RationalPi(q) carries a = q*pi with the formal symbol meaning pi;
-    Generic carries a itself as the formal symbol.  a = 0 is rejected.
+    Generic carries a itself as the formal symbol.  a = 0 is rejected.  q is
+    a real Scalar, which equals, hashes and renders as the Fraction of its
+    value; a binary float or a non-real q raises TypeError.
     """
 
     __slots__ = ("kind", "q")
@@ -828,8 +880,8 @@ class PiParam(_Frozen):
         if kind not in ("rational_pi", "generic"):
             raise ValueError(f"unknown PiParam kind {kind!r}")
         if kind == "rational_pi":
-            q = _exact(q)
-            if q == 0:
+            q = Scalar(q)
+            if not q:
                 raise ValueError("a = 0 is not an almost complex structure parameter")
         else:
             q = None
@@ -873,7 +925,7 @@ class PiParam(_Frozen):
 
     def __repr__(self):
         if self.kind == "rational_pi":
-            return f"PiParam.rational_pi({self.q!r})"
+            return f"PiParam.rational_pi({self.q.re!r})"
         return "PiParam.generic()"
 
     def __str__(self):

@@ -14,7 +14,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, InternalCheckError, RefusalError
-from .scalars import S_I, S_ONE, PiParam, Scalar, SymScalar, _exact, _fraction, _Frozen
+from .scalars import S_I, S_ONE, PiParam, Scalar, SymScalar, _Frozen
 
 Freq = Tuple[int, ...]
 
@@ -214,13 +214,13 @@ def kt_solvable_modes(a: PiParam, coeff) -> List[Tuple[int, int]]:
     k = 0; on the generic branch a/pi is irrational so only coeff = 0
     contributes (the constants).
     """
-    coeff = _exact(coeff)
-    if coeff == 0:
+    coeff = Scalar(coeff)
+    if not coeff:
         return [(0, 0)]
     if a.kind == "rational_pi":
         l = coeff * a.q
-        if l.denominator == 1:
-            return [(0, int(l))]
+        if l.d == 1:
+            return [(0, l.a)]
         return []
     return []
 
@@ -239,12 +239,12 @@ def kt_mode_oracle(a: PiParam, coeff) -> List[Tuple[int, int]]:
     rationally independent, l = 0 if coeff = 0; else no mode solves.
     """
     window = mode_window()
-    coeff = _exact(coeff)
+    coeff = Scalar(coeff)
     target = None
     if a.kind == "rational_pi":
         l = coeff * a.q
-        target = l.numerator if l.denominator == 1 else None
-    elif coeff == 0:
+        target = l.a if l.d == 1 else None
+    elif not coeff:
         target = 0
     modes = range(-window, window + 1)
     return [(k, l) for k in modes for l in modes if _mode_solves(k, l, target)]
@@ -255,7 +255,7 @@ def kt_mode_cross_check(a: PiParam, levels: Sequence[int]) -> None:
     coefficient m/4) by kt_mode_oracle, within the window."""
     window = mode_window()
     for m in levels:
-        coeff = _fraction(m, 4)
+        coeff = Scalar(m) / 4
         closed = {mode for mode in kt_solvable_modes(a, coeff)
                   if all(abs(c) <= window for c in mode)}
         if closed != set(kt_mode_oracle(a, coeff)):
@@ -275,7 +275,7 @@ def kt_plurigenus(a: PiParam, m: int) -> int:
     m = int(m)
     if m < 1:
         raise InputError("plurigenus level m must be at least 1")
-    return len(kt_solvable_modes(a, _fraction(m, 4)))
+    return len(kt_solvable_modes(a, Scalar(m) / 4))
 
 
 def kt_first_nonzero(a: PiParam) -> Optional[int]:
@@ -286,8 +286,8 @@ def kt_first_nonzero(a: PiParam) -> Optional[int]:
     """
     if a.kind != "rational_pi":
         return None
-    num = abs(a.q.numerator)
-    den = 4 * a.q.denominator
+    num = abs(a.q.a)
+    den = 4 * a.q.d
     return den // math.gcd(num, den)
 
 
@@ -301,7 +301,7 @@ def kt_irregularity(a: PiParam) -> int:
     """
     if not isinstance(a, PiParam):
         raise InputError("parameter must be a PiParam")
-    g2_modes = kt_solvable_modes(a, _fraction(-1, 4))
+    g2_modes = kt_solvable_modes(a, Scalar(-1) / 4)
     g1_modes = kt_solvable_modes(a, 0)
     quarter_a = a.a_value() / SymScalar.const(4)
     surviving_g2 = [mode for mode in g2_modes if quarter_a.is_zero()]

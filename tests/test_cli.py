@@ -862,9 +862,10 @@ class TestInputLimits:
         from acx import scalars
 
         def boom(*args):
-            raise AssertionError("a Fraction was built before the limit was checked")
+            raise AssertionError("an integer was built before the limit was checked")
 
-        monkeypatch.setattr(scalars, "_fraction", boom)
+        # _literal_ints builds the literal's ints
+        monkeypatch.setattr(scalars, "_literal_ints", boom)
         model = "t4" if option == "--t" else "kt"
         assert main(["plurigenera", "--model", model, option, value]) == 2
 

@@ -236,6 +236,16 @@ class TestPiParam:
         assert g.symbol_name == "a"
         assert g.a_value() == SymScalar.symbol()
 
+    def test_q_is_a_real_scalar_that_stands_for_its_fraction(self):
+        for q in ("39/10", Fraction(39, 10), Scalar(39) / 10):
+            a = PiParam.rational_pi(q)
+            assert type(a.q) is Scalar and a.q == Fraction(39, 10)
+            assert hash(a.q) == hash(Fraction(39, 10)) and str(a.q) == "39/10"
+            assert hash(a) == hash(("rational_pi", Fraction(39, 10)))
+        assert repr(PiParam.rational_pi(-4)) == "PiParam.rational_pi(-4)"
+        with pytest.raises(TypeError, match="not real"):
+            PiParam.rational_pi(Scalar(1, 1))
+
     def test_immutability_and_hash(self):
         a = PiParam.rational_pi(2)
         with pytest.raises(AttributeError):
@@ -544,12 +554,13 @@ class TestMixedOperands:
                 Scalar.coerce(value)
 
     def test_accepted_constructor_types(self):
-        # the constructor also parses a string or a Decimal exactly
-        for value in (Fraction(1, 2), "1/2", Decimal("0.5")):
+        # the constructor also parses a string or a Decimal exactly, and
+        # takes a real Scalar
+        for value in (Fraction(1, 2), "1/2", Decimal("0.5"), Scalar(1) / 2):
             assert Scalar(value) == Scalar(0, value) * Scalar(0, -1) == Fraction(1, 2)
         s = Scalar(True, False)
         assert (s.a, s.b, s.d) == (1, 0, 1)
-        for value in (0.5, SymScalar.const(1)):
+        for value in (0.5, SymScalar.const(1), Scalar(0, 1)):
             with pytest.raises(TypeError):
                 Scalar(value)
 

@@ -150,9 +150,9 @@ print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
 """
 
 
-# fractions imports decimal; only scalars._fraction imports fractions, on the
-# first Fraction acx builds
-_FRACTIONS = {"fractions", "decimal"}
+# fractions imports decimal and numbers; only scalars._fraction imports
+# fractions, for a non-integral Scalar.re or .im, which no invocation reads
+_FRACTIONS = {"fractions", "decimal", "numbers"}
 
 
 @pytest.mark.parametrize("argv, used, unused", [
@@ -163,12 +163,18 @@ _FRACTIONS = {"fractions", "decimal"}
     (["s6-report"], {"acx.g2", "acx.hodge"}, _FRACTIONS),
     (["nijenhuis", "--model", "g2"], {"acx.g2", "acx.lie"}, _FRACTIONS),
     (["structure-eqs", "--model", "g2"], {"acx.g2"}, _FRACTIONS),
-    (["plurigenera", "--model", "kt", "--a", "4*pi", "--m", "1..4"], _FRACTIONS,
-     {"acx.g2", "acx.hodge", "random"}),
+    (["plurigenera", "--model", "kt", "--a", "4*pi", "--m", "1..4"], {"acx.torus"},
+     {"acx.g2", "acx.hodge", "random", *_FRACTIONS}),
     (["hodge", "--model", "tests/golden/models/heis6.json", "--p", "1", "--q", "0"],
-     _FRACTIONS, {"acx.g2", "random"}),
+     {"acx.models", "acx.hodge"}, {"acx.g2", "random", *_FRACTIONS}),
+    (["plurigenera", "--model", "t4", "--t", "1/2,0"], {"acx.torus"},
+     {"acx.g2", "acx.hodge", *_FRACTIONS}),
+    (["kunneth", "--factors", "kt:generic,t4:zero"], {"acx.torus"},
+     {"acx.g2", *_FRACTIONS}),
+    (["kodaira", "--model", "kt", "--a", "4*pi,generic"], {"acx.torus"},
+     {"acx.g2", *_FRACTIONS}),
 ], ids=["rr", "version", "g2-verify", "s6-report", "nijenhuis-g2", "structure-eqs-g2",
-        "plurigenera-kt", "hodge-file"])
+        "plurigenera-kt", "hodge-file", "plurigenera-t4", "kunneth-kt-t4", "kodaira-kt"])
 def test_an_invocation_loads_only_what_it_uses(argv, used, unused):
     # modules the interpreter loaded at start-up are not counted
     proc = fresh_process(["-c", _LOADED, *argv])
@@ -176,6 +182,25 @@ def test_an_invocation_loads_only_what_it_uses(argv, used, unused):
     assert result["exit"] == 0
     assert {"acx.cli", *used} <= set(result["loaded"])
     assert unused.isdisjoint(result["loaded"])
+
+
+_SMOKE_RUN = """
+import contextlib, io, json, sys
+from acx.cli import main
+for argv, code in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code, argv
+print(json.dumps(sorted(set(sys.modules) & set(json.loads(sys.argv[2])))))
+"""
+
+
+def test_no_smoke_case_builds_a_fraction():
+    # every smoke case in turn in one process: no literal, kt or t4 path and
+    # no report builds a Fraction, so fractions is never loaded
+    cases = [[case["argv"], case["exit"]] for case in SMOKE_CASES]
+    proc = fresh_process(["-c", _SMOKE_RUN, json.dumps(cases), json.dumps(sorted(_FRACTIONS))])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 @pytest.mark.parametrize("value", ["Scalar(0, 1) / 2", "SymScalar.const(Scalar(1) / 3)"])

@@ -67,7 +67,7 @@ class TestKTPlurigenera:
     def test_closed_form_is_integrality_of_mq_over_four(self):
         for a in (A_4PI, A_2PI, A_4PI3, A_PI, PiParam.rational_pi(Fraction(39, 10))):
             for m in range(1, 25):
-                expected = 1 if (m * a.q / 4).denominator == 1 else 0
+                expected = 1 if (m * Fraction(a.q.re) / 4).denominator == 1 else 0
                 assert kt_plurigenus(a, m) == expected
 
     def test_first_nonzero_level(self):
@@ -104,21 +104,28 @@ class TestKTPlurigenera:
             kt_plurigenus(A_4PI, 0)
 
     def test_mode_oracle_coerces_its_coefficient_once(self, monkeypatch):
-        # scalars._fraction builds every Fraction acx builds
-        built = []
+        # a string coefficient is parsed once per call, not once per mode,
+        # and no coefficient builds a Fraction
+        parsed = []
 
-        def counting(*args):
-            built.append(args)
-            return Fraction(*args)
+        def counting(text):
+            parsed.append(text)
+            return parse(text)
 
+        def boom(*args):
+            raise AssertionError("a Fraction was built")
+
+        parse = scalars.parse_rational
         want = kt_mode_oracle(A_4PI, Fraction(1, 2))
         assert want == [(0, 2)]
-        monkeypatch.setattr(scalars, "_fraction", counting)
+        monkeypatch.setattr(scalars, "parse_rational", counting)
+        monkeypatch.setattr(scalars, "_fraction", boom)
         assert kt_mode_oracle(A_4PI, Fraction(1, 2)) == want
-        assert built == []
+        assert kt_mode_oracle(A_4PI, Scalar(1) / 2) == want
+        assert parsed == []
         assert kt_mode_oracle(A_4PI, "1/2") == want
         assert kt_mode_oracle(A_GEN, 0) == [(0, 0)]
-        assert built == [("1/2",), (0,)]
+        assert parsed == ["1/2"]
 
     def test_binary_float_coefficients_are_refused(self):
         # as by Scalar: Fraction(0.1) would silently take the float's binary value
