@@ -8,7 +8,7 @@ by one three-argument gcd.  The components re and im are read-only views:
 an int when integral and a fractions.Fraction otherwise.  _fraction builds
 every Fraction acx builds, for a non-integral re or im only, and imports
 fractions (and with it decimal and numbers) on the first.  parse_rational
-reads a literal (model files, --a, --t) straight into a real Scalar,
+reads a literal (model files, --a, --t) in one pass into a real Scalar,
 PiParam.q is one, and the kt and t4 arithmetic runs on them, so no acx
 invocation builds a Fraction or loads fractions.
 
@@ -89,50 +89,43 @@ def _is_digits(s: str) -> bool:
     return all(part.isdecimal() for part in s.split("_"))
 
 
-def _literal_ints(text: str):
-    """(n, d) with n/d the value of the rational literal text, not reduced and
-    d >= 0, or None when text is no literal.  The grammar is that of
-    fractions.Fraction on Python 3.11: whitespace around, an optional sign,
-    then 'p/q', or digits with an optional fractional part and an optional
-    exponent; a digit is any Unicode decimal digit, and single underscores
-    may stand between digits."""
-    s = text.strip()
-    sign = s[:1] if s[:1] in ("+", "-") else ""
-    s = s[len(sign):]
-    p, slash, q = s.partition("/")
-    if slash:
-        if not (_is_digits(p) and _is_digits(q)):
-            return None
-        n, d = int(p), int(q)
-    else:
-        mantissa, e, exp = s.replace("E", "e").partition("e")
-        whole, _, frac = mantissa.partition(".")
-        if not ((whole or frac) and _is_digits(whole or "0") and _is_digits(frac or "0")
-                and (not e or _is_digits(exp[1:] if exp[:1] in ("+", "-") else exp))):
-            return None
-        n, d = int(whole + frac), 10 ** (len(frac) - frac.count("_"))
-        x = int(exp) if e else 0
-        n, d = (n * 10**x, d) if x >= 0 else (n, d * 10**-x)
-    return (-n if sign == "-" else n), d
+def _literal_ints(whole, frac, q, x):
+    """(n, d), not reduced and d >= 0, with n/d = whole.frac/q * 10**x for the
+    parts parse_rational checked: whole carries the sign, frac or q is ''."""
+    n, d = int(whole + frac), int(q or 1) * 10 ** len(frac.replace("_", ""))
+    return (n * 10**x, d) if x >= 0 else (n, d * 10**-x)
 
 
 def parse_rational(text: str) -> "Scalar":
-    """Parse 'p/q', an integer or a decimal literal, in the grammar of
-    _literal_ints, into a real Scalar; no Fraction is built.  A literal over
-    MAX_LITERAL_DIGITS is refused before any integer is built."""
+    """A real Scalar from a literal in the grammar of fractions.Fraction on
+    Python 3.11: whitespace around, an optional sign, then 'p/q' or digits
+    with an optional fraction and exponent; a digit is any Unicode decimal
+    digit, and single underscores may join digits.  The literal is split once
+    into parts: the grammar is checked on them, then MAX_LITERAL_DIGITS, and
+    only then are ints built, so a malformed literal is refused as such at
+    any length and a long one before any int is built."""
     if not isinstance(text, str):
         raise ValueError(f"expected rational string, got {text!r}")
-    mantissa, _, exp = text.strip().lower().partition("e")
-    exp = exp.lstrip("+-").replace("_", "").lstrip("0")
-    size = max(sum(c.isdecimal() for c in part) for part in mantissa.split("/"))
-    if exp.isdecimal():
-        size += int(exp[:9])  # a longer exponent is over 10**8 anyway
-    if size > MAX_LITERAL_DIGITS:
-        raise ValueError(f"rational literal over {MAX_LITERAL_DIGITS} digits")
-    ints = _literal_ints(text)
-    if ints is None or not ints[1]:
+    s = text.strip()
+    sign = s[:1] if s[:1] in ("+", "-") else ""
+    head, slash, q = s[len(sign):].partition("/")
+    whole, e, exp = head.replace("E", "e").partition("e")
+    whole, _, frac = whole.partition(".")
+    if not ((whole or frac) and _is_digits(whole or "0") and _is_digits(frac or "0")
+            and (not e or _is_digits(exp[1:] if exp[:1] in ("+", "-") else exp))
+            and (not slash or whole == head and _is_digits(q))):
         raise ValueError(f"bad rational literal {text!r}")
-    return _norm(ints[0], 0, ints[1])
+    # |x| from nine digits after its zeros of any script: more exceed 10**8
+    digits = exp.lstrip("+-").replace("_", "")
+    digits = digits[next((k for k, c in enumerate(digits) if int(c)), len(digits)):][:9]
+    x = int(digits or 0) * (-1 if exp[:1] == "-" else 1)
+    size = len((whole + frac).replace("_", "")) + abs(x)
+    if max(size, len(q.replace("_", ""))) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"rational literal over {MAX_LITERAL_DIGITS} digits")
+    n, d = _literal_ints(sign + whole, frac, q, x)
+    if not d:
+        raise ValueError(f"bad rational literal {text!r}")
+    return _norm(n, 0, d)
 
 
 def _ratio(value):
@@ -542,6 +535,14 @@ def _pquo(a, g):
     return tuple(_norm(*c) for c in reversed(quo))
 
 
+def _monic(a, b):
+    """a and b divided by the leading coefficient of the nonzero a."""
+    if a[-1] == S_ONE:
+        return a, b
+    inv = a[-1].inverse()
+    return tuple(c * inv for c in a), tuple(c * inv for c in b)
+
+
 def _pgcd(a, b):
     """The monic gcd of a and b, () when both are zero.  The power of x is
     split off first: gcd(a, b) = x^min(ord a, ord b) gcd(a/x^ord a, b/x^ord b),
@@ -550,11 +551,7 @@ def _pgcd(a, b):
     made monic and stripped of its content."""
     a, b = _pstrip(a), _pstrip(b)
     if not a or not b:
-        a = a or b
-        if a and a[-1] != S_ONE:
-            lead_inv = a[-1].inverse()
-            a = tuple(c * lead_inv for c in a)
-        return a
+        return _monic(a or b, ())[0] if a or b else ()
     i, j = _order(a), _order(b)
     a, b = a[i:], b[j:]
     g = _P_ONE
@@ -630,9 +627,6 @@ def _sum(u, v, negate):
         if negate:
             b = _pneg(b)
         return _laurent(_padd((S_ZERO,) * (k - i) + a, (S_ZERO,) * (k - j) + b), k)
-    if p is _P_ONE or q is _P_ONE:
-        # a + b/q = (a q + b)/q, and gcd(a q + b, q) = gcd(b, q) = 1
-        return _poly(_pcomb(a, q, b, p, negate), _pmul(p, q))
     if p == q:
         g, p1, q1 = p, _P_ONE, _P_ONE
     else:
@@ -665,11 +659,7 @@ class SymScalar(_Frozen):
                 g = _pgcd(num, den)
                 if len(g) > 1:
                     num, den = _pquo(num, g), _pquo(den, g)
-            lead = den[-1]
-            if lead != S_ONE:
-                inv = lead.inverse()
-                num = tuple(c * inv for c in num)
-                den = tuple(c * inv for c in den)
+            den, num = _monic(den, num)
         if not num or len(den) == 1:
             den = _P_ONE
         _setnum(self, num)
@@ -776,11 +766,7 @@ class SymScalar(_Frozen):
             raise ZeroDivisionError("division by zero SymScalar")
         if den is _P_ONE and len(num) == 1:
             return _sym((num[0].inverse(),), _P_ONE)
-        lead = num[-1]
-        if lead != S_ONE:
-            inv = lead.inverse()
-            den = tuple(c * inv for c in den)
-            num = tuple(c * inv for c in num)
+        num, den = _monic(num, den)
         return _poly(den, num)
 
     def __truediv__(self, other):

@@ -663,6 +663,9 @@ class TestInputLimits:
             ("999..1001", "at most 1000"),
             ("1..600,1..600", "at most 1000 levels"),
             ("-1000000000..3", "positive integers"),
+            ("1..x", "bad range '1..x'"),
+            ("5..2", "empty range '5..2'"),
+            ("x", "bad level 'x'"),
         ],
     )
     def test_m_limit(self, capsys, spec, message):
@@ -719,6 +722,8 @@ class TestInputLimits:
             pytest.param(["kunneth", "--factors", f"rr:{'9' * 4299},torus"],
                          f"factor 'rr:{'9' * 4299}': genus must be at most 1000000",
                          id="rr-factor-of-4299-digits"),
+            (["plurigenera", "--model", "t4", "--t", "1"],
+             "--t: want two comma-separated rationals, e.g. 0,0"),
         ],
     )
     def test_lower_and_sample_limits(self, capsys, argv, message):
@@ -924,6 +929,12 @@ class TestInputFaults:
              "J entry (1,2): expected rational string, got -1"),
             ({"J": [["0", False, "0", "0"], *KT_FILE_OBJ["J"][1:]]},
              "J entry (1,2): expected rational string, got False"),
+            ({"brackets": [5]}, "bad bracket entry 5"),
+            ({"brackets": [{"i": 2, "j": 3, "out": [[4, "1"]]}]},
+             "bracket output entries are [k, re, im], got [4, '1']"),
+            ({"brackets": [{"i": 2, "j": 3, "out": [[4, "1", "0"]]}] * 2},
+             "duplicate bracket entry (2,3)"),
+            ({"J": [["0"]]}, "J must be a dim x dim matrix of rational strings"),
         ],
     )
     def test_bad_shapes(self, tmp_path, capsys, overrides, message):

@@ -627,3 +627,25 @@ class TestSquareCheck:
                     ACStructure(bad)
                 assert str(exc.value) == f"J^2 != -I at entry ({want[0]},{want[1]})"
 
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LieAlgebra(0), "bad dimension 0"),
+        (lambda: LieAlgebra(2, basis_names=["e1"]), "basis_names length must match dim"),
+        (lambda: ACStructure([[0, 1], [1]]), "J must be square"),
+        (lambda: nijenhuis(kt_algebra(), abelian_model(1).J),
+         "J dimension does not match the algebra"),
+        (lambda: build_coframe(kt_algebra(), abelian_model(1).J),
+         "J dimension does not match the algebra"),
+        (lambda: Character(kt_algebra(), [0]),
+         "character length must match the algebra dimension"),
+    ],
+    ids=["dim-0", "short-basis-names", "ragged-J", "nijenhuis-J-of-dim-2",
+         "coframe-J-of-dim-2", "short-character"],
+)
+def test_library_refusals_name_their_fault(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -31,6 +31,7 @@ ACCEPTED = [
 REFUSED = [
     "1/0", "3/-4", "1.5/2", "1 / 2", "0x10", "inf", "nan", "", "+", "e5",
     "1e", "1__0", "- 1", "1_", "_1", "1._5", ".", "1e+", "1.2.3", "1e2e3",
+    "-.e3133", "e9999", ".E5000",
 ]
 
 # accepted by Fraction, refused by the limit on digits
@@ -65,14 +66,12 @@ def refusal(text):
     return None
 
 
-def check(text, limit_first=False):
+def check(text):
     """parse_rational(text) agrees with Fraction as 3.11 reads text; returns
-    whether the literal was accepted.  With limit_first, a literal that
-    Fraction refuses may also be refused by the digit limit, which
-    parse_rational checks before the grammar."""
+    whether the literal was accepted."""
     want = fraction_311(text)
     if want is None:
-        assert refusal(text) in {f"bad rational literal {text!r}", *[LIMIT] * limit_first}, text
+        assert refusal(text) == f"bad rational literal {text!r}", text
         return False
     got = parse_rational(text)
     assert type(got) is Scalar and got.b == 0, text
@@ -128,12 +127,23 @@ def test_the_digit_limit_refuses_what_fraction_reads():
         assert refusal(text) == LIMIT, text
 
 
+def test_the_limit_is_checked_on_the_parts_the_grammar_split():
+    # a malformed literal is refused as such at any length
+    for text in ["9" * 2000 + "x", "e" + BIG + "9", f"1/{BIG}0/2"]:
+        assert refusal(text) == f"bad rational literal {text!r}", text[-9:]
+    # zeros of any script ahead of an exponent do not hide its size
+    for text in ["1e" + "٠" * 9 + "1000", "1e-" + "0٠" * 5 + "1000"]:
+        assert fraction_311(text) is not None, text
+        assert refusal(text) == LIMIT, text
+    assert check("1e" + "٠" * 9 + "999")
+
+
 def test_seeded_literals_are_read_as_fraction_reads_them():
     accepted = refused = 0
     for text in seeded_literals():
         if sys.version_info < (3, 11) and "_" in text and text not in PINNED_BEFORE_311:
             continue
-        if check(text, limit_first=True):
+        if check(text):
             accepted += 1
         else:
             refused += 1

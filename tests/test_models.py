@@ -17,7 +17,7 @@ from acx.models import (
     load_model_file,
     model_from_json,
 )
-from acx.scalars import PiParam
+from acx.scalars import PiParam, SymScalar
 from acx.torus import kt_plurigenus
 
 from test_lie import table_bracket, unit
@@ -67,6 +67,15 @@ class TestPresets:
         assert is_integrable(nijenhuis(model.alg, model.J), model.coframe)
         with pytest.raises(InputError):
             abelian_model(0)
+
+
+@pytest.mark.parametrize("param", [A_4PI, PiParam.generic()], ids=["4pi", "generic"])
+def test_j_entry_r_over_a(param):
+    from acx.models import _parse_j_entry
+
+    a = param.a_value()
+    assert _parse_j_entry("3/a", param, "J entry (1,2)") == SymScalar.const(3) / a
+    assert _parse_j_entry(" -3/a", param, "J entry (1,2)") == SymScalar.const(-3) / a
 
 
 def test_section_indices_are_one_to_n_except_on_the_sphere(tmp_path):

@@ -434,3 +434,27 @@ class TestKunnethAndKodaira:
     def test_mismatched_lengths_are_rejected(self):
         with pytest.raises(InputError):
             kunneth(rr_profile(2, 8), rr_profile(2, 6))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PlurigeneraProfile([1, 0, 0, 0]), RefusalError,
+         "tail window is identically zero but earlier values are not; "
+         "growth cannot be inferred from the window"),
+        (lambda: PlurigeneraProfile([-1, 0, 0, 0]), InputError, "plurigenera are nonnegative"),
+        (lambda: curve_profile(1), InputError, "curve profiles require genus at least 2"),
+        (lambda: t4_plurigenus(*t4_standard_pair(), 0), InputError,
+         "plurigenus level m must be at least 1"),
+        (lambda: kt_plurigenus("4*pi", 1), InputError, "parameter must be a PiParam"),
+        (lambda: kt_irregularity("4*pi"), InputError, "parameter must be a PiParam"),
+        (lambda: t4_obstruction(1, 2), InputError,
+         "coefficients must be trigonometric polynomials"),
+    ],
+    ids=["zero-tail", "negative", "genus-1-curve", "t4-level-0", "kt-plurigenus-string",
+         "kt-irregularity-string", "t4-obstruction-ints"],
+)
+def test_library_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
