@@ -9,11 +9,10 @@ limits), 3 a failed internal cross-check or another internal error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import re
 import sys
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -609,32 +608,75 @@ _SUBCOMMANDS = (
 _HANDLERS = {row[0]: row[-1] for row in _SUBCOMMANDS}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a failed write of its text raises, as a report's
-    does, and an argument starting with - and a digit is a value (--a -4*pi)."""
+def _parse(argv: List[str]) -> Optional[SimpleNamespace]:
+    """argv as the full parser reads it, when argv is well formed: the
+    subcommand's name, then only exact flags of its _SUBCOMMANDS row, each
+    value-taking flag followed by a value that does not start with '-', or
+    starts with '-' and a decimal digit (a value, as the parser's matcher
+    reads -4*pi).  type and choices apply as argparse applies them, the last
+    repeat of a flag wins, and every required flag must be given.  None for
+    any other argv (--help, an abbreviated flag, --flag=value, --, a stray
+    token, a missing, dash-led or ill-typed value, a missing required flag),
+    which argparse then parses or refuses."""
+    row = next((row for row in _SUBCOMMANDS if argv[:1] == [row[0]]), None)
+    if row is None:
+        return None
+    name, _, groups, own, _ = row
+    options = {flag: kwargs for group in groups + (own,) for flag, kwargs in group}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as a dash-led one
+        if value[:1] == "-" and not value[1:2].isdecimal():
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
+        return None
+    args = SimpleNamespace(command=name)
+    for flag, kwargs in options.items():
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        setattr(args, flag.lstrip("-").replace("-", "_"), given.get(flag, default))
+    return args
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\d")
 
-    def _print_message(self, message, file=None):
-        if message:
-            (file or sys.stderr).write(message)
+def _build_parser():
+    """The argparse parser of every subcommand, for the argv _parse leaves:
+    --help, usage errors and the well-formed argv it does not take.  A failed
+    write of its text raises, as a report's does, and an argument starting
+    with - and a digit is a value (--a -4*pi)."""
+    import argparse
+    import re
 
-    def error(self, message):
-        """argparse's usage error, exit 2.  With descriptor 2 closed
-        (sys.stderr is None) it writes nothing, as acx's own input errors
-        then do; argparse would print its usage text to stdout."""
-        if sys.stderr is None:
-            self.exit(2)
-        super().error(message)
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-\d")
 
+        def _print_message(self, message, file=None):
+            if message:
+                (file or sys.stderr).write(message)
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The acx parser.  When argv[0] names a subcommand, only that subparser
-    is built; otherwise (no arguments, --help, --version, an unknown command)
-    all of them are.  Help text, usage errors and exit codes are the same
-    either way."""
+        def error(self, message):
+            """argparse's usage error, exit 2.  With descriptor 2 closed
+            (sys.stderr is None) it writes nothing, as acx's own input errors
+            then do; argparse would print its usage text to stdout."""
+            if sys.stderr is None:
+                self.exit(2)
+            super().error(message)
+
     parser = _Parser(
         prog="acx",
         description=(
@@ -644,11 +686,8 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    specs = [spec for spec in _SUBCOMMANDS if argv and spec[0] == argv[0]]
-    # with one subparser, the top-level usage still lists every subcommand
-    metavar = "{" + ",".join(spec[0] for spec in _SUBCOMMANDS) + "}" if specs else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, groups, own, _ in specs or _SUBCOMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, groups, own, _ in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         for group in groups + (own,):
             for flag, kwargs in group:
@@ -659,7 +698,11 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     """Parse argv, dispatch, print the report; returns the exit code."""
     argv = list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    if argv == ["--version"]:
+        # where argparse's version action writes it: stderr if stdout is closed
+        (sys.stdout or sys.stderr).write(__version__ + "\n")
+        return 0
+    args = _parse(argv) or _build_parser().parse_args(argv)
     report, code = _HANDLERS[args.command](args)
     if args.meta:
         report = dict(report)
@@ -683,7 +726,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         try:
             code = run(sys.argv[1:] if argv is None else argv)
-        except SystemExit as exc:  # argparse's, after --help, --version or a usage error
+        except SystemExit as exc:  # argparse's, after --help or a usage error
             if exc.code is not None and not isinstance(exc.code, int):
                 raise
             code = exc.code or 0

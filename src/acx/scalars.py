@@ -89,6 +89,13 @@ def _is_digits(s: str) -> bool:
     return all(part.isdecimal() for part in s.split("_"))
 
 
+def _bad_literal(text: str) -> ValueError:
+    """The refusal of a malformed literal, which it echoes up to 40
+    characters; of a longer one it shows the first 40 and the length."""
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+    return ValueError(f"bad rational literal {shown}")
+
+
 def _literal_ints(whole, frac, q, x):
     """(n, d), not reduced and d >= 0, with n/d = whole.frac/q * 10**x for the
     parts parse_rational checked: whole carries the sign, frac or q is ''."""
@@ -114,7 +121,7 @@ def parse_rational(text: str) -> "Scalar":
     if not ((whole or frac) and _is_digits(whole or "0") and _is_digits(frac or "0")
             and (not e or _is_digits(exp[1:] if exp[:1] in ("+", "-") else exp))
             and (not slash or whole == head and _is_digits(q))):
-        raise ValueError(f"bad rational literal {text!r}")
+        raise _bad_literal(text)
     # |x| from nine digits after its zeros of any script: more exceed 10**8
     digits = exp.lstrip("+-").replace("_", "")
     digits = digits[next((k for k, c in enumerate(digits) if int(c)), len(digits)):][:9]
@@ -124,7 +131,7 @@ def parse_rational(text: str) -> "Scalar":
         raise ValueError(f"rational literal over {MAX_LITERAL_DIGITS} digits")
     n, d = _literal_ints(sign + whole, frac, q, x)
     if not d:
-        raise ValueError(f"bad rational literal {text!r}")
+        raise _bad_literal(text)
     return _norm(n, 0, d)
 
 

@@ -503,7 +503,7 @@ class TestMainExitCodes:
             (b"{not json", "Expecting property name"),
             (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
             (b'{"dim": ' + b"9" * 5000 + b', "J": []}', "Exceeds the limit (4300 digits)"),
-            (b"[" * 1000 + b"]" * 1000, "maximum recursion depth exceeded"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
         ]:
             bad.write_bytes(content)
             assert main(["nijenhuis", "--model", str(bad)]) == 2
@@ -672,6 +672,13 @@ class TestInputLimits:
         assert main(["rr", "--genus", "2", f"--m={spec}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: --m:") and message in err
+
+    def test_a_long_malformed_literal_is_not_echoed_whole(self, capsys):
+        assert main(["plurigenera", "--model", "t4", "--t", "9" * 3000 + "x,0"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("input error: --t: bad rational literal "
+                       f"{'9' * 40!r}... (3001 characters)\n")
+        assert len(err.encode()) < 200
 
     def test_m_limit_is_inclusive(self):
         code, report = capture_json(["rr", "--genus", "2", "--m", "1000"])

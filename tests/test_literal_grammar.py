@@ -3,7 +3,8 @@
 parse_rational builds its ints itself, in the grammar fractions.Fraction
 accepts on Python 3.11.  Each literal here must give the value and the str
 of Fraction(literal), or be refused with ValueError("bad rational literal
-..."), as Fraction refuses it.  Other Pythons read a little differently:
+..."), as Fraction refuses it; the message echoes a literal of at most 40
+characters, and of a longer one its first 40 and its length.  Other Pythons read a little differently:
 3.10 refuses underscores, and 3.12 accepts spaces around '/'.  There the
 reference is pinned to what 3.11 reads, so acx parses one grammar on every
 Python.
@@ -57,6 +58,13 @@ def fraction_311(text):
         return None
 
 
+def bad(text):
+    """The message parse_rational refuses the malformed literal text with."""
+    if len(text) <= 40:
+        return f"bad rational literal {text!r}"
+    return f"bad rational literal {text[:40]!r}... ({len(text)} characters)"
+
+
 def refusal(text):
     """The message parse_rational refuses text with, or None."""
     try:
@@ -71,7 +79,7 @@ def check(text):
     whether the literal was accepted."""
     want = fraction_311(text)
     if want is None:
-        assert refusal(text) == f"bad rational literal {text!r}", text
+        assert refusal(text) == bad(text), text
         return False
     got = parse_rational(text)
     assert type(got) is Scalar and got.b == 0, text
@@ -130,12 +138,20 @@ def test_the_digit_limit_refuses_what_fraction_reads():
 def test_the_limit_is_checked_on_the_parts_the_grammar_split():
     # a malformed literal is refused as such at any length
     for text in ["9" * 2000 + "x", "e" + BIG + "9", f"1/{BIG}0/2"]:
-        assert refusal(text) == f"bad rational literal {text!r}", text[-9:]
+        assert refusal(text) == bad(text), text[-9:]
     # zeros of any script ahead of an exponent do not hide its size
     for text in ["1e" + "٠" * 9 + "1000", "1e-" + "0٠" * 5 + "1000"]:
         assert fraction_311(text) is not None, text
         assert refusal(text) == LIMIT, text
     assert check("1e" + "٠" * 9 + "999")
+
+
+def test_a_long_malformed_literal_is_shown_by_its_head_and_length():
+    assert refusal("9" * 39 + "x") == f"bad rational literal {'9' * 39 + 'x'!r}"
+    assert refusal("9" * 40 + "x") == (
+        "bad rational literal '9999999999999999999999999999999999999999'... (41 characters)")
+    assert refusal(f"1/{BIG}0/2") == (
+        f"bad rational literal '1/{'9' * 38}'... ({MAX_LITERAL_DIGITS + 5} characters)")
 
 
 def test_seeded_literals_are_read_as_fraction_reads_them():

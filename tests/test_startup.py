@@ -1,41 +1,50 @@
-"""What an invocation loads and builds, and how its process ends: the
-per-subcommand imports, the one-subparser parser and the exit without
-interpreter teardown.
+"""What an invocation loads and parses, and how its process ends: the
+per-subcommand imports, the argv parser that argparse stands behind and the
+exit without interpreter teardown.
 
-Each subcommand imports the library modules it uses when it runs, and the
-parser is built with only the subparser that argv names.  The in-process
-golden run cannot see a missing import once an earlier case has imported the
-module, so the smoke cases here run in fresh processes.  The usage corpus
-pins help text and argparse errors to the bytes the full parser prints.
-A process ends with os._exit once its output is flushed, which only a fresh
-process shows: every exit code, the help paths, a failing stdout, an
-interrupt and an attached profiler are run in one.
+Each subcommand imports the library modules it uses when it runs.
+cli._parse reads a well-formed argv from the subcommand table without
+importing argparse; argparse builds the full parser only for --help, usage
+errors and the argv _parse leaves, and a differential test holds _parse to
+what that parser reads.  The in-process golden run cannot see a missing
+import once an earlier case has imported the module, so the smoke cases here
+run in fresh processes.  The usage corpus pins help text and argparse errors
+to the bytes the full parser prints.  A process ends with os._exit once its
+output is flushed, which only a fresh process shows: every exit code, the
+help paths, a failing stdout, an interrupt and an attached profiler are run
+in one.
 """
 
 import ast
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from acx.cli import main
+from acx.cli import _build_parser, _parse, main
 
 from test_golden import CASES, golden
 
 USAGE_DIR = golden.GOLDEN_DIR / "usage"
+# the cases whose bytes argparse 3.13 changes: it keeps `{...} ...` on one
+# usage line.  Recorded on Python 3.13.0 with COLUMNS=80.
+USAGE_313_DIR = USAGE_DIR / "3.13"
+USAGE_313 = {"help", "no-command", "unknown-command", "rr-unrecognized-argument"}
 SRC = str(golden.REPO_ROOT / "src")
 
 COMMANDS = ("nijenhuis", "structure-eqs", "plurigenera", "irregularity", "hodge",
             "kodaira", "kunneth", "g2-verify", "s6-report", "rr")
 
 # (name, argv, exit): the file usage/<name>.txt holds stdout when the exit
-# code is 0 and stderr otherwise; the other stream is empty.  Recorded with
-# COLUMNS=80 from the parser that built every subparser on every run.
+# code is 0 and stderr otherwise; the other stream is empty.  Recorded on
+# Python 3.11 with COLUMNS=80 from the parser with every subparser.
 USAGE_CASES = (
     [("help", ["--help"], 0), ("version", ["--version"], 0)]
     + [(f"help-{cmd}", [cmd, "--help"], 0) for cmd in COMMANDS]
@@ -51,6 +60,12 @@ USAGE_CASES = (
 )
 ARGPARSE_ERRORS = [case for case in USAGE_CASES if case[2] == 2]
 HELP_AND_VERSION = [case for case in USAGE_CASES if case[2] == 0]
+
+
+def usage_bytes(name):
+    """The pinned output of usage case `name` on this Python."""
+    pinned = USAGE_313_DIR if sys.version_info >= (3, 13) and name in USAGE_313 else USAGE_DIR
+    return (pinned / f"{name}.txt").read_bytes()
 
 
 def _kind(argv):
@@ -110,7 +125,7 @@ def test_argparse_error_in_a_fresh_process(name, argv, code):
     proc = fresh_process(["-m", "acx.cli", *argv])
     assert proc.returncode == code
     assert proc.stdout == b""
-    assert proc.stderr == (USAGE_DIR / f"{name}.txt").read_bytes()
+    assert proc.stderr == usage_bytes(name)
 
 
 @pytest.mark.parametrize("name, argv, code", HELP_AND_VERSION,
@@ -119,7 +134,7 @@ def test_help_and_version_in_a_fresh_process(name, argv, code):
     # argparse leaves through SystemExit(0); its output must still be flushed
     proc = fresh_process(["-m", "acx.cli", *argv])
     assert proc.returncode == code
-    assert proc.stdout == (USAGE_DIR / f"{name}.txt").read_bytes()
+    assert proc.stdout == usage_bytes(name)
     assert proc.stderr == b""
 
 
@@ -131,13 +146,14 @@ def test_usage_output_is_that_of_the_full_parser(monkeypatch, name, argv, code):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(argv) == code
     pinned, empty = (out, err) if code == 0 else (err, out)
-    assert pinned.getvalue() == (USAGE_DIR / f"{name}.txt").read_text()
+    assert pinned.getvalue() == usage_bytes(name).decode()
     assert empty.getvalue() == ""
 
 
 def test_usage_corpus_is_complete():
     recorded = {p.stem for p in USAGE_DIR.glob("*.txt")}
     assert recorded == {name for name, _, _ in USAGE_CASES}
+    assert {p.stem for p in USAGE_313_DIR.glob("*.txt")} == USAGE_313
 
 
 _LOADED = """
@@ -151,28 +167,30 @@ print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
 
 
 # fractions imports decimal and numbers; only scalars._fraction imports
-# fractions, for a non-integral Scalar.re or .im, which no invocation reads
+# fractions, for a non-integral Scalar.re or .im, which no invocation reads.
+# argparse loads only for help and usage errors.
 _FRACTIONS = {"fractions", "decimal", "numbers"}
+_UNUSED = {"argparse", *_FRACTIONS}
 
 
 @pytest.mark.parametrize("argv, used, unused", [
     (["rr", "--genus", "2"], set(),
-     {"acx.g2", "acx.hodge", "acx.lie", "acx.models", "random", *_FRACTIONS}),
-    (["--version"], set(), _FRACTIONS),
-    (["g2-verify", "--seed", "1"], {"acx.g2"}, _FRACTIONS),
-    (["s6-report"], {"acx.g2", "acx.hodge"}, _FRACTIONS),
-    (["nijenhuis", "--model", "g2"], {"acx.g2", "acx.lie"}, _FRACTIONS),
-    (["structure-eqs", "--model", "g2"], {"acx.g2"}, _FRACTIONS),
+     {"acx.g2", "acx.hodge", "acx.lie", "acx.models", "random", *_UNUSED}),
+    (["--version"], set(), _UNUSED),
+    (["g2-verify", "--seed", "1"], {"acx.g2"}, _UNUSED),
+    (["s6-report"], {"acx.g2", "acx.hodge"}, _UNUSED),
+    (["nijenhuis", "--model", "g2"], {"acx.g2", "acx.lie"}, _UNUSED),
+    (["structure-eqs", "--model", "g2"], {"acx.g2"}, _UNUSED),
     (["plurigenera", "--model", "kt", "--a", "4*pi", "--m", "1..4"], {"acx.torus"},
-     {"acx.g2", "acx.hodge", "random", *_FRACTIONS}),
+     {"acx.g2", "acx.hodge", "random", *_UNUSED}),
     (["hodge", "--model", "tests/golden/models/heis6.json", "--p", "1", "--q", "0"],
-     {"acx.models", "acx.hodge"}, {"acx.g2", "random", *_FRACTIONS}),
+     {"acx.models", "acx.hodge"}, {"acx.g2", "random", *_UNUSED}),
     (["plurigenera", "--model", "t4", "--t", "1/2,0"], {"acx.torus"},
-     {"acx.g2", "acx.hodge", *_FRACTIONS}),
+     {"acx.g2", "acx.hodge", *_UNUSED}),
     (["kunneth", "--factors", "kt:generic,t4:zero"], {"acx.torus"},
-     {"acx.g2", *_FRACTIONS}),
+     {"acx.g2", *_UNUSED}),
     (["kodaira", "--model", "kt", "--a", "4*pi,generic"], {"acx.torus"},
-     {"acx.g2", *_FRACTIONS}),
+     {"acx.g2", *_UNUSED}),
 ], ids=["rr", "version", "g2-verify", "s6-report", "nijenhuis-g2", "structure-eqs-g2",
         "plurigenera-kt", "hodge-file", "plurigenera-t4", "kunneth-kt-t4", "kodaira-kt"])
 def test_an_invocation_loads_only_what_it_uses(argv, used, unused):
@@ -182,6 +200,75 @@ def test_an_invocation_loads_only_what_it_uses(argv, used, unused):
     assert result["exit"] == 0
     assert {"acx.cli", *used} <= set(result["loaded"])
     assert unused.isdisjoint(result["loaded"])
+
+
+def test_a_usage_error_loads_argparse():
+    proc = fresh_process(["-c", _LOADED, "rr", "--genus", "x"])
+    result = json.loads(proc.stdout)
+    assert result["exit"] == 2
+    assert "argparse" in result["loaded"] and "acx.torus" not in result["loaded"]
+
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", golden.REPO_ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+def _mutants(argv, rng):
+    """Seeded mutations of argv around the shape _parse takes: help, --, a
+    stray or dash-led token, a bad --format choice, a repeated store_true
+    flag, and at one flag an abbreviation, --flag=value, a missing value, a
+    dropped flag, a repeat, and -x, -4*pi or x as its value."""
+    head, rest = argv[:1], argv[1:]
+    k = rng.randrange(len(rest) + 1)
+    out = [head + rest[:k] + [token] + rest[k:] for token in ("-h", "--", "stray", "-x", "-4*pi")]
+    out += [argv + ["--format", "xml"], argv + ["--meta", "--meta"]]
+    flags = [k for k, token in enumerate(rest) if token.startswith("--")]
+    if not flags:
+        return out
+    k = rng.choice(flags)
+    flag, before, after = rest[k], head + rest[:k], rest[k + 1:]
+    if len(flag) > 3:
+        out.append(before + [flag[:rng.randrange(3, len(flag))]] + after)
+    out.append(before + [flag, rng.choice(["1", "table", "2*pi"])] + rest[k:])
+    if after and not after[0].startswith("--"):
+        value, after = after[0], after[1:]
+        out += [before + [f"{flag}={value}"] + after, before + [flag] + after, before + after]
+        out += [before + [flag, token] + after for token in ("-x", "-4*pi", "x")]
+    return out
+
+
+def _full_parser_reads(parser, argv):
+    """vars() of what the full argparse parser returns for argv; None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_parse_reads_argv_as_the_full_parser_does():
+    # every golden and usage argv, the benchmark's corpora and seeded
+    # mutations of them: _parse defers, or agrees with argparse
+    corpus = [case["argv"] for case in CASES] + [argv for _, argv, _ in USAGE_CASES]
+    for build, templates in workloads.WORKLOADS.values():
+        corpus += build(0, {template: f"{template}.json" for template in templates})
+    rng = random.Random(40)
+    mutants = [mutant for argv in corpus for mutant in _mutants(argv, rng)]
+    parser = _build_parser()
+    deferred = 0  # argv argparse accepts in a shape _parse leaves to it
+    for argv in corpus + mutants:
+        args, want = _parse(argv), _full_parser_reads(parser, argv)
+        if args is not None:
+            assert vars(args) == want, argv
+        deferred += args is None and want is not None
+    assert deferred > 0 and any(_parse(argv) is not None for argv in mutants)
+    # _parse takes every golden argv that argparse accepts
+    accepted = [case["argv"] for case in CASES
+                if _full_parser_reads(parser, case["argv"]) is not None]
+    assert len(accepted) == len(CASES) - 1
+    assert all(_parse(argv) is not None for argv in accepted)
 
 
 _SMOKE_RUN = """
@@ -328,7 +415,14 @@ def test_usage_error_with_closed_stdout_keeps_its_exit_code():
     # main flushes stdout after argparse's exit, but there is none to flush
     proc = fresh_process(["-c", _CLOSE_STDOUT, sys.executable, "-m", "acx.cli", "bogus"])
     assert proc.returncode == 2
-    assert proc.stderr == (USAGE_DIR / "unknown-command.txt").read_bytes()
+    assert proc.stderr == usage_bytes("unknown-command")
+
+
+def test_version_with_closed_stdout_is_written_to_stderr():
+    # where argparse's version action wrote it
+    proc = fresh_process(["-c", _CLOSE_STDOUT, sys.executable, "-m", "acx.cli", "--version"])
+    assert proc.returncode == 0
+    assert proc.stderr == usage_bytes("version")
 
 
 # a process started with descriptor 2 closed has sys.stderr None
@@ -343,7 +437,7 @@ def test_usage_with_closed_stderr(name, argv, code):
     # and help and version text still goes to stdout
     proc = fresh_process(["-c", _CLOSE_STDERR, sys.executable, "-m", "acx.cli", *argv])
     assert proc.returncode == code
-    assert proc.stdout == ((USAGE_DIR / f"{name}.txt").read_bytes() if code == 0 else b"")
+    assert proc.stdout == (usage_bytes(name) if code == 0 else b"")
 
 
 def test_input_error_with_closed_stderr_exits_2():
