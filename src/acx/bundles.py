@@ -44,12 +44,10 @@ class PseudoholStructure:
         return self._twisted(self.model.coframe.dbar, self.theta, comps)
 
     def connection(self):
-        """omega = theta - conj(theta)^T for the unitary frame."""
-        r = self.rank
-        return [
-            [self.theta[i][j] - self.theta[j][i].conjugate() for j in range(r)]
-            for i in range(r)
-        ]
+        """omega = theta - conj(theta)^T for the unitary frame: theta plus
+        its (1,0) part, connection_10()."""
+        return [[t + w for t, w in zip(row, wrow)]
+                for row, wrow in zip(self.theta, self.connection_10())]
 
     def connection_10(self):
         """The (1,0) part of the connection: -conj(theta)^T."""

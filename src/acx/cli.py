@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import InputError, InternalCheckError, RefusalError
+from .errors import InputError, InternalCheckError, RefusalError, echo
 from .scalars import PiParam, parse_rational
 
 # The library modules (g2, hodge, lie, models, torus) are imported by the code
@@ -83,14 +83,14 @@ def _parse_m_spec(text: str) -> List[int]:
             try:
                 lo, hi = int(lo_txt), int(hi_txt)
             except ValueError as exc:
-                raise InputError(f"--m: bad range {chunk!r}") from exc
+                raise InputError(f"--m: bad range {echo(chunk)}") from exc
             if lo > hi:
-                raise InputError(f"--m: empty range {chunk!r}")
+                raise InputError(f"--m: empty range {echo(chunk)}")
         else:
             try:
                 lo = hi = int(chunk)
             except ValueError as exc:
-                raise InputError(f"--m: bad level {chunk!r}") from exc
+                raise InputError(f"--m: bad level {echo(chunk)}") from exc
         if lo < 1:
             raise InputError("--m: levels must be positive integers")
         if hi > MAX_LEVEL:
@@ -419,37 +419,37 @@ def _parse_factor(spec: str):
     arg = arg.strip()
     if name == "kt":
         if not arg:
-            raise InputError(f"factor {spec!r}: want kt:<a>, e.g. kt:4*pi")
+            raise InputError(f"factor {echo(spec)}: want kt:<a>, e.g. kt:4*pi")
         try:
             return "kt", PiParam.parse(arg)
         except ValueError as exc:
-            raise InputError(f"factor {spec!r}: {exc}") from exc
+            raise InputError(f"factor {echo(spec)}: {exc}") from exc
     if name == "t4":
         if arg in ("", "std", "standard"):
             return "t4", torus.t4_standard_pair()
         if arg in ("0", "zero"):
             return "t4", torus.t4_family_pair(0, 0)
-        raise InputError(f"factor {spec!r}: want t4:std or t4:zero")
+        raise InputError(f"factor {echo(spec)}: want t4:std or t4:zero")
     if name in ("rr", "curve"):
         try:
             genus = int(arg)
         except ValueError as exc:
-            raise InputError(f"factor {spec!r}: want {name}:<genus>") from exc
+            raise InputError(f"factor {echo(spec)}: want {name}:<genus>") from exc
         if genus > MAX_GENUS:
-            raise InputError(f"factor {spec!r}: genus must be at most {MAX_GENUS}")
+            raise InputError(f"factor {echo(spec)}: genus must be at most {MAX_GENUS}")
         # the profile builders' own lower bounds, checked before any build
         if genus < 2:
             raise InputError("fiber genus must be at least 2" if name == "rr"
                              else "curve profiles require genus at least 2")
         return name, genus
     if name in ("torus", "s6") and arg:
-        raise InputError(f"factor {spec!r}: {name} takes no argument")
+        raise InputError(f"factor {echo(spec)}: {name} takes no argument")
     if name == "torus":
         return "torus", None
     if name == "s6":
         return "g2", None
     raise InputError(
-        f"unknown factor {spec!r}; want kt:<a>, t4:std, t4:zero, rr:<g>, "
+        f"unknown factor {echo(spec)}; want kt:<a>, t4:std, t4:zero, rr:<g>, "
         "curve:<g>, torus, or s6"
     )
 

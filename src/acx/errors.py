@@ -16,6 +16,9 @@ disagree (the three integrability tests, the two harmonic kernels, the
 canonical bundle check beta_1 ^ vol = dbar vol, and the mode oracle; the
 tests' star oracle raises it too).  A fault of acx, never of the input.  CLI
 exit code 3.
+
+A message that quotes user input quotes it through echo, which shows at
+most 40 characters of it, so the message stays short whatever the input.
 """
 
 
@@ -33,3 +36,15 @@ class InternalCheckError(AssertionError):
     def __init__(self, check: str, detail: str):
         super().__init__(f"{check}: {detail}")
         self.check = check
+
+
+def echo(value) -> str:
+    """value as a message quotes it: repr(value) when a string value has at
+    most 40 characters, or another value's repr has; else the first 40 of
+    those characters (a string's quoted) and their count, as
+    "'head'... (n characters)"."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{head}... ({len(text)} characters)"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .scalars import SS_ZERO, SymScalar, _Frozen
+from .scalars import SS_ZERO, SymScalar, _Frozen, _signed_sum, _term
 
 
 class MultiIndex(tuple):
@@ -229,23 +229,11 @@ class Form(_Frozen):
     def to_str(self, symbol: str = "x") -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for (a, b) in self.monomials():
-            c = self.terms[(a, b)]
-            factors = [f"phi{i}" for i in a] + [f"phibar{j}" for j in b]
-            mono = "^".join(factors) if factors else "1"
-            cs = c.to_str(symbol)
-            if cs == "1" and factors:
-                parts.append(mono)
-            elif cs == "-1" and factors:
-                parts.append(f"-{mono}")
-            else:
-                wrap = f"({cs})" if (" " in cs or "+" in cs[1:] or "-" in cs[1:]) else cs
-                parts.append(f"{wrap}*{mono}" if factors else wrap)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum([
+            _term(self.terms[(a, b)].to_str(symbol),
+                  "^".join([f"phi{i}" for i in a] + [f"phibar{j}" for j in b]))
+            for (a, b) in self.monomials()
+        ])
 
 
 # the slot setters (see scalars._Frozen)

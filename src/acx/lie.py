@@ -3,7 +3,7 @@
 Everything is exact.  A LieAlgebra is given by Gaussian-rational structure
 constants on a real basis e_1..e_N (Jacobi is checked on construction, on the
 constants lifted to Gaussian integers).  An ACStructure is a
-matrix J with J^2 = -I.  build_coframe produces the (1,0) coframe
+real matrix J with J^2 = -I.  build_coframe produces the (1,0) coframe
 phi^i = eta - i*(eta o J), normalized so the leading real-dual coefficient is
 one, together with the dual (1,0) frame X_i and the complexified structure
 constants, from which the Chevalley-Eilenberg differential is assembled on
@@ -157,7 +157,8 @@ def _jacobi_failures(dim, brackets):
 
 
 class ACStructure:
-    """A matrix J on the algebra with J^2 = -I; J[a][b] = e_a-component of J(e_b)."""
+    """A real matrix J on the algebra with J^2 = -I; J[a][b] = e_a-component
+    of J(e_b)."""
 
     def __init__(self, matrix):
         self.matrix = [[SymScalar.coerce(c) for c in row] for row in matrix]
@@ -166,6 +167,10 @@ class ACStructure:
             raise InputError("J must be square")
         if n % 2:
             raise InputError("J needs an even-dimensional algebra")
+        for a, row in enumerate(self.matrix, start=1):
+            for b, c in enumerate(row, start=1):
+                if c != c.conjugate():
+                    raise InputError(f"J is not real at entry ({a},{b})")
         square = mat_mul(self.matrix, self.matrix)
         for a in range(n):
             for b in range(n):
@@ -318,23 +323,25 @@ class ComplexCoframe:
 def build_coframe(alg: LieAlgebra, J: ACStructure) -> ComplexCoframe:
     """Select the (1,0) coframe eta - i*(eta o J) over eta = e^1, e^2, ...
 
-    Keep the first n candidates that are independent of the ones before
-    them (the pivot columns of the candidates written as columns); scale each
-    so its leading (lowest-index) nonzero real-dual coefficient is one.
+    Keep the candidates that are independent of the ones before them (the
+    pivot columns of the candidates written as columns); scale each so its
+    leading (lowest-index) nonzero real-dual coefficient is one.  There are
+    exactly n of them, and C is invertible, because ACStructure admits only
+    a real J with J^2 = -I: the candidates are the rows of I - iJ, whose
+    product with its conjugate I + iJ is I + J^2 = 0 and whose sum with it is
+    2I, so each of the two has rank n and their row spaces, the (1,0) and
+    (0,1) forms, meet in zero.
     """
     if J.dim != alg.dim:
         raise InputError("J dimension does not match the algebra")
-    n = alg.dim // 2
     i_unit = SymScalar.const(S_I)
     candidates = [
         [c - i_unit * j for c, j in zip(row, jrow)]
         for row, jrow in zip(identity(alg.dim), J.matrix)
     ]
     _, pivots = row_echelon(sparse_rows(list(zip(*candidates))))
-    if len(pivots) < n:
-        raise InputError("could not build a full (1,0) coframe")
     chosen = []
-    for a in pivots[:n]:
+    for a in pivots:
         lead = next(c for c in candidates[a] if not c.is_zero())
         inv = SS_ONE / lead
         chosen.append([c * inv for c in candidates[a]])

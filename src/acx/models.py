@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InputError
+from .errors import InputError, echo
 from .lie import ACStructure, Character, LieACS, LieAlgebra
 from .scalars import PiParam, Scalar, SymScalar, parse_rational
 
@@ -108,13 +108,13 @@ def _rational(text, field: str):
 def _parse_j_entry(text, param: PiParam | None, field: str) -> SymScalar:
     """A J entry: a rational string, or a rational multiple of 'a' or '1/a'."""
     if not isinstance(text, str):
-        raise InputError(f"{field}: expected rational string, got {text!r}")
+        raise InputError(f"{field}: expected rational string, got {echo(text)}")
     s = text.strip().replace(" ", "")
     if "a" not in s:
         return SymScalar.const(_rational(s, field))
     if param is None:
         raise InputError(
-            f"J entry {text!r} uses the symbol 'a' but params.a is missing"
+            f"J entry {echo(text)} uses the symbol 'a' but params.a is missing"
         )
     negate = s.startswith("-")
     if negate:
@@ -122,15 +122,13 @@ def _parse_j_entry(text, param: PiParam | None, field: str) -> SymScalar:
     av = param.a_value()
     if s == "a":
         value = av
-    elif s == "1/a":
-        value = SymScalar.const(1) / av
     elif s.endswith("*a"):
         value = SymScalar.const(_rational(s[:-2], field)) * av
     elif s.endswith("/a"):
         value = SymScalar.const(_rational(s[:-2], field)) / av
     else:
         raise InputError(
-            f"bad J entry {text!r}: want a rational string, "
+            f"bad J entry {echo(text)}: want a rational string, "
             "optionally 'r*a' or 'r/a'"
         )
     return -value if negate else value
@@ -145,9 +143,9 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
     except KeyError as exc:
         raise InputError(f"model file missing key {exc}") from exc
     if type(dim) is int and dim > MAX_DIM:
-        raise InputError(f"model dim must be at most {MAX_DIM}, got {dim}")
+        raise InputError(f"model dim must be at most {MAX_DIM}, got {echo(dim)}")
     if type(dim) is not int or dim < 2 or dim % 2:
-        raise InputError(f"model dim must be a positive even integer, got {dim!r}")
+        raise InputError(f"model dim must be a positive even integer, got {echo(dim)}")
     entries = obj.get("brackets", [])
     if not isinstance(entries, list):
         raise InputError("brackets must be a list of {i, j, out} objects")
@@ -157,7 +155,7 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
             i, j = entry["i"], entry["j"]
             out = entry["out"]
         except (KeyError, TypeError) as exc:
-            raise InputError(f"bad bracket entry {entry!r}") from exc
+            raise InputError(f"bad bracket entry {echo(entry)}") from exc
         if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
             raise InputError(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i},{j})")
         if not isinstance(out, list):
@@ -165,13 +163,13 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
         vec = {}
         for item in out:
             if not (isinstance(item, (list, tuple)) and len(item) == 3):
-                raise InputError(f"bracket output entries are [k, re, im], got {item!r}")
+                raise InputError(f"bracket output entries are [k, re, im], got {echo(item)}")
             k, re, im = item
             if not (type(k) is int and 1 <= k <= dim):
-                raise InputError(f"bracket output index {k!r} out of range")
+                raise InputError(f"bracket output index {echo(k)} out of range")
             if k in vec:
                 raise InputError(f"bracket ({i},{j}): duplicate output index {k}")
-            field = f"bracket ({i},{j}) output {item!r}"
+            field = f"bracket ({i},{j}) output {echo(item)}"
             vec[k] = SymScalar.const(Scalar(_rational(re, field), _rational(im, field)))
         if (i, j) in brackets:
             raise InputError(f"duplicate bracket entry ({i},{j})")
@@ -185,7 +183,7 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
         raise InputError("params must be a JSON object, e.g. {\"a\": \"4*pi\"}")
     if "a" in params:
         if not isinstance(params["a"], str):
-            raise InputError(f"params.a must be a string, got {params['a']!r}")
+            raise InputError(f"params.a must be a string, got {echo(params['a'])}")
         try:
             param = PiParam.parse(params["a"])
         except ValueError as exc:

@@ -61,6 +61,8 @@ from __future__ import annotations
 import sys
 from math import gcd, lcm
 
+from .errors import echo
+
 _new = object.__new__
 
 
@@ -90,10 +92,8 @@ def _is_digits(s: str) -> bool:
 
 
 def _bad_literal(text: str) -> ValueError:
-    """The refusal of a malformed literal, which it echoes up to 40
-    characters; of a longer one it shows the first 40 and the length."""
-    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-    return ValueError(f"bad rational literal {shown}")
+    """The refusal of a malformed literal."""
+    return ValueError(f"bad rational literal {echo(text)}")
 
 
 def _literal_ints(whole, frac, q, x):
@@ -112,7 +112,7 @@ def parse_rational(text: str) -> "Scalar":
     only then are ints built, so a malformed literal is refused as such at
     any length and a long one before any int is built."""
     if not isinstance(text, str):
-        raise ValueError(f"expected rational string, got {text!r}")
+        raise ValueError(f"expected rational string, got {echo(text)}")
     s = text.strip()
     sign = s[:1] if s[:1] in ("+", "-") else ""
     head, slash, q = s[len(sign):].partition("/")
@@ -746,19 +746,13 @@ class SymScalar(_Frozen):
             m, n = _order(a), _order(b)
             return _laurent(_pmul(a[m:], b[n:]), i + j - m - n)
         # Henrici: with g1 = gcd(a, q) and g2 = gcd(b, p), the product
-        # (a/g1)(b/g2) / ((p/g2)(q/g1)) is already reduced; the gcd with a
-        # power of x is the power of x dividing the other side
-        if j > 0:
-            m = min(_order(a), j)
-            a, q = a[m:], q[m:]
-        elif j < 0:
+        # (a/g1)(b/g2) / ((p/g2)(q/g1)) is already reduced; a unit
+        # denominator (power 0) shares no factor
+        if j:
             g = _pgcd(a, q)
             if len(g) > 1:
                 a, q = _pquo(a, g), _pquo(q, g)
-        if i > 0:
-            m = min(_order(b), i)
-            b, p = b[m:], p[m:]
-        elif i < 0:
+        if i:
             g = _pgcd(b, p)
             if len(g) > 1:
                 b, p = _pquo(b, g), _pquo(p, g)
@@ -827,7 +821,27 @@ _setnum = SymScalar.__dict__["num"].__set__
 _setden = SymScalar.__dict__["den"].__set__
 
 
+def _term(cs: str, factor: str) -> str:
+    """The rendered coefficient cs times factor: 1 and -1 drop before a
+    factor, and a sum (a sign past the first character) is parenthesised,
+    also alone when factor is ''."""
+    if factor and cs in ("1", "-1"):
+        return cs[:-1] + factor
+    if "+" in cs[1:] or "-" in cs[1:]:
+        cs = f"({cs})"
+    return f"{cs}*{factor}" if factor else cs
+
+
+def _signed_sum(parts) -> str:
+    """The rendered terms joined by ' + ', or by ' - ' before a negative one."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
 def _poly_str(coeffs, symbol: str) -> str:
+    """The polynomial from its top degree down; the degree-0 term is bare."""
     if not coeffs:
         return "0"
     parts = []
@@ -836,22 +850,8 @@ def _poly_str(coeffs, symbol: str) -> str:
         if c.is_zero():
             continue
         cs = scalar_str(c)
-        if k == 0:
-            parts.append(cs)
-        else:
-            xs = symbol if k == 1 else f"{symbol}^{k}"
-            if cs == "1":
-                parts.append(xs)
-            elif cs == "-1":
-                parts.append(f"-{xs}")
-            elif ("+" in cs[1:]) or ("-" in cs[1:]):
-                parts.append(f"({cs})*{xs}")
-            else:
-                parts.append(f"{cs}*{xs}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+        parts.append(_term(cs, symbol if k == 1 else f"{symbol}^{k}") if k else cs)
+    return _signed_sum(parts)
 
 
 SS_ZERO = SymScalar(())
@@ -901,7 +901,7 @@ class PiParam(_Frozen):
             return PiParam.rational_pi(1)
         if t == "-pi":
             return PiParam.rational_pi(-1)
-        raise ValueError(f"bad parameter literal {text!r}; want 'q*pi' or 'generic'")
+        raise ValueError(f"bad parameter literal {echo(text)}; want 'q*pi' or 'generic'")
 
     @property
     def symbol_name(self) -> str:

@@ -71,10 +71,6 @@ class TrigPoly(_Frozen):
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(k: int) -> "TrigPoly":
-        return TrigPoly(k, {})
-
-    @staticmethod
     def constant(k: int, value) -> "TrigPoly":
         return TrigPoly(k, {(0,) * k: SymScalar.coerce(value)})
 
@@ -82,19 +78,13 @@ class TrigPoly(_Frozen):
     def cos2pi(k: int, freq: Sequence[int]) -> "TrigPoly":
         """cos(2*pi freq.x) = (e_+ + e_-)/2."""
         nu = tuple(int(n) for n in freq)
-        neg = tuple(-n for n in nu)
-        if nu == neg:
-            return TrigPoly(k, {nu: SymScalar.const(1)})
-        return TrigPoly(k, {nu: _HALF, neg: _HALF})
+        return TrigPoly(k, {nu: _HALF}) + TrigPoly(k, {tuple(-n for n in nu): _HALF})
 
     @staticmethod
     def sin2pi(k: int, freq: Sequence[int]) -> "TrigPoly":
-        """sin(2*pi freq.x) = (e_+ - e_-)/(2i)."""
+        """sin(2*pi freq.x) = (e_+ - e_-)/(2i), and 1/(2i) = -i/2."""
         nu = tuple(int(n) for n in freq)
-        neg = tuple(-n for n in nu)
-        if nu == neg:
-            return TrigPoly.zero(k)
-        return TrigPoly(k, {nu: -_HALF_I, neg: _HALF_I})  # 1/(2i) = -i/2
+        return TrigPoly(k, {nu: -_HALF_I}) + TrigPoly(k, {tuple(-n for n in nu): _HALF_I})
 
     # -- ring structure ------------------------------------------------------
 
@@ -165,12 +155,7 @@ class TrigPoly(_Frozen):
 
     def is_real(self) -> bool:
         """True when c_{-nu} = conjugate(c_nu) for every frequency."""
-        for freq, coeff in self.terms.items():
-            neg = tuple(-n for n in freq)
-            mirrored = self.terms.get(neg, SymScalar.const(0))
-            if mirrored != coeff.conjugate():
-                return False
-        return True
+        return self.conjugate() == self
 
     def is_constant(self) -> bool:
         return all(all(n == 0 for n in freq) for freq in self.terms)

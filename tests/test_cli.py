@@ -653,6 +653,52 @@ class TestConsoleMain:
 
 _LITERAL_OVER = "rational literal over 1000 digits"
 
+_LONG = "z" * 3000
+_BIG = int("9" * 3000)
+
+# (argv, or the overrides of a model file, and the long input that the
+# refusal quotes first); the cases follow the checks of cli and models
+LONG_INPUTS = [
+    pytest.param(["rr", "--genus", "2", "--m", f"1..{_LONG}"], f"1..{_LONG}",
+                 id="m-bad-range"),
+    pytest.param(["rr", "--genus", "2", "--m", f"5..{'0' * 2999}1"], f"5..{'0' * 2999}1",
+                 id="m-empty-range"),
+    pytest.param(["rr", "--genus", "2", "--m", _LONG], _LONG, id="m-bad-level"),
+    pytest.param(["kunneth", "--factors", f"kt:{' ' * 3000},torus"], f"kt:{' ' * 3000}",
+                 id="factor-kt-without-a"),
+    pytest.param(["kunneth", "--factors", f"kt:{_LONG},torus"], f"kt:{_LONG}",
+                 id="factor-kt-bad-a"),
+    pytest.param(["kunneth", "--factors", f"t4:{_LONG},torus"], f"t4:{_LONG}",
+                 id="factor-t4-bad-member"),
+    pytest.param(["kunneth", "--factors", f"rr:{_LONG},torus"], f"rr:{_LONG}",
+                 id="factor-genus-not-an-int"),
+    pytest.param(["kunneth", "--factors", f"curve:{'9' * 3000},torus"], f"curve:{'9' * 3000}",
+                 id="factor-genus-over-limit"),
+    pytest.param(["kunneth", "--factors", f"torus:{_LONG},s6"], f"torus:{_LONG}",
+                 id="factor-with-argument"),
+    pytest.param(["kunneth", "--factors", f"{_LONG},torus"], _LONG, id="unknown-factor"),
+    pytest.param(["plurigenera", "--model", "kt", "--a", _LONG], _LONG, id="a-value"),
+    pytest.param({"dim": _BIG}, _BIG, id="dim-over-limit"),
+    pytest.param({"dim": _LONG}, _LONG, id="dim-not-an-int"),
+    pytest.param({"brackets": [_LONG]}, _LONG, id="bracket-entry"),
+    pytest.param({"brackets": [{"i": 2, "j": 3, "out": [_LONG]}]}, _LONG,
+                 id="bracket-output-item"),
+    pytest.param({"brackets": [{"i": 2, "j": 3, "out": [[_LONG, "1", "0"]]}]}, _LONG,
+                 id="bracket-output-index"),
+    pytest.param({"brackets": [{"i": 2, "j": 3, "out": [[4, _LONG, "0"]]}]}, [4, _LONG, "0"],
+                 id="bracket-output-field"),
+    pytest.param({"brackets": [{"i": 2, "j": 3, "out": [[4, _BIG, "0"]]}]}, [4, _BIG, "0"],
+                 id="bracket-constant-not-a-string"),
+    pytest.param({"J": [["0", _BIG, "0", "0"], *KT_FILE_OBJ["J"][1:]]}, _BIG,
+                 id="j-entry-not-a-string"),
+    pytest.param({"J": [["0", _LONG + "a", "0", "0"], *KT_FILE_OBJ["J"][1:]], "params": {}},
+                 _LONG + "a", id="j-entry-without-params"),
+    pytest.param({"J": [["0", _LONG + "a", "0", "0"], *KT_FILE_OBJ["J"][1:]]}, _LONG + "a",
+                 id="bad-j-entry"),
+    pytest.param({"params": {"a": _BIG}}, _BIG, id="params-a-not-a-string"),
+    pytest.param({"params": {"a": _LONG}}, _LONG, id="params-a-bad-literal"),
+]
+
 
 class TestInputLimits:
     @pytest.mark.parametrize(
@@ -679,6 +725,19 @@ class TestInputLimits:
         assert err == ("input error: --t: bad rational literal "
                        f"{'9' * 40!r}... (3001 characters)\n")
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("given, long_input", LONG_INPUTS)
+    def test_a_long_input_is_quoted_by_its_head_and_length(self, tmp_path, capsys,
+                                                           given, long_input):
+        if isinstance(given, dict):
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(dict(KT_FILE_OBJ, **given)))
+            given = ["nijenhuis", "--model", str(path)]
+        assert main(given) == 2
+        err = capsys.readouterr().err
+        text = long_input if isinstance(long_input, str) else repr(long_input)
+        assert err.startswith("input error: ") and len(err.encode()) < 200
+        assert text[:40] in err and f"({len(text)} characters)" in err
 
     def test_m_limit_is_inclusive(self):
         code, report = capture_json(["rr", "--genus", "2", "--m", "1000"])
@@ -727,7 +786,8 @@ class TestInputLimits:
             (["kunneth", "--factors", "curve:1000001,torus"],
              "factor 'curve:1000001': genus must be at most 1000000"),
             pytest.param(["kunneth", "--factors", f"rr:{'9' * 4299},torus"],
-                         f"factor 'rr:{'9' * 4299}': genus must be at most 1000000",
+                         f"factor 'rr:{'9' * 37}'... (4302 characters): "
+                         "genus must be at most 1000000",
                          id="rr-factor-of-4299-digits"),
             (["plurigenera", "--model", "t4", "--t", "1"],
              "--t: want two comma-separated rationals, e.g. 0,0"),

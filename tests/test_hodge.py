@@ -336,8 +336,8 @@ class TestLineBundles:
 
 
 class TestCrossChecksFail:
-    """The harmonic-kernel comparison and the Serre image check, made to fail
-    by tampering with one of the two computations they compare."""
+    """The harmonic-kernel comparison and each verdict of the Serre check,
+    made to fail by tampering with one of the computations they compare."""
 
     @staticmethod
     def tamper_both_kernel(monkeypatch, tamper):
@@ -377,7 +377,10 @@ class TestCrossChecksFail:
         assert main(["hodge", "--model", "kt", "--a", "generic", "--p", "1", "--q", "1"]) == 3
         assert capsys.readouterr().err.startswith("internal check failed: harmonic kernels: ")
 
-    def test_serre_image_outside_the_target_space(self, monkeypatch):
+    @staticmethod
+    def tamper_target(monkeypatch, tamper):
+        # serre_pairing_check computes the source space first, then the
+        # target: tamper with the target's blocks
         real = hodge.invariant_harmonic_space
         calls = []
 
@@ -385,16 +388,62 @@ class TestCrossChecksFail:
             space = real(model, p, q, **kwargs)
             calls.append(space)
             if len(calls) == 2:
-                # the target: same block sizes, another span
-                for blk in space.blocks:
-                    blk.basis = self.standard_vectors(blk.basis, len(blk.monomials))
+                tamper(space.blocks)
             return space
 
         monkeypatch.setattr(hodge, "invariant_harmonic_space", fake)
+
+    def test_serre_image_outside_the_target_space(self, monkeypatch):
+        def other_span(blocks):  # same block sizes, another span
+            for blk in blocks:
+                blk.basis = self.standard_vectors(blk.basis, len(blk.monomials))
+
+        self.tamper_target(monkeypatch, other_span)
         report = serre_pairing_check(kt_model(PiParam.generic()), 1, 1)
         assert not report.ok
         assert (report.dim_source, report.dim_target) == (3, 3)
         assert report.detail == "Serre image is not harmonic"
+
+    # On kt(4 pi) the blocks come trivial, +l, -l, and the source's +l
+    # block pairs with the target's -l block: at (1,1) and K^1 their
+    # dimensions are (0, 3, 0) and (0, 0, 3); at (2,1) and K^0, (1, 1, 0)
+    # against the (0,1) target's (1, 0, 1).
+
+    def test_serre_target_of_another_dimension(self, monkeypatch):
+        self.tamper_target(monkeypatch, lambda blocks: blocks[0].basis.pop())
+        report = serre_pairing_check(kt_model(PiParam.generic()), 1, 1)
+        assert not report.ok
+        assert (report.dim_source, report.dim_target) == (3, 2)
+        assert report.detail == "dimension mismatch"
+
+    def test_serre_target_without_the_conjugate_block(self, monkeypatch):
+        def keep_plus_l(blocks):  # the -l sections filed under +l
+            trivial, plus, minus = blocks
+            plus.basis = minus.basis
+            blocks.remove(minus)
+
+        self.tamper_target(monkeypatch, keep_plus_l)
+        report = serre_pairing_check(kt_model(PiParam.rational_pi(4)), 1, 1, bundle_power=1)
+        assert not report.ok
+        assert (report.dim_source, report.dim_target) == (3, 3)
+        assert report.detail == "missing conjugate character block in target"
+
+    def test_serre_blocks_of_other_dimensions(self, monkeypatch):
+        def move_one(blocks):  # a trivial-block vector moves to the -l block
+            blocks[2].basis = blocks[2].basis + [blocks[0].basis.pop()]
+
+        self.tamper_target(monkeypatch, move_one)
+        report = serre_pairing_check(kt_model(PiParam.rational_pi(4)), 2, 1)
+        assert not report.ok
+        assert (report.dim_source, report.dim_target) == (2, 2)
+        assert report.detail == "character block dimensions differ"
+
+    def test_serre_pairing_of_zero_integrals(self, monkeypatch):
+        monkeypatch.setattr(HermitianData, "integral", lambda self, x: SS_ZERO)
+        report = serre_pairing_check(kt_model(PiParam.generic()), 1, 1)
+        assert not report.ok
+        assert (report.dim_source, report.dim_target) == (3, 3)
+        assert report.detail == "pairing matrix is singular"
 
     def test_perturbed_laplacian(self, monkeypatch):
         # one Laplacian entry changes in a column where the first kernel

@@ -12,6 +12,7 @@ from acx.forms import Form, basis_monomials, d_monomial
 from acx.lie import (
     ACStructure,
     Character,
+    LieACS,
     LieAlgebra,
     build_coframe,
     is_integrable,
@@ -641,9 +642,15 @@ class TestSquareCheck:
          "J dimension does not match the algebra"),
         (lambda: Character(kt_algebra(), [0]),
          "character length must match the algebra dimension"),
+        # J^2 = -I, but over C: i*I has no (1,0) coframe with an invertible
+        # C, and -i*I no (1,0) candidate at all
+        (lambda: LieACS(LieAlgebra(2, {}), ACStructure([[S_I, 0], [0, S_I]])),
+         "J is not real at entry (1,1)"),
+        (lambda: LieACS(LieAlgebra(2, {}), ACStructure([[-S_I, 0], [0, -S_I]])),
+         "J is not real at entry (1,1)"),
     ],
     ids=["dim-0", "short-basis-names", "ragged-J", "nijenhuis-J-of-dim-2",
-         "coframe-J-of-dim-2", "short-character"],
+         "coframe-J-of-dim-2", "short-character", "J-is-i", "J-is-minus-i"],
 )
 def test_library_refusals_name_their_fault(call, message):
     with pytest.raises(InputError) as exc:

@@ -15,8 +15,10 @@ help paths, a failing stdout, an interrupt and an attached profiler are run
 in one.
 """
 
+import argparse
 import ast
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -33,10 +35,15 @@ from acx.cli import _build_parser, _parse, main
 from test_golden import CASES, golden
 
 USAGE_DIR = golden.GOLDEN_DIR / "usage"
-# the cases whose bytes argparse 3.13 changes: it keeps `{...} ...` on one
-# usage line.  Recorded on Python 3.13.0 with COLUMNS=80.
+# the cases whose bytes change where argparse keeps `{...} ...` on one usage
+# line, as 3.13 does.  Recorded on Python 3.13.0 with COLUMNS=80.
 USAGE_313_DIR = USAGE_DIR / "3.13"
 USAGE_313 = {"help", "no-command", "unknown-command", "rr-unrecognized-argument"}
+# the cases whose bytes change where argparse lists an invalid choice's
+# alternatives unquoted, as 3.13.13 does.  Recorded on Python 3.13.13 with
+# COLUMNS=80, whose usage line also keeps `{...} ...`.
+USAGE_UNQUOTED_DIR = USAGE_DIR / "unquoted"
+USAGE_UNQUOTED = {"unknown-command", "rr-bad-format-choice"}
 SRC = str(golden.REPO_ROOT / "src")
 
 COMMANDS = ("nijenhuis", "structure-eqs", "plurigenera", "irregularity", "hodge",
@@ -62,9 +69,27 @@ ARGPARSE_ERRORS = [case for case in USAGE_CASES if case[2] == 2]
 HELP_AND_VERSION = [case for case in USAGE_CASES if case[2] == 0]
 
 
+@functools.cache
+def argparse_style():
+    """(one_line, quoted): whether the running argparse keeps the subcommand
+    list and its `...` on one usage line, and whether it quotes an invalid
+    choice's alternatives, read once from its refusal of `acx bogus`."""
+    parser = _build_parser()
+    parser.formatter_class = lambda prog: argparse.HelpFormatter(prog, width=80)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        parser.parse_args(["bogus"])
+    return "rr} ...\n" in err.getvalue(), "'rr'" in err.getvalue()
+
+
 def usage_bytes(name):
-    """The pinned output of usage case `name` on this Python."""
-    pinned = USAGE_313_DIR if sys.version_info >= (3, 13) and name in USAGE_313 else USAGE_DIR
+    """The pinned output of usage case `name` under the running argparse."""
+    one_line, quoted = argparse_style()
+    pinned = USAGE_DIR
+    if not quoted and name in USAGE_UNQUOTED:
+        pinned = USAGE_UNQUOTED_DIR
+    elif one_line and name in USAGE_313:
+        pinned = USAGE_313_DIR
     return (pinned / f"{name}.txt").read_bytes()
 
 
@@ -154,6 +179,7 @@ def test_usage_corpus_is_complete():
     recorded = {p.stem for p in USAGE_DIR.glob("*.txt")}
     assert recorded == {name for name, _, _ in USAGE_CASES}
     assert {p.stem for p in USAGE_313_DIR.glob("*.txt")} == USAGE_313
+    assert {p.stem for p in USAGE_UNQUOTED_DIR.glob("*.txt")} == USAGE_UNQUOTED
 
 
 _LOADED = """
