@@ -1,10 +1,10 @@
 """Deterministic command-line front end.
 
-Every report is assembled from exact library results into plain JSON types,
-emitted with sorted keys (or as an aligned table), so identical invocations
-produce byte-identical output.  Exit codes: 0 success, 1 refusal or failed
-verification, 2 malformed input (including a user-sized input outside its
-limits), 3 a failed internal cross-check or another internal error.
+argv is read from one subcommand table, which also gives the help and
+usage text.  Reports are exact library results as plain JSON types with
+sorted keys (or an aligned table): identical invocations, identical bytes.
+Exit codes: 0 success, 1 refusal or failed verification, 2 malformed input
+(a usage error or a user-sized input over its limits), 3 an internal fault.
 """
 
 from __future__ import annotations
@@ -211,11 +211,8 @@ def _render(report: Dict, fmt: str) -> str:
 
 
 def _vector_str(coeffs, names, symbol: str) -> str:
-    parts = []
-    for c, name in zip(coeffs, names):
-        if not c.is_zero():
-            parts.append(f"({c.to_str(symbol)})*{name}")
-    return " + ".join(parts) if parts else "0"
+    parts = [f"({c.to_str(symbol)})*{name}" for c, name in zip(coeffs, names) if not c.is_zero()]
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -540,62 +537,50 @@ def _cmd_rr(args):
 # ---------------------------------------------------------------------------
 
 
-# Shared option groups, in the order a subcommand adds them: (flag, kwargs).
+# Shared option groups, in the order a subcommand adds them: (flag, kwargs),
+# kwargs as argparse's add_argument takes them.
 _COMMON = (
     ("--format", dict(choices=("json", "table"), default="json",
                       help="output format (default json)")),
     ("--meta", dict(action="store_true",
                     help="include tool and invocation metadata in the report")),
 )
-_MODEL = (("--model", dict(
-    required=True, help="preset kt, t4, or g2; or a path to a model JSON file",
-)),)
-_A = (("--a", dict(
-    default=None,
-    help="structure parameter(s): 'q*pi' or 'generic', comma-separated",
-)),)
-_T = (("--t", dict(
-    default=None, help="t4 family member as 't1,t2' (default: the standard member)",
-)),)
-# None stands for torus.DEFAULT_PROFILE_LENGTH (see _profile_length)
-_LENGTH = ("--length", dict(type=int, default=None))
+_MODEL = (("--model", dict(required=True,
+                           help="preset kt, t4, or g2; or a path to a model JSON file")),)
+_A = (("--a", dict(help="structure parameter(s): 'q*pi' or 'generic', comma-separated")),)
+_T = (("--t", dict(help="t4 family member as 't1,t2' (default: the standard member)")),)
+# its default None stands for torus.DEFAULT_PROFILE_LENGTH (see _profile_length)
+_LENGTH = ("--length", dict(type=int))
 
 # One row per subcommand: (name, help, shared option groups, own arguments, handler).
 _SUBCOMMANDS = (
-    ("nijenhuis", "integrability tensor of a model", (_COMMON, _MODEL, _A), (),
-     _cmd_nijenhuis),
-    ("structure-eqs", "coframe differentials split by bidegree",
-     (_COMMON, _MODEL, _A), (), _cmd_structure_eqs),
+    ("nijenhuis", "integrability tensor of a model", (_COMMON, _MODEL, _A), (), _cmd_nijenhuis),
+    ("structure-eqs", "coframe differentials split by bidegree", (_COMMON, _MODEL, _A), (),
+     _cmd_structure_eqs),
     ("plurigenera", "pluricanonical section counts", (_COMMON, _MODEL, _A, _T), (
         ("--m", dict(default="1..12", help="levels: '4', '1..12', or a comma list")),
-        ("--cross-check", dict(
-            action="store_true",
-            help="kt only: re-derive each count by window enumeration",
-        )),
+        ("--cross-check", dict(action="store_true",
+                               help="kt only: re-derive each count by window enumeration")),
     ), _cmd_plurigenera),
-    ("irregularity", "closed (1,0)-form counts", (_COMMON, _MODEL, _A, _T), (),
-     _cmd_irregularity),
+    ("irregularity", "closed (1,0)-form counts", (_COMMON, _MODEL, _A, _T), (), _cmd_irregularity),
     ("hodge", "invariant harmonic (p,q) dimensions", (_COMMON, _MODEL, _A), (
         ("--p", dict(type=int, required=True)),
         ("--q", dict(type=int, required=True)),
         ("--power", dict(type=int, default=0,
                          help="canonical bundle power twisting the forms (default 0)")),
     ), _cmd_hodge),
-    ("kodaira", "Kodaira dimension from the plurigenera profile",
-     (_COMMON, _MODEL, _A, _T), (_LENGTH,), _cmd_kodaira),
+    ("kodaira", "Kodaira dimension from the plurigenera profile", (_COMMON, _MODEL, _A, _T),
+     (_LENGTH,), _cmd_kodaira),
     ("kunneth", "product profiles and Kodaira dimension additivity", (_COMMON,), (
-        ("--factors", dict(
-            required=True,
-            help="comma list of kt:<a>, t4:std, t4:zero, rr:<g>, curve:<g>, torus, s6",
-        )),
+        ("--factors", dict(required=True, help="comma list of kt:<a>, t4:std, t4:zero, "
+                                               "rr:<g>, curve:<g>, torus, s6")),
         _LENGTH,
     ), _cmd_kunneth),
-    ("g2-verify", "bracket catalogue, Jacobi, membership, and cross identities",
-     (_COMMON,), (
-         ("--samples", dict(type=int, default=100)),
-         ("--negatives", dict(type=int, default=10)),
-         ("--seed", dict(type=int, default=20260815)),
-     ), _cmd_g2_verify),
+    ("g2-verify", "bracket catalogue, Jacobi, membership, and cross identities", (_COMMON,), (
+        ("--samples", dict(type=int, default=100)),
+        ("--negatives", dict(type=int, default=10)),
+        ("--seed", dict(type=int, default=20260815)),
+    ), _cmd_g2_verify),
     ("s6-report", "sphere structure displays and invariant census", (_COMMON,),
      (("--levels", dict(type=int, default=8)),), _cmd_s6_report),
     ("rr", "curve-fibration plurigenera by degree count", (_COMMON,), (
@@ -606,134 +591,147 @@ _SUBCOMMANDS = (
 
 # run dispatches through this dict, so a handler can be wrapped in place
 _HANDLERS = {row[0]: row[-1] for row in _SUBCOMMANDS}
+_OPTIONS = {row[0]: {flag: kw for group in row[2] + (row[3],) for flag, kw in group}
+            for row in _SUBCOMMANDS}
+_DESCRIPTION = ("Exact invariant almost-complex geometry: structure equations, plurigenera,\n"
+                "Hodge data, and the seven-dimensional cross product algebra.")
 
 
-def _parse(argv: List[str]) -> Optional[SimpleNamespace]:
-    """argv as the full parser reads it, when argv is well formed: the
-    subcommand's name, then only exact flags of its _SUBCOMMANDS row, each
-    value-taking flag followed by a value that does not start with '-', or
-    starts with '-' and a decimal digit (a value, as the parser's matcher
-    reads -4*pi).  type and choices apply as argparse applies them, the last
-    repeat of a flag wins, and every required flag must be given.  None for
-    any other argv (--help, an abbreviated flag, --flag=value, --, a stray
-    token, a missing, dash-led or ill-typed value, a missing required flag),
-    which argparse then parses or refuses."""
-    row = next((row for row in _SUBCOMMANDS if argv[:1] == [row[0]]), None)
-    if row is None:
+class _UsageError(InputError):
+    """A malformed argv; main writes its message, the usage line and the error."""
+
+    def __init__(self, name, message: str):
+        super().__init__(f"{_usage(name)}\nacx{' ' + name if name else ''}: error: {message}")
+
+
+def _shown(flag: str, kw: dict) -> str:
+    metavar = "{" + ",".join(kw["choices"]) + "}" if "choices" in kw else flag[2:].upper()
+    return flag if kw.get("action") else f"{flag} {metavar}"
+
+
+def _usage(name) -> str:
+    """The one usage line of the top level (name None) or of a subcommand."""
+    if name is None:
+        return f"usage: acx [-h] [--version] {{{','.join(_HANDLERS)}}} ..."
+    return " ".join([f"usage: acx {name} [-h]"] + [
+        _shown(flag, kw) if kw.get("required") else f"[{_shown(flag, kw)}]"
+        for flag, kw in _OPTIONS[name].items()])
+
+
+def _help(name) -> str:
+    """Usage, description, and each subcommand's and flag's help aligned."""
+    commands = [row[:2] for row in _SUBCOMMANDS]
+    options = [("-h, --help", "show this help message and exit")] + (
+        [("--version", "show the version number and exit")] if name is None else
+        [(_shown(flag, kw), kw.get("help", "")) for flag, kw in _OPTIONS[name].items()])
+    sections = [("commands", commands)] * (name is None) + [("options", options)]
+    width = max(len(left) for _, lines in sections for left, _ in lines)
+    return f"{_usage(name)}\n\n{dict(commands).get(name, _DESCRIPTION)}\n" + "".join(
+        f"\n{title}:\n" + "".join(f"  {left:<{width}}  {right}".rstrip() + "\n"
+                                  for left, right in lines) for title, lines in sections)
+
+
+def _read_flag(token: str, flags, name):
+    """None if token is a value: not '-'-led, '-', or one naming no flag that
+    has a digit after its '-' (-4*pi) or a space.  Else (flag, explicit value
+    or None), flag '' if unknown: the -h, --help or `flags` entry it names
+    exactly, before '=', or as a unique long prefix."""
+    flags, (head, eq, rest) = ("-h", "--help", *flags), token.partition("=")
+    if token[:1] != "-" or token == "-":
         return None
-    name, _, groups, own, _ = row
-    options = {flag: kwargs for group in groups + (own,) for flag, kwargs in group}
-    given = {}
-    tokens = iter(argv[1:])
-    for flag in tokens:
-        kwargs = options.get(flag)
-        if kwargs is None:
-            return None
-        if kwargs.get("action") == "store_true":
+    found = [head] if head in flags else [
+        flag for flag in flags if token[:2] == "--" and flag.startswith(head)]
+    if len(found) > 1:
+        raise _UsageError(name, f"ambiguous option: {echo(head)} matches {', '.join(found)}")
+    if found:
+        return found[0], rest if eq else None
+    return None if token[1:2].isdecimal() or " " in token else ("", None)
+
+
+def _parse(argv: List[str]):
+    """argv read in one pass over the subcommand table: a namespace of every
+    flag of the subcommand (its value or default), or the help or version
+    text to print; else a _UsageError.  Tokens are taken in argv order; a
+    flag's value, explicit or the next token, is checked by type and choices
+    and its last repeat wins.  Unknown flags, stray values and missing required
+    flags are refused at the end, an ambiguous prefix before any token is
+    taken.  After '--' all are values; '--' is stray, or the name if first."""
+    name, options, given, extras, reads, cut, k = None, {}, {}, [], {}, len(argv), 0
+    while k < len(argv):
+        token, k = argv[k], k + 1
+        read = reads.get(k - 1) if name or token == "--" else _read_flag(token, ["--version"], None)
+        if name is None and read is None:
+            if token not in _OPTIONS:
+                raise _UsageError(None, f"invalid choice: {echo(token)} "
+                                        f"(choose from {', '.join(_HANDLERS)})")
+            name, options = token, _OPTIONS[token]
+            given = {flag: False if kw.get("action") else kw.get("default")
+                     for flag, kw in options.items()}
+            cut = argv.index("--", k) if "--" in argv[k:] else len(argv)
+            reads = {j: _read_flag(argv[j], options, name) for j in range(k, cut)}
+            continue
+        if read is None or not read[0]:
+            extras.append(token)
+            continue
+        flag, value = read
+        kw = options.get(flag, {"action": "store_true"})  # -h, --help, --version
+        if kw.get("action") and value is not None:
+            raise _UsageError(name, f"argument {flag}: ignored explicit argument {echo(value)}")
+        if flag not in options:
+            return __version__ + "\n" if flag == "--version" else _help(name)
+        if kw.get("action"):
             given[flag] = True
             continue
-        value = next(tokens, "-")  # a missing value reads as a dash-led one
-        if value[:1] == "-" and not value[1:2].isdecimal():
-            return None
-        if "type" in kwargs:
-            try:
-                value = kwargs["type"](value)
-            except ValueError:
-                return None
-        if value not in kwargs.get("choices", (value,)):
-            return None
-        given[flag] = value
-    if any(kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
-        return None
-    args = SimpleNamespace(command=name)
-    for flag, kwargs in options.items():
-        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
-        setattr(args, flag.lstrip("-").replace("-", "_"), given.get(flag, default))
-    return args
-
-
-def _build_parser():
-    """The argparse parser of every subcommand, for the argv _parse leaves:
-    --help, usage errors and the well-formed argv it does not take.  A failed
-    write of its text raises, as a report's does, and an argument starting
-    with - and a digit is a value (--a -4*pi)."""
-    import argparse
-    import re
-
-    class _Parser(argparse.ArgumentParser):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._negative_number_matcher = re.compile(r"-\d")
-
-        def _print_message(self, message, file=None):
-            if message:
-                (file or sys.stderr).write(message)
-
-        def error(self, message):
-            """argparse's usage error, exit 2.  With descriptor 2 closed
-            (sys.stderr is None) it writes nothing, as acx's own input errors
-            then do; argparse would print its usage text to stdout."""
-            if sys.stderr is None:
-                self.exit(2)
-            super().error(message)
-
-    parser = _Parser(
-        prog="acx",
-        description=(
-            "Exact invariant almost-complex geometry: structure equations, "
-            "plurigenera, Hodge data, and the seven-dimensional cross "
-            "product algebra."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, groups, own, _ in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        for group in groups + (own,):
-            for flag, kwargs in group:
-                p.add_argument(flag, **kwargs)
-    return parser
+        if value is None:
+            if k >= len(argv) or k == cut or reads.get(k) is not None:
+                raise _UsageError(name, f"argument {flag}: expected one argument")
+            value, k = argv[k], k + 1
+        try:
+            given[flag] = kw.get("type", str)(value)
+        except ValueError:
+            raise _UsageError(name, f"argument {flag}: invalid int value: {echo(value)}")
+        if given[flag] not in kw.get("choices", (given[flag],)):
+            raise _UsageError(name, f"argument {flag}: invalid choice: {echo(value)} "
+                                    f"(choose from {', '.join(kw['choices'])})")
+    missing = ", ".join(f for f, kw in options.items() if kw.get("required") and given[f] is None)
+    if name is None or missing:
+        raise _UsageError(name, f"the following arguments are required: {missing or 'command'}")
+    if extras:
+        raise _UsageError(name, f"unrecognized arguments: {echo(' '.join(extras))}")
+    return SimpleNamespace(command=name, **{
+        flag.lstrip("-").replace("-", "_"): value for flag, value in given.items()})
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse argv, dispatch, print the report; returns the exit code."""
+    """Parse argv, dispatch, print the report; returns the exit code.  Help
+    and --version print their text, to stderr if stdout is closed, and
+    return 0; a malformed argv raises a _UsageError."""
     argv = list(argv)
-    if argv == ["--version"]:
-        # where argparse's version action writes it: stderr if stdout is closed
-        (sys.stdout or sys.stderr).write(__version__ + "\n")
+    args = _parse(argv)
+    if isinstance(args, str):
+        (sys.stdout or sys.stderr).write(args)
         return 0
-    args = _parse(argv) or _build_parser().parse_args(argv)
     report, code = _HANDLERS[args.command](args)
     if args.meta:
-        report = dict(report)
-        report["meta"] = {
-            "tool": "acx",
-            "version": __version__,
-            "subcommand": args.command,
-            "argv": argv,
-        }
+        report = dict(report, meta={"tool": "acx", "version": __version__,
+                                    "subcommand": args.command, "argv": argv})
     sys.stdout.write(_render(report, args.format))
     return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """acx on argv (default sys.argv[1:]): every outcome, argparse's exits
-    included, is an exit code, and acx's errors are reported on stderr.
-    stdout is flushed here, so output that cannot be written is an internal
-    error whatever the buffering; an error that stderr cannot take keeps its
-    code.  KeyboardInterrupt, and a SystemExit whose code is not an int or
-    None, pass through."""
+    """acx on argv (default sys.argv[1:]): every outcome is an exit code, and
+    errors are reported on stderr.  stdout is flushed here, so output that
+    cannot be written is an internal error whatever the buffering; an error
+    that stderr cannot take keeps its code.  KeyboardInterrupt and SystemExit pass through."""
     try:
-        try:
-            code = run(sys.argv[1:] if argv is None else argv)
-        except SystemExit as exc:  # argparse's, after --help or a usage error
-            if exc.code is not None and not isinstance(exc.code, int):
-                raise
-            code = exc.code or 0
-        # None if stdout was closed at start: argparse then wrote to stderr
+        code = run(sys.argv[1:] if argv is None else argv)
+        # None if stdout was closed at start: help and --version went to stderr
         if sys.stdout is not None:
             sys.stdout.flush()
         return code
+    except _UsageError as exc:
+        message, code = str(exc), 2
     except RefusalError as exc:
         message, code = f"refused: {exc}", 1
     except InternalCheckError as exc:

@@ -157,7 +157,8 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad bracket entry {echo(entry)}") from exc
         if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
-            raise InputError(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i},{j})")
+            raise InputError("bracket indices must satisfy 1 <= i < j <= dim, "
+                             f"got ({echo(i)},{echo(j)})")
         if not isinstance(out, list):
             raise InputError(f"bracket ({i},{j}): out must be a list of [k, re, im]")
         vec = {}
@@ -209,7 +210,7 @@ def load_model_file(path: str) -> tuple[LieACS, PiParam | None]:
         with open(path, "rb") as fh:
             data = fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
-        raise InputError(f"cannot read model file {path}: {exc}") from exc
+        raise InputError(f"cannot read model file {echo(path)}: {exc.strerror}") from exc
     if len(data) > MAX_FILE_BYTES:
         raise InputError(f"model file {path} is over {MAX_FILE_BYTES} bytes")
     try:

@@ -511,6 +511,11 @@ class TestMainExitCodes:
             assert err.startswith(f"input error: model file {bad} is not valid JSON: ")
             assert reason in err
 
+    def test_unreadable_model_file_names_its_path_once(self, capsys):
+        assert main(["nijenhuis", "--model", "no/such.json"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: cannot read model file 'no/such.json': No such file or directory\n")
+
     def test_failed_cross_check_exit_three(self, monkeypatch, capsys):
         # make the (0,2)-parts test contradict the other two: every d(phi^i)
         # reads as zero
@@ -625,7 +630,7 @@ class TestConsoleMain:
             raise BrokenPipeError(32, "Broken pipe")
 
     def test_failed_version_flush_is_an_internal_error(self, monkeypatch, capsys, exits):
-        # main flushes argparse's output as it flushes a report
+        # main flushes the version as it flushes a report
         monkeypatch.setattr(sys, "stdout", self.Unflushable())
         assert self.console_main(monkeypatch, ["--version"]) == "os._exit"
         assert exits == [3]
@@ -680,7 +685,9 @@ LONG_INPUTS = [
     pytest.param(["plurigenera", "--model", "kt", "--a", _LONG], _LONG, id="a-value"),
     pytest.param({"dim": _BIG}, _BIG, id="dim-over-limit"),
     pytest.param({"dim": _LONG}, _LONG, id="dim-not-an-int"),
+    pytest.param(["nijenhuis", "--model", _LONG], _LONG, id="model-path"),
     pytest.param({"brackets": [_LONG]}, _LONG, id="bracket-entry"),
+    pytest.param({"brackets": [{"i": _LONG, "j": 3, "out": []}]}, _LONG, id="bracket-index"),
     pytest.param({"brackets": [{"i": 2, "j": 3, "out": [_LONG]}]}, _LONG,
                  id="bracket-output-item"),
     pytest.param({"brackets": [{"i": 2, "j": 3, "out": [[_LONG, "1", "0"]]}]}, _LONG,

@@ -4,12 +4,16 @@ The expensive sweeps run once per session (see conftest.py); these tests
 read the reports and additionally spot-check frozen values directly.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 
 import pytest
 
 from acx import g2
+from acx.cli import main
 from acx.bundles import CanonicalPower, PseudoholStructure
 from acx.errors import InputError, RefusalError
 from acx.forms import Form
@@ -288,6 +292,52 @@ class TestSphereStructure:
         assert reduction_report.ok
         assert reduction_report.summary()["mismatches"] == ["[Xb2,Xb7]"]
         assert set(g2.REDUCTION_BRACKET_ERRATA) == {("Xb2", "Xb7")}
+
+
+class TestFailingVerdicts:
+    """Verdicts that no correct table reaches: each fails on one perturbed
+    image or display, in the library report and in the CLI's, which exits 1
+    with that check alone failing."""
+
+    @staticmethod
+    def failing_checks(argv, check, finding):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 1
+        report = json.loads(out.getvalue())
+        assert [name for name, r in report.items() if isinstance(r, dict) and not r["ok"]] == [
+            check]
+        return report[check][finding]
+
+    def test_wrong_image_of_f3(self, monkeypatch):
+        # f3's image moved by e1, which the intertwining check cannot see,
+        # as e1 x e1 = 0
+        real, f3, e1 = g2.projection_differential, g2.g2_basis()["f3"], g2.basis_vector(1)
+        monkeypatch.setattr(g2, "projection_differential", lambda elem: tuple(
+            c + d for c, d in zip(real(elem), e1)) if elem is f3 else real(elem))
+        report = g2.verify_projection()
+        assert report.f_image_table is False and not report.ok
+        assert report.kernel_is_h_span and report.intertwine_failures == []
+        assert report.form_preservation_failures == []
+        argv = ["g2-verify", "--samples", "2", "--negatives", "1"]
+        assert self.failing_checks(argv, "projection", "f_image_table") is False
+
+    def test_wrong_dbar_phi_display(self, monkeypatch):
+        monkeypatch.setattr(g2, "S6_DBAR_PHI", {**g2.S6_DBAR_PHI, 2: -g2.S6_DBAR_PHI[2]})
+        report = g2.s6_structure_package()
+        assert report.dbar_phi_failures == [2] and not report.ok
+        assert report.df_failures == [] and report.dbar_20_failures == []
+        argv = ["s6-report", "--levels", "4"]
+        assert self.failing_checks(argv, "structure", "dbar_phi_failures") == [2]
+
+    def test_wrong_dbar_20_display(self, monkeypatch):
+        displays = {**g2.S6_DBAR_20, (2, 3): -g2.S6_DBAR_20[(2, 3)]}
+        monkeypatch.setattr(g2, "S6_DBAR_20", displays)
+        report = g2.s6_structure_package()
+        assert report.dbar_20_failures == [[2, 3]] and not report.ok
+        assert report.df_failures == [] and report.dbar_phi_failures == []
+        argv = ["s6-report", "--levels", "4"]
+        assert self.failing_checks(argv, "structure", "dbar_20_failures") == [[2, 3]]
 
 
 class TestSphereCanonical:

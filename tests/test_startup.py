@@ -1,24 +1,23 @@
 """What an invocation loads and parses, and how its process ends: the
-per-subcommand imports, the argv parser that argparse stands behind and the
-exit without interpreter teardown.
+per-subcommand imports, acx's own argv parser and the exit without
+interpreter teardown.
 
 Each subcommand imports the library modules it uses when it runs.
-cli._parse reads a well-formed argv from the subcommand table without
-importing argparse; argparse builds the full parser only for --help, usage
-errors and the argv _parse leaves, and a differential test holds _parse to
-what that parser reads.  The in-process golden run cannot see a missing
-import once an earlier case has imported the module, so the smoke cases here
-run in fresh processes.  The usage corpus pins help text and argparse errors
-to the bytes the full parser prints.  A process ends with os._exit once its
-output is flushed, which only a fresh process shows: every exit code, the
-help paths, a failing stdout, an interrupt and an attached profiler are run
-in one.
+cli._parse reads every argv from the subcommand table and writes help and
+usage errors itself, so no invocation imports argparse; a differential test
+holds _parse to what argparse, built from the same table, reads.  The
+in-process golden run cannot see a missing import once an earlier case has
+imported the module, so the smoke cases here run in fresh processes.  The
+usage corpus pins help text and usage errors byte for byte; they have one
+layout, whatever the terminal width or the Python version.  A process ends
+with os._exit once its output is flushed, which only a fresh process shows:
+every exit code, the help paths, a failing stdout, an interrupt and an
+attached profiler are run in one.
 """
 
 import argparse
 import ast
 import contextlib
-import functools
 import importlib.util
 import io
 import json
@@ -30,28 +29,19 @@ import sys
 
 import pytest
 
-from acx.cli import _build_parser, _parse, main
+from acx import __version__
+from acx.cli import _SUBCOMMANDS, _UsageError, _parse, main
 
 from test_golden import CASES, golden
 
 USAGE_DIR = golden.GOLDEN_DIR / "usage"
-# the cases whose bytes change where argparse keeps `{...} ...` on one usage
-# line, as 3.13 does.  Recorded on Python 3.13.0 with COLUMNS=80.
-USAGE_313_DIR = USAGE_DIR / "3.13"
-USAGE_313 = {"help", "no-command", "unknown-command", "rr-unrecognized-argument"}
-# the cases whose bytes change where argparse lists an invalid choice's
-# alternatives unquoted, as 3.13.13 does.  Recorded on Python 3.13.13 with
-# COLUMNS=80, whose usage line also keeps `{...} ...`.
-USAGE_UNQUOTED_DIR = USAGE_DIR / "unquoted"
-USAGE_UNQUOTED = {"unknown-command", "rr-bad-format-choice"}
 SRC = str(golden.REPO_ROOT / "src")
 
 COMMANDS = ("nijenhuis", "structure-eqs", "plurigenera", "irregularity", "hodge",
             "kodaira", "kunneth", "g2-verify", "s6-report", "rr")
 
 # (name, argv, exit): the file usage/<name>.txt holds stdout when the exit
-# code is 0 and stderr otherwise; the other stream is empty.  Recorded on
-# Python 3.11 with COLUMNS=80 from the parser with every subparser.
+# code is 0 and stderr otherwise; the other stream is empty.
 USAGE_CASES = (
     [("help", ["--help"], 0), ("version", ["--version"], 0)]
     + [(f"help-{cmd}", [cmd, "--help"], 0) for cmd in COMMANDS]
@@ -63,34 +53,16 @@ USAGE_CASES = (
         ("rr-unrecognized-argument", ["rr", "--genus", "2", "--bogus"], 2),
         ("hodge-bad-int", ["hodge", "--model", "kt", "--p", "x", "--q", "0"], 2),
         ("rr-bad-format-choice", ["rr", "--genus", "2", "--format", "xml"], 2),
+        ("g2-verify-ambiguous-prefix", ["g2-verify", "--s", "3"], 2),
+        ("rr-flag-given-a-value", ["rr", "--genus", "2", "--meta=yes"], 2),
     ]
 )
-ARGPARSE_ERRORS = [case for case in USAGE_CASES if case[2] == 2]
+USAGE_ERRORS = [case for case in USAGE_CASES if case[2] == 2]
 HELP_AND_VERSION = [case for case in USAGE_CASES if case[2] == 0]
 
 
-@functools.cache
-def argparse_style():
-    """(one_line, quoted): whether the running argparse keeps the subcommand
-    list and its `...` on one usage line, and whether it quotes an invalid
-    choice's alternatives, read once from its refusal of `acx bogus`."""
-    parser = _build_parser()
-    parser.formatter_class = lambda prog: argparse.HelpFormatter(prog, width=80)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
-        parser.parse_args(["bogus"])
-    return "rr} ...\n" in err.getvalue(), "'rr'" in err.getvalue()
-
-
 def usage_bytes(name):
-    """The pinned output of usage case `name` under the running argparse."""
-    one_line, quoted = argparse_style()
-    pinned = USAGE_DIR
-    if not quoted and name in USAGE_UNQUOTED:
-        pinned = USAGE_UNQUOTED_DIR
-    elif one_line and name in USAGE_313:
-        pinned = USAGE_313_DIR
-    return (pinned / f"{name}.txt").read_bytes()
+    return (USAGE_DIR / f"{name}.txt").read_bytes()
 
 
 def _kind(argv):
@@ -102,7 +74,7 @@ def _kind(argv):
 
 def _smoke_cases():
     """The first golden case of each subcommand and model kind that succeeds,
-    every refusal, and the golden argparse error."""
+    every refusal, and the golden usage error."""
     picked, seen = [], set()
     for case in CASES:
         key = (case["argv"][0], _kind(case["argv"]))
@@ -117,10 +89,11 @@ def _smoke_cases():
 SMOKE_CASES = _smoke_cases()
 
 
-def fresh_process(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+def fresh_process(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
     """Run `python <args>` from the repository root in a new process, with
-    stdout block-buffered as a user has it unless args pass -u."""
-    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    stdout block-buffered as a user has it unless args pass -u, and `env`
+    added to the environment."""
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, *args], cwd=golden.REPO_ROOT, env=env,
@@ -144,9 +117,10 @@ def test_golden_case_in_a_fresh_process(case):
     assert proc.stdout == golden.out_path(case["name"]).read_bytes()
 
 
-@pytest.mark.parametrize("name, argv, code", ARGPARSE_ERRORS,
-                         ids=[case[0] for case in ARGPARSE_ERRORS])
+@pytest.mark.parametrize("name, argv, code", USAGE_ERRORS,
+                         ids=[case[0] for case in USAGE_ERRORS])
 def test_argparse_error_in_a_fresh_process(name, argv, code):
+    # the usage errors argparse refused, which acx now writes itself
     proc = fresh_process(["-m", "acx.cli", *argv])
     assert proc.returncode == code
     assert proc.stdout == b""
@@ -156,7 +130,7 @@ def test_argparse_error_in_a_fresh_process(name, argv, code):
 @pytest.mark.parametrize("name, argv, code", HELP_AND_VERSION,
                          ids=[case[0] for case in HELP_AND_VERSION])
 def test_help_and_version_in_a_fresh_process(name, argv, code):
-    # argparse leaves through SystemExit(0); its output must still be flushed
+    # the text is written before main flushes stdout, and must still be out
     proc = fresh_process(["-m", "acx.cli", *argv])
     assert proc.returncode == code
     assert proc.stdout == usage_bytes(name)
@@ -165,8 +139,7 @@ def test_help_and_version_in_a_fresh_process(name, argv, code):
 
 @pytest.mark.parametrize("name, argv, code", USAGE_CASES,
                          ids=[case[0] for case in USAGE_CASES])
-def test_usage_output_is_that_of_the_full_parser(monkeypatch, name, argv, code):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_usage_output_is_that_of_the_full_parser(name, argv, code):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(argv) == code
@@ -178,8 +151,17 @@ def test_usage_output_is_that_of_the_full_parser(monkeypatch, name, argv, code):
 def test_usage_corpus_is_complete():
     recorded = {p.stem for p in USAGE_DIR.glob("*.txt")}
     assert recorded == {name for name, _, _ in USAGE_CASES}
-    assert {p.stem for p in USAGE_313_DIR.glob("*.txt")} == USAGE_313
-    assert {p.stem for p in USAGE_UNQUOTED_DIR.glob("*.txt")} == USAGE_UNQUOTED
+    assert [p.name for p in USAGE_DIR.iterdir() if p.suffix != ".txt"] == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hodge", "--help"], ["hodge", "--model", "kt"]],
+                         ids=["help", "help-hodge", "hodge-missing-p-q"])
+def test_help_and_usage_text_do_not_depend_on_the_terminal_width(argv):
+    narrow, wide = (fresh_process(["-m", "acx.cli", *argv], COLUMNS=columns)
+                    for columns in ("40", "200"))
+    assert (narrow.returncode, narrow.stdout, narrow.stderr) == (
+        wide.returncode, wide.stdout, wide.stderr)
+    assert max(map(len, (narrow.stdout + narrow.stderr).splitlines())) > 40
 
 
 _LOADED = """
@@ -194,7 +176,7 @@ print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
 
 # fractions imports decimal and numbers; only scalars._fraction imports
 # fractions, for a non-integral Scalar.re or .im, which no invocation reads.
-# argparse loads only for help and usage errors.
+# No invocation loads argparse.
 _FRACTIONS = {"fractions", "decimal", "numbers"}
 _UNUSED = {"argparse", *_FRACTIONS}
 
@@ -228,11 +210,25 @@ def test_an_invocation_loads_only_what_it_uses(argv, used, unused):
     assert unused.isdisjoint(result["loaded"])
 
 
-def test_a_usage_error_loads_argparse():
-    proc = fresh_process(["-c", _LOADED, "rr", "--genus", "x"])
+_USAGE_RUN = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from acx.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"exit": codes, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_no_help_or_usage_error_loads_argparse():
+    # every usage case in turn in one fresh process: help, each subcommand's
+    # help and every usage error are written without argparse
+    proc = fresh_process(["-c", _USAGE_RUN, json.dumps([argv for _, argv, _ in USAGE_CASES])])
     result = json.loads(proc.stdout)
-    assert result["exit"] == 2
-    assert "argparse" in result["loaded"] and "acx.torus" not in result["loaded"]
+    assert result["exit"] == [code for _, _, code in USAGE_CASES]
+    assert "argparse" not in result["loaded"] and "acx.torus" not in result["loaded"]
 
 
 _spec = importlib.util.spec_from_file_location(
@@ -265,36 +261,96 @@ def _mutants(argv, rng):
     return out
 
 
-def _full_parser_reads(parser, argv):
-    """vars() of what the full argparse parser returns for argv; None if it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+# argv shapes the parser must read as argparse does, beside the mutants:
+# prefixes, --flag=value, -h in argv order, dash-digit values, repeats,
+# --version before and after the subcommand, and --
+PARSER_CASES = [
+    ["rr", "--gen", "2"], ["rr", "--genus=2", "--m=1..3"], ["--vers"], ["--he"],
+    ["g2-verify", "--sa", "3", "--se=4"], ["rr", "--genus", "2", "--meta=1"],
+    ["rr", "--genus", "x", "-h"], ["rr", "-h", "--genus", "x"], ["g2-verify", "-h", "--s", "3"],
+    ["hodge", "--model", "kt", "--a", "-4*pi", "--p", "-1", "--q", "0"],
+    ["rr", "--genus", "2", "--genus", "3", "--m", "1", "--m", "2"],
+    ["-x", "--version", "rr"], ["-x", "rr", "-h"], ["-x", "rr", "--genus", "2"],
+    ["rr", "--genus", "2", "--version"],
+    ["--", "rr", "--genus", "2"], ["rr", "--genus", "2", "--"], ["rr", "--genus", "--", "2"],
+    ["rr", "--genus", "2", "-hx"], ["hodge", "--model", "kt", "--p", "1", "--q", "1", "--m"],
+]
+
+# argv on which argparse releases disagree, with the outcome of Python
+# 3.11.7's argparse, which acx keeps (3.10.13 and 3.12.1 agree with it):
+# 3.13.13 reads `-- rr ...` as rr and prints help for -h before an ambiguous
+# prefix, and 3.13.0 and 3.13.13 print help for -hx
+VERSION_DEPENDENT = {
+    ("--", "rr", "--genus", "2"): 2,
+    ("g2-verify", "-h", "--s", "3"): 2,
+    ("rr", "--genus", "2", "-hx"): 2,
+}
+
+
+def reference_parser():
+    """argparse's parser of every subcommand, built from the subcommand
+    table: the reference of the differential test.  An argument that starts
+    with - and a digit is a value (-4*pi), as acx reads it."""
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-\d")
+
+    parser = Parser(prog="acx")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, groups, own, _ in _SUBCOMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for group in groups + (own,):
+            for flag, kwargs in group:
+                command.add_argument(flag, **kwargs)
+    return parser
+
+
+def argparse_outcome(parser, argv):
+    """vars() of argparse's namespace for argv; else "help" or "version" and
+    exit 0, or exit 2."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(parser.parse_args(argv))
-        except SystemExit:
-            return None
+        except SystemExit as exc:
+            return exc.code if exc.code else "help" if out.getvalue()[:6] == "usage:" else "version"
 
 
-def test_parse_reads_argv_as_the_full_parser_does():
-    # every golden and usage argv, the benchmark's corpora and seeded
-    # mutations of them: _parse defers, or agrees with argparse
+def acx_outcome(argv):
+    """vars() of _parse's namespace for argv, or the same outcome names."""
+    try:
+        args = _parse(argv)
+    except _UsageError:
+        return 2
+    if isinstance(args, str):
+        return "help" if args[:6] == "usage:" else "version"
+    return vars(args)
+
+
+def differential_corpus():
+    """Every golden, usage and benchmark argv, seeded mutations of them, and
+    the parser cases."""
     corpus = [case["argv"] for case in CASES] + [argv for _, argv, _ in USAGE_CASES]
     for build, templates in workloads.WORKLOADS.values():
         corpus += build(0, {template: f"{template}.json" for template in templates})
     rng = random.Random(40)
-    mutants = [mutant for argv in corpus for mutant in _mutants(argv, rng)]
-    parser = _build_parser()
-    deferred = 0  # argv argparse accepts in a shape _parse leaves to it
-    for argv in corpus + mutants:
-        args, want = _parse(argv), _full_parser_reads(parser, argv)
-        if args is not None:
-            assert vars(args) == want, argv
-        deferred += args is None and want is not None
-    assert deferred > 0 and any(_parse(argv) is not None for argv in mutants)
-    # _parse takes every golden argv that argparse accepts
-    accepted = [case["argv"] for case in CASES
-                if _full_parser_reads(parser, case["argv"]) is not None]
-    assert len(accepted) == len(CASES) - 1
-    assert all(_parse(argv) is not None for argv in accepted)
+    return corpus + [mutant for argv in corpus for mutant in _mutants(argv, rng)] + PARSER_CASES
+
+
+def test_parse_reads_argv_as_the_full_parser_does():
+    # acx and argparse built from the same table read every argv of the
+    # corpus alike: the same namespace, help or the version, or exit 2
+    parser = reference_parser()
+    outcomes = {}
+    for argv in differential_corpus():
+        want = VERSION_DEPENDENT.get(tuple(argv)) or argparse_outcome(parser, argv)
+        outcomes[tuple(argv)] = got = acx_outcome(argv)
+        assert got == want, argv
+    assert {"namespace" if isinstance(o, dict) else o for o in outcomes.values()} == {
+        "namespace", "help", "version", 2}
+    assert set(VERSION_DEPENDENT) <= set(outcomes)
 
 
 _SMOKE_RUN = """
@@ -381,7 +437,7 @@ def test_interrupt_in_a_fresh_process():
 # 20 kB of report, more than a stdout buffer holds, so the write inside run
 # fails whether stdout is buffered or not; the small report, the version and
 # the help text fit the buffer, so when stdout is buffered only main's flush
-# writes them, and unbuffered, argparse's own write fails
+# writes them, and unbuffered, run's own write fails
 _LARGE_REPORT = ["plurigenera", "--model", "kt", "--a", "pi", "--m", "1..1000"]
 _SMALL_REPORT = ["rr", "--genus", "2"]
 _REPORTS = [
@@ -414,11 +470,11 @@ def test_full_device_stdout_is_an_internal_error(unbuffered, report):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("argv, code", [(["bogus"], 3), (["rr", "--genus", "1"], 2)],
+@pytest.mark.parametrize("argv, code", [(["bogus"], 2), (["rr", "--genus", "1"], 2)],
                          ids=["usage-error", "input-error"])
 def test_full_device_stderr_keeps_the_exit_code_in_the_taxonomy(argv, code):
-    # argparse's usage text is output that cannot be written, so exit 3; an
-    # input error's message is lost, and the code is all that is left of it
+    # a usage error's or an input error's message is lost, and the code is
+    # all that is left of it
     with open("/dev/full", "wb") as full:
         proc = fresh_process(["-m", "acx.cli", *argv], stderr=full)
     assert proc.returncode == code
@@ -438,14 +494,14 @@ def test_closed_stdout_is_an_internal_error():
 
 
 def test_usage_error_with_closed_stdout_keeps_its_exit_code():
-    # main flushes stdout after argparse's exit, but there is none to flush
+    # the usage error is written to stderr, and there is no stdout to flush
     proc = fresh_process(["-c", _CLOSE_STDOUT, sys.executable, "-m", "acx.cli", "bogus"])
     assert proc.returncode == 2
     assert proc.stderr == usage_bytes("unknown-command")
 
 
 def test_version_with_closed_stdout_is_written_to_stderr():
-    # where argparse's version action wrote it
+    # help and the version go to stderr when there is no stdout
     proc = fresh_process(["-c", _CLOSE_STDOUT, sys.executable, "-m", "acx.cli", "--version"])
     assert proc.returncode == 0
     assert proc.stderr == usage_bytes("version")
@@ -458,8 +514,7 @@ _CLOSE_STDERR = "import os, sys; os.close(2); os.execv(sys.executable, sys.argv[
 @pytest.mark.parametrize("name, argv, code", USAGE_CASES,
                          ids=[case[0] for case in USAGE_CASES])
 def test_usage_with_closed_stderr(name, argv, code):
-    # argparse would print a usage error's text to stdout when stderr is
-    # None; it exits 2 with nothing written, as acx's own input errors do,
+    # a usage error exits 2 with nothing written, as an input error does,
     # and help and version text still goes to stdout
     proc = fresh_process(["-c", _CLOSE_STDERR, sys.executable, "-m", "acx.cli", *argv])
     assert proc.returncode == code
