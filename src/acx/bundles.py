@@ -12,8 +12,8 @@ case trivialized by g^m, g the wedge of the phi^i over the model's indices
 (checked).  A character block twists theta as hodge.SectionContext sets out.
 
 The Hermitian connection of a unitary frame is omega = theta - conj(theta)^T;
-its (1,0) part drives the codifferential.  The dual structure on E* over the
-dual frame is theta* = -theta^T.
+its (1,0) part theta10 = -conj(theta)^T drives the codifferential.  The dual
+structure on E* over the dual frame is theta* = -theta^T.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ class PseudoholStructure:
         if self.rank == 0 or any(len(row) != self.rank for row in theta):
             raise InputError("theta must be a square matrix of (0,1)-forms")
         self.theta = [[_check_01(e, model.n) for e in row] for row in theta]
+        self.theta10 = [[-row[i].conjugate() for row in self.theta] for i in range(self.rank)]
 
     def dbar_section(self, comps):
         """dbar_E of sum_i comps[i] tensor s_i; comps are Forms, possibly mixed."""
@@ -45,26 +46,21 @@ class PseudoholStructure:
 
     def connection(self):
         """omega = theta - conj(theta)^T for the unitary frame: theta plus
-        its (1,0) part, connection_10()."""
+        its (1,0) part, theta10."""
         return [[t + w for t, w in zip(row, wrow)]
-                for row, wrow in zip(self.theta, self.connection_10())]
-
-    def connection_10(self):
-        """The (1,0) part of the connection: -conj(theta)^T."""
-        r = self.rank
-        return [[-self.theta[j][i].conjugate() for j in range(r)] for i in range(r)]
+                for row, wrow in zip(self.theta, self.theta10)]
 
     def nabla10_section(self, comps):
         """The (1,0) covariant derivative of sum_i comps[i] tensor s_i."""
-        return self._twisted(self.model.coframe.del_op, self.connection_10(), comps)
+        return self._twisted(self.model.coframe.del_op, self.theta10, comps)
 
     def _twisted(self, op, matrix, comps):
-        """op(x_i) tensor s_i + (-1)^(p+q) x_i ^ matrix[i][j] tensor s_j, summed."""
-        out = [Form.zero(self.model.n) for _ in range(self.rank)]
+        """op(x_i) tensor s_i + (-1)^(p+q) x_i ^ matrix[i][j] tensor s_j, summed
+        from op(x_i) in slot i: comps holds one Form per frame element."""
+        out = [op(x) for x in comps]
         for i, x in enumerate(comps):
             if x.is_zero():
                 continue
-            out[i] = out[i] + op(x)
             row = [(j, t) for j, t in enumerate(matrix[i]) if not t.is_zero()]
             if not row:
                 continue

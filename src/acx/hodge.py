@@ -188,15 +188,14 @@ class HarmonicSpace:
         return sum(b.dimension for b in self.blocks)
 
 
-def _operator_matrix(ctx: SectionContext, monomials, op):
-    """Columns: op applied to each monomial section; rows: the sorted
+def _operator_matrix(sections, op):
+    """Columns: op applied to each of the given sections; rows: the sorted
     monomial keys of the images, each a dict row of the image terms."""
-    n = ctx.model.n
     rows = {}
-    for j, (a, b) in enumerate(monomials):
-        for key, c in op(Form.monomial(n, a, b)).terms.items():
+    for j, x in enumerate(sections):
+        for key, c in op(x).terms.items():
             rows.setdefault(key, {})[j] = c
-    return [rows[key] for key in sorted(rows)], len(monomials)
+    return [rows[key] for key in sorted(rows)], len(sections)
 
 
 def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
@@ -225,13 +224,14 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     else:
         bundle = CanonicalPower(model, bundle_power).structure()
     monomials = _section_monomials(model, p, q)
+    sections = [Form.monomial(model.n, a, b) for a, b in monomials]
     blocks = []
     for ch in model.characters(bundle_power):
         ctx = SectionContext(model, bundle, ch)
-        db_rows, ncols = _operator_matrix(ctx, monomials, ctx.dbar)
-        ds_rows, _ = _operator_matrix(ctx, monomials, ctx.dbar_star)
+        db_rows, ncols = _operator_matrix(sections, ctx.dbar)
+        ds_rows, _ = _operator_matrix(sections, ctx.dbar_star)
         both_kernel = kernel_basis(db_rows + ds_rows, ncols)
-        lap_rows, _ = _operator_matrix(ctx, monomials, ctx.laplacian)
+        lap_rows, _ = _operator_matrix(sections, ctx.laplacian)
         if not certify_kernel(lap_rows, ncols, both_kernel):
             lap_kernel = kernel_basis(lap_rows, ncols)
             if len(lap_kernel) != len(both_kernel):

@@ -192,17 +192,16 @@ def nijenhuis(alg: LieAlgebra, J: ACStructure) -> dict:
     integrable iff there are none."""
     if J.dim != alg.dim:
         raise InputError("J dimension does not match the algebra")
-    # the basis vectors e_i and the columns J e_i, each formed once
+    # e_i, and J e_i read off J's columns; J is applied once, to [Je_i, e_j] + [e_i, Je_j]
     units = identity(alg.dim)
-    columns = [J.apply(e) for e in units]
+    columns = list(zip(*J.matrix))
     entries = {}
     for i, j in combinations(range(alg.dim), 2):
         ei, ej, Jei, Jej = units[i], units[j], columns[i], columns[j]
-        t1 = alg.bracket_vectors(ei, ej)
-        t2 = J.apply(alg.bracket_vectors(Jei, ej))
-        t3 = J.apply(alg.bracket_vectors(ei, Jej))
-        t4 = alg.bracket_vectors(Jei, Jej)
-        v = [a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
+        middle = J.apply([b + c for b, c in zip(alg.bracket_vectors(Jei, ej),
+                                                alg.bracket_vectors(ei, Jej))])
+        v = [a + b - d for a, b, d in zip(alg.bracket_vectors(ei, ej), middle,
+                                          alg.bracket_vectors(Jei, Jej))]
         if any(not c.is_zero() for c in v):
             entries[(i + 1, j + 1)] = v
     return entries
@@ -237,14 +236,11 @@ class ComplexCoframe:
     def complex_constants(self):
         """[X_A, X_B] = sum_C K[(A,B)][C] X_C over the complexified frame."""
         if self._complex_constants is None:
-            N = 2 * self.n
-            K = {}
-            for A in range(N):
-                for B in range(A + 1, N):
-                    v = self.alg.bracket_vectors(self.x_vector(A), self.x_vector(B))
-                    coords = mat_vec(self.C, v)
-                    K[(A, B)] = coords
-            self._complex_constants = K
+            X = [self.x_vector(A) for A in range(2 * self.n)]
+            self._complex_constants = {
+                (A, B): mat_vec(self.C, self.alg.bracket_vectors(X[A], X[B]))
+                for A, B in combinations(range(2 * self.n), 2)
+            }
         return self._complex_constants
 
     def _gen_form(self, A):

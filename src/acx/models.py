@@ -212,10 +212,10 @@ def load_model_file(path: str) -> tuple[LieACS, PiParam | None]:
     except OSError as exc:
         raise InputError(f"cannot read model file {echo(path)}: {exc.strerror}") from exc
     if len(data) > MAX_FILE_BYTES:
-        raise InputError(f"model file {path} is over {MAX_FILE_BYTES} bytes")
+        raise InputError(f"model file {echo(path)} is over {MAX_FILE_BYTES} bytes")
     try:
         obj = json.loads(data.decode("utf-8"))
     # bad JSON or UTF-8, an int over Python's digit limit, or too deep nesting
     except (ValueError, RecursionError) as exc:
-        raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"model file {echo(path)} is not valid JSON: {exc}") from exc
     return model_from_json(obj)

@@ -587,10 +587,9 @@ def _sym(num, den):
     return s
 
 
-def _poly(num, den=_P_ONE):
-    """num/den with gcd(num, den) = 1 and den monic, num possibly zero."""
-    if not num:
-        return SS_ZERO
+def _poly(num, den):
+    """num/den with gcd(num, den) = 1, den monic and num nonzero: every sum,
+    product and inverse that ends here has a nonzero numerator."""
     return _sym(num, _P_ONE if len(den) == 1 else den)
 
 

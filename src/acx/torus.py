@@ -206,7 +206,6 @@ def kt_solvable_modes(a: PiParam, coeff) -> List[Tuple[int, int]]:
         l = coeff * a.q
         if l.d == 1:
             return [(0, l.a)]
-        return []
     return []
 
 
@@ -282,15 +281,13 @@ def kt_irregularity(a: PiParam) -> int:
     A closed form g1*phi1 + g2*phi2 yields, after the fiber-constancy
     reduction: a mode equation with coefficient -1/4 for g2, the closed-mode
     equation (coefficient 0) for g1, and a coupling that multiplies each
-    surviving g2 mode by a/4.  The elimination is executed exactly.
+    surviving g2 mode by a/4.  That coupling is never zero, since PiParam
+    refuses a = 0 and a generic a is the nonzero symbol, so no g2 mode
+    survives, and the count is that of the closed g1 modes.
     """
     if not isinstance(a, PiParam):
         raise InputError("parameter must be a PiParam")
-    g2_modes = kt_solvable_modes(a, Scalar(-1) / 4)
-    g1_modes = kt_solvable_modes(a, 0)
-    quarter_a = a.a_value() / SymScalar.const(4)
-    surviving_g2 = [mode for mode in g2_modes if quarter_a.is_zero()]
-    return len(g1_modes) + len(surviving_g2)
+    return len(kt_solvable_modes(a, 0))
 
 
 # ---------------------------------------------------------------------------

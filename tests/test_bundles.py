@@ -107,7 +107,21 @@ class TestConnectionAndDual:
                 for j in range(r):
                     assert (omega[i][j] + omega[j][i].conjugate()).is_zero()
                     assert omega[i][j].project(0, 1) == ps.theta[i][j]
-                    assert omega[i][j] == ps.theta[i][j] + ps.connection_10()[i][j]
+                    assert omega[i][j] == ps.theta[i][j] + ps.theta10[i][j]
+
+    def test_nabla10_conjugates_nothing(self, monkeypatch):
+        # theta10 is built with the structure, so the covariant derivative
+        # reads it and conjugates no entry of theta
+        structures = list(self._structures())
+        calls = []
+        real = Form.conjugate
+        monkeypatch.setattr(Form, "conjugate", lambda x: calls.append(x) or real(x))
+        for ps in structures:
+            n = ps.model.n
+            for x in (Form.phi(n, 1), Form.monomial(n, (2,), (1,)), Form.phibar(n, 2)):
+                out = ps.nabla10_section([x] * ps.rank)
+                assert len(out) == ps.rank
+        assert calls == []
 
     def test_dual_is_an_involution(self):
         for ps in self._structures():

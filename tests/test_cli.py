@@ -12,7 +12,7 @@ import pytest
 
 from acx import __version__, cli
 from acx.cli import main, run
-from acx.errors import InputError, RefusalError
+from acx.errors import InputError, RefusalError, echo
 from acx.forms import Form
 
 
@@ -508,8 +508,21 @@ class TestMainExitCodes:
             bad.write_bytes(content)
             assert main(["nijenhuis", "--model", str(bad)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"input error: model file {bad} is not valid JSON: ")
+            assert err.startswith(f"input error: model file {echo(str(bad))} is not valid JSON: ")
             assert reason in err
+
+    def test_bad_json_at_a_long_path_is_not_echoed_whole(self, tmp_path, capsys):
+        folder = tmp_path
+        for letter in "abcdefghijklmn":
+            folder = folder / (letter * 200)
+        folder.mkdir(parents=True)
+        bad = folder / "broken.json"
+        bad.write_bytes(b"{not json")
+        assert len(str(bad)) > 2800
+        assert main(["nijenhuis", "--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: model file {echo(str(bad))} is not valid JSON: ")
+        assert len(err.encode()) < 200
 
     def test_unreadable_model_file_names_its_path_once(self, capsys):
         assert main(["nijenhuis", "--model", "no/such.json"]) == 2
@@ -1041,7 +1054,7 @@ class TestInputFaults:
         monkeypatch.setattr(models, "MAX_FILE_BYTES", size - 1)
         assert main(["nijenhuis", "--model", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"input error: model file {path} is over {size - 1} bytes\n"
+            f"input error: model file {echo(str(path))} is over {size - 1} bytes\n"
         )
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
@@ -1050,7 +1063,7 @@ class TestInputFaults:
 
         monkeypatch.setattr(models, "MAX_FILE_BYTES", 1000)
         assert main(["nijenhuis", "--model", "/dev/zero"]) == 2
-        assert capsys.readouterr().err == "input error: model file /dev/zero is over 1000 bytes\n"
+        assert capsys.readouterr().err == "input error: model file '/dev/zero' is over 1000 bytes\n"
 
     @pytest.mark.parametrize("flag", ["--p", "--q"])
     def test_negative_degree_rejected(self, capsys, flag):

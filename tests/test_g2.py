@@ -9,6 +9,7 @@ import io
 import json
 import math
 import random
+import types
 
 import pytest
 
@@ -338,6 +339,93 @@ class TestFailingVerdicts:
         assert report.df_failures == [] and report.dbar_phi_failures == []
         argv = ["s6-report", "--levels", "4"]
         assert self.failing_checks(argv, "structure", "dbar_20_failures") == [[2, 3]]
+
+
+class TestFailingSweeps:
+    """The 14-dim model's sweep verdicts, each failing on one perturbed
+    cross-product, contraction or invariance table entry, or on a sampler
+    that draws only zeros, in the library and in `g2-verify`, which exits 1."""
+
+    @staticmethod
+    def g2_verify():
+        """g2-verify's exit code and its report's failing checks, in order."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["g2-verify"])
+        report = json.loads(out.getvalue())
+        return code, [name for name, r in report.items()
+                      if isinstance(r, dict) and not r["ok"]], report
+
+    @pytest.mark.parametrize("key, terms, finding, failures, checks", [
+        # e2 x e1 = e2 is not orthogonal to e2
+        ((1, 0), [(1, 1)], "orthogonality_failures", [(2, 1)], ["cross_product"]),
+        # e2 x e1 = e3 breaks the double cross product at u = e2 only
+        ((1, 0), [(2, 1)], "double_cross_failures", [(2, 1), (2, 3)], ["cross_product"]),
+        # e1 x e2 = -e3 turns the rotation at e1 the wrong way on (e2, e3),
+        # which g2_J no longer intertwines
+        ((0, 1), [(2, -1)], "j_at_e1_table", False, ["cross_product", "projection"]),
+    ])
+    def test_cross_identities(self, monkeypatch, key, terms, finding, failures, checks):
+        monkeypatch.setitem(g2.cross_product()._cross, key, terms)
+        report = g2.verify_cross_identities()
+        assert getattr(report, finding) == failures and not report.ok
+        code, failing, printed = self.g2_verify()
+        assert (code, failing) == (1, checks)
+        shown = failures if isinstance(failures, bool) else len(failures)
+        assert printed["cross_product"][finding] == shown
+
+    def test_member_rejected(self, monkeypatch):
+        # a term A[1][2] in the first contraction rejects every member with
+        # that entry nonzero
+        cp = g2.cross_product()
+        rows = cp._contractions
+        monkeypatch.setattr(cp, "_contractions", [rows[0] + [(0, 1, 1)], *rows[1:]])
+        report = g2.membership_sample_check()
+        assert report.member_failures and report.nonmember_failures == []
+        code, failing, printed = self.g2_verify()
+        assert (code, failing) == (1, ["membership"])
+        assert printed["membership"]["member_failures"] == len(report.member_failures)
+
+    def test_non_member_accepted(self, monkeypatch):
+        # with no contraction left, every skew matrix passes as a member
+        cp = g2.cross_product()
+        monkeypatch.setattr(cp, "_contractions", [[] for _ in cp._contractions])
+        report = g2.membership_sample_check()
+        assert report.member_failures == [] and len(report.nonmember_failures) == 10
+        code, failing, printed = self.g2_verify()
+        assert (code, failing) == (1, ["membership"])
+        assert printed["membership"]["nonmember_failures"] == 10
+
+    def test_sampler_of_zeros_is_refused(self, monkeypatch, capsys):
+        # randint(a, b) = max(a, 0) draws the zero matrix every time: it lies
+        # in the span, so each attempt is skipped until the attempts run out
+        class ZeroRng:
+            def __init__(self, seed):
+                self.draws = 0
+
+            def randint(self, a, b):
+                self.draws += 1
+                assert self.draws < 100_000, "the sampler does not stop"
+                return max(a, 0)
+
+        monkeypatch.setattr(g2, "random", types.SimpleNamespace(Random=ZeroRng))
+        with pytest.raises(RefusalError, match="could not sample enough off-span"):
+            g2.membership_sample_check()
+        assert main(["g2-verify"]) == 1
+        assert capsys.readouterr().err == (
+            "refused: could not sample enough off-span skew matrices\n")
+
+    def test_form_not_preserved(self, monkeypatch):
+        # a term A[1][2] in the (e1, e2, e3) invariance row: f1, the one
+        # basis matrix with that entry nonzero, fails
+        cp = g2.cross_product()
+        rows = cp._invariance
+        monkeypatch.setattr(cp, "_invariance", [rows[0] + [(0, 1, 1)], *rows[1:]])
+        report = g2.verify_projection()
+        assert report.form_preservation_failures == ["f1"] and not report.ok
+        code, failing, printed = self.g2_verify()
+        assert (code, failing) == (1, ["projection"])
+        assert printed["projection"]["form_preservation_failures"] == 1
 
 
 class TestSphereCanonical:

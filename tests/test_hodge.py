@@ -261,10 +261,11 @@ class TestHarmonicSpaces:
         model = nil8_generic
         bundle = CanonicalPower(model, power).structure() if power else None
         monomials = hodge._section_monomials(model, p, q)
+        sections = [Form.monomial(model.n, a, b) for a, b in monomials]
         for ch in model.characters(power):
             ctx = SectionContext(model, bundle, ch)
             for op in (ctx.dbar, ctx.dbar_star, ctx.laplacian):
-                rows, ncols = hodge._operator_matrix(ctx, monomials, op)
+                rows, ncols = hodge._operator_matrix(sections, op)
                 assert ncols == len(monomials) and rows
                 assert all(row and all(0 <= j < ncols and not c.is_zero() for j, c in row.items())
                            for row in rows)
@@ -458,8 +459,8 @@ class TestCrossChecksFail:
             kernels.append(real_kernel(rows, ncols=ncols))
             return kernels[-1]
 
-        def matrix(ctx, monomials, op):
-            rows, ncols = real_matrix(ctx, monomials, op)
+        def matrix(sections, op):
+            rows, ncols = real_matrix(sections, op)
             if op.__name__ == "laplacian":
                 column = max(j for j, c in kernels[0][0].items() if c.num)
                 rows[0][column] = rows[0].get(column, SS_ZERO) + 1
@@ -521,6 +522,24 @@ class TestComputeOnce:
         calls = self.count_eliminations(monkeypatch)
         space = invariant_harmonic_space(nil8_generic, 2, 1)
         assert len(calls) == 2 * len(space.blocks) == 2
+
+    @pytest.mark.parametrize("case", ["nil8", "kt-4pi"])
+    def test_each_section_is_built_once_per_call(self, monkeypatch, nil8_generic, case):
+        # the sections are built once and shared by the three operators of
+        # every character block: one Form.monomial per section monomial
+        if case == "nil8":
+            model, p, q, power, blocks = nil8_generic, 2, 1, 1, 1
+        else:
+            model, p, q, power, blocks = kt_model(PiParam.rational_pi(4)), 1, 1, 2, 5
+        monomials = hodge._section_monomials(model, p, q)
+        calls = []
+        real = Form.monomial
+        monkeypatch.setattr(Form, "monomial", staticmethod(
+            lambda n, alpha=(), beta=(), coeff=1: calls.append((alpha, beta))
+            or real(n, alpha, beta, coeff)))
+        space = invariant_harmonic_space(model, p, q, bundle_power=power)
+        assert len(space.blocks) == blocks
+        assert sorted(c for c in calls if c in monomials) == sorted(monomials)
 
     def test_undecided_blocks_keep_the_golden_output(self, monkeypatch):
         # every hodge case of the golden corpus, with each block left to the
