@@ -59,8 +59,6 @@ class PseudoholStructure:
         from op(x_i) in slot i: comps holds one Form per frame element."""
         out = [op(x) for x in comps]
         for i, x in enumerate(comps):
-            if x.is_zero():
-                continue
             row = [(j, t) for j, t in enumerate(matrix[i]) if not t.is_zero()]
             if not row:
                 continue

@@ -282,9 +282,9 @@ def _values(kind, member, levels, cross_check) -> Dict[str, object]:
         from . import torus
 
         alpha, beta = member
-        obstruction = torus.t4_obstruction(alpha, beta)
-        value = torus.t4_plurigenus(alpha, beta, 1, obstruction)  # same at every m
-        return {"obstruction": obstruction.to_str("pi"), "values": [value] * len(levels)}
+        value = torus.t4_plurigenus(alpha, beta, 1)  # same at every m
+        obstruction = torus.t4_obstruction(alpha, beta).to_str("pi")
+        return {"obstruction": obstruction, "values": [value] * len(levels)}
     if kind == "g2":
         from . import g2 as sphere
 

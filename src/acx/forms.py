@@ -32,10 +32,6 @@ class MultiIndex(tuple):
             raise ValueError(f"multi-index must be strictly increasing, got {idx}")
         return super().__new__(cls, idx)
 
-    @property
-    def degree(self) -> int:
-        return len(self)
-
 
 def merge_indices(a, b):
     """Merge two increasing index tuples; return (merged, sign) or None on overlap.
@@ -112,10 +108,6 @@ class Form(_Frozen):
         return Form(n, {(MultiIndex(alpha), MultiIndex(beta)): SymScalar.coerce(coeff)})
 
     @staticmethod
-    def one(n: int) -> "Form":
-        return Form.monomial(n)
-
-    @staticmethod
     def phi(n: int, i: int) -> "Form":
         return Form.monomial(n, (i,), ())
 
@@ -148,11 +140,6 @@ class Form(_Frozen):
     def scale(self, coeff) -> "Form":
         c = SymScalar.coerce(coeff)
         return _form(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, coeff):
-        return self.scale(coeff)
-
-    __rmul__ = __mul__
 
     def wedge(self, other: "Form") -> "Form":
         self._require_same_frame(other)
@@ -194,12 +181,6 @@ class Form(_Frozen):
 
     def bidegrees(self):
         return sorted({(len(a), len(b)) for (a, b) in self.terms})
-
-    def bidegree(self):
-        degs = self.bidegrees()
-        if len(degs) != 1:
-            raise ValueError(f"form is not bidegree-homogeneous: {degs}")
-        return degs[0]
 
     def project(self, p: int, q: int) -> "Form":
         return _form(

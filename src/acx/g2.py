@@ -206,10 +206,6 @@ class G2Element(_Frozen):
         return tuple(map(tuple, M))
 
     @staticmethod
-    def zero() -> "G2Element":
-        return G2Element((0,) * X_DIM, (0,) * Y_DIM)
-
-    @staticmethod
     def from_matrix(A) -> "G2Element":
         """Rebuild an element from its matrix, verifying all 49 entries.
 

@@ -67,24 +67,28 @@ def star_monomial(n: int, alpha, beta):
     return bhat, ahat, SymScalar.const(coeff)
 
 
-def volume_form(n: int) -> Form:
-    """dV as a Form: (i/2)^n interleaved top monomial, canonically ordered."""
+def _volume_coeff(n: int) -> SymScalar:
+    """dV's coefficient on the canonically ordered top monomial: (i/2)^n,
+    signed by the reordering of the interleaved one."""
     c = _I_POWERS[n % 4] / 2 ** n
     if (n * (n - 1) // 2) % 2:
         c = -c
+    return SymScalar.const(c)
+
+
+def volume_form(n: int) -> Form:
+    """dV as a Form: (i/2)^n interleaved top monomial, canonically ordered."""
     full = tuple(range(1, n + 1))
-    return Form.monomial(n, full, full, c)
+    return Form.monomial(n, full, full, _volume_coeff(n))
 
 
 class HermitianData:
-    """Metric data of a model: dV, integration, and the star operator."""
+    """Metric data of a model: integration and the star operator."""
 
     def __init__(self, model: LieACS):
         self.model = model
         self.n = model.n
-        self.dV = volume_form(self.n)
-        full = tuple(range(1, self.n + 1))
-        self.vol_coeff = self.dV.coefficient(full, full)
+        self.vol_coeff = _volume_coeff(self.n)
 
     def integral(self, x: Form) -> SymScalar:
         """Integral of an (n,n)-form over the model (total volume 1)."""

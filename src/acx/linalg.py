@@ -122,8 +122,6 @@ def rank(rows) -> int:
 def kernel_basis(rows, ncols):
     """Basis of {v : A v = 0}, A given by its dict rows over the columns
     0..ncols-1, as dict vectors."""
-    if not rows:
-        return [{c: SS_ONE} for c in range(ncols)]
     ech, pivots = row_echelon(rows)
     pivot_set = set(pivots)
     basis = []
@@ -237,8 +235,6 @@ def mat_vec(rows, v):
 def mat_mul(a, b):
     """A B row by row: row i of A B is mat_vec over the columns of B, which
     sums over the nonzero entries of row i of A only."""
-    if not a or not b:
-        return []
     columns = list(zip(*b))
     return [mat_vec(columns, row) for row in a]
 

@@ -551,14 +551,11 @@ def _monic(a, b):
 
 
 def _pgcd(a, b):
-    """The monic gcd of a and b, () when both are zero.  The power of x is
-    split off first: gcd(a, b) = x^min(ord a, ord b) gcd(a/x^ord a, b/x^ord b),
+    """The monic gcd of the nonzero a and b.  The power of x is split off
+    first: gcd(a, b) = x^min(ord a, ord b) gcd(a/x^ord a, b/x^ord b),
     and when either stripped part is constant the gcd is that monomial.
     Otherwise Euclid runs on lifted integer coefficients, each remainder
     made monic and stripped of its content."""
-    a, b = _pstrip(a), _pstrip(b)
-    if not a or not b:
-        return _monic(a or b, ())[0] if a or b else ()
     i, j = _order(a), _order(b)
     a, b = a[i:], b[j:]
     g = _P_ONE

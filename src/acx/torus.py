@@ -71,10 +71,6 @@ class TrigPoly(_Frozen):
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(k: int, value) -> "TrigPoly":
-        return TrigPoly(k, {(0,) * k: SymScalar.coerce(value)})
-
-    @staticmethod
     def cos2pi(k: int, freq: Sequence[int]) -> "TrigPoly":
         """cos(2*pi freq.x) = (e_+ + e_-)/2."""
         nu = tuple(int(n) for n in freq)
@@ -324,19 +320,15 @@ def t4_obstruction(alpha: TrigPoly, beta: TrigPoly) -> TrigPoly:
     return gamma.wirtinger().wirtinger_bar()
 
 
-def _t4_integrable(alpha: TrigPoly, beta: TrigPoly,
-                   obstruction: Optional[TrigPoly] = None) -> bool:
+def _t4_integrable(alpha: TrigPoly, beta: TrigPoly) -> bool:
     """The member's branch, decided once for every invariant of the member.
 
     False when the obstruction is nonzero (it kills every pluricanonical
     section); True for constant coefficients (the integrable structure with
     trivial canonical bundle).  Anything else is outside the settled
-    derivation and is refused.  `obstruction` is t4_obstruction(alpha, beta)
-    when the caller already holds it.
+    derivation and is refused.
     """
-    if obstruction is None:
-        obstruction = t4_obstruction(alpha, beta)
-    if not obstruction.is_zero():
+    if not t4_obstruction(alpha, beta).is_zero():
         return False
     if alpha.is_constant() and beta.is_constant():
         return True
@@ -346,15 +338,13 @@ def _t4_integrable(alpha: TrigPoly, beta: TrigPoly,
     )
 
 
-def t4_plurigenus(alpha: TrigPoly, beta: TrigPoly, m: int,
-                  obstruction: Optional[TrigPoly] = None) -> int:
+def t4_plurigenus(alpha: TrigPoly, beta: TrigPoly, m: int) -> int:
     """Plurigenus of the four-torus family member: 1 on the integrable
-    branch, 0 on the obstructed one, at every level m.  `obstruction` is
-    t4_obstruction(alpha, beta) when the caller already holds it."""
+    branch, 0 on the obstructed one, at every level m."""
     m = int(m)
     if m < 1:
         raise InputError("plurigenus level m must be at least 1")
-    return 1 if _t4_integrable(alpha, beta, obstruction) else 0
+    return 1 if _t4_integrable(alpha, beta) else 0
 
 
 def t4_irregularity(alpha: TrigPoly, beta: TrigPoly) -> int:

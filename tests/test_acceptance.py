@@ -266,7 +266,7 @@ def test_criterion_09_pairing_star_adjointness_and_kernels():
                 lhs = dv.scale(h(x, y))
                 rhs = x.wedge(data.star(y).conjugate())
                 assert lhs == rhs.project(n, n)
-                if x.bidegree() == y.bidegree():
+                if x.bidegrees() == y.bidegrees():
                     assert rhs == rhs.project(n, n)
 
     # exact adjointness of dbar and its star conjugate on every invariant form

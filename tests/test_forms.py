@@ -28,7 +28,7 @@ def rand_form(rng, n, p, q, density=3):
 
 class TestMultiIndex:
     def test_strictly_increasing_required(self):
-        assert MultiIndex((1, 3)).degree == 2
+        assert len(MultiIndex((1, 3))) == 2
         with pytest.raises(ValueError):
             MultiIndex((3, 1))
         with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ class TestForm:
             assert x.conjugate().conjugate() == x
             assert x.wedge(y).conjugate() == x.conjugate().wedge(y.conjugate())
             if not x.is_zero():
-                assert x.conjugate().bidegree() == (q, p)
+                assert x.conjugate().bidegrees() == [(q, p)]
 
     def test_conjugate_of_phi_is_phibar(self):
         n = 2
@@ -106,7 +106,7 @@ class TestForm:
         total = Form.zero(n)
         for p, q in x.bidegrees():
             piece = x.project(p, q)
-            assert piece.bidegree() == (p, q)
+            assert piece.bidegrees() == [(p, q)]
             total = total + piece
         assert total == x
 
@@ -130,14 +130,14 @@ class TestForm:
         assert x.to_str() == "i*phi1^phibar2 - phi1^phi2"
 
     def test_immutable(self):
-        x = Form.phi(3, 1).wedge(Form.phibar(3, 2)) + Form.one(3)
+        x = Form.phi(3, 1).wedge(Form.phibar(3, 2)) + Form.monomial(3)
         for name, value in (("n", 2), ("terms", {}), ("extra", 1)):
             with pytest.raises(AttributeError):
                 setattr(x, name, value)
         assert x.n == 3 and len(x.terms) == 2
 
     def test_attributes_cannot_be_deleted(self):
-        x = Form.phi(3, 1) + Form.one(3)
+        x = Form.phi(3, 1) + Form.monomial(3)
         for name in ("n", "terms", "extra"):
             with pytest.raises(AttributeError):
                 delattr(x, name)

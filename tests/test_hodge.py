@@ -63,7 +63,7 @@ def star_oracle(data, x):
     n = data.n
     if x.is_zero():
         return Form.zero(n)
-    (p, q) = x.bidegree()
+    [(p, q)] = x.bidegrees()
     target = basis_monomials(n, n - q, n - p)
     probes = basis_monomials(n, p, q)
     full = tuple(range(1, n + 1))
@@ -113,8 +113,8 @@ class TestStar:
         for n in (1, 2, 3):
             model = abelian_model(n)
             data = HermitianData(model)
-            assert data.star(Form.one(n)) == volume_form(n)
-            assert data.star(volume_form(n)) == Form.one(n)
+            assert data.star(Form.monomial(n)) == volume_form(n)
+            assert data.star(volume_form(n)) == Form.monomial(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_form_matches_defining_equation_oracle(self, n):
@@ -144,7 +144,7 @@ class TestStar:
     def test_pairing_weights_and_sesquilinearity(self):
         n = 2
         data = HermitianData(abelian_model(n))
-        one = Form.one(n)
+        one = Form.monomial(n)
         assert h(one, one) == SymScalar.const(1)
         x = Form.phi(n, 1)
         assert h(x, x) == SymScalar.const(2)
@@ -497,14 +497,14 @@ class TestComputeOnce:
     @pytest.mark.parametrize("p,q", [(1, 0), (1, 1), (2, 2)])
     def test_flat_blocks_make_no_elimination(self, monkeypatch, p, q):
         # every operator vanishes on the torus, so both kernels come from
-        # matrices without rows and need no elimination, and the two kernel
-        # bases are compared entry by entry
+        # matrices without rows: the one elimination has no row to reduce,
+        # and the Laplacian's kernel is certified with none
         model = abelian_model(3)
         calls = self.count_eliminations(monkeypatch)
         space = invariant_harmonic_space(model, p, q)
         assert space.dimension == comb(3, p) * comb(3, q)
         assert len(space.blocks) == 1
-        assert calls == []
+        assert calls == [0]
 
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 1)])
     def test_one_elimination_per_certified_block(self, monkeypatch, nil8_generic, p, q):
@@ -540,6 +540,16 @@ class TestComputeOnce:
         space = invariant_harmonic_space(model, p, q, bundle_power=power)
         assert len(space.blocks) == blocks
         assert sorted(c for c in calls if c in monomials) == sorted(monomials)
+
+    def test_no_block_builds_a_volume_form(self, monkeypatch):
+        # each of the 5 blocks builds its metric data, which reads dV's one
+        # coefficient in closed form and builds no Form for it
+        calls = []
+        real = hodge.volume_form
+        monkeypatch.setattr(hodge, "volume_form", lambda n: calls.append(n) or real(n))
+        space = invariant_harmonic_space(kt_model(PiParam.rational_pi(4)), 1, 1, bundle_power=2)
+        assert len(space.blocks) == 5
+        assert calls == []
 
     def test_undecided_blocks_keep_the_golden_output(self, monkeypatch):
         # every hodge case of the golden corpus, with each block left to the

@@ -27,7 +27,7 @@ HEIS6 = Path(__file__).parent / "golden" / "models" / "heis6.json"
 
 
 def product(factors, n):
-    return reduce(Form.wedge, factors, Form.one(n))
+    return reduce(Form.wedge, factors, Form.monomial(n))
 
 
 def reference_d_monomial(cf, alpha, beta):

@@ -62,7 +62,7 @@ def to_complex(cf, x):
     """Rewrite a real-basis form (keyed (idx, ())) over the complex coframe."""
     out = Form.zero(cf.n)
     for (idx, _), c in x.terms.items():
-        piece = reduce(Form.wedge, map(cf.real_covector_form, idx), Form.one(cf.n))
+        piece = reduce(Form.wedge, map(cf.real_covector_form, idx), Form.monomial(cf.n))
         out = out + piece.scale(c)
     return out
 

@@ -147,7 +147,7 @@ class TestTrigPoly:
         f = TrigPoly.cos2pi(4, (1, 1, 0, 0))
         g = TrigPoly.sin2pi(4, (1, 1, 0, 0))
         # cos^2 + sin^2 = 1
-        assert (f * f + g * g) == TrigPoly.constant(4, 1)
+        assert (f * f + g * g) == TrigPoly(4, {(0,) * 4: 1})
         # d/dx1 cos(2 pi u) = -2 pi sin(2 pi u) for u = x1 + x2
         two_pi = SymScalar.symbol(coeff=2)
         assert f.partial(0) == g.scale(-two_pi)
@@ -207,7 +207,7 @@ class TestT4Family:
         assert t4_irregularity(*t4_family_pair(0, 0)) == 2
 
     def test_uncovered_members_are_refused(self):
-        alpha = TrigPoly.constant(4, 0)
+        alpha = TrigPoly(4, {(0,) * 4: 0})
         beta = TrigPoly.sin2pi(4, (0, 0, 1, 1))
         with pytest.raises(RefusalError):
             t4_plurigenus(alpha, beta, 1)
@@ -217,11 +217,11 @@ class TestT4Family:
     def test_pair_validation(self):
         bad = exponential(4, (1, 0, 0, 0))
         with pytest.raises(InputError):
-            t4_obstruction(bad, TrigPoly.constant(4, 0))
+            t4_obstruction(bad, TrigPoly(4, {(0,) * 4: 0}))
         with pytest.raises(InputError):
-            t4_obstruction(TrigPoly.constant(2, 1), TrigPoly.constant(4, 0))
+            t4_obstruction(TrigPoly(2, {(0,) * 2: 1}), TrigPoly(4, {(0,) * 4: 0}))
         with pytest.raises(InputError):
-            t4_obstruction(TrigPoly.constant(3, 1), TrigPoly.constant(3, 0))
+            t4_obstruction(TrigPoly(3, {(0,) * 3: 1}), TrigPoly(3, {(0,) * 3: 0}))
 
 
 class TestIntInterval:
