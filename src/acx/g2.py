@@ -14,14 +14,14 @@ polynomial kernels in scalars: its coordinates and matrix entries are
 Gaussian-integer pairs (re, im) over one denominator den > 0, with gcd 1
 over all of them.  Commutators and the re-entry check run on those
 integers, and so do the membership and three-form invariance kernels of
-CrossProduct: is_member and preserves_form lift a Scalar matrix once, while
-the membership sample and the projection check hand them an element's own
-entries.  An element holds nothing else: it keeps no Scalar and no row
-index, and it is an immutable value (scalars._Frozen) whose slots are
-filled through the slot descriptors _setden, _setcoords and _setentries.
-Scalars appear only as views at the API boundary (x, y, entries, matrix,
-coordinates()), as the structure constants, as the span test's
-input and in refusal messages.
+CrossProduct: is_member and preserves_form take nonzero lifted entries, which
+the membership sample and the projection check hand them straight from an
+element (a Scalar matrix is lifted by _lift_matrix first).  An element holds
+nothing else: it keeps no Scalar and no row index, and it is an immutable
+value (scalars._Frozen) whose slots are filled through the slot descriptors
+_setden, _setcoords and _setentries.  Scalars appear only as views at the
+API boundary (entries, matrix, coordinates()), as the structure constants,
+as the span test's input and in refusal messages.
 
 The 91 basis commutators are taken in one place, _basis_brackets: the
 catalogue diff, the h-closure test and the Jacobi sweep of
@@ -158,8 +158,8 @@ class G2Element(_Frozen):
     {k: (re, im)} (k = 0..13 for f1..f6, h1..h8) and the nonzero entries
     {(i, j): (re, im)} of its 7x7 matrix, all Gaussian integers over one
     denominator den > 0 with gcd 1 over all of them, so that equal elements
-    are held alike.  x, y, entries, matrix and coordinates() are Scalar
-    views built on demand."""
+    are held alike.  entries, matrix and coordinates() are Scalar views
+    built on demand."""
 
     __slots__ = ("den", "_coords", "_entries")
 
@@ -183,14 +183,6 @@ class G2Element(_Frozen):
     def coordinates(self) -> Tuple[Scalar, ...]:
         den, get = self.den, self._coords.get
         return tuple(_view(get(k), den) for k in range(X_DIM + Y_DIM))
-
-    @property
-    def x(self) -> Tuple[Scalar, ...]:
-        return self.coordinates()[:X_DIM]
-
-    @property
-    def y(self) -> Tuple[Scalar, ...]:
-        return self.coordinates()[X_DIM:]
 
     @property
     def entries(self) -> Dict[Tuple[int, int], Scalar]:
@@ -250,20 +242,12 @@ class G2Element(_Frozen):
     def __sub__(self, other: "G2Element") -> "G2Element":
         return self + (-other)
 
-    def scale(self, c) -> "G2Element":
-        c = _sc(c)
-        a, b = c.a, c.b
-        coords = {k: (r * a - i * b, r * b + i * a) for k, (r, i) in self._coords.items()}
-        return _element({k: v for k, v in coords.items() if v[0] or v[1]}, self.den * c.d)
-
-    def is_zero(self) -> bool:
-        return not self._coords
-
     def _key(self):
         return self.den, self._coords
 
     def __repr__(self):
-        return f"G2Element(x={self.x}, y={self.y})"
+        c = self.coordinates()
+        return f"G2Element(x={c[:X_DIM]}, y={c[X_DIM:]})"
 
 
 # the slot setters (see scalars._Frozen)
@@ -496,6 +480,8 @@ class CrossProduct:
     and for each basis triple (i, j, k), i < j < k, the terms (l, c, sign)
     of sum_l A[l][i] eps(l,j,k) + A[l][j] eps(i,l,k) + A[l][k] eps(i,j,l),
     the three-form's infinitesimal change under A on (e_i, e_j, e_k).
+    is_member and preserves_form read the last two tables against a
+    matrix's nonzero lifted entries, such as an element's own.
     """
 
     def __init__(self):
@@ -556,13 +542,10 @@ class CrossProduct:
                 acc = acc + a * b
         return acc
 
-    def is_member(self, A) -> bool:
-        """Matrix membership: skew-symmetry plus the seven contractions
-        sum_{j,k} eps_{ijk} A[j][k] = 0, decided on the lifted entries."""
-        return self._is_member_lifted(_lift_matrix(A)[0])
-
-    def _is_member_lifted(self, E: Dict[Tuple[int, int], Lifted]) -> bool:
-        """is_member on nonzero entries (re, im) over one denominator.
+    def is_member(self, E: Dict[Tuple[int, int], Lifted]) -> bool:
+        """Matrix membership on nonzero entries (re, im) over one
+        denominator: skew-symmetry plus the seven contractions
+        sum_{j,k} eps_{ijk} A[j][k] = 0.
 
         Neither E nor a zero sum depends on the denominator: a sum of
         entries over one denominator is zero exactly when its integer
@@ -576,15 +559,10 @@ class CrossProduct:
                 return False
         return all(_vanishes(E, terms) for terms in self._contractions)
 
-    def preserves_form(self, A) -> bool:
+    def preserves_form(self, E: Dict[Tuple[int, int], Lifted]) -> bool:
         """Infinitesimal invariance of the three-form on all 35 basis
-        triples, decided on the lifted entries."""
-        return self._preserves_form_lifted(_lift_matrix(A)[0])
-
-    def _preserves_form_lifted(self, E: Dict[Tuple[int, int], Lifted]) -> bool:
-        """preserves_form on nonzero entries (re, im) over one denominator:
-        one integer sum per basis triple, from its row of the invariance
-        table."""
+        triples, on nonzero entries (re, im) over one denominator: one
+        integer sum per triple, from its row of the invariance table."""
         return all(_vanishes(E, terms) for terms in self._invariance)
 
 
@@ -675,7 +653,7 @@ def membership_sample_check(
         elem = _element(
             {k: (n * (den // d), 0) for k, (n, d) in enumerate(coeffs) if n}, den
         )
-        if not cp._is_member_lifted(elem._entries):
+        if not cp.is_member(elem._entries):
             member_failures.append(trial)
 
     nonmember_failures = []
@@ -694,7 +672,7 @@ def membership_sample_check(
         if in_basis_span({p: _view(v, 1) for p, v in E.items()}):
             continue
         checked += 1
-        if cp._is_member_lifted(E):
+        if cp.is_member(E):
             nonmember_failures.append(attempts)
     return Report(
         not member_failures and not nonmember_failures,
@@ -782,7 +760,7 @@ def verify_projection() -> Report:
     form_preservation_failures = [
         name
         for name in BASIS_NAMES
-        if not cp._preserves_form_lifted(basis[name]._entries)
+        if not cp.preserves_form(basis[name]._entries)
     ]
     return Report(
         kernel_is_h_span and image_ok and not intertwine_failures

@@ -389,9 +389,6 @@ class Character:
     def is_trivial(self):
         return all(v.is_zero() for v in self.values)
 
-    def conjugate(self):
-        return Character(self.alg, [v.conjugate() for v in self.values])
-
     def lambda_form(self, coframe: ComplexCoframe) -> Form:
         out = Form.zero(coframe.n)
         for a, v in enumerate(self.values, start=1):

@@ -156,9 +156,6 @@ class TrigPoly(_Frozen):
     def is_constant(self) -> bool:
         return all(all(n == 0 for n in freq) for freq in self.terms)
 
-    def coefficient(self, freq: Sequence[int]) -> SymScalar:
-        return self.terms.get(tuple(int(n) for n in freq), SymScalar.const(0))
-
     def _key(self):
         return self.k, self.terms
 

@@ -112,7 +112,7 @@ def test_criterion_04_four_torus_vanishing():
     obstruction = t4_obstruction(alpha, beta)
     assert not obstruction.is_zero()
     minus_2i_pi2 = SymScalar.symbol(coeff=Scalar(0, -2), power=2)
-    assert obstruction.coefficient((-1, -1, 0, 0)) == minus_2i_pi2
+    assert obstruction.terms[(-1, -1, 0, 0)] == minus_2i_pi2
     const_alpha, const_beta = t4_family_pair(0, 0)
     assert t4_obstruction(const_alpha, const_beta).is_zero()
     for m in range(1, 9):

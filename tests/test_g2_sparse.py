@@ -2,9 +2,10 @@
 
 bracket, CrossProduct.cross, dot, is_member and preserves_form sum over
 nonzero entries only (the last two on entries lifted over one
-denominator), G2Element stores only the nonzero entries of its matrix, as
-Gaussian integers over one denominator, and membership_sample_check
-decides span membership against one reduced basis.
+denominator, so a dense matrix is lifted first), G2Element stores only the
+nonzero entries of its matrix, as Gaussian integers over one denominator,
+and membership_sample_check decides span membership against one reduced
+basis.
 The loops they replaced are kept here as references and must agree with
 them on every input below; the span check is fed faults and must catch
 each of them, and g2-verify's sweep sizes are pinned.
@@ -34,6 +35,16 @@ from test_hodge import solve
 from test_lie import dense_jacobi_failures
 
 N = g2.N
+
+
+def lifted(A):
+    """The nonzero entries of a dense matrix, lifted as the kernels take them."""
+    return g2._lift_matrix(A)[0]
+
+
+def split(coords):
+    """An element's coordinates as G2Element takes them: x, then y."""
+    return coords[:g2.X_DIM], coords[g2.X_DIM:]
 
 
 def _nonzero_rows(A):
@@ -109,7 +120,7 @@ def _skew_non_members(rng, count):
                 if rng.random() < 0.5:
                     v = _rand_scalar(rng)
                     A[i][j], A[j][i] = v, -v
-        if not cp.is_member(A):
+        if not cp.is_member(lifted(A)):
             out.append(A)
     return out
 
@@ -137,7 +148,7 @@ ROTATION = _rotation()
 def test_preserves_form_matches_phi_reference(matrices, preserved):
     cp = g2.cross_product()
     for A in matrices:
-        assert cp.preserves_form(A) == phi_preserves_form(A) == preserved
+        assert cp.preserves_form(lifted(A)) == phi_preserves_form(A) == preserved
 
 
 def _rows(M):
@@ -165,12 +176,13 @@ def _cancelling_elements():
     yield g2.G2Element((0, 0, 0, 0, 2, 0), (0, 0, -2, 0, 0, 0, 0, 0))
     a = MEMBER_ELEMENTS[0]
     yield a - a
-    yield a + g2.G2Element(tuple(-c for c in a.x), (0,) * 8)
+    yield a + g2.G2Element(tuple(-c for c in a.coordinates()[:g2.X_DIM]), (0,) * 8)
 
 
 def test_bracket_is_antisymmetric_and_alternating():
-    a, b = (g2.G2Element(e.x, e.y) for e in MEMBER_ELEMENTS[:2])
-    assert g2.bracket(b, a) == -g2.bracket(a, b) and g2.bracket(a, a).is_zero()
+    a, b = (g2.G2Element(*split(e.coordinates())) for e in MEMBER_ELEMENTS[:2])
+    zero = g2.G2Element((0,) * 6, (0,) * 8)
+    assert g2.bracket(b, a) == -g2.bracket(a, b) and g2.bracket(a, a) == zero
 
 
 def test_element_holds_only_its_lifted_state():
@@ -182,7 +194,7 @@ def test_entries_hold_no_zero_and_match_the_display():
     brackets = [g2.bracket(a, b) for a, b in zip(MEMBER_ELEMENTS, BASIS_ELEMENTS)]
     for e in BASIS_ELEMENTS + MEMBER_ELEMENTS + brackets + list(_cancelling_elements()):
         assert all(not c.is_zero() for c in e.entries.values())
-        assert e.matrix == g2._matrix_from_coordinates(e.x, e.y)
+        assert e.matrix == g2._matrix_from_coordinates(*split(e.coordinates()))
         assert g2.G2Element.from_matrix(e.matrix) == e
     assert list(_cancelling_elements())[2].entries == {}
 
@@ -300,8 +312,8 @@ def perturb_brackets(monkeypatch, shifts):
     brackets = {ij: dict(vec) for ij, vec in g2.g2_algebra().brackets.items()}
     extra = {}
     for (u, v), w, s in shifts:
-        extra[u, v] = basis[w].scale(s)
-        extra[v, u] = basis[w].scale(-s)
+        extra[u, v], extra[v, u] = (
+            g2.G2Element(*split([t if n == w else 0 for n in g2.BASIS_NAMES])) for t in (s, -s))
         i, j = index[u], index[v]
         if i > j:
             i, j, s = j, i, -s
@@ -378,7 +390,7 @@ def test_scalar_coordinates_are_kept_and_others_coerced():
     mixed = g2.G2Element([1, Fraction(1, 2)] + [0] * (g2.X_DIM - 2),
                          [Fraction(-3, 4)] + [0] * (g2.Y_DIM - 1))
     assert mixed.coordinates()[:2] == (Scalar(1), Scalar(Fraction(1, 2)))
-    assert mixed.y[0] == Scalar(Fraction(-3, 4))
+    assert mixed.coordinates()[g2.X_DIM] == Scalar(Fraction(-3, 4))
     for bad in (0.5, "x", None):
         with pytest.raises(TypeError):
             g2.G2Element([bad] + [0] * (g2.X_DIM - 1), [0] * g2.Y_DIM)
@@ -474,22 +486,22 @@ def test_is_member_matches_dense_reference():
     cp = g2.cross_product()
     rng = random.Random(38)
     for A in BASIS + MEMBERS:
-        assert cp.is_member(A) is dense_is_member(A) is True
+        assert cp.is_member(lifted(A)) is dense_is_member(A) is True
     for A in NON_MEMBERS + [ROTATION]:
-        assert cp.is_member(A) is dense_is_member(A) is False
+        assert cp.is_member(lifted(A)) is dense_is_member(A) is False
     for A in _non_skew(rng, 20):
-        assert cp.is_member(A) is dense_is_member(A) is False
+        assert cp.is_member(lifted(A)) is dense_is_member(A) is False
     # every single-entry change of a member breaks skew-symmetry
     for A in MEMBERS[:3]:
         for B in _single_entry_perturbations(A, rng):
-            assert cp.is_member(B) is dense_is_member(B) is False
+            assert cp.is_member(lifted(B)) is dense_is_member(B) is False
     # a skew change at one pair keeps skew-symmetry and may leave the algebra
     for A in MEMBERS[:2]:
         for i, j in itertools.combinations(range(N), 2):
             B = [list(row) for row in A]
             v = _rand_scalar(rng)
             B[i][j], B[j][i] = B[i][j] + v, B[j][i] - v
-            assert cp.is_member(B) == dense_is_member(B)
+            assert cp.is_member(lifted(B)) == dense_is_member(B)
 
 
 def dense_preserves_form(A):
@@ -522,9 +534,9 @@ def _random_matrix(rng, skew):
 
 
 def test_lifted_kernels_match_dense_references_on_random_matrices():
-    """is_member and preserves_form lift their input once and decide on
-    integers; they must agree with the Scalar loops on skew and non-skew
-    matrices with complex entries over denominators other than one."""
+    """is_member and preserves_form decide on lifted integer entries; they
+    must agree with the Scalar loops on skew and non-skew matrices with
+    complex entries over denominators other than one."""
     cp = g2.cross_product()
     rng = random.Random(43)
     matrices = []
@@ -541,18 +553,16 @@ def test_lifted_kernels_match_dense_references_on_random_matrices():
     outcomes = set()
     for A in matrices:
         member, preserved = dense_is_member(A), dense_preserves_form(A)
-        assert cp.is_member(A) is member
-        assert cp.preserves_form(A) is preserved
         E, den = g2._lift_matrix(A)
-        assert cp._is_member_lifted(E) is member
-        assert cp._preserves_form_lifted(E) is preserved
+        assert cp.is_member(E) is member
+        assert cp.preserves_form(E) is preserved
         outcomes.add((member, preserved, den > 1))
     assert {(True, True, True), (False, False, True)} <= outcomes
     # g2-verify hands an element's own entries, over den > 1 here, to the kernels
     for e in GAUSSIAN_ELEMENTS:
         assert e.den > 1
-        assert cp._is_member_lifted(e._entries) is dense_is_member(e.matrix) is True
-        assert cp._preserves_form_lifted(e._entries) is dense_preserves_form(e.matrix) is True
+        assert cp.is_member(e._entries) is dense_is_member(e.matrix) is True
+        assert cp.preserves_form(e._entries) is dense_preserves_form(e.matrix) is True
 
 
 def test_span_test_matches_dense_reference():
@@ -622,20 +632,17 @@ def test_g2_verify_sweep_sizes(monkeypatch, capsys):
         return wrapper
 
     for name in ("is_member", "preserves_form"):
-        monkeypatch.setattr(g2.CrossProduct, name, wrap(name, getattr(g2.CrossProduct, name)))
-        lifted = f"_{name}_lifted"
-        monkeypatch.setattr(g2.CrossProduct, lifted,
-                            decision(lifted, getattr(g2.CrossProduct, lifted)))
+        monkeypatch.setattr(g2.CrossProduct, name, decision(name, getattr(g2.CrossProduct, name)))
     monkeypatch.setattr(g2.CrossProduct, "dot", staticmethod(dot))
     assert main(["g2-verify"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
     assert counts == {
         "pair bracket": 91,
-        "_is_member_lifted True": 100,
-        "_is_member_lifted False": 10,
+        "is_member True": 100,
+        "is_member False": 10,
         "reduced basis": 1,
         "span decision": 10,
-        "_preserves_form_lifted True": 14,
+        "preserves_form True": 14,
         "dot": 3 * 49,
     }
     basis = [g2.basis_vector(k) for k in range(1, N + 1)]
@@ -684,7 +691,7 @@ def test_is_member_matches_dense_reference_on_gaussian_rational_matrices():
     members = [e.matrix for e in GAUSSIAN_ELEMENTS]
     members += [_scaled(A, Scalar(Fraction(2, 7), Fraction(-1, 3))) for A in members[:4]]
     for A in members:
-        assert cp.is_member(A) is dense_is_member(A) is True
+        assert cp.is_member(lifted(A)) is dense_is_member(A) is True
     non_members = list(NON_MEMBERS)
     for A in members[:6]:
         # equal numerators over different denominators are not skew
@@ -698,14 +705,14 @@ def test_is_member_matches_dense_reference_on_gaussian_rational_matrices():
         B[i][j], B[j][i] = B[i][j] + v, B[j][i] - v
         non_members.append(B)
     for A in non_members:
-        assert cp.is_member(A) is dense_is_member(A) is False
+        assert cp.is_member(lifted(A)) is dense_is_member(A) is False
     # the first contraction sums terms over three different denominators
     # that cancel: the element y1 = 1/2, y2 = 5/6
     E = [[Scalar(0)] * N for _ in range(N)]
     for (j, k), c in (((1, 2), Fraction(1, 2)), ((3, 4), Fraction(1, 3)),
                       ((5, 6), Fraction(-5, 6))):
         E[j][k], E[k][j] = Scalar(c), Scalar(-c)
-    assert cp.is_member(E) is dense_is_member(E) is True
+    assert cp.is_member(lifted(E)) is dense_is_member(E) is True
     assert g2.G2Element.from_matrix(E) == g2.G2Element(
         (0,) * 6, (Fraction(1, 2), Fraction(5, 6)) + (0,) * 6
     )
@@ -713,9 +720,9 @@ def test_is_member_matches_dense_reference_on_gaussian_rational_matrices():
     # right numerator over another denominator breaks skew-symmetry alone
     F = [list(row) for row in E]
     F[2][1] = Scalar(Fraction(-1, 3))
-    assert cp.is_member(F) is dense_is_member(F) is False
+    assert cp.is_member(lifted(F)) is dense_is_member(F) is False
     E[5][6], E[6][5] = Scalar(Fraction(-4, 5)), Scalar(Fraction(4, 5))
-    assert cp.is_member(E) is dense_is_member(E) is False
+    assert cp.is_member(lifted(E)) is dense_is_member(E) is False
 
 
 def test_the_four_constructions_agree_on_equality_and_hash():
@@ -740,6 +747,6 @@ def test_the_four_constructions_agree_on_equality_and_hash():
     # a bracket result equals the element built from its coordinates
     a, b = GAUSSIAN_ELEMENTS[:2]
     ab = g2.bracket(a, b)
-    rebuilt = g2.G2Element(ab.x, ab.y)
+    rebuilt = g2.G2Element(*split(ab.coordinates()))
     assert rebuilt == ab and hash(rebuilt) == hash(ab) and rebuilt.den == ab.den
     assert g2.G2Element((0,) * 6, (0,) * 8) == ab - ab and hash(ab - ab) == hash(g2.G2Element((0,) * 6, (0,) * 8))

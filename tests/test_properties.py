@@ -72,33 +72,31 @@ def conjugated_j(rng, dim, generic, mix):
     return mat_mul(mat_mul(p, j0), mat_inverse(p))
 
 
-# (seed, base, dim, generic J0, off-diagonal entries of P, (p,q) degrees).
-# Symbolic J at dim 6 is checked in degree 1 only: its (1,1) Serre check, which
-# needs the (2,2) space, takes seconds to minutes.
-ALL = ((1, 0), (0, 1), (1, 1))
-ONE = ((1, 0), (0, 1))
+# (seed, base, dim, generic J0, off-diagonal entries of P); every case is
+# checked in each (p,q) degree of DEGREES.
+DEGREES = ((1, 0), (0, 1), (1, 1))
 CASES = [
-    (1, 2, 4, True, 2, ALL),
-    (14, 3, 6, False, 3, ALL),
-    (13, 2, 6, True, 2, ONE),
-    (16, 3, 6, True, 2, ONE),
-    (12, 4, 8, False, 3, ALL),
-    (13, 4, 8, False, 3, ALL),
-    (15, 2, 8, False, 4, ALL),
+    (1, 2, 4, True, 2),
+    (14, 3, 6, False, 3),
+    (13, 2, 6, True, 2),
+    (16, 3, 6, True, 2),
+    (12, 4, 8, False, 3),
+    (13, 4, 8, False, 3),
+    (15, 2, 8, False, 4),
 ]
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda c: f"seed{c[0]}-dim{c[2]}")
 def generated(request):
-    seed, base, dim, generic, mix, degrees = request.param
+    seed, base, dim, generic, mix = request.param
     rng = random.Random(seed)
     alg = central_extension(rng, base, dim)
     J = ACStructure(conjugated_j(rng, dim, generic, mix))
-    return LieACS(alg, J, name=alg.name), degrees
+    return LieACS(alg, J, name=alg.name)
 
 
 def test_extensions_are_nonabelian_and_triangular(generated):
-    alg = generated[0].alg
+    alg = generated.alg
     assert alg.brackets
     # [e_i, e_j] lies in the span of the e_k with k > j: the algebra is nilpotent
     assert all(k > j for (i, j), vec in alg.brackets.items() for k in vec)
@@ -106,19 +104,19 @@ def test_extensions_are_nonabelian_and_triangular(generated):
 
 
 def test_d_squares_to_zero(generated):
-    cf = generated[0].coframe
+    cf = generated.coframe
     for A in range(2 * cf.n):
         assert cf.d(cf.d_generator(A)).is_zero()
 
 
 def test_integrability_tests_agree(generated):
-    model = generated[0]
+    model = generated
     is_integrable(nijenhuis(model.alg, model.J), model.coframe)
 
 
 def test_harmonic_kernels_agree_and_serre_pairing_is_nonsingular(generated):
-    model, degrees = generated
-    for p, q in degrees:
+    model = generated
+    for p, q in DEGREES:
         invariant_harmonic_space(model, p, q)
         report = serre_pairing_check(model, p, q)
         assert report.ok, (p, q, report.detail)
@@ -129,7 +127,7 @@ def test_certificate_agrees_with_elimination(generated, monkeypatch):
     # the list comparison it replaces
     from acx import hodge
 
-    model, degrees = generated
+    model = generated
     real, asked = hodge.certify_kernel, []
 
     def certify(rows, ncols, basis):
@@ -137,7 +135,7 @@ def test_certificate_agrees_with_elimination(generated, monkeypatch):
         return asked[-1][-1]
 
     monkeypatch.setattr(hodge, "certify_kernel", certify)
-    for p, q in degrees:
+    for p, q in DEGREES:
         invariant_harmonic_space(model, p, q)
     assert asked
     for rows, ncols, basis, verdict in asked:
@@ -145,7 +143,7 @@ def test_certificate_agrees_with_elimination(generated, monkeypatch):
 
 
 def test_scalars_are_canonical(generated):
-    model = generated[0]
+    model = generated
     cf = model.coframe
     entries = [c for row in model.J.matrix + cf.C + cf.Cinv for c in row]
     entries += [c for coords in cf.complex_constants().values() for c in coords]
@@ -178,7 +176,7 @@ def assert_trusted(f):
 
 
 def test_unchecked_results_pass_the_checks(generated):
-    model = generated[0]
+    model = generated
     n, cf = model.n, model.coframe
     data = HermitianData(model)
     bundle = CanonicalPower(model, 1).structure()
