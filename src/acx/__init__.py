@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("InputError", "RefusalError"),
     "scalars": ("PiParam", "Scalar", "SymScalar"),
-    "forms": ("Form", "MultiIndex"),
+    "forms": ("Form",),
     "lie": (
         "ACStructure",
         "ComplexCoframe",

@@ -5,39 +5,39 @@ coefficients, stored against the canonical monomial order: holomorphic indices
 ascending, then antiholomorphic indices ascending.  Coefficients of value zero
 are never stored.
 
-Form(n, terms) is the checked constructor: it validates every key and
-coerces every coefficient.  Results of Form arithmetic, whose keys are
-canonical by construction, are built by _form, which drops zero
-coefficients and checks nothing else.  A Form is an immutable value
-(scalars._Frozen); both builders fill its slots through the slot
-descriptors _setn and _setterms.
+A key is a pair (alpha, beta) of plain strictly increasing tuples of
+indices in 1..n.  Form(n, terms) is the checked constructor: it checks
+every key a caller hands in, through _multi_index, and coerces every
+coefficient; Form.coefficient and hodge.star_monomial check theirs the same
+way.  Results of Form arithmetic, whose keys are canonical by construction,
+are built by _form, which drops zero coefficients and checks nothing else.
+A Form is an immutable value (scalars._Frozen); both builders fill its
+slots through the slot descriptors _setn and _setterms.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .scalars import SS_ZERO, SymScalar, _Frozen, _signed_sum, _term
+from .scalars import SS_ONE, SS_ZERO, SymScalar, _Frozen, _signed_sum, _term
 
 
-class MultiIndex(tuple):
-    """A strictly increasing tuple of indices in 1..n."""
-
-    def __new__(cls, indices=()):
-        idx = tuple(indices)
-        for k in idx:
-            if not isinstance(k, int) or k < 1:
-                raise ValueError(f"multi-index entries must be positive ints, got {k!r}")
-        if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-            raise ValueError(f"multi-index must be strictly increasing, got {idx}")
-        return super().__new__(cls, idx)
+def _multi_index(indices) -> tuple:
+    """A caller's indices as a key half: a strictly increasing tuple of
+    positive ints, refused otherwise."""
+    idx = tuple(indices)
+    for k in idx:
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"multi-index entries must be positive ints, got {k!r}")
+    if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
+        raise ValueError(f"multi-index must be strictly increasing, got {idx}")
+    return idx
 
 
 def merge_indices(a, b):
     """Merge two increasing index tuples; return (merged, sign) or None on overlap.
 
-    The sign is that of the permutation sorting a + b.  The merge of two
-    increasing tuples is increasing, so the result skips MultiIndex's checks.
+    The sign is that of the permutation sorting a + b.
     """
     out = []
     sign = 1
@@ -56,7 +56,7 @@ def merge_indices(a, b):
             j += 1
     out.extend(a[i:])
     out.extend(b[j:])
-    return tuple.__new__(MultiIndex, out), sign
+    return tuple(out), sign
 
 
 def perm_sign(seq) -> int:
@@ -71,7 +71,7 @@ def perm_sign(seq) -> int:
 
 def complement(alpha, n):
     inside = set(alpha)
-    return MultiIndex(tuple(k for k in range(1, n + 1) if k not in inside))
+    return tuple(k for k in range(1, n + 1) if k not in inside)
 
 
 class Form(_Frozen):
@@ -85,8 +85,7 @@ class Form(_Frozen):
         clean = {}
         for key, coeff in (terms or {}).items():
             alpha, beta = key
-            alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-            beta = beta if isinstance(beta, MultiIndex) else MultiIndex(beta)
+            alpha, beta = _multi_index(alpha), _multi_index(beta)
             if alpha and alpha[-1] > n:
                 raise ValueError(f"holomorphic index {alpha[-1]} exceeds n={n}")
             if beta and beta[-1] > n:
@@ -105,7 +104,7 @@ class Form(_Frozen):
 
     @staticmethod
     def monomial(n: int, alpha=(), beta=(), coeff=1) -> "Form":
-        return Form(n, {(MultiIndex(alpha), MultiIndex(beta)): SymScalar.coerce(coeff)})
+        return Form(n, {(_multi_index(alpha), _multi_index(beta)): SymScalar.coerce(coeff)})
 
     @staticmethod
     def phi(n: int, i: int) -> "Form":
@@ -144,25 +143,7 @@ class Form(_Frozen):
     def wedge(self, other: "Form") -> "Form":
         self._require_same_frame(other)
         terms = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                ma = merge_indices(a1, a2)
-                if ma is None:
-                    continue
-                mb = merge_indices(b1, b2)
-                if mb is None:
-                    continue
-                alpha, sa = ma
-                beta, sb = mb
-                # move the phi block of the second factor past phibar_b1
-                sign = sa * sb * (-1 if (len(b1) * len(a2)) % 2 else 1)
-                c = c1 * c2
-                key = (alpha, beta)
-                acc = terms.get(key)
-                if sign > 0:
-                    terms[key] = c if acc is None else acc + c
-                else:
-                    terms[key] = -c if acc is None else acc - c
+        _wedge_into(terms, self.terms, other.terms)
         return _form(self.n, terms)
 
     # --- structure queries
@@ -177,7 +158,7 @@ class Form(_Frozen):
         return self.n, self.terms
 
     def coefficient(self, alpha=(), beta=()) -> SymScalar:
-        return self.terms.get((MultiIndex(alpha), MultiIndex(beta)), SS_ZERO)
+        return self.terms.get((_multi_index(alpha), _multi_index(beta)), SS_ZERO)
 
     def bidegrees(self):
         return sorted({(len(a), len(b)) for (a, b) in self.terms})
@@ -224,8 +205,8 @@ _setterms = Form.__dict__["terms"].__set__
 
 def _form(n: int, terms) -> Form:
     """The Form with these terms, built without Form's checks: the keys
-    must already be (MultiIndex, MultiIndex) pairs with indices at most n
-    and the coefficients SymScalars, as on every result of Form
+    must already be pairs of strictly increasing tuples of indices in
+    1..n and the coefficients SymScalars, as on every result of Form
     arithmetic; only the zero coefficients are dropped.  The form keeps
     the dict, so the caller passes one it no longer uses."""
     for c in terms.values():
@@ -238,16 +219,41 @@ def _form(n: int, terms) -> Form:
     return f
 
 
+def _wedge_into(terms, x, y, r=0):
+    """Add (-1)^r x ^ y into the dict terms, x and y being term dicts.
+
+    Each pair of monomials merges both index pairs, and the product of its
+    coefficients is formed only if neither merge overlaps; the sign is that
+    of both merges, of moving phi of y's monomial past phibar of x's, and
+    (-1)^r.
+    """
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            ma = merge_indices(a1, a2)
+            if ma is None:
+                continue
+            mb = merge_indices(b1, b2)
+            if mb is None:
+                continue
+            c = c1 * c2
+            key = (ma[0], mb[0])
+            acc = terms.get(key)
+            if ma[1] * mb[1] * (-1 if (r + len(b1) * len(a2)) % 2 else 1) > 0:
+                terms[key] = c if acc is None else acc + c
+            else:
+                terms[key] = -c if acc is None else acc - c
+
+
 def d_monomial(n: int, alpha, beta, d_generator) -> Form:
     """d(phi_alpha wedge phibar_beta) by the graded Leibniz rule.
 
     With g_1..g_k = phi^alpha then phibar^beta, d is the sum over r of
     (-1)^(r-1) d(g_r) wedge (the monomial without g_r): d(g_r) is a 2-form,
     so it moves to the front without a sign, and dropping g_r from a Form
-    key (alpha, beta) keeps the canonical order.  Each term of d(g_r) is
-    merged with that rest monomial, with the sign of the merge, straight
-    into one dict: k reads of d_generator and no Form.wedge.  d_generator(A)
-    is d of phi^(A+1) for A < n and of phibar^(A+1-n) otherwise.
+    key (alpha, beta) keeps the canonical order.  _wedge_into merges each
+    term of d(g_r) with that rest monomial straight into one dict: k reads
+    of d_generator and no Form.wedge.  d_generator(A) is d of phi^(A+1) for
+    A < n and of phibar^(A+1-n) otherwise.
     """
     terms = {}
     gens = [a - 1 for a in alpha] + [n + b - 1 for b in beta]
@@ -258,27 +264,12 @@ def d_monomial(n: int, alpha, beta, d_generator) -> Form:
         else:
             s = r - p
             ra, rb = alpha, beta[:s] + beta[s + 1:]
-        for (a1, b1), c in d_generator(A).terms.items():
-            ma = merge_indices(a1, ra)
-            if ma is None:
-                continue
-            mb = merge_indices(b1, rb)
-            if mb is None:
-                continue
-            # (-1)^r from the Leibniz rule (r counts from 0), and phi_ra
-            # moves past phibar_b1
-            sign = ma[1] * mb[1] * (-1 if (r + len(b1) * len(ra)) % 2 else 1)
-            key = (ma[0], mb[0])
-            acc = terms.get(key)
-            if sign > 0:
-                terms[key] = c if acc is None else acc + c
-            else:
-                terms[key] = -c if acc is None else acc - c
+        # (-1)^r from the Leibniz rule, r counting from 0
+        _wedge_into(terms, d_generator(A).terms, {(ra, rb): SS_ONE}, r)
     return _form(n, terms)
 
 
 def basis_monomials(n: int, p: int, q: int):
     """All (alpha, beta) with |alpha| = p, |beta| = q, in canonical order."""
-    alphas = [MultiIndex(c) for c in combinations(range(1, n + 1), p)]
-    betas = [MultiIndex(c) for c in combinations(range(1, n + 1), q)]
-    return [(a, b) for a in alphas for b in betas]
+    betas = list(combinations(range(1, n + 1), q))
+    return [(a, b) for a in combinations(range(1, n + 1), p) for b in betas]

@@ -45,7 +45,7 @@ from .hodge import Report, _section_monomials, _star, invariant_harmonic_space
 from .lie import ACStructure, LieACS, LieAlgebra, _jacobi_failures
 from .linalg import rank, span_test
 from .scalars import S_I, S_ONE, Scalar, SymScalar, _Frozen, _lift, _new, _norm, _scalar
-from .torus import PlurigeneraProfile, kodaira_dimension
+from .torus import PlurigeneraProfile, _plurigenus_level, kodaira_dimension
 
 X_DIM = 6
 Y_DIM = 8
@@ -984,10 +984,7 @@ def s6_plurigenus(m: int) -> int:
     section is a constant multiple, and it is holomorphic exactly when
     beta_m = m * beta_1 vanishes.
     """
-    m = int(m)
-    if m < 1:
-        raise InputError("plurigenus level m must be at least 1")
-    return 1 if _s6_canonical().beta(m).is_zero() else 0
+    return 1 if _s6_canonical().beta(_plurigenus_level(m)).is_zero() else 0
 
 
 def _serre_transport_bijective(p: int) -> bool:

@@ -35,7 +35,7 @@ from math import comb
 
 from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
 from .errors import InputError, InternalCheckError, RefusalError
-from .forms import Form, MultiIndex, _form, basis_monomials, complement, perm_sign
+from .forms import Form, _form, _multi_index, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
 from .linalg import certify_kernel, kernel_basis, rank, span_test, sparse_rows
 from .scalars import Scalar, SymScalar
@@ -49,8 +49,7 @@ def star_monomial(n: int, alpha, beta):
     """star of phi_alpha ^ phibar_beta: returns (betahat, alphahat, coeff),
     with coeff a SymScalar.  star maps monomials one to one, so the value is
     cached per (n, alpha, beta): at most 4^n entries for each n."""
-    alpha = MultiIndex(alpha)
-    beta = MultiIndex(beta)
+    alpha, beta = _multi_index(alpha), _multi_index(beta)
     p, q = len(alpha), len(beta)
     ahat = complement(alpha, n)
     bhat = complement(beta, n)

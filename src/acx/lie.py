@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
-from .forms import Form, MultiIndex, _form, d_monomial
+from .forms import Form, _form, d_monomial
 from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon, sparse_rows
 from .scalars import SS_ONE, SS_ZERO, S_I, Scalar, SymScalar, _lift
 
@@ -263,8 +263,8 @@ class ComplexCoframe:
             for (B, Cc), coords in self.complex_constants().items():
                 c = coords[A]
                 if not c.is_zero():
-                    alpha = MultiIndex(k + 1 for k in (B, Cc) if k < n)
-                    beta = MultiIndex(k - n + 1 for k in (B, Cc) if k >= n)
+                    alpha = tuple(k + 1 for k in (B, Cc) if k < n)
+                    beta = tuple(k - n + 1 for k in (B, Cc) if k >= n)
                     terms[(alpha, beta)] = -c
             out = _form(n, terms)
         else:

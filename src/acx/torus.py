@@ -202,11 +202,6 @@ def kt_solvable_modes(a: PiParam, coeff) -> List[Tuple[int, int]]:
     return []
 
 
-def _mode_solves(k: int, l: int, target: Optional[int]) -> bool:
-    """The oracle's per-mode test: (k, l) is the one mode (0, target)."""
-    return k == 0 and l == target
-
-
 def kt_mode_oracle(a: PiParam, coeff) -> List[Tuple[int, int]]:
     """Cross-check oracle: test each mode of the window mode_window() exactly.
 
@@ -224,7 +219,7 @@ def kt_mode_oracle(a: PiParam, coeff) -> List[Tuple[int, int]]:
     elif not coeff:
         target = 0
     modes = range(-window, window + 1)
-    return [(k, l) for k in modes for l in modes if _mode_solves(k, l, target)]
+    return [(k, l) for k in modes for l in modes if k == 0 and l == target]
 
 
 def kt_mode_cross_check(a: PiParam, levels: Sequence[int]) -> None:
@@ -241,6 +236,14 @@ def kt_mode_cross_check(a: PiParam, levels: Sequence[int]) -> None:
             )
 
 
+def _plurigenus_level(m) -> int:
+    """A plurigenus level as an int, refused below 1."""
+    m = int(m)
+    if m < 1:
+        raise InputError("plurigenus level m must be at least 1")
+    return m
+
+
 def kt_plurigenus(a: PiParam, m: int) -> int:
     """Dimension of the invariant-fiber pluricanonical kernel at level m.
 
@@ -249,10 +252,7 @@ def kt_plurigenus(a: PiParam, m: int) -> int:
     """
     if not isinstance(a, PiParam):
         raise InputError("parameter must be a PiParam")
-    m = int(m)
-    if m < 1:
-        raise InputError("plurigenus level m must be at least 1")
-    return len(kt_solvable_modes(a, Scalar(m) / 4))
+    return len(kt_solvable_modes(a, Scalar(_plurigenus_level(m)) / 4))
 
 
 def kt_first_nonzero(a: PiParam) -> Optional[int]:
@@ -338,9 +338,7 @@ def _t4_integrable(alpha: TrigPoly, beta: TrigPoly) -> bool:
 def t4_plurigenus(alpha: TrigPoly, beta: TrigPoly, m: int) -> int:
     """Plurigenus of the four-torus family member: 1 on the integrable
     branch, 0 on the obstructed one, at every level m."""
-    m = int(m)
-    if m < 1:
-        raise InputError("plurigenus level m must be at least 1")
+    _plurigenus_level(m)
     return 1 if _t4_integrable(alpha, beta) else 0
 
 
@@ -417,11 +415,9 @@ def rr_plurigenus(g: int, m: int) -> ProfileValue:
     two-sided bound [g-1, g] is determined, reported as an interval.
     """
     g = int(g)
-    m = int(m)
     if g < 2:
         raise InputError("fiber genus must be at least 2")
-    if m < 1:
-        raise InputError("plurigenus level m must be at least 1")
+    m = _plurigenus_level(m)
     if m == 1:
         return IntInterval(g - 1, g)
     return (2 * m - 1) * (g - 1)

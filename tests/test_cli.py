@@ -1158,15 +1158,27 @@ class TestComputeOnce:
     def test_cross_check_decides_each_window_mode_once(self, monkeypatch):
         from acx import torus
 
-        calls = []
-        solves = torus._mode_solves
-        monkeypatch.setattr(torus, "_mode_solves",
-                            lambda k, l, target: calls.append(1) or solves(k, l, target))
+        # the oracle's comprehension runs k over the window's range once and
+        # l over it once for each k; each value that range yields is counted
+        window = torus.MODE_WINDOW
+        visits = []
+
+        class Window:
+            def __init__(self, *args):
+                self.modes = range(*args)
+
+            def __iter__(self):
+                for mode in self.modes:
+                    visits.append(mode)
+                    yield mode
+
+        monkeypatch.setattr(torus, "range", lambda *args: Window(*args)
+                            if args == (-window, window + 1) else range(*args), raising=False)
         code, report = capture_json(["plurigenera", "--model", "kt", "--a", "4*pi,generic",
                                      "--m", "1..3", "--cross-check"])
         assert code == 0 and report["cross_check"]["agreed"] is True
-        # two values, three levels, (2 * 32 + 1)^2 modes each
-        assert len(calls) == 2 * 3 * (2 * torus.MODE_WINDOW + 1) ** 2 == 25350
+        # two values, three levels, 65 values of k and (2 * 32 + 1)^2 modes each
+        assert len(visits) == 2 * 3 * (65 + 65 ** 2) == 25740
 
     def test_a_model_builds_one_trivial_character(self, tmp_path, monkeypatch):
         from acx import lie

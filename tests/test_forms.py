@@ -8,7 +8,6 @@ import pytest
 
 from acx.forms import (
     Form,
-    MultiIndex,
     basis_monomials,
     complement,
     merge_indices,
@@ -28,11 +27,11 @@ def rand_form(rng, n, p, q, density=3):
 
 class TestMultiIndex:
     def test_strictly_increasing_required(self):
-        assert len(MultiIndex((1, 3))) == 2
-        with pytest.raises(ValueError):
-            MultiIndex((3, 1))
-        with pytest.raises(ValueError):
-            MultiIndex((2, 2))
+        assert Form(3, {((1, 3), ()): 1}).monomials() == [((1, 3), ())]
+        for key in ((3, 1), (2, 2)):
+            with pytest.raises(ValueError) as info:
+                Form(3, {(key, ()): 1})
+            assert str(info.value) == f"multi-index must be strictly increasing, got {key}"
 
     def test_merge_sign_counts_transpositions(self):
         merged, sign = merge_indices((2,), (1,))

@@ -95,18 +95,6 @@ class TestElements:
             with pytest.raises(InputError, match="^matrix must be 7x7$"):
                 g2._lift_matrix([[Scalar(0)] * cols for _ in range(rows)])
 
-    def test_immutable(self):
-        elem = g2.G2Element((0,) * 6, (0,) * 8)
-        with pytest.raises(AttributeError):
-            elem.den = 2
-
-    def test_attributes_cannot_be_deleted(self):
-        elem = g2.G2Element((0,) * 6, (0,) * 8)
-        for name in ("den", "_coords", "entries", "extra"):
-            with pytest.raises(AttributeError):
-                delattr(elem, name)
-        assert elem == g2.G2Element((0,) * 6, (0,) * 8)
-
     def test_bracket_closes_and_is_antisymmetric(self):
         rng = random.Random(12)
         for _ in range(6):

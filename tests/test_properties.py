@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from acx.bundles import CanonicalPower
-from acx.forms import Form, MultiIndex
+from acx.forms import Form
 from acx.hodge import (
     HermitianData,
     invariant_harmonic_space,
@@ -168,10 +168,10 @@ def random_form(rng, n, size=4):
 
 def assert_trusted(f):
     """A result built without Form's checks passes them: it equals its
-    re-validated copy, and holds MultiIndex keys and no zero coefficient."""
+    re-validated copy, and holds plain tuple keys and no zero coefficient."""
     assert f == Form(f.n, f.terms)
     for (alpha, beta), c in f.terms.items():
-        assert type(alpha) is MultiIndex and type(beta) is MultiIndex
+        assert type(alpha) is tuple and type(beta) is tuple
         assert type(c) is SymScalar and not c.is_zero()
 
 

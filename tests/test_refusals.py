@@ -4,15 +4,25 @@ exception type with its own message."""
 import pytest
 
 from acx.errors import InputError
-from acx.forms import Form, MultiIndex
+from acx.forms import Form
 from acx.g2 import basis_vector, cross_product
+from acx.hodge import star_monomial
 from acx.linalg import mat_inverse
 from acx.scalars import PiParam, SymScalar
 from acx.torus import TrigPoly
 
 REFUSALS = {
-    "MultiIndex((0,))": (lambda: MultiIndex((0,)), ValueError,
-                         "multi-index entries must be positive ints, got 0"),
+    "Form(1, {((0,), ()): 1})": (lambda: Form(1, {((0,), ()): 1}), ValueError,
+                                 "multi-index entries must be positive ints, got 0"),
+    "Form.zero(2).coefficient((0,))": (lambda: Form.zero(2).coefficient((0,)), ValueError,
+                                       "multi-index entries must be positive ints, got 0"),
+    "Form.zero(2).coefficient((), (2, 1))": (lambda: Form.zero(2).coefficient((), (2, 1)),
+                                             ValueError,
+                                             "multi-index must be strictly increasing, got (2, 1)"),
+    "star_monomial(2, (), (-1,))": (lambda: star_monomial(2, (), (-1,)), ValueError,
+                                    "multi-index entries must be positive ints, got -1"),
+    "star_monomial(2, (1, 1), ())": (lambda: star_monomial(2, (1, 1), ()), ValueError,
+                                     "multi-index must be strictly increasing, got (1, 1)"),
     "Form(-1)": (lambda: Form(-1), ValueError, "bad coframe dimension -1"),
     "Form(2, {((), (3,)): 1})": (lambda: Form(2, {((), (3,)): 1}), ValueError,
                                  "antiholomorphic index 3 exceeds n=2"),
