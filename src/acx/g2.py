@@ -42,7 +42,7 @@ from .bundles import CanonicalPower
 from .errors import InputError, RefusalError
 from .forms import Form, perm_sign
 from .hodge import Report, _section_monomials, _star, invariant_harmonic_space
-from .lie import ACStructure, LieACS, LieAlgebra, _jacobi_failures
+from .lie import ACStructure, LieACS, LieAlgebra, _jacobi_failures, _lift_ad
 from .linalg import rank, span_test
 from .scalars import S_I, S_ONE, Scalar, SymScalar, _Frozen, _lift, _new, _norm, _scalar
 from .torus import PlurigeneraProfile, _plurigenus_level, kodaira_dimension
@@ -432,7 +432,7 @@ def verify_bracket_table() -> Report:
     h_closed = all(k > X_DIM for (i, _), out in table.items() if i > X_DIM for k in out)
     jacobi_failures = [
         tuple(BASIS_NAMES[t - 1] for t in triple)
-        for triple in _jacobi_failures(X_DIM + Y_DIM, table)
+        for triple in _jacobi_failures(_lift_ad(X_DIM + Y_DIM, table)[0])
     ]
     dimension = rank([e.entries for e in g2_basis().values()])
     return Report(

@@ -1,9 +1,12 @@
 """Invariant frames: Lie algebras, almost complex structures, complex coframes.
 
 Everything is exact.  A LieAlgebra is given by Gaussian-rational structure
-constants on a real basis e_1..e_N (Jacobi is checked on construction, on the
-constants lifted to Gaussian integers).  An ACStructure is a
-real matrix J with J^2 = -I.  build_coframe produces the (1,0) coframe
+constants on a real basis e_1..e_N, lifted once to a Gaussian-integer ad table
+over one denominator.  That table serves the Jacobi check, unimodularity,
+and on constant frames the complex constants and Nijenhuis, whose operands
+(C and C^{-1}, or J) are lifted alike: numerators are summed as ints and each
+output entry normalised once.  An ACStructure is a real matrix J with
+J^2 = -I.  build_coframe produces the (1,0) coframe
 phi^i = eta - i*(eta o J), normalized so the leading real-dual coefficient is
 one, together with the dual (1,0) frame X_i and the complexified structure
 constants, from which the Chevalley-Eilenberg differential is assembled on
@@ -28,7 +31,7 @@ from itertools import combinations
 from .errors import InputError, InternalCheckError
 from .forms import Form, _form, d_monomial
 from .linalg import identity, mat_inverse, mat_mul, mat_vec, row_echelon, sparse_rows
-from .scalars import SS_ONE, SS_ZERO, S_I, Scalar, SymScalar, _lift
+from .scalars import SS_ONE, SS_ZERO, S_I, Scalar, SymScalar, _const, _lift, _norm
 
 
 # --- Lie algebras
@@ -74,7 +77,9 @@ class LieAlgebra:
         for (i, j), vec in clean.items():
             self._ad[i - 1][j - 1] = [(k - 1, c) for k, c in vec.items()]
             self._ad[j - 1][i - 1] = [(k - 1, -c) for k, c in vec.items()]
+        self._lifted, self._den = _lift_ad(dim, clean)
         self._check_jacobi()
+        self._unimodular = _trace_free(self._lifted)
 
     def bracket_vectors(self, u, v):
         """[u, v] for coefficient lists u, v (0-based, SymScalar entries).
@@ -97,16 +102,13 @@ class LieAlgebra:
 
     def _check_jacobi(self):
         """Refuse the algebra on the first basis triple _jacobi_failures yields."""
-        bad = next(_jacobi_failures(self.dim, self.brackets), None)
+        bad = next(_jacobi_failures(self._lifted), None)
         if bad:
             raise InputError("Jacobi identity fails on basis triple ({},{},{})".format(*bad))
 
     def is_unimodular(self):
-        """tr(ad e_b) = 0 for every b: the e_a-coefficients of [e_b, e_a]."""
-        return all(
-            sum((c for a, terms in row.items() for k, c in terms if k == a), SS_ZERO).is_zero()
-            for row in self._ad
-        )
+        """tr(ad e_b) = 0 for every b, taken once, on construction."""
+        return self._unimodular
 
     def d_generator(self, k) -> Form:
         """Chevalley-Eilenberg d of e^k: d(xi)(x,y) = -xi([x,y]).
@@ -122,27 +124,28 @@ class LieAlgebra:
         return Form(self.dim, terms)
 
 
-def _jacobi_failures(dim, brackets):
-    """Every basis triple (1-based, in combinations order) on which
-    [[e_a,e_b],e_c] + cyclic is nonzero; brackets as LieAlgebra.brackets,
-    each constant a Scalar or a constant SymScalar.
-
-    The constants are lifted once to Gaussian integers (re, im) over one
-    denominator D: every product of two is over D^2, so a sum vanishes
-    exactly when its integer numerator does.
-    """
+def _lift_ad(dim, brackets):
+    """brackets as LieAlgebra.brackets, each constant a Scalar or a constant
+    SymScalar, lifted to (ad, D): ad[a][b] lists the 0-based (k, re, im)
+    terms of [e_a, e_b] = sum_k (re + im*i)/D e_k."""
     terms = [(i - 1, j - 1, k - 1, c) for (i, j), vec in brackets.items() for k, c in vec.items()]
-    re, im, _ = _lift([c if type(c) is Scalar else c.constant_value() for *_, c in terms])
-    # ad[a][b]: the 0-based (k, (re, im)) terms of [e_a, e_b]
+    re, im, den = _lift([c if type(c) is Scalar else c.constant_value() for *_, c in terms])
     ad = [{} for _ in range(dim)]
     for (i, j, k, _), r, m in zip(terms, re, im):
-        ad[i].setdefault(j, []).append((k, (r, m)))
-        ad[j].setdefault(i, []).append((k, (-r, -m)))
-    for i, j, k in combinations(range(dim), 3):
+        ad[i].setdefault(j, []).append((k, r, m))
+        ad[j].setdefault(i, []).append((k, -r, -m))
+    return ad, den
+
+
+def _jacobi_failures(ad):
+    """Every basis triple (1-based, in combinations order) on which
+    [[e_a,e_b],e_c] + cyclic is nonzero, on a lifted ad table: the sum is
+    over D^2, so it vanishes exactly when its integer numerator does."""
+    for i, j, k in combinations(range(len(ad)), 3):
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, (fr, fi) in ad[a].get(b, ()):
-                for n, (gr, gi) in ad[m].get(c, ()):
+            for m, fr, fi in ad[a].get(b, ()):
+                for n, gr, gi in ad[m].get(c, ()):
                     t = acc.get(n)
                     if t is None:
                         acc[n] = [fr * gr - fi * gi, fr * gi + fi * gr]
@@ -151,6 +154,61 @@ def _jacobi_failures(dim, brackets):
                         t[1] += fr * gi + fi * gr
         if any(x or y for x, y in acc.values()):
             yield i + 1, j + 1, k + 1
+
+
+def _trace_free(ad):
+    """Whether tr(ad e_b), the sum of the e_a-coefficients of [e_b, e_a], is 0 for every b."""
+    return not any(sum(r for a, terms in row.items() for k, r, _ in terms if k == a)
+                   or sum(m for a, terms in row.items() for k, _, m in terms if k == a)
+                   for row in ad)
+
+
+def _lift_square(matrix):
+    """A square matrix of constants lifted over one denominator: (rows,
+    columns, den), each row i a list of the (k, re, im) of its nonzero
+    entries (i, k), each column k of the (i, re, im); None when an entry
+    involves the symbol."""
+    if not all(c.is_constant() for row in matrix for c in row):
+        return None
+    flat = [(i, k, c.num[0]) for i, row in enumerate(matrix) for k, c in enumerate(row) if c.num]
+    re, im, den = _lift([c for *_, c in flat])
+    rows, columns = [[] for _ in matrix], [[] for _ in matrix]
+    for (i, k, _), r, m in zip(flat, re, im):
+        rows[i].append((k, r, m))
+        columns[k].append((i, r, m))
+    return rows, columns, den
+
+
+def _bracket_into(re, im, ad, u, v):
+    """Add the numerators of [u, v] to the lists re, im, for lifted vectors
+    u, v: lists of their nonzero (a, re, im) coordinates."""
+    for a, ur, ui in u:
+        row = ad[a]
+        for b, vr, vi in v:
+            terms = row.get(b)
+            if terms:
+                fr, fi = ur * vr - ui * vi, ur * vi + ui * vr
+                for k, r, m in terms:
+                    re[k] += fr * r - fi * m
+                    im[k] += fr * m + fi * r
+
+
+def _apply(rows, re, im):
+    """The numerators of A v, for the lifted rows of A and v's numerators."""
+    out_re, out_im = [], []
+    for row in rows:
+        x = y = 0
+        for k, r, m in row:
+            x += r * re[k] - m * im[k]
+            y += r * im[k] + m * re[k]
+        out_re.append(x)
+        out_im.append(y)
+    return out_re, out_im
+
+
+def _constants(re, im, den):
+    """The constants (re[k] + im[k]*i)/den, each normalised once."""
+    return [_const(_norm(x, y, den)) if x or y else SS_ZERO for x, y in zip(re, im)]
 
 
 # --- almost complex structures
@@ -171,12 +229,23 @@ class ACStructure:
             for b, c in enumerate(row, start=1):
                 if c != c.conjugate():
                     raise InputError(f"J is not real at entry ({a},{b})")
-        square = mat_mul(self.matrix, self.matrix)
-        for a in range(n):
-            for b in range(n):
-                want = SS_ONE if a == b else SS_ZERO
-                if not (square[a][b] + want).is_zero():
-                    raise InputError(f"J^2 != -I at entry ({a + 1},{b + 1})")
+        # J^2 + I; a constant J is lifted, and as J is real only the real
+        # numerators of J^2 + I, over den^2, can be nonzero
+        self._lifted = _lift_square(self.matrix)
+        if self._lifted is None:
+            residue = [[not (c + SS_ONE if a == b else c).is_zero() for b, c in enumerate(row)]
+                       for a, row in enumerate(mat_mul(self.matrix, self.matrix))]
+        else:
+            rows, _, den = self._lifted
+            residue = [[den * den if b == a else 0 for b in range(n)] for a in range(n)]
+            for a, row in enumerate(rows):
+                for k, r, _ in row:
+                    for b, s, _ in rows[k]:
+                        residue[a][b] += r * s
+        for a, row in enumerate(residue):
+            b = next((b for b, x in enumerate(row) if x), None)
+            if b is not None:
+                raise InputError(f"J^2 != -I at entry ({a + 1},{b + 1})")
 
     @property
     def dim(self):
@@ -192,6 +261,20 @@ def nijenhuis(alg: LieAlgebra, J: ACStructure) -> dict:
     integrable iff there are none."""
     if J.dim != alg.dim:
         raise InputError("J dimension does not match the algebra")
+    if J._lifted is not None:
+        # over den^2 D: J([Je_i, e_j] + [e_i, Je_j]) + den^2 [e_i, e_j] + [Je_j, Je_i]
+        rows, columns, den = J._lifted
+        ad, dim, entries = alg._lifted, alg.dim, {}
+        for i, j in combinations(range(dim), 2):
+            re, im = [0] * dim, [0] * dim
+            _bracket_into(re, im, ad, columns[i], ((j, 1, 0),))
+            _bracket_into(re, im, ad, ((i, 1, 0),), columns[j])
+            re, im = _apply(rows, re, im)
+            _bracket_into(re, im, ad, ((i, den * den, 0),), ((j, 1, 0),))
+            _bracket_into(re, im, ad, columns[j], columns[i])
+            if any(re) or any(im):
+                entries[(i + 1, j + 1)] = _constants(re, im, den * den * alg._den)
+        return entries
     # e_i, and J e_i read off J's columns; J is applied once, to [Je_i, e_j] + [e_i, Je_j]
     units = identity(alg.dim)
     columns = list(zip(*J.matrix))
@@ -235,13 +318,24 @@ class ComplexCoframe:
 
     def complex_constants(self):
         """[X_A, X_B] = sum_C K[(A,B)][C] X_C over the complexified frame."""
-        if self._complex_constants is None:
+        if self._complex_constants is not None:
+            return self._complex_constants
+        lifted, pairs = _lift_square(self.C), combinations(range(2 * self.n), 2)
+        if lifted is None:
             X = [self.x_vector(A) for A in range(2 * self.n)]
-            self._complex_constants = {
-                (A, B): mat_vec(self.C, self.alg.bracket_vectors(X[A], X[B]))
-                for A, B in combinations(range(2 * self.n), 2)
-            }
-        return self._complex_constants
+            K = {(A, B): mat_vec(self.C, self.alg.bracket_vectors(X[A], X[B])) for A, B in pairs}
+        else:
+            # C [X_A, X_B] over den_C den_X^2 D, X_A lifted as column A of C^{-1}
+            rows, _, den_c = lifted
+            _, X, den_x = _lift_square(self.Cinv)
+            ad, dim, K = self.alg._lifted, self.alg.dim, {}
+            den = den_c * den_x * den_x * self.alg._den
+            for A, B in pairs:
+                re, im = [0] * dim, [0] * dim
+                _bracket_into(re, im, ad, X[A], X[B])
+                K[(A, B)] = _constants(*_apply(rows, re, im), den)
+        self._complex_constants = K
+        return K
 
     def _gen_form(self, A):
         if A < self.n:

@@ -187,11 +187,22 @@ class TestNijenhuis:
         calls = []
         true_mat_vec = lie.mat_vec
         monkeypatch.setattr(lie, "mat_vec", lambda m, v: calls.append(1) or true_mat_vec(m, v))
+        brackets = []
+        true_bracket = LieAlgebra.bracket_vectors
+        monkeypatch.setattr(LieAlgebra, "bracket_vectors",
+                            lambda a, u, v: brackets.append(1) or true_bracket(a, u, v))
         tensor = nijenhuis(alg, J)
         pairs = alg.dim * (alg.dim - 1) // 2
-        # the columns J e_i read off J, then J once per entry, on the sum of
-        # the two middle brackets
-        assert len(calls) == pairs
+        if model == "kt":
+            # the columns J e_i read off J, then J once per entry, on the sum
+            # of the two middle brackets
+            assert len(calls) == pairs
+        else:
+            # a constant J: the lifted J and ad table, with no SymScalar
+            # bracket and no J.apply
+            assert calls == [] and brackets == []
+        monkeypatch.undo()
+        # every entry of the 91 (g2) or 6 (kt), zero ones as absent keys
         want = {}
         for i in range(1, alg.dim + 1):
             for j in range(i + 1, alg.dim + 1):
