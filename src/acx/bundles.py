@@ -108,5 +108,5 @@ class CanonicalPower:
         m = self.m if m is None else m
         return self.beta1.scale(m)
 
-    def structure(self) -> PseudoholStructure:
-        return PseudoholStructure(self.model, [[self.beta()]])
+    def structure(self, m: int | None = None) -> PseudoholStructure:
+        return PseudoholStructure(self.model, [[self.beta(m)]])

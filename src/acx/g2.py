@@ -38,7 +38,6 @@ from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .bundles import CanonicalPower
 from .errors import InputError, RefusalError
 from .forms import Form, perm_sign
 from .hodge import Report, _section_monomials, _star, invariant_harmonic_space
@@ -858,7 +857,7 @@ def s6_structure_package() -> Report:
         if got != want:
             dbar_20_failures.append([i, j])
 
-    top_closed = coframe.dbar(_s6_canonical().vol).is_zero()
+    top_closed = coframe.dbar(model.canonical.vol).is_zero()
 
     # dual frame spot check: X_1 = (e1 + i e2)/2, X_7 = (e13 + i e14)/2
     half_i = SymScalar.const(_HALF_I)
@@ -970,13 +969,6 @@ def s6_basic_star(x: Form) -> Form:
     return _star(x, model.n, len(basic))
 
 
-@lru_cache(maxsize=1)
-def _s6_canonical() -> CanonicalPower:
-    """The sphere's canonical bundle, trivialized by phi1^phi2^phi3 (once per
-    process: every level of the plurigenus sweep reads it)."""
-    return CanonicalPower(s6_model(), 1)
-
-
 def s6_plurigenus(m: int) -> int:
     """Invariant pluricanonical sections of the sphere at level m.
 
@@ -984,7 +976,7 @@ def s6_plurigenus(m: int) -> int:
     section is a constant multiple, and it is holomorphic exactly when
     beta_m = m * beta_1 vanishes.
     """
-    return 1 if _s6_canonical().beta(_plurigenus_level(m)).is_zero() else 0
+    return 1 if s6_model().canonical.beta(_plurigenus_level(m)).is_zero() else 0
 
 
 def _serre_transport_bijective(p: int) -> bool:
@@ -1012,7 +1004,7 @@ def s6_hodge_report(levels: int = 8) -> Report:
     h20 = invariant_harmonic_space(model, 2, 0).dimension
     plurigenera = [s6_plurigenus(m) for m in range(1, levels + 1)]
     bijections = _serre_transport_bijective(1) and _serre_transport_bijective(2)
-    gen = _s6_canonical().vol
+    gen = model.canonical.vol
     star_on_generator = s6_basic_star(gen).conjugate() == gen.conjugate().scale(S_I)
     shown = {
         "h10": h10,

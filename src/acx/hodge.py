@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .bundles import CanonicalPower, PseudoholStructure, trivial_structure
+from .bundles import PseudoholStructure, trivial_structure
 from .errors import InputError, InternalCheckError, RefusalError
 from .forms import Form, _form, _multi_index, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
@@ -85,7 +85,6 @@ class HermitianData:
     """Metric data of a model: integration and the star operator."""
 
     def __init__(self, model: LieACS):
-        self.model = model
         self.n = model.n
         self.vol_coeff = _volume_coeff(self.n)
 
@@ -180,10 +179,7 @@ class HarmonicBlock:
 
 
 class HarmonicSpace:
-    def __init__(self, model, p, q, blocks):
-        self.model = model
-        self.p = p
-        self.q = q
+    def __init__(self, blocks):
         self.blocks = blocks
 
     @property
@@ -222,10 +218,7 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     if len(model.indices) < model.n and q >= 1:
         raise RefusalError(f"hodge on {model.name} computes (p,0) only: at q >= 1, "
                            "dbar* needs the quotient's own star")
-    if bundle_power == 0:
-        bundle = None
-    else:
-        bundle = CanonicalPower(model, bundle_power).structure()
+    bundle = model.canonical.structure(bundle_power) if bundle_power else None
     monomials = _section_monomials(model, p, q)
     sections = [Form.monomial(model.n, a, b) for a, b in monomials]
     blocks = []
@@ -243,7 +236,7 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
             if lap_kernel != both_kernel:
                 raise InternalCheckError("harmonic kernels", "they span different spaces")
         blocks.append(HarmonicBlock(ch, monomials, both_kernel))
-    return HarmonicSpace(model, p, q, blocks)
+    return HarmonicSpace(blocks)
 
 
 class Report:

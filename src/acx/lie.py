@@ -4,15 +4,17 @@ Everything is exact.  A LieAlgebra is given by Gaussian-rational structure
 constants on a real basis e_1..e_N, lifted once to a Gaussian-integer ad table
 over one denominator.  That table serves the Jacobi check, unimodularity,
 and on constant frames the complex constants and Nijenhuis, whose operands
-(C and C^{-1}, or J) are lifted alike: numerators are summed as ints and each
-output entry normalised once.  An ACStructure is a real matrix J with
-J^2 = -I.  build_coframe produces the (1,0) coframe
-phi^i = eta - i*(eta o J), normalized so the leading real-dual coefficient is
-one, together with the dual (1,0) frame X_i and the complexified structure
-constants, from which the Chevalley-Eilenberg differential is assembled on
-the exterior algebra of the coframe.  The coframe holds the structure
-equations: ComplexCoframe.d_phi(i) is d(phi^i), and its bidegree parts are
-its projections.
+(C and C^{-1}, or J) are lifted where they are read: numerators are summed as
+ints and each output entry normalised once.  bracket_vectors, the dense
+bracket that symbolic frames and the cross-checks use, reads the brackets
+table as given and shares nothing with the lifted one.  An ACStructure is a
+real matrix J with J^2 = -I, checked by one dense product.  build_coframe
+produces the (1,0) coframe phi^i = eta - i*(eta o J), normalized so the
+leading real-dual coefficient is one, together with the dual (1,0) frame
+X_i and the complexified structure constants, from which the
+Chevalley-Eilenberg differential is assembled on the exterior algebra of the
+coframe.  The coframe holds the structure equations: ComplexCoframe.d_phi(i)
+is d(phi^i), and its bidegree parts are its projections.
 
 Conventions.  d(xi)(x, y) = -xi([x, y]) on invariant 1-forms.  The Nijenhuis
 tensor is N(x, y) = [x, y] + J[Jx, y] + J[x, Jy] - [Jx, Jy]; nijenhuis returns
@@ -26,6 +28,7 @@ on [g, g]); how it twists a character block is hodge.SectionContext's.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InputError, InternalCheckError
@@ -71,33 +74,21 @@ class LieAlgebra:
             if vec:
                 clean[(i, j)] = vec
         self.brackets = clean
-        # ad[a][b]: the nonzero 0-based (k, c) terms of [e_a, e_b], for the
-        # sparse bracket of coefficient vectors
-        self._ad = [{} for _ in range(dim)]
-        for (i, j), vec in clean.items():
-            self._ad[i - 1][j - 1] = [(k - 1, c) for k, c in vec.items()]
-            self._ad[j - 1][i - 1] = [(k - 1, -c) for k, c in vec.items()]
         self._lifted, self._den = _lift_ad(dim, clean)
         self._check_jacobi()
         self._unimodular = _trace_free(self._lifted)
 
     def bracket_vectors(self, u, v):
-        """[u, v] for coefficient lists u, v (0-based, SymScalar entries).
-
-        Sums u_a v_b [e_a, e_b] over the nonzero coordinates a of u and b of
-        v for which the bracket of basis vectors is nonzero.
-        """
+        """[u, v] for coefficient lists u, v (0-based, SymScalar entries): the
+        sum of (u_i v_j - u_j v_i)[e_i, e_j] over the brackets table as given,
+        so that it shares no table with the lifted constant-frame kernels."""
         out = [SS_ZERO] * self.dim
-        for a, ua in enumerate(u):
-            if ua.is_zero():
-                continue
-            for b, terms in self._ad[a].items():
-                vb = v[b]
-                if vb.is_zero():
-                    continue
-                f = ua * vb
-                for k, c in terms:
-                    out[k] = out[k] + f * c
+        for (i, j), vec in self.brackets.items():
+            ui, uj, vi, vj = u[i - 1], u[j - 1], v[i - 1], v[j - 1]
+            if (ui.num and vj.num) or (uj.num and vi.num):
+                f = ui * vj - uj * vi
+                for k, c in vec.items():
+                    out[k - 1] = out[k - 1] + f * c
         return out
 
     def _check_jacobi(self):
@@ -229,23 +220,10 @@ class ACStructure:
             for b, c in enumerate(row, start=1):
                 if c != c.conjugate():
                     raise InputError(f"J is not real at entry ({a},{b})")
-        # J^2 + I; a constant J is lifted, and as J is real only the real
-        # numerators of J^2 + I, over den^2, can be nonzero
-        self._lifted = _lift_square(self.matrix)
-        if self._lifted is None:
-            residue = [[not (c + SS_ONE if a == b else c).is_zero() for b, c in enumerate(row)]
-                       for a, row in enumerate(mat_mul(self.matrix, self.matrix))]
-        else:
-            rows, _, den = self._lifted
-            residue = [[den * den if b == a else 0 for b in range(n)] for a in range(n)]
-            for a, row in enumerate(rows):
-                for k, r, _ in row:
-                    for b, s, _ in rows[k]:
-                        residue[a][b] += r * s
-        for a, row in enumerate(residue):
-            b = next((b for b, x in enumerate(row) if x), None)
-            if b is not None:
-                raise InputError(f"J^2 != -I at entry ({a + 1},{b + 1})")
+        for a, row in enumerate(mat_mul(self.matrix, self.matrix)):
+            for b, c in enumerate(row):
+                if not (c + SS_ONE if a == b else c).is_zero():
+                    raise InputError(f"J^2 != -I at entry ({a + 1},{b + 1})")
 
     @property
     def dim(self):
@@ -261,9 +239,10 @@ def nijenhuis(alg: LieAlgebra, J: ACStructure) -> dict:
     integrable iff there are none."""
     if J.dim != alg.dim:
         raise InputError("J dimension does not match the algebra")
-    if J._lifted is not None:
+    lifted = _lift_square(J.matrix)
+    if lifted is not None:
         # over den^2 D: J([Je_i, e_j] + [e_i, Je_j]) + den^2 [e_i, e_j] + [Je_j, Je_i]
-        rows, columns, den = J._lifted
+        rows, columns, den = lifted
         ad, dim, entries = alg._lifted, alg.dim, {}
         for i, j in combinations(range(dim), 2):
             re, im = [0] * dim, [0] * dim
@@ -301,9 +280,8 @@ class ComplexCoframe:
     X_1..X_n, Xbar_1..Xbar_n over the real basis.
     """
 
-    def __init__(self, alg: LieAlgebra, J: ACStructure, phi_rows):
+    def __init__(self, alg: LieAlgebra, phi_rows):
         self.alg = alg
-        self.J = J
         self.n = alg.dim // 2
         rows = [list(r) for r in phi_rows]
         self.C = rows + [[c.conjugate() for c in r] for r in rows]
@@ -435,7 +413,7 @@ def build_coframe(alg: LieAlgebra, J: ACStructure) -> ComplexCoframe:
         lead = next(c for c in candidates[a] if not c.is_zero())
         inv = SS_ONE / lead
         chosen.append([c * inv for c in candidates[a]])
-    return ComplexCoframe(alg, J, chosen)
+    return ComplexCoframe(alg, chosen)
 
 
 def is_integrable(tensor: dict, coframe: ComplexCoframe) -> bool:
@@ -469,7 +447,6 @@ class Character:
     d(chi x) = chi(lambda ^ x + dx)."""
 
     def __init__(self, alg: LieAlgebra, values):
-        self.alg = alg
         self.values = [SymScalar.coerce(v) for v in values]
         if len(self.values) != alg.dim:
             raise InputError("character length must match the algebra dimension")
@@ -499,9 +476,10 @@ class LieACS:
 
     characters, when set, is a callable: characters(bundle_power) returns the
     Fourier blocks the model supplies for harmonic-space computations besides
-    the trivial one, which is built once, with the model.  indices is the
-    sorted holomorphic/antiholomorphic index set that section monomials are
-    drawn from: 1..n, or the basic set, which only the sphere passes.
+    the trivial one.  indices is the sorted holomorphic/antiholomorphic index
+    set that section monomials are drawn from: 1..n, or the basic set, which
+    only the sphere passes.  The canonical bundle and the trivial character,
+    which no level m changes, are built once per model, on first use.
     """
 
     def __init__(self, alg, J, *, name="", symbol="x", characters=None,
@@ -512,16 +490,29 @@ class LieACS:
         self.name = name
         self.symbol = symbol
         self._characters = characters
-        self._trivial = Character(alg, [SS_ZERO] * alg.dim)
         self.indices = tuple(sorted(basic) if basic is not None else range(1, self.n + 1))
 
     @property
     def n(self):
         return self.coframe.n
 
+    @cached_property
+    def canonical(self):
+        """K as bundles.CanonicalPower at m = 1: its beta_1, checked by the
+        product rule once, gives beta_m = m * beta_1 at every level m."""
+        from .bundles import CanonicalPower
+
+        return CanonicalPower(self, 1)
+
+    @cached_property
+    def _trivial(self):
+        """The trivial character under its key, hashed once."""
+        trivial = Character(self.alg, [SS_ZERO] * self.alg.dim)
+        return {trivial.key(): trivial}
+
     def characters(self, bundle_power=0):
         """The trivial character, then the model's own blocks, each once."""
-        out = {self._trivial.key(): self._trivial}
+        out = dict(self._trivial)
         if self._characters is not None:
             for ch in self._characters(bundle_power):
                 out.setdefault(ch.key(), ch)

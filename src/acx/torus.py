@@ -14,7 +14,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, InternalCheckError, RefusalError
-from .scalars import S_I, S_ONE, PiParam, Scalar, SymScalar, _Frozen
+from .scalars import S_I, S_ONE, PiParam, Scalar, SymScalar, _Frozen, _ratio
 
 Freq = Tuple[int, ...]
 
@@ -203,23 +203,22 @@ def kt_solvable_modes(a: PiParam, coeff) -> List[Tuple[int, int]]:
 
 
 def kt_mode_oracle(a: PiParam, coeff) -> List[Tuple[int, int]]:
-    """Cross-check oracle: test each mode of the window mode_window() exactly.
+    """Cross-check oracle: test each mode of the window mode_window() exactly
+    against coeff*a + pi*(i*k - l) = 0, on ints.
 
-    coeff*a + pi*(i*k - l) vanishes only at k = 0 and one l, the target,
-    worked out once per call: l = coeff*q on the rational branch a = q*pi,
-    if that is an integer; on the generic branch, where a and pi are
-    rationally independent, l = 0 if coeff = 0; else no mode solves.
+    On the rational branch a = q*pi, with coeff*q = n/d, the equation reads
+    pi*(n/d - l + i*k) = 0: a mode solves when k = 0 and n = l*d.  On the
+    generic branch a and pi are rationally independent, so a mode solves
+    when coeff = 0 and k = l = 0.
     """
     window = mode_window()
-    coeff = Scalar(coeff)
-    target = None
-    if a.kind == "rational_pi":
-        l = coeff * a.q
-        target = l.a if l.d == 1 else None
-    elif not coeff:
-        target = 0
+    n, d = _ratio(coeff)
+    rational = a.kind == "rational_pi"
+    if rational:
+        n, d = n * a.q.a, d * a.q.d
     modes = range(-window, window + 1)
-    return [(k, l) for k in modes for l in modes if k == 0 and l == target]
+    return [(k, l) for k in modes for l in modes
+            if k == 0 and (n == l * d if rational else n == l == 0)]
 
 
 def kt_mode_cross_check(a: PiParam, levels: Sequence[int]) -> None:

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from acx import g2
+from acx import bundles, g2
 from acx.cli import main
 from acx.errors import InputError, RefusalError
 from acx.lie import LieAlgebra
@@ -291,16 +291,15 @@ def test_g2_verify_fails_on_a_wrong_bracket_inside_the_span(monkeypatch, capsys,
 
 def test_canonical_bundle_is_built_once_for_50_levels(monkeypatch):
     builds = []
-    canonical = g2.CanonicalPower
-    monkeypatch.setattr(
-        g2, "CanonicalPower", lambda *args: builds.append(args) or canonical(*args)
-    )
-    g2._s6_canonical.cache_clear()
+    init = bundles.CanonicalPower.__init__
+    monkeypatch.setattr(bundles.CanonicalPower, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    g2.s6_model.cache_clear()
     try:
         assert [g2.s6_plurigenus(m) for m in range(1, 51)] == [1] * 50
+        assert builds == [(g2.s6_model(), 1)]
     finally:
-        g2._s6_canonical.cache_clear()
-    assert builds == [(g2.s6_model(), 1)]
+        g2.s6_model.cache_clear()
 
 
 def perturb_brackets(monkeypatch, shifts):

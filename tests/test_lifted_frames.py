@@ -1,17 +1,17 @@
 """Constant frames on the lifted Gaussian-integer table, against SymScalar.
 
-On a constant J, lie.nijenhuis, ComplexCoframe.complex_constants and the
-J^2 = -I check of ACStructure sum Gaussian-integer numerators lifted from
-the algebra's ad table, J, C and C^{-1}.  Each is compared here, entry by
-entry, with a SymScalar reference computed in the test: N(e_i, e_j) from
-bracket_vectors and J.apply, K = C [X_A, X_B] from the brackets table, C
-and C^{-1}, and the dense product's first failing entry of J^2 = -I.  The
-models are the g2 model, the constant golden model files, the constant
-cases of test_properties, a dense 24-dim two-step model, the sign-flipped
-variants of the benchmark's 6-dim templates, rescaled copies whose
-structure constants, J, C and C^{-1} all have denominators above one, and
-a non-unimodular sum of two 2-dim algebras with a Gaussian structure
-constant.
+On a constant J, lie.nijenhuis and ComplexCoframe.complex_constants sum
+Gaussian-integer numerators lifted from the algebra's ad table, J, C and
+C^{-1}.  Each is compared here, entry by entry, with a SymScalar reference
+computed in the test: N(e_i, e_j) from bracket_vectors and J.apply, and
+K = C [X_A, X_B] from the brackets table, C and C^{-1}.  The J^2 = -I check
+of ACStructure is one dense product for every J; its refusal must name the
+first failing entry of the test's own dense product.  The models are the
+g2 model, the constant golden model files, the constant cases of
+test_properties, a dense 24-dim two-step model, the sign-flipped variants
+of the benchmark's 6-dim templates, rescaled copies whose structure
+constants, J, C and C^{-1} all have denominators above one, and a
+non-unimodular sum of two 2-dim algebras with a Gaussian structure constant.
 """
 
 import importlib.util
@@ -22,7 +22,7 @@ from itertools import combinations
 
 import pytest
 
-from acx import g2, lie
+from acx import bundles, g2, lie
 from acx.errors import InputError
 from acx.hodge import invariant_harmonic_space
 from acx.lie import ACStructure, LieACS, LieAlgebra, build_coframe, nijenhuis
@@ -124,13 +124,18 @@ def test_square_check_names_the_dense_first_failing_entry(name):
         assert str(exc.value) == f"J^2 != -I at entry ({want[0]},{want[1]})"
 
 
-def test_a_plurigenus_sweep_takes_the_trace_once(monkeypatch):
-    # the sphere model built afresh, then 500 levels of K^m at (0, 0)
-    traces = []
-    trace_free = lie._trace_free
+def test_a_plurigenus_sweep_builds_the_model_data_once(monkeypatch):
+    # the sphere model built afresh, then 500 levels of K^m at (0, 0): the
+    # trace of ad, the canonical bundle and the trivial character's key are
+    # each taken once
+    alg, J = g2.g2_algebra(), g2.g2_J()
+    traces, builds, keys = [], [], []
+    trace_free, init, key = lie._trace_free, bundles.CanonicalPower.__init__, lie.Character.key
     monkeypatch.setattr(lie, "_trace_free", lambda ad: traces.append(1) or trace_free(ad))
-    alg = g2.g2_algebra()
-    model = LieACS(LieAlgebra(alg.dim, alg.brackets), g2.g2_J(), name="s6", basic={1, 2, 3})
+    monkeypatch.setattr(bundles.CanonicalPower, "__init__",
+                        lambda self, *args: builds.append(args[1:]) or init(self, *args))
+    monkeypatch.setattr(lie.Character, "key", lambda self: keys.append(1) or key(self))
+    model = LieACS(LieAlgebra(alg.dim, alg.brackets), J, name="s6", basic={1, 2, 3})
     for m in range(1, 501):
         invariant_harmonic_space(model, 0, 0, bundle_power=m)
-    assert traces == [1]
+    assert (traces, builds, keys) == ([1], [(1,)], [1])

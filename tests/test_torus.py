@@ -92,6 +92,22 @@ class TestKTPlurigenera:
                 }
                 assert closed == set(kt_mode_oracle(a, coeff))
 
+    def test_mode_oracle_solves_the_mode_equation(self):
+        # each window mode against coeff*a + pi*(i*k - l) = 0 itself, in
+        # SymScalar arithmetic whose symbol is pi; l = 40 lies outside the window
+        window = range(-torus.MODE_WINDOW, torus.MODE_WINDOW + 1)
+        coeffs = [Fraction(c) for c in (0, "1/4", -2, "3/2", 3, 10)]
+        for q in (Fraction(4), Fraction(-1, 2), Fraction(2, 3)):
+            a = PiParam.rational_pi(q)
+            for coeff in coeffs:
+                lhs = coeff * a.a_value()
+                want = [(k, l) for k in window for l in window
+                        if (lhs + SymScalar.symbol(coeff=Scalar(-l, k))).is_zero()]
+                assert kt_mode_oracle(a, coeff) == want
+        # generic a and pi are rationally independent: only coeff = 0 solves, at (0, 0)
+        for coeff in coeffs:
+            assert kt_mode_oracle(A_GEN, coeff) == ([(0, 0)] if coeff == 0 else [])
+
     def test_solvable_modes_shape(self):
         assert kt_solvable_modes(A_4PI, Fraction(1, 4)) == [(0, 1)]
         assert kt_solvable_modes(A_4PI, Fraction(1, 2)) == [(0, 2)]
