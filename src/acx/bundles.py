@@ -23,6 +23,12 @@ from .forms import Form, _form
 from .lie import LieACS
 
 
+def _power(m) -> int:
+    if not isinstance(m, int):
+        raise InputError(f"bad canonical power {m!r}")
+    return m
+
+
 def _check_01(entry: Form, n: int):
     if entry.is_zero():
         return Form.zero(n)
@@ -87,10 +93,8 @@ class CanonicalPower:
     so g ^ phibar^i = (-1)^deg(g) phibar^i ^ g gives beta_1's signs."""
 
     def __init__(self, model: LieACS, m: int):
-        if not isinstance(m, int):
-            raise InputError(f"bad canonical power {m!r}")
         self.model = model
-        self.m = m
+        self.m = _power(m)
         n = model.n
         gen = model.indices
         self.vol = Form.monomial(n, gen, ())
@@ -105,7 +109,7 @@ class CanonicalPower:
             raise InternalCheckError("canonical bundle", "beta_1 does not reproduce dbar(vol)")
 
     def beta(self, m: int | None = None) -> Form:
-        m = self.m if m is None else m
+        m = self.m if m is None else _power(m)
         return self.beta1.scale(m)
 
     def structure(self, m: int | None = None) -> PseudoholStructure:

@@ -218,7 +218,7 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     if len(model.indices) < model.n and q >= 1:
         raise RefusalError(f"hodge on {model.name} computes (p,0) only: at q >= 1, "
                            "dbar* needs the quotient's own star")
-    bundle = model.canonical.structure(bundle_power) if bundle_power else None
+    bundle = None if bundle_power == 0 else model.canonical.structure(bundle_power)
     monomials = _section_monomials(model, p, q)
     sections = [Form.monomial(model.n, a, b) for a, b in monomials]
     blocks = []

@@ -362,17 +362,21 @@ class TestCharacter:
         assert not ch.is_trivial()
 
 
-# --- the sparse bracket against the dense loop it replaced
+# --- bracket_vectors against the bilinear extension of table_bracket
 
 def dense_bracket(alg, u, v):
-    """[u, v] by the dense loop over every structure constant."""
+    """[u, v] as the sum of u_i v_j [e_i, e_j] over every ordered pair (i, j)
+    of nonzero coordinates, each bracket read by table_bracket: no loop in
+    common with bracket_vectors' antisymmetrised sum over the table's keys."""
     out = [SS_ZERO] * alg.dim
-    for (i, j), vec in alg.brackets.items():
-        f = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-        if f.is_zero():
-            continue
-        for k, c in vec.items():
-            out[k - 1] = out[k - 1] + f * c
+    for i, ui in enumerate(u, start=1):
+        for j, vj in enumerate(v, start=1):
+            if ui.is_zero() or vj.is_zero():
+                continue
+            f = ui * vj
+            for k, c in enumerate(table_bracket(alg, i, j)):
+                if c:
+                    out[k] = out[k] + f * c
     return out
 
 

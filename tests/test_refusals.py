@@ -1,12 +1,15 @@
 """Library refusals that no other test reaches: each bad call raises its own
 exception type with its own message."""
 
+from fractions import Fraction
+
 import pytest
 
 from acx.errors import InputError
 from acx.forms import Form
 from acx.g2 import basis_vector, cross_product
-from acx.hodge import star_monomial
+from acx.hodge import invariant_harmonic_space, star_monomial
+from acx.models import abelian_model
 from acx.linalg import mat_inverse
 from acx.scalars import PiParam, SymScalar
 from acx.torus import TrigPoly
@@ -46,6 +49,12 @@ REFUSALS = {
     "TrigPoly(2, {}) + TrigPoly(4, {})": (lambda: TrigPoly(2, {}) + TrigPoly(4, {}),
                                           InputError,
                                           "trigonometric polynomials live on different tori"),
+    "invariant_harmonic_space(abelian_model(2), 0, 0, bundle_power=Fraction(1, 2))": (
+        lambda: invariant_harmonic_space(abelian_model(2), 0, 0, bundle_power=Fraction(1, 2)),
+        InputError, "bad canonical power Fraction(1, 2)"),
+    "invariant_harmonic_space(abelian_model(2), 0, 0, bundle_power='2')": (
+        lambda: invariant_harmonic_space(abelian_model(2), 0, 0, bundle_power="2"),
+        InputError, "bad canonical power '2'"),
     "TrigPoly(2, {}).partial(2)": (lambda: TrigPoly(2, {}).partial(2), InputError,
                                    "coordinate index 2 out of range for k=2"),
 }
