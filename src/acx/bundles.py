@@ -88,13 +88,13 @@ def trivial_structure(model: LieACS, rank: int = 1) -> PseudoholStructure:
 
 
 class CanonicalPower:
-    """K^m over a model, trivialized by g^m, with beta_m = m * beta_1 and
-    dbar(g) = beta_1 ^ g; g is the wedge of phi^i over the model's indices,
-    so g ^ phibar^i = (-1)^deg(g) phibar^i ^ g gives beta_1's signs."""
+    """K over a model, trivialized by g, with dbar(g) = beta_1 ^ g; g is the
+    wedge of phi^i over the model's indices, so g ^ phibar^i =
+    (-1)^deg(g) phibar^i ^ g gives beta_1's signs.  K^m, trivialized by g^m,
+    has beta_m = m * beta_1."""
 
-    def __init__(self, model: LieACS, m: int):
+    def __init__(self, model: LieACS):
         self.model = model
-        self.m = _power(m)
         n = model.n
         gen = model.indices
         self.vol = Form.monomial(n, gen, ())
@@ -108,9 +108,8 @@ class CanonicalPower:
         if self.beta1.wedge(self.vol) != dvol:
             raise InternalCheckError("canonical bundle", "beta_1 does not reproduce dbar(vol)")
 
-    def beta(self, m: int | None = None) -> Form:
-        m = self.m if m is None else _power(m)
-        return self.beta1.scale(m)
+    def beta(self, m: int) -> Form:
+        return self.beta1.scale(_power(m))
 
-    def structure(self, m: int | None = None) -> PseudoholStructure:
+    def structure(self, m: int) -> PseudoholStructure:
         return PseudoholStructure(self.model, [[self.beta(m)]])

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import InputError, InternalCheckError, RefusalError, echo
+from .errors import InputError, InternalCheckError, RefusalError, echo, parsed
 from .scalars import PiParam, parse_rational
 
 # The library modules (g2, hodge, lie, models, torus) are imported by the code
@@ -64,13 +64,7 @@ def _parse_a_list(text: str) -> List[PiParam]:
     chunks = text.split(",")
     if len(chunks) > MAX_A_VALUES:
         raise InputError(f"--a: at most {MAX_A_VALUES} values")
-    out = []
-    for chunk in chunks:
-        try:
-            out.append(PiParam.parse(chunk))
-        except ValueError as exc:
-            raise InputError(f"--a: {exc}") from exc
-    return out
+    return [parsed("--a", PiParam.parse, chunk) for chunk in chunks]
 
 
 def _parse_m_spec(text: str) -> List[int]:
@@ -118,10 +112,7 @@ def _parse_t_member(text: Optional[str]):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError("--t: want two comma-separated rationals, e.g. 0,0")
-    try:
-        t1, t2 = parse_rational(parts[0]), parse_rational(parts[1])
-    except ValueError as exc:
-        raise InputError(f"--t: {exc}") from exc
+    t1, t2 = (parsed("--t", parse_rational, part) for part in parts)
     return torus.t4_family_pair(t1, t2), f"t=({t1},{t2})"
 
 
@@ -417,10 +408,7 @@ def _parse_factor(spec: str):
     if name == "kt":
         if not arg:
             raise InputError(f"factor {echo(spec)}: want kt:<a>, e.g. kt:4*pi")
-        try:
-            return "kt", PiParam.parse(arg)
-        except ValueError as exc:
-            raise InputError(f"factor {echo(spec)}: {exc}") from exc
+        return "kt", parsed(f"factor {echo(spec)}", PiParam.parse, arg)
     if name == "t4":
         if arg in ("", "std", "standard"):
             return "t4", torus.t4_standard_pair()

@@ -19,6 +19,8 @@ exit code 3.
 
 A message that quotes user input quotes it through echo, which shows at
 most 40 characters of it, so the message stays short whatever the input.
+A literal that fails to parse is refused through parsed, whose message
+names the field it was read for.
 """
 
 
@@ -48,3 +50,12 @@ def echo(value) -> str:
         return repr(value)
     head = repr(text[:40]) if isinstance(value, str) else text[:40]
     return f"{head}... ({len(text)} characters)"
+
+
+def parsed(field: str, parse, text):
+    """parse(text), or an InputError "field: reason" when it raises
+    ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise InputError(f"{field}: {exc}") from exc

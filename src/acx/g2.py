@@ -43,7 +43,8 @@ from .forms import Form, perm_sign
 from .hodge import Report, _section_monomials, _star, invariant_harmonic_space
 from .lie import ACStructure, LieACS, LieAlgebra, _jacobi_failures, _lift_ad
 from .linalg import rank, span_test
-from .scalars import S_I, S_ONE, Scalar, SymScalar, _Frozen, _lift, _new, _norm, _scalar
+from .scalars import (S_I, S_ONE, S_ZERO, SS_ONE, SS_ZERO, Scalar, SymScalar, _Frozen, _lift,
+                      _new, _norm)
 from .torus import PlurigeneraProfile, _plurigenus_level, kodaira_dimension
 
 X_DIM = 6
@@ -65,7 +66,7 @@ Lifted = Tuple[int, int]
 def _matrix_from_coordinates(x: Sequence[Scalar], y: Sequence[Scalar]):
     x1, x2, x3, x4, x5, x6 = x
     y1, y2, y3, y4, y5, y6, y7, y8 = y
-    z = _sc(0)
+    z = S_ZERO
     return (
         (z, x1, -x2, x3, -x4, x5, -x6),
         (-x1, z, y1, -x6 + y4, x5 + y3, x4 - y6, -x3 - y5),
@@ -77,15 +78,13 @@ def _matrix_from_coordinates(x: Sequence[Scalar], y: Sequence[Scalar]):
     )
 
 
-_ZERO = _sc(0)
-
 @lru_cache(maxsize=1)
 def _placements():
     """For each of the 14 coordinates, the ((i, j), sign) entries it places,
     read off the display at the unit coordinate."""
     out = []
     for c in range(X_DIM + Y_DIM):
-        u = [_sc(int(k == c)) for k in range(X_DIM + Y_DIM)]
+        u = [S_ONE if k == c else S_ZERO for k in range(X_DIM + Y_DIM)]
         M = _matrix_from_coordinates(u[:X_DIM], u[X_DIM:])
         out.append(tuple(((i, j), M[i][j].re) for i in range(N) for j in range(N) if M[i][j]))
     return tuple(out)
@@ -128,13 +127,6 @@ def _lift_matrix(A) -> Tuple[Dict[Tuple[int, int], Lifted], int]:
     nonzero = {(i, j): c for i, row in enumerate(A) for j, c in enumerate(row) if c}
     re, im, den = _lift(nonzero.values())
     return dict(zip(nonzero, zip(re, im))), den
-
-
-def _view(v, den: int) -> Scalar:
-    """The Scalar (re + im*i)/den of a lifted value; None is zero."""
-    if v is None:
-        return _ZERO
-    return _scalar(v[0], v[1], 1) if den == 1 else _norm(v[0], v[1], den)
 
 
 def _element(coords: Dict[int, Lifted], den: int) -> "G2Element":
@@ -181,19 +173,19 @@ class G2Element(_Frozen):
 
     def coordinates(self) -> Tuple[Scalar, ...]:
         den, get = self.den, self._coords.get
-        return tuple(_view(get(k), den) for k in range(X_DIM + Y_DIM))
+        return tuple(_norm(*get(k, (0, 0)), den) for k in range(X_DIM + Y_DIM))
 
     @property
     def entries(self) -> Dict[Tuple[int, int], Scalar]:
         """The nonzero matrix entries as Scalars."""
-        return {p: _view(v, self.den) for p, v in self._entries.items()}
+        return {p: _norm(*v, self.den) for p, v in self._entries.items()}
 
     @property
     def matrix(self):
         """The dense 7x7 view of the entries."""
-        M = [[_ZERO] * N for _ in range(N)]
+        M = [[S_ZERO] * N for _ in range(N)]
         for (i, j), v in self._entries.items():
-            M[i][j] = _view(v, self.den)
+            M[i][j] = _norm(*v, self.den)
         return tuple(map(tuple, M))
 
     @staticmethod
@@ -220,8 +212,8 @@ class G2Element(_Frozen):
             i, j = min(p for p in E.keys() | forced.keys() if E.get(p) != forced.get(p))
             raise InputError(
                 f"matrix is not in the coordinate span: entry "
-                f"({i + 1},{j + 1}) is {_view(E.get((i, j)), den)}, pattern forces "
-                f"{_view(forced.get((i, j)), den)}"
+                f"({i + 1},{j + 1}) is {_norm(*E.get((i, j), (0, 0)), den)}, pattern forces "
+                f"{_norm(*forced.get((i, j), (0, 0)), den)}"
             )
         return _element(coords, den)
 
@@ -397,7 +389,7 @@ def _basis_brackets() -> Dict[Tuple[int, int], Dict[int, Scalar]]:
     table = {}
     for i, j in itertools.combinations(range(X_DIM + Y_DIM), 2):
         out = bracket(basis[i], basis[j])
-        table[i + 1, j + 1] = {k + 1: _view(v, out.den) for k, v in sorted(out._coords.items())}
+        table[i + 1, j + 1] = {k + 1: _norm(*v, out.den) for k, v in sorted(out._coords.items())}
     return table
 
 
@@ -511,7 +503,7 @@ class CrossProduct:
     def phi(self, u, v, w) -> Scalar:
         """The three-form evaluated on three vectors."""
         u, v, w = self._vec(u), self._vec(v), self._vec(w)
-        acc = _sc(0)
+        acc = S_ZERO
         for (i, j, k), sign in self.epsilon.items():
             term = u[i - 1] * v[j - 1] * w[k - 1]
             acc = acc + (term if sign > 0 else -term)
@@ -521,7 +513,7 @@ class CrossProduct:
         """u x v, defined by (u x v) . w = phi(u, v, w), summed over the
         nonzero components of u and v only."""
         u, v = self._vec(u), self._vec(v)
-        out = [_ZERO] * N
+        out = [S_ZERO] * N
         v_terms = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
@@ -535,7 +527,7 @@ class CrossProduct:
     @staticmethod
     def dot(u, v) -> Scalar:
         """u . v, summed over the components nonzero in both."""
-        acc = _ZERO
+        acc = S_ZERO
         for a, b in zip(CrossProduct._vec(u), CrossProduct._vec(v)):
             if a and b:
                 acc = acc + a * b
@@ -586,7 +578,7 @@ def basis_vector(k: int) -> Tuple[Scalar, ...]:
     """The standard basis vector e_k, 1-indexed."""
     if not 1 <= k <= N:
         raise InputError(f"basis index {k} out of range 1..{N}")
-    return tuple(_sc(1 if r == k - 1 else 0) for r in range(N))
+    return tuple(S_ONE if r == k - 1 else S_ZERO for r in range(N))
 
 
 def verify_cross_identities() -> Report:
@@ -612,7 +604,7 @@ def verify_cross_identities() -> Report:
     # column j of the rotation v -> e1 x v is e1 x e_j
     ju = [cp.cross(basis[0], e) for e in basis]
     pairs = {2: 3, 4: 5, 6: 7}
-    j_ok = ju[0] == tuple(_sc(0) for _ in range(N))
+    j_ok = ju[0] == (S_ZERO,) * N
     for src, dst in pairs.items():
         want_fwd = basis[dst - 1]
         want_bwd = tuple(-c for c in basis[src - 1])
@@ -668,7 +660,7 @@ def membership_sample_check(
                 v = rng.randint(-9, 9)
                 if v:
                     E[i, j], E[j, i] = (v, 0), (-v, 0)
-        if in_basis_span({p: _view(v, 1) for p, v in E.items()}):
+        if in_basis_span({p: _norm(*v, 1) for p, v in E.items()}):
             continue
         checked += 1
         if cp.is_member(E):
@@ -723,7 +715,7 @@ def s6_model() -> LieACS:
 
 def projection_differential(elem: G2Element) -> Tuple[Scalar, ...]:
     """The base-point differential: an algebra element's matrix applied to e1."""
-    return tuple(_view(elem._entries.get((i, 0)), elem.den) for i in range(N))
+    return tuple(_norm(*elem._entries.get((i, 0), (0, 0)), elem.den) for i in range(N))
 
 
 def verify_projection() -> Report:
@@ -732,7 +724,7 @@ def verify_projection() -> Report:
     infinitesimally preserves the three-form."""
     basis = g2_basis()
     cp = cross_product()
-    zero7 = tuple(_sc(0) for _ in range(N))
+    zero7 = (S_ZERO,) * N
 
     kernel_is_h_span = all(
         projection_differential(basis[f"h{j}"]) == zero7 for j in range(1, 9)
@@ -862,9 +854,8 @@ def s6_structure_package() -> Report:
     # dual frame spot check: X_1 = (e1 + i e2)/2, X_7 = (e13 + i e14)/2
     half_i = SymScalar.const(_HALF_I)
     half = SymScalar.const(_HALF)
-    zero = SymScalar.const(0)
-    want_x1 = [half, half_i] + [zero] * (alg.dim - 2)
-    want_x7 = [zero] * (alg.dim - 2) + [half, half_i]
+    want_x1 = [half, half_i] + [SS_ZERO] * (alg.dim - 2)
+    want_x7 = [SS_ZERO] * (alg.dim - 2) + [half, half_i]
     dual_ok = (
         coframe.x_vector(0) == want_x1 and coframe.x_vector(model.n - 1) == want_x7
     )
@@ -894,9 +885,7 @@ def _frame_vector(label: str) -> List[SymScalar]:
     if label.startswith("X"):
         return coframe.x_vector(int(label[1:]) - 1)
     idx = BASIS_NAMES.index(label)
-    return [
-        SymScalar.const(1 if k == idx else 0) for k in range(X_DIM + Y_DIM)
-    ]
+    return [SS_ONE if k == idx else SS_ZERO for k in range(X_DIM + Y_DIM)]
 
 
 # Each entry: bracket of two frame fields equals a scalar combination.
@@ -919,7 +908,7 @@ REDUCTION_BRACKET_ERRATA: Dict[Tuple[str, str], List[Tuple[Scalar, str]]] = {
 
 
 def _frame_combo_vector(combo: List[Tuple[Scalar, str]]) -> List[SymScalar]:
-    out = [SymScalar.const(0)] * (X_DIM + Y_DIM)
+    out = [SS_ZERO] * (X_DIM + Y_DIM)
     for c, label in combo:
         vec = _frame_vector(label)
         out = [w + SymScalar.const(c) * v for w, v in zip(out, vec)]

@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .bundles import PseudoholStructure, trivial_structure
+from .bundles import PseudoholStructure, _power, trivial_structure
 from .errors import InputError, InternalCheckError, RefusalError
 from .forms import Form, _form, _multi_index, basis_monomials, complement, perm_sign
 from .lie import Character, LieACS
@@ -218,6 +218,7 @@ def invariant_harmonic_space(model: LieACS, p: int, q: int, *,
     if len(model.indices) < model.n and q >= 1:
         raise RefusalError(f"hodge on {model.name} computes (p,0) only: at q >= 1, "
                            "dbar* needs the quotient's own star")
+    bundle_power = _power(bundle_power)
     bundle = None if bundle_power == 0 else model.canonical.structure(bundle_power)
     monomials = _section_monomials(model, p, q)
     sections = [Form.monomial(model.n, a, b) for a, b in monomials]

@@ -498,11 +498,11 @@ class LieACS:
 
     @cached_property
     def canonical(self):
-        """K as bundles.CanonicalPower at m = 1: its beta_1, checked by the
-        product rule once, gives beta_m = m * beta_1 at every level m."""
+        """K as bundles.CanonicalPower: its beta_1, checked by the product
+        rule once, gives beta_m = m * beta_1 at every level m."""
         from .bundles import CanonicalPower
 
-        return CanonicalPower(self, 1)
+        return CanonicalPower(self)
 
     @cached_property
     def _trivial(self):

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 
-from .errors import InputError, echo
+from .errors import InputError, echo, parsed
 from .lie import ACStructure, Character, LieACS, LieAlgebra
-from .scalars import PiParam, Scalar, SymScalar, parse_rational
+from .scalars import SS_ONE, SS_ZERO, PiParam, Scalar, SymScalar, parse_rational
 
 # Largest model-file dim; building a model costs more than cubically in dim.
 # The README's slowest-invocation table times dense dim-24 files.
@@ -46,20 +46,18 @@ def kt_algebra() -> LieAlgebra:
 def kt_J(a: PiParam) -> ACStructure:
     """J(e_1) = e_2, J(e_2) = -e_1, J(e_3) = (1/a) e_4, J(e_4) = -a e_3."""
     av = a.a_value()
-    z = SymScalar.const(0)
-    one = SymScalar.const(1)
+    z = SS_ZERO
     return ACStructure([
-        [z, -one, z, z],
-        [one, z, z, z],
+        [z, -SS_ONE, z, z],
+        [SS_ONE, z, z, z],
         [z, z, z, -av],
-        [z, z, one / av, z],
+        [z, z, SS_ONE / av, z],
     ])
 
 
 def _kt_character(alg: LieAlgebra, l) -> Character:
     # lambda = 2 pi i (k e^1 + l e^2) at k = 0; the symbol is pi on this branch
-    zero = SymScalar.const(0)
-    return Character(alg, [zero, SymScalar.symbol(coeff=Scalar(0, 2 * l)), zero, zero])
+    return Character(alg, [SS_ZERO, SymScalar.symbol(coeff=Scalar(0, 2 * l)), SS_ZERO, SS_ZERO])
 
 
 def kt_model(a: PiParam) -> LieACS:
@@ -88,21 +86,11 @@ def abelian_model(n: int) -> LieACS:
         raise InputError(f"bad complex dimension {n!r}")
     dim = 2 * n
     alg = LieAlgebra(dim, {}, name=f"abelian{n}")
-    z = SymScalar.const(0)
-    one = SymScalar.const(1)
-    rows = [[z] * dim for _ in range(dim)]
+    rows = [[SS_ZERO] * dim for _ in range(dim)]
     for k in range(n):
-        rows[2 * k][2 * k + 1] = -one
-        rows[2 * k + 1][2 * k] = one
+        rows[2 * k][2 * k + 1] = -SS_ONE
+        rows[2 * k + 1][2 * k] = SS_ONE
     return LieACS(alg, ACStructure(rows), name=f"abelian{n}", symbol="x")
-
-
-def _rational(text, field: str):
-    """parse_rational, failing as an InputError that names the field."""
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise InputError(f"{field}: {exc}") from exc
 
 
 def _parse_j_entry(text, param: PiParam | None, field: str) -> SymScalar:
@@ -111,7 +99,7 @@ def _parse_j_entry(text, param: PiParam | None, field: str) -> SymScalar:
         raise InputError(f"{field}: expected rational string, got {echo(text)}")
     s = text.strip().replace(" ", "")
     if "a" not in s:
-        return SymScalar.const(_rational(s, field))
+        return SymScalar.const(parsed(field, parse_rational, s))
     if param is None:
         raise InputError(
             f"J entry {echo(text)} uses the symbol 'a' but params.a is missing"
@@ -123,9 +111,9 @@ def _parse_j_entry(text, param: PiParam | None, field: str) -> SymScalar:
     if s == "a":
         value = av
     elif s.endswith("*a"):
-        value = SymScalar.const(_rational(s[:-2], field)) * av
+        value = SymScalar.const(parsed(field, parse_rational, s[:-2])) * av
     elif s.endswith("/a"):
-        value = SymScalar.const(_rational(s[:-2], field)) / av
+        value = SymScalar.const(parsed(field, parse_rational, s[:-2])) / av
     else:
         raise InputError(
             f"bad J entry {echo(text)}: want a rational string, "
@@ -171,7 +159,8 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
             if k in vec:
                 raise InputError(f"bracket ({i},{j}): duplicate output index {k}")
             field = f"bracket ({i},{j}) output {echo(item)}"
-            vec[k] = SymScalar.const(Scalar(_rational(re, field), _rational(im, field)))
+            re, im = (parsed(field, parse_rational, c) for c in (re, im))
+            vec[k] = SymScalar.const(Scalar(re, im))
         if (i, j) in brackets:
             raise InputError(f"duplicate bracket entry ({i},{j})")
         brackets[(i, j)] = vec
@@ -185,10 +174,7 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
     if "a" in params:
         if not isinstance(params["a"], str):
             raise InputError(f"params.a must be a string, got {echo(params['a'])}")
-        try:
-            param = PiParam.parse(params["a"])
-        except ValueError as exc:
-            raise InputError(f"params.a: {exc}") from exc
+        param = parsed("params.a", PiParam.parse, params["a"])
     J = ACStructure([
         [_parse_j_entry(c, param, f"J entry ({r},{k})") for k, c in enumerate(row, start=1)]
         for r, row in enumerate(j_rows, start=1)

@@ -435,8 +435,6 @@ def _is_one(a):
 def _pmul(a, b):
     """a*b: one integer convolution over the product of the two common
     denominators, and one normalisation per coefficient."""
-    if not a or not b:
-        return ()
     if len(a) == 1:
         return b if a[0] == S_ONE else tuple(a[0] * y for y in b)
     if len(b) == 1:
@@ -851,7 +849,7 @@ def _poly_str(coeffs, symbol: str) -> str:
 
 
 SS_ZERO = SymScalar(())
-SS_ONE = SymScalar.const(1)
+SS_ONE = _const(S_ONE)
 
 
 class PiParam(_Frozen):

@@ -11,10 +11,11 @@ differences -- never floating point.  The immutable values here
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, InternalCheckError, RefusalError
-from .scalars import S_I, S_ONE, PiParam, Scalar, SymScalar, _Frozen, _ratio
+from .scalars import S_I, S_ONE, SS_ZERO, PiParam, Scalar, SymScalar, _Frozen, _ratio
 
 Freq = Tuple[int, ...]
 
@@ -52,12 +53,12 @@ class TrigPoly(_Frozen):
     __slots__ = ("k", "terms")
 
     def __init__(self, k: int, terms: Dict[Freq, Union[SymScalar, Scalar, int]]):
-        k = int(k)
+        k = index(k)
         if k < 1:
             raise InputError("torus dimension must be at least 1")
         clean: Dict[Freq, SymScalar] = {}
         for freq, coeff in terms.items():
-            freq = tuple(int(n) for n in freq)
+            freq = tuple(map(index, freq))
             if len(freq) != k:
                 raise InputError(
                     f"frequency {freq} does not match torus dimension {k}"
@@ -73,13 +74,13 @@ class TrigPoly(_Frozen):
     @staticmethod
     def cos2pi(k: int, freq: Sequence[int]) -> "TrigPoly":
         """cos(2*pi freq.x) = (e_+ + e_-)/2."""
-        nu = tuple(int(n) for n in freq)
+        nu = tuple(map(index, freq))
         return TrigPoly(k, {nu: _HALF}) + TrigPoly(k, {tuple(-n for n in nu): _HALF})
 
     @staticmethod
     def sin2pi(k: int, freq: Sequence[int]) -> "TrigPoly":
         """sin(2*pi freq.x) = (e_+ - e_-)/(2i), and 1/(2i) = -i/2."""
-        nu = tuple(int(n) for n in freq)
+        nu = tuple(map(index, freq))
         return TrigPoly(k, {nu: -_HALF_I}) + TrigPoly(k, {tuple(-n for n in nu): _HALF_I})
 
     # -- ring structure ------------------------------------------------------
@@ -92,7 +93,7 @@ class TrigPoly(_Frozen):
         self._check_same_torus(other)
         terms = dict(self.terms)
         for freq, coeff in other.terms.items():
-            terms[freq] = terms.get(freq, SymScalar.const(0)) + coeff
+            terms[freq] = terms.get(freq, SS_ZERO) + coeff
         return TrigPoly(self.k, terms)
 
     def __neg__(self) -> "TrigPoly":
@@ -112,7 +113,7 @@ class TrigPoly(_Frozen):
             for fb, cb in other.terms.items():
                 freq = tuple(a + b for a, b in zip(fa, fb))
                 prod = ca * cb
-                terms[freq] = terms.get(freq, SymScalar.const(0)) + prod
+                terms[freq] = terms.get(freq, SS_ZERO) + prod
         return TrigPoly(self.k, terms)
 
     def conjugate(self) -> "TrigPoly":
@@ -237,7 +238,7 @@ def kt_mode_cross_check(a: PiParam, levels: Sequence[int]) -> None:
 
 def _plurigenus_level(m) -> int:
     """A plurigenus level as an int, refused below 1."""
-    m = int(m)
+    m = index(m)
     if m < 1:
         raise InputError("plurigenus level m must be at least 1")
     return m
@@ -357,8 +358,7 @@ class IntInterval(_Frozen):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: int, hi: int):
-        lo = int(lo)
-        hi = int(hi)
+        lo, hi = index(lo), index(hi)
         if lo > hi:
             raise InputError(f"empty interval [{lo}, {hi}]")
         if lo < 0:
@@ -401,7 +401,7 @@ def _value_mul(u: ProfileValue, v: ProfileValue) -> ProfileValue:
 def _normalize_value(v: ProfileValue) -> ProfileValue:
     if isinstance(v, IntInterval):
         return v.lo if v.is_point() else v
-    v = int(v)
+    v = index(v)
     if v < 0:
         raise InputError("plurigenera are nonnegative")
     return v
@@ -413,7 +413,7 @@ def rr_plurigenus(g: int, m: int) -> ProfileValue:
     The degree count gives (2m-1)(g-1) exactly for m >= 2; at m = 1 only the
     two-sided bound [g-1, g] is determined, reported as an interval.
     """
-    g = int(g)
+    g = index(g)
     if g < 2:
         raise InputError("fiber genus must be at least 2")
     m = _plurigenus_level(m)
@@ -439,7 +439,7 @@ def _poly_degree(values: Sequence[int]) -> Optional[int]:
     vanishes identically (certifying a degree-d polynomial on the window),
     and None when the differences never stabilize inside the window.
     """
-    rows = [[int(v) for v in values]]
+    rows = [values]
     while len(rows[-1]) >= 2:
         prev = rows[-1]
         rows.append([b - a for a, b in zip(prev, prev[1:])])
@@ -608,7 +608,7 @@ def rr_profile(g: int, length: int = DEFAULT_PROFILE_LENGTH) -> PlurigeneraProfi
 
 def curve_profile(g: int, length: int = DEFAULT_PROFILE_LENGTH) -> PlurigeneraProfile:
     """Classical profile of a genus-g curve: P_1 = g, P_m = (2m-1)(g-1)."""
-    g = int(g)
+    g = index(g)
     if g < 2:
         raise InputError("curve profiles require genus at least 2")
     values: List[ProfileValue] = [g]

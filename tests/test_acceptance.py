@@ -297,7 +297,7 @@ def test_criterion_09_pairing_star_adjointness_and_kernels():
             bundle = (
                 None
                 if power == 0
-                else CanonicalPower(model, power).structure()
+                else CanonicalPower(model).structure(power)
             )
             for p, q in ((0, 0), (1, 0), (1, 1)):
                 monomials = basis_monomials(model.n, p, q)
@@ -345,7 +345,7 @@ def _check_connection(bundle):
 
 def test_criterion_10_connection_and_dual_involution():
     for param in (pi_param(4), PiParam.generic()):
-        bundle = CanonicalPower(kt_model(param), 1).structure()
+        bundle = CanonicalPower(kt_model(param)).structure(1)
         assert bundle.rank == 1
         _check_connection(bundle)
     coframe_bundle = s6_coframe_bundle()

@@ -60,37 +60,37 @@ class TestCanonicalPower:
     @pytest.mark.parametrize("a", [A_4PI, A_GENERIC])
     def test_beta_one_is_the_volume_twist(self, a):
         model = kt_model(a)
-        can = CanonicalPower(model, 1)
+        can = CanonicalPower(model)
         quarter_a = a.a_value() / SymScalar.const(4)
-        assert can.beta() == Form.monomial(2, (), (1,), quarter_a)
+        assert can.beta(1) == Form.monomial(2, (), (1,), quarter_a)
         vol = Form.monomial(2, (1, 2), ())
-        assert model.coframe.dbar(vol) == can.beta().wedge(vol)
+        assert model.coframe.dbar(vol) == can.beta(1).wedge(vol)
 
     @pytest.mark.parametrize("m", [-3, -1, 0, 1, 2, 5])
     def test_power_twists_scale_linearly(self, m):
         model = kt_model(A_GENERIC)
-        can = CanonicalPower(model, m)
-        assert can.beta() == can.beta1.scale(m)
+        can = CanonicalPower(model)
+        assert can.beta(m) == can.beta1.scale(m)
 
     def test_abelian_canonical_bundle_is_flat(self):
-        can = CanonicalPower(abelian_model(2), 3)
-        assert can.beta().is_zero()
+        can = CanonicalPower(abelian_model(2))
+        assert can.beta(3).is_zero()
 
     def test_structure_wraps_beta(self):
-        can = CanonicalPower(kt_model(A_4PI), 2)
-        ps = can.structure()
+        can = CanonicalPower(kt_model(A_4PI))
+        ps = can.structure(2)
         assert ps.rank == 1
-        assert ps.theta[0][0] == can.beta()
+        assert ps.theta[0][0] == can.beta(2)
 
     def test_non_integer_power_rejected(self):
         with pytest.raises(InputError):
-            CanonicalPower(kt_model(A_4PI), "2")
+            CanonicalPower(kt_model(A_4PI)).beta("2")
 
 
 class TestConnectionAndDual:
     def _structures(self):
-        yield CanonicalPower(kt_model(A_4PI), 1).structure()
-        yield CanonicalPower(kt_model(A_GENERIC), 2).structure()
+        yield CanonicalPower(kt_model(A_4PI)).structure(1)
+        yield CanonicalPower(kt_model(A_GENERIC)).structure(2)
         model = kt_model(A_GENERIC)
         z = Form.zero(2)
         theta = [

@@ -816,11 +816,12 @@ class TestInputLimits:
                          id="rr-factor-of-4299-digits"),
             (["plurigenera", "--model", "t4", "--t", "1"],
              "--t: want two comma-separated rationals, e.g. 0,0"),
+            (["plurigenera", "--model", "kt", "--a", "x*pi"], "--a: bad rational literal 'x'"),
         ],
     )
     def test_lower_and_sample_limits(self, capsys, argv, message):
         assert main(argv) == 2
-        assert f"input error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_sample_limits_are_checked_before_any_work(self, monkeypatch):
         from acx import g2
@@ -1027,6 +1028,14 @@ class TestInputFaults:
             ({"brackets": [{"i": 2, "j": 3, "out": [[4, "1", "0"]]}] * 2},
              "duplicate bracket entry (2,3)"),
             ({"J": [["0"]]}, "J must be a dim x dim matrix of rational strings"),
+            # a literal that does not parse is named by its field
+            ({"brackets": [{"i": 2, "j": 3, "out": [[4, "1", "y"]]}]},
+             "bracket (2,3) output [4, '1', 'y']: bad rational literal 'y'"),
+            ({"J": [["0", "x", "0", "0"], *KT_FILE_OBJ["J"][1:]]},
+             "J entry (1,2): bad rational literal 'x'"),
+            ({"J": [*KT_FILE_OBJ["J"][:2], ["0", "0", "0", "-1/0/a"], KT_FILE_OBJ["J"][3]]},
+             "J entry (3,4): bad rational literal '1/0'"),
+            ({"params": {"a": "x*pi"}}, "params.a: bad rational literal 'x'"),
         ],
     )
     def test_bad_shapes(self, tmp_path, capsys, overrides, message):

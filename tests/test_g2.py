@@ -416,7 +416,7 @@ class TestFailingSweeps:
 
 class TestSphereCanonical:
     def test_twist_vanishes(self):
-        canonical = CanonicalPower(g2.s6_model(), 1)
+        canonical = CanonicalPower(g2.s6_model())
         assert canonical.vol == Form.phi(7, 1).wedge(Form.phi(7, 2)).wedge(Form.phi(7, 3))
         assert canonical.beta1.is_zero()
 

@@ -297,7 +297,7 @@ def test_canonical_bundle_is_built_once_for_50_levels(monkeypatch):
     g2.s6_model.cache_clear()
     try:
         assert [g2.s6_plurigenus(m) for m in range(1, 51)] == [1] * 50
-        assert builds == [(g2.s6_model(), 1)]
+        assert builds == [(g2.s6_model(),)]
     finally:
         g2.s6_model.cache_clear()
 

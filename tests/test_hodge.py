@@ -259,7 +259,7 @@ class TestHarmonicSpaces:
         # one dict row per monomial key of the images, each entry a nonzero
         # image term in a column below ncols, and no image term lost
         model = nil8_generic
-        bundle = CanonicalPower(model, power).structure() if power else None
+        bundle = CanonicalPower(model).structure(power) if power else None
         monomials = hodge._section_monomials(model, p, q)
         sections = [Form.monomial(model.n, a, b) for a, b in monomials]
         for ch in model.characters(power):

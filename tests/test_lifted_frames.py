@@ -133,9 +133,9 @@ def test_a_plurigenus_sweep_builds_the_model_data_once(monkeypatch):
     trace_free, init, key = lie._trace_free, bundles.CanonicalPower.__init__, lie.Character.key
     monkeypatch.setattr(lie, "_trace_free", lambda ad: traces.append(1) or trace_free(ad))
     monkeypatch.setattr(bundles.CanonicalPower, "__init__",
-                        lambda self, *args: builds.append(args[1:]) or init(self, *args))
+                        lambda self, *args: builds.append(args) or init(self, *args))
     monkeypatch.setattr(lie.Character, "key", lambda self: keys.append(1) or key(self))
     model = LieACS(LieAlgebra(alg.dim, alg.brackets), J, name="s6", basic={1, 2, 3})
     for m in range(1, 501):
         invariant_harmonic_space(model, 0, 0, bundle_power=m)
-    assert (traces, builds, keys) == ([1], [(1,)], [1])
+    assert (traces, builds, keys) == ([1], [(model,)], [1])

@@ -179,7 +179,7 @@ def test_unchecked_results_pass_the_checks(generated):
     model = generated
     n, cf = model.n, model.coframe
     data = HermitianData(model)
-    bundle = CanonicalPower(model, 1).structure()
+    bundle = CanonicalPower(model).structure(1)
     rng = random.Random(f"trusted-{model.name}-{n}")
     for _ in range(6):
         x, y = random_form(rng, n), random_form(rng, n)
