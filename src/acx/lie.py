@@ -441,6 +441,15 @@ def is_integrable(tensor: dict, coframe: ComplexCoframe) -> bool:
 # --- characters (for Fourier mode blocks on nilmanifold models)
 
 
+_TWO_PI_I = SymScalar.symbol(coeff=Scalar(0, 2))
+
+
+def _nonvanishing_bracket(alg: LieAlgebra, values):
+    """The first (i, j) with values not vanishing on [e_i, e_j], else None."""
+    return next(((i, j) for (i, j), vec in alg.brackets.items()
+                 if sum((values[k - 1] * c for k, c in vec.items()), SS_ZERO)), None)
+
+
 class Character:
     """A Lie-algebra character lambda (vanishing on [g,g]), the derivative of
     a unitary character chi when its values are imaginary;
@@ -450,12 +459,8 @@ class Character:
         self.values = [SymScalar.coerce(v) for v in values]
         if len(self.values) != alg.dim:
             raise InputError("character length must match the algebra dimension")
-        for (i, j), vec in alg.brackets.items():
-            acc = SS_ZERO
-            for k, c in vec.items():
-                acc = acc + self.values[k - 1] * c
-            if not acc.is_zero():
-                raise InputError(f"character does not vanish on [e_{i}, e_{j}]")
+        if (bracket := _nonvanishing_bracket(alg, self.values)) is not None:
+            raise InputError("character does not vanish on [e_{}, e_{}]".format(*bracket))
 
     def is_trivial(self):
         return all(v.is_zero() for v in self.values)
@@ -474,22 +479,18 @@ class Character:
 class LieACS:
     """An invariant almost complex model: algebra + J + coframe + metadata.
 
-    characters, when set, is a callable: characters(bundle_power) returns the
-    Fourier blocks the model supplies for harmonic-space computations besides
-    the trivial one.  indices is the sorted holomorphic/antiholomorphic index
-    set that section monomials are drawn from: 1..n, or the basic set, which
-    only the sphere passes.  The canonical bundle and the trivial character,
-    which no level m changes, are built once per model, on first use.
+    indices is the sorted holomorphic/antiholomorphic index set that section
+    monomials are drawn from: 1..n, or the basic set, which only the sphere
+    passes.  The canonical bundle, the trivial character and lambda_1, which
+    no level m changes, are built once per model, on first use.
     """
 
-    def __init__(self, alg, J, *, name="", symbol="x", characters=None,
-                 basic=None):
+    def __init__(self, alg, J, *, name="", symbol="x", basic=None):
         self.alg = alg
         self.J = J
         self.coframe = build_coframe(alg, J)
         self.name = name
         self.symbol = symbol
-        self._characters = characters
         self.indices = tuple(sorted(basic) if basic is not None else range(1, self.n + 1))
 
     @property
@@ -510,10 +511,28 @@ class LieACS:
         trivial = Character(self.alg, [SS_ZERO] * self.alg.dim)
         return {trivial.key(): trivial}
 
+    @cached_property
+    def _lambda1(self):
+        """lambda_1/(2 pi i) on e_1..e_N, read through C's phibar rows: real,
+        as lambda_1 = conj(beta_1) - beta_1 is imaginary.  None unless the
+        symbol is pi and these are constants that vanish on [g, g]."""
+        if self.symbol != "pi":
+            return None
+        beta1, n, C = self.canonical.beta1, self.n, self.coframe.C
+        beta = [sum((beta1.coefficient((), (i + 1,)) * C[n + i][j] for i in range(n)), SS_ZERO)
+                for j in range(self.alg.dim)]
+        values = [(v.conjugate() - v) / _TWO_PI_I for v in beta]
+        ok = all(v.is_constant() for v in values) and not _nonvanishing_bracket(self.alg, values)
+        return [v.constant_value() for v in values] if ok else None
+
     def characters(self, bundle_power=0):
-        """The trivial character, then the model's own blocks, each once."""
-        out = dict(self._trivial)
-        if self._characters is not None:
-            for ch in self._characters(bundle_power):
+        """The trivial character, then lambda_k = k * lambda_1 for k = 1, -1,
+        m, -m (m the bundle power, k != 0), each once, where lambda_k/(2 pi i)
+        is an integer on every e_j.  lambda_k^{0,1} = -k beta_1 cancels
+        beta_k, so these are the blocks where K^k has a constant section."""
+        out, lam = dict(self._trivial), self._lambda1
+        for k in (1, -1, bundle_power, -bundle_power) if lam else ():
+            if k and all((k * c).d == 1 for c in lam):
+                ch = Character(self.alg, [_TWO_PI_I * (k * c) for c in lam])
                 out.setdefault(ch.key(), ch)
         return list(out.values())

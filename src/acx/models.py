@@ -14,9 +14,6 @@ brackets lists only i < j (antisymmetry is filled in); "out" entries are
 e_{r+1} component of J(e_{c+1}), rational strings.  params.a, when present,
 is 'q*pi' or 'generic'; J entries of parametric models may then also use the
 symbol, as 'a', '-a', 'r*a', or 'r/a' for a rational literal r.
-
-A file whose algebra, J, and parameter match the nilmanifold family exactly
-is loaded as that preset, character blocks included.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from __future__ import annotations
 import json
 
 from .errors import InputError, echo, parsed
-from .lie import ACStructure, Character, LieACS, LieAlgebra
+from .lie import ACStructure, LieACS, LieAlgebra
 from .scalars import SS_ONE, SS_ZERO, PiParam, Scalar, SymScalar, parse_rational
 
 # Largest model-file dim; building a model costs more than cubically in dim.
@@ -55,29 +52,10 @@ def kt_J(a: PiParam) -> ACStructure:
     ])
 
 
-def _kt_character(alg: LieAlgebra, l) -> Character:
-    # lambda = 2 pi i (k e^1 + l e^2) at k = 0; the symbol is pi on this branch
-    return Character(alg, [SS_ZERO, SymScalar.symbol(coeff=Scalar(0, 2 * l)), SS_ZERO, SS_ZERO])
-
-
 def kt_model(a: PiParam) -> LieACS:
-    """The nilmanifold model with its closed-form Fourier character candidates.
-
-    On the rational branch a = q*pi the solvable torus modes sit at k = 0,
-    l = +-(q/4) or +-(m q/4); those integer candidates are supplied as
-    character blocks.  The generic branch has no nontrivial candidates.
-    """
-    alg = kt_algebra()
-
-    def characters(bundle_power: int):
-        # LieACS.characters drops the trivial character and repeats
-        if a.kind != "rational_pi":
-            return []
-        return [_kt_character(alg, sign * l)
-                for l in (a.q / 4, bundle_power * a.q / 4) if l.d == 1
-                for sign in (1, -1)]
-
-    return LieACS(alg, kt_J(a), name="kt", symbol=a.symbol_name, characters=characters)
+    """The nilmanifold model; at a = q*pi, LieACS.characters gives its blocks
+    lambda = 2 pi i l e^2 at l = +-q/4 and +-mq/4, where integral."""
+    return LieACS(kt_algebra(), kt_J(a), name="kt", symbol=a.symbol_name)
 
 
 def abelian_model(n: int) -> LieACS:
@@ -180,13 +158,6 @@ def model_from_json(obj) -> tuple[LieACS, PiParam | None]:
         for r, row in enumerate(j_rows, start=1)
     ])
     alg = LieAlgebra(dim, brackets, name=str(obj.get("name", "custom")))
-    if (
-        param is not None
-        and alg.dim == 4
-        and alg.brackets == kt_algebra().brackets
-        and J.matrix == kt_J(param).matrix
-    ):
-        return kt_model(param), param
     model = LieACS(alg, J, name=alg.name, symbol=param.symbol_name if param else "x")
     return model, param
 

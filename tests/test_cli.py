@@ -27,6 +27,7 @@ KT_FILE_OBJ = {
     ],
     "params": {"a": "4*pi"},
 }
+KT4_PATH = os.path.join(os.path.dirname(__file__), "golden", "models", "kt4.json")
 
 
 def capture(argv):
@@ -235,16 +236,6 @@ class TestOptionRule:
         def boom(*args, **kwargs):
             raise AssertionError("work started before the options were checked")
 
-        # loading a model file resolves its params.a, which --a is checked
-        # against, so the loader keeps the kt_model it builds a kt file with
-        kt_model, load_model_file = models.kt_model, models.load_model_file
-
-        def load(path):
-            with monkeypatch.context() as loading:
-                loading.setattr(models, "kt_model", kt_model)
-                return load_model_file(path)
-
-        monkeypatch.setattr(models, "load_model_file", load)
         for module, name in ((hodge, "invariant_harmonic_space"), (lie, "nijenhuis"),
                              (models, "kt_model"), (torus, "kt_plurigenus"),
                              (torus, "kt_irregularity"), (torus, "kt_profile"),
@@ -561,6 +552,9 @@ class TestMainExitCodes:
         ["hodge", "--model", "kt", "--a", "4*pi", "--p", "0", "--q", "0",
          "--power", "1"],
         ["plurigenera", "--model", "g2", "--m", "1..3"],
+        # the character rule reads beta_1 at power 0 too, on q*pi models
+        ["hodge", "--model", "kt", "--a", "4*pi", "--p", "1", "--q", "1"],
+        ["irregularity", "--model", KT4_PATH],
     ])
     def test_failed_canonical_bundle_exit_three(self, monkeypatch, capsys, argv):
         # a (0,0) term in dbar of every form: no beta_1 reproduces dbar(vol)

@@ -93,6 +93,8 @@ A_PARAMS = [
     PiParam.rational_pi(1),
     PiParam.generic(),
 ]
+KT_PARAMS = A_PARAMS + [PiParam.rational_pi(Fraction(*q))
+                        for q in ((1, 2), (2, 3), (4, 3), (3, 1), (8, 1), (12, 1), (-4, 1))]
 
 
 class TestStar:
@@ -217,14 +219,16 @@ class TestHarmonicSpaces:
                 space = invariant_harmonic_space(model, p, q)
                 assert space.dimension == comb(2, p) * comb(2, q)
 
-    @pytest.mark.parametrize("a", A_PARAMS)
+    @pytest.mark.parametrize("a", KT_PARAMS)
     def test_kt_pluricanonical_kernels_match_the_closed_form(self, a):
+        """The blocks come from K and torus.kt_plurigenus from the mode
+        equation, so each checks the other, across the jump in a."""
         model = kt_model(a)
-        for m in range(1, 5):
+        for m in range(1, 13):
             space = invariant_harmonic_space(model, 0, 0, bundle_power=m)
             assert space.dimension == kt_plurigenus(a, m)
 
-    @pytest.mark.parametrize("a", A_PARAMS)
+    @pytest.mark.parametrize("a", KT_PARAMS)
     def test_kt_irregularity_matches_the_kernel(self, a):
         space = invariant_harmonic_space(kt_model(a), 1, 0)
         assert space.dimension == kt_irregularity(a) == 1

@@ -1,6 +1,7 @@
 """Preset models and the JSON model-file loader."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from acx.models import (
     load_model_file,
     model_from_json,
 )
-from acx.scalars import PiParam, SymScalar
+from acx.scalars import SS_ZERO, PiParam, Scalar, SymScalar
 from acx.torus import kt_plurigenus
 
 from test_lie import table_bracket, unit
@@ -46,6 +47,23 @@ def write_model(tmp_path, obj, name="model.json"):
     return str(path)
 
 
+KT_QS = [4, -4, 2, Fraction(1, 2), Fraction(4, 3), 8, 12, -12, 3, Fraction(16, 3),
+         Fraction(-8, 5), 40]
+
+
+def kt_reference_characters(q, m):
+    """kt's characters as the preset once listed them in closed form: the
+    trivial one, then lambda = 2 pi i l e^2 at l = q/4, -q/4, mq/4, -mq/4,
+    the integral ones, each once."""
+    out = [[SS_ZERO] * 4]
+    for l in (q / 4, m * q / 4):
+        for sign in (1, -1):
+            values = [SS_ZERO, SymScalar.symbol(coeff=Scalar(0, 2 * sign * l)), SS_ZERO, SS_ZERO]
+            if l.denominator == 1 and values not in out:
+                out.append(values)
+    return out
+
+
 class TestPresets:
     def test_kt_model_shape(self):
         model = kt_model(A_4PI)
@@ -59,6 +77,15 @@ class TestPresets:
         assert any(not ch.is_trivial() for ch in chars)
         generic = kt_model(PiParam.generic())
         assert all(ch.is_trivial() for ch in generic.characters(bundle_power=1))
+
+    @pytest.mark.parametrize("q", KT_QS, ids=str)
+    def test_kt_characters_are_the_closed_form_list(self, q):
+        """LieACS.characters, derived from K, gives the kt preset's former
+        closed-form list, in order, at m = -4..8."""
+        model = kt_model(PiParam.rational_pi(q))
+        for m in range(-4, 9):
+            got = [ch.values for ch in model.characters(m)]
+            assert got == kt_reference_characters(Fraction(q), m), m
 
     def test_abelian_model(self):
         model = abelian_model(3)
@@ -92,8 +119,8 @@ class TestModelFiles:
         assert param == A_4PI
         assert model.alg.brackets == kt_algebra().brackets
         assert model.J.matrix == kt_J(A_4PI).matrix
-        # recognition must include the Fourier blocks: kernels match the
-        # closed-form counts, which need the nontrivial characters
+        # the Fourier blocks come from K: kernels match the closed-form
+        # counts, which need the nontrivial characters
         for m in (1, 2, 3):
             dim = invariant_harmonic_space(model, 0, 0, bundle_power=m).dimension
             assert dim == kt_plurigenus(A_4PI, m) == 1
