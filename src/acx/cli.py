@@ -304,8 +304,12 @@ def _profile(kind, member, length: int):
         return build(member, length)
     if kind == "torus":
         return torus.torus_profile(length)
-    levels = range(1, length + 1)
-    return torus.PlurigeneraProfile(_values(kind, member, levels, False)["values"])
+    if kind == "g2":  # kunneth's s6 factor has no member
+        from . import g2 as sphere
+
+        member = sphere.s6_model()
+    values = _values(kind, member, range(1, length + 1), False)["values"]
+    return torus.section_level_profile(values, member.first_section_level)
 
 
 def _per_member(kind, member, desc, fields) -> Dict[str, object]:

@@ -13,9 +13,9 @@ answer is to refuse rather than guess.  CLI exit code 1.
 
 InternalCheckError: two independent computations of the same quantity
 disagree (the three integrability tests, the two harmonic kernels, the
-canonical bundle check beta_1 ^ vol = dbar vol, and the mode oracle; the
-tests' star oracle raises it too).  A fault of acx, never of the input.  CLI
-exit code 3.
+canonical bundle check beta_1 ^ vol = dbar vol, the mode oracle and the first
+section level; the tests' star oracle raises it too).  A fault of acx, never
+of the input.  CLI exit code 3.
 
 A message that quotes user input quotes it through echo, which shows at
 most 40 characters of it, so the message stays short whatever the input.

@@ -45,7 +45,7 @@ from .lie import ACStructure, LieACS, LieAlgebra, _jacobi_failures, _lift_ad
 from .linalg import rank, span_test
 from .scalars import (S_I, S_ONE, S_ZERO, SS_ONE, SS_ZERO, Scalar, SymScalar, _Frozen, _lift,
                       _new, _norm)
-from .torus import PlurigeneraProfile, _plurigenus_level, kodaira_dimension
+from .torus import _plurigenus_level, kodaira_dimension, section_level_profile
 
 X_DIM = 6
 Y_DIM = 8
@@ -1001,7 +1001,8 @@ def s6_hodge_report(levels: int = 8) -> Report:
         "h13": h20 if bijections else None,
         "h23": h10 if bijections else None,
         "plurigenera": plurigenera,
-        "kodaira_dimension": kodaira_dimension(PlurigeneraProfile(plurigenera)),
+        "kodaira_dimension": kodaira_dimension(
+            section_level_profile(plurigenera, model.first_section_level)),
         "serre_bijections": bijections,
         "star_on_generator": star_on_generator,
     }

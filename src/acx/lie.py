@@ -28,6 +28,7 @@ on [g, g]); how it twists a character block is hodge.SectionContext's.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import combinations
 
@@ -536,3 +537,13 @@ class LieACS:
                 ch = Character(self.alg, [_TWO_PI_I * (k * c) for c in lam])
                 out.setdefault(ch.key(), ch)
         return list(out.values())
+
+    @cached_property
+    def first_section_level(self):
+        """The least m >= 1 at which K^m has a constant section, in a block of
+        characters(m): 1 if beta_1 = 0, else the lcm of the denominators of
+        lambda_1/(2 pi i); None without lambda_1.  P_m <= 1: kappa is 0 or -inf."""
+        if self.canonical.beta1.is_zero():
+            return 1
+        lam = self._lambda1
+        return math.lcm(*(c.d for c in lam)) if lam else None

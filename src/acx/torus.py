@@ -3,8 +3,8 @@ irregularity, Riemann-Roch curve profiles, products, and Kodaira dimension.
 
 Coefficient bookkeeping is exact throughout: trigonometric polynomials carry
 Gaussian-rational-times-pi-power coefficients, Fourier-mode solvability is
-decided in closed form, and growth classification uses exact finite
-differences -- never floating point.  The immutable values here
+decided in closed form, and a declared growth order is checked by exact
+finite differences -- never floating point.  The immutable values here
 (scalars._Frozen) fill their slots with object.__setattr__.
 """
 
@@ -458,23 +458,20 @@ class PlurigeneraProfile(_Frozen):
     """Exact plurigenera P_1..P_M with their growth order kappa.
 
     kappa is -inf when every plurigenus vanishes, 0 for bounded growth, and
-    the polynomial degree d >= 1 otherwise.  Family constructors supply it
-    from closed-form knowledge; otherwise it is fitted by exact finite
-    differences on the tail window m in [ceil(M/2), M], refusing when the
-    tail is not polynomial.
+    the polynomial degree d >= 1 otherwise.  Every builder declares it from
+    what it knows of its family (the values of a finite window cannot
+    decide it), and the values are checked against it.
     """
 
     __slots__ = ("values", "kappa")
 
-    def __init__(self, values: Sequence[ProfileValue], kappa=None):
+    def __init__(self, values: Sequence[ProfileValue], kappa):
         values = tuple(_normalize_value(v) for v in values)
         if len(values) < MIN_PROFILE_LENGTH:
             raise InputError(
                 f"profiles need at least {MIN_PROFILE_LENGTH} values to classify"
             )
-        if kappa is None:
-            kappa = self._classify(values)
-        elif (refusal := self._check_kappa(values, kappa)) is not None:
+        if (refusal := self._check_kappa(values, kappa)) is not None:
             raise InputError(refusal)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "kappa", kappa)
@@ -485,28 +482,6 @@ class PlurigeneraProfile(_Frozen):
     def _tail(values: Sequence[ProfileValue]) -> Sequence[ProfileValue]:
         start = -(-len(values) // 2)  # ceil(M/2), 1-based
         return values[start - 1 :]
-
-    @classmethod
-    def _classify(cls, values) -> Union[float, int]:
-        if all(v == 0 for v in values):
-            return NEG_INF
-        tail = cls._tail(values)
-        if any(isinstance(v, IntInterval) for v in tail):
-            raise RefusalError(
-                "cannot classify growth through undetermined interval values"
-            )
-        degree = _poly_degree(tail)
-        if degree is None:
-            raise RefusalError(
-                "stored plurigenera are not polynomial on the tail window; "
-                "supply the classification from family knowledge"
-            )
-        if degree == -1:
-            raise RefusalError(
-                "tail window is identically zero but earlier values are not; "
-                "growth cannot be inferred from the window"
-            )
-        return degree
 
     @classmethod
     def _check_kappa(cls, values, kappa) -> Optional[str]:
@@ -559,14 +534,15 @@ class PlurigeneraProfile(_Frozen):
 def kunneth(pa: PlurigeneraProfile, pb: PlurigeneraProfile) -> PlurigeneraProfile:
     """Product profile: plurigenera multiply level-by-level and kappa adds
     (an all-zero factor's -inf absorbs), unless the product's values
-    contradict the sum; then kappa is fitted from them, so a caller sees the
-    failed additivity as kappa != pa.kappa + pb.kappa."""
+    contradict the sum; then kappa is the degree their tail fits, so a caller
+    sees the failed additivity as kappa != pa.kappa + pb.kappa."""
     if pa.length != pb.length:
         raise InputError("profiles must store the same number of levels")
     values = [_value_mul(u, v) for u, v in zip(pa.values, pb.values)]
     kappa = pa.kappa + pb.kappa
     if PlurigeneraProfile._check_kappa(values, kappa) is not None:
-        kappa = None
+        # the sum is refused only where the tail fits another degree d >= 0
+        kappa = _poly_degree(PlurigeneraProfile._tail(values))
     return PlurigeneraProfile(values, kappa)
 
 
@@ -580,15 +556,22 @@ def kodaira_dimension(profile: PlurigeneraProfile) -> Union[float, int]:
 # ---------------------------------------------------------------------------
 
 
-def kt_profile(a: PiParam, length: int = DEFAULT_PROFILE_LENGTH) -> PlurigeneraProfile:
-    """Plurigenera profile of the solvmanifold family at parameter a.
+def section_level_profile(values: Sequence[int], level: Optional[int]) -> PlurigeneraProfile:
+    """The bounded profile of a family whose first section is at m = level (the
+    zero profile at None), checked: the window's first nonzero value is there."""
+    first = next((m for m, v in enumerate(values, start=1) if v), None)
+    if first != (level if level is not None and level <= len(values) else None):
+        raise InternalCheckError("first section level", f"the rule gives {level}, "
+                                 f"the values are first nonzero at {first}")
+    return PlurigeneraProfile(values, NEG_INF if level is None else 0)
 
-    Rational multiples of pi give a bounded profile (some level is 1 in
-    closed form, possibly beyond the stored window); generic parameters give
-    the zero profile.
-    """
+
+def kt_profile(a: PiParam, length: int = DEFAULT_PROFILE_LENGTH) -> PlurigeneraProfile:
+    """Plurigenera profile of the solvmanifold family at parameter a: bounded
+    at a rational multiple of pi, whose first section kt_first_nonzero gives
+    in closed form (possibly beyond the stored window), else zero."""
     values = [kt_plurigenus(a, m) for m in range(1, length + 1)]
-    return PlurigeneraProfile(values, 0 if a.kind == "rational_pi" else NEG_INF)
+    return section_level_profile(values, kt_first_nonzero(a))
 
 
 def t4_profile(

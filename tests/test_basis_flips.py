@@ -4,18 +4,19 @@ A signed permutation of the basis, e'_i = s_i e_{p(i)}, maps the basis
 lattice to itself.  Carried through both the brackets and J it is an
 isomorphism of almost complex models, so every invariant the CLI prints
 must be unchanged: the hodge dimension at every (p,q) at powers 0 and 1,
-kodaira's values and kappa (or its refusal), the irregularity and
-nijenhuis's integrable verdict (an entry count such as nonzero_entries is
-not an invariant, so it is not compared).
+kodaira's values and kappa, the irregularity and nijenhuis's integrable
+verdict (an entry count such as nonzero_entries is not an invariant, so it
+is not compared).
 
 heis6.json, abelian4.json and nil8-generic.json each get two seeded flips of
 J-pairs (abelian4.json has no brackets, so its flipped file is the file
 itself).  dense12.json is left out for time: its invariants take 6-9 s per
 flip.  kt4.json is moved three ways, at several a: e1 and e2 negated, its
 J-pairs swapped, and its base plane rotated; its character blocks come from
-its canonical bundle in every basis.  A kt x T^2 file must give the product
-that kunneth gives, and a file whose lambda_1 is integral but does not
-vanish on [g, g] gets the trivial block only.
+its canonical bundle in every basis, and kodaira prints the kt preset's
+values and kappa in each.  A kt x T^2 file must give the product that
+kunneth gives, and a file whose lambda_1 is integral but does not vanish on
+[g, g] gets the trivial block only.
 """
 
 import contextlib
@@ -34,6 +35,7 @@ from acx.models import model_from_json
 from acx.scalars import Scalar, SymScalar
 
 MODELS = Path(__file__).parent / "golden" / "models"
+KODAIRA_LENGTH = 12
 
 
 def _signed(text, s):
@@ -99,14 +101,15 @@ def invariants(path, n):
     shown = {("hodge", p, q, power): report("hodge", "--p", p, "--q", q,
                                             "--power", power)["dimension"]
              for power in (0, 1) for p in range(n + 1) for q in range(n + 1)}
-    code, kodaira = acx("kodaira", "--model", path)
-    shown["kodaira"] = (kodaira["values"], kodaira["kappa"]) if code == 0 else (code, kodaira)
+    kodaira = report("kodaira", "--length", KODAIRA_LENGTH)
+    shown["kodaira"] = (kodaira["values"], kodaira["kappa"])
     shown["irregularity"] = report("irregularity")["value"]
     shown["integrable"] = report("nijenhuis")["integrable"]
     return shown
 
 
 def assert_same_invariants(tmp_path, obj, moved):
+    """The invariants of the model file obj, which moved must share."""
     paths = []
     for tag, model in (("given", obj), ("moved", moved)):
         paths.append(tmp_path / f"{tag}.json")
@@ -114,6 +117,7 @@ def assert_same_invariants(tmp_path, obj, moved):
     n = obj["dim"] // 2
     want, got = (invariants(path, n) for path in paths)
     assert got == want, {key: (want[key], got[key]) for key in want if got[key] != want[key]}
+    return want
 
 
 @pytest.mark.parametrize("name", ["heis6", "abelian4", "nil8-generic"])
@@ -136,12 +140,19 @@ KT_BASES = {
 }
 
 
-@pytest.mark.parametrize("a", ["4*pi", "-4*pi", "8*pi", "2*pi", "4/3*pi"])
+@pytest.mark.parametrize("a", ["4*pi", "-4*pi", "8*pi", "2*pi", "4/3*pi", "1/2*pi",
+                               "39/10*pi", "1/1000*pi", "generic"])
 @pytest.mark.parametrize("basis", sorted(KT_BASES))
 def test_kt4_in_other_bases_keeps_every_invariant(tmp_path, basis, a):
-    """At 2*pi and 4/3*pi kodaira refuses, alike in every basis."""
+    """kodaira on the file prints what the kt preset prints at the same a:
+    periodic (2*pi, 4/3*pi), first nonzero beyond the window (39/10*pi at
+    m = 40, 1/1000*pi at m = 4000) or zero (generic)."""
     obj = dict(json.loads((MODELS / "kt4.json").read_text()), params={"a": a})
-    assert_same_invariants(tmp_path, obj, in_basis(obj, KT_BASES[basis]))
+    shown = assert_same_invariants(tmp_path, obj, in_basis(obj, KT_BASES[basis]))
+    code, preset = acx("kodaira", "--model", "kt", "--a", a, "--length", KODAIRA_LENGTH)
+    assert code == 0, preset
+    [row] = preset["rows"]
+    assert shown["kodaira"] == (row["values"], row["kappa"])
 
 
 def test_the_swapped_golden_file_is_kt4_in_that_basis():

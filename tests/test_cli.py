@@ -548,6 +548,18 @@ class TestMainExitCodes:
             "internal check failed: mode oracle: disagrees with the closed form"
         )
 
+    @pytest.mark.parametrize("level, first", [(3, 1), (None, 1), (13, 1)])
+    def test_failed_first_section_level_exit_three(self, monkeypatch, capsys, level, first):
+        # kt4.json (a = 4*pi) has P_m = 1 from m = 1 on: a rule that puts the
+        # first section at another level, or at none, disagrees with the window
+        from acx.lie import LieACS
+
+        monkeypatch.setattr(LieACS, "first_section_level", level)
+        assert main(["kodaira", "--model", KT4_PATH, "--length", "12"]) == 3
+        assert capsys.readouterr().err == (
+            f"internal check failed: first section level: the rule gives {level}, "
+            f"the values are first nonzero at {first}\n")
+
     @pytest.mark.parametrize("argv", [
         ["hodge", "--model", "kt", "--a", "4*pi", "--p", "0", "--q", "0",
          "--power", "1"],

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from acx import scalars, torus
-from acx.errors import InputError, RefusalError
+from acx.errors import InputError, InternalCheckError, RefusalError
 from acx.forms import Form
 from acx.g2 import G2Element
 from acx.scalars import PiParam, Scalar, SymScalar
@@ -15,6 +15,7 @@ from acx.torus import (
     BOUNDED,
     POLYNOMIAL,
     DEFAULT_PROFILE_LENGTH,
+    NEG_INF,
     IntInterval,
     PlurigeneraProfile,
     TrigPoly,
@@ -315,11 +316,11 @@ class TestRiemannRoch:
 
 class TestProfiles:
     def test_classification_of_simple_shapes(self):
-        assert PlurigeneraProfile([0, 0, 0, 0]).kind == ALL_ZERO
-        assert PlurigeneraProfile([1, 1, 1, 1]).kind == BOUNDED
-        p = PlurigeneraProfile([1, 3, 5, 7, 9, 11])
+        assert PlurigeneraProfile([0, 0, 0, 0], NEG_INF).kind == ALL_ZERO
+        assert PlurigeneraProfile([1, 1, 1, 1], 0).kind == BOUNDED
+        p = PlurigeneraProfile([1, 3, 5, 7, 9, 11], 1)
         assert p.kind == POLYNOMIAL and p.degree == 1
-        q = PlurigeneraProfile([1, 9, 25, 49, 81, 121])
+        q = PlurigeneraProfile([1, 9, 25, 49, 81, 121], 2)
         assert q.kind == POLYNOMIAL and q.degree == 2
 
     def test_declared_kind_is_checked(self):
@@ -344,27 +345,29 @@ class TestProfiles:
         cases = [([0] * 4, float("-inf"), ALL_ZERO, None), ([1] * 4, 0, BOUNDED, None),
                  ([1, 3, 5, 7], 1, POLYNOMIAL, 1)]
         for values, kappa, kind, degree in cases:
-            p = PlurigeneraProfile(values)
+            p = PlurigeneraProfile(values, kappa)
             assert (p.kappa, p.kind, p.degree) == (kappa, kind, degree)
-            assert p == PlurigeneraProfile(values, kappa)
         with pytest.raises(TypeError):
             PlurigeneraProfile([1, 1, 1, 1], kind=BOUNDED)
 
-    def test_non_polynomial_tail_is_refused(self):
-        with pytest.raises(RefusalError):
-            PlurigeneraProfile([1, 2, 4, 8, 16, 32, 64, 128])
+    def test_kappa_is_required(self):
+        # no window of values decides kappa, so no profile guesses it
+        for values in ([0, 0, 0, 0], [1, 1, 1, 1], [1, 3, 5, 7]):
+            with pytest.raises(TypeError):
+                PlurigeneraProfile(values)
 
-    def test_interval_in_tail_is_refused(self):
-        with pytest.raises(RefusalError):
-            PlurigeneraProfile([1, 2, 3, IntInterval(4, 5)])
-
-    def test_interval_in_head_is_tolerated(self):
-        p = PlurigeneraProfile([IntInterval(1, 2), 3, 5, 7, 9, 11])
-        assert p.kind == POLYNOMIAL and p.degree == 1
+    def test_a_section_level_declares_kappa(self):
+        assert torus.section_level_profile([0, 1, 0, 1], 2).kappa == 0
+        assert torus.section_level_profile([0, 0, 0, 0], 40).kappa == 0
+        assert torus.section_level_profile([0, 0, 0, 0], None).kappa == NEG_INF
+        for values, level in (([0, 1, 0, 1], 1), ([0, 1, 0, 1], None), ([0, 0, 0, 0], 4),
+                              ([0, 0, 0, 1], 5)):
+            with pytest.raises(InternalCheckError, match="^first section level: "):
+                torus.section_level_profile(values, level)
 
     def test_profiles_need_four_values(self):
         with pytest.raises(InputError):
-            PlurigeneraProfile([1, 1, 1])
+            PlurigeneraProfile([1, 1, 1], 0)
 
     def test_preset_profiles(self):
         assert kt_profile(A_4PI).kind == BOUNDED
@@ -391,7 +394,7 @@ class TestProfiles:
 
 class TestKunnethAndKodaira:
     def test_kodaira_dimension_of_each_kind(self):
-        assert kodaira_dimension(PlurigeneraProfile([0, 0, 0, 0])) == float("-inf")
+        assert kodaira_dimension(PlurigeneraProfile([0, 0, 0, 0], NEG_INF)) == NEG_INF
         assert kodaira_dimension(PlurigeneraProfile([0, 1, 0, 1], 0)) == 0
         assert kodaira_dimension(rr_profile(3)) == 1
 
@@ -428,22 +431,23 @@ class TestKunnethAndKodaira:
 
     @pytest.mark.parametrize("length", [12, 50])
     def test_kappa_additivity_against_a_refit(self, length):
-        """kunneth adds the factors' kappa; refitting the product's values
-        alone (no declared kappa) must give the same growth order."""
+        """kunneth adds the factors' kappa; the degree the product's tail
+        fits (-1 for a zero tail) must be the same growth order."""
         factors = [rr_profile(2, length), curve_profile(3, length),
                    torus_profile(length), kt_profile(A_4PI, length),
                    kt_profile(A_GEN, length)]
         for pa in factors:
             for pb in factors:
                 prod = kunneth(pa, pb)
-                assert PlurigeneraProfile(prod.values).kappa == prod.kappa
+                fitted = torus._poly_degree(PlurigeneraProfile._tail(prod.values))
+                assert prod.kappa == (NEG_INF if fitted == -1 else fitted)
 
     def test_contradicted_sum_is_refitted(self):
         # curve values with a fabricated kappa = 0 pass their own check; the
         # product with rr grows quadratically, so the sum 1 is not its kappa
         fabricated = PlurigeneraProfile(curve_profile(2, 8).values, 0)
         prod = kunneth(fabricated, rr_profile(2, 8))
-        assert prod.kappa == 2 == PlurigeneraProfile(prod.values).kappa
+        assert prod.kappa == 2 == torus._poly_degree(PlurigeneraProfile._tail(prod.values))
 
     def test_mismatched_lengths_are_rejected(self):
         with pytest.raises(InputError):
@@ -453,10 +457,7 @@ class TestKunnethAndKodaira:
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: PlurigeneraProfile([1, 0, 0, 0]), RefusalError,
-         "tail window is identically zero but earlier values are not; "
-         "growth cannot be inferred from the window"),
-        (lambda: PlurigeneraProfile([-1, 0, 0, 0]), InputError, "plurigenera are nonnegative"),
+        (lambda: PlurigeneraProfile([-1, 0, 0, 0], NEG_INF), InputError, "plurigenera are nonnegative"),
         (lambda: curve_profile(1), InputError, "curve profiles require genus at least 2"),
         (lambda: t4_plurigenus(*t4_standard_pair(), 0), InputError,
          "plurigenus level m must be at least 1"),
@@ -465,7 +466,7 @@ class TestKunnethAndKodaira:
         (lambda: t4_obstruction(1, 2), InputError,
          "coefficients must be trigonometric polynomials"),
     ],
-    ids=["zero-tail", "negative", "genus-1-curve", "t4-level-0", "kt-plurigenus-string",
+    ids=["negative", "genus-1-curve", "t4-level-0", "kt-plurigenus-string",
          "kt-irregularity-string", "t4-obstruction-ints"],
 )
 def test_library_refusals_name_their_fault(call, error, message):
